@@ -38,13 +38,13 @@ from .errors import (
 )
 from .kernels import (
     KernelSpec,
+    _mmd_from_means,
     feature_map_batch,
     feature_map_input_jacobian,
     gram_matrix,
     has_analytic_grad,
     kernel_grad2,
     median_heuristic_spec,
-    mmd_squared,
     mmd_squared_grad_s,
 )
 from .models import (
@@ -637,7 +637,6 @@ def _condense_cig_ridge(cfg, t, s0):
     y_t = one_hot(t.labels, t.class_count)
     y_s = one_hot(s0.labels, s0.class_count)
     s = np.array(s0.features, copy=True)
-    n = x_t.shape[0]
     log = StepLog(meta={"method": "cig_ridge", "lambda": lam})
     for step in range(cfg.outer_steps):
         value, grad = cig_ridge_value_and_grad(s, y_s, x_t, y_t, lam)
@@ -908,11 +907,6 @@ def _make_ensemble(cfg: MethodConfig, input_dim: int, class_count: int, t_matche
     return models
 
 
-def _penultimate_index(model) -> int:
-    n_feats = len(model.weights)
-    return n_feats - 2 if n_feats >= 2 else n_feats - 1
-
-
 def _regime_views(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """Matched T view, initial variables, variable-to-matched map + vjp, and the
     map recovering input-space synthetic features from the variables."""
@@ -1027,6 +1021,11 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
             mean_phi = feature_map_batch(kernel, t_matched[part_t[y]]).mean(axis=0)
             t_embed[y] = mean_phi + sigma * rng_dp.normal(size=mean_phi.shape)
 
+    # mean k(T_y, T_y) does not depend on S; image transforms redraw the T rows every step
+    t_gram_means = None
+    if cfg.method == "mmd" and not embed_path and not has_image_ops:
+        t_gram_means = {y: gram_matrix(kernel, t_matched[part_t[y]], t_matched[part_t[y]]).mean() for y in classes}
+
     probe = _Transforms(cfg, 0)
     model_dim = probe.output_dim(t_matched.shape[1])
     kernel_objective = embed_path or cfg.method == "mmd"
@@ -1120,11 +1119,17 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
                     g_rows = np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rows_s.shape[0])
                 else:
                     rows_t, _, _ = tr.apply(per_class_t[y], class_labels(y, per_class_t[y].shape[0]), "t", y)
-                    value += mmd_squared(kernel, rows_t, rows_s)
+                    ktt = t_gram_means[y] if t_gram_means is not None else gram_matrix(kernel, rows_t, rows_t).mean()
+
+                    def mmd(r):
+                        kts = gram_matrix(kernel, rows_t, r).mean()
+                        return _mmd_from_means(ktt, kts, gram_matrix(kernel, r, r).mean())
+
+                    value += mmd(rows_s)
                     if has_analytic_grad(kernel):
                         g_rows = mmd_squared_grad_s(kernel, rows_t, rows_s)
                     else:
-                        g_rows = _fd_rows(lambda r: mmd_squared(kernel, rows_t, r), rows_s)
+                        g_rows = _fd_rows(mmd, rows_s)
                 grad_matched[part_s[y]] += vjp_s(g_rows)
         else:
             n_e = len(ensemble)

@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
-from .data import LabeledDataset, SyntheticDataset, per_class_partition
+from .data import per_class_partition
 from .errors import (
     ArchitectureError,
     ConfigError,
@@ -18,7 +19,6 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
-from .models import per_sample_loss
 
 PROVENANCES = ("random_init", "pretrained", "trajectory_snapshots")
 
@@ -192,7 +192,8 @@ def wasserstein1(t, s, ground_metric: str = "euclidean") -> float:
     """Exact W1 between uniform empirical measures.
 
     Equal-size sets reduce to an optimal assignment (Hungarian method); unequal
-    sizes solve the transport LP on the bipartite polytope exactly.
+    sizes solve the transport LP on the bipartite polytope exactly. Its (n+m) x nm
+    marginal constraint matrix is sparse, with 2nm nonzeros, so memory is O(nm).
     """
     if ground_metric != "euclidean":
         raise ConfigError("only the euclidean ground metric is implemented")
@@ -206,12 +207,11 @@ def wasserstein1(t, s, ground_metric: str = "euclidean") -> float:
         rows, cols = linear_sum_assignment(d)
         return float(d[rows, cols].sum() / n)
     # transport LP: minimize <gamma, d> with uniform marginals 1/n and 1/m
+    # variable i*m + j is gamma_ij; its column has a one in row-sum i and column-sum n + j
     c = d.ravel()
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
+    i, j = np.divmod(np.arange(n * m), m)
+    row_idx = np.column_stack([i, n + j]).ravel()
+    a_eq = csc_array((np.ones(2 * n * m), row_idx, np.arange(0, 2 * n * m + 1, 2)), shape=(n + m, n * m))
     b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:

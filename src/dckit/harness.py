@@ -7,7 +7,6 @@ that is excluded from that guarantee.
 from __future__ import annotations
 
 import json
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,6 @@ from .data import (
     SyntheticDataset,
     init_synthetic,
     load_dataset,
-    load_synthetic,
     normalize_features,
     save_synthetic,
     train_eval_split,

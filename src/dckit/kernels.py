@@ -1,7 +1,7 @@
 """Kernel families, Gram matrices, random-feature embeddings, and the kernel-only MMD."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -226,9 +226,12 @@ def mmd_squared(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> float:
     s = _as_points(s)
     if t.shape[0] == 0 or s.shape[0] == 0:
         raise DomainError("both point sets must be nonempty")
-    ktt = gram_matrix(spec, t, t).mean()
-    kts = gram_matrix(spec, t, s).mean()
-    kss = gram_matrix(spec, s, s).mean()
+    return _mmd_from_means(gram_matrix(spec, t, t).mean(), gram_matrix(spec, t, s).mean(),
+                           gram_matrix(spec, s, s).mean())
+
+
+def _mmd_from_means(ktt, kts, kss) -> float:
+    """MMD^2 from the three Gram means, clamped at zero; ``ktt`` is constant in S, so callers may cache it."""
     val = float(ktt - 2.0 * kts + kss)
     if val < 0:
         val = 0.0 if val > -1e-9 else val

@@ -142,6 +142,38 @@ def test_mmd_1d_converges_to_class_mean(rng):
     assert abs(out.features[0, 0] - x.mean()) <= 1e-2
 
 
+# Objective logs of three short mmd runs, pinned as float.hex before mean k(T, T)
+# was cached: the Gaussian run uses the analytic gradient, the nfk run the
+# finite-difference fallback, and the siamese run transforms T every step, so a
+# k(T, T) term reused across steps would change its values.
+MMD_OBJECTIVES = {
+    "gaussian": ["0x1.9f762549a4324p-3", "0x1.344d20fa952a8p-4", "0x1.2fa24dd52dd80p-5", "0x1.acfb14fbaa840p-6"],
+    "nfk": ["0x1.1533cce9fc1d0p-2", "0x1.0575783c2f2a8p-5", "0x1.dc3dbc4ba3a80p-9"],
+    "siamese": ["0x1.87ec65fbcf76bp+0", "0x1.2db0afac0834bp+0", "0x1.198d20a6e51f7p+0", "0x1.29a85a8d36a94p-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MMD_OBJECTIVES))
+def test_mmd_objectives_pinned(name):
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.array([0] * 6 + [1] * 6)
+    img = rng.uniform(0.0, 1.0, (12, 16))
+    if name == "siamese":
+        t = LabeledDataset(img, y, 2)
+        s = SyntheticDataset(img[[0, 6]], y[[0, 6]], per_class_size=1, origin="init")
+        cfg = MethodConfig(method="mmd", outer_steps=4, outer_lr=0.5, kernel=gaussian_spec(0.8),
+                           image_shape=(1, 4, 4), variants={"siamese": {"op": "shift"}}, seed=3)
+    else:
+        t = LabeledDataset(x, y, 2)
+        s = SyntheticDataset(x[[0, 1, 6, 7]], y[[0, 1, 6, 7]], per_class_size=2, origin="init")
+        kernel = (gaussian_spec(0.8) if name == "gaussian"
+                  else KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1)))
+        cfg = MethodConfig(method="mmd", outer_steps=len(MMD_OBJECTIVES[name]), outer_lr=0.5, kernel=kernel, seed=3)
+    _, log = condense(cfg, t, s)
+    assert [float(v).hex() for v in log.objectives()] == MMD_OBJECTIVES[name]
+
+
 # --- kernel ridge regression ---------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from dckit import (
@@ -146,6 +148,25 @@ def test_w1_unequal_sizes_exact():
     # each of the two T atoms ships half its mass to the single S atom
     got = wasserstein1(np.array([0.0, 2.0]), np.array([1.0]))
     assert got == pytest.approx(1.0, abs=1e-9)
+
+
+def test_w1_unequal_sizes_match_repeated_assignment(rng):
+    # with |T| = k |S|, copying S k times gives equal uniform masses, so the
+    # transport LP must equal an optimal assignment against the copies
+    a = rng.uniform(size=(800, 2))
+    b = rng.uniform(size=(20, 2))
+    d = cdist(a, np.tile(b, (40, 1)))
+    rows, cols = linear_sum_assignment(d)
+    oracle = d[rows, cols].sum() / 800
+    tracemalloc.start()
+    try:
+        got = wasserstein1(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(oracle, abs=1e-12)
+    # a dense (n+m) x nm constraint matrix alone would be 105 MB here
+    assert peak < 16e6
 
 
 def test_w1_metric_axioms(rng):
