@@ -51,6 +51,7 @@ from .models import (
     Mlp,
     TrainConfig,
     Trajectory,
+    _FlatSgd,
     loss_hvp_fd,
     max_eigenvalue,
     lambda_max_estimate,
@@ -606,11 +607,12 @@ def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
 
 
 def _full_batch_steps(model: Mlp, params, x, y, eta, k, loss):
-    cur = params
-    for _ in range(k):
-        _, grad, _ = model.with_params(cur).backward(x, y, loss)
-        cur = cur - eta * grad
-    return cur
+    """k full-batch SGD steps from ``params`` (left unchanged); returns the end point."""
+    net = _FlatSgd(model, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            net.step(x, y, loss, eta, f"inner step {i}")
+    return net.params
 
 
 def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset, flavor: str | None = None):

@@ -59,6 +59,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        # the trainer's own rules, checked now rather than after condensation
+        TrainConfig(self.learning_rate, self.epochs, self.batch_size, self.loss)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def _train_fresh(hidden, features, labels, class_count, eval_cfg: EvalConfig, se
     cfg = TrainConfig(
         learning_rate=eval_cfg.learning_rate,
         epochs=eval_cfg.epochs,
-        batch_size=max(1, min(eval_cfg.batch_size, x.shape[0])),
+        batch_size=eval_cfg.batch_size,
         loss=eval_cfg.loss,
         seed=seed,
     )

@@ -6,6 +6,7 @@ objectives that need mixed second derivatives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +63,26 @@ def per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.nda
     raise ConfigError(f"unknown loss {loss!r}")
 
 
-def _loss_grad_logits(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
-    """Gradient of the mean batch loss with respect to the logits."""
+def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str):
+    """Mean batch loss and its gradient with respect to the logits.
+
+    One softmax (cross-entropy) or one residual (mse) feeds both. The value has
+    the bits of ``mean(per_sample_loss(...))``: ``sum() / b`` is ``np.mean``'s
+    own arithmetic without its per-call overhead.
+    """
     b = logits.shape[0]
     y = np.asarray(labels, dtype=np.int64)
     target = one_hot(y, logits.shape[1])
     if loss == "cross_entropy":
-        return (_softmax(logits) - target) / b
+        m = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - m)
+        total = e.sum(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(total[:, 0])
+        value = float((lse - logits[np.arange(b), y]).sum() / b)
+        return value, (e / total - target) / b
     if loss == "mse":
-        return (logits - target) / b
+        r = logits - target
+        return float((0.5 * np.sum(r**2, axis=1)).sum() / b), r / b
     raise ConfigError(f"unknown loss {loss!r}")
 
 
@@ -85,6 +97,45 @@ def _loss_grad_logits_tangent(
     return (p * zdot - p * inner) / b
 
 
+def _forward_sweep(weights, biases, activation: str, x: np.ndarray):
+    """Pre-activations and activations (input first, logits last) of one batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != weights[0].shape[0]:
+        raise ShapeError(f"expected (B, {weights[0].shape[0]}) inputs, got {x.shape}")
+    acts = [x]
+    zs = []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        zs.append(z)
+        acts.append(_act(activation, z) if i < last else z)
+    return zs, acts
+
+
+def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, grads=None):
+    """Reverse sweep from logit gradients plus optional per-feature upstream terms.
+
+    ``upstream`` aligns with the features list (hidden activations then logits).
+    ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
+    buffer that receives the parameter gradients; None skips them. Returns the
+    input gradients.
+    """
+    last = len(weights) - 1
+    g = g_logits
+    if upstream is not None and upstream[last] is not None:
+        g = g + upstream[last]
+    for i in range(last, -1, -1):
+        if grads is not None:
+            np.matmul(acts[i].T, g, out=grads[0][i])
+            g.sum(axis=0, out=grads[1][i])
+        ga = g @ weights[i].T
+        if i == 0:
+            return ga
+        if upstream is not None and upstream[i - 1] is not None:
+            ga = ga + upstream[i - 1]
+        g = ga * _act_prime(activation, zs[i - 1])
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """SGD hyperparameters; deterministic given the seed."""
@@ -96,8 +147,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -224,17 +275,7 @@ class Mlp:
     # -- forward -------------------------------------------------------------------
 
     def _forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_inputs:
-            raise ShapeError(f"expected (B, {self.n_inputs}) inputs, got {x.shape}")
-        acts = [x]
-        zs = []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            zs.append(z)
-            acts.append(_act(self.activation, z) if i < last else z)
-        return zs, acts
+        return _forward_sweep(self.weights, self.biases, self.activation, x)
 
     def forward_batch(self, x: np.ndarray):
         """Return (logits, features) where features lists each hidden activation then the logits."""
@@ -258,34 +299,6 @@ class Mlp:
 
     # -- reverse mode ----------------------------------------------------------------
 
-    def _backprop(self, zs, acts, g_logits, upstream=None, want_params=True):
-        """Shared reverse sweep from logit gradients plus optional per-feature upstream terms.
-
-        ``upstream`` aligns with the features list (hidden activations then logits).
-        Returns (flat param grads or None, input grads).
-        """
-        last = len(self.weights) - 1
-        g = np.array(g_logits)
-        if upstream is not None and upstream[last] is not None:
-            g = g + upstream[last]
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
-        for i in range(last, -1, -1):
-            if want_params:
-                grads_w[i] = acts[i].T @ g
-                grads_b[i] = g.sum(axis=0)
-            ga = g @ self.weights[i].T
-            if i == 0:
-                flat = None
-                if want_params:
-                    flat = np.concatenate(
-                        [np.concatenate([w.ravel(), b]) for w, b in zip(grads_w, grads_b)]
-                    )
-                return flat, ga
-            if upstream is not None and upstream[i - 1] is not None:
-                ga = ga + upstream[i - 1]
-            g = ga * _act_prime(self.activation, zs[i - 1])
-
     def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy"):
         """Exact gradients of the mean batch loss w.r.t. parameters and inputs.
 
@@ -295,22 +308,19 @@ class Mlp:
         if x.shape[0] < 1:
             raise ShapeError("batch must be nonempty")
         zs, acts = self._forward(x)
-        logits = acts[-1]
-        value = float(np.mean(per_sample_loss(logits, y, loss)))
-        g = _loss_grad_logits(logits, y, loss)
-        flat, ginput = self._backprop(zs, acts, g)
+        value, g = _loss_value_and_grad(acts[-1], y, loss)
+        flat = np.empty(self.param_count)
+        ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat))
         return value, flat, ginput
 
     def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
         """Input gradients of sum_b <upstream_b, feature_b> summed over feature entries."""
         zs, acts = self._forward(x)
-        zero = np.zeros_like(acts[-1])
         up = list(upstream)
         if len(up) != len(self.weights):
             raise ShapeError("upstream must align with the features list")
-        g0 = up[-1] if up[-1] is not None else zero
-        _, ginput = self._backprop(zs, acts, g0, upstream=[*up[:-1], None], want_params=False)
-        return ginput
+        g0 = up[-1] if up[-1] is not None else np.zeros_like(acts[-1])
+        return _reverse_sweep(self.weights, self.activation, zs, acts, g0, upstream=[*up[:-1], None])
 
     # -- forward-over-reverse tangent -----------------------------------------------
 
@@ -338,7 +348,7 @@ class Mlp:
                 acts.append(z)
                 adots.append(zdot)
         logits = acts[-1]
-        g = _loss_grad_logits(logits, y, loss)
+        _, g = _loss_value_and_grad(logits, y, loss)
         gdot = _loss_grad_logits_tangent(logits, zdots[-1], y, loss)
         for i in range(last, -1, -1):
             ga = g @ self.weights[i].T
@@ -460,32 +470,60 @@ def _as_xy(d):
     return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
+class _FlatSgd:
+    """A private flat parameter buffer and a gradient buffer, with per-layer views made once.
+
+    ``step`` runs one forward sweep, the fused loss, one reverse sweep into the
+    gradient buffer and an in-place update, so no ``Mlp`` is built per step.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``; the two
+    finiteness checks turn an overflow into a ``DivergenceError``.
+    """
+
+    def __init__(self, m: Mlp, params: np.ndarray):
+        self.activation = m.activation
+        self.params = np.array(params, dtype=np.float64)
+        self.grad = np.empty_like(self.params)
+        self.weights, self.biases = m._split_flat(self.params)
+        self.grads = m._split_flat(self.grad)
+
+    def step(self, x, y, loss: str, lr: float, where: str):
+        zs, acts = _forward_sweep(self.weights, self.biases, self.activation, x)
+        value, g = _loss_value_and_grad(acts[-1], y, loss)
+        if not math.isfinite(value):
+            raise DivergenceError(f"loss became non-finite at {where}")
+        _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self.grads)
+        self.params -= lr * self.grad
+        if not np.isfinite(self.params).all():
+            raise DivergenceError(f"parameters became non-finite at {where}")
+
+
 def sgd_train(m: Mlp, d, cfg: TrainConfig, record: bool = False):
     """Mini-batch SGD with per-epoch shuffling fixed by the config seed.
 
-    Returns the trained model and, when ``record`` is set, the trajectory of
-    end-of-epoch flattened snapshots (snapshot 0 is the initialization).
+    Updates a private flat parameter buffer in place and returns a freshly
+    validated ``Mlp`` built from it (``m`` itself when ``cfg.epochs`` is 0), and,
+    when ``record`` is set, the trajectory of end-of-epoch flattened snapshots
+    (snapshot 0 is the initialization). Divergence raises ``DivergenceError``
+    naming the epoch.
     """
     x, y = _as_xy(d)
     rng = np.random.default_rng(cfg.seed)
-    params = m.flat_params()
-    snaps = [params.copy()]
+    net = _FlatSgd(m, m.flat_params())
+    snaps = [net.params.copy()]
+    if cfg.epochs == 0:
+        return (m, Trajectory(tuple(snaps))) if record else (m, None)
     n = x.shape[0]
-    cur = m
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            rows = perm[start : start + cfg.batch_size]
-            value, grad, _ = cur.backward(x[rows], y[rows], cfg.loss)
-            if not np.isfinite(value):
-                raise DivergenceError(f"loss became non-finite at epoch {epoch}")
-            params = cur.flat_params() - cfg.learning_rate * grad
-            if not np.all(np.isfinite(params)):
-                raise DivergenceError(f"parameters became non-finite at epoch {epoch}")
-            cur = cur.with_params(params)
-        if record:
-            snaps.append(cur.flat_params())
-    return (cur, Trajectory(tuple(snaps))) if record else (cur, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            where = f"epoch {epoch}"
+            for start in range(0, n, cfg.batch_size):
+                rows = perm[start : start + cfg.batch_size]
+                net.step(x[rows], y[rows], cfg.loss, cfg.learning_rate, where)
+            if record:
+                snaps.append(net.params.copy())
+    out = m.with_params(net.params)
+    return (out, Trajectory(tuple(snaps))) if record else (out, None)
 
 
 def pgd_attack(

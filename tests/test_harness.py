@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from dckit import (
     EvalConfig,
     MethodConfig,
+    Mlp,
     RunConfig,
+    TrainConfig,
     discrepancy_command,
     emit_plots,
     gaussian_spec,
@@ -14,10 +17,11 @@ from dckit import (
     mmd_squared,
     run,
     save_dataset,
+    sgd_train,
     two_blobs,
 )
 from dckit.cli import main
-from dckit.errors import ConfigError
+from dckit.errors import ConfigError, DivergenceError
 from dckit.seeding import derive_seed
 
 
@@ -188,19 +192,59 @@ def test_cli_missing_file_is_config_error(tmp_path):
     assert main(["discrepancy", "--a", str(tmp_path / "no.csv"), "--b", str(tmp_path / "no.csv")]) == 2
 
 
-def test_cli_numerical_failure_exit_three(tmp_path):
+def divergent_config(tmp_path, method):
+    """CLI config whose absurd mse inner learning rate overflows the inner training."""
     d = two_blobs(n_per_class=10, dim=2, separation=6.0, seed=1)
     p = tmp_path / "d.csv"
     save_dataset(d, p)
-    # an absurd inner learning rate with mse makes the expert training overflow
     cfg = {
         "dataset": str(p),
         "per_class": 1,
-        "method": {"method": "trajectory", "outer_steps": 1, "outer_lr": 0.1,
+        "method": {"method": method, "outer_steps": 1, "outer_lr": 0.1,
                    "inner_steps": 3, "inner_lr": 1e150, "loss": "mse", "hidden": [4]},
     }
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["condense", "--config", str(tmp_path / "cfg.json")]) == 3
+    path = tmp_path / f"{method}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_cli_numerical_failure_exit_three(tmp_path):
+    # the expert training of the trajectory method overflows
+    assert main(["condense", "--config", divergent_config(tmp_path, "trajectory")]) == 3
+
+
+def test_cli_bptt_divergence_exit_three(tmp_path, capsys):
+    # the unrolled inner steps overflow; that is a numerical failure, not a config error
+    assert main(["condense", "--config", divergent_config(tmp_path, "bptt")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_divergence_leaks_no_runtime_warning(tmp_path):
+    d = two_blobs(30, seed=1)
+    cfg = TrainConfig(learning_rate=1e150, epochs=3, loss="mse", seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="epoch"):
+            sgd_train(Mlp.init([2, 8, 2], "relu", seed=0), d, cfg)
+        for method in ("trajectory", "bptt"):
+            assert main(["condense", "--config", divergent_config(tmp_path, method)]) == 3
+
+
+@pytest.mark.parametrize("bad", [
+    {"epochs": -1},
+    {"learning_rate": 0},
+    {"loss": "bogus"},
+    {"learning_rate": float("nan")},
+    {"batch_size": 0},
+], ids=["epochs", "lr-zero", "loss", "lr-nan", "batch-size"])
+def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
+    # only the eval block is invalid, and it must be reported before any stage runs
+    cfg = {"dataset": str(blobs_csv), "method": {"method": "kmeans"}, "eval": bad}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[stage " not in err
 
 
 def test_cli_flag_overrides_config(blobs_csv, tmp_path, capsys):

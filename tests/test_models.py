@@ -1,8 +1,12 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 from dckit import Mlp, TrainConfig, lambda_max_estimate, pgd_attack, power_iteration_eig, sgd_train, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError
+from dckit.condense import _full_batch_steps
 from dckit.models import per_sample_loss
 
 
@@ -217,3 +221,60 @@ def test_trajectory_roundtrip():
 def test_param_count_reported():
     m = Mlp.init([3, 4, 2], "relu", seed=0)
     assert m.param_count == 3 * 4 + 4 + 4 * 2 + 2
+
+
+# SHA-256 of the float64 bytes of outputs captured before the flat-buffer
+# training loop replaced the per-step Mlp rebuild; any change in the arithmetic
+# (operation order, fused loss, in-place update) shows up as a new digest.
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+SGD_PINS = {
+    ("relu", "cross_entropy", 10, (5,)): "441e3c19b6625a57cd02f9c47db4fc29f9e4145c6d886e4ca5fd3c2dadd83c34",
+    ("relu", "cross_entropy", 7, (5,)): "c909f9f988796398c045618a1c126e146933cd994368c38e1a1898629352c6db",
+    ("relu", "mse", 10, (5,)): "c6f645ffd9d1e4e8e1653f483f1e9a740552798c12a16c36276f7a15bad2d277",
+    ("relu", "mse", 7, (5,)): "e4bbf6ee5c027e13606672fd71ba9cbb531d5cf48cdf53496df0ca399d4db369",
+    ("tanh", "cross_entropy", 10, (5,)): "bb96fb46547514c237d2a60213fd442504a5877f8c240dbf050f3bdb90818e2c",
+    ("tanh", "cross_entropy", 7, (5,)): "a557e4288b33db0c81d7bf01c35a26b51921f1f7f8a47f84e23778b3adb1ffc1",
+    ("tanh", "mse", 10, (5,)): "8fbd2f513f81619f7c56e817547062cd75071122763cf5d01cf16ec5563a61c1",
+    ("tanh", "mse", 7, (5,)): "6ca7a1c56b96b74f7555eb332145222300b3cb29e340f9f50405a7d09ce54a59",
+    ("tanh", "cross_entropy", 7, (5, 4)): "61ffa8fa6197010ddcfdc98be50d4ccb679222ac139c20e148099f0c2c40f814",
+}
+
+
+@pytest.mark.parametrize("case", list(SGD_PINS), ids=lambda c: "-".join(map(str, c)))
+def test_sgd_train_values_pinned(case):
+    # 30 rows: batch size 10 divides n, 7 leaves a short last batch
+    act, loss, bs, hidden = case
+    d = two_blobs(15, seed=3)
+    m = Mlp.init((2, *hidden, 2), act, seed=5)
+    cfg = TrainConfig(learning_rate=0.2, epochs=4, batch_size=bs, loss=loss, seed=8)
+    out, traj = sgd_train(m, d, cfg, record=True)
+    assert _digest(out.flat_params(), traj.stack()) == SGD_PINS[case]
+
+
+def test_full_batch_steps_values_pinned():
+    d = two_blobs(15, seed=3)
+    m = Mlp.init((2, 5, 2), "tanh", seed=6)
+    theta = m.flat_params()
+    end = _full_batch_steps(m, theta, d.features[:6], d.labels[:6], 0.3, 5, "cross_entropy")
+    assert _digest(end) == "eb35bb07ecb36e225326d03571c6407cbef2fbf796561e76d54e3d16ea7696c5"
+    assert np.array_equal(theta, m.flat_params())
+
+
+@pytest.mark.parametrize("loss, value_hex, pin", [
+    ("cross_entropy", "0x1.4da737ade429dp+0", "a8c2376c94baf8791c6000e0d3b12bf910f85768b37ad1b3d1b680e030271ad6"),
+    ("mse", "0x1.8163569ef0382p+0", "1d7fc8647f5decc79577b9e82c975769b2517ab54649b3c01895570e207ce89d"),
+])
+def test_backward_values_pinned(loss, value_hex, pin):
+    rng = np.random.default_rng(4)
+    m = Mlp.init((3, 6, 4, 3), "relu", seed=2)
+    x = rng.uniform(size=(9, 3))
+    y = rng.integers(0, 3, 9)
+    value, g, gx = m.backward(x, y, loss)
+    assert value.hex() == value_hex
+    assert _digest([value], g, gx) == pin
