@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,105 @@ def test_mmd_objectives_pinned(name):
         cfg = MethodConfig(method="mmd", outer_steps=len(MMD_OBJECTIVES[name]), outer_lr=0.5, kernel=kernel, seed=3)
     _, log = condense(cfg, t, s)
     assert [float(v).hex() for v in log.objectives()] == MMD_OBJECTIVES[name]
+
+
+# Every outer loop and every finite-difference site, pinned on tiny runs before
+# the loops were merged into one driver. Each record holds the float.hex of every
+# logged per-step value, and SHA-256 digests of the final features and of
+# repr((log.meta, out.meta)). The "-reg" cases take central differences of
+# smooth regularizers; only they compare at rel=1e-9 instead of by bits.
+OUTER_PINS = json.loads((Path(__file__).parent / "outer_loop_pins.json").read_text())
+_GAUSS = gaussian_spec(0.8)
+_NFK = KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1))
+_RFF = KernelSpec("random_feature", scale=1.0, feature_dim=16, seed=0)
+_ROBUST = {"robust_outer": {"eps": 0.05, "steps": 2}}
+_RAT = {"rat_truncation": {"window": 2}}
+OUTER_CASES = {
+    "dm": {}, "gm": {}, "mmd": {"kernel": _GAUSS}, "moment": {}, "sam": {},
+    "krr": {"kernel": _GAUSS}, "kcenter": {}, "kmeans": {}, "cig_ridge": {"ridge_lambda": 0.1},
+    "trajectory": {}, "bptt": {}, "robdc": {"variants": _ROBUST}, "curvdc": {"curv_iters": 3},
+    "krr-nfk": {"kernel": _NFK},
+    "krr-ridge_robust": {"kernel": _GAUSS, "variants": {"ridge_robust": {"eps": 0.05, "steps": 2}}},
+    "bptt-rat": {"inner_steps": 3, "variants": _RAT},
+    "robdc-rat": {"inner_steps": 3, "variants": {**_ROBUST, **_RAT}},
+    "curvdc-rat": {"inner_steps": 3, "curv_iters": 3, "variants": _RAT},
+    "gm-curvature": {"curv_iters": 3, "variants": {"curvature": {"rho": 0.1}}},
+    "gm-contrastive": {"variants": {"contrastive": {}}},
+    "gm-dp_grad": {"variants": {"dp_grad": {"sigma": 0.5}}},
+    "gm-kmeans_proxy": {"variants": {"kmeans_proxy": {"k": 3, "period": 2}}},
+    "mmd-nfk": {"kernel": _NFK},
+    "mmd-rff": {"kernel": _RFF},
+    "dm-dp_merf": {"kernel": _RFF, "variants": {"dp_merf": {"sigma": 0.5}}},
+    "dm-pretrained": {"provenance": "pretrained", "pretrain_epochs": 2},
+    "mmd-latent_latent": {"kernel": _GAUSS, "regime": "latent_latent"},
+    "dm-input_latent": {"regime": "input_latent"},
+    "dm-multiform": {"image_shape": (1, 4, 4), "variants": {"multiform": {"r": 2}}},
+    "gm-siamese": {"image_shape": (1, 4, 4), "variants": {"siamese": {"op": "flip"}}},
+    "mmd-siamese": {"kernel": _GAUSS, "image_shape": (1, 4, 4), "variants": {"siamese": {"op": "shift"}}},
+    "sam-channel_multiform": {"image_shape": (1, 4, 4), "variants": {"channel_multiform": {}}},
+    "dm-reg": {"regularizers": {"rep": 0.1, "div": 0.1}},
+    "gm-reg": {"regularizers": {"inter": 0.1, "con": 0.05, "cos": 0.05}},
+    "mmd-reg": {"kernel": _GAUSS, "regularizers": {"dis": 0.1, "intra": 0.1, "proj": 0.1}},
+}
+OUTER_PROBES = ("matching_value_and_grad", "bptt_outer_gradient", "krr_loss_and_grads")
+
+
+def _digest_array(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def outer_loop_record(name):
+    """The pinned quantities of one case of OUTER_CASES or OUTER_PROBES."""
+    from dckit.condense import _krr_loss_and_grads, bptt_outer_gradient
+    from dckit import fit_linear_autoencoder
+
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.array([0] * 6 + [1] * 6)
+    img = rng.uniform(0.0, 1.0, (12, 16))
+    t = LabeledDataset(x, y, 2)
+    s = SyntheticDataset(x[[0, 1, 6, 7]], y[[0, 1, 6, 7]], per_class_size=2, origin="init")
+    if name == "matching_value_and_grad":
+        value, grad = matching_value_and_grad(small_cfg("gm"), t, s)
+        return {"value": _hex(value), "grad": _hex(grad)}
+    if name == "bptt_outer_gradient":
+        cfg = MethodConfig(method="bptt", hidden=(4,), activation="tanh", inner_steps=2, seed=3)
+        theta = Mlp.init((3, 4, 2), "tanh", seed=0).flat_params()
+        grad_s, grad_eta = bptt_outer_gradient(cfg, t, s.features, s.labels, theta, 0.1)
+        return {"grad_s": _hex(grad_s), "grad_eta": _hex(grad_eta)}
+    if name == "krr_loss_and_grads":
+        loss, grad_s, grad_t = _krr_loss_and_grads(_NFK, x, np.eye(2)[y], s.features, np.eye(2)[s.labels],
+                                                   0.1, want_grad_t=True)
+        return {"loss": _hex(loss), "grad_s": _hex(grad_s), "grad_t": _digest_array(grad_t)}
+    kw = dict(outer_steps=3, outer_lr=0.05, ensemble=2, refresh=2, hidden=(4,), activation="tanh",
+              inner_steps=2, inner_lr=0.1, inner_batch=6, seed=3)
+    kw.update(OUTER_CASES[name])
+    if "image_shape" in kw:
+        t = LabeledDataset(img, y, 2)
+        s = SyntheticDataset(img[[0, 6]], y[[0, 6]], per_class_size=1, origin="init")
+    if kw.get("regime", "input_input") != "input_input":
+        kw["autoencoder"] = fit_linear_autoencoder(t, 2)
+    out, log = condense(MethodConfig(method=name.split("-")[0], **kw), t, s)
+    record = {k: _hex([r[k] for r in log.rows]) for k in sorted(log.rows[0]) if k != "step"}
+    record["features"] = _hex(out.features) if name.endswith("-reg") else _digest_array(out.features)
+    record["meta"] = hashlib.sha256(repr((log.meta, out.meta)).encode()).hexdigest()
+    return record
+
+
+@pytest.mark.parametrize("name", [*OUTER_CASES, *OUTER_PROBES])
+def test_outer_loop_values_pinned(name):
+    got, want = outer_loop_record(name), OUTER_PINS[name]
+    if not name.endswith("-reg"):
+        assert got == want
+        return
+    assert got.keys() == want.keys() and got["meta"] == want["meta"]
+    for key in want.keys() - {"meta"}:
+        assert [float.fromhex(v) for v in got[key]] == pytest.approx(
+            [float.fromhex(v) for v in want[key]], rel=1e-9), key
 
 
 # --- kernel ridge regression ---------------------------------------------------------
