@@ -195,22 +195,3 @@ def flatten_batch(x: ImageBatch) -> np.ndarray:
 def batch_from_rows(rows: np.ndarray, channels: int, height: int, width: int) -> ImageBatch:
     rows = np.asarray(rows, dtype=np.float64)
     return ImageBatch(rows.reshape(rows.shape[0], channels, height, width))
-
-
-def save_image_fixture(x: ImageBatch, path) -> None:
-    """CSV of flattened tensors with a shape header line."""
-    b, c, h, w = x.shape
-    with open(path, "w") as fh:
-        fh.write(f"# shape {b} {c} {h} {w}\n")
-        for row in flatten_batch(x):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_image_fixture(path) -> ImageBatch:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# shape"):
-            raise ShapeError("fixture must start with a '# shape b c h w' line")
-        b, c, h, w = (int(v) for v in header.split()[2:6])
-        rows = [np.asarray([float(v) for v in line.strip().split(",")]) for line in fh if line.strip()]
-    return batch_from_rows(np.vstack(rows), c, h, w)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .condense import MethodConfig
@@ -25,7 +26,24 @@ from .kernels import KernelSpec
 _NUMERIC_ERRORS = (DivergenceError, NumericalError, SolveError)
 
 
+def _checked(d, cls, path: str, exclude=()) -> dict:
+    """A copy of ``d``; ConfigError unless it is a JSON object keyed by fields of ``cls``.
+
+    ``exclude`` names fields holding objects that a JSON config cannot express.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'the config'} must be a JSON object")
+    allowed = {f.name for f in fields(cls)} - set(exclude)
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
+    return dict(d)
+
+
 def kernel_spec_from_dict(d: dict) -> KernelSpec:
+    d = _checked(d, KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
+    if "family" not in d:
+        raise ConfigError("method.kernel.family is required")
     return KernelSpec(
         family=d["family"],
         gamma=d.get("gamma", 2.0),
@@ -36,8 +54,8 @@ def kernel_spec_from_dict(d: dict) -> KernelSpec:
 
 
 def method_config_from_dict(d: dict) -> MethodConfig:
-    d = dict(d)
-    if isinstance(d.get("kernel"), dict):
+    d = _checked(d, MethodConfig, "method", exclude=("autoencoder",))
+    if d.get("kernel") is not None:
         d["kernel"] = kernel_spec_from_dict(d["kernel"])
     if "hidden" in d:
         d["hidden"] = tuple(d["hidden"])
@@ -45,7 +63,7 @@ def method_config_from_dict(d: dict) -> MethodConfig:
 
 
 def eval_config_from_dict(d: dict) -> EvalConfig:
-    d = dict(d)
+    d = _checked(d, EvalConfig, "eval")
     if "hidden_architectures" in d:
         d["hidden_architectures"] = tuple(tuple(h) for h in d["hidden_architectures"])
     return EvalConfig(**d)
@@ -54,8 +72,8 @@ def eval_config_from_dict(d: dict) -> EvalConfig:
 def _build_run_config(args) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-    method_d = dict(file_cfg.get("method", {}))
+        file_cfg = _checked(json.loads(Path(args.config).read_text()), RunConfig, "")
+    method_d = _checked(file_cfg.get("method", {}), MethodConfig, "method", exclude=("autoencoder",))
     if args.method is not None:
         method_d["method"] = args.method
     if "method" not in method_d:

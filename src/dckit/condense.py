@@ -1,15 +1,20 @@
 """Condensation objectives: outer-loop optimizers over the synthetic set, regularizers,
 coreset selectors, and the privacy/robustness variants.
 
-Matching objectives (dm/gm/mmd/moment/sam) follow the per-class convention and
-approximate the hypothesis-space supremum by averaging over a periodically
-refreshed model ensemble; their outer gradients are analytic. Bilevel flavors
-use central finite differences over the synthetic coordinates.
+Every gradient method is an objective ``objective(v, step) -> (value, grad,
+extra_log_fields)`` over its synthetic variables ``v``, and ``_descend`` is the
+one outer loop that logs, steps, projects and checks them. Matching objectives
+(dm/gm/mmd/moment/sam) follow the per-class convention and approximate the
+hypothesis-space supremum by averaging over a periodically refreshed model
+ensemble; their outer gradients are analytic. Bilevel flavors, smooth
+regularizers and kernels without input gradients take central differences
+through the one helper ``_central_diff``.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,12 +145,21 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
-        if self.outer_steps < 1:
-            raise ConfigError("outer_steps must be >= 1")
-        if self.outer_lr <= 0 or self.inner_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.refresh < 1 or self.ensemble < 1:
-            raise ConfigError("refresh and ensemble must be >= 1")
+        for name, low in (("outer_steps", 1), ("refresh", 1), ("ensemble", 1), ("inner_steps", 0),
+                          ("inner_batch", 1), ("pretrain_epochs", 0), ("curv_iters", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("outer_lr", "inner_lr", "ridge_lambda", "reg_tau", "curv_lambda"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.outer_lr <= 0:
+            raise ConfigError("outer_lr must be positive")
+        try:  # the inner trainer's own rules, checked now rather than inside condense
+            TrainConfig(self.inner_lr, self.inner_steps, self.inner_batch, self.loss)
+        except ConfigError as e:
+            raise ConfigError(f"inner_lr/inner_steps/inner_batch/loss: {e}") from None
         if self.ridge_lambda < 0:
             raise ConfigError("ridge_lambda must be >= 0")
         if self.provenance not in ("random_init", "pretrained"):
@@ -224,6 +238,45 @@ class StepLog:
             fh.write(",".join(header) + "\n")
             for r in self.rows:
                 fh.write(",".join(repr(r[k]) if k in r else "" for k in header) + "\n")
+
+
+def _descend(cfg: MethodConfig, v0: np.ndarray, objective, log: StepLog, project) -> np.ndarray:
+    """The outer loop: cfg.outer_steps projected gradient steps on ``objective``.
+
+    ``objective(v, step)`` returns (value, grad, extra); each step logs the value,
+    ``method_value = value`` and ``grad_norm = ||grad||`` unless ``extra`` sets them.
+    """
+    v = v0
+    for step in range(cfg.outer_steps):
+        value, grad, extra = objective(v, step)
+        log.append(**{"step": step, "objective": value, "method_value": value,
+                      "grad_norm": float(np.linalg.norm(grad)), **extra})
+        v = project(v - cfg.outer_lr * grad)
+        if not np.all(np.isfinite(v)):
+            raise DivergenceError(f"synthetic variables non-finite at outer step {step}")
+    log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
+    return v
+
+
+def _central_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp.flat[i] += h
+        xm.flat[i] -= h
+        grad.flat[i] = (fn(xp) - fn(xm)) / (2 * h)
+    return grad
+
+
+def _clip01(v: np.ndarray) -> np.ndarray:
+    return np.clip(v, 0.0, 1.0)
+
+
+def _synthetic(s0: SyntheticDataset, features, name: str, meta: dict) -> SyntheticDataset:
+    return SyntheticDataset(features=features, labels=s0.labels, per_class_size=s0.per_class_size,
+                            origin=f"condense:{name}", class_count=s0.class_count, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -537,29 +590,13 @@ def _krr_loss_and_grads(spec, x_t, y_t, s, y_s, lam, want_grad_t=False):
             grad_t = np.einsum("ji,jin->in", m2, d2_st)
         return loss, grad_s, grad_t
     # finite-difference fallback for model-based kernels
-    h = 1e-5
-
     def value(cur_s, cur_t):
         a = krr_solve(gram_matrix(spec, cur_s, cur_s), y_s, lam)
         p = gram_matrix(spec, cur_t, cur_s) @ a
         return float(np.sum((p - y_t) ** 2) / n)
 
-    grad_s = np.zeros_like(s)
-    for j in range(s.shape[0]):
-        for k in range(s.shape[1]):
-            sp, sm = s.copy(), s.copy()
-            sp[j, k] += h
-            sm[j, k] -= h
-            grad_s[j, k] = (value(sp, x_t) - value(sm, x_t)) / (2 * h)
-    grad_t = None
-    if want_grad_t:
-        grad_t = np.zeros_like(x_t)
-        for j in range(x_t.shape[0]):
-            for k in range(x_t.shape[1]):
-                tp, tm = x_t.copy(), x_t.copy()
-                tp[j, k] += h
-                tm[j, k] -= h
-                grad_t[j, k] = (value(s, tp) - value(s, tm)) / (2 * h)
+    grad_s = _central_diff(lambda u: value(u, x_t), s)
+    grad_t = _central_diff(lambda u: value(s, u), x_t) if want_grad_t else None
     return loss, grad_s, grad_t
 
 
@@ -569,13 +606,13 @@ def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-8
     y_t = one_hot(t.labels, t.class_count)
     y_s = one_hot(s0.labels, s0.class_count)
-    s = np.array(s0.features, copy=True)
     robust = cfg.variants.get("ridge_robust", {})
     eps = float(robust.get("eps", 0.0))
     adv_steps = int(robust.get("steps", 5))
     delta = np.zeros_like(t.features)
-    log = StepLog(meta={"method": "krr", "kernel": spec.describe(), "lambda": lam, "eps": eps})
-    for step in range(cfg.outer_steps):
+
+    def objective(s, step):
+        nonlocal delta
         if eps > 0:
             step_size = eps / max(adv_steps, 1) * 2.5
             for _ in range(adv_steps):
@@ -585,20 +622,12 @@ def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
                 delta = np.clip(delta + step_size * np.sign(grad_t), -eps, eps)
         x_eff = np.clip(t.features + delta, 0.0, 1.0) if eps > 0 else t.features
         value, grad_s, _ = _krr_loss_and_grads(spec, x_eff, y_t, s, y_s, lam)
-        log.append(step=step, objective=value, method_value=value, grad_norm=float(np.linalg.norm(grad_s)))
-        s = np.clip(s - cfg.outer_lr * grad_s, 0.0, 1.0)
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError(f"synthetic features non-finite at outer step {step}")
-    log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
-    out = SyntheticDataset(
-        features=s,
-        labels=s0.labels,
-        per_class_size=s0.per_class_size,
-        origin="condense:krr",
-        class_count=s0.class_count,
-        meta={"kernel": spec.describe(), "lambda": lam, "seed": cfg.seed, "eps": eps},
-    )
-    return out, log
+        return value, grad_s, {}
+
+    log = StepLog(meta={"method": "krr", "kernel": spec.describe(), "lambda": lam, "eps": eps})
+    s = _descend(cfg, np.array(s0.features, copy=True), objective, log, _clip01)
+    meta = {"kernel": spec.describe(), "lambda": lam, "seed": cfg.seed, "eps": eps}
+    return _synthetic(s0, s, "krr", meta), log
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +644,7 @@ def _full_batch_steps(model: Mlp, params, x, y, eta, k, loss):
     return net.params
 
 
-def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset, flavor: str | None = None):
+def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """BPTT-family and implicit-gradient condensation.
 
     bptt/robdc/curvdc differentiate an outer loss through K full-batch inner steps
@@ -623,36 +652,23 @@ def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset,
     parameter snapshots; cig_ridge uses the implicit-function formula on the
     convex ridge inner problem.
     """
-    flavor = flavor or cfg.method
-    if flavor not in BILEVEL_METHODS:
-        raise ConfigError(f"flavor must be one of {BILEVEL_METHODS}")
-    if flavor == "cig_ridge":
-        return _condense_cig_ridge(cfg, t, s0)
-    if flavor == "trajectory":
-        return _condense_trajectory(cfg, t, s0)
-    return _condense_bptt(cfg, t, s0, flavor)
-
-
-def _condense_cig_ridge(cfg, t, s0):
-    lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-6
-    x_t = t.features
-    y_t = one_hot(t.labels, t.class_count)
-    y_s = one_hot(s0.labels, s0.class_count)
-    s = np.array(s0.features, copy=True)
-    log = StepLog(meta={"method": "cig_ridge", "lambda": lam})
-    for step in range(cfg.outer_steps):
-        value, grad = cig_ridge_value_and_grad(s, y_s, x_t, y_t, lam)
-        log.append(step=step, objective=value, method_value=value, grad_norm=float(np.linalg.norm(grad)))
-        s = np.clip(s - cfg.outer_lr * grad, 0.0, 1.0)
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError(f"synthetic features non-finite at outer step {step}")
-    log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
-    out = SyntheticDataset(
-        features=s, labels=s0.labels, per_class_size=s0.per_class_size,
-        origin="condense:cig_ridge", class_count=s0.class_count,
-        meta={"lambda": lam, "seed": cfg.seed},
-    )
-    return out, log
+    if cfg.method not in BILEVEL_METHODS:
+        raise ConfigError(f"bilevel method must be one of {BILEVEL_METHODS}")
+    if cfg.method == "cig_ridge":
+        lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-6
+        y_t = one_hot(t.labels, t.class_count)
+        y_s = one_hot(s0.labels, s0.class_count)
+        objective = lambda s, step: (*cig_ridge_value_and_grad(s, y_s, t.features, y_t, lam), {})
+        log = StepLog(meta={"method": "cig_ridge", "lambda": lam})
+        meta = {"lambda": lam, "seed": cfg.seed}
+    elif cfg.method == "trajectory":
+        objective = _trajectory_objective(cfg, t, s0)
+        log = StepLog(meta={"method": "trajectory", "inner_epochs": cfg.inner_steps})
+        meta = {"seed": cfg.seed}
+    else:
+        return _condense_bptt(cfg, t, s0)
+    s = _descend(cfg, np.array(s0.features, copy=True), objective, log, _clip01)
+    return _synthetic(s0, s, cfg.method, meta), log
 
 
 def cig_ridge_value_and_grad(s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray, y_t: np.ndarray, lam: float):
@@ -677,7 +693,8 @@ def cig_ridge_value_and_grad(s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray, y_
     return value, grad_s
 
 
-def _condense_trajectory(cfg, t, s0):
+def _trajectory_objective(cfg, t, s0):
+    """Summed distance of the student's epoch snapshots to the expert's, by central differences."""
     init_seed = derive_seed(cfg.seed, "traj_init")
     widths = (t.n_features, *cfg.hidden, t.class_count)
     m0 = Mlp.init(widths, cfg.activation, seed=init_seed)
@@ -691,130 +708,88 @@ def _condense_trajectory(cfg, t, s0):
     _, expert = sgd_train(m0, t, train_cfg, record=True)
     expert_stack = expert.stack()
 
-    def outer(s_flat):
-        feats = s_flat.reshape(s0.features.shape)
+    def outer(feats):
         _, student = sgd_train(m0, (feats, s0.labels), train_cfg, record=True)
         diffs = student.stack() - expert_stack
         return float(np.sum(np.linalg.norm(diffs[1:], axis=1)))
 
-    s = np.array(s0.features, copy=True)
-    log = StepLog(meta={"method": "trajectory", "inner_epochs": cfg.inner_steps})
-    h = 1e-5
-    for step in range(cfg.outer_steps):
-        flat = s.ravel()
-        value = outer(flat)
-        grad = np.zeros_like(flat)
-        for i in range(flat.size):
-            fp, fm = flat.copy(), flat.copy()
-            fp[i] += h
-            fm[i] -= h
-            grad[i] = (outer(fp) - outer(fm)) / (2 * h)
-        log.append(step=step, objective=value, method_value=value, grad_norm=float(np.linalg.norm(grad)))
-        s = np.clip(s - cfg.outer_lr * grad.reshape(s.shape), 0.0, 1.0)
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError(f"synthetic features non-finite at outer step {step}")
-    log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
-    out = SyntheticDataset(
-        features=s, labels=s0.labels, per_class_size=s0.per_class_size,
-        origin="condense:trajectory", class_count=s0.class_count, meta={"seed": cfg.seed},
-    )
-    return out, log
+    return lambda s, step: (outer(s), _central_diff(outer, s), {})
 
 
-def _condense_bptt(cfg, t, s0, flavor):
-    widths = (t.n_features, *cfg.hidden, t.class_count)
-    model = Mlp.init(widths, cfg.activation, seed=derive_seed(cfg.seed, "bptt_init"))
-    theta = model.flat_params()
-    eta = cfg.inner_lr
-    s = np.array(s0.features, copy=True)
-    labels = s0.labels
-    rat = cfg.variants.get("rat_truncation")
-    window = int(rat["window"]) if rat else cfg.inner_steps
-    if rat and not 1 <= window <= cfg.inner_steps:
-        raise ConfigError("rat_truncation window must lie in [1, inner_steps]")
+def _bptt_outer(cfg, t, model, labels, shape, window):
+    """``outer(theta_start, v)``: the outer loss after ``window`` full-batch inner steps
+    from ``theta_start`` on the synthetic variables v = (S.ravel(), eta)."""
     robust = cfg.variants.get("robust_outer", {})
     eps = float(robust.get("eps", 0.0))
     adv_steps = int(robust.get("steps", 5))
-    rng_rat = derived_rng(cfg.seed, "rat")
     curv_seed = derive_seed(cfg.seed, "curv")
-    log = StepLog(meta={"method": flavor, "window": window, "eps": eps})
-    h = 1e-5
 
-    def outer(theta_start, s_flat, eta_val):
-        feats = s_flat.reshape(s.shape)
-        end = _full_batch_steps(model, theta_start, feats, labels, eta_val, window, cfg.loss)
+    def outer(theta_start, v):
+        end = _full_batch_steps(model, theta_start, v[:-1].reshape(shape), labels, v[-1], window, cfg.loss)
         trained = model.with_params(end)
-        if flavor == "robdc" and eps > 0:
+        if cfg.method == "robdc" and eps > 0:
             x_adv = pgd_attack(trained, t.features, t.labels, eps, steps=adv_steps, loss=cfg.loss)
             logits, _ = trained.forward_batch(x_adv)
             value = float(np.mean(per_sample_loss(logits, t.labels, cfg.loss)))
         else:
             value = trained.mean_loss(t.features, t.labels, cfg.loss)
-        if flavor == "curvdc":
+        if cfg.method == "curvdc":
             value += cfg.curv_lambda * lambda_max_estimate(
                 trained, t, loss=cfg.loss, iters=cfg.curv_iters, seed=curv_seed
             )
         return value
 
-    for step in range(cfg.outer_steps):
+    return outer
+
+
+def bptt_outer_gradient(cfg: MethodConfig, t: LabeledDataset, s_features, s_labels, theta, eta):
+    """Finite-difference outer gradient of the BPTT loss at a given state (test hook)."""
+    model = Mlp.init((t.n_features, *cfg.hidden, t.class_count), cfg.activation, seed=0)
+    outer = _bptt_outer(cfg, t, model, s_labels, np.shape(s_features), cfg.inner_steps)
+    grad = _central_diff(lambda v: outer(theta, v), np.append(np.ravel(s_features), eta))
+    return grad[:-1].reshape(np.shape(s_features)), float(grad[-1])
+
+
+def _condense_bptt(cfg, t, s0):
+    widths = (t.n_features, *cfg.hidden, t.class_count)
+    model = Mlp.init(widths, cfg.activation, seed=derive_seed(cfg.seed, "bptt_init"))
+    theta = model.flat_params()
+    shape, labels = s0.features.shape, s0.labels
+    rat = cfg.variants.get("rat_truncation")
+    window = int(rat["window"]) if rat else cfg.inner_steps
+    if rat and not 1 <= window <= cfg.inner_steps:
+        raise ConfigError("rat_truncation window must lie in [1, inner_steps]")
+    rng_rat = derived_rng(cfg.seed, "rat")
+    outer = _bptt_outer(cfg, t, model, labels, shape, window)
+
+    def objective(v, step):
+        nonlocal theta
+        s, eta = v[:-1].reshape(shape), v[-1]
+        if step > 0:
+            # advance the model one inner step on the current synthetic set
+            _, gtheta, _ = model.with_params(theta).backward(s, labels, cfg.loss)
+            theta = theta - eta * gtheta
         start = theta
         if rat:
             offset = int(rng_rat.integers(0, cfg.inner_steps - window + 1))
             start = _full_batch_steps(model, theta, s, labels, eta, offset, cfg.loss)
-        flat = s.ravel()
-        value = outer(start, flat, eta)
-        grad = np.zeros_like(flat)
-        for i in range(flat.size):
-            fp, fm = flat.copy(), flat.copy()
-            fp[i] += h
-            fm[i] -= h
-            grad[i] = (outer(start, fp, eta) - outer(start, fm, eta)) / (2 * h)
-        g_eta = (outer(start, flat, eta + h) - outer(start, flat, eta - h)) / (2 * h)
-        log.append(
-            step=step, objective=value, method_value=value,
-            grad_norm=float(np.sqrt(np.sum(grad**2) + g_eta**2)), eta=eta,
-        )
-        s = np.clip(s - cfg.outer_lr * grad.reshape(s.shape), 0.0, 1.0)
-        eta = max(eta - cfg.outer_lr * g_eta, 1e-6)
-        if not (np.all(np.isfinite(s)) and np.isfinite(eta)):
-            raise DivergenceError(f"synthetic features non-finite at outer step {step}")
-        # advance the model one inner step on the updated synthetic set
-        _, gtheta, _ = model.with_params(theta).backward(s, labels, cfg.loss)
-        theta = theta - eta * gtheta
-    log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
-    out = SyntheticDataset(
-        features=s, labels=labels, per_class_size=s0.per_class_size,
-        origin=f"condense:{flavor}", class_count=s0.class_count,
-        meta={"seed": cfg.seed, "eta_final": eta, "window": window},
-    )
-    return out, log
+        grad = _central_diff(lambda u: outer(start, u), v)
+        grad_norm = float(np.sqrt(np.sum(grad[:-1] ** 2) + grad[-1] ** 2))
+        return outer(start, v), grad, {"grad_norm": grad_norm, "eta": float(eta)}
+
+    def project(v):
+        return np.append(_clip01(v[:-1]), max(v[-1], 1e-6))
+
+    eps = float(cfg.variants.get("robust_outer", {}).get("eps", 0.0))
+    log = StepLog(meta={"method": cfg.method, "window": window, "eps": eps})
+    v = _descend(cfg, np.append(s0.features.ravel(), cfg.inner_lr), objective, log, project)
+    meta = {"seed": cfg.seed, "eta_final": float(v[-1]), "window": window}
+    return _synthetic(s0, v[:-1].reshape(shape), cfg.method, meta), log
 
 
 # ---------------------------------------------------------------------------
 # the matching-objective engine (dm / gm / mmd / moment / sam)
 # ---------------------------------------------------------------------------
-
-
-def bptt_outer_gradient(cfg: MethodConfig, t: LabeledDataset, s_features, s_labels, theta, eta):
-    """Finite-difference outer gradient of the BPTT loss at a given state (test hook)."""
-    widths = (t.n_features, *cfg.hidden, t.class_count)
-    model = Mlp.init(widths, cfg.activation, seed=0).with_params(theta)
-
-    def outer(flat, eta_val):
-        end = _full_batch_steps(model, theta, flat.reshape(s_features.shape), s_labels, eta_val,
-                                cfg.inner_steps, cfg.loss)
-        return model.with_params(end).mean_loss(t.features, t.labels, cfg.loss)
-
-    h = 1e-5
-    flat = np.asarray(s_features, dtype=np.float64).ravel()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        fp, fm = flat.copy(), flat.copy()
-        fp[i] += h
-        fm[i] -= h
-        grad[i] = (outer(fp, eta) - outer(fm, eta)) / (2 * h)
-    g_eta = (outer(flat, eta + h) - outer(flat, eta - h)) / (2 * h)
-    return grad.reshape(s_features.shape), float(g_eta)
 
 
 class _Transforms:
@@ -944,10 +919,11 @@ def condense(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     if cfg.method == "krr":
         return condense_krr(cfg, t, s0)
     if cfg.method in BILEVEL_METHODS:
-        return condense_bilevel(cfg, t, s0, cfg.method)
+        return condense_bilevel(cfg, t, s0)
     if cfg.method in ("kcenter", "kmeans"):
         return _condense_coreset(cfg, t, s0)
-    return _condense_matching(cfg, t, s0)
+    v0, objective, log, project, finish = _matching_problem(cfg, t, s0)
+    return finish(_descend(cfg, v0, objective, log, project))
 
 
 def _condense_coreset(cfg, t, s0):
@@ -981,14 +957,14 @@ def _condense_coreset(cfg, t, s0):
 
 def matching_value_and_grad(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """Objective value and analytic gradient of one matching step at S0 (no update)."""
-    probe: list = []
-    one_step = MethodConfig(**{**cfg.__dict__, "outer_steps": 1})
-    _condense_matching(one_step, t, s0, grad_probe=probe)
-    return probe[0]
+    v0, objective, *_ = _matching_problem(cfg, t, s0)
+    return objective(v0, 0)[:2]
 
 
-def _condense_matching(cfg, t, s0, grad_probe=None):
-    t_matched, v, fwd, regime_vjp, clip_inputs, to_input = _regime_views(cfg, t, s0)
+def _matching_problem(cfg, t, s0):
+    """The matching run as (v0, objective, log, project, finish) for ``_descend``;
+    ``finish(v)`` turns the final variables into (synthetic set, log)."""
+    t_matched, v0, fwd, regime_vjp, clip_inputs, to_input = _regime_views(cfg, t, s0)
     part_t = per_class_partition(t)
     part_s = per_class_partition(s0)
     classes = range(t.class_count)
@@ -1028,10 +1004,8 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
     if cfg.method == "mmd" and not embed_path and not has_image_ops:
         t_gram_means = {y: gram_matrix(kernel, t_matched[part_t[y]], t_matched[part_t[y]]).mean() for y in classes}
 
-    probe = _Transforms(cfg, 0)
-    model_dim = probe.output_dim(t_matched.shape[1])
+    model_dim = _Transforms(cfg, 0).output_dim(t_matched.shape[1])
     kernel_objective = embed_path or cfg.method == "mmd"
-    needs_models = not kernel_objective
     ensemble = None
     t_grad_cache = None
     dp_invocations = 0
@@ -1042,20 +1016,19 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
     reg_weights = dict(cfg.regularizers)
     proj_state: dict = {}
 
-    def reg_total(v_flat: np.ndarray):
-        if not reg_weights:
-            return 0.0, {}, np.zeros_like(v_flat)
-
-        def reg_values(vf):
-            s_input = to_input(vf.reshape(v_shape))
+    def reg_total(v: np.ndarray):
+        def reg_values(u):
             ctx = RegContext(
-                synthetic_features=np.asarray(s_input), synthetic_labels=s_labels,
+                synthetic_features=np.asarray(to_input(u)), synthetic_labels=s_labels,
                 class_count=t.class_count, real_features=t.features, real_labels=t.labels,
                 models=tuple(ensemble) if ensemble else (), tau=cfg.reg_tau,
             )
             return {name: regularizer_eval(name, ctx) for name in reg_weights if name != "proj"}
 
-        vals = reg_values(v_flat)
+        vals = reg_values(v)
+        grad = np.zeros_like(v)
+        if vals:
+            grad = _central_diff(lambda u: sum(reg_weights[k] * x for k, x in reg_values(u).items()), v)
         if "proj" in reg_weights:
             # the projection regularizer scores model parameters against the expert
             # subspace; it is constant in S within a step, so its S-gradient is zero
@@ -1071,24 +1044,12 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
                 vals["proj"] = regularizer_eval("proj", ctx)
             else:
                 vals["proj"] = 0.0
-        total = sum(reg_weights[k] * vals[k] for k in vals)
-        grad = np.zeros_like(v_flat)
-        h = 1e-5
-        smooth = [k for k in vals if k != "proj"]
-        if smooth:
-            for i in range(v_flat.size):
-                fp, fm = v_flat.copy(), v_flat.copy()
-                fp[i] += h
-                fm[i] -= h
-                up = reg_values(fp)
-                dn = reg_values(fm)
-                grad[i] = sum(reg_weights[k] * (up[k] - dn[k]) for k in smooth) / (2 * h)
-        return total, vals, grad
+        return sum(reg_weights[k] * vals[k] for k in vals), vals, grad
 
-    v_shape = v.shape
-    for step in range(cfg.outer_steps):
+    def objective(v, step):
+        nonlocal ensemble, t_grad_cache, dp_invocations, proxy_view
         tr = _Transforms(cfg, step)
-        if (needs_models or reg_weights) and (ensemble is None or step % cfg.refresh == 0):
+        if (not kernel_objective or reg_weights) and (ensemble is None or step % cfg.refresh == 0):
             ensemble = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step)
             t_grad_cache = None
         if proxy is not None and (proxy_view is None or step % int(proxy.get("period", 10)) == 0):
@@ -1105,22 +1066,23 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
         per_class_t = {y: (proxy_view[y] if proxy_view is not None else t_matched[part_t[y]]) for y in classes}
         per_class_s = {y: s_matched[part_s[y]] for y in classes}
 
-        def class_labels(y, count):
-            return np.full(count, y, dtype=np.int64)
+        def apply(side, y):
+            rows = (per_class_t if side == "t" else per_class_s)[y]
+            return tr.apply(rows, np.full(rows.shape[0], y, dtype=np.int64), side, y)
 
         value = 0.0
         grad_matched = np.zeros_like(s_matched)
 
         if kernel_objective:
             for y in classes:
-                rows_s, _, vjp_s = tr.apply(per_class_s[y], class_labels(y, per_class_s[y].shape[0]), "s", y)
+                rows_s, _, vjp_s = apply("s", y)
                 if embed_path:
                     diff = t_embed[y] - feature_map_batch(kernel, rows_s).mean(axis=0)
                     value += float(diff @ diff)
                     jac = feature_map_input_jacobian(kernel, rows_s)
                     g_rows = np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rows_s.shape[0])
                 else:
-                    rows_t, _, _ = tr.apply(per_class_t[y], class_labels(y, per_class_t[y].shape[0]), "t", y)
+                    rows_t, _, _ = apply("t", y)
                     ktt = t_gram_means[y] if t_gram_means is not None else gram_matrix(kernel, rows_t, rows_t).mean()
 
                     def mmd(r):
@@ -1131,7 +1093,7 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
                     if has_analytic_grad(kernel):
                         g_rows = mmd_squared_grad_s(kernel, rows_t, rows_s)
                     else:
-                        g_rows = _fd_rows(mmd, rows_s)
+                        g_rows = _central_diff(mmd, rows_s)
                 grad_matched[part_s[y]] += vjp_s(g_rows)
         else:
             n_e = len(ensemble)
@@ -1144,14 +1106,14 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
                     if tr.active:
                         g_t = {}
                         for y in classes:
-                            rt, lt, _ = tr.apply(per_class_t[y], class_labels(y, per_class_t[y].shape[0]), "t", y)
+                            rt, lt, _ = apply("t", y)
                             _, gty, _ = model.backward(rt, lt, cfg.loss)
                             g_t[y] = gty
                     else:
                         g_t = t_grad_cache[mi]
                     g_s, s_records = {}, {}
                     for y in classes:
-                        rs, ls, vjp_s = tr.apply(per_class_s[y], class_labels(y, per_class_s[y].shape[0]), "s", y)
+                        rs, ls, vjp_s = apply("s", y)
                         _, gsy, _ = model.backward(rs, ls, cfg.loss)
                         g_s[y] = gsy
                         s_records[y] = (rs, ls, vjp_s)
@@ -1171,60 +1133,31 @@ def _condense_matching(cfg, t, s0, grad_probe=None):
                         grad_matched[part_s[y]] += vjp_s(tangent) / n_e
                     if curvature is not None:
                         rho = float(curvature.get("rho", 0.01))
-                        lam_plus = _curvature_penalty(model, t_matched, t.labels, s_matched, s_labels, cfg, step)
-                        value += 0.5 * rho * lam_plus / n_e
-                        grad_matched += (0.5 * rho / n_e) * _curvature_penalty_grad(
-                            model, t_matched, t.labels, s_matched, s_labels, cfg, step)
+                        penalty = lambda x_s: _curvature_penalty(model, t_matched, t.labels, x_s, s_labels, cfg)
+                        value += 0.5 * rho * penalty(s_matched) / n_e
+                        grad_matched += (0.5 * rho / n_e) * _central_diff(penalty, s_matched, h=1e-4)
                 else:
                     for y in classes:
-                        rows_t, _, _ = tr.apply(per_class_t[y], class_labels(y, per_class_t[y].shape[0]), "t", y)
-                        rows_s, _, vjp_s = tr.apply(per_class_s[y], class_labels(y, per_class_s[y].shape[0]), "s", y)
+                        rows_t, _, _ = apply("t", y)
+                        rows_s, _, vjp_s = apply("s", y)
                         val_y, up = _feature_objective(cfg.method, model, rows_t, rows_s)
                         value += val_y / n_e
                         g_rows = model.feature_input_vjp(rows_s, up)
                         grad_matched[part_s[y]] += vjp_s(g_rows) / n_e
 
-        grad_v = regime_vjp(grad_matched)
-        flat = v.ravel()
-        reg_val, reg_terms, reg_grad = reg_total(flat)
-        total = value + reg_val
-        row = {"step": step, "objective": float(total), "method_value": float(value),
-               "grad_norm": float(np.linalg.norm(grad_v.ravel() + reg_grad))}
-        for name, val in reg_terms.items():
-            row[f"reg_{name}"] = float(val)
-        log.append(**row)
-        if grad_probe is not None and step == 0:
-            grad_probe.append((float(total), (grad_v.ravel() + reg_grad).reshape(v_shape)))
-        v = (flat - cfg.outer_lr * (grad_v.ravel() + reg_grad)).reshape(v_shape)
-        if clip_inputs:
-            v = np.clip(v, 0.0, 1.0)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(f"synthetic variables non-finite at outer step {step}")
+        reg_val, reg_terms, reg_grad = reg_total(v)
+        extra = {"method_value": float(value), **{f"reg_{name}": float(x) for name, x in reg_terms.items()}}
+        return float(value + reg_val), regime_vjp(grad_matched) + reg_grad, extra
 
-    final = to_input(v)
-    log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
-    if dp_grad:
-        log.meta["dp_grad"] = {"sigma": dp_sigma, "clip_norm": 1.0,
-                               "refreshes": int(np.ceil(cfg.outer_steps / cfg.refresh)),
-                               "mechanism_invocations": dp_invocations}
-    out = SyntheticDataset(
-        features=np.asarray(final), labels=s_labels, per_class_size=s0.per_class_size,
-        origin=f"condense:{cfg.method}", class_count=s0.class_count,
-        meta={"seed": cfg.seed, "regime": cfg.regime,
-              "kernel": kernel.describe() if kernel else None},
-    )
-    return out, log
+    def finish(v):
+        if dp_grad:
+            log.meta["dp_grad"] = {"sigma": dp_sigma, "clip_norm": 1.0,
+                                   "refreshes": int(np.ceil(cfg.outer_steps / cfg.refresh)),
+                                   "mechanism_invocations": dp_invocations}
+        meta = {"seed": cfg.seed, "regime": cfg.regime, "kernel": kernel.describe() if kernel else None}
+        return _synthetic(s0, np.asarray(to_input(v)), cfg.method, meta), log
 
-
-def _fd_rows(fn, rows: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    grad = np.zeros_like(rows)
-    for j in range(rows.shape[0]):
-        for k in range(rows.shape[1]):
-            rp, rm = rows.copy(), rows.copy()
-            rp[j, k] += h
-            rm[j, k] -= h
-            grad[j, k] = (fn(rp) - fn(rm)) / (2 * h)
-    return grad
+    return v0, objective, log, _clip01 if clip_inputs else (lambda v: v), finish
 
 
 def _gm_t_gradients(cfg, ensemble, per_class_t, classes, dp_sigma, step):
@@ -1279,23 +1212,10 @@ def _feature_objective(method, model, rows_t, rows_s):
     raise ConfigError(f"not a feature objective: {method!r}")
 
 
-def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg, step):
+def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg):
     """lambda^+ of H_T - H_S at the model parameters via FD Hessian-vector products."""
     hvp_t = loss_hvp_fd(model, x_t, y_t, cfg.loss)
     hvp_s = loss_hvp_fd(model, x_s, y_s, cfg.loss)
     seed = derive_seed(cfg.seed, "curv_gm")
     return max_eigenvalue(lambda u: hvp_t(u) - hvp_s(u), model.param_count,
                           iters=cfg.curv_iters, seed=seed)
-
-
-def _curvature_penalty_grad(model, x_t, y_t, x_s, y_s, cfg, step, h: float = 1e-4):
-    grad = np.zeros_like(x_s)
-    for j in range(x_s.shape[0]):
-        for k in range(x_s.shape[1]):
-            sp, sm = x_s.copy(), x_s.copy()
-            sp[j, k] += h
-            sm[j, k] -= h
-            up = _curvature_penalty(model, x_t, y_t, sp, y_s, cfg, step)
-            dn = _curvature_penalty(model, x_t, y_t, sm, y_s, cfg, step)
-            grad[j, k] = (up - dn) / (2 * h)
-    return grad

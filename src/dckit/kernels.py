@@ -1,6 +1,8 @@
 """Kernel families, Gram matrices, random-feature embeddings, and the kernel-only MMD."""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
+        for name in ("gamma", "scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.family == "gamma_exponential" and not (0.0 < self.gamma <= 2.0):
             raise ConfigError("gamma must lie in (0, 2]")
         if self.scale <= 0:

@@ -6,9 +6,7 @@ from dckit.augment import (
     batch_from_rows,
     channel_multi_formation_vjp,
     flatten_batch,
-    load_image_fixture,
     multi_formation_vjp,
-    save_image_fixture,
     siamese_vjp,
 )
 from dckit.errors import ShapeError
@@ -160,14 +158,6 @@ def test_siamese_shift_adjoint(rng):
     lhs = np.sum(g * out.data)
     rhs = np.sum(siamese_vjp(g, x.data, "shift", params) * x.data)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_fixture_roundtrip(tmp_path, rng):
-    x = rand_batch(rng, b=3, c=2, h=4, w=4)
-    save_image_fixture(x, tmp_path / "imgs.csv")
-    x2 = load_image_fixture(tmp_path / "imgs.csv")
-    assert x2.shape == x.shape
-    assert np.array_equal(x2.data, x.data)
 
 
 def test_flatten_roundtrip(rng):

@@ -74,6 +74,21 @@ def test_image_variants_need_shape():
         MethodConfig(method="gm", variants={"multiform": {"r": 2}})
 
 
+@pytest.mark.parametrize("bad", [
+    {"outer_steps": 2.5}, {"outer_steps": True}, {"ensemble": 1.5}, {"refresh": "3"},
+    {"outer_lr": float("nan")}, {"outer_lr": float("inf")}, {"outer_lr": "0.1"},
+    {"inner_lr": float("nan")}, {"inner_steps": -1}, {"inner_batch": 0}, {"loss": "bogus"},
+])
+def test_method_config_numbers_validated(bad):
+    with pytest.raises(ConfigError):
+        MethodConfig(method="bptt", **bad)
+
+
+def test_method_config_accepts_numpy_numbers():
+    cfg = MethodConfig(method="dm", outer_steps=np.int64(3), ensemble=np.int32(2), outer_lr=np.float64(0.1))
+    assert cfg.outer_steps == 3
+
+
 def test_unknown_method():
     with pytest.raises(ConfigError):
         MethodConfig(method="magic")
@@ -377,7 +392,7 @@ def test_cig_matches_fd(rng):
 def test_bilevel_flavor_validation(toy_pair):
     t, s = toy_pair
     with pytest.raises(ConfigError):
-        condense_bilevel(MethodConfig(method="bptt", seed=0), t, s, flavor="nope")
+        condense_bilevel(MethodConfig(method="dm", seed=0), t, s)  # not a bilevel method
     with pytest.raises(ConfigError):
         MethodConfig(method="robdc", seed=0)  # robust_outer variant missing
 

@@ -247,6 +247,42 @@ def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, 
     assert "config error" in err and "[stage " not in err
 
 
+@pytest.mark.parametrize("bad", [
+    {"outer_lr": float("nan")},
+    {"outer_lr": float("inf")},
+    {"outer_steps": 2.5},
+    {"ensemble": 1.5},
+    {"outer_steps": True},
+    {"method": "bptt", "inner_steps": -1},
+    {"loss": "bogus"},
+    {"inner_batch": 0},
+], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch"])
+def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
+    cfg = {"dataset": str(blobs_csv), "method": {"method": "dm", **bad}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[stage " not in err
+
+
+@pytest.mark.parametrize("cfg,named", [
+    ({"method": {"method": "dm", "bogus": 1}}, "method.bogus"),
+    ({"method": {"method": "dm"}, "eval": {"bogus": 1}}, "eval.bogus"),
+    ({"method": {"method": "dm"}, "bogus": 1}, "key bogus"),
+    ({"method": {"method": "mmd", "kernel": {"gamma": 2.0}}}, "method.kernel.family"),
+    ({"method": {"method": "mmd", "kernel": {"family": "gamma_exponential", "typo": 1}}}, "method.kernel.typo"),
+    ({"method": {"method": "mmd", "kernel": {"family": "gamma_exponential", "gamma": "2"}}}, "gamma"),
+    ({"method": "dm"}, "method must be a JSON object"),
+], ids=["method-key", "eval-key", "top-level-key", "kernel-family", "kernel-key", "gamma-string", "method-type"])
+def test_cli_malformed_config_exit_two(blobs_csv, tmp_path, capsys, cfg, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dataset": str(blobs_csv), **cfg}))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "[stage " not in err
+
+
 def test_cli_flag_overrides_config(blobs_csv, tmp_path, capsys):
     cfg = {
         "dataset": str(blobs_csv),
