@@ -229,6 +229,14 @@ OUTER_CASES = {
     "dm-reg": {"regularizers": {"rep": 0.1, "div": 0.1}},
     "gm-reg": {"regularizers": {"inter": 0.1, "con": 0.05, "cos": 0.05}},
     "mmd-reg": {"kernel": _GAUSS, "regularizers": {"dis": 0.1, "intra": 0.1, "proj": 0.1}},
+    "dm-dp_merf-reg": {"kernel": _RFF, "variants": {"dp_merf": {"sigma": 0.5}}, "regularizers": {"div": 0.1}},
+    "mmd-rff-reg": {"kernel": _RFF, "regularizers": {"inter": 0.1}},
+    "mmd-rff-siamese": {"kernel": _RFF, "image_shape": (1, 4, 4), "variants": {"siamese": {"op": "shift"}}},
+    "gm-contrastive-multiform": {"image_shape": (1, 4, 4), "variants": {"contrastive": {}, "multiform": {"r": 2}}},
+    "moment-siamese": {"image_shape": (1, 4, 4), "variants": {"siamese": {"op": "scale"}}},
+    "gm-kmeans_proxy-dp_grad": {"variants": {"kmeans_proxy": {"k": 3, "period": 2}, "dp_grad": {"sigma": 0.5}}},
+    "sam-latent_latent": {"regime": "latent_latent"},
+    "gm-refresh1-curvature": {"refresh": 1, "curv_iters": 2, "variants": {"curvature": {"rho": 0.1}}},
 }
 OUTER_PROBES = ("matching_value_and_grad", "bptt_outer_gradient", "krr_loss_and_grads")
 
