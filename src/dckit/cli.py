@@ -19,6 +19,7 @@ from .errors import (
     DivergenceError,
     NumericalError,
     SolveError,
+    check_number,
 )
 from .harness import EvalConfig, RunConfig, discrepancy_command, emit_plots, evaluate, run
 from .kernels import KernelSpec
@@ -40,6 +41,15 @@ def _checked(d, cls, path: str, exclude=()) -> dict:
     return dict(d)
 
 
+def _widths(value, path: str) -> tuple:
+    """The JSON list of hidden-layer widths at ``path`` as a tuple; ConfigError otherwise."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list of layer widths, got {value!r}")
+    for width in value:
+        check_number(f"{path} entries", width, integer=True, low=1)
+    return tuple(value)
+
+
 def kernel_spec_from_dict(d: dict) -> KernelSpec:
     d = _checked(d, KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
     if "family" not in d:
@@ -58,14 +68,17 @@ def method_config_from_dict(d: dict) -> MethodConfig:
     if d.get("kernel") is not None:
         d["kernel"] = kernel_spec_from_dict(d["kernel"])
     if "hidden" in d:
-        d["hidden"] = tuple(d["hidden"])
+        d["hidden"] = _widths(d["hidden"], "method.hidden")
     return MethodConfig(**d)
 
 
 def eval_config_from_dict(d: dict) -> EvalConfig:
     d = _checked(d, EvalConfig, "eval")
     if "hidden_architectures" in d:
-        d["hidden_architectures"] = tuple(tuple(h) for h in d["hidden_architectures"])
+        archs = d["hidden_architectures"]
+        if not isinstance(archs, list):
+            raise ConfigError(f"eval.hidden_architectures must be a list of width lists, got {archs!r}")
+        d["hidden_architectures"] = tuple(_widths(h, "eval.hidden_architectures") for h in archs)
     return EvalConfig(**d)
 
 

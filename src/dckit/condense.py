@@ -6,15 +6,19 @@ extra_log_fields)`` over its synthetic variables ``v``, and ``_descend`` is the
 one outer loop that logs, steps, projects and checks them. Matching objectives
 (dm/gm/mmd/moment/sam) follow the per-class convention and approximate the
 hypothesis-space supremum by averaging over a periodically refreshed model
-ensemble; their outer gradients are analytic. Bilevel flavors, smooth
-regularizers and kernels without input gradients take central differences
-through the one helper ``_central_diff``.
+ensemble (one ``None`` member for the kernel families). Each splits into a
+T-side statistic per (member, class), built by ``t_stat`` in
+``_matching_problem`` and kept in its one cache ``t_cache`` until an ensemble
+or k-means proxy refresh (never under image variants, which redraw the T rows
+every step), and an S-side term with an analytic outer gradient; dm, moment and
+sam share ``discrepancy._feature_gap`` with the discrepancy report. Bilevel
+flavors, smooth regularizers and kernels without input gradients take central
+differences through the one helper ``_central_diff``.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +36,7 @@ from .augment import (
     siamese_vjp,
 )
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
+from .discrepancy import _feature_gap
 from .errors import (
     CapacityError,
     ConfigError,
@@ -40,6 +45,7 @@ from .errors import (
     DomainError,
     ShapeError,
     SolveError,
+    check_number,
 )
 from .kernels import (
     KernelSpec,
@@ -147,13 +153,9 @@ class MethodConfig:
             raise ConfigError(f"method must be one of {METHODS}")
         for name, low in (("outer_steps", 1), ("refresh", 1), ("ensemble", 1), ("inner_steps", 0),
                           ("inner_batch", 1), ("pretrain_epochs", 0), ("curv_iters", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_number(name, getattr(self, name), integer=True, low=low)
         for name in ("outer_lr", "inner_lr", "ridge_lambda", "reg_tau", "curv_lambda"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            check_number(name, getattr(self, name))
         if self.outer_lr <= 0:
             raise ConfigError("outer_lr must be positive")
         try:  # the inner trainer's own rules, checked now rather than inside condense
@@ -164,21 +166,28 @@ class MethodConfig:
             raise ConfigError("ridge_lambda must be >= 0")
         if self.provenance not in ("random_init", "pretrained"):
             raise ConfigError("provenance must be random_init or pretrained")
-        for name in self.variants:
+        if not isinstance(self.variants, dict) or not isinstance(self.regularizers, dict):
+            raise ConfigError("variants and regularizers must be objects keyed by name")
+        for name, params in self.variants.items():
             if name not in VARIANTS:
                 raise ConfigError(f"unknown variant {name!r}")
             allowed = _VARIANT_METHODS.get(name)
             if allowed is not None and self.method not in allowed:
                 raise ConfigError(f"variant {name!r} is incompatible with method {self.method!r}")
-        for name, params in self.variants.items():
+            if not isinstance(params, dict):
+                raise ConfigError(f"variant {name!r} takes an object of parameters, got {params!r}")
             for key in ("sigma", "eps", "rho"):
-                if key in params and params[key] < 0:
-                    raise ConfigError(f"variant {name!r}: {key} must be >= 0")
+                if key in params:
+                    check_number(f"variant {name!r}: {key}", params[key], low=0)
         for name, weight in self.regularizers.items():
             if name not in REGULARIZERS:
                 raise ConfigError(f"unknown regularizer {name!r}")
-            if weight < 0:
-                raise ConfigError("regularizer weights must be >= 0")
+            check_number(f"regularizer {name!r} weight", weight, low=0)
+        if self.image_shape is not None:
+            if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
+                raise ConfigError(f"image_shape must be (c, h, w), got {self.image_shape!r}")
+            for value in self.image_shape:
+                check_number("image_shape entries", value, integer=True, low=1)
         if self.method == "robdc" and "robust_outer" not in self.variants:
             raise ConfigError("robdc needs the robust_outer variant (eps may be 0 for the degenerate ladder)")
         if any(v in self.variants for v in _IMAGE_VARIANTS):
@@ -979,37 +988,22 @@ def _matching_problem(cfg, t, s0):
         raise ConfigError("dp_merf needs a random_feature kernel spec")
     # the mean-embedding route: plain mmd with random features, or any dp_merf run
     embed_path = dp_merf is not None or (
-        cfg.method == "mmd"
-        and kernel is not None
-        and kernel.family == "random_feature"
-        and not has_image_ops
+        cfg.method == "mmd" and kernel.family == "random_feature" and not has_image_ops
     )
+    merf_sigma = float(dp_merf.get("sigma", 0.0)) if dp_merf else 0.0
+    rng_merf = derived_rng(cfg.seed, "dp_merf")
     dp_grad = cfg.variants.get("dp_grad")
     dp_sigma = float(dp_grad.get("sigma", 0.0)) if dp_grad else 0.0
     contrastive = "contrastive" in cfg.variants
     curvature = cfg.variants.get("curvature")
     proxy = cfg.variants.get("kmeans_proxy")
 
-    # fixed mean embeddings of T, noised once (sigma = 0 adds exact zeros)
-    t_embed = {}
-    if embed_path:
-        rng_dp = derived_rng(cfg.seed, "dp_merf")
-        sigma = float(dp_merf.get("sigma", 0.0)) if dp_merf else 0.0
-        for y in classes:
-            mean_phi = feature_map_batch(kernel, t_matched[part_t[y]]).mean(axis=0)
-            t_embed[y] = mean_phi + sigma * rng_dp.normal(size=mean_phi.shape)
-
-    # mean k(T_y, T_y) does not depend on S; image transforms redraw the T rows every step
-    t_gram_means = None
-    if cfg.method == "mmd" and not embed_path and not has_image_ops:
-        t_gram_means = {y: gram_matrix(kernel, t_matched[part_t[y]], t_matched[part_t[y]]).mean() for y in classes}
-
     model_dim = _Transforms(cfg, 0).output_dim(t_matched.shape[1])
     kernel_objective = embed_path or cfg.method == "mmd"
     ensemble = None
-    t_grad_cache = None
-    dp_invocations = 0
-    proxy_view = None
+    t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
+    t_cache = {}  # (ensemble member, class) -> T statistic; never filled under image variants
+    dp_invocations = grad_draws = 0
 
     log = StepLog(meta={"method": cfg.method, "regime": cfg.regime,
                         "kernel": kernel.describe() if kernel else None})
@@ -1046,104 +1040,105 @@ def _matching_problem(cfg, t, s0):
                 vals["proj"] = 0.0
         return sum(reg_weights[k] * vals[k] for k in vals), vals, grad
 
+    def t_stat(tr, mi, model, y, rng_grad):
+        """The T-side statistic of class y for ensemble member ``mi`` (``model`` is None
+        for the kernel families): the dp_merf-noised mean embedding, (rows, mean
+        k(T_y, T_y)) for the Gram route, the dp_grad-clipped and noised class-mean
+        gradient, or the feature list."""
+        nonlocal dp_invocations
+        if (mi, y) in t_cache:
+            return t_cache[mi, y]
+        rows, labels, _ = tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", y)
+        if embed_path:
+            mean_phi = feature_map_batch(kernel, rows).mean(axis=0)
+            stat = mean_phi + merf_sigma * rng_merf.normal(size=mean_phi.shape)  # sigma 0 adds zeros
+        elif kernel_objective:
+            stat = rows, gram_matrix(kernel, rows, rows).mean()
+        elif cfg.method == "gm":
+            _, stat, _ = model.backward(rows, labels, cfg.loss)
+            if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
+                stat = stat / max(np.linalg.norm(stat), 1.0)
+                stat = stat + dp_sigma * rng_grad.normal(size=stat.shape)
+                dp_invocations += 1
+        else:
+            _, stat = model.forward_batch(rows)
+        if not has_image_ops:
+            t_cache[mi, y] = stat
+        return stat
+
+    def s_terms(model, stats, s_side):
+        """The S-side terms against the T statistics: (values, gradients with respect
+        to each class's transformed S rows). Contrastive gm gives one value."""
+        if cfg.method == "gm":
+            g_s = [model.backward(rs, ls, cfg.loss)[1] for rs, ls, _ in s_side]
+            if contrastive:
+                diff = np.sum(g_s, axis=0) - np.sum(stats, axis=0)
+                values, ups = [float(diff @ diff)], [2.0 * diff] * len(g_s)
+            else:
+                diffs = [g - g_t for g, g_t in zip(g_s, stats)]
+                values, ups = [float(d @ d) for d in diffs], [2.0 * d for d in diffs]
+            tangents = [model.input_grad_param_tangent(rs, ls, cfg.loss, u) for (rs, ls, _), u in zip(s_side, ups)]
+            return values, tangents
+        values, grads = [], []
+        for stat, (rs, _, _) in zip(stats, s_side):
+            if embed_path:
+                diff = stat - feature_map_batch(kernel, rs).mean(axis=0)
+                values.append(float(diff @ diff))
+                jac = feature_map_input_jacobian(kernel, rs)
+                grads.append(np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rs.shape[0]))
+            elif kernel_objective:
+                rows_t, ktt = stat
+
+                def mmd(r):
+                    kts = gram_matrix(kernel, rows_t, r).mean()
+                    return _mmd_from_means(ktt, kts, gram_matrix(kernel, r, r).mean())
+
+                values.append(mmd(rs))
+                grads.append(mmd_squared_grad_s(kernel, rows_t, rs) if has_analytic_grad(kernel)
+                             else _central_diff(mmd, rs))
+            else:
+                val, up = _feature_gap(cfg.method, stat, model.forward_batch(rs)[1])
+                values.append(val)
+                grads.append(model.feature_input_vjp(rs, up))
+        return values, grads
+
     def objective(v, step):
-        nonlocal ensemble, t_grad_cache, dp_invocations, proxy_view
+        nonlocal ensemble, grad_draws
         tr = _Transforms(cfg, step)
         if (not kernel_objective or reg_weights) and (ensemble is None or step % cfg.refresh == 0):
             ensemble = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step)
-            t_grad_cache = None
-        if proxy is not None and (proxy_view is None or step % int(proxy.get("period", 10)) == 0):
-            proxy_view = {}
+            if not kernel_objective:  # kernel statistics do not depend on the models
+                t_cache.clear()
+        if proxy is not None and step % int(proxy.get("period", 10)) == 0:
             for y in classes:
-                centers, _ = kmeans_coreset(
+                t_rows[y], _ = kmeans_coreset(
                     t_matched[part_t[y]], int(proxy.get("k", min(16, part_t[y].size))),
                     iters=25, seed=derive_seed(cfg.seed, f"proxy:{step}:{y}"),
                 )
-                proxy_view[y] = centers
-            t_grad_cache = None
+            t_cache.clear()
+        if cfg.method == "gm" and not t_cache:
+            grad_draws += 1
+        rng_grad = derived_rng(cfg.seed, f"dp_grad:{step}") if dp_sigma > 0 else None
 
         s_matched = fwd(v)
-        per_class_t = {y: (proxy_view[y] if proxy_view is not None else t_matched[part_t[y]]) for y in classes}
-        per_class_s = {y: s_matched[part_s[y]] for y in classes}
-
-        def apply(side, y):
-            rows = (per_class_t if side == "t" else per_class_s)[y]
-            return tr.apply(rows, np.full(rows.shape[0], y, dtype=np.int64), side, y)
-
+        s_side = [tr.apply(s_matched[part_s[y]], np.full(part_s[y].size, y, dtype=np.int64), "s", y)
+                  for y in classes]
         value = 0.0
         grad_matched = np.zeros_like(s_matched)
-
-        if kernel_objective:
-            for y in classes:
-                rows_s, _, vjp_s = apply("s", y)
-                if embed_path:
-                    diff = t_embed[y] - feature_map_batch(kernel, rows_s).mean(axis=0)
-                    value += float(diff @ diff)
-                    jac = feature_map_input_jacobian(kernel, rows_s)
-                    g_rows = np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rows_s.shape[0])
-                else:
-                    rows_t, _, _ = apply("t", y)
-                    ktt = t_gram_means[y] if t_gram_means is not None else gram_matrix(kernel, rows_t, rows_t).mean()
-
-                    def mmd(r):
-                        kts = gram_matrix(kernel, rows_t, r).mean()
-                        return _mmd_from_means(ktt, kts, gram_matrix(kernel, r, r).mean())
-
-                    value += mmd(rows_s)
-                    if has_analytic_grad(kernel):
-                        g_rows = mmd_squared_grad_s(kernel, rows_t, rows_s)
-                    else:
-                        g_rows = _central_diff(mmd, rows_s)
-                grad_matched[part_s[y]] += vjp_s(g_rows)
-        else:
-            n_e = len(ensemble)
-            if cfg.method == "gm" and t_grad_cache is None and not tr.active:
-                t_grad_cache = _gm_t_gradients(cfg, ensemble, per_class_t, classes, dp_sigma, step)
-                if dp_sigma > 0:
-                    dp_invocations += len(ensemble) * t.class_count
-            for mi, model in enumerate(ensemble):
-                if cfg.method == "gm":
-                    if tr.active:
-                        g_t = {}
-                        for y in classes:
-                            rt, lt, _ = apply("t", y)
-                            _, gty, _ = model.backward(rt, lt, cfg.loss)
-                            g_t[y] = gty
-                    else:
-                        g_t = t_grad_cache[mi]
-                    g_s, s_records = {}, {}
-                    for y in classes:
-                        rs, ls, vjp_s = apply("s", y)
-                        _, gsy, _ = model.backward(rs, ls, cfg.loss)
-                        g_s[y] = gsy
-                        s_records[y] = (rs, ls, vjp_s)
-                    if contrastive:
-                        diff = np.sum([g_s[y] for y in classes], axis=0) - np.sum([g_t[y] for y in classes], axis=0)
-                        value += float(diff @ diff) / n_e
-                        vby = {y: 2.0 * diff for y in classes}
-                    else:
-                        vby = {}
-                        for y in classes:
-                            d = g_s[y] - g_t[y]
-                            value += float(d @ d) / n_e
-                            vby[y] = 2.0 * d
-                    for y in classes:
-                        rs, ls, vjp_s = s_records[y]
-                        tangent = model.input_grad_param_tangent(rs, ls, cfg.loss, vby[y])
-                        grad_matched[part_s[y]] += vjp_s(tangent) / n_e
-                    if curvature is not None:
-                        rho = float(curvature.get("rho", 0.01))
-                        penalty = lambda x_s: _curvature_penalty(model, t_matched, t.labels, x_s, s_labels, cfg)
-                        value += 0.5 * rho * penalty(s_matched) / n_e
-                        grad_matched += (0.5 * rho / n_e) * _central_diff(penalty, s_matched, h=1e-4)
-                else:
-                    for y in classes:
-                        rows_t, _, _ = apply("t", y)
-                        rows_s, _, vjp_s = apply("s", y)
-                        val_y, up = _feature_objective(cfg.method, model, rows_t, rows_s)
-                        value += val_y / n_e
-                        g_rows = model.feature_input_vjp(rows_s, up)
-                        grad_matched[part_s[y]] += vjp_s(g_rows) / n_e
+        members = [None] if kernel_objective else ensemble
+        n_e = len(members)
+        for mi, model in enumerate(members):
+            stats = [t_stat(tr, mi, model, y, rng_grad) for y in classes]
+            values, g_rows = s_terms(model, stats, s_side)
+            for val in values:
+                value += val / n_e
+            for y, (_, _, vjp_s), g in zip(classes, s_side, g_rows):
+                grad_matched[part_s[y]] += vjp_s(g) / n_e
+            if curvature is not None:
+                rho = float(curvature.get("rho", 0.01))
+                penalty = lambda x_s: _curvature_penalty(model, t_matched, t.labels, x_s, s_labels, cfg)
+                value += 0.5 * rho * penalty(s_matched) / n_e
+                grad_matched += (0.5 * rho / n_e) * _central_diff(penalty, s_matched, h=1e-4)
 
         reg_val, reg_terms, reg_grad = reg_total(v)
         extra = {"method_value": float(value), **{f"reg_{name}": float(x) for name, x in reg_terms.items()}}
@@ -1151,65 +1146,12 @@ def _matching_problem(cfg, t, s0):
 
     def finish(v):
         if dp_grad:
-            log.meta["dp_grad"] = {"sigma": dp_sigma, "clip_norm": 1.0,
-                                   "refreshes": int(np.ceil(cfg.outer_steps / cfg.refresh)),
+            log.meta["dp_grad"] = {"sigma": dp_sigma, "clip_norm": 1.0, "refreshes": grad_draws,
                                    "mechanism_invocations": dp_invocations}
         meta = {"seed": cfg.seed, "regime": cfg.regime, "kernel": kernel.describe() if kernel else None}
         return _synthetic(s0, np.asarray(to_input(v)), cfg.method, meta), log
 
     return v0, objective, log, _clip01 if clip_inputs else (lambda v: v), finish
-
-
-def _gm_t_gradients(cfg, ensemble, per_class_t, classes, dp_sigma, step):
-    """Class-mean T gradients per model, clipped and noised when dp_grad is active."""
-    cache = []
-    rng = derived_rng(cfg.seed, f"dp_grad:{step}")
-    for model in ensemble:
-        per_class = {}
-        for y in classes:
-            rows = per_class_t[y]
-            labels = np.full(rows.shape[0], y, dtype=np.int64)
-            _, g, _ = model.backward(rows, labels, cfg.loss)
-            if dp_sigma > 0:
-                norm = np.linalg.norm(g)
-                if norm > 1.0:
-                    g = g / norm
-                g = g + dp_sigma * rng.normal(size=g.shape)
-            per_class[y] = g
-        cache.append(per_class)
-    return cache
-
-
-def _feature_objective(method, model, rows_t, rows_s):
-    """Value and per-feature upstream gradients for dm / moment / sam on one class."""
-    _, feats_t = model.forward_batch(rows_t)
-    _, feats_s = model.forward_batch(rows_s)
-    n_feats = len(feats_s)
-    upstream = [None] * n_feats
-    b = rows_s.shape[0]
-    pen = n_feats - 2 if n_feats >= 2 else n_feats - 1
-    if method == "dm":
-        diff = feats_t[pen].mean(axis=0) - feats_s[pen].mean(axis=0)
-        upstream[pen] = np.broadcast_to(-(2.0 / b) * diff, feats_s[pen].shape).copy()
-        return float(diff @ diff), upstream
-    if method == "moment":
-        ft, fs = feats_t[pen], feats_s[pen]
-        dmean = ft.mean(axis=0) - fs.mean(axis=0)
-        dvar = ft.var(axis=0) - fs.var(axis=0)
-        up = np.broadcast_to(-(2.0 / b) * dmean, fs.shape).copy()
-        up += -(4.0 / b) * dvar * (fs - fs.mean(axis=0))
-        upstream[pen] = up
-        return float(dmean @ dmean) + float(dvar @ dvar), upstream
-    if method == "sam":
-        value = 0.0
-        for l in range(n_feats):
-            at = (feats_t[l] ** 2).mean(axis=0)
-            as_ = (feats_s[l] ** 2).mean(axis=0)
-            diff = at - as_
-            value += float(diff @ diff)
-            upstream[l] = -(4.0 / b) * diff * feats_s[l]
-        return value, upstream
-    raise ConfigError(f"not a feature objective: {method!r}")
 
 
 def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg):

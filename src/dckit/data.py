@@ -144,15 +144,13 @@ class ClassPartition:
         return len(self.indices)
 
 
-def load_dataset(path: str | Path, fmt: str = "csv") -> LabeledDataset:
+def load_dataset(path: str | Path) -> LabeledDataset:
     """Load a labeled dataset from a CSV file with header ``f0,...,f{n-1},label``.
 
     Labels must be contiguous integers starting at 0. Raises ParseError with the
     offending row index for malformed rows, LabelError for non-contiguous labels,
     and EmptyDatasetError for a header-only file.
     """
-    if fmt != "csv":
-        raise ConfigError(f"unsupported format {fmt!r}; only 'csv' is available")
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)

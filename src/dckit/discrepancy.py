@@ -96,11 +96,41 @@ def _matched_partitions(t, s):
     return per_class_partition(t), per_class_partition(s)
 
 
-def _class_features(batch_model, x: np.ndarray, layerwise: bool):
-    _, feats = batch_model.forward_batch(x)
-    if layerwise:
-        return feats
-    return [feats[-2] if len(feats) >= 2 else feats[-1]]
+def _feature_gap(method: str, feats_t: list, feats_s: list):
+    """The dm / moment / sam gap of one class between two feature lists.
+
+    ``feats_t`` and ``feats_s`` list each hidden activation and then the logits,
+    as ``forward_batch`` returns them. dm is ||mean h(T) - mean h(S)||_2^2 on the
+    penultimate feature h (the final hidden activation); moment adds the gap of
+    the feature-wise variances of h; sam sums the gaps of the mean squared
+    activations over every feature. Returns (value, upstream), where upstream
+    holds the gradient of the value with respect to each S feature (None where
+    it does not depend on one).
+    """
+    n_feats = len(feats_s)
+    upstream = [None] * n_feats
+    b = feats_s[0].shape[0]
+    pen = n_feats - 2 if n_feats >= 2 else n_feats - 1
+    if method == "dm":
+        diff = feats_t[pen].mean(axis=0) - feats_s[pen].mean(axis=0)
+        upstream[pen] = np.broadcast_to(-(2.0 / b) * diff, feats_s[pen].shape).copy()
+        return float(diff @ diff), upstream
+    if method == "moment":
+        ft, fs = feats_t[pen], feats_s[pen]
+        dmean = ft.mean(axis=0) - fs.mean(axis=0)
+        dvar = ft.var(axis=0) - fs.var(axis=0)
+        up = np.broadcast_to(-(2.0 / b) * dmean, fs.shape).copy()
+        up += -(4.0 / b) * dvar * (fs - fs.mean(axis=0))
+        upstream[pen] = up
+        return float(dmean @ dmean) + float(dvar @ dvar), upstream
+    if method == "sam":
+        value = 0.0
+        for l in range(n_feats):
+            diff = (feats_t[l] ** 2).mean(axis=0) - (feats_s[l] ** 2).mean(axis=0)
+            value += float(diff @ diff)
+            upstream[l] = -(4.0 / b) * diff * feats_s[l]
+        return value, upstream
+    raise ConfigError(f"not a feature objective: {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +138,27 @@ def _class_features(batch_model, x: np.ndarray, layerwise: bool):
 # ---------------------------------------------------------------------------
 
 
-def ipm_feature_stat(batch: ModelBatch, t, s, layerwise: bool = False) -> float:
-    """Max over the batch of the per-class squared feature-mean mismatch.
-
-    Per class y the statistic is ||mean h(T^y) - mean h(S^y)||_2^2, summed over
-    classes (and over layers when ``layerwise``). Uses the penultimate feature
-    (final hidden activation) otherwise.
-    """
+def _feature_discrepancy(batch: ModelBatch, t, s, method: str) -> float:
+    """Max over the batch of the ``_feature_gap`` of ``method`` summed over classes."""
     pt, ps = _matched_partitions(t, s)
     best = 0.0
     for m in batch:
         total = 0.0
         for y in range(t.class_count):
-            ft = _class_features(m, t.features[pt[y]], layerwise)
-            fs = _class_features(m, s.features[ps[y]], layerwise)
-            for a, b in zip(ft, fs):
-                diff = a.mean(axis=0) - b.mean(axis=0)
-                total += float(diff @ diff)
+            _, ft = m.forward_batch(t.features[pt[y]])
+            _, fs = m.forward_batch(s.features[ps[y]])
+            total += _feature_gap(method, ft, fs)[0]
         best = max(best, total)
     return best
+
+
+def ipm_feature_stat(batch: ModelBatch, t, s) -> float:
+    """Max over the batch of the per-class squared feature-mean mismatch.
+
+    Per class y the statistic is ||mean h(T^y) - mean h(S^y)||_2^2 on the
+    penultimate feature h (final hidden activation), summed over classes.
+    """
+    return _feature_discrepancy(batch, t, s, "dm")
 
 
 def gradient_discrepancy(
@@ -159,18 +191,7 @@ def gradient_discrepancy(
 
 def moment_discrepancy(batch: ModelBatch, t, s) -> float:
     """Max over the batch of per-class first plus second (feature-wise variance) moment gaps."""
-    pt, ps = _matched_partitions(t, s)
-    best = 0.0
-    for m in batch:
-        total = 0.0
-        for y in range(t.class_count):
-            ft = _class_features(m, t.features[pt[y]], layerwise=False)[0]
-            fs = _class_features(m, s.features[ps[y]], layerwise=False)[0]
-            dm = ft.mean(axis=0) - fs.mean(axis=0)
-            dv = ft.var(axis=0) - fs.var(axis=0)
-            total += float(dm @ dm) + float(dv @ dv)
-        best = max(best, total)
-    return best
+    return _feature_discrepancy(batch, t, s, "moment")
 
 
 def loss_discrepancy(batch: ModelBatch, t, s, loss: str = "cross_entropy") -> float:
@@ -188,15 +209,13 @@ def loss_discrepancy(batch: ModelBatch, t, s, loss: str = "cross_entropy") -> fl
 # ---------------------------------------------------------------------------
 
 
-def wasserstein1(t, s, ground_metric: str = "euclidean") -> float:
+def wasserstein1(t, s) -> float:
     """Exact W1 between uniform empirical measures.
 
     Equal-size sets reduce to an optimal assignment (Hungarian method); unequal
     sizes solve the transport LP on the bipartite polytope exactly. Its (n+m) x nm
     marginal constraint matrix is sparse, with 2nm nonzeros, so memory is O(nm).
     """
-    if ground_metric != "euclidean":
-        raise ConfigError("only the euclidean ground metric is implemented")
     a = _points(t)
     b = _points(s)
     if a.shape[1] != b.shape[1]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check every config uses."""
+import math
+import numbers
 
 
 class CondensationError(Exception):
@@ -59,3 +61,13 @@ class NumericalError(CondensationError, RuntimeError):
 
 class SolveError(CondensationError, RuntimeError):
     """A linear system could not be solved."""
+
+
+def check_number(name: str, value, *, integer: bool = False, low=None) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number, or an integer when
+    ``integer``, that is not a bool and, when ``low`` is given, is at least ``low``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind) or not (integer or math.isfinite(value))
+            or (low is not None and value < low)):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {what}{'' if low is None else f' >= {low}'}, got {value!r}")

@@ -31,7 +31,7 @@ from .discrepancy import (
     hierarchy_report,
     wasserstein1,
 )
-from .errors import CondensationError, ConfigError
+from .errors import CondensationError, ConfigError, check_number
 from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
 from .models import Mlp, TrainConfig, pgd_attack, sgd_train
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
@@ -57,8 +57,9 @@ class EvalConfig:
     pgd_steps: int = 10
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        check_number("repeats", self.repeats, integer=True, low=1)
+        check_number("pgd_eps", self.pgd_eps, low=0)
+        check_number("pgd_steps", self.pgd_steps, integer=True, low=0)
         # the trainer's own rules, checked now rather than after condensation
         TrainConfig(self.learning_rate, self.epochs, self.batch_size, self.loss)
 
@@ -76,6 +77,11 @@ class RunConfig:
     latent_dim: int = 0
     out_dir: str | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        check_number("per_class", self.per_class, integer=True, low=1)
+        check_number("latent_dim", self.latent_dim, integer=True, low=0)
+        check_number("seed", self.seed, integer=True)
 
 
 @dataclass

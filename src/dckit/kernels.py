@@ -1,14 +1,12 @@
 """Kernel families, Gram matrices, random-feature embeddings, and the kernel-only MMD."""
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_number
 
 FAMILIES = ("gamma_exponential", "empirical_ntk", "random_feature", "nfk", "pullback")
 
@@ -36,9 +34,9 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
         for name in ("gamma", "scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            check_number(name, getattr(self, name))
+        check_number("feature_dim", self.feature_dim, integer=True, low=0)
+        check_number("seed", self.seed, integer=True, low=0)
         if self.family == "gamma_exponential" and not (0.0 < self.gamma <= 2.0):
             raise ConfigError("gamma must lie in (0, 2]")
         if self.scale <= 0:

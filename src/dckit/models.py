@@ -19,6 +19,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     ValidationError,
+    check_number,
 )
 
 LOSSES = ("cross_entropy", "mse")
@@ -147,12 +148,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning_rate must be positive and finite")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_number("learning_rate", self.learning_rate)
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
+        check_number("epochs", self.epochs, integer=True, low=0)
+        check_number("batch_size", self.batch_size, integer=True, low=1)
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {LOSSES}")
 
@@ -533,7 +533,6 @@ def pgd_attack(
     eps: float,
     steps: int = 10,
     step_size: float | None = None,
-    norm: str = "l_inf",
     loss: str = "cross_entropy",
 ) -> np.ndarray:
     """L-inf projected sign-gradient ascent; returns the per-sample worst iterate found.
@@ -541,8 +540,6 @@ def pgd_attack(
     Iterates stay inside both the eps-ball around x and [0, 1]^n. The clean input
     is always a candidate, so the attacked loss never drops below the clean loss.
     """
-    if norm != "l_inf":
-        raise ConfigError("only the l_inf norm is implemented")
     if eps < 0:
         raise DomainError("eps must be >= 0")
     x = np.asarray(x, dtype=np.float64)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrepancy import _feature_gap, wasserstein1
 from .errors import ConfigError, ShapeError, ValidationError
 from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
 
@@ -134,25 +135,12 @@ def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None, model_
         spec = kernel if kernel is not None else median_heuristic_spec(reference)
         return lambda a, b: mmd_squared(spec, a, b)
     if disc == "w1":
-        from .discrepancy import wasserstein1
-
         return wasserstein1
     if disc == "ipm_feature":
         if model_batch is None:
             raise ConfigError("ipm_feature regime objectives need a model_batch")
-
-        def stat(a, b):
-            best = 0.0
-            for m in model_batch:
-                _, fa = m.forward_batch(a)
-                _, fb = m.forward_batch(b)
-                ha = fa[-2] if len(fa) >= 2 else fa[-1]
-                hb = fb[-2] if len(fb) >= 2 else fb[-1]
-                diff = ha.mean(axis=0) - hb.mean(axis=0)
-                best = max(best, float(diff @ diff))
-            return best
-
-        return stat
+        return lambda a, b: max((_feature_gap("dm", m.forward_batch(a)[1], m.forward_batch(b)[1])[0]
+                                 for m in model_batch), default=0.0)
     raise ConfigError(f"unknown discrepancy selector {disc!r}")
 
 

@@ -625,6 +625,21 @@ def test_image_variants_run_and_reduce(variant, params, rng):
     assert len(log.rows) == 3
 
 
+def test_dp_grad_noises_t_gradients_under_image_variants(rng):
+    t, s, shape = image_fixture(rng)
+    runs = {}
+    for sigma in (0.0, 5.0):
+        cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=2, refresh=2, hidden=(6,),
+                           activation="tanh", image_shape=shape, seed=0,
+                           variants={"multiform": {"r": 2}, "dp_grad": {"sigma": sigma}})
+        runs[sigma] = condense(cfg, t, s)[1]
+    assert not np.array_equal(runs[0.0].objectives(), runs[5.0].objectives())
+    meta = runs[5.0].meta["dp_grad"]
+    # image variants redraw the T rows, so the T gradients are drawn at every step
+    assert meta["mechanism_invocations"] == 4 * 2 * 2  # outer_steps x ensemble x classes
+    assert meta["refreshes"] == 4
+
+
 def test_image_variant_gradient_matches_fd(rng):
     t, s, shape = image_fixture(rng, n_per_class=4)
     cfg = MethodConfig(method="dm", outer_steps=1, outer_lr=0.01, ensemble=1, hidden=(5,),

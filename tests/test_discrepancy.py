@@ -60,12 +60,6 @@ def test_ipm_is_max_over_models(toy_pair):
     assert ipm_feature_stat(batch, t, s) == pytest.approx(max(singles), rel=1e-12)
 
 
-def test_ipm_layerwise_at_least_single_layer(toy_pair):
-    t, s = toy_pair
-    batch = batch_of(2)
-    assert ipm_feature_stat(batch, t, s, layerwise=True) >= 0.0
-
-
 def test_ipm_class_mismatch(toy_pair):
     t, _ = toy_pair
     s1 = SyntheticDataset(np.zeros((1, 3)), np.array([0]), per_class_size=1, origin="x", class_count=1)

@@ -283,6 +283,28 @@ def test_cli_malformed_config_exit_two(blobs_csv, tmp_path, capsys, cfg, named):
     assert "config error" in err and named in err and "[stage " not in err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"eval": {"epochs": 2.5}},
+    {"eval": {"batch_size": 2.5}},
+    {"eval": {"repeats": 1.5}},
+    {"eval": {"pgd_eps": "x"}},
+    {"eval": {"hidden_architectures": [16]}},
+    {"per_class": "1"},
+    {"method": {"method": "dm", "hidden": 4}},
+    {"method": {"method": "dm", "image_shape": 4}},
+    {"method": {"method": "gm", "variants": {"dp_grad": 1}}},
+    {"method": {"method": "dm", "regularizers": {"div": "0.1"}}},
+], ids=["epochs-float", "batch-size-float", "repeats-float", "pgd-eps-string", "architectures-flat",
+        "per-class-string", "hidden-scalar", "image-shape-scalar", "variant-scalar", "reg-weight-string"])
+def test_cli_wrongly_typed_value_exit_two(blobs_csv, tmp_path, capsys, cfg):
+    cfg = {"dataset": str(blobs_csv), "method": {"method": "kmeans"}, **cfg}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[stage " not in err
+
+
 def test_cli_flag_overrides_config(blobs_csv, tmp_path, capsys):
     cfg = {
         "dataset": str(blobs_csv),

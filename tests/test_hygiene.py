@@ -45,6 +45,35 @@ def unreferenced_private_defs(sources: dict) -> list[str]:
     return [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in used]
 
 
+def default_only_params(source: str) -> list[str]:
+    """Parameters that their function rejects unless they equal the default literal.
+
+    The pattern is ``if p != <default>: raise ...``: such a parameter accepts one
+    value, so it is no option at all.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                 *zip(a.kwonlyargs, a.kw_defaults)]
+        defaults = {arg.arg: d.value for arg, d in pairs if isinstance(d, ast.Constant)}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                    and len(node.body) == 1 and isinstance(node.body[0], ast.Raise)):
+                continue
+            test = node.test
+            if len(test.ops) != 1 or not isinstance(test.ops[0], ast.NotEq):
+                continue
+            for name, other in ((test.left, test.comparators[0]), (test.comparators[0], test.left)):
+                if (isinstance(name, ast.Name) and name.id in defaults and isinstance(other, ast.Constant)
+                        and other.value == defaults[name.id]):
+                    found.append(f"{fn.name}({name.id}) (line {node.lineno})")
+    return found
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -57,6 +86,32 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
     assert unused_imports("from a import b as c\nc()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_default_only_params(path):
+    assert default_only_params(path.read_text()) == []
+
+
+def test_default_only_param_detected():
+    planted = (
+        "def w1(t, s, ground_metric='euclidean', *, norm='l_inf'):\n"
+        "    if ground_metric != 'euclidean':\n"
+        "        raise ValueError('only euclidean')\n"
+        "    if 'l_inf' != norm:\n"
+        "        raise ValueError('only l_inf')\n"
+    )
+    assert default_only_params(planted) == ["w1(ground_metric) (line 2)", "w1(norm) (line 4)"]
+    fine = (
+        "def f(mode='a', k=1):\n"
+        "    if mode != 'b':\n"
+        "        raise ValueError(mode)\n"
+        "    if mode not in ('a', 'b'):\n"
+        "        raise ValueError(mode)\n"
+        "    if k != 1:\n"
+        "        k = 1\n"
+    )
+    assert default_only_params(fine) == []
 
 
 def test_no_dead_private_code():
