@@ -54,13 +54,7 @@ def kernel_spec_from_dict(d: dict) -> KernelSpec:
     d = _checked(d, KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
     if "family" not in d:
         raise ConfigError("method.kernel.family is required")
-    return KernelSpec(
-        family=d["family"],
-        gamma=d.get("gamma", 2.0),
-        scale=d.get("scale", 1.0),
-        feature_dim=d.get("feature_dim", 0),
-        seed=d.get("seed", 0),
-    )
+    return KernelSpec(**d)
 
 
 def method_config_from_dict(d: dict) -> MethodConfig:
@@ -91,25 +85,15 @@ def _build_run_config(args) -> RunConfig:
         method_d["method"] = args.method
     if "method" not in method_d:
         raise ConfigError("no condensation method given (flag --method or config file)")
-    dataset = args.dataset if args.dataset is not None else file_cfg.get("dataset")
-    if dataset is None:
+    flags = {"dataset": args.dataset, "out_dir": args.out, "seed": args.seed, "per_class": args.per_class}
+    run_d = {**file_cfg, **{key: value for key, value in flags.items() if value is not None}}
+    if run_d.get("dataset") is None:
         raise ConfigError("no dataset given (flag --dataset or config file)")
-    out_dir = args.out if args.out is not None else file_cfg.get("out_dir")
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    per_class = args.per_class if args.per_class is not None else file_cfg.get("per_class", 1)
     if args.steps is not None:
         method_d["outer_steps"] = args.steps
-    return RunConfig(
-        dataset=dataset,
-        method=method_config_from_dict(method_d),
-        eval=eval_config_from_dict(file_cfg.get("eval", {})),
-        per_class=per_class,
-        init_mode=file_cfg.get("init_mode", "subsample"),
-        normalize=file_cfg.get("normalize", True),
-        latent_dim=file_cfg.get("latent_dim", 0),
-        out_dir=out_dir,
-        seed=seed,
-    )
+    run_d["method"] = method_config_from_dict(method_d)
+    run_d["eval"] = eval_config_from_dict(run_d.get("eval", {}))
+    return RunConfig(**run_d)
 
 
 def _cmd_condense(args) -> int:

@@ -1,6 +1,11 @@
 """Condensation objectives: outer-loop optimizers over the synthetic set, regularizers,
 coreset selectors, and the privacy/robustness variants.
 
+``VARIANTS`` is the one table of method variants: the methods each applies to
+and each parameter's kind, lower bound and default. ``MethodConfig`` resolves it
+at construction, so condensation reads only checked values with defaults filled
+in (``cfg.variant(name)`` gives the defaults of a variant the run does not set).
+
 Every gradient method is an objective ``objective(v, step) -> (value, grad,
 extra_log_fields)`` over its synthetic variables ``v``, and ``_descend`` is the
 one outer loop that logs, steps, projects and checks them. Matching objectives
@@ -8,11 +13,13 @@ one outer loop that logs, steps, projects and checks them. Matching objectives
 hypothesis-space supremum by averaging over a periodically refreshed model
 ensemble (one ``None`` member for the kernel families). Each splits into a
 T-side statistic per (member, class), built by ``t_stat`` in
-``_matching_problem`` and kept in its one cache ``t_cache`` until an ensemble
-or k-means proxy refresh (never under image variants, which redraw the T rows
-every step), and an S-side term with an analytic outer gradient; dm, moment and
-sam share ``discrepancy._feature_gap`` with the discrepancy report. Bilevel
-flavors, smooth regularizers and kernels without input gradients take central
+``_matching_problem`` from the class's T rows (transformed once per step and
+class under image variants) and kept in its one cache ``t_cache`` until an
+ensemble or k-means proxy refresh (never under image variants, which redraw
+the T rows every step), and an S-side term with an analytic outer gradient; dm,
+moment and sam share ``discrepancy._feature_gap``, and gm
+``discrepancy._gradient_gap``, with the discrepancy report. Bilevel flavors,
+smooth regularizers and kernels without input gradients take central
 differences through the one helper ``_central_diff``.
 """
 from __future__ import annotations
@@ -20,11 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .augment import (
+    SIAMESE_OPS,
     ImageBatch,
     _mixing_matrices,
     channel_multi_formation,
@@ -36,7 +45,7 @@ from .augment import (
     siamese_vjp,
 )
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
-from .discrepancy import _feature_gap
+from .discrepancy import _feature_gap, _gradient_gap
 from .errors import (
     CapacityError,
     ConfigError,
@@ -89,34 +98,55 @@ METHODS = (
 )
 MATCHING_METHODS = ("dm", "gm", "mmd", "moment", "sam")
 BILEVEL_METHODS = ("bptt", "trajectory", "cig_ridge", "robdc", "curvdc")
-VARIANTS = (
-    "siamese",
-    "multiform",
-    "channel_multiform",
-    "contrastive",
-    "curvature",
-    "kmeans_proxy",
-    "dp_merf",
-    "dp_grad",
-    "robust_outer",
-    "ridge_robust",
-    "rat_truncation",
-)
-REGULARIZERS = ("intra", "inter", "rep", "div", "con", "cos", "dis", "proj")
-_VARIANT_METHODS = {
-    "dp_merf": {"mmd", "dm"},
-    "dp_grad": {"gm"},
-    "ridge_robust": {"krr"},
-    "contrastive": {"gm"},
-    "curvature": {"gm"},
-    "kmeans_proxy": {"gm"},
-    "robust_outer": {"bptt", "robdc"},
-    "rat_truncation": {"bptt", "robdc", "curvdc"},
-    "siamese": set(MATCHING_METHODS),
-    "multiform": set(MATCHING_METHODS),
-    "channel_multiform": set(MATCHING_METHODS),
+_REQUIRED = object()  # the default of a parameter that every use of its variant must set
+# variant -> (methods it applies to, whether it transforms images,
+#             {parameter: (kind, lower bound, default)}); kind is int, float or a tuple
+# of the allowed values. The image variants run in this order within a step.
+VARIANTS = {
+    "siamese": (MATCHING_METHODS, True, {"op": (SIAMESE_OPS, None, "shift")}),
+    "multiform": (MATCHING_METHODS, True, {"r": (int, 1, 2)}),
+    "channel_multiform": (MATCHING_METHODS, True, {}),
+    "contrastive": (("gm",), False, {}),
+    "curvature": (("gm",), False, {"rho": (float, 0, 0.01)}),
+    # k None keeps min(16, the class's row count) centers
+    "kmeans_proxy": (("gm",), False, {"k": (int, 1, None), "period": (int, 1, 10)}),
+    "dp_merf": (("dm", "mmd"), False, {"sigma": (float, 0, 0.0)}),
+    "dp_grad": (("gm",), False, {"sigma": (float, 0, 0.0)}),
+    "robust_outer": (("robdc",), False, {"eps": (float, 0, 0.0), "steps": (int, 0, 5)}),
+    "ridge_robust": (("krr",), False, {"eps": (float, 0, 0.0), "steps": (int, 0, 5)}),
+    "rat_truncation": (("bptt", "robdc", "curvdc"), False, {"window": (int, 1, _REQUIRED)}),
 }
-_IMAGE_VARIANTS = ("siamese", "multiform", "channel_multiform")
+_IMAGE_VARIANTS = tuple(name for name, (_, image, _) in VARIANTS.items() if image)
+REGULARIZERS = ("intra", "inter", "rep", "div", "con", "cos", "dis", "proj")
+
+
+def _resolve_variant(method: str, name: str, params) -> dict:
+    """The ``params`` of variant ``name`` for ``method``, checked against the variant's
+    table entry and with its defaults filled in."""
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown variant variants.{name}; pick from {tuple(VARIANTS)}")
+    methods, _, spec = VARIANTS[name]
+    if method not in methods:
+        raise ConfigError(f"variants.{name} applies to {methods}, not to {method!r}")
+    if not isinstance(params, dict):
+        raise ConfigError(f"variants.{name} takes an object of parameters, got {params!r}")
+    for key in params:
+        if key not in spec:
+            raise ConfigError(f"unknown variant parameter variants.{name}.{key}; "
+                              f"{name} takes {sorted(spec) or 'no parameters'}")
+    resolved = {}
+    for key, (kind, low, default) in spec.items():
+        path, value = f"variants.{name}.{key}", params.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{path} is required")
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"{path} must be one of {kind}, got {value!r}")
+        elif value is not default:  # the table's defaults are valid as written
+            check_number(path, value, integer=kind is int, low=low)
+            value = kind(value)
+        resolved[key] = value
+    return resolved
 
 
 @dataclass(frozen=True)
@@ -168,17 +198,8 @@ class MethodConfig:
             raise ConfigError("provenance must be random_init or pretrained")
         if not isinstance(self.variants, dict) or not isinstance(self.regularizers, dict):
             raise ConfigError("variants and regularizers must be objects keyed by name")
-        for name, params in self.variants.items():
-            if name not in VARIANTS:
-                raise ConfigError(f"unknown variant {name!r}")
-            allowed = _VARIANT_METHODS.get(name)
-            if allowed is not None and self.method not in allowed:
-                raise ConfigError(f"variant {name!r} is incompatible with method {self.method!r}")
-            if not isinstance(params, dict):
-                raise ConfigError(f"variant {name!r} takes an object of parameters, got {params!r}")
-            for key in ("sigma", "eps", "rho"):
-                if key in params:
-                    check_number(f"variant {name!r}: {key}", params[key], low=0)
+        object.__setattr__(self, "variants", {name: _resolve_variant(self.method, name, params)
+                                              for name, params in self.variants.items()})
         for name, weight in self.regularizers.items():
             if name not in REGULARIZERS:
                 raise ConfigError(f"unknown regularizer {name!r}")
@@ -199,8 +220,18 @@ class MethodConfig:
                 raise ConfigError("image variants require random_init model provenance")
             if "dp_merf" in self.variants:
                 raise ConfigError("dp_merf uses a fixed feature embedding and excludes image variants")
+        if "multiform" in self.variants and any(h_w % self.variants["multiform"]["r"] for h_w in self.image_shape[1:]):
+            raise ConfigError(f"variants.multiform.r must divide the image height and width {self.image_shape[1:]}")
+        if "rat_truncation" in self.variants and self.variants["rat_truncation"]["window"] > self.inner_steps:
+            raise ConfigError(f"variants.rat_truncation.window must lie in [1, inner_steps={self.inner_steps}]")
+        if "dp_merf" in self.variants and (self.kernel is None or self.kernel.family != "random_feature"):
+            raise ConfigError("variants.dp_merf needs a random_feature kernel spec")
         if self.regime != "input_input" and self.method not in MATCHING_METHODS:
             raise ConfigError("latent regimes are wired for the matching methods only")
+
+    def variant(self, name: str) -> dict:
+        """The resolved parameters of variant ``name``, or its table defaults when it is unset."""
+        return self.variants[name] if name in self.variants else {k: p[2] for k, p in VARIANTS[name][2].items()}
 
 
 _TUNED = {
@@ -615,9 +646,8 @@ def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-8
     y_t = one_hot(t.labels, t.class_count)
     y_s = one_hot(s0.labels, s0.class_count)
-    robust = cfg.variants.get("ridge_robust", {})
-    eps = float(robust.get("eps", 0.0))
-    adv_steps = int(robust.get("steps", 5))
+    robust = cfg.variant("ridge_robust")
+    eps, adv_steps = robust["eps"], robust["steps"]
     delta = np.zeros_like(t.features)
 
     def objective(s, step):
@@ -728,15 +758,14 @@ def _trajectory_objective(cfg, t, s0):
 def _bptt_outer(cfg, t, model, labels, shape, window):
     """``outer(theta_start, v)``: the outer loss after ``window`` full-batch inner steps
     from ``theta_start`` on the synthetic variables v = (S.ravel(), eta)."""
-    robust = cfg.variants.get("robust_outer", {})
-    eps = float(robust.get("eps", 0.0))
-    adv_steps = int(robust.get("steps", 5))
+    robust = cfg.variant("robust_outer")
+    eps, adv_steps = robust["eps"], robust["steps"]
     curv_seed = derive_seed(cfg.seed, "curv")
 
     def outer(theta_start, v):
         end = _full_batch_steps(model, theta_start, v[:-1].reshape(shape), labels, v[-1], window, cfg.loss)
         trained = model.with_params(end)
-        if cfg.method == "robdc" and eps > 0:
+        if eps > 0:
             x_adv = pgd_attack(trained, t.features, t.labels, eps, steps=adv_steps, loss=cfg.loss)
             logits, _ = trained.forward_batch(x_adv)
             value = float(np.mean(per_sample_loss(logits, t.labels, cfg.loss)))
@@ -764,10 +793,8 @@ def _condense_bptt(cfg, t, s0):
     model = Mlp.init(widths, cfg.activation, seed=derive_seed(cfg.seed, "bptt_init"))
     theta = model.flat_params()
     shape, labels = s0.features.shape, s0.labels
-    rat = cfg.variants.get("rat_truncation")
-    window = int(rat["window"]) if rat else cfg.inner_steps
-    if rat and not 1 <= window <= cfg.inner_steps:
-        raise ConfigError("rat_truncation window must lie in [1, inner_steps]")
+    rat = "rat_truncation" in cfg.variants
+    window = cfg.variants["rat_truncation"]["window"] if rat else cfg.inner_steps
     rng_rat = derived_rng(cfg.seed, "rat")
     outer = _bptt_outer(cfg, t, model, labels, shape, window)
 
@@ -789,8 +816,7 @@ def _condense_bptt(cfg, t, s0):
     def project(v):
         return np.append(_clip01(v[:-1]), max(v[-1], 1e-6))
 
-    eps = float(cfg.variants.get("robust_outer", {}).get("eps", 0.0))
-    log = StepLog(meta={"method": cfg.method, "window": window, "eps": eps})
+    log = StepLog(meta={"method": cfg.method, "window": window, "eps": cfg.variant("robust_outer")["eps"]})
     v = _descend(cfg, np.append(s0.features.ravel(), cfg.inner_lr), objective, log, project)
     meta = {"seed": cfg.seed, "eta_final": float(v[-1]), "window": window}
     return _synthetic(s0, v[:-1].reshape(shape), cfg.method, meta), log
@@ -807,69 +833,51 @@ class _Transforms:
     def __init__(self, cfg: MethodConfig, step: int):
         self.cfg = cfg
         self.step = step
-        self.ops = [v for v in ("siamese", "multiform", "channel_multiform") if v in cfg.variants]
+        self.ops = [v for v in _IMAGE_VARIANTS if v in cfg.variants]
         self.siamese_params = None
         if "siamese" in cfg.variants:
-            op = cfg.variants["siamese"].get("op", "shift")
+            op = cfg.variants["siamese"]["op"]
             c, h, w = cfg.image_shape
             self.siamese_params = (op, draw_siamese_params(op, (1, c, h, w), derive_seed(cfg.seed, f"siamese:{step}")))
 
-    @property
-    def active(self) -> bool:
-        return bool(self.ops)
-
     def output_dim(self, d: int) -> int:
-        if not self.active:
+        """The row width ``apply`` gives rows of width d: multiform adds r^2 channels per channel."""
+        if "multiform" not in self.cfg.variants:
             return d
-        c, h, w = self.cfg.image_shape
-        if "multiform" in self.cfg.variants:
-            r = int(self.cfg.variants["multiform"].get("r", 2))
-            c = c * (r * r + 1)
-        return c * h * w
+        r = self.cfg.variants["multiform"]["r"]
+        return d * (r * r + 1)
 
     def apply(self, rows: np.ndarray, labels: np.ndarray, side: str, cls: int):
         """Transform one class batch; returns (rows', labels', vjp to the input rows)."""
-        if not self.active:
+        if not self.ops:
             return rows, labels, lambda g: g
         c, h, w = self.cfg.image_shape
         data = np.asarray(rows, dtype=np.float64).reshape(rows.shape[0], c, h, w)
-        records = []
-        out_labels = labels
+        vjps = []  # each op's adjoint, in the order the ops ran
         for op in self.ops:
+            batch = ImageBatch(np.clip(data, 0.0, 1.0))
             if op == "siamese":
                 name, params = self.siamese_params
-                before = data
-                data = siamese_augment(ImageBatch(np.clip(before, 0.0, 1.0)), ImageBatch(np.clip(before, 0.0, 1.0)), name, params=params)[0].data
-                records.append(("siamese", name, params, before))
+                vjps.append(partial(siamese_vjp, data=data, op=name, params=params))
+                data = siamese_augment(batch, batch, name, params=params)[0].data
             elif op == "multiform":
-                r = int(self.cfg.variants["multiform"].get("r", 2))
-                before_shape = data.shape
-                data = multi_formation(ImageBatch(np.clip(data, 0.0, 1.0)), r).data
-                records.append(("multiform", r, before_shape))
-            elif op == "channel_multiform":
+                r = self.cfg.variants["multiform"]["r"]
+                vjps.append(partial(multi_formation_vjp, r=r, in_shape=data.shape))
+                data = multi_formation(batch, r).data
+            else:
                 seed = derive_seed(self.cfg.seed, f"channel:{self.step}:{side}:{cls}")
                 mixing = _mixing_matrices(data.shape[0], data.shape[1], seed)
-                before = ImageBatch(np.clip(data, 0.0, 1.0))
-                data = channel_multi_formation(before, mixing=mixing).data
-                records.append(("channel", mixing, before))
-                out_labels = np.tile(out_labels, 4)
-        out = data.reshape(data.shape[0], -1)
+                vjps.append(partial(channel_multi_formation_vjp, x=batch, mixing=mixing))
+                data = channel_multi_formation(batch, mixing=mixing).data
+                labels = np.tile(labels, 4)
 
         def vjp(grad_rows: np.ndarray) -> np.ndarray:
             g = grad_rows.reshape(data.shape)
-            for rec in reversed(records):
-                if rec[0] == "siamese":
-                    _, name, params, before = rec
-                    g = siamese_vjp(g, before, name, params)
-                elif rec[0] == "multiform":
-                    _, r, before_shape = rec
-                    g = multi_formation_vjp(g, r, before_shape)
-                else:
-                    _, mixing, before = rec
-                    g = channel_multi_formation_vjp(g, before, mixing=mixing)
+            for back in reversed(vjps):
+                g = back(g)
             return g.reshape(rows.shape)
 
-        return out, out_labels, vjp
+        return data.reshape(data.shape[0], -1), labels, vjp
 
 
 def _make_ensemble(cfg: MethodConfig, input_dim: int, class_count: int, t_matched, t_labels, step: int):
@@ -982,21 +990,17 @@ def _matching_problem(cfg, t, s0):
     kernel = cfg.kernel
     if cfg.method == "mmd" and kernel is None:
         kernel = median_heuristic_spec(t_matched)
-    dp_merf = cfg.variants.get("dp_merf")
     has_image_ops = any(name in cfg.variants for name in _IMAGE_VARIANTS)
-    if dp_merf is not None and (kernel is None or kernel.family != "random_feature"):
-        raise ConfigError("dp_merf needs a random_feature kernel spec")
     # the mean-embedding route: plain mmd with random features, or any dp_merf run
-    embed_path = dp_merf is not None or (
+    embed_path = "dp_merf" in cfg.variants or (
         cfg.method == "mmd" and kernel.family == "random_feature" and not has_image_ops
     )
-    merf_sigma = float(dp_merf.get("sigma", 0.0)) if dp_merf else 0.0
+    merf_sigma = cfg.variant("dp_merf")["sigma"]
     rng_merf = derived_rng(cfg.seed, "dp_merf")
-    dp_grad = cfg.variants.get("dp_grad")
-    dp_sigma = float(dp_grad.get("sigma", 0.0)) if dp_grad else 0.0
+    dp_sigma = cfg.variant("dp_grad")["sigma"]
     contrastive = "contrastive" in cfg.variants
-    curvature = cfg.variants.get("curvature")
-    proxy = cfg.variants.get("kmeans_proxy")
+    rho = cfg.variants["curvature"]["rho"] if "curvature" in cfg.variants else None
+    proxy = cfg.variants["kmeans_proxy"] if "kmeans_proxy" in cfg.variants else None
 
     model_dim = _Transforms(cfg, 0).output_dim(t_matched.shape[1])
     kernel_objective = embed_path or cfg.method == "mmd"
@@ -1040,15 +1044,14 @@ def _matching_problem(cfg, t, s0):
                 vals["proj"] = 0.0
         return sum(reg_weights[k] * vals[k] for k in vals), vals, grad
 
-    def t_stat(tr, mi, model, y, rng_grad):
+    def t_stat(mi, model, y, rows, labels, rng_grad):
         """The T-side statistic of class y for ensemble member ``mi`` (``model`` is None
-        for the kernel families): the dp_merf-noised mean embedding, (rows, mean
-        k(T_y, T_y)) for the Gram route, the dp_grad-clipped and noised class-mean
-        gradient, or the feature list."""
+        for the kernel families) from the class's transformed T rows: the
+        dp_merf-noised mean embedding, (rows, mean k(T_y, T_y)) for the Gram route,
+        the dp_grad-clipped and noised class-mean gradient, or the feature list."""
         nonlocal dp_invocations
         if (mi, y) in t_cache:
             return t_cache[mi, y]
-        rows, labels, _ = tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", y)
         if embed_path:
             mean_phi = feature_map_batch(kernel, rows).mean(axis=0)
             stat = mean_phi + merf_sigma * rng_merf.normal(size=mean_phi.shape)  # sigma 0 adds zeros
@@ -1071,12 +1074,7 @@ def _matching_problem(cfg, t, s0):
         to each class's transformed S rows). Contrastive gm gives one value."""
         if cfg.method == "gm":
             g_s = [model.backward(rs, ls, cfg.loss)[1] for rs, ls, _ in s_side]
-            if contrastive:
-                diff = np.sum(g_s, axis=0) - np.sum(stats, axis=0)
-                values, ups = [float(diff @ diff)], [2.0 * diff] * len(g_s)
-            else:
-                diffs = [g - g_t for g, g_t in zip(g_s, stats)]
-                values, ups = [float(d @ d) for d in diffs], [2.0 * d for d in diffs]
+            values, ups = _gradient_gap(contrastive, stats, g_s)
             tangents = [model.input_grad_param_tangent(rs, ls, cfg.loss, u) for (rs, ls, _), u in zip(s_side, ups)]
             return values, tangents
         values, grads = [], []
@@ -1109,10 +1107,10 @@ def _matching_problem(cfg, t, s0):
             ensemble = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step)
             if not kernel_objective:  # kernel statistics do not depend on the models
                 t_cache.clear()
-        if proxy is not None and step % int(proxy.get("period", 10)) == 0:
+        if proxy is not None and step % proxy["period"] == 0:
             for y in classes:
                 t_rows[y], _ = kmeans_coreset(
-                    t_matched[part_t[y]], int(proxy.get("k", min(16, part_t[y].size))),
+                    t_matched[part_t[y]], proxy["k"] or min(16, part_t[y].size),
                     iters=25, seed=derive_seed(cfg.seed, f"proxy:{step}:{y}"),
                 )
             t_cache.clear()
@@ -1123,19 +1121,20 @@ def _matching_problem(cfg, t, s0):
         s_matched = fwd(v)
         s_side = [tr.apply(s_matched[part_s[y]], np.full(part_s[y].size, y, dtype=np.int64), "s", y)
                   for y in classes]
+        t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", y)[:2]
+                  for y in classes]
         value = 0.0
         grad_matched = np.zeros_like(s_matched)
         members = [None] if kernel_objective else ensemble
         n_e = len(members)
         for mi, model in enumerate(members):
-            stats = [t_stat(tr, mi, model, y, rng_grad) for y in classes]
+            stats = [t_stat(mi, model, y, *t_side[y], rng_grad) for y in classes]
             values, g_rows = s_terms(model, stats, s_side)
             for val in values:
                 value += val / n_e
             for y, (_, _, vjp_s), g in zip(classes, s_side, g_rows):
                 grad_matched[part_s[y]] += vjp_s(g) / n_e
-            if curvature is not None:
-                rho = float(curvature.get("rho", 0.01))
+            if rho is not None:
                 penalty = lambda x_s: _curvature_penalty(model, t_matched, t.labels, x_s, s_labels, cfg)
                 value += 0.5 * rho * penalty(s_matched) / n_e
                 grad_matched += (0.5 * rho / n_e) * _central_diff(penalty, s_matched, h=1e-4)
@@ -1145,7 +1144,7 @@ def _matching_problem(cfg, t, s0):
         return float(value + reg_val), regime_vjp(grad_matched) + reg_grad, extra
 
     def finish(v):
-        if dp_grad:
+        if "dp_grad" in cfg.variants:
             log.meta["dp_grad"] = {"sigma": dp_sigma, "clip_norm": 1.0, "refreshes": grad_draws,
                                    "mechanism_invocations": dp_invocations}
         meta = {"seed": cfg.seed, "regime": cfg.regime, "kernel": kernel.describe() if kernel else None}

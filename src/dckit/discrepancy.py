@@ -133,6 +133,20 @@ def _feature_gap(method: str, feats_t: list, feats_s: list):
     raise ConfigError(f"not a feature objective: {method!r}")
 
 
+def _gradient_gap(contrastive: bool, grads_t: list, grads_s: list):
+    """The gm gap between the class-mean parameter gradients of T and of S.
+
+    One value ||g_S - g_T||^2 per class, or with ``contrastive`` one value for the
+    gradients summed over classes. Returns (values, upstream), where upstream
+    holds the gradient of the summed values with respect to each class's g_S.
+    """
+    if contrastive:
+        diff = np.sum(grads_s, axis=0) - np.sum(grads_t, axis=0)
+        return [float(diff @ diff)], [2.0 * diff] * len(grads_s)
+    diffs = [g_s - g_t for g_t, g_s in zip(grads_t, grads_s)]
+    return [float(d @ d) for d in diffs], [2.0 * d for d in diffs]
+
+
 # ---------------------------------------------------------------------------
 # model-based statistics (finite-batch IPM surrogates)
 # ---------------------------------------------------------------------------
@@ -174,18 +188,9 @@ def gradient_discrepancy(
     pt, ps = _matched_partitions(t, s)
     best = 0.0
     for m in batch:
-        gt, gs = [], []
-        for y in range(t.class_count):
-            _, g1, _ = m.backward(t.features[pt[y]], t.labels[pt[y]], loss)
-            _, g2, _ = m.backward(s.features[ps[y]], s.labels[ps[y]], loss)
-            gt.append(g1)
-            gs.append(g2)
-        if mode == "per_class":
-            total = sum(float((a - b) @ (a - b)) for a, b in zip(gt, gs))
-        else:
-            diff = np.sum(np.stack(gt), axis=0) - np.sum(np.stack(gs), axis=0)
-            total = float(diff @ diff)
-        best = max(best, total)
+        gt = [m.backward(t.features[pt[y]], t.labels[pt[y]], loss)[1] for y in range(t.class_count)]
+        gs = [m.backward(s.features[ps[y]], s.labels[ps[y]], loss)[1] for y in range(t.class_count)]
+        best = max(best, sum(_gradient_gap(mode == "contrastive", gt, gs)[0]))
     return best
 
 

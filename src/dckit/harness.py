@@ -7,8 +7,10 @@ that is excluded from that guarantee.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.dataset, (str, os.PathLike, LabeledDataset)):
+            raise ConfigError(f"dataset must be a CSV path, got {self.dataset!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
+            raise ConfigError(f"out_dir must be a directory path, got {self.out_dir!r}")
         check_number("per_class", self.per_class, integer=True, low=1)
         check_number("latent_dim", self.latent_dim, integer=True, low=0)
         check_number("seed", self.seed, integer=True)
@@ -94,9 +100,6 @@ class EvalReport:
     discrepancy: DiscrepancyReport | None
     robust_accuracy: float | None = None
     wall_clock: dict = field(default_factory=dict)
-
-    def accuracies(self) -> dict:
-        return {k: v["mean"] for k, v in self.per_architecture.items()}
 
 
 def _canonical_order(features: np.ndarray, labels: np.ndarray):
@@ -188,11 +191,11 @@ class _StageTimer:
 def run(cfg: RunConfig) -> EvalReport:
     """Full pipeline: load, normalize, init, condense, evaluate, report, artifacts.
 
-    On error, any partially written artifacts in out_dir are removed and the
-    failing stage is named in the raised exception.
+    On error, every artifact it writes into out_dir and every directory it made
+    are removed, and the failing stage is named in the raised exception.
     """
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    created = []
+    created, made_dirs = [], []
     timer = _StageTimer()
     try:
         d = timer.run("load", lambda: _resolve_dataset(cfg))
@@ -228,28 +231,26 @@ def run(cfg: RunConfig) -> EvalReport:
         )
         report.wall_clock = dict(timer.timings)
         if out_dir is not None:
+            made_dirs = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
             out_dir.mkdir(parents=True, exist_ok=True)
             if d.norm is not None:
-                from dataclasses import replace
-
                 s_star = replace(s_star, meta={**s_star.meta, "normalization": d.norm.to_dict()})
-            s_path = out_dir / "synthetic.csv"
+            s_path, log_path, report_path, timings_path = (
+                out_dir / name for name in ("synthetic.csv", "steps.csv", "report.json", "timings.json"))
+            created = [s_path, s_path.with_suffix(".csv.meta.json"), log_path, report_path, timings_path,
+                       *(out_dir / name for name in _PLOT_FILES)]
             save_synthetic(s_star, s_path)
-            created += [s_path, s_path.with_suffix(".csv.meta.json")]
-            log_path = out_dir / "steps.csv"
             log.to_csv(log_path)
-            created.append(log_path)
-            report_path = out_dir / "report.json"
             report_path.write_text(_report_json(cfg, s_star, log, report))
-            created.append(report_path)
-            timings_path = out_dir / "timings.json"
             timings_path.write_text(json.dumps({k: round(v, 6) for k, v in timer.timings.items()}, sort_keys=True, indent=2) + "\n")
-            created.append(timings_path)
             emit_plots(report_path, log_path, out_dir)
         return report
     except Exception:
         for p in created:
             Path(p).unlink(missing_ok=True)
+        for p in made_dirs:  # a directory that holds other files stays
+            with suppress(OSError):
+                p.rmdir()
         raise
 
 
@@ -347,6 +348,9 @@ def discrepancy_command(
     return report
 
 
+_PLOT_FILES = ("objective.csv", "objective.svg", "accuracy.csv", "accuracy.svg")
+
+
 def emit_plots(report_path, steplog_path, out_dir) -> list:
     """Objective-vs-step and accuracy-bar outputs as CSV plus deterministic SVG."""
     out_dir = Path(out_dir)
@@ -361,10 +365,9 @@ def emit_plots(report_path, steplog_path, out_dir) -> list:
                     parts = line.rstrip("\n").split(",")
                     if len(parts) > col and parts[col]:
                         objectives.append(float(parts[col]))
-    written = []
-    series_csv(objectives, out_dir / "objective.csv")
-    polyline_svg(objectives, out_dir / "objective.svg", title="objective vs step")
-    written += [out_dir / "objective.csv", out_dir / "objective.svg"]
+    written = [out_dir / name for name in _PLOT_FILES]
+    series_csv(objectives, written[0])
+    polyline_svg(objectives, written[1], title="objective vs step")
     labels, values = [], []
     if report_path is not None and Path(report_path).exists():
         rep = json.loads(Path(report_path).read_text())
@@ -375,7 +378,6 @@ def emit_plots(report_path, steplog_path, out_dir) -> list:
         if eval_part.get("baseline_accuracy") is not None:
             labels.append("baseline")
             values.append(eval_part["baseline_accuracy"])
-    bars_csv(labels, values, out_dir / "accuracy.csv")
-    bar_svg(labels, values, out_dir / "accuracy.svg", title="train-on-synthetic accuracy")
-    written += [out_dir / "accuracy.csv", out_dir / "accuracy.svg"]
+    bars_csv(labels, values, written[2])
+    bar_svg(labels, values, written[3], title="train-on-synthetic accuracy")
     return written

@@ -64,6 +64,38 @@ def test_variant_compatibility(method, variant):
         MethodConfig(method=method, variants={variant: {}})
 
 
+def test_variant_parameters_resolved_once():
+    cfg = MethodConfig(method="gm", variants={"dp_grad": {"sigma": 5}, "kmeans_proxy": {"period": np.int64(3)},
+                                             "contrastive": {}})
+    assert cfg.variants == {"dp_grad": {"sigma": 5.0}, "kmeans_proxy": {"k": None, "period": 3},
+                            "contrastive": {}}
+    assert type(cfg.variants["dp_grad"]["sigma"]) is float
+    assert type(cfg.variants["kmeans_proxy"]["period"]) is int
+    assert MethodConfig(method="gm", variants=cfg.variants).variants == cfg.variants
+    assert cfg.variant("curvature") == {"rho": 0.01}  # table defaults for an unset variant
+    assert MethodConfig(method="dm", image_shape=(1, 4, 4), variants={"siamese": {}}).variants == {
+        "siamese": {"op": "shift"}}
+
+
+def test_readme_variant_table_matches_code():
+    """README's variant table gives each parameter the methods and JSON default of the code's table."""
+    from dckit.condense import _REQUIRED, VARIANTS
+
+    rows = {}
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if line.startswith("| `") and len(cells) == 5:
+            rows[cells[0], cells[2]] = (cells[1], cells[4])
+    want = {}
+    for name, (methods, _, params) in VARIANTS.items():
+        for key, (_, _, default) in params.items():
+            shown = "required" if default is _REQUIRED else f"`{json.dumps(default)}`"
+            want[f"`{name}`", f"`{key}`"] = (", ".join(methods), shown)
+        if not params:
+            want[f"`{name}`", "—"] = (", ".join(methods), "—")
+    assert rows == want
+
+
 def test_negative_variant_params_rejected():
     with pytest.raises(ConfigError):
         MethodConfig(method="gm", variants={"dp_grad": {"sigma": -1.0}})
@@ -405,12 +437,10 @@ def test_bilevel_flavor_validation(toy_pair):
         MethodConfig(method="robdc", seed=0)  # robust_outer variant missing
 
 
-def test_rat_truncation_window_validated(toy_pair):
-    t, s = toy_pair
-    cfg = MethodConfig(method="bptt", outer_steps=1, inner_steps=3, hidden=(4,),
-                       variants={"rat_truncation": {"window": 9}}, seed=0)
-    with pytest.raises(ConfigError):
-        condense(cfg, t, s)
+def test_rat_truncation_window_validated():
+    with pytest.raises(ConfigError, match="rat_truncation.window"):
+        MethodConfig(method="bptt", outer_steps=1, inner_steps=3, hidden=(4,),
+                     variants={"rat_truncation": {"window": 9}}, seed=0)
 
 
 def test_rat_truncation_runs(toy_pair):

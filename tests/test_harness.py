@@ -305,6 +305,59 @@ def test_cli_wrongly_typed_value_exit_two(blobs_csv, tmp_path, capsys, cfg):
     assert "config error" in err and "[stage " not in err
 
 
+_IMG = {"image_shape": [1, 4, 4]}
+
+
+@pytest.mark.parametrize("method,named", [
+    ({"method": "gm", "variants": {"dp_grad": {"sigam": 5}}}, "variants.dp_grad.sigam"),
+    ({"method": "gm", "variants": {"contrastive": {"foo": 1}}}, "variants.contrastive.foo"),
+    ({"method": "gm", "variants": {"curvature": {"rh0": 0.1}}}, "variants.curvature.rh0"),
+    ({"method": "gm", "variants": {"kmeans_proxy": {"k": "x"}}}, "variants.kmeans_proxy.k"),
+    ({"method": "bptt", "variants": {"rat_truncation": {"window": "x"}}}, "variants.rat_truncation.window"),
+    ({"method": "krr", "variants": {"ridge_robust": {"steps": "x"}}}, "variants.ridge_robust.steps"),
+    ({"method": "dm", **_IMG, "variants": {"multiform": {"r": "x"}}}, "variants.multiform.r"),
+    ({"method": "gm", "variants": {"kmeans_proxy": {"period": 0}}}, "variants.kmeans_proxy.period"),
+    ({"method": "bptt", "variants": {"rat_truncation": {}}}, "variants.rat_truncation.window"),
+    ({"method": "robdc", "variants": {"robust_outer": {"steps": 1.5}}}, "variants.robust_outer.steps"),
+    ({"method": "bptt", "variants": {"robust_outer": {"eps": 0.3}}}, "variants.robust_outer"),
+    ({"method": "bptt", "inner_steps": 2, "variants": {"rat_truncation": {"window": 9}}},
+     "variants.rat_truncation.window"),
+    ({"method": "dm", **_IMG, "variants": {"multiform": {"r": 0}}}, "variants.multiform.r"),
+    ({"method": "dm", **_IMG, "variants": {"multiform": {"r": 3}}}, "variants.multiform.r"),
+    ({"method": "dm", **_IMG, "variants": {"siamese": {"op": "bogus"}}}, "variants.siamese.op"),
+    ({"method": "mmd", "variants": {"dp_merf": {}}}, "variants.dp_merf"),
+], ids=["dp_grad-typo", "contrastive-key", "curvature-typo", "proxy-k-string", "rat-window-string",
+        "ridge-steps-string", "multiform-r-string", "proxy-period-zero", "rat-window-missing",
+        "robust-steps-float", "robust-outer-on-bptt", "rat-window-above-inner-steps", "multiform-r-zero",
+        "multiform-r-not-dividing", "siamese-op", "dp_merf-without-rff"])
+def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, named):
+    data = tmp_path / "d16.csv"
+    save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dataset": str(data), "method": method, "eval": {"epochs": 1, "repeats": 1}}))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "[stage " not in err
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out-dir", "existing-out-dir"])
+def test_run_removes_plots_and_made_dirs_after_late_failure(blobs_csv, tmp_path, monkeypatch, fresh):
+    def broken_svg(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("dckit.harness.bar_svg", broken_svg)
+    out = tmp_path / "nested" / "out" if fresh else tmp_path / "out"
+    if not fresh:
+        out.mkdir()
+        (out / "keep.txt").write_text("unrelated\n")
+    with pytest.raises(OSError, match="disk full"):
+        run(quick_run_config(blobs_csv, out, outer_steps=2))
+    if fresh:
+        assert not (tmp_path / "nested").exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+
 def test_cli_flag_overrides_config(blobs_csv, tmp_path, capsys):
     cfg = {
         "dataset": str(blobs_csv),

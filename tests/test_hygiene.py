@@ -74,6 +74,25 @@ def default_only_params(source: str) -> list[str]:
     return found
 
 
+def variant_gets(source: str) -> list[str]:
+    """``.get(...)`` calls whose receiver is ``variants``, a subscript of it or a chain from it.
+
+    ``MethodConfig`` fills in every variant parameter's default from the one
+    variant table, so such a call can only restate, or contradict, that default.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get"):
+            continue
+        receiver = node.func.value
+        while isinstance(receiver, (ast.Call, ast.Subscript, ast.Attribute, ast.Name)):
+            if getattr(receiver, "id", None) == "variants" or getattr(receiver, "attr", None) == "variants":
+                lines.add(node.lineno)
+                break
+            receiver = receiver.func if isinstance(receiver, ast.Call) else getattr(receiver, "value", None)
+    return [f"line {n}" for n in sorted(lines)]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -123,3 +142,19 @@ def test_dead_private_code_detected():
     b = "from .a import _used\n"
     assert unreferenced_private_defs({"a.py": a, "b.py": b}) == ["_Gone (a.py line 9)", "_dead (a.py line 5)"]
     assert "_used (a.py line 1)" in unreferenced_private_defs({"a.py": a})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_variant_parameter_lookups(path):
+    assert variant_gets(path.read_text()) == []
+
+
+def test_variant_parameter_lookup_detected():
+    planted = (
+        "eps = cfg.variants.get('robust_outer', {}).get('eps', 0.0)\n"
+        "r = int(self.cfg.variants['multiform'].get('r', 2))\n"
+        "k = variants.get('kmeans_proxy')\n"
+    )
+    assert variant_gets(planted) == ["line 1", "line 2", "line 3"]
+    fine = "s = cfg.variants['dp_grad']['sigma']\nk = params.get('k', None)\nv = d.get('variants')\n"
+    assert variant_gets(fine) == []
