@@ -35,13 +35,13 @@ from scipy.spatial.distance import cdist
 from .augment import (
     SIAMESE_OPS,
     ImageBatch,
+    _apply_siamese,
     _mixing_matrices,
     channel_multi_formation,
     channel_multi_formation_vjp,
     draw_siamese_params,
     multi_formation,
     multi_formation_vjp,
-    siamese_augment,
     siamese_vjp,
 )
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
@@ -72,9 +72,9 @@ from .models import (
     TrainConfig,
     Trajectory,
     _FlatSgd,
-    loss_hvp_fd,
-    max_eigenvalue,
     lambda_max_estimate,
+    loss_hvp,
+    max_eigenvalue,
     pgd_attack,
     per_sample_loss,
     sgd_train,
@@ -298,9 +298,10 @@ def _descend(cfg: MethodConfig, v0: np.ndarray, objective, log: StepLog, project
     return v
 
 
-def _central_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def _central_diff(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time."""
     x = np.asarray(x, dtype=np.float64)
+    h = 1e-5
     grad = np.zeros_like(x)
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
@@ -859,7 +860,7 @@ class _Transforms:
             if op == "siamese":
                 name, params = self.siamese_params
                 vjps.append(partial(siamese_vjp, data=data, op=name, params=params))
-                data = siamese_augment(batch, batch, name, params=params)[0].data
+                data = _apply_siamese(batch.data, name, params)
             elif op == "multiform":
                 r = self.cfg.variants["multiform"]["r"]
                 vjps.append(partial(multi_formation_vjp, r=r, in_shape=data.shape))
@@ -987,10 +988,13 @@ def _matching_problem(cfg, t, s0):
     classes = range(t.class_count)
     s_labels = s0.labels
 
+    has_image_ops = any(name in cfg.variants for name in _IMAGE_VARIANTS)
+    if has_image_ops and math.prod(cfg.image_shape) != t_matched.shape[1]:
+        raise ShapeError(f"image_shape {tuple(cfg.image_shape)} needs {math.prod(cfg.image_shape)} features, "
+                         f"the data has {t_matched.shape[1]}")
     kernel = cfg.kernel
     if cfg.method == "mmd" and kernel is None:
         kernel = median_heuristic_spec(t_matched)
-    has_image_ops = any(name in cfg.variants for name in _IMAGE_VARIANTS)
     # the mean-embedding route: plain mmd with random features, or any dp_merf run
     embed_path = "dp_merf" in cfg.variants or (
         cfg.method == "mmd" and kernel.family == "random_feature" and not has_image_ops
@@ -1135,9 +1139,9 @@ def _matching_problem(cfg, t, s0):
             for y, (_, _, vjp_s), g in zip(classes, s_side, g_rows):
                 grad_matched[part_s[y]] += vjp_s(g) / n_e
             if rho is not None:
-                penalty = lambda x_s: _curvature_penalty(model, t_matched, t.labels, x_s, s_labels, cfg)
-                value += 0.5 * rho * penalty(s_matched) / n_e
-                grad_matched += (0.5 * rho / n_e) * _central_diff(penalty, s_matched, h=1e-4)
+                lam, grad_lam = _curvature_penalty(model, t_matched, t.labels, s_matched, s_labels, cfg)
+                value += 0.5 * rho * lam / n_e
+                grad_matched += (0.5 * rho / n_e) * grad_lam
 
         reg_val, reg_terms, reg_grad = reg_total(v)
         extra = {"method_value": float(value), **{f"reg_{name}": float(x) for name, x in reg_terms.items()}}
@@ -1154,9 +1158,13 @@ def _matching_problem(cfg, t, s0):
 
 
 def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg):
-    """lambda^+ of H_T - H_S at the model parameters via FD Hessian-vector products."""
-    hvp_t = loss_hvp_fd(model, x_t, y_t, cfg.loss)
-    hvp_s = loss_hvp_fd(model, x_s, y_s, cfg.loss)
+    """lambda^+ of H_T - H_S at the model parameters from exact Hessian-vector products, and its
+    x_s-gradient: by Danskin's theorem -grad_{x_s} u^T H_S u at the top unit eigenvector u, one
+    central difference of the exact input tangent along u at theta -/+ h u (two sweeps)."""
+    hvp_t = loss_hvp(model, x_t, y_t, cfg.loss)
+    hvp_s = loss_hvp(model, x_s, y_s, cfg.loss)
     seed = derive_seed(cfg.seed, "curv_gm")
-    return max_eigenvalue(lambda u: hvp_t(u) - hvp_s(u), model.param_count,
-                          iters=cfg.curv_iters, seed=seed)
+    lam, u = max_eigenvalue(lambda v: hvp_t(v) - hvp_s(v), model.param_count, iters=cfg.curv_iters, seed=seed)
+    h = 1e-5
+    tangent = lambda at: model.input_grad_param_tangent(x_s, y_s, cfg.loss, u, at=at)
+    return lam, (tangent(-h) - tangent(h)) / (2 * h)

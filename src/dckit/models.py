@@ -1,8 +1,8 @@
 """Small feedforward networks with hand-written forward and backward passes.
 
 The reverse-mode engine exposes per-layer features, exact parameter and input
-gradients, and a forward-over-reverse tangent pass used by gradient-matching
-objectives that need mixed second derivatives.
+gradients, and one forward-over-reverse tangent sweep that gives the mixed
+second derivatives of gradient matching and exact Hessian-vector products.
 """
 from __future__ import annotations
 
@@ -35,20 +35,6 @@ def _act_prime(name: str, z: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(z.dtype)
     a = np.tanh(z)
     return 1.0 - a * a
-
-
-def _act_prime_tangent(name: str, z: np.ndarray, zdot: np.ndarray) -> np.ndarray:
-    # d/d eps of act'(z + eps*zdot): zero a.e. for relu, -2 tanh (1-tanh^2) zdot for tanh
-    if name == "relu":
-        return np.zeros_like(z)
-    a = np.tanh(z)
-    return -2.0 * a * (1.0 - a * a) * zdot
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
@@ -87,13 +73,12 @@ def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str):
     raise ConfigError(f"unknown loss {loss!r}")
 
 
-def _loss_grad_logits_tangent(
-    logits: np.ndarray, zdot: np.ndarray, labels: np.ndarray, loss: str
-) -> np.ndarray:
+def _loss_grad_logits_tangent(logits: np.ndarray, zdot: np.ndarray, loss: str) -> np.ndarray:
     b = logits.shape[0]
     if loss == "mse":
         return zdot / b
-    p = _softmax(logits)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
     inner = np.sum(p * zdot, axis=1, keepdims=True)
     return (p * zdot - p * inner) / b
 
@@ -324,41 +309,46 @@ class Mlp:
 
     # -- forward-over-reverse tangent -----------------------------------------------
 
-    def input_grad_param_tangent(self, x, y, loss, v_flat):
-        """Directional derivative (in parameter space) of the input gradients.
+    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, at=0.0):
+        """One forward-over-reverse sweep (Pearlmutter 1994) along the parameter direction v.
 
-        Computes d/d eps of grad_x meanloss(theta + eps v) at eps = 0, which equals
-        grad_x of <v, grad_theta meanloss>. Used for analytic gradient matching.
+        Differentiates the mean-loss gradients along theta + eps v at eps = ``at``.
+        Returns the input part, grad_x of <v, grad_theta meanloss>, used for
+        analytic gradient matching. With ``grads``, per-layer (weight, bias) views
+        into a caller-owned flat buffer as in ``_reverse_sweep``, it writes the
+        parameter part instead, the exact Hessian-vector product H v, and returns
+        None without building the input part.
         """
         vw, vb = self._split_flat(np.asarray(v_flat, dtype=np.float64))
-        x = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        acts = [x]
-        adots = [np.zeros_like(x)]
-        zs, zdots = [], []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            zdot = adots[-1] @ w + acts[-1] @ vw[i] + vb[i]
-            zs.append(z)
-            zdots.append(zdot)
-            if i < last:
-                acts.append(_act(self.activation, z))
-                adots.append(_act_prime(self.activation, z) * zdot)
-            else:
-                acts.append(z)
-                adots.append(zdot)
-        logits = acts[-1]
-        _, g = _loss_value_and_grad(logits, y, loss)
-        gdot = _loss_grad_logits_tangent(logits, zdots[-1], y, loss)
+        weights, biases = self.weights, self.biases
+        if at:
+            weights = [w + at * d for w, d in zip(weights, vw)]
+            biases = [b + at * d for b, d in zip(biases, vb)]
+        zs, acts = _forward_sweep(weights, biases, self.activation, x)
+        last = len(weights) - 1
+        aps = [_act_prime(self.activation, z) for z in zs[:-1]]
+        zdots, adots = [], [None]  # the input does not move with theta
+        for i in range(last + 1):
+            zdot = acts[i] @ vw[i] if i == 0 else adots[i] @ weights[i] + acts[i] @ vw[i]
+            zdots.append(zdot + vb[i])
+            adots.append(aps[i] * zdots[i] if i < last else None)
+        _, g = _loss_value_and_grad(acts[-1], y, loss)
+        gdot = _loss_grad_logits_tangent(acts[-1], zdots[-1], loss)
         for i in range(last, -1, -1):
-            ga = g @ self.weights[i].T
-            gadot = gdot @ self.weights[i].T + g @ vw[i].T
+            if grads is not None:
+                np.matmul(acts[i].T, gdot, out=grads[0][i])
+                gdot.sum(axis=0, out=grads[1][i])
+                if i == 0:
+                    return None
+                grads[0][i] += adots[i].T @ g
+            ga = g @ weights[i].T
+            gadot = gdot @ weights[i].T + g @ vw[i].T
             if i == 0:
                 return gadot
-            ap = _act_prime(self.activation, zs[i - 1])
-            apdot = _act_prime_tangent(self.activation, zs[i - 1], zdots[i - 1])
-            g = ga * ap
-            gdot = gadot * ap + ga * apdot
+            g = ga * aps[i - 1]
+            gdot = gadot * aps[i - 1]
+            if self.activation == "tanh":  # d/d eps of tanh'(z): -2 tanh(z) tanh'(z) zdot; relu's is 0 a.e.
+                gdot += ga * (-2.0 * acts[i] * aps[i - 1] * zdots[i - 1])
 
     # -- per-sample output Jacobians --------------------------------------------------
 
@@ -565,52 +555,52 @@ def pgd_attack(
     return best
 
 
-def power_iteration_eig(matvec, dim: int, iters: int = 30, seed: int = 0):
-    """Dominant (signed) eigenvalue estimate of a symmetric operator via power iteration."""
+def _power_iteration(matvec, dim: int, iters: int, seed: int):
+    """Dominant (signed) eigenvalue and unit eigenvector estimates of a symmetric operator."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    lam = 0.0
     for _ in range(max(iters, 1)):
         hv = matvec(v)
         if not np.all(np.isfinite(hv)):
             raise NumericalError("matrix-vector product became non-finite")
         norm = np.linalg.norm(hv)
         if norm == 0.0:
-            return 0.0
-        lam = float(v @ hv)
+            return 0.0, v
         v = hv / norm
-    hv = matvec(v)
-    return float(v @ hv)
+    return float(v @ matvec(v)), v
 
 
-def max_eigenvalue(matvec, dim: int, iters: int = 30, seed: int = 0) -> float:
-    """Largest (signed) eigenvalue: shift and re-run if the dominant one is negative."""
-    lam = power_iteration_eig(matvec, dim, iters, seed)
+def power_iteration_eig(matvec, dim: int, iters: int = 30, seed: int = 0) -> float:
+    """Dominant (signed) eigenvalue estimate of a symmetric operator via power iteration."""
+    return _power_iteration(matvec, dim, iters, seed)[0]
+
+
+def max_eigenvalue(matvec, dim: int, iters: int = 30, seed: int = 0):
+    """Largest (signed) eigenvalue and its unit eigenvector: shift and re-run if the dominant one is negative."""
+    lam, u = _power_iteration(matvec, dim, iters, seed)
     if lam >= 0:
-        return lam
+        return lam, u
     shift = abs(lam) * 1.5 + 1e-12
-    shifted = power_iteration_eig(lambda v: matvec(v) + shift * v, dim, iters, seed)
-    return shifted - shift
+    shifted, u = _power_iteration(lambda v: matvec(v) + shift * v, dim, iters, seed)
+    return shifted - shift, u
 
 
-def loss_hvp_fd(m: Mlp, x, y, loss: str):
-    """Central finite-difference Hessian-vector products of the mean loss at m's parameters."""
-    theta = m.flat_params()
-    h = 1e-4 * (1.0 + np.linalg.norm(theta))
+def loss_hvp(m: Mlp, x, y, loss: str):
+    """Exact Hessian-vector products of the mean loss at m's parameters, one tangent sweep each."""
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        _, gp, _ = m.with_params(theta + h * v).backward(x, y, loss)
-        _, gm, _ = m.with_params(theta - h * v).backward(x, y, loss)
-        return (gp - gm) / (2.0 * h)
+        out = np.empty(m.param_count)
+        m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(out))
+        return out
 
     return matvec
 
 
 def lambda_max_estimate(m: Mlp, d, loss: str = "cross_entropy", iters: int = 30, seed: int = 0) -> float:
-    """Dominant eigenvalue of the loss Hessian via power iteration on FD Hessian-vector products."""
+    """Dominant eigenvalue of the loss Hessian via power iteration on exact Hessian-vector
+    products (``loss_hvp``); no model is rebuilt."""
     if iters < 1:
         raise ConfigError("iters must be >= 1")
     x, y = _as_xy(d)
-    matvec = loss_hvp_fd(m, x, y, loss)
-    return power_iteration_eig(matvec, m.param_count, iters, seed)
+    return power_iteration_eig(loss_hvp(m, x, y, loss), m.param_count, iters, seed)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from dckit import (
     sgd_train,
     two_blobs,
 )
-from dckit.condense import MethodConfig, _full_batch_steps, tuned_config
+from dckit.condense import MethodConfig, _central_diff, _curvature_penalty, _full_batch_steps, tuned_config
 from dckit.errors import CapacityError, ConfigError, ContextError, DomainError, SolveError
 from dckit.models import LinearModel, TrainConfig
 from tests.conftest import copy_as_synthetic
@@ -462,6 +463,39 @@ def test_curvdc_runs(toy_pair):
     assert np.isfinite(log.rows[0]["objective"])
 
 
+def test_curvature_gradient_matches_fd_at_converged_eigenvector(toy_pair):
+    t, s = toy_pair
+    cfg = small_cfg("gm", curv_iters=500, variants={"curvature": {"rho": 0.1}})
+    model = Mlp.init((3, 4, 2), "tanh", seed=5)
+
+    def penalty(x_s):
+        return _curvature_penalty(model, t.features, t.labels, x_s, s.labels, cfg)
+
+    _, grad = penalty(s.features)
+    fd = _central_diff(lambda x_s: penalty(x_s)[0], s.features)
+    assert np.max(np.abs(grad - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+def test_curvature_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
+    d = two_blobs(n_per_class=12, dim=3, separation=3.0, seed=1)
+    t = LabeledDataset(np.clip(d.features / 8 + 0.5, 0, 1), d.labels, 2)
+    counts = []
+    for per_class in (1, 3):
+        rows = [*range(per_class), *range(12, 12 + per_class)]
+        s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=per_class, origin="init")
+        sweeps = []
+        for name in ("backward", "input_grad_param_tangent"):
+            original = getattr(Mlp, name)
+            monkeypatch.setattr(Mlp, name, lambda self, *a, _f=original, **k: sweeps.append(1) or _f(self, *a, **k))
+        matching_value_and_grad(small_cfg("gm", curv_iters=3, variants={"curvature": {"rho": 0.1}}), t, s)
+        monkeypatch.undo()
+        counts.append(len(sweeps))
+    # per member (2) and class (2): one T backward, one S backward, one tangent; per member:
+    # curv_iters + 1 = 4 HVPs on each side, doubled when the negative-eigenvalue shift
+    # re-runs power iteration, and the two Danskin tangents
+    assert all(n <= 2 * (2 * 3 + 2 * 2 * 4 + 2) for n in counts), counts
+
+
 # --- coreset selectors -----------------------------------------------------------------
 
 
@@ -686,6 +720,25 @@ def test_image_variant_gradient_matches_fd(rng):
             vm, _ = matching_value_and_grad(cfg, t, s.with_features(fm))
             fd[j, k] = (vp - vm) / (2 * h)
             assert fd[j, k] == pytest.approx(grad[j, k], rel=1e-3, abs=1e-7)
+
+
+def test_siamese_op_applied_once_per_transform(rng, monkeypatch):
+    augment = importlib.import_module("dckit.augment")
+    condense_module = importlib.import_module("dckit.condense")  # the package exports a same-named function
+    t, s, shape = image_fixture(rng)
+    calls = []
+
+    def counted(data, op, params):
+        calls.append(op)
+        return original(data, op, params)
+
+    original = augment._apply_siamese
+    monkeypatch.setattr(augment, "_apply_siamese", counted)
+    monkeypatch.setattr(condense_module, "_apply_siamese", counted, raising=False)
+    cfg = MethodConfig(method="dm", outer_steps=3, outer_lr=0.01, ensemble=1, hidden=(6,), activation="tanh",
+                       image_shape=shape, variants={"siamese": {"op": "flip"}}, seed=0)
+    condense(cfg, t, s)
+    assert len(calls) == 3 * 2 * 2  # outer steps x classes x (T side, S side)
 
 
 def test_kmeans_proxy_runs(toy_pair):

@@ -340,6 +340,22 @@ def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, 
     assert "config error" in err and named in err and "[stage " not in err
 
 
+@pytest.mark.parametrize("method", [
+    {"method": "dm", "image_shape": [1, 3, 3], "variants": {"multiform": {"r": 3}}},
+    {"method": "dm", "image_shape": [1, 2, 2], "variants": {"channel_multiform": {}}},
+    {"method": "dm", "image_shape": [1, 2, 2], "variants": {"siamese": {}}},
+], ids=["multiform", "channel_multiform", "siamese"])
+def test_cli_image_shape_must_match_feature_count(tmp_path, capsys, method):
+    data = tmp_path / "d16.csv"
+    save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dataset": str(data), "method": method, "eval": {"epochs": 1, "repeats": 1},
+                                "out_dir": str(tmp_path / "out")}))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "image_shape" in err and "16" in err
+
+
 @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out-dir", "existing-out-dir"])
 def test_run_removes_plots_and_made_dirs_after_late_failure(blobs_csv, tmp_path, monkeypatch, fresh):
     def broken_svg(*args, **kwargs):

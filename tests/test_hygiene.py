@@ -93,6 +93,23 @@ def variant_gets(source: str) -> list[str]:
     return [f"line {n}" for n in sorted(lines)]
 
 
+def central_diff_sites(source: str) -> dict:
+    """Calls of ``_central_diff`` per enclosing top-level function or class."""
+    sites = {}
+    for top in ast.parse(source).body:
+        n = sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_central_diff"
+                for node in ast.walk(top))
+        if n:
+            sites[top.name] = n
+    return sites
+
+
+# Each finite-difference gradient site in production code. Removing one lowers its
+# count here; a new one fails until it is written down.
+FD_SITES = {"_krr_loss_and_grads": 2, "_trajectory_objective": 1, "bptt_outer_gradient": 1,
+            "_condense_bptt": 1, "_matching_problem": 2}
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -158,3 +175,21 @@ def test_variant_parameter_lookup_detected():
     assert variant_gets(planted) == ["line 1", "line 2", "line 3"]
     fine = "s = cfg.variants['dp_grad']['sigma']\nk = params.get('k', None)\nv = d.get('variants')\n"
     assert variant_gets(fine) == []
+
+
+def test_central_diff_sites_ratchet():
+    sites = {}
+    for path in MODULES:
+        for name, n in central_diff_sites(path.read_text()).items():
+            sites[name] = sites.get(name, 0) + n
+    assert sites == FD_SITES
+
+
+def test_central_diff_site_detected():
+    planted = (
+        "def _central_diff(fn, x):\n    return x\n\n\n"
+        "def objective(v):\n    g = _central_diff(len, v)\n    return lambda u: _central_diff(len, u) + g\n\n\n"
+        "class Solver:\n    def step(self, v):\n        return _central_diff(len, v)\n\n\n"
+        "def exact(v):\n    return central_diff(v) + obj._central_diff\n"
+    )
+    assert central_diff_sites(planted) == {"objective": 2, "Solver": 1}

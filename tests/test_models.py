@@ -7,7 +7,7 @@ import pytest
 from dckit import Mlp, TrainConfig, lambda_max_estimate, pgd_attack, power_iteration_eig, sgd_train, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError
 from dckit.condense import _full_batch_steps
-from dckit.models import per_sample_loss
+from dckit.models import loss_hvp, per_sample_loss
 
 
 def fd_param_grad(m, x, y, loss, h=1e-5):
@@ -98,6 +98,33 @@ def test_tangent_matches_fd(rng):
     _, _, gm = m.with_params(m.flat_params() - h * v).backward(x, y, "cross_entropy")
     fd = (gp - gm) / (2 * h)
     assert np.max(np.abs(fd - tan)) <= 1e-7
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_exact_hvp_matches_fd_of_backward(loss, activation, rng):
+    # the oracle differences backward's exact parameter gradient at a step small
+    # enough not to cross a relu kink on these rows
+    m = Mlp.init([5, 7, 6, 3], activation, seed=2)
+    x = rng.uniform(size=(30, 5))
+    y = rng.integers(0, 3, 30)
+    v = rng.normal(size=m.param_count)
+    hv = loss_hvp(m, x, y, loss)(v)
+    h = 1e-6
+    _, gp, _ = m.with_params(m.flat_params() + h * v).backward(x, y, loss)
+    _, gm, _ = m.with_params(m.flat_params() - h * v).backward(x, y, loss)
+    fd = (gp - gm) / (2 * h)
+    assert np.max(np.abs(hv - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+
+def test_lambda_max_estimate_builds_no_mlp(monkeypatch):
+    d = two_blobs(20, seed=0)
+    m = Mlp.init([2, 4, 2], "tanh", seed=0)
+    built = []
+    with_params = Mlp.with_params
+    monkeypatch.setattr(Mlp, "with_params", lambda self, flat: built.append(1) or with_params(self, flat))
+    assert np.isfinite(lambda_max_estimate(m, d, iters=5))
+    assert built == []
 
 
 def test_sgd_zero_epochs_unchanged(rng):
