@@ -1,7 +1,7 @@
 """Bilevel condensation: unrolled training, implicit gradients, trajectory matching.
 
-BPTT differentiates the post-training loss through K inner steps (finite
-differences over the synthetic coordinates and the inner learning rate, with
+BPTT differentiates the post-training loss through K inner steps (one exact
+adjoint sweep over the synthetic coordinates and the inner learning rate, with
 optional randomized truncation); CIG uses the implicit-function formula on the
 convex ridge inner problem; trajectory matching chases an expert's snapshots.
 """

@@ -18,9 +18,10 @@ class under image variants) and kept in its one cache ``t_cache`` until an
 ensemble or k-means proxy refresh (never under image variants, which redraw
 the T rows every step), and an S-side term with an analytic outer gradient; dm,
 moment and sam share ``discrepancy._feature_gap``, and gm
-``discrepancy._gradient_gap``, with the discrepancy report. Bilevel flavors,
-smooth regularizers and kernels without input gradients take central
-differences through the one helper ``_central_diff``.
+``discrepancy._gradient_gap``, with the discrepancy report. The unrolled
+bilevel flavors (bptt/robdc/curvdc) take one exact adjoint sweep through their
+inner steps; trajectory, smooth regularizers and kernels without input
+gradients take central differences through the one helper ``_central_diff``.
 """
 from __future__ import annotations
 
@@ -72,11 +73,10 @@ from .models import (
     TrainConfig,
     Trajectory,
     _FlatSgd,
-    lambda_max_estimate,
+    _power_iteration,
     loss_hvp,
     max_eigenvalue,
     pgd_attack,
-    per_sample_loss,
     sgd_train,
 )
 from .seeding import derive_seed, derived_rng
@@ -204,6 +204,8 @@ class MethodConfig:
             if name not in REGULARIZERS:
                 raise ConfigError(f"unknown regularizer {name!r}")
             check_number(f"regularizer {name!r} weight", weight, low=0)
+            if name in ("con", "cos") and self.ensemble < 2:
+                raise ConfigError(f"regularizer {name!r} compares models and needs ensemble >= 2")
         if self.image_shape is not None:
             if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
                 raise ConfigError(f"image_shape must be (c, h, w), got {self.image_shape!r}")
@@ -211,7 +213,7 @@ class MethodConfig:
                 check_number("image_shape entries", value, integer=True, low=1)
         if self.method == "robdc" and "robust_outer" not in self.variants:
             raise ConfigError("robdc needs the robust_outer variant (eps may be 0 for the degenerate ladder)")
-        if any(v in self.variants for v in _IMAGE_VARIANTS):
+        if image := [v for v in _IMAGE_VARIANTS if v in self.variants]:
             if self.image_shape is None:
                 raise ConfigError("image variants need image_shape=(c, h, w)")
             if self.regime != "input_input":
@@ -220,6 +222,8 @@ class MethodConfig:
                 raise ConfigError("image variants require random_init model provenance")
             if "dp_merf" in self.variants:
                 raise ConfigError("dp_merf uses a fixed feature embedding and excludes image variants")
+            if "curvature" in self.variants:
+                raise ConfigError(f"variants.curvature scores untransformed rows and excludes variants.{image[0]}")
         if "multiform" in self.variants and any(h_w % self.variants["multiform"]["r"] for h_w in self.image_shape[1:]):
             raise ConfigError(f"variants.multiform.r must divide the image height and width {self.image_shape[1:]}")
         if "rat_truncation" in self.variants and self.variants["rat_truncation"]["window"] > self.inner_steps:
@@ -688,9 +692,9 @@ def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset)
     """BPTT-family and implicit-gradient condensation.
 
     bptt/robdc/curvdc differentiate an outer loss through K full-batch inner steps
-    by central finite differences over (S, eta); trajectory matches expert
-    parameter snapshots; cig_ridge uses the implicit-function formula on the
-    convex ridge inner problem.
+    with one exact adjoint sweep over (S, eta); trajectory matches expert
+    parameter snapshots by central differences; cig_ridge uses the
+    implicit-function formula on the convex ridge inner problem.
     """
     if cfg.method not in BILEVEL_METHODS:
         raise ConfigError(f"bilevel method must be one of {BILEVEL_METHODS}")
@@ -756,63 +760,59 @@ def _trajectory_objective(cfg, t, s0):
     return lambda s, step: (outer(s), _central_diff(outer, s), {})
 
 
-def _bptt_outer(cfg, t, model, labels, shape, window):
-    """``outer(theta_start, v)``: the outer loss after ``window`` full-batch inner steps
-    from ``theta_start`` on the synthetic variables v = (S.ravel(), eta)."""
-    robust = cfg.variant("robust_outer")
-    eps, adv_steps = robust["eps"], robust["steps"]
-    curv_seed = derive_seed(cfg.seed, "curv")
-
-    def outer(theta_start, v):
-        end = _full_batch_steps(model, theta_start, v[:-1].reshape(shape), labels, v[-1], window, cfg.loss)
-        trained = model.with_params(end)
-        if eps > 0:
-            x_adv = pgd_attack(trained, t.features, t.labels, eps, steps=adv_steps, loss=cfg.loss)
-            logits, _ = trained.forward_batch(x_adv)
-            value = float(np.mean(per_sample_loss(logits, t.labels, cfg.loss)))
-        else:
-            value = trained.mean_loss(t.features, t.labels, cfg.loss)
-        if cfg.method == "curvdc":
-            value += cfg.curv_lambda * lambda_max_estimate(
-                trained, t, loss=cfg.loss, iters=cfg.curv_iters, seed=curv_seed
-            )
-        return value
-
-    return outer
-
-
-def bptt_outer_gradient(cfg: MethodConfig, t: LabeledDataset, s_features, s_labels, theta, eta):
-    """Finite-difference outer gradient of the BPTT loss at a given state (test hook)."""
-    model = Mlp.init((t.n_features, *cfg.hidden, t.class_count), cfg.activation, seed=0)
-    outer = _bptt_outer(cfg, t, model, s_labels, np.shape(s_features), cfg.inner_steps)
-    grad = _central_diff(lambda v: outer(theta, v), np.append(np.ravel(s_features), eta))
-    return grad[:-1].reshape(np.shape(s_features)), float(grad[-1])
+def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
+    """The outer loss after ``window`` full-batch inner steps of size eta on (s, labels) from
+    ``theta_start``, and its exact gradient in v = (s.ravel(), eta): one adjoint sweep
+    (Maclaurin, Duvenaud & Adams 2015) back through the stored iterates and step gradients
+    (2 window P floats). robdc differentiates at the fixed PGD point and curvdc's eigenvalue
+    estimate at its final iterate u (Danskin's theorem)."""
+    robust, net, tape = cfg.variant("robust_outer"), _FlatSgd(model, theta_start), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(window):
+            theta_k = net.params.copy()
+            net.step(s, labels, cfg.loss, eta, f"inner step {i}")
+            tape.append((theta_k, net.grad.copy()))
+        trained = model.with_params(net.params)
+        x_adv = pgd_attack(trained, t.features, t.labels, robust["eps"], steps=robust["steps"], loss=cfg.loss)
+        value, lam, _ = trained.backward(x_adv, t.labels, cfg.loss)
+        if cfg.method == "curvdc":  # grad_theta u^T H_T u: a central difference of H_T(theta +/- h u) u
+            curv, u = _power_iteration(loss_hvp(trained, t.features, t.labels, cfg.loss), trained.param_count,
+                                       cfg.curv_iters, derive_seed(cfg.seed, "curv"))
+            h, hvps = 1e-5, np.empty((2, trained.param_count))
+            for out, at in zip(hvps, (h, -h)):
+                trained.input_grad_param_tangent(t.features, t.labels, cfg.loss, u, grads=trained._split_flat(out), at=at)
+            value += cfg.curv_lambda * curv
+            lam += cfg.curv_lambda * (hvps[0] - hvps[1]) / (2 * h)
+        g_s, g_eta = np.zeros_like(s), 0.0
+        for theta_k, g_k in reversed(tape):  # lam is the adjoint of theta_{k+1}
+            m_k = model.with_params(theta_k)
+            g_s -= eta * m_k.input_grad_param_tangent(s, labels, cfg.loss, lam)
+            g_eta -= lam @ g_k
+            lam = lam - eta * loss_hvp(m_k, s, labels, cfg.loss)(lam)
+        grad = np.append(g_s.ravel(), g_eta)
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
+        raise DivergenceError("outer loss or hypergradient became non-finite")
+    return value, grad
 
 
 def _condense_bptt(cfg, t, s0):
-    widths = (t.n_features, *cfg.hidden, t.class_count)
-    model = Mlp.init(widths, cfg.activation, seed=derive_seed(cfg.seed, "bptt_init"))
+    model = Mlp.init((t.n_features, *cfg.hidden, t.class_count), cfg.activation,
+                     seed=derive_seed(cfg.seed, "bptt_init"))
     theta = model.flat_params()
     shape, labels = s0.features.shape, s0.labels
     rat = "rat_truncation" in cfg.variants
     window = cfg.variants["rat_truncation"]["window"] if rat else cfg.inner_steps
     rng_rat = derived_rng(cfg.seed, "rat")
-    outer = _bptt_outer(cfg, t, model, labels, shape, window)
 
     def objective(v, step):
         nonlocal theta
         s, eta = v[:-1].reshape(shape), v[-1]
-        if step > 0:
-            # advance the model one inner step on the current synthetic set
-            _, gtheta, _ = model.with_params(theta).backward(s, labels, cfg.loss)
-            theta = theta - eta * gtheta
-        start = theta
-        if rat:
-            offset = int(rng_rat.integers(0, cfg.inner_steps - window + 1))
-            start = _full_batch_steps(model, theta, s, labels, eta, offset, cfg.loss)
-        grad = _central_diff(lambda u: outer(start, u), v)
-        grad_norm = float(np.sqrt(np.sum(grad[:-1] ** 2) + grad[-1] ** 2))
-        return outer(start, v), grad, {"grad_norm": grad_norm, "eta": float(eta)}
+        if step > 0:  # advance the model one inner step on the current synthetic set
+            theta = _full_batch_steps(model, theta, s, labels, eta, 1, cfg.loss)
+        # RaT-BPTT: untaped steps to a random window start
+        offset = int(rng_rat.integers(0, cfg.inner_steps - window + 1)) if rat else 0
+        start = _full_batch_steps(model, theta, s, labels, eta, offset, cfg.loss)
+        return (*_bptt_value_and_grad(cfg, t, model, labels, start, s, eta, window), {"eta": float(eta)})
 
     def project(v):
         return np.append(_clip01(v[:-1]), max(v[-1], 1e-6))

@@ -341,10 +341,10 @@ class Mlp:
                 if i == 0:
                     return None
                 grads[0][i] += adots[i].T @ g
-            ga = g @ weights[i].T
             gadot = gdot @ weights[i].T + g @ vw[i].T
             if i == 0:
                 return gadot
+            ga = g @ weights[i].T
             g = ga * aps[i - 1]
             gdot = gadot * aps[i - 1]
             if self.activation == "tanh":  # d/d eps of tanh'(z): -2 tanh(z) tanh'(z) zdot; relu's is 0 a.e.

@@ -31,8 +31,15 @@ from dckit import (
     sgd_train,
     two_blobs,
 )
-from dckit.condense import MethodConfig, _central_diff, _curvature_penalty, _full_batch_steps, tuned_config
-from dckit.errors import CapacityError, ConfigError, ContextError, DomainError, SolveError
+from dckit.condense import (
+    MethodConfig,
+    _bptt_value_and_grad,
+    _central_diff,
+    _curvature_penalty,
+    _full_batch_steps,
+    tuned_config,
+)
+from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, SolveError
 from dckit.models import LinearModel, TrainConfig
 from tests.conftest import copy_as_synthetic
 
@@ -229,7 +236,12 @@ def test_mmd_objectives_pinned(name):
 # the loops were merged into one driver. Each record holds the float.hex of every
 # logged per-step value, and SHA-256 digests of the final features and of
 # repr((log.meta, out.meta)). The "-reg" cases take central differences of
-# smooth regularizers; only they compare at rel=1e-9 instead of by bits.
+# smooth regularizers; only they compare at rel=1e-9 instead of by bits. The
+# bptt/robdc/curvdc entries (with and without rat) and the bptt gradient probe were
+# re-pinned when the exact adjoint replaced central differences: bptt and robdc moved
+# by at most 1.3e-9 relative, the probe by 4.1e-8; curvdc kept its step-0 objective
+# and eta bits and moved later (Danskin differentiates the eigenvalue, not the
+# curv_iters-step estimate).
 OUTER_PINS = json.loads((Path(__file__).parent / "outer_loop_pins.json").read_text())
 _GAUSS = gaussian_spec(0.8)
 _NFK = KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1))
@@ -284,7 +296,7 @@ def _hex(values):
 
 def outer_loop_record(name):
     """The pinned quantities of one case of OUTER_CASES or OUTER_PROBES."""
-    from dckit.condense import _krr_loss_and_grads, bptt_outer_gradient
+    from dckit.condense import _krr_loss_and_grads
     from dckit import fit_linear_autoencoder
 
     rng = np.random.default_rng(2024)
@@ -298,9 +310,9 @@ def outer_loop_record(name):
         return {"value": _hex(value), "grad": _hex(grad)}
     if name == "bptt_outer_gradient":
         cfg = MethodConfig(method="bptt", hidden=(4,), activation="tanh", inner_steps=2, seed=3)
-        theta = Mlp.init((3, 4, 2), "tanh", seed=0).flat_params()
-        grad_s, grad_eta = bptt_outer_gradient(cfg, t, s.features, s.labels, theta, 0.1)
-        return {"grad_s": _hex(grad_s), "grad_eta": _hex(grad_eta)}
+        model = Mlp.init((3, 4, 2), "tanh", seed=0)
+        _, grad = _bptt_value_and_grad(cfg, t, model, s.labels, model.flat_params(), s.features, 0.1, 2)
+        return {"grad_s": _hex(grad[:-1]), "grad_eta": _hex(grad[-1])}
     if name == "krr_loss_and_grads":
         loss, grad_s, grad_t = _krr_loss_and_grads(_NFK, x, np.eye(2)[y], s.features, np.eye(2)[s.labels],
                                                    0.1, want_grad_t=True)
@@ -400,13 +412,79 @@ def test_bptt_gradient_small_at_stationary_point(rng):
     t = LabeledDataset(xt, yt, 2)
     m0 = Mlp.init((2, 2), "tanh", seed=0)
     trained, _ = sgd_train(m0, t, TrainConfig(learning_rate=0.5, epochs=4000, batch_size=6, loss="mse", seed=1))
-    s = SyntheticDataset(xt, yt, per_class_size=3, origin="copy")
-    from dckit.condense import bptt_outer_gradient
-
     cfg = MethodConfig(method="bptt", outer_steps=1, hidden=(), inner_steps=1, inner_lr=0.1,
                        loss="mse", seed=0)
-    grad_s, grad_eta = bptt_outer_gradient(cfg, t, s.features, s.labels, trained.flat_params(), 0.1)
-    assert np.linalg.norm(np.concatenate([grad_s.ravel(), [grad_eta]])) <= 1e-4
+    _, grad = _bptt_value_and_grad(cfg, t, trained, yt, trained.flat_params(), xt, 0.1, 1)
+    assert np.linalg.norm(grad) <= 1e-4
+
+
+_ADJOINT_CASES = {
+    "bptt": {"method": "bptt"},
+    "bptt-mse": {"method": "bptt", "loss": "mse"},
+    "robdc-eps0": {"method": "robdc", "variants": {"robust_outer": {"eps": 0.0}}},
+    "robdc": {"method": "robdc", "variants": {"robust_outer": {"eps": 0.05, "steps": 2}}},
+    "curvdc": {"method": "curvdc", "curv_iters": 300},
+    "rat": {"method": "bptt", "inner_steps": 5, "variants": {"rat_truncation": {"window": 2}}},
+}
+
+
+def _adjoint_problem(activation, **kw):
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.array([0] * 6 + [1] * 6)
+    cfg = MethodConfig(**{"hidden": (4,), "activation": activation, "inner_steps": 3, "seed": 3, **kw})
+    window = cfg.variants["rat_truncation"]["window"] if "rat_truncation" in cfg.variants else cfg.inner_steps
+    model = Mlp.init((3, 4, 2), activation, seed=0)
+    return cfg, LabeledDataset(x, y, 2), model, x[[0, 1, 6, 7]], y[[0, 1, 6, 7]], window
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("case", sorted(_ADJOINT_CASES))
+def test_bptt_adjoint_matches_fd_oracle(case, activation):
+    cfg, t, model, s, labels, window = _adjoint_problem(activation, inner_lr=0.3, **_ADJOINT_CASES[case])
+    theta = model.flat_params()
+
+    def value(v):
+        return _bptt_value_and_grad(cfg, t, model, labels, theta, v[:-1].reshape(s.shape), v[-1], window)[0]
+
+    _, grad = _bptt_value_and_grad(cfg, t, model, labels, theta, s, 0.3, window)
+    fd = _central_diff(value, np.append(s.ravel(), 0.3))
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_bptt_adjoint_without_inner_steps():
+    cfg, t, model, s, labels, _ = _adjoint_problem("tanh", method="bptt", inner_steps=0)
+    value, grad = _bptt_value_and_grad(cfg, t, model, labels, model.flat_params(), s, 0.1, 0)
+    assert value == model.mean_loss(t.features, t.labels)
+    assert grad.shape == (s.size + 1,) and not grad.any()
+
+
+def test_bptt_outer_overflow_raises_divergence():
+    # the one inner step stays finite; the outer mse on T and the adjoint overflow
+    cfg, t, _, s, labels, _ = _adjoint_problem("tanh", method="bptt", outer_steps=1, inner_steps=1,
+                                               inner_lr=1e160, loss="mse")
+    with pytest.raises(DivergenceError, match="hypergradient"):
+        condense(cfg, t, SyntheticDataset(s, labels, per_class_size=2, origin="init"))
+
+
+def test_bptt_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
+    from dckit.models import _FlatSgd
+
+    d = two_blobs(n_per_class=12, dim=3, separation=3.0, seed=1)
+    t = LabeledDataset(np.clip(d.features / 8 + 0.5, 0, 1), d.labels, 2)
+    counts = []
+    for per_class in (1, 3):
+        rows = [*range(per_class), *range(12, 12 + per_class)]
+        s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=per_class, origin="init")
+        calls = []
+        for owner, name in ((_FlatSgd, "step"), (Mlp, "backward"), (Mlp, "input_grad_param_tangent")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda self, *a, _f=original, **k: calls.append(1) or _f(self, *a, **k))
+        condense(MethodConfig(method="bptt", outer_steps=1, hidden=(4,), inner_steps=3, seed=0), t, s)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    # 3 inner steps, one outer backward, then per reverse step one tangent and one HVP
+    assert counts == [3 + 1 + 2 * 3] * 2
 
 
 def test_cig_matches_fd(rng):

@@ -256,7 +256,10 @@ def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, 
     {"method": "bptt", "inner_steps": -1},
     {"loss": "bogus"},
     {"inner_batch": 0},
-], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch"])
+    {"ensemble": 1, "regularizers": {"con": 0.1}},
+    {"method": "mmd", "ensemble": 1, "regularizers": {"cos": 0.1}},
+], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch",
+        "con-one-model", "cos-one-model"])
 def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
     cfg = {"dataset": str(blobs_csv), "method": {"method": "dm", **bad}}
     path = tmp_path / "bad.json"
@@ -326,10 +329,14 @@ _IMG = {"image_shape": [1, 4, 4]}
     ({"method": "dm", **_IMG, "variants": {"multiform": {"r": 3}}}, "variants.multiform.r"),
     ({"method": "dm", **_IMG, "variants": {"siamese": {"op": "bogus"}}}, "variants.siamese.op"),
     ({"method": "mmd", "variants": {"dp_merf": {}}}, "variants.dp_merf"),
+    *[({"method": "gm", **_IMG, "variants": {"curvature": {}, image: {}}},
+       f"variants.curvature scores untransformed rows and excludes variants.{image}")
+      for image in ("multiform", "channel_multiform", "siamese")],
 ], ids=["dp_grad-typo", "contrastive-key", "curvature-typo", "proxy-k-string", "rat-window-string",
         "ridge-steps-string", "multiform-r-string", "proxy-period-zero", "rat-window-missing",
         "robust-steps-float", "robust-outer-on-bptt", "rat-window-above-inner-steps", "multiform-r-zero",
-        "multiform-r-not-dividing", "siamese-op", "dp_merf-without-rff"])
+        "multiform-r-not-dividing", "siamese-op", "dp_merf-without-rff", "curvature-with-multiform",
+        "curvature-with-channel_multiform", "curvature-with-siamese"])
 def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, named):
     data = tmp_path / "d16.csv"
     save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
