@@ -3,7 +3,8 @@
 BPTT differentiates the post-training loss through K inner steps (one exact
 adjoint sweep over the synthetic coordinates and the inner learning rate, with
 optional randomized truncation); CIG uses the implicit-function formula on the
-convex ridge inner problem; trajectory matching chases an expert's snapshots.
+convex ridge inner problem; trajectory matching chases an expert's snapshots,
+differentiated by the same adjoint sweep through the student's minibatch SGD.
 """
 import numpy as np
 

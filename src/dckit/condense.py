@@ -19,9 +19,9 @@ ensemble or k-means proxy refresh (never under image variants, which redraw
 the T rows every step), and an S-side term with an analytic outer gradient; dm,
 moment and sam share ``discrepancy._feature_gap``, and gm
 ``discrepancy._gradient_gap``, with the discrepancy report. The unrolled
-bilevel flavors (bptt/robdc/curvdc) take one exact adjoint sweep through their
-inner steps; trajectory, smooth regularizers and kernels without input
-gradients take central differences through the one helper ``_central_diff``.
+bilevel flavors (bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
+(``_unroll_adjoint``) back through the SGD tape of ``_unroll``; smooth regularizers
+and kernels without input gradients take central differences via ``_central_diff``.
 """
 from __future__ import annotations
 
@@ -74,6 +74,7 @@ from .models import (
     Trajectory,
     _FlatSgd,
     _power_iteration,
+    epoch_batches,
     loss_hvp,
     max_eigenvalue,
     pgd_attack,
@@ -99,6 +100,7 @@ METHODS = (
 MATCHING_METHODS = ("dm", "gm", "mmd", "moment", "sam")
 BILEVEL_METHODS = ("bptt", "trajectory", "cig_ridge", "robdc", "curvdc")
 _REQUIRED = object()  # the default of a parameter that every use of its variant must set
+_FULL_BATCH = (slice(None),)  # an unrolled epoch of one SGD step on every row
 # variant -> (methods it applies to, whether it transforms images,
 #             {parameter: (kind, lower bound, default)}); kind is int, float or a tuple
 # of the allowed values. The image variants run in this order within a step.
@@ -232,6 +234,8 @@ class MethodConfig:
             raise ConfigError("variants.dp_merf needs a random_feature kernel spec")
         if self.regime != "input_input" and self.method not in MATCHING_METHODS:
             raise ConfigError("latent regimes are wired for the matching methods only")
+        if self.regularizers and self.method not in MATCHING_METHODS:
+            raise ConfigError(f"regularizers apply to the matching methods {MATCHING_METHODS}, not to {self.method!r}")
 
     def variant(self, name: str) -> dict:
         """The resolved parameters of variant ``name``, or its table defaults when it is unset."""
@@ -679,22 +683,50 @@ def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
 # ---------------------------------------------------------------------------
 
 
-def _full_batch_steps(model: Mlp, params, x, y, eta, k, loss):
-    """k full-batch SGD steps from ``params`` (left unchanged); returns the end point."""
-    net = _FlatSgd(model, params)
+def _unroll(model: Mlp, theta, s, labels, loss, eta, epochs, where):
+    """SGD of size eta on (s, labels) from ``theta`` over ``epochs``, each a list of row batches: the
+    iterates [theta, end of epoch 1, ...] and per epoch a tape of (rows, theta_k, grad_theta L_k)."""
+    net, prev, ends, tapes = _FlatSgd(model, theta), theta, [theta], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k):
-            net.step(x, y, loss, eta, f"inner step {i}")
-    return net.params
+        for e, batches in enumerate(epochs):
+            tapes.append([])
+            for rows in batches:
+                net.step(s[rows], labels[rows], loss, eta, f"{where} {e}")
+                tapes[-1].append((rows, prev, net.grad.copy()))
+                prev = net.params.copy()
+            ends.append(prev)
+    return ends, tapes
+
+
+def _unroll_adjoint(model: Mlp, tapes, adjoints, s, labels, loss, eta):
+    """The (s, eta)-gradient of an outer loss whose theta-gradient at the end of epoch e is ``adjoints[e]``:
+    one reverse sweep (Maclaurin, Duvenaud & Adams 2015) back through ``_unroll``'s tapes, with two
+    sweeps over each step's rows (the input tangent and the Hessian-vector product)."""
+    lam, g_s, g_eta = np.zeros(model.param_count), np.zeros_like(s), 0.0
+    for tape, adjoint in zip(reversed(tapes), reversed(adjoints)):
+        lam += adjoint  # lam is the adjoint of theta_{k+1}
+        for rows, theta_k, g_k in reversed(tape):
+            m_k, x, y = model.with_params(theta_k), s[rows], labels[rows]
+            g_s[rows] -= eta * m_k.input_grad_param_tangent(x, y, loss, lam)
+            g_eta -= lam @ g_k
+            lam = lam - eta * loss_hvp(m_k, x, y, loss)(lam)
+    return g_s, g_eta
+
+
+def _checked(value, grad):
+    """(value, grad), or a DivergenceError when either is non-finite."""
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
+        raise DivergenceError("outer loss or hypergradient became non-finite")
+    return value, grad
 
 
 def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """BPTT-family and implicit-gradient condensation.
 
-    bptt/robdc/curvdc differentiate an outer loss through K full-batch inner steps
-    with one exact adjoint sweep over (S, eta); trajectory matches expert
-    parameter snapshots by central differences; cig_ridge uses the
-    implicit-function formula on the convex ridge inner problem.
+    bptt/robdc/curvdc differentiate an outer loss through K full-batch inner steps,
+    and trajectory the distance to expert parameter snapshots through the student's
+    minibatch epochs, with one exact adjoint sweep over the same SGD tape; cig_ridge
+    uses the implicit-function formula on the convex ridge inner problem.
     """
     if cfg.method not in BILEVEL_METHODS:
         raise ConfigError(f"bilevel method must be one of {BILEVEL_METHODS}")
@@ -738,7 +770,7 @@ def cig_ridge_value_and_grad(s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray, y_
 
 
 def _trajectory_objective(cfg, t, s0):
-    """Summed distance of the student's epoch snapshots to the expert's, by central differences."""
+    """Summed distance of the student's epoch snapshots to the expert's, and its exact S-gradient."""
     init_seed = derive_seed(cfg.seed, "traj_init")
     widths = (t.n_features, *cfg.hidden, t.class_count)
     m0 = Mlp.init(widths, cfg.activation, seed=init_seed)
@@ -750,29 +782,29 @@ def _trajectory_objective(cfg, t, s0):
         seed=derive_seed(cfg.seed, "traj_train"),
     )
     _, expert = sgd_train(m0, t, train_cfg, record=True)
-    expert_stack = expert.stack()
+    expert_stack, theta0, lr = expert.stack(), m0.flat_params(), train_cfg.learning_rate
 
-    def outer(feats):
-        _, student = sgd_train(m0, (feats, s0.labels), train_cfg, record=True)
-        diffs = student.stack() - expert_stack
-        return float(np.sum(np.linalg.norm(diffs[1:], axis=1)))
+    def objective(s, step):
+        ends, tapes = _unroll(m0, theta0, s, s0.labels, cfg.loss, lr, epoch_batches(len(s), train_cfg), "epoch")
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = (np.stack(ends) - expert_stack)[1:]
+            dists = np.linalg.norm(diffs, axis=1)
+            adjoints = diffs / np.where(dists > 0, dists, 1.0)[:, None]  # the subgradient 0 at distance 0
+            g_s, _ = _unroll_adjoint(m0, tapes, adjoints, s, s0.labels, cfg.loss, lr)
+        return (*_checked(float(np.sum(dists)), g_s), {})
 
-    return lambda s, step: (outer(s), _central_diff(outer, s), {})
+    return objective
 
 
 def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
     """The outer loss after ``window`` full-batch inner steps of size eta on (s, labels) from
-    ``theta_start``, and its exact gradient in v = (s.ravel(), eta): one adjoint sweep
-    (Maclaurin, Duvenaud & Adams 2015) back through the stored iterates and step gradients
-    (2 window P floats). robdc differentiates at the fixed PGD point and curvdc's eigenvalue
-    estimate at its final iterate u (Danskin's theorem)."""
-    robust, net, tape = cfg.variant("robust_outer"), _FlatSgd(model, theta_start), []
+    ``theta_start``, and its exact gradient in v = (s.ravel(), eta): one adjoint sweep back
+    through the ``_unroll`` tape (2 window P floats). robdc differentiates at the fixed PGD
+    point and curvdc's eigenvalue estimate at its final iterate u (Danskin's theorem)."""
+    robust = cfg.variant("robust_outer")
+    ends, tapes = _unroll(model, theta_start, s, labels, cfg.loss, eta, [_FULL_BATCH] * window, "inner step")
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(window):
-            theta_k = net.params.copy()
-            net.step(s, labels, cfg.loss, eta, f"inner step {i}")
-            tape.append((theta_k, net.grad.copy()))
-        trained = model.with_params(net.params)
+        trained = model.with_params(ends[-1])
         x_adv = pgd_attack(trained, t.features, t.labels, robust["eps"], steps=robust["steps"], loss=cfg.loss)
         value, lam, _ = trained.backward(x_adv, t.labels, cfg.loss)
         if cfg.method == "curvdc":  # grad_theta u^T H_T u: a central difference of H_T(theta +/- h u) u
@@ -783,16 +815,8 @@ def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
                 trained.input_grad_param_tangent(t.features, t.labels, cfg.loss, u, grads=trained._split_flat(out), at=at)
             value += cfg.curv_lambda * curv
             lam += cfg.curv_lambda * (hvps[0] - hvps[1]) / (2 * h)
-        g_s, g_eta = np.zeros_like(s), 0.0
-        for theta_k, g_k in reversed(tape):  # lam is the adjoint of theta_{k+1}
-            m_k = model.with_params(theta_k)
-            g_s -= eta * m_k.input_grad_param_tangent(s, labels, cfg.loss, lam)
-            g_eta -= lam @ g_k
-            lam = lam - eta * loss_hvp(m_k, s, labels, cfg.loss)(lam)
-        grad = np.append(g_s.ravel(), g_eta)
-    if not (math.isfinite(value) and np.isfinite(grad).all()):
-        raise DivergenceError("outer loss or hypergradient became non-finite")
-    return value, grad
+        g_s, g_eta = _unroll_adjoint(model, tapes, [0.0] * (window - 1) + [lam], s, labels, cfg.loss, eta)
+    return _checked(value, np.append(g_s.ravel(), g_eta))
 
 
 def _condense_bptt(cfg, t, s0):
@@ -807,12 +831,12 @@ def _condense_bptt(cfg, t, s0):
     def objective(v, step):
         nonlocal theta
         s, eta = v[:-1].reshape(shape), v[-1]
-        if step > 0:  # advance the model one inner step on the current synthetic set
-            theta = _full_batch_steps(model, theta, s, labels, eta, 1, cfg.loss)
-        # RaT-BPTT: untaped steps to a random window start
+        # after step 0, advance the model one inner step; then RaT-BPTT's steps to the window start
+        advance = int(step > 0)
         offset = int(rng_rat.integers(0, cfg.inner_steps - window + 1)) if rat else 0
-        start = _full_batch_steps(model, theta, s, labels, eta, offset, cfg.loss)
-        return (*_bptt_value_and_grad(cfg, t, model, labels, start, s, eta, window), {"eta": float(eta)})
+        ends, _ = _unroll(model, theta, s, labels, cfg.loss, eta, [_FULL_BATCH] * (advance + offset), "inner step")
+        theta = ends[advance]
+        return (*_bptt_value_and_grad(cfg, t, model, labels, ends[-1], s, eta, window), {"eta": float(eta)})
 
     def project(v):
         return np.append(_clip01(v[:-1]), max(v[-1], 1e-6))

@@ -487,6 +487,14 @@ class _FlatSgd:
             raise DivergenceError(f"parameters became non-finite at {where}")
 
 
+def epoch_batches(n: int, cfg: TrainConfig):
+    """The row batches of each ``sgd_train`` epoch over n rows: a seeded permutation cut into batches."""
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        yield [perm[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+
+
 def sgd_train(m: Mlp, d, cfg: TrainConfig, record: bool = False):
     """Mini-batch SGD with per-epoch shuffling fixed by the config seed.
 
@@ -497,18 +505,14 @@ def sgd_train(m: Mlp, d, cfg: TrainConfig, record: bool = False):
     naming the epoch.
     """
     x, y = _as_xy(d)
-    rng = np.random.default_rng(cfg.seed)
     net = _FlatSgd(m, m.flat_params())
     snaps = [net.params.copy()]
     if cfg.epochs == 0:
         return (m, Trajectory(tuple(snaps))) if record else (m, None)
-    n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            perm = rng.permutation(n)
+        for epoch, batches in enumerate(epoch_batches(x.shape[0], cfg)):
             where = f"epoch {epoch}"
-            for start in range(0, n, cfg.batch_size):
-                rows = perm[start : start + cfg.batch_size]
+            for rows in batches:
                 net.step(x[rows], y[rows], cfg.loss, cfg.learning_rate, where)
             if record:
                 snaps.append(net.params.copy())

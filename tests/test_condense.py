@@ -36,7 +36,7 @@ from dckit.condense import (
     _bptt_value_and_grad,
     _central_diff,
     _curvature_penalty,
-    _full_batch_steps,
+    _trajectory_objective,
     tuned_config,
 )
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, SolveError
@@ -241,7 +241,11 @@ def test_mmd_objectives_pinned(name):
 # re-pinned when the exact adjoint replaced central differences: bptt and robdc moved
 # by at most 1.3e-9 relative, the probe by 4.1e-8; curvdc kept its step-0 objective
 # and eta bits and moved later (Danskin differentiates the eigenvalue, not the
-# curv_iters-step estimate).
+# curv_iters-step estimate). bptt-rat-offset (seed 8 draws RaT offsets 1, 1, 1) and
+# trajectory-minibatch (4 S rows in batches of 3 + 1) were pinned before the bptt
+# family and trajectory moved onto one unrolled tape; the two trajectory entries were
+# then re-pinned when its adjoint replaced central differences: step-0 objective bits
+# unchanged, later objectives within 1.2e-12 relative, grad_norm 9.1e-11, features 1.4e-11.
 OUTER_PINS = json.loads((Path(__file__).parent / "outer_loop_pins.json").read_text())
 _GAUSS = gaussian_spec(0.8)
 _NFK = KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1))
@@ -257,6 +261,8 @@ OUTER_CASES = {
     "bptt-rat": {"inner_steps": 3, "variants": _RAT},
     "robdc-rat": {"inner_steps": 3, "variants": {**_ROBUST, **_RAT}},
     "curvdc-rat": {"inner_steps": 3, "curv_iters": 3, "variants": _RAT},
+    "bptt-rat-offset": {"inner_steps": 3, "seed": 8, "variants": _RAT},  # seed 8 draws offsets 1, 1, 1
+    "trajectory-minibatch": {"inner_batch": 3},  # 4 S rows: batches of 3 + 1
     "gm-curvature": {"curv_iters": 3, "variants": {"curvature": {"rho": 0.1}}},
     "gm-contrastive": {"variants": {"contrastive": {}}},
     "gm-dp_grad": {"variants": {"dp_grad": {"sigma": 0.5}}},
@@ -485,6 +491,57 @@ def test_bptt_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         counts.append(len(calls))
     # 3 inner steps, one outer backward, then per reverse step one tangent and one HVP
     assert counts == [3 + 1 + 2 * 3] * 2
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("batch", [3, 4])  # 6 S rows: 3 divides them, 4 leaves a batch of 2
+def test_trajectory_adjoint_matches_fd_oracle(loss, epochs, batch):
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.array([0] * 6 + [1] * 6)
+    rows = [0, 1, 2, 6, 7, 8]
+    s0 = SyntheticDataset(x[rows], y[rows], per_class_size=3, origin="init")
+    cfg = MethodConfig(method="trajectory", hidden=(4,), activation="tanh", inner_steps=epochs,
+                       inner_batch=batch, inner_lr=0.3, loss=loss, seed=3)
+    objective = _trajectory_objective(cfg, LabeledDataset(x, y, 2), s0)
+    _, grad, _ = objective(s0.features, 0)
+    fd = _central_diff(lambda u: objective(u, 0)[0], s0.features)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_trajectory_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
+    from dckit.models import _FlatSgd
+
+    counts = []
+    for dim in (3, 12):
+        d = two_blobs(n_per_class=12, dim=dim, separation=3.0, seed=1)
+        t = LabeledDataset(np.clip(d.features / 8 + 0.5, 0, 1), d.labels, 2)
+        rows = [*np.flatnonzero(t.labels == 0)[:3], *np.flatnonzero(t.labels == 1)[:3]]
+        s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=3, origin="init")
+        cfg = MethodConfig(method="trajectory", hidden=(4,), inner_steps=2, inner_batch=4, seed=0)
+        objective = _trajectory_objective(cfg, t, s)  # trains the expert
+        calls = []
+        for owner, name in ((_FlatSgd, "step"), (Mlp, "input_grad_param_tangent")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda self, *a, _f=original, **k: calls.append(1) or _f(self, *a, **k))
+        objective(s.features, 0)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    # per minibatch step (2 epochs of ceil(6 / 4) = 2): one SGD step, one tangent, one HVP
+    assert counts == [3 * 2 * 2] * 2
+
+
+def test_trajectory_outer_overflow_raises_divergence():
+    # the student's and the expert's steps stay finite; the distance between them overflows
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.array([0] * 6 + [1] * 6)
+    s = SyntheticDataset(x[[0, 1, 6, 7]], y[[0, 1, 6, 7]], per_class_size=2, origin="init")
+    cfg = MethodConfig(method="trajectory", outer_steps=1, hidden=(4,), inner_steps=2, inner_batch=12,
+                       inner_lr=1e100, seed=3)
+    with pytest.raises(DivergenceError, match="hypergradient"):
+        condense(cfg, LabeledDataset(x, y, 2), s)
 
 
 def test_cig_matches_fd(rng):

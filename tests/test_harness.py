@@ -258,8 +258,10 @@ def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, 
     {"inner_batch": 0},
     {"ensemble": 1, "regularizers": {"con": 0.1}},
     {"method": "mmd", "ensemble": 1, "regularizers": {"cos": 0.1}},
+    {"method": "bptt", "regularizers": {"div": 5.0}},
+    {"method": "krr", "regularizers": {"div": 5.0}},
 ], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch",
-        "con-one-model", "cos-one-model"])
+        "con-one-model", "cos-one-model", "bptt-regularizer", "krr-regularizer"])
 def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
     cfg = {"dataset": str(blobs_csv), "method": {"method": "dm", **bad}}
     path = tmp_path / "bad.json"

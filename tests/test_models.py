@@ -6,7 +6,7 @@ import pytest
 
 from dckit import Mlp, TrainConfig, lambda_max_estimate, pgd_attack, power_iteration_eig, sgd_train, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError
-from dckit.condense import _full_batch_steps
+from dckit.condense import _FULL_BATCH, _unroll
 from dckit.models import loss_hvp, per_sample_loss
 
 
@@ -288,8 +288,8 @@ def test_full_batch_steps_values_pinned():
     d = two_blobs(15, seed=3)
     m = Mlp.init((2, 5, 2), "tanh", seed=6)
     theta = m.flat_params()
-    end = _full_batch_steps(m, theta, d.features[:6], d.labels[:6], 0.3, 5, "cross_entropy")
-    assert _digest(end) == "eb35bb07ecb36e225326d03571c6407cbef2fbf796561e76d54e3d16ea7696c5"
+    ends, _ = _unroll(m, theta, d.features[:6], d.labels[:6], "cross_entropy", 0.3, [_FULL_BATCH] * 5, "inner step")
+    assert _digest(ends[-1]) == "eb35bb07ecb36e225326d03571c6407cbef2fbf796561e76d54e3d16ea7696c5"
     assert np.array_equal(theta, m.flat_params())
 
 
