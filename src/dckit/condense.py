@@ -18,10 +18,11 @@ class under image variants) and kept in its one cache ``t_cache`` until an
 ensemble or k-means proxy refresh (never under image variants, which redraw
 the T rows every step), and an S-side term with an analytic outer gradient; dm,
 moment and sam share ``discrepancy._feature_gap``, and gm
-``discrepancy._gradient_gap``, with the discrepancy report. The unrolled
-bilevel flavors (bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
-(``_unroll_adjoint``) back through the SGD tape of ``_unroll``; smooth regularizers
-and kernels without input gradients take central differences via ``_central_diff``.
+``discrepancy._gradient_gap``, with the discrepancy report. The regularizers
+score the rows the ensemble sees, and their exact gradients join the S-side
+ones. krr and mmd reach every kernel family through ``kernels.kernel_vjp``. The
+unrolled bilevel flavors (bptt/robdc/curvdc, trajectory) take one exact adjoint
+sweep (``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
 """
 from __future__ import annotations
 
@@ -60,11 +61,11 @@ from .errors import (
 from .kernels import (
     KernelSpec,
     _mmd_from_means,
+    _nfk_features,
     feature_map_batch,
     feature_map_input_jacobian,
     gram_matrix,
-    has_analytic_grad,
-    kernel_grad2,
+    kernel_vjp,
     median_heuristic_spec,
     mmd_squared_grad_s,
 )
@@ -188,8 +189,9 @@ class MethodConfig:
             check_number(name, getattr(self, name), integer=True, low=low)
         for name in ("outer_lr", "inner_lr", "ridge_lambda", "reg_tau", "curv_lambda"):
             check_number(name, getattr(self, name))
-        if self.outer_lr <= 0:
-            raise ConfigError("outer_lr must be positive")
+        for name in ("outer_lr", "reg_tau"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         try:  # the inner trainer's own rules, checked now rather than inside condense
             TrainConfig(self.inner_lr, self.inner_steps, self.inner_batch, self.loss)
         except ConfigError as e:
@@ -208,6 +210,8 @@ class MethodConfig:
             check_number(f"regularizer {name!r} weight", weight, low=0)
             if name in ("con", "cos") and self.ensemble < 2:
                 raise ConfigError(f"regularizer {name!r} compares models and needs ensemble >= 2")
+            if name in ("inter", "intra", "con", "cos", "dis") and "multiform" in self.variants:
+                raise ConfigError(f"regularizer {name!r} scores untransformed rows and excludes variants.multiform")
         if self.image_shape is not None:
             if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
                 raise ConfigError(f"image_shape must be (c, h, w), got {self.image_shape!r}")
@@ -304,19 +308,6 @@ def _descend(cfg: MethodConfig, v0: np.ndarray, objective, log: StepLog, project
             raise DivergenceError(f"synthetic variables non-finite at outer step {step}")
     log.meta["nonincreasing_fraction"] = log.nonincreasing_fraction()
     return v
-
-
-def _central_diff(fn, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    h = 1e-5
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp.flat[i] += h
-        xm.flat[i] -= h
-        grad.flat[i] = (fn(xp) - fn(xm)) / (2 * h)
-    return grad
 
 
 def _clip01(v: np.ndarray) -> np.ndarray:
@@ -421,13 +412,13 @@ def kmeans_coreset(points: np.ndarray, k: int, iters: int = 50, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# regularizers (evaluated exactly as written; gradients in condense go through FD)
+# regularizers: each returns its value and its exact gradient on the rows it scores
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class RegContext:
-    """What the regularizer formulas need: point sets, models, prototypes, trajectory."""
+    """What the regularizer formulas need: point sets, models, trajectory."""
 
     synthetic_features: np.ndarray | None = None
     synthetic_labels: np.ndarray | None = None
@@ -435,137 +426,162 @@ class RegContext:
     real_features: np.ndarray | None = None
     real_labels: np.ndarray | None = None
     models: tuple = ()
-    class_embeddings: np.ndarray | None = None
     trajectory: Trajectory | None = None
     theta: np.ndarray | None = None
     tau: float = 1.0
 
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.maximum(np.linalg.norm(a, axis=-1, keepdims=True), 1e-12)
-    nb = np.maximum(np.linalg.norm(b, axis=-1, keepdims=True), 1e-12)
-    return (a / na) @ (b / nb).T
-
-
-def _feat(model, x: np.ndarray) -> np.ndarray:
-    if model is None:
-        return np.asarray(x, dtype=np.float64)
-    _, feats = model.forward_batch(x)
-    return feats[-2] if len(feats) >= 2 else feats[-1]
+    def feat(self, x: np.ndarray):
+        """The first model's penultimate feature of the rows x (x itself without models) and its VJP."""
+        if not self.models:
+            return np.asarray(x, dtype=np.float64), lambda g: g
+        return _nfk_features(self.models[0], x)
 
 
-def _ctx_synth(ctx: RegContext):
-    if ctx.synthetic_features is None or ctx.synthetic_labels is None:
-        raise ContextError("regularizer needs the synthetic set in context")
-    return np.asarray(ctx.synthetic_features), np.asarray(ctx.synthetic_labels)
+def _cosine(a: np.ndarray, b: np.ndarray):
+    """The cosine matrix of the rows of a and b, and its VJP: coef -> the gradients of
+    sum(coef * cosine) with respect to a and b (a norm below 1e-12 is held at 1e-12)."""
+    na, nb = np.linalg.norm(a, axis=-1, keepdims=True), np.linalg.norm(b, axis=-1, keepdims=True)
+    ua, ub = a / np.maximum(na, 1e-12), b / np.maximum(nb, 1e-12)
+
+    def vjp(coef):
+        return tuple((g - u * np.sum(g * u, axis=1, keepdims=True) * (n > 1e-12)) / np.maximum(n, 1e-12)
+                     for g, u, n in ((coef @ ub, ua, na), (coef.T @ ua, ub, nb)))
+
+    return ua @ ub.T, vjp
 
 
-def regularizer_eval(reg_id: str, ctx: RegContext) -> float:
-    """Evaluate one regularizer exactly as defined; raises ContextError when context is missing."""
+def _class_means(h: np.ndarray, y: np.ndarray, c: int):
+    """The class means of the rows of h, and the map of a gradient on them back to the rows."""
+    counts = np.bincount(y, minlength=c)[:, None]
+    return np.stack([h[y == k].mean(axis=0) for k in range(c)]), lambda g: (g / counts)[y]
+
+
+def _rep(ctx, s, y, c):
+    """Minus the mean over S of each row's best cosine similarity to a real row."""
+    if ctx.real_features is None:
+        raise ContextError("rep needs the real dataset")
+    sim, vjp = _cosine(s, np.asarray(ctx.real_features))
+    best = np.arange(sim.shape[1]) == sim.argmax(axis=1)[:, None]  # (M, N_T): each row's best real match
+    return float(np.mean(-sim.max(axis=1))), vjp(best * (-1.0 / len(s)))[0]
+
+
+def _div(ctx, s, y, c):
+    """The mean over S of each row's best cosine similarity to another synthetic row."""
+    if s.shape[0] < 2:
+        return 0.0, np.zeros_like(s)
+    sim, vjp = _cosine(s, s)
+    np.fill_diagonal(sim, -np.inf)
+    return float(np.mean(sim.max(axis=1))), sum(vjp(np.eye(len(s))[sim.argmax(axis=1)] / len(s)))
+
+
+def _inter(ctx, s, y, c):
+    """The hinge sum over ordered class pairs of max(tau - ||mu_y1 - mu_y2||, 0) on the class-mean features."""
+    h, vjp = ctx.feat(s)
+    means, means_vjp = _class_means(h, y, c)
+    total, g = 0.0, np.zeros_like(means)
+    for y1, y2 in itertools.permutations(range(c), 2):
+        diff = means[y1] - means[y2]
+        gap = float(np.linalg.norm(diff))
+        total += max(ctx.tau - gap, 0.0)
+        if 0.0 < gap < ctx.tau:  # an active hinge
+            g[y1] -= diff / gap
+            g[y2] += diff / gap
+    return total, vjp(means_vjp(g))
+
+
+def _intra(ctx, s, y, c):
+    """The mean over S of -log of the softmax weight (temperature tau) of a row's real class-mean
+    feature against the row's other same-class synthetic rows."""
+    if ctx.real_features is None or ctx.real_labels is None:
+        raise ContextError("intra needs the real dataset")
+    emb, _ = _class_means(ctx.feat(ctx.real_features)[0], np.asarray(ctx.real_labels), c)
+    h_s, vjp = ctx.feat(s)
+    vals, g = [], np.zeros_like(h_s)
+    for k in range(c):
+        rows = y == k
+        h = h_s[rows]
+        pos = np.exp(h @ emb[k] / ctx.tau)
+        sims = np.exp(h @ h.T / ctx.tau)
+        np.fill_diagonal(sims, 0.0)
+        z = pos + sims.sum(axis=1)
+        vals.extend(-np.log(pos / z))
+        q = sims / z[:, None]
+        g[rows] = (np.outer(pos / z - 1.0, emb[k]) + (q + q.T) @ h) / ctx.tau
+    return float(np.mean(vals)), vjp(g / len(vals))
+
+
+def _con_cos(ctx, s, y, c, cosine):
+    """Per class, the mean over ordered pairs of different models of the row-matched contrastive
+    loss (con, temperature tau) or cosine similarity (cos) of their penultimate features."""
+    if len(ctx.models) < 2:
+        raise ContextError(f"{'cos' if cosine else 'con'} needs at least two models")
+    n_h, feats = len(ctx.models), [_nfk_features(m, s) for m in ctx.models]
+    ups, total = [np.zeros_like(h) for h, _ in feats], 0.0
+    for k in range(c):
+        rows = y == k
+        scale = 1.0 / (n_h**2 * rows.sum())
+        for j, l in itertools.permutations(range(n_h), 2):
+            a, b = feats[j][0][rows], feats[l][0][rows]
+            if cosine:
+                sim, cos_vjp = _cosine(a, b)
+                total += scale * float(np.trace(sim))
+                g_a, g_b = cos_vjp(scale * np.eye(len(a)))
+            else:
+                logits = a @ b.T / ctx.tau  # (i, t) pairings
+                lse = np.log(np.exp(logits).sum(axis=1))
+                total += scale * float(np.sum(lse - np.diag(logits)))
+                coef = scale * (np.exp(logits - lse[:, None]) - np.eye(len(a))) / ctx.tau
+                g_a, g_b = coef @ b, coef.T @ a
+            ups[j][rows] += g_a
+            ups[l][rows] += g_b
+    return total, sum(vjp(up) for (_, vjp), up in zip(feats, ups))
+
+
+def _dis(ctx, s, y, c):
+    """The class-averaged cross-entropy of each real row's class under the softmax of its
+    feature's inner products with the synthetic class-mean features."""
+    if ctx.real_features is None or ctx.real_labels is None:
+        raise ContextError("dis needs the real dataset")
+    h_s, vjp = ctx.feat(s)
+    proto, proto_vjp = _class_means(h_s, y, c)
+    h_t, rl = ctx.feat(ctx.real_features)[0], np.asarray(ctx.real_labels)
+    total, g = 0.0, np.zeros_like(proto)
+    for k in range(c):
+        h = h_t[rl == k]
+        scores = h @ proto.T  # (B, C) similarity to every class prototype
+        m = scores.max(axis=1, keepdims=True)
+        logp = scores - (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))
+        total += float(np.mean(-logp[:, k]))
+        g += (np.exp(logp) - np.eye(c)[k]).T @ h / (len(h) * c)
+    return total / c, vjp(proto_vjp(g))
+
+
+_REG_TERMS = {"rep": _rep, "div": _div, "inter": _inter, "intra": _intra, "dis": _dis,
+              "con": partial(_con_cos, cosine=False), "cos": partial(_con_cos, cosine=True)}
+
+
+def regularizer_eval(reg_id: str, ctx: RegContext):
+    """One regularizer's value and its gradient with respect to ``ctx.synthetic_features``
+    (0.0 for proj, which scores model parameters); raises ContextError when context is missing.
+
+    inter, intra, con, cos and dis map their gradient back through one reverse sweep per
+    model. At a nonsmooth point the gradient is the subgradient of the active branch: the
+    first maximizing row in rep and div, only the inter hinges with 0 < gap < tau, and 0 at gap 0.
+    """
     if reg_id not in REGULARIZERS:
         raise ConfigError(f"unknown regularizer {reg_id!r}")
-    tau = ctx.tau
-    if tau <= 0:
+    if ctx.tau <= 0:
         raise ConfigError("tau must be positive")
-    if reg_id == "rep":
-        s, _ = _ctx_synth(ctx)
-        if ctx.real_features is None:
-            raise ContextError("rep needs the real dataset")
-        sim = _cosine(s, np.asarray(ctx.real_features))
-        return float(np.mean(-sim.max(axis=1)))
-    if reg_id == "div":
-        s, _ = _ctx_synth(ctx)
-        if s.shape[0] < 2:
-            return 0.0
-        sim = _cosine(s, s)
-        np.fill_diagonal(sim, -np.inf)
-        return float(np.mean(sim.max(axis=1)))
-    if reg_id == "inter":
-        s, y = _ctx_synth(ctx)
-        model = ctx.models[0] if ctx.models else None
-        c = ctx.class_count or int(y.max()) + 1
-        means = np.stack([_feat(model, s[y == k]).mean(axis=0) for k in range(c)])
-        total = 0.0
-        for y1 in range(c):
-            for y2 in range(c):
-                if y1 == y2:
-                    continue
-                gap = float(np.linalg.norm(means[y1] - means[y2]))
-                total += max(tau - gap, 0.0)
-        return total
-    if reg_id == "intra":
-        s, y = _ctx_synth(ctx)
-        model = ctx.models[0] if ctx.models else None
-        c = ctx.class_count or int(y.max()) + 1
-        if ctx.class_embeddings is not None:
-            emb = np.asarray(ctx.class_embeddings)
-        elif ctx.real_features is not None and ctx.real_labels is not None:
-            rl = np.asarray(ctx.real_labels)
-            emb = np.stack(
-                [_feat(model, np.asarray(ctx.real_features)[rl == k]).mean(axis=0) for k in range(c)]
-            )
-        else:
-            raise ContextError("intra needs class embeddings or the real dataset")
-        vals = []
-        for k in range(c):
-            h = _feat(model, s[y == k])
-            pos = np.exp(h @ emb[k] / tau)
-            sims = np.exp(h @ h.T / tau)
-            np.fill_diagonal(sims, 0.0)
-            neg = sims.sum(axis=1)
-            vals.extend(-np.log(pos / (pos + neg)))
-        return float(np.mean(vals))
-    if reg_id == "con" or reg_id == "cos":
-        s, y = _ctx_synth(ctx)
-        if len(ctx.models) < 2:
-            raise ContextError(f"{reg_id} needs at least two models")
-        c = ctx.class_count or int(y.max()) + 1
-        n_h = len(ctx.models)
-        total = 0.0
-        for k in range(c):
-            rows = s[y == k]
-            feats = [_feat(m, rows) for m in ctx.models]
-            msum = 0.0
-            for j in range(n_h):
-                for l in range(n_h):
-                    if j == l:
-                        continue
-                    if reg_id == "cos":
-                        na = np.maximum(np.linalg.norm(feats[j], axis=1), 1e-12)
-                        nb = np.maximum(np.linalg.norm(feats[l], axis=1), 1e-12)
-                        msum += float(np.sum(np.sum(feats[j] * feats[l], axis=1) / (na * nb)))
-                    else:
-                        logits = feats[j] @ feats[l].T / tau  # (i, t) pairings
-                        row = np.diag(logits)
-                        lse = np.log(np.exp(logits).sum(axis=1))
-                        msum += float(np.sum(-(row - lse)))
-            total += msum / (n_h**2 * rows.shape[0])
-        return total
-    if reg_id == "dis":
-        s, y = _ctx_synth(ctx)
-        if ctx.real_features is None or ctx.real_labels is None:
-            raise ContextError("dis needs the real dataset")
-        model = ctx.models[0] if ctx.models else None
-        c = ctx.class_count or int(y.max()) + 1
-        proto = np.stack([_feat(model, s[y == k]).mean(axis=0) for k in range(c)])
-        rf = np.asarray(ctx.real_features)
-        rl = np.asarray(ctx.real_labels)
-        total = 0.0
-        for k in range(c):
-            h = _feat(model, rf[rl == k])
-            scores = h @ proto.T  # (B, C) similarity to every class prototype
-            m = scores.max(axis=1, keepdims=True)
-            logp = scores - (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))
-            total += float(np.mean(-logp[:, k]))
-        return total / c
     if reg_id == "proj":
         if ctx.theta is None or ctx.trajectory is None:
             raise ContextError("proj needs theta and an expert trajectory")
         basis = ctx.trajectory.stack().T  # (P, K)
         coef, *_ = np.linalg.lstsq(basis, ctx.theta, rcond=None)
-        resid = ctx.theta - basis @ coef
-        return float(np.abs(resid).sum())
-    raise ConfigError(f"unhandled regularizer {reg_id!r}")
+        return float(np.abs(ctx.theta - basis @ coef).sum()), 0.0
+    if ctx.synthetic_features is None or ctx.synthetic_labels is None:
+        raise ContextError("regularizer needs the synthetic set in context")
+    s, y = np.asarray(ctx.synthetic_features, dtype=np.float64), np.asarray(ctx.synthetic_labels)
+    return _REG_TERMS[reg_id](ctx, s, y, ctx.class_count or int(y.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -613,39 +629,22 @@ def krr_fit(spec: KernelSpec, s: SyntheticDataset, lam: float) -> KrrPredictor:
 
 
 def _krr_loss_and_grads(spec, x_t, y_t, s, y_s, lam, want_grad_t=False):
-    """Mean squared prediction error of the ridge fit on T plus analytic gradients.
+    """Mean squared prediction error of the ridge fit on T and its gradients.
 
-    Returns (loss, grad wrt S rows, grad wrt T rows or None). Falls back to
-    finite differences over S for kernels without analytic input gradients.
+    Returns (loss, grad wrt S rows, grad wrt T rows or None); each Gram matrix's
+    share is one ``kernel_vjp`` contraction.
     """
     n = x_t.shape[0]
     g = gram_matrix(spec, s, s)
     alpha = krr_solve(g, y_s, lam)
     k_ts = gram_matrix(spec, x_t, s)
-    pred = k_ts @ alpha
-    resid = pred - y_t
+    resid = k_ts @ alpha - y_t
     loss = float(np.sum(resid**2) / n)
     r = (2.0 / n) * resid  # (N, C)
     m2 = alpha @ r.T  # (M, N)
-    if has_analytic_grad(spec):
-        m1 = alpha @ (k_ts.T @ r).T @ np.linalg.inv(g + lam * np.eye(g.shape[0]))
-        d2_ts = kernel_grad2(spec, x_t, s)  # (N, M, n)
-        grad_s = np.einsum("ji,ijn->jn", m2, d2_ts)
-        d2_ss = kernel_grad2(spec, s, s)  # (M, M, n)
-        grad_s -= np.einsum("aj,ajn->jn", m1 + m1.T, d2_ss)
-        grad_t = None
-        if want_grad_t:
-            d2_st = kernel_grad2(spec, s, x_t)  # (M, N, n)
-            grad_t = np.einsum("ji,jin->in", m2, d2_st)
-        return loss, grad_s, grad_t
-    # finite-difference fallback for model-based kernels
-    def value(cur_s, cur_t):
-        a = krr_solve(gram_matrix(spec, cur_s, cur_s), y_s, lam)
-        p = gram_matrix(spec, cur_t, cur_s) @ a
-        return float(np.sum((p - y_t) ** 2) / n)
-
-    grad_s = _central_diff(lambda u: value(u, x_t), s)
-    grad_t = _central_diff(lambda u: value(s, u), x_t) if want_grad_t else None
+    m1 = alpha @ (k_ts.T @ r).T @ np.linalg.inv(g + lam * np.eye(g.shape[0]))
+    grad_s = kernel_vjp(spec, x_t, s, m2.T) - kernel_vjp(spec, s, s, m1 + m1.T)
+    grad_t = kernel_vjp(spec, s, x_t, m2) if want_grad_t else None
     return loss, grad_s, grad_t
 
 
@@ -1040,37 +1039,13 @@ def _matching_problem(cfg, t, s0):
     log = StepLog(meta={"method": cfg.method, "regime": cfg.regime,
                         "kernel": kernel.describe() if kernel else None})
     reg_weights = dict(cfg.regularizers)
-    proj_state: dict = {}
-
-    def reg_total(v: np.ndarray):
-        def reg_values(u):
-            ctx = RegContext(
-                synthetic_features=np.asarray(to_input(u)), synthetic_labels=s_labels,
-                class_count=t.class_count, real_features=t.features, real_labels=t.labels,
-                models=tuple(ensemble) if ensemble else (), tau=cfg.reg_tau,
-            )
-            return {name: regularizer_eval(name, ctx) for name in reg_weights if name != "proj"}
-
-        vals = reg_values(v)
-        grad = np.zeros_like(v)
-        if vals:
-            grad = _central_diff(lambda u: sum(reg_weights[k] * x for k, x in reg_values(u).items()), v)
-        if "proj" in reg_weights:
-            # the projection regularizer scores model parameters against the expert
-            # subspace; it is constant in S within a step, so its S-gradient is zero
-            if ensemble:
-                if "traj" not in proj_state:
-                    base = Mlp.init((model_dim, *cfg.hidden, t.class_count), cfg.activation,
-                                    seed=derive_seed(cfg.seed, "proj_expert"))
-                    tcfg = TrainConfig(learning_rate=cfg.inner_lr, epochs=max(cfg.inner_steps, 1),
-                                       batch_size=cfg.inner_batch, loss=cfg.loss,
-                                       seed=derive_seed(cfg.seed, "proj_train"))
-                    _, proj_state["traj"] = sgd_train(base, (t_matched, t.labels), tcfg, record=True)
-                ctx = RegContext(theta=ensemble[0].flat_params(), trajectory=proj_state["traj"])
-                vals["proj"] = regularizer_eval("proj", ctx)
-            else:
-                vals["proj"] = 0.0
-        return sum(reg_weights[k] * vals[k] for k in vals), vals, grad
+    expert = None  # the expert trajectory whose subspace proj scores the first member's parameters against
+    if "proj" in reg_weights:
+        base = Mlp.init((model_dim, *cfg.hidden, t.class_count), cfg.activation,
+                        seed=derive_seed(cfg.seed, "proj_expert"))
+        tcfg = TrainConfig(learning_rate=cfg.inner_lr, epochs=max(cfg.inner_steps, 1),
+                           batch_size=cfg.inner_batch, loss=cfg.loss, seed=derive_seed(cfg.seed, "proj_train"))
+        _, expert = sgd_train(base, (t_matched, t.labels), tcfg, record=True)
 
     def t_stat(mi, model, y, rows, labels, rng_grad):
         """The T-side statistic of class y for ensemble member ``mi`` (``model`` is None
@@ -1114,14 +1089,9 @@ def _matching_problem(cfg, t, s0):
                 grads.append(np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rs.shape[0]))
             elif kernel_objective:
                 rows_t, ktt = stat
-
-                def mmd(r):
-                    kts = gram_matrix(kernel, rows_t, r).mean()
-                    return _mmd_from_means(ktt, kts, gram_matrix(kernel, r, r).mean())
-
-                values.append(mmd(rs))
-                grads.append(mmd_squared_grad_s(kernel, rows_t, rs) if has_analytic_grad(kernel)
-                             else _central_diff(mmd, rs))
+                values.append(_mmd_from_means(ktt, gram_matrix(kernel, rows_t, rs).mean(),
+                                              gram_matrix(kernel, rs, rs).mean()))
+                grads.append(mmd_squared_grad_s(kernel, rows_t, rs))
             else:
                 val, up = _feature_gap(cfg.method, stat, model.forward_batch(rs)[1])
                 values.append(val)
@@ -1167,9 +1137,15 @@ def _matching_problem(cfg, t, s0):
                 value += 0.5 * rho * lam / n_e
                 grad_matched += (0.5 * rho / n_e) * grad_lam
 
-        reg_val, reg_terms, reg_grad = reg_total(v)
-        extra = {"method_value": float(value), **{f"reg_{name}": float(x) for name, x in reg_terms.items()}}
-        return float(value + reg_val), regime_vjp(grad_matched) + reg_grad, extra
+        reg_values = {}
+        if reg_weights:  # scored on the rows the ensemble sees, so their gradients join grad_matched
+            ctx = RegContext(s_matched, s_labels, t.class_count, t_matched, t.labels, tuple(ensemble), tau=cfg.reg_tau,
+                             trajectory=expert, theta=None if expert is None else ensemble[0].flat_params())
+            for name, weight in reg_weights.items():
+                reg_values[name], g = regularizer_eval(name, ctx)
+                grad_matched += weight * g
+        extra = {"method_value": float(value), **{f"reg_{name}": float(x) for name, x in reg_values.items()}}
+        return float(value + sum(reg_weights[k] * x for k, x in reg_values.items())), regime_vjp(grad_matched), extra
 
     def finish(v):
         if "dp_grad" in cfg.variants:

@@ -147,11 +147,25 @@ def _ntk_rows(model, x: np.ndarray) -> np.ndarray:
     return j.reshape(j.shape[0], -1)
 
 
-def _nfk_features(model, x: np.ndarray) -> np.ndarray:
-    _, feats = model.forward_batch(_as_points(x))
-    if len(feats) >= 2:
-        return feats[-2]  # final hidden activation
-    return feats[-1]
+def _nfk_features(model, x: np.ndarray):
+    """The final hidden activation of the rows x (the logits without a hidden layer), and the
+    map of a gradient on it back to x, one reverse sweep."""
+    x = _as_points(x)
+    _, feats = model.forward_batch(x)
+    pen = max(len(feats) - 2, 0)
+    return feats[pen], lambda g: model.feature_input_vjp(x, [g if i == pen else None for i in range(len(feats))])
+
+
+def _central_diff(fn, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    h = 1e-5
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step.flat[i] = h
+        grad.flat[i] = (fn(x + step) - fn(x - step)) / (2 * h)
+    return grad
 
 
 def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +189,7 @@ def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         models = _model_list(spec.model)
         g = np.zeros((a.shape[0], b.shape[0]))
         for m in models:
-            g += _nfk_features(m, a) @ _nfk_features(m, b).T
+            g += _nfk_features(m, a)[0] @ _nfk_features(m, b)[0].T
         return g / len(models)
     if spec.family == "pullback":
         return gram_matrix(spec.base, spec.encoder.encode(a), spec.encoder.encode(b))
@@ -204,21 +218,27 @@ def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         phi_a = feature_map_batch(spec, a)  # (A, p)
         jac_b = feature_map_input_jacobian(spec, b)  # (B, p, n)
         return np.einsum("ap,bpn->abn", phi_a, jac_b)
-    if spec.family == "pullback":
-        inner = kernel_grad2(spec.base, spec.encoder.encode(a), spec.encoder.encode(b))
-        jac = spec.encoder.encode_jacobian()  # (m, n): d z / d x
-        return np.einsum("abm,mn->abn", inner, jac)
     raise ConfigError(f"no analytic gradient for family {spec.family!r}")
 
 
-def has_analytic_grad(spec: KernelSpec) -> bool:
-    if spec.family in ("gamma_exponential", "random_feature"):
-        return True
+def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
+
+    An einsum over ``kernel_grad2`` for the analytic families, one reverse sweep per model
+    for nfk, and the base's contraction times the encoder Jacobian for a pullback.
+    empirical_ntk's input gradient needs mixed second derivatives of the network, so it
+    takes a central difference over b.
+    """
+    a, b = _as_points(a), _as_points(b)
+    if spec.family == "nfk":
+        models = _model_list(spec.model)
+        return sum(_nfk_features(m, b)[1](coef.T @ _nfk_features(m, a)[0]) for m in models) / len(models)
+    if spec.family == "empirical_ntk":
+        return _central_diff(lambda u: float(np.sum(coef * gram_matrix(spec, a, u))), b)
     if spec.family == "pullback":
-        return spec.base.family in ("gamma_exponential", "random_feature") and hasattr(
-            spec.encoder, "encode_jacobian"
-        )
-    return False
+        inner = kernel_vjp(spec.base, spec.encoder.encode(a), spec.encoder.encode(b), coef)
+        return inner @ spec.encoder.encode_jacobian()
+    return np.einsum("ab,abn->bn", coef, kernel_grad2(spec, a, b))
 
 
 def mmd_squared(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> float:
@@ -243,12 +263,14 @@ def _mmd_from_means(ktt, kts, kss) -> float:
 
 
 def mmd_squared_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the V-statistic MMD^2 w.r.t. every point of S."""
-    t = _as_points(t)
-    s = _as_points(s)
+    """Gradient of the V-statistic MMD^2 w.r.t. every point of S."""
+    t, s = _as_points(t), _as_points(s)
     n_t, n_s = t.shape[0], s.shape[0]
     # d/ds_j [mean k(S,S)] = (2 / M^2) sum_a d2 k(s_a, s_j); the a=j term carries the
     # total derivative of the diagonal entry via kernel symmetry
+    if spec.family not in ("gamma_exponential", "random_feature"):
+        return (kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
+                - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
     g_ss = kernel_grad2(spec, s, s).sum(axis=0) * (2.0 / (n_s * n_s))
     g_ts = kernel_grad2(spec, t, s).sum(axis=0) * (2.0 / (n_t * n_s))
     return g_ss - g_ts

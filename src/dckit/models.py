@@ -433,6 +433,9 @@ class LinearModel:
         logits = x @ self.weight
         return logits, [logits]
 
+    def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
+        return np.asarray(upstream[-1], dtype=np.float64) @ self.weight.T
+
     def output_param_jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         bsz, n = x.shape
@@ -451,6 +454,9 @@ class IdentityModel:
     def forward_batch(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
         return x, [x]
+
+    def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
+        return np.asarray(upstream[-1], dtype=np.float64)
 
 
 def _as_xy(d):

@@ -34,13 +34,13 @@ from dckit import (
 from dckit.condense import (
     MethodConfig,
     _bptt_value_and_grad,
-    _central_diff,
     _curvature_penalty,
     _trajectory_objective,
     tuned_config,
 )
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, SolveError
-from dckit.models import LinearModel, TrainConfig
+from dckit.kernels import _central_diff
+from dckit.models import IdentityModel, LinearModel, TrainConfig
 from tests.conftest import copy_as_synthetic
 
 MATCHING = ("dm", "gm", "mmd", "moment", "sam")
@@ -202,11 +202,12 @@ def test_mmd_1d_converges_to_class_mean(rng):
 
 # Objective logs of three short mmd runs, pinned as float.hex before mean k(T, T)
 # was cached: the Gaussian run uses the analytic gradient, the nfk run the
-# finite-difference fallback, and the siamese run transforms T every step, so a
-# k(T, T) term reused across steps would change its values.
+# reverse sweep of kernels.kernel_vjp, and the siamese run transforms T every step, so a
+# k(T, T) term reused across steps would change its values. The nfk run was re-pinned
+# when that sweep replaced central differences: step 0 unchanged, later steps within 4.1e-10.
 MMD_OBJECTIVES = {
     "gaussian": ["0x1.9f762549a4324p-3", "0x1.344d20fa952a8p-4", "0x1.2fa24dd52dd80p-5", "0x1.acfb14fbaa840p-6"],
-    "nfk": ["0x1.1533cce9fc1d0p-2", "0x1.0575783c2f2a8p-5", "0x1.dc3dbc4ba3a80p-9"],
+    "nfk": ["0x1.1533cce9fc1d0p-2", "0x1.0575783b39040p-5", "0x1.dc3dbc486bf00p-9"],
     "siamese": ["0x1.87ec65fbcf76bp+0", "0x1.2db0afac0834bp+0", "0x1.198d20a6e51f7p+0", "0x1.29a85a8d36a94p-1"],
 }
 
@@ -235,8 +236,11 @@ def test_mmd_objectives_pinned(name):
 # Every outer loop and every finite-difference site, pinned on tiny runs before
 # the loops were merged into one driver. Each record holds the float.hex of every
 # logged per-step value, and SHA-256 digests of the final features and of
-# repr((log.meta, out.meta)). The "-reg" cases take central differences of
-# smooth regularizers; only they compare at rel=1e-9 instead of by bits. The
+# repr((log.meta, out.meta)). The "-reg" cases were pinned when central differences
+# of the regularizers gave their gradients; they compare at rel=1e-9 instead of by bits
+# (the exact gradients moved them by at most 9.1e-12). krr-nfk, mmd-nfk and the
+# krr_loss_and_grads probe were re-pinned when kernels.kernel_vjp replaced central
+# differences for nfk: objectives within 4.1e-11, grad_norm 1.9e-9, probe grad_s 3.3e-9. The
 # bptt/robdc/curvdc entries (with and without rat) and the bptt gradient probe were
 # re-pinned when the exact adjoint replaced central differences: bptt and robdc moved
 # by at most 1.3e-9 relative, the probe by 4.1e-8; curvdc kept its step-0 objective
@@ -406,6 +410,43 @@ def test_condense_krr_blobs_accuracy(rng):
     pred = krr_fit(gaussian_spec(1.0 / (2 * 0.4**2)), out, lam=1e-3)
     acc = float(np.mean(pred.predict_labels(d.features) == d.labels))
     assert acc >= 0.95
+
+
+_NFK_PAIR = KernelSpec("nfk", model=(Mlp.init((3, 5, 2), "tanh", seed=1), Mlp.init((3, 4, 6, 2), "relu", seed=2)))
+
+
+@pytest.mark.parametrize("kernel", ["nfk", "nfk-linear", "nfk-identity", "pullback-nfk", "pullback-gaussian",
+                                    "empirical_ntk"])
+def test_nfk_gradients_match_fd_oracle(kernel):
+    from dckit import fit_linear_autoencoder, pullback_spec
+    from dckit.condense import _krr_loss_and_grads
+    from dckit.kernels import mmd_squared_grad_s
+
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.eye(2)[[0] * 6 + [1] * 6]
+    s, y_s = x[[0, 1, 6, 7]], y[[0, 1, 6, 7]]
+    spec = _NFK_PAIR
+    if kernel == "nfk-linear":
+        spec = KernelSpec("nfk", model=LinearModel(rng.normal(size=(3, 2))))
+    if kernel == "nfk-identity":
+        spec = KernelSpec("nfk", model=IdentityModel())
+    if kernel == "pullback-nfk":
+        ae = fit_linear_autoencoder(LabeledDataset(x, np.argmax(y, axis=1), 2), 2)
+        spec = pullback_spec(KernelSpec("nfk", model=Mlp.init((2, 5, 2), "tanh", seed=1)), ae)
+    if kernel == "pullback-gaussian":
+        ae = fit_linear_autoencoder(LabeledDataset(x, np.argmax(y, axis=1), 2), 2)
+        spec = pullback_spec(gaussian_spec(2.0), ae)
+    if kernel == "empirical_ntk":  # the one kernel whose input gradient is a central difference
+        spec = KernelSpec("empirical_ntk", model=Mlp.init((3, 4, 2), "tanh", seed=1))
+    _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
+    oracles = [
+        (grad_s, _central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
+        (grad_t, _central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
+        (mmd_squared_grad_s(spec, x, s), _central_diff(lambda u: mmd_squared(spec, x, u), s)),
+    ]
+    for grad, fd in oracles:
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 # --- bilevel flavors ------------------------------------------------------------------
@@ -688,20 +729,20 @@ def test_inter_margin_satisfied():
     # class-mean features sit 5 apart; a margin of 2 is satisfied, loss 0
     s = np.array([[5.0, 0.0], [0.0, 0.0]])
     ctx = RegContext(synthetic_features=s, synthetic_labels=np.array([0, 1]), class_count=2, tau=2.0)
-    assert regularizer_eval("inter", ctx) == 0.0
+    assert regularizer_eval("inter", ctx)[0] == 0.0
 
 
 def test_rep_member_of_t(rng):
     t = rng.uniform(0.1, 1.0, (5, 3))
     ctx = RegContext(synthetic_features=t[[2]], synthetic_labels=np.array([0]), class_count=1,
                      real_features=t)
-    assert regularizer_eval("rep", ctx) == pytest.approx(-1.0, abs=1e-12)
+    assert regularizer_eval("rep", ctx)[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_div_duplicates():
     s = np.array([[0.4, 0.2], [0.4, 0.2]])
     ctx = RegContext(synthetic_features=s, synthetic_labels=np.array([0, 0]), class_count=1)
-    assert regularizer_eval("div", ctx) == pytest.approx(1.0, abs=1e-12)
+    assert regularizer_eval("div", ctx)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_proj_in_span(rng):
@@ -710,12 +751,12 @@ def test_proj_in_span(rng):
     coef = rng.normal(size=4)
     theta = traj.stack().T @ coef
     ctx = RegContext(theta=theta, trajectory=traj)
-    assert regularizer_eval("proj", ctx) <= 1e-9
+    assert regularizer_eval("proj", ctx)[0] <= 1e-9
     # out-of-span component measured in l1, cross-checked by lstsq residual
     theta2 = theta + rng.normal(size=20) * 0.3
     basis = traj.stack().T
     resid = theta2 - basis @ np.linalg.lstsq(basis, theta2, rcond=None)[0]
-    assert regularizer_eval("proj", RegContext(theta=theta2, trajectory=traj)) == pytest.approx(
+    assert regularizer_eval("proj", RegContext(theta=theta2, trajectory=traj))[0] == pytest.approx(
         float(np.abs(resid).sum()), rel=1e-9)
 
 
@@ -732,8 +773,8 @@ def test_con_cos_values(rng):
     models = tuple(Mlp.init((2, 4, 2), "tanh", seed=i) for i in range(2))
     ctx = RegContext(synthetic_features=rng.uniform(size=(3, 2)),
                      synthetic_labels=np.zeros(3, dtype=int), class_count=1, models=models, tau=1.0)
-    assert np.isfinite(regularizer_eval("con", ctx))
-    assert -1.001 <= regularizer_eval("cos", ctx) <= 1.001
+    assert np.isfinite(regularizer_eval("con", ctx)[0])
+    assert -1.001 <= regularizer_eval("cos", ctx)[0] <= 1.001
 
 
 def test_dis_and_intra_need_real(rng):
@@ -743,6 +784,79 @@ def test_dis_and_intra_need_real(rng):
         regularizer_eval("dis", ctx)
     with pytest.raises(ContextError):
         regularizer_eval("intra", ctx)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("name", ["rep", "div", "inter", "intra", "con", "cos", "dis"])
+def test_regularizer_gradient_matches_fd_oracle(name, activation):
+    rng = np.random.default_rng(7)
+    x_t, y_t = rng.uniform(size=(12, 4)), np.repeat(np.arange(3), 4)
+    s, y_s = rng.uniform(size=(9, 4)), np.repeat(np.arange(3), 3)
+    # two hidden layers, so the penultimate feature is not the first; tau 0.5 leaves some inter hinges active
+    models = tuple(Mlp.init((4, 6, 5, 3), activation, seed=i) for i in range(3))
+
+    def value_and_grad(u):
+        return regularizer_eval(name, RegContext(u, y_s, 3, x_t, y_t, models, tau=0.5))
+
+    value, grad = value_and_grad(s)
+    fd = _central_diff(lambda u: value_and_grad(u)[0], s)
+    assert value != 0.0 and np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_rep_gradient_on_a_large_real_set_stays_linear_in_its_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    x_t, s = rng.uniform(size=(3000, 4)), rng.uniform(size=(3, 4))
+    ctx = lambda u: RegContext(u, np.zeros(3, dtype=np.int64), 1, x_t, np.zeros(3000, dtype=np.int64))
+    tracemalloc.start()
+    value, grad = regularizer_eval("rep", ctx(s))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3000**2 * 8 / 10  # far below one N_T x N_T float array
+    fd = _central_diff(lambda u: regularizer_eval("rep", ctx(u))[0], s)
+    assert value < 0.0 and np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_regularizers_in_latent_regime_match_fd_oracle(toy_pair):
+    from dckit import fit_linear_autoencoder
+    from dckit.condense import _matching_problem
+
+    t, s = toy_pair
+    cfg = small_cfg("dm", regime="latent_latent", autoencoder=fit_linear_autoencoder(t, 2),
+                    regularizers={name: 0.1 for name in ("rep", "div", "inter", "intra", "con", "cos", "dis")})
+    v0, objective, *_ = _matching_problem(cfg, t, s)
+    _, grad, extra = objective(v0, 0)
+    fd = _central_diff(lambda u: objective(u, 0)[0], v0)
+    assert extra["reg_inter"] > 0.0 and np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
+    d = two_blobs(n_per_class=12, dim=3, separation=3.0, seed=1)
+    t = LabeledDataset(np.clip(d.features / 8 + 0.5, 0, 1), d.labels, 2)
+    counts = []
+    for per_class in (1, 3):
+        rows = [*np.flatnonzero(t.labels == 0)[:per_class], *np.flatnonzero(t.labels == 1)[:per_class]]
+        s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=per_class, origin="init")
+        calls = []
+        for name in ("forward_batch", "feature_input_vjp"):
+            original = getattr(Mlp, name)
+            monkeypatch.setattr(Mlp, name, lambda self, *a, _f=original, **k: calls.append(1) or _f(self, *a, **k))
+        cfg = MethodConfig(method="dm", ensemble=3, hidden=(4,), regularizers={"inter": 0.1, "con": 0.1}, seed=0)
+        matching_value_and_grad(cfg, t, s)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    # dm: per member and class one T forward, one S forward and one S sweep; inter one forward
+    # and one sweep on the first member; con one of each per member
+    assert counts == [3 * 2 * 3 + 2 + 2 * 3] * 2
+
+
+@pytest.mark.parametrize("name", ["inter", "intra", "con", "cos", "dis"])
+def test_model_regularizers_reject_multiform(name):
+    image = dict(image_shape=(1, 4, 4), variants={"multiform": {"r": 2}})
+    with pytest.raises(ConfigError, match=rf"'{name}'.*variants\.multiform"):
+        MethodConfig(method="dm", regularizers={name: 0.1}, **image)
+    MethodConfig(method="dm", regularizers={"rep": 0.1, "div": 0.1}, **image)
 
 
 def test_regularized_condense_logs_terms(toy_pair):

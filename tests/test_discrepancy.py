@@ -278,7 +278,7 @@ def test_hierarchy_identical_all_zero(toy_pair):
     s = copy_as_synthetic(t)
     rep = hierarchy_report(t, s, batch_of(4))
     assert all(v == pytest.approx(0.0, abs=1e-9) for v in rep.values.values())
-    assert all(ok for (_, _, _, ok) in rep.hierarchy_checks)
+    assert [(name, ok) for (name, _, _, ok) in rep.hierarchy_checks] == [("gd_le_2dd", True)]
 
 
 def test_hierarchy_checks_random_sweep(rng):
