@@ -13,12 +13,14 @@ one outer loop that logs, steps, projects and checks them. Matching objectives
 hypothesis-space supremum by averaging over a periodically refreshed model
 ensemble (one ``None`` member for the kernel families). Each splits into a
 T-side statistic per (member, class), built by ``t_stat`` in
-``_matching_problem`` from the class's T rows (transformed once per step and
-class under image variants) and kept in its one cache ``t_cache`` until an
-ensemble or k-means proxy refresh (never under image variants, which redraw
-the T rows every step), and an S-side term with an analytic outer gradient; dm,
-moment and sam share ``discrepancy._feature_gap``, and gm
-``discrepancy._gradient_gap``, with the discrepancy report. The regularizers
+``_matching_problem`` from the class's T rows (transformed once per class when
+the statistics are built) and kept in its one cache ``t_stats`` until an
+ensemble or k-means proxy refresh (rebuilt every step under siamese and
+channel_multiform, whose transforms depend on the step), and an S-side term
+with an analytic outer gradient; gm runs its S side as one sweep per member
+over the (C, m, d) stack of the class batches. dm, moment and sam share
+``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
+discrepancy report. The regularizers
 score the rows the ensemble sees, and their exact gradients join the S-side
 ones. krr and mmd reach every kernel family through ``kernels.kernel_vjp``. The
 unrolled bilevel flavors (bptt/robdc/curvdc, trajectory) take one exact adjoint
@@ -210,8 +212,8 @@ class MethodConfig:
             check_number(f"regularizer {name!r} weight", weight, low=0)
             if name in ("con", "cos") and self.ensemble < 2:
                 raise ConfigError(f"regularizer {name!r} compares models and needs ensemble >= 2")
-            if name in ("inter", "intra", "con", "cos", "dis") and "multiform" in self.variants:
-                raise ConfigError(f"regularizer {name!r} scores untransformed rows and excludes variants.multiform")
+            if name in ("inter", "intra", "con", "cos", "dis", "proj") and "multiform" in self.variants:
+                raise ConfigError(f"regularizer {name!r} works on untransformed rows and excludes variants.multiform")
         if self.image_shape is not None:
             if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
                 raise ConfigError(f"image_shape must be (c, h, w), got {self.image_shape!r}")
@@ -699,16 +701,19 @@ def _unroll(model: Mlp, theta, s, labels, loss, eta, epochs, where):
 
 def _unroll_adjoint(model: Mlp, tapes, adjoints, s, labels, loss, eta):
     """The (s, eta)-gradient of an outer loss whose theta-gradient at the end of epoch e is ``adjoints[e]``:
-    one reverse sweep (Maclaurin, Duvenaud & Adams 2015) back through ``_unroll``'s tapes, with two
-    sweeps over each step's rows (the input tangent and the Hessian-vector product)."""
+    one reverse sweep (Maclaurin, Duvenaud & Adams 2015) back through ``_unroll``'s tapes, with one
+    tangent sweep over each step's rows at views into its theta_k (the input tangent and the
+    Hessian-vector product)."""
     lam, g_s, g_eta = np.zeros(model.param_count), np.zeros_like(s), 0.0
+    hvp = np.empty(model.param_count)
+    hvp_views = model._split_flat(hvp)
     for tape, adjoint in zip(reversed(tapes), reversed(adjoints)):
         lam += adjoint  # lam is the adjoint of theta_{k+1}
         for rows, theta_k, g_k in reversed(tape):
-            m_k, x, y = model.with_params(theta_k), s[rows], labels[rows]
-            g_s[rows] -= eta * m_k.input_grad_param_tangent(x, y, loss, lam)
+            g_s[rows] -= eta * model.input_grad_param_tangent(s[rows], labels[rows], loss, lam, grads=hvp_views,
+                                                              params=theta_k)
             g_eta -= lam @ g_k
-            lam = lam - eta * loss_hvp(m_k, x, y, loss)(lam)
+            lam = lam - eta * hvp
     return g_s, g_eta
 
 
@@ -811,7 +816,8 @@ def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
                                        cfg.curv_iters, derive_seed(cfg.seed, "curv"))
             h, hvps = 1e-5, np.empty((2, trained.param_count))
             for out, at in zip(hvps, (h, -h)):
-                trained.input_grad_param_tangent(t.features, t.labels, cfg.loss, u, grads=trained._split_flat(out), at=at)
+                trained.input_grad_param_tangent(t.features, t.labels, cfg.loss, u, grads=trained._split_flat(out),
+                                                 at=at, input_part=False)
             value += cfg.curv_lambda * curv
             lam += cfg.curv_lambda * (hvps[0] - hvps[1]) / (2 * h)
         g_s, g_eta = _unroll_adjoint(model, tapes, [0.0] * (window - 1) + [lam], s, labels, cfg.loss, eta)
@@ -871,12 +877,15 @@ class _Transforms:
         r = self.cfg.variants["multiform"]["r"]
         return d * (r * r + 1)
 
-    def apply(self, rows: np.ndarray, labels: np.ndarray, side: str, cls: int):
-        """Transform one class batch; returns (rows', labels', vjp to the input rows)."""
+    def apply(self, rows: np.ndarray, labels: np.ndarray, side: str, classes):
+        """Transform class batches: one (m, d) batch of a single class, or a (k, m, d) stack of
+        the batches of k classes. Returns (rows', labels', vjp to the input rows), laid out as
+        given. Row-wise ops and their VJPs run once over all rows; channel_multiform draws
+        its mixing matrices per class."""
         if not self.ops:
             return rows, labels, lambda g: g
         c, h, w = self.cfg.image_shape
-        data = np.asarray(rows, dtype=np.float64).reshape(rows.shape[0], c, h, w)
+        data = np.asarray(rows, dtype=np.float64).reshape(-1, c, h, w)
         vjps = []  # each op's adjoint, in the order the ops ran
         for op in self.ops:
             batch = ImageBatch(np.clip(data, 0.0, 1.0))
@@ -889,10 +898,16 @@ class _Transforms:
                 vjps.append(partial(multi_formation_vjp, r=r, in_shape=data.shape))
                 data = multi_formation(batch, r).data
             else:
-                seed = derive_seed(self.cfg.seed, f"channel:{self.step}:{side}:{cls}")
-                mixing = _mixing_matrices(data.shape[0], data.shape[1], seed)
-                vjps.append(partial(channel_multi_formation_vjp, x=batch, mixing=mixing))
-                data = channel_multi_formation(batch, mixing=mixing).data
+                outs, backs = [], []
+                for y, part in zip(classes, np.split(batch.data, len(classes))):
+                    part = ImageBatch(part)
+                    seed = derive_seed(self.cfg.seed, f"channel:{self.step}:{side}:{y}")
+                    mixing = _mixing_matrices(part.shape[0], part.shape[1], seed)
+                    backs.append(partial(channel_multi_formation_vjp, x=part, mixing=mixing))
+                    outs.append(channel_multi_formation(part, mixing=mixing).data)
+                vjps.append(lambda g, backs=backs: np.concatenate(
+                    [back(g_y) for back, g_y in zip(backs, np.split(g, len(backs)))]))
+                data = np.concatenate(outs)
                 labels = np.tile(labels, 4)
 
         def vjp(grad_rows: np.ndarray) -> np.ndarray:
@@ -901,7 +916,7 @@ class _Transforms:
                 g = back(g)
             return g.reshape(rows.shape)
 
-        return data.reshape(data.shape[0], -1), labels, vjp
+        return data.reshape(*rows.shape[:-2], -1, data[0].size), labels, vjp
 
 
 def _make_ensemble(cfg: MethodConfig, input_dim: int, class_count: int, t_matched, t_labels, step: int):
@@ -1033,7 +1048,13 @@ def _matching_problem(cfg, t, s0):
     kernel_objective = embed_path or cfg.method == "mmd"
     ensemble = None
     t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
-    t_cache = {}  # (ensemble member, class) -> T statistic; never filled under image variants
+    # per ensemble member, each class's T statistic; kept until an ensemble or proxy refresh
+    # unless the T transform depends on the step (siamese and channel_multiform draw per step)
+    t_stats = []
+    cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
+    # gm's S side is one (C, m, d) stack of the class batches (each S class has per_class_size rows)
+    s_batches = ([(np.stack([part_s[y] for y in classes]), classes)] if cfg.method == "gm"
+                 else [(part_s[y], [y]) for y in classes])
     dp_invocations = grad_draws = 0
 
     log = StepLog(meta={"method": cfg.method, "regime": cfg.regime,
@@ -1047,41 +1068,37 @@ def _matching_problem(cfg, t, s0):
                            batch_size=cfg.inner_batch, loss=cfg.loss, seed=derive_seed(cfg.seed, "proj_train"))
         _, expert = sgd_train(base, (t_matched, t.labels), tcfg, record=True)
 
-    def t_stat(mi, model, y, rows, labels, rng_grad):
-        """The T-side statistic of class y for ensemble member ``mi`` (``model`` is None
+    def t_stat(model, rows, labels, rng_grad):
+        """The T-side statistic of one class for an ensemble member (``model`` is None
         for the kernel families) from the class's transformed T rows: the
         dp_merf-noised mean embedding, (rows, mean k(T_y, T_y)) for the Gram route,
         the dp_grad-clipped and noised class-mean gradient, or the feature list."""
         nonlocal dp_invocations
-        if (mi, y) in t_cache:
-            return t_cache[mi, y]
         if embed_path:
             mean_phi = feature_map_batch(kernel, rows).mean(axis=0)
-            stat = mean_phi + merf_sigma * rng_merf.normal(size=mean_phi.shape)  # sigma 0 adds zeros
-        elif kernel_objective:
-            stat = rows, gram_matrix(kernel, rows, rows).mean()
-        elif cfg.method == "gm":
+            return mean_phi + merf_sigma * rng_merf.normal(size=mean_phi.shape)  # sigma 0 adds zeros
+        if kernel_objective:
+            return rows, gram_matrix(kernel, rows, rows).mean()
+        if cfg.method == "gm":
             _, stat, _ = model.backward(rows, labels, cfg.loss)
             if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
                 stat = stat / max(np.linalg.norm(stat), 1.0)
                 stat = stat + dp_sigma * rng_grad.normal(size=stat.shape)
                 dp_invocations += 1
-        else:
-            _, stat = model.forward_batch(rows)
-        if not has_image_ops:
-            t_cache[mi, y] = stat
-        return stat
+            return stat
+        return model.forward_batch(rows)[1]
 
     def s_terms(model, stats, s_side):
         """The S-side terms against the T statistics: (values, gradients with respect
-        to each class's transformed S rows). Contrastive gm gives one value."""
+        to each S batch's transformed rows). Contrastive gm gives one value. gm takes
+        every class's parameter gradient and input tangent from one sweep each over its stack."""
         if cfg.method == "gm":
-            g_s = [model.backward(rs, ls, cfg.loss)[1] for rs, ls, _ in s_side]
+            [(_, rs, ls, _)] = s_side
+            _, g_s, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True)
             values, ups = _gradient_gap(contrastive, stats, g_s)
-            tangents = [model.input_grad_param_tangent(rs, ls, cfg.loss, u) for (rs, ls, _), u in zip(s_side, ups)]
-            return values, tangents
+            return values, [tangent(np.stack(ups))]
         values, grads = [], []
-        for stat, (rs, _, _) in zip(stats, s_side):
+        for stat, (_, rs, _, _) in zip(stats, s_side):
             if embed_path:
                 diff = stat - feature_map_batch(kernel, rs).mean(axis=0)
                 values.append(float(diff @ diff))
@@ -1104,38 +1121,40 @@ def _matching_problem(cfg, t, s0):
         if (not kernel_objective or reg_weights) and (ensemble is None or step % cfg.refresh == 0):
             ensemble = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step)
             if not kernel_objective:  # kernel statistics do not depend on the models
-                t_cache.clear()
+                t_stats.clear()
         if proxy is not None and step % proxy["period"] == 0:
             for y in classes:
                 t_rows[y], _ = kmeans_coreset(
                     t_matched[part_t[y]], proxy["k"] or min(16, part_t[y].size),
                     iters=25, seed=derive_seed(cfg.seed, f"proxy:{step}:{y}"),
                 )
-            t_cache.clear()
-        if cfg.method == "gm" and not t_cache:
-            grad_draws += 1
-        rng_grad = derived_rng(cfg.seed, f"dp_grad:{step}") if dp_sigma > 0 else None
+            t_stats.clear()
+        members = [None] if kernel_objective else ensemble
+        if not t_stats:  # a refresh, or T rows that this step's transform redraws
+            if cfg.method == "gm":
+                grad_draws += 1
+            rng_grad = derived_rng(cfg.seed, f"dp_grad:{step}") if dp_sigma > 0 else None
+            t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2]
+                      for y in classes]
+            t_stats.extend([t_stat(model, *t_side[y], rng_grad) for y in classes] for model in members)
 
         s_matched = fwd(v)
-        s_side = [tr.apply(s_matched[part_s[y]], np.full(part_s[y].size, y, dtype=np.int64), "s", y)
-                  for y in classes]
-        t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", y)[:2]
-                  for y in classes]
+        s_side = [(rows, *tr.apply(s_matched[rows], s_labels[rows], "s", ys)) for rows, ys in s_batches]
         value = 0.0
         grad_matched = np.zeros_like(s_matched)
-        members = [None] if kernel_objective else ensemble
         n_e = len(members)
-        for mi, model in enumerate(members):
-            stats = [t_stat(mi, model, y, *t_side[y], rng_grad) for y in classes]
+        for model, stats in zip(members, t_stats):
             values, g_rows = s_terms(model, stats, s_side)
             for val in values:
                 value += val / n_e
-            for y, (_, _, vjp_s), g in zip(classes, s_side, g_rows):
-                grad_matched[part_s[y]] += vjp_s(g) / n_e
+            for (rows, _, _, vjp_s), g in zip(s_side, g_rows):
+                grad_matched[rows] += vjp_s(g) / n_e
             if rho is not None:
                 lam, grad_lam = _curvature_penalty(model, t_matched, t.labels, s_matched, s_labels, cfg)
                 value += 0.5 * rho * lam / n_e
                 grad_matched += (0.5 * rho / n_e) * grad_lam
+        if not cache_t:
+            t_stats.clear()
 
         reg_values = {}
         if reg_weights:  # scored on the rows the ensemble sees, so their gradients join grad_matched

@@ -55,39 +55,44 @@ def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str):
 
     One softmax (cross-entropy) or one residual (mse) feeds both. The value has
     the bits of ``mean(per_sample_loss(...))``: ``sum() / b`` is ``np.mean``'s
-    own arithmetic without its per-call overhead.
+    own arithmetic without its per-call overhead. A leading stack axis on logits
+    and labels gives each batch its own mean loss (an array of values).
     """
-    b = logits.shape[0]
-    y = np.asarray(labels, dtype=np.int64)
-    target = one_hot(y, logits.shape[1])
+    b, k = logits.shape[-2:]
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    target = one_hot(y, k).reshape(logits.shape)
     if loss == "cross_entropy":
-        m = logits.max(axis=1, keepdims=True)
+        m = logits.max(axis=-1, keepdims=True)
         e = np.exp(logits - m)
-        total = e.sum(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(total[:, 0])
-        value = float((lse - logits[np.arange(b), y]).sum() / b)
-        return value, (e / total - target) / b
-    if loss == "mse":
+        total = e.sum(axis=-1, keepdims=True)
+        lse = m[..., 0] + np.log(total[..., 0])
+        picked = logits.reshape(-1, k)[np.arange(y.size), y].reshape(lse.shape)
+        value = (lse - picked).sum(axis=-1) / b
+        grad = (e / total - target) / b
+    elif loss == "mse":
         r = logits - target
-        return float((0.5 * np.sum(r**2, axis=1)).sum() / b), r / b
-    raise ConfigError(f"unknown loss {loss!r}")
+        value, grad = (0.5 * np.sum(r**2, axis=-1)).sum(axis=-1) / b, r / b
+    else:
+        raise ConfigError(f"unknown loss {loss!r}")
+    return (float(value) if value.ndim == 0 else value), grad
 
 
 def _loss_grad_logits_tangent(logits: np.ndarray, zdot: np.ndarray, loss: str) -> np.ndarray:
-    b = logits.shape[0]
+    b = logits.shape[-2]
     if loss == "mse":
         return zdot / b
-    p = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    inner = np.sum(p * zdot, axis=1, keepdims=True)
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    inner = np.sum(p * zdot, axis=-1, keepdims=True)
     return (p * zdot - p * inner) / b
 
 
 def _forward_sweep(weights, biases, activation: str, x: np.ndarray):
-    """Pre-activations and activations (input first, logits last) of one batch."""
+    """Pre-activations and activations (input first, logits last) of one (B, n) batch, or of each
+    batch of a (C, B, n) stack; the sweeps below keep any such leading stack axis."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != weights[0].shape[0]:
-        raise ShapeError(f"expected (B, {weights[0].shape[0]}) inputs, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[0]:
+        raise ShapeError(f"expected (B, {weights[0].shape[0]}) inputs or a stack of them, got {x.shape}")
     acts = [x]
     zs = []
     last = len(weights) - 1
@@ -103,8 +108,8 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
 
     ``upstream`` aligns with the features list (hidden activations then logits).
     ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
-    buffer that receives the parameter gradients; None skips them. Returns the
-    input gradients.
+    buffer that receives the parameter gradients, one row per batch of a stack; None
+    skips them. Returns the input gradients.
     """
     last = len(weights) - 1
     g = g_logits
@@ -112,14 +117,50 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
         g = g + upstream[last]
     for i in range(last, -1, -1):
         if grads is not None:
-            np.matmul(acts[i].T, g, out=grads[0][i])
-            g.sum(axis=0, out=grads[1][i])
+            np.matmul(np.swapaxes(acts[i], -1, -2), g, out=grads[0][i])
+            g.sum(axis=-2, out=grads[1][i])
         ga = g @ weights[i].T
         if i == 0:
             return ga
         if upstream is not None and upstream[i - 1] is not None:
             ga = ga + upstream[i - 1]
         g = ga * _act_prime(activation, zs[i - 1])
+
+
+def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str, vw, vb, grads=None, input_part=True):
+    """One forward-over-reverse sweep (Pearlmutter 1994) along the parameter direction (vw, vb).
+
+    It starts from the primal of the mean loss at ``weights``: ``_forward_sweep``'s
+    zs and acts and the logit gradient g. Returns the input part, grad_x of
+    <v, grad_theta meanloss>. With ``grads``, per-layer views as in ``_reverse_sweep``,
+    it also writes the parameter part, the exact Hessian-vector product H v; without
+    ``input_part`` it stops there and returns None. On a stacked primal each batch
+    takes its own direction (one row of a (C, P) buffer).
+    """
+    last = len(weights) - 1
+    aps = [_act_prime(activation, z) for z in zs[:-1]]
+    zdots, adots = [], [None]  # the input does not move with theta
+    for i in range(last + 1):
+        zdot = acts[i] @ vw[i] if i == 0 else adots[i] @ weights[i] + acts[i] @ vw[i]
+        zdots.append(zdot + vb[i][..., None, :])
+        adots.append(aps[i] * zdots[i] if i < last else None)
+    gdot = _loss_grad_logits_tangent(acts[-1], zdots[-1], loss)
+    for i in range(last, -1, -1):
+        if grads is not None:
+            np.matmul(np.swapaxes(acts[i], -1, -2), gdot, out=grads[0][i])
+            gdot.sum(axis=-2, out=grads[1][i])
+            if i > 0:
+                grads[0][i] += np.swapaxes(adots[i], -1, -2) @ g
+        if i == 0 and not input_part:
+            return None
+        gadot = gdot @ weights[i].T + g @ np.swapaxes(vw[i], -1, -2)
+        if i == 0:
+            return gadot
+        ga = g @ weights[i].T
+        g = ga * aps[i - 1]
+        gdot = gadot * aps[i - 1]
+        if activation == "tanh":  # d/d eps of tanh'(z): -2 tanh(z) tanh'(z) zdot; relu's is 0 a.e.
+            gdot += ga * (-2.0 * acts[i] * aps[i - 1] * zdots[i - 1])
 
 
 @dataclass(frozen=True)
@@ -242,15 +283,17 @@ class Mlp:
         )
 
     def _split_flat(self, flat: np.ndarray):
+        """Per-layer (weight, bias) views into a flat parameter vector, or into each row of a (C, P) stack."""
         ws, bs, pos = [], [], 0
+        lead = flat.shape[:-1]
         for i in range(len(self.widths) - 1):
             nin, nout = self.widths[i], self.widths[i + 1]
-            ws.append(flat[pos : pos + nin * nout].reshape(nin, nout))
+            ws.append(flat[..., pos : pos + nin * nout].reshape(*lead, nin, nout))
             pos += nin * nout
-            bs.append(flat[pos : pos + nout])
+            bs.append(flat[..., pos : pos + nout])
             pos += nout
-        if pos != flat.size:
-            raise ShapeError(f"flat vector length {flat.size} != param count {self.param_count}")
+        if pos != flat.shape[-1]:
+            raise ShapeError(f"flat vector length {flat.shape[-1]} != param count {self.param_count}")
         return ws, bs
 
     def with_params(self, flat: np.ndarray) -> "Mlp":
@@ -284,19 +327,28 @@ class Mlp:
 
     # -- reverse mode ----------------------------------------------------------------
 
-    def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy"):
+    def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy", tangent: bool = False):
         """Exact gradients of the mean batch loss w.r.t. parameters and inputs.
 
-        Returns (loss value, flat parameter gradient, per-row input gradients).
+        Returns (loss value, flat parameter gradient, per-row input gradients). On a
+        (C, B, n) stack of batches with (C, B) labels each batch has its own mean
+        loss: C values, a (C, P) gradient and (C, B, n) input gradients. With
+        ``tangent`` it also returns v -> ``input_grad_param_tangent(x, y, loss, v)``,
+        one tangent sweep that reuses this call's forward pass; on a stack v is one
+        direction per batch, so gradient matching takes every class's gradient from
+        one reverse sweep and every class's input tangent from one tangent sweep.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] < 1:
+        if x.size == 0:
             raise ShapeError("batch must be nonempty")
         zs, acts = self._forward(x)
         value, g = _loss_value_and_grad(acts[-1], y, loss)
-        flat = np.empty(self.param_count)
+        flat = np.empty((*x.shape[:-2], self.param_count))
         ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat))
-        return value, flat, ginput
+        if not tangent:
+            return value, flat, ginput
+        return value, flat, ginput, lambda v: _tangent_sweep(self.weights, self.activation, zs, acts, g, loss,
+                                                             *self._split_flat(v))
 
     def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
         """Input gradients of sum_b <upstream_b, feature_b> summed over feature entries."""
@@ -309,46 +361,24 @@ class Mlp:
 
     # -- forward-over-reverse tangent -----------------------------------------------
 
-    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, at=0.0):
-        """One forward-over-reverse sweep (Pearlmutter 1994) along the parameter direction v.
+    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, at=0.0, params=None, input_part=True):
+        """One ``_tangent_sweep`` along the parameter direction v.
 
-        Differentiates the mean-loss gradients along theta + eps v at eps = ``at``.
-        Returns the input part, grad_x of <v, grad_theta meanloss>, used for
-        analytic gradient matching. With ``grads``, per-layer (weight, bias) views
-        into a caller-owned flat buffer as in ``_reverse_sweep``, it writes the
-        parameter part instead, the exact Hessian-vector product H v, and returns
-        None without building the input part.
+        Differentiates the mean-loss gradients along theta + eps v at eps = ``at``,
+        where theta is the model's parameters or, given ``params``, per-layer views
+        into that flat vector (no model is built). Returns the input part, grad_x of
+        <v, grad_theta meanloss>, used for analytic gradient matching; with ``grads``
+        it also writes the exact Hessian-vector product H v there, and without
+        ``input_part`` returns None instead. Stacks as in ``backward``, with a (C, P) v.
         """
         vw, vb = self._split_flat(np.asarray(v_flat, dtype=np.float64))
-        weights, biases = self.weights, self.biases
+        weights, biases = (self.weights, self.biases) if params is None else self._split_flat(params)
         if at:
             weights = [w + at * d for w, d in zip(weights, vw)]
             biases = [b + at * d for b, d in zip(biases, vb)]
         zs, acts = _forward_sweep(weights, biases, self.activation, x)
-        last = len(weights) - 1
-        aps = [_act_prime(self.activation, z) for z in zs[:-1]]
-        zdots, adots = [], [None]  # the input does not move with theta
-        for i in range(last + 1):
-            zdot = acts[i] @ vw[i] if i == 0 else adots[i] @ weights[i] + acts[i] @ vw[i]
-            zdots.append(zdot + vb[i])
-            adots.append(aps[i] * zdots[i] if i < last else None)
         _, g = _loss_value_and_grad(acts[-1], y, loss)
-        gdot = _loss_grad_logits_tangent(acts[-1], zdots[-1], loss)
-        for i in range(last, -1, -1):
-            if grads is not None:
-                np.matmul(acts[i].T, gdot, out=grads[0][i])
-                gdot.sum(axis=0, out=grads[1][i])
-                if i == 0:
-                    return None
-                grads[0][i] += adots[i].T @ g
-            gadot = gdot @ weights[i].T + g @ vw[i].T
-            if i == 0:
-                return gadot
-            ga = g @ weights[i].T
-            g = ga * aps[i - 1]
-            gdot = gadot * aps[i - 1]
-            if self.activation == "tanh":  # d/d eps of tanh'(z): -2 tanh(z) tanh'(z) zdot; relu's is 0 a.e.
-                gdot += ga * (-2.0 * acts[i] * aps[i - 1] * zdots[i - 1])
+        return _tangent_sweep(weights, self.activation, zs, acts, g, loss, vw, vb, grads, input_part)
 
     # -- per-sample output Jacobians --------------------------------------------------
 
@@ -601,7 +631,7 @@ def loss_hvp(m: Mlp, x, y, loss: str):
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = np.empty(m.param_count)
-        m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(out))
+        m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(out), input_part=False)
         return out
 
     return matvec

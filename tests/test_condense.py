@@ -35,6 +35,7 @@ from dckit.condense import (
     MethodConfig,
     _bptt_value_and_grad,
     _curvature_penalty,
+    _matching_problem,
     _trajectory_objective,
     tuned_config,
 )
@@ -530,8 +531,8 @@ def test_bptt_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         condense(MethodConfig(method="bptt", outer_steps=1, hidden=(4,), inner_steps=3, seed=0), t, s)
         monkeypatch.undo()
         counts.append(len(calls))
-    # 3 inner steps, one outer backward, then per reverse step one tangent and one HVP
-    assert counts == [3 + 1 + 2 * 3] * 2
+    # 3 inner steps, one outer backward, then per reverse step one tangent sweep (input part and HVP)
+    assert counts == [3 + 1 + 3] * 2
 
 
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
@@ -569,8 +570,8 @@ def test_trajectory_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         objective(s.features, 0)
         monkeypatch.undo()
         counts.append(len(calls))
-    # per minibatch step (2 epochs of ceil(6 / 4) = 2): one SGD step, one tangent, one HVP
-    assert counts == [3 * 2 * 2] * 2
+    # per minibatch step (2 epochs of ceil(6 / 4) = 2): one SGD step, one tangent sweep (input part and HVP)
+    assert counts == [2 * 2 * 2] * 2
 
 
 def test_trajectory_outer_overflow_raises_divergence():
@@ -851,7 +852,7 @@ def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
     assert counts == [3 * 2 * 3 + 2 + 2 * 3] * 2
 
 
-@pytest.mark.parametrize("name", ["inter", "intra", "con", "cos", "dis"])
+@pytest.mark.parametrize("name", ["inter", "intra", "con", "cos", "dis", "proj"])
 def test_model_regularizers_reject_multiform(name):
     image = dict(image_shape=(1, 4, 4), variants={"multiform": {"r": 2}})
     with pytest.raises(ConfigError, match=rf"'{name}'.*variants\.multiform"):
@@ -940,17 +941,46 @@ def test_image_variants_run_and_reduce(variant, params, rng):
 
 def test_dp_grad_noises_t_gradients_under_image_variants(rng):
     t, s, shape = image_fixture(rng)
-    runs = {}
-    for sigma in (0.0, 5.0):
+    # siamese redraws the T rows every step, so the T gradients are drawn at every step;
+    # multiform does not depend on the step, so they are drawn once per ensemble refresh
+    for variant, params, draws in (("siamese", {"op": "shift"}, 4), ("multiform", {"r": 2}, 2)):
+        runs = {}
+        for sigma in (0.0, 5.0):
+            cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=2, refresh=2, hidden=(6,),
+                               activation="tanh", image_shape=shape, seed=0,
+                               variants={variant: params, "dp_grad": {"sigma": sigma}})
+            runs[sigma] = condense(cfg, t, s)[1]
+        assert not np.array_equal(runs[0.0].objectives(), runs[5.0].objectives())
+        meta = runs[5.0].meta["dp_grad"]
+        assert meta["mechanism_invocations"] == draws * 2 * 2  # draws x ensemble x classes
+        assert meta["refreshes"] == draws
+
+
+def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
+    models = importlib.import_module("dckit.models")
+    for classes in (2, 5):
+        rows = rng.uniform(0.0, 1.0, (3 * classes, 16))
+        labels = np.repeat(np.arange(classes), 3)
+        t = LabeledDataset(rows, labels, classes)
+        s = SyntheticDataset(rows[::3], labels[::3], per_class_size=1, origin="init")
         cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=2, refresh=2, hidden=(6,),
-                           activation="tanh", image_shape=shape, seed=0,
-                           variants={"multiform": {"r": 2}, "dp_grad": {"sigma": sigma}})
-        runs[sigma] = condense(cfg, t, s)[1]
-    assert not np.array_equal(runs[0.0].objectives(), runs[5.0].objectives())
-    meta = runs[5.0].meta["dp_grad"]
-    # image variants redraw the T rows, so the T gradients are drawn at every step
-    assert meta["mechanism_invocations"] == 4 * 2 * 2  # outer_steps x ensemble x classes
-    assert meta["refreshes"] == 4
+                           activation="tanh", image_shape=(1, 4, 4), variants={"multiform": {"r": 2}}, seed=0)
+        v0, objective, *_ = _matching_problem(cfg, t, s)
+        calls = []
+        for owner, name in ((Mlp, "backward"), (models, "_forward_sweep"), (models, "_reverse_sweep"),
+                            (models, "_tangent_sweep")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n + ("+tangent" if k.get("tangent") else "")) or _f(*a, **k))
+        for step in range(4):
+            calls.clear()
+            objective(v0, step)
+            t_backward = 2 * classes if step % 2 == 0 else 0  # T gradients only on refresh steps
+            # per member (2), one S forward, one reverse and one tangent sweep over the class stack
+            assert calls.count("backward") == t_backward
+            assert calls.count("backward+tangent") == calls.count("_tangent_sweep") == 2
+            assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == t_backward + 2
+        monkeypatch.undo()
 
 
 def test_image_variant_gradient_matches_fd(rng):

@@ -93,21 +93,39 @@ def variant_gets(source: str) -> list[str]:
     return [f"line {n}" for n in sorted(lines)]
 
 
+def _fd_site(node) -> bool:
+    """A call of ``_central_diff``, or an inline central difference: a quotient by ``2 * h``
+    (h a name) of an expression holding a subtraction, as in ``c * (f(x + h) - f(x - h)) / (2 * h)``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "_central_diff"
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    d = node.right
+    two_h = (isinstance(d, ast.BinOp) and isinstance(d.op, ast.Mult)
+             and {type(d.left), type(d.right)} == {ast.Constant, ast.Name}
+             and 2 in (getattr(d.left, "value", None), getattr(d.right, "value", None)))
+    return two_h and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub) for n in ast.walk(node.left))
+
+
 def central_diff_sites(source: str) -> dict:
-    """Calls of ``_central_diff`` per enclosing top-level function or class."""
+    """Finite-difference sites (``_fd_site``) per enclosing top-level function or class, apart
+    from the ``_central_diff`` helper itself, whose callers are the sites."""
     sites = {}
     for top in ast.parse(source).body:
-        n = sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_central_diff"
-                for node in ast.walk(top))
+        if getattr(top, "name", None) == "_central_diff":
+            continue
+        n = sum(_fd_site(node) for node in ast.walk(top))
         if n:
             sites[top.name] = n
     return sites
 
 
 # Each finite-difference gradient site in production code. Removing one lowers its
-# count here; a new one fails until it is written down. The one left is the
-# empirical_ntk branch of kernels.kernel_vjp.
-FD_SITES = {"kernel_vjp": 1}
+# count here; a new one fails until it is written down. Left: the empirical_ntk
+# branch of kernels.kernel_vjp, and the two Danskin terms, each a central difference
+# of an exact tangent sweep along the top eigenvector (curvdc's lambda term in
+# _bptt_value_and_grad, and the gm curvature penalty's S gradient).
+FD_SITES = {"kernel_vjp": 1, "_bptt_value_and_grad": 1, "_curvature_penalty": 1}
 
 
 def test_modules_found():
@@ -190,6 +208,33 @@ def test_central_diff_site_detected():
         "def _central_diff(fn, x):\n    return x\n\n\n"
         "def objective(v):\n    g = _central_diff(len, v)\n    return lambda u: _central_diff(len, u) + g\n\n\n"
         "class Solver:\n    def step(self, v):\n        return _central_diff(len, v)\n\n\n"
-        "def exact(v):\n    return central_diff(v) + obj._central_diff\n"
+        "def exact(v):\n    return central_diff(v) + obj._central_diff\n\n\n"
+        "def danskin(f, u, h, c):\n    return c * (f(u + h) - f(u - h)) / (2 * h) + (f(u) - u) / 2\n\n\n"
+        "def bandwidth(med, gamma, a, b):\n    return (a - b) / (2.0 * med**gamma)\n"
     )
-    assert central_diff_sites(planted) == {"objective": 2, "Solver": 1}
+    assert central_diff_sites(planted) == {"objective": 2, "Solver": 1, "danskin": 1}
+
+
+# pyproject.toml declares numpy>=1.24: these names exist only from numpy 2.0 on.
+NUMPY2_ONLY = {"mT", "mH", "vecdot", "matvec", "vecmat", "matrix_transpose", "permute_dims", "unstack",
+               "concat", "isdtype", "cumulative_sum", "cumulative_prod", "bitwise_count"}
+
+
+def numpy2_only_uses(source: str) -> list[str]:
+    """Attributes ``.mT``/``.mH`` of any object, and numpy-2-only functions as ``np.<name>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY:
+            if node.attr in ("mT", "mH") or getattr(node.value, "id", None) == "np":
+                found.append(f"{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy2_only_api(path):
+    assert numpy2_only_uses(path.read_text()) == []
+
+
+def test_numpy2_only_api_detected():
+    planted = "import numpy as np\n\n\ndef f(a, b):\n    return a.mT @ b, np.vecdot(a, b), a.T, np.swapaxes(a, -1, -2), b.concat\n"
+    assert numpy2_only_uses(planted) == ["mT (line 5)", "vecdot (line 5)"]

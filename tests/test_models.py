@@ -117,6 +117,47 @@ def test_exact_hvp_matches_fd_of_backward(loss, activation, rng):
     assert np.max(np.abs(hv - fd)) <= 1e-8 * np.max(np.abs(fd))
 
 
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
+    # a (C, m, n) stack of C = 4 batches: every per-batch result is bit-identical to the unstacked sweep
+    m = Mlp.init([6, 7, 5, 3], activation, seed=3)
+    x = rng.uniform(size=(4, 2, 6))
+    y = rng.integers(0, 3, (4, 2))
+    v = rng.normal(size=(4, m.param_count))
+    values, grads, ginputs = m.backward(x, y, loss)
+    values_t, flat, ginputs_t, tangent = m.backward(x, y, loss, tangent=True)
+    tangents = tangent(v)
+    hvps = np.empty_like(v)
+    tangents_hvp = m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(hvps))
+    assert values.shape == (4,) and grads.shape == flat.shape == v.shape and tangents.shape == x.shape
+    assert np.array_equal(values_t, values) and np.array_equal(ginputs_t, ginputs)
+    for c in range(4):
+        value_c, grad_c, ginput_c = m.backward(x[c], y[c], loss)
+        hvp_c = np.empty(m.param_count)
+        tangent_c = m.input_grad_param_tangent(x[c], y[c], loss, v[c], grads=m._split_flat(hvp_c))
+        assert values[c] == value_c
+        assert np.array_equal(grads[c], grad_c) and np.array_equal(flat[c], grad_c)
+        assert np.array_equal(ginputs[c], ginput_c)
+        assert np.array_equal(tangents[c], tangent_c) and np.array_equal(tangents_hvp[c], tangent_c)
+        assert np.array_equal(tangent_c, m.input_grad_param_tangent(x[c], y[c], loss, v[c]))
+        assert np.array_equal(hvps[c], hvp_c) and np.array_equal(hvp_c, loss_hvp(m, x[c], y[c], loss)(v[c]))
+        assert m.input_grad_param_tangent(x[c], y[c], loss, v[c], grads=m._split_flat(hvp_c), input_part=False) is None
+
+
+def test_tangent_at_other_params_builds_no_mlp(rng, monkeypatch):
+    m = Mlp.init([3, 4, 2], "tanh", seed=1)
+    theta = m.flat_params() + 0.1 * rng.normal(size=m.param_count)
+    x, y, v = rng.uniform(size=(5, 3)), rng.integers(0, 2, 5), rng.normal(size=m.param_count)
+    other = m.with_params(theta)
+    built = []
+    with_params = Mlp.with_params
+    monkeypatch.setattr(Mlp, "with_params", lambda self, flat: built.append(1) or with_params(self, flat))
+    got = m.input_grad_param_tangent(x, y, "cross_entropy", v, params=theta)
+    assert np.array_equal(got, other.input_grad_param_tangent(x, y, "cross_entropy", v))
+    assert built == []
+
+
 def test_lambda_max_estimate_builds_no_mlp(monkeypatch):
     d = two_blobs(20, seed=0)
     m = Mlp.init([2, 4, 2], "tanh", seed=0)
