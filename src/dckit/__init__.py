@@ -72,10 +72,9 @@ from .models import (
     Mlp,
     TrainConfig,
     Trajectory,
-    lambda_max_estimate,
     pgd_attack,
-    power_iteration_eig,
     sgd_train,
+    sgd_train_stack,
 )
 from .seeding import derive_seed
 from .spaces import (

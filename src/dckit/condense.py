@@ -82,6 +82,7 @@ from .models import (
     max_eigenvalue,
     pgd_attack,
     sgd_train,
+    sgd_train_stack,
 )
 from .seeding import derive_seed, derived_rng
 
@@ -242,6 +243,12 @@ class MethodConfig:
             raise ConfigError("latent regimes are wired for the matching methods only")
         if self.regularizers and self.method not in MATCHING_METHODS:
             raise ConfigError(f"regularizers apply to the matching methods {MATCHING_METHODS}, not to {self.method!r}")
+
+    def check_image_shape(self, n_features: int) -> None:
+        """Raise ``ShapeError`` unless the image variants' c*h*w equals the data's feature count."""
+        if any(name in self.variants for name in _IMAGE_VARIANTS) and math.prod(self.image_shape) != n_features:
+            raise ShapeError(f"method.image_shape {tuple(self.image_shape)} needs {math.prod(self.image_shape)} "
+                             f"features, the data has {n_features}")
 
     def variant(self, name: str) -> dict:
         """The resolved parameters of variant ``name``, or its table defaults when it is unset."""
@@ -920,23 +927,13 @@ class _Transforms:
 
 
 def _make_ensemble(cfg: MethodConfig, input_dim: int, class_count: int, t_matched, t_labels, step: int):
-    models = []
-    for i in range(cfg.ensemble):
-        m = Mlp.init(
-            (input_dim, *cfg.hidden, class_count),
-            cfg.activation,
-            seed=derive_seed(cfg.seed, f"model:{step}:{i}"),
-        )
-        if cfg.provenance == "pretrained":
-            train_cfg = TrainConfig(
-                learning_rate=cfg.inner_lr,
-                epochs=cfg.pretrain_epochs,
-                batch_size=cfg.inner_batch,
-                loss=cfg.loss,
-                seed=derive_seed(cfg.seed, f"pretrain:{step}:{i}"),
-            )
-            m, _ = sgd_train(m, (t_matched, t_labels), train_cfg)
-        models.append(m)
+    models = [Mlp.init((input_dim, *cfg.hidden, class_count), cfg.activation,
+                       seed=derive_seed(cfg.seed, f"model:{step}:{i}")) for i in range(cfg.ensemble)]
+    if cfg.provenance == "pretrained":  # the members train as one stack, each with its own shuffling seed
+        train_cfg = TrainConfig(learning_rate=cfg.inner_lr, epochs=cfg.pretrain_epochs,
+                                batch_size=cfg.inner_batch, loss=cfg.loss)
+        seeds = [derive_seed(cfg.seed, f"pretrain:{step}:{i}") for i in range(cfg.ensemble)]
+        models, _ = sgd_train_stack(models, (t_matched, t_labels), train_cfg, seeds)
     return models
 
 
@@ -1026,10 +1023,8 @@ def _matching_problem(cfg, t, s0):
     classes = range(t.class_count)
     s_labels = s0.labels
 
+    cfg.check_image_shape(t_matched.shape[1])
     has_image_ops = any(name in cfg.variants for name in _IMAGE_VARIANTS)
-    if has_image_ops and math.prod(cfg.image_shape) != t_matched.shape[1]:
-        raise ShapeError(f"image_shape {tuple(cfg.image_shape)} needs {math.prod(cfg.image_shape)} features, "
-                         f"the data has {t_matched.shape[1]}")
     kernel = cfg.kernel
     if cfg.method == "mmd" and kernel is None:
         kernel = median_heuristic_spec(t_matched)

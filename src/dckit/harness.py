@@ -35,7 +35,7 @@ from .discrepancy import (
 )
 from .errors import CondensationError, ConfigError, check_number
 from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
-from .models import Mlp, TrainConfig, pgd_attack, sgd_train
+from .models import Mlp, TrainConfig, pgd_attack, sgd_train_stack
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
 from .seeding import derive_seed
 from .spaces import fit_linear_autoencoder
@@ -108,18 +108,14 @@ def _canonical_order(features: np.ndarray, labels: np.ndarray):
     return features[order], labels[order]
 
 
-def _train_fresh(hidden, features, labels, class_count, eval_cfg: EvalConfig, seed: int) -> Mlp:
-    x, y = _canonical_order(np.asarray(features), np.asarray(labels))
-    m = Mlp.init((x.shape[1], *hidden, class_count), "relu", seed=seed)
-    cfg = TrainConfig(
-        learning_rate=eval_cfg.learning_rate,
-        epochs=eval_cfg.epochs,
-        batch_size=eval_cfg.batch_size,
-        loss=eval_cfg.loss,
-        seed=seed,
-    )
-    trained, _ = sgd_train(m, (x, y), cfg)
-    return trained
+def _train_stack(hidden, data, eval_cfg: EvalConfig, seeds) -> list:
+    """One fresh relu network per seed (its init and shuffling seed), trained on data's class-sorted
+    rows as one ``sgd_train_stack``: bit for bit as separate ``sgd_train`` runs."""
+    x, y = _canonical_order(np.asarray(data.features), np.asarray(data.labels))
+    fresh = [Mlp.init((x.shape[1], *hidden, data.class_count), "relu", seed=r) for r in seeds]
+    cfg = TrainConfig(learning_rate=eval_cfg.learning_rate, epochs=eval_cfg.epochs,
+                      batch_size=eval_cfg.batch_size, loss=eval_cfg.loss)
+    return sgd_train_stack(fresh, (x, y), cfg, seeds)[0]
 
 
 def evaluate(
@@ -132,7 +128,8 @@ def evaluate(
     """Train fresh models on S (R repeats per architecture) and score them on held-out T.
 
     The baseline trains the same architectures with the same derived seeds on the
-    full training split, so an identity condensation reproduces it exactly.
+    full training split, so an identity condensation reproduces it exactly. The R
+    repeats of one architecture train as one stack per side (``_train_stack``).
     """
     per_arch: dict = {}
     baseline_accs = []
@@ -140,11 +137,10 @@ def evaluate(
     robust_accs = []
     for hidden in eval_cfg.hidden_architectures:
         name = "mlp-" + "-".join(str(w) for w in hidden)
+        seeds = [derive_seed(seed, f"eval:{name}:{r}") for r in range(eval_cfg.repeats)]
+        trained_s, trained_t = (_train_stack(hidden, data, eval_cfg, seeds) for data in (s, t_train))
         accs = []
-        for r in range(eval_cfg.repeats):
-            rseed = derive_seed(seed, f"eval:{name}:{r}")
-            m_s = _train_fresh(hidden, s.features, s.labels, s.class_count, eval_cfg, rseed)
-            m_t = _train_fresh(hidden, t_train.features, t_train.labels, t_train.class_count, eval_cfg, rseed)
+        for m_s, m_t in zip(trained_s, trained_t):
             accs.append(m_s.accuracy(t_eval.features, t_eval.labels))
             baseline_accs.append(m_t.accuracy(t_eval.features, t_eval.labels))
             loss_s = m_s.mean_loss(t_eval.features, t_eval.labels, eval_cfg.loss)
@@ -199,6 +195,7 @@ def run(cfg: RunConfig) -> EvalReport:
     timer = _StageTimer()
     try:
         d = timer.run("load", lambda: _resolve_dataset(cfg))
+        cfg.method.check_image_shape(d.n_features)  # before any stage works on the data
         if cfg.normalize:
             d = timer.run("normalize", lambda: normalize_features(d))
         t_train, t_eval = timer.run(

@@ -6,7 +6,6 @@ second derivatives of gradient matching and exact Hessian-vector products.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,27 +88,29 @@ def _loss_grad_logits_tangent(logits: np.ndarray, zdot: np.ndarray, loss: str) -
 
 def _forward_sweep(weights, biases, activation: str, x: np.ndarray):
     """Pre-activations and activations (input first, logits last) of one (B, n) batch, or of each
-    batch of a (C, B, n) stack; the sweeps below keep any such leading stack axis."""
+    batch of a (C, B, n) stack; the sweeps below keep any such leading stack axis. Per-layer
+    weights (C, in, out) and biases (C, out) give each batch of a stack its own network."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[0]:
-        raise ShapeError(f"expected (B, {weights[0].shape[0]}) inputs or a stack of them, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[-2]:
+        raise ShapeError(f"expected (B, {weights[0].shape[-2]}) inputs or a stack of them, got {x.shape}")
     acts = [x]
     zs = []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w + b[..., None, :]
         zs.append(z)
         acts.append(_act(activation, z) if i < last else z)
     return zs, acts
 
 
-def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, grads=None):
+def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, grads=None, input_part=True):
     """Reverse sweep from logit gradients plus optional per-feature upstream terms.
 
     ``upstream`` aligns with the features list (hidden activations then logits).
     ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
     buffer that receives the parameter gradients, one row per batch of a stack; None
-    skips them. Returns the input gradients.
+    skips them. Returns the input gradients; without ``input_part`` it stops at
+    layer 0's parameter gradients and returns None.
     """
     last = len(weights) - 1
     g = g_logits
@@ -119,7 +120,9 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
         if grads is not None:
             np.matmul(np.swapaxes(acts[i], -1, -2), g, out=grads[0][i])
             g.sum(axis=-2, out=grads[1][i])
-        ga = g @ weights[i].T
+        if i == 0 and not input_part:
+            return None
+        ga = g @ np.swapaxes(weights[i], -1, -2)
         if i == 0:
             return ga
         if upstream is not None and upstream[i - 1] is not None:
@@ -499,10 +502,13 @@ def _as_xy(d):
 class _FlatSgd:
     """A private flat parameter buffer and a gradient buffer, with per-layer views made once.
 
-    ``step`` runs one forward sweep, the fused loss, one reverse sweep into the
-    gradient buffer and an in-place update, so no ``Mlp`` is built per step.
-    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``; the two
-    finiteness checks turn an overflow into a ``DivergenceError``.
+    The buffer is one network's (P,) parameters, or an (R, P) stack of R networks
+    of one architecture that step together on (R, B, n) batches. ``step`` runs one
+    forward sweep, the fused loss, one reverse sweep into the gradient buffer
+    (stopping at layer 0's parameter gradients) and an in-place update, so no
+    ``Mlp`` is built per step. Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``; the two finiteness checks
+    turn an overflow of any member into a ``DivergenceError``.
     """
 
     def __init__(self, m: Mlp, params: np.ndarray):
@@ -515,45 +521,66 @@ class _FlatSgd:
     def step(self, x, y, loss: str, lr: float, where: str):
         zs, acts = _forward_sweep(self.weights, self.biases, self.activation, x)
         value, g = _loss_value_and_grad(acts[-1], y, loss)
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise DivergenceError(f"loss became non-finite at {where}")
-        _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self.grads)
+        _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self.grads, input_part=False)
         self.params -= lr * self.grad
         if not np.isfinite(self.params).all():
             raise DivergenceError(f"parameters became non-finite at {where}")
 
 
-def epoch_batches(n: int, cfg: TrainConfig):
-    """The row batches of each ``sgd_train`` epoch over n rows: a seeded permutation cut into batches."""
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        yield [perm[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+def epoch_batches(n: int, cfg: TrainConfig, seeds=None):
+    """The row batches of each ``sgd_train`` epoch over n rows: a seeded permutation cut into batches.
 
-
-def sgd_train(m: Mlp, d, cfg: TrainConfig, record: bool = False):
-    """Mini-batch SGD with per-epoch shuffling fixed by the config seed.
-
-    Updates a private flat parameter buffer in place and returns a freshly
-    validated ``Mlp`` built from it (``m`` itself when ``cfg.epochs`` is 0), and,
-    when ``record`` is set, the trajectory of end-of-epoch flattened snapshots
-    (snapshot 0 is the initialization). Divergence raises ``DivergenceError``
-    naming the epoch.
+    Given ``seeds`` (read in place of ``cfg.seed``), batch k is the (len(seeds), b)
+    stack of each seed's k-th batch.
     """
+    rngs = [np.random.default_rng(s) for s in (seeds or [cfg.seed])]
+    for _ in range(cfg.epochs):
+        perm = np.stack([rng.permutation(n) for rng in rngs]) if seeds else rngs[0].permutation(n)
+        yield [perm[..., start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+
+
+def sgd_train_stack(models, d, cfg: TrainConfig, seeds, record: bool = False):
+    """Mini-batch SGD of R networks of one architecture as one stack, each member bit for bit as
+    ``sgd_train`` trains it alone.
+
+    Member r starts from ``models[r]`` and shuffles with ``seeds[r]`` (``cfg.seed``
+    is not read). Each step is one ``_FlatSgd`` sweep over the (R, B, n) stack of
+    the members' batches, updating one (R, P) parameter buffer in place. Returns
+    the trained models (``models`` themselves when ``cfg.epochs`` is 0) and, when
+    ``record`` is set, each member's trajectory of end-of-epoch flattened snapshots
+    (snapshot 0 is the initialization), else None. The first epoch in which any
+    member goes non-finite raises ``DivergenceError`` naming it.
+    """
+    if not models or len(seeds) != len(models):
+        raise ConfigError(f"need one seed per model and at least one model, got {len(models)} and {len(seeds)}")
+    if any(m.widths != models[0].widths or m.activation != models[0].activation for m in models):
+        raise ShapeError("stacked models must share their widths and activation")
     x, y = _as_xy(d)
-    net = _FlatSgd(m, m.flat_params())
+    net = _FlatSgd(models[0], np.stack([m.flat_params() for m in models]))
     snaps = [net.params.copy()]
-    if cfg.epochs == 0:
-        return (m, Trajectory(tuple(snaps))) if record else (m, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, batches in enumerate(epoch_batches(x.shape[0], cfg)):
+        for epoch, batches in enumerate(epoch_batches(x.shape[0], cfg, seeds)):
             where = f"epoch {epoch}"
             for rows in batches:
                 net.step(x[rows], y[rows], cfg.loss, cfg.learning_rate, where)
             if record:
                 snaps.append(net.params.copy())
-    out = m.with_params(net.params)
-    return (out, Trajectory(tuple(snaps))) if record else (out, None)
+    out = list(models) if cfg.epochs == 0 else [m.with_params(p) for m, p in zip(models, net.params)]
+    return out, [Trajectory(tuple(s[r] for s in snaps)) for r in range(len(models))] if record else None
+
+
+def sgd_train(m: Mlp, d, cfg: TrainConfig, record: bool = False):
+    """Mini-batch SGD with per-epoch shuffling fixed by the config seed: ``sgd_train_stack`` with one member.
+
+    Returns a freshly validated ``Mlp`` (``m`` itself when ``cfg.epochs`` is 0)
+    and, when ``record`` is set, the trajectory of end-of-epoch flattened snapshots
+    (snapshot 0 is the initialization). Divergence raises ``DivergenceError``
+    naming the epoch.
+    """
+    [out], trajectories = sgd_train_stack([m], d, cfg, [cfg.seed], record)
+    return out, trajectories[0] if record else None
 
 
 def pgd_attack(
@@ -600,7 +627,7 @@ def _power_iteration(matvec, dim: int, iters: int, seed: int):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    for _ in range(max(iters, 1)):
+    for _ in range(iters):
         hv = matvec(v)
         if not np.all(np.isfinite(hv)):
             raise NumericalError("matrix-vector product became non-finite")
@@ -611,13 +638,9 @@ def _power_iteration(matvec, dim: int, iters: int, seed: int):
     return float(v @ matvec(v)), v
 
 
-def power_iteration_eig(matvec, dim: int, iters: int = 30, seed: int = 0) -> float:
-    """Dominant (signed) eigenvalue estimate of a symmetric operator via power iteration."""
-    return _power_iteration(matvec, dim, iters, seed)[0]
-
-
 def max_eigenvalue(matvec, dim: int, iters: int = 30, seed: int = 0):
     """Largest (signed) eigenvalue and its unit eigenvector: shift and re-run if the dominant one is negative."""
+    check_number("iters", iters, integer=True, low=1)
     lam, u = _power_iteration(matvec, dim, iters, seed)
     if lam >= 0:
         return lam, u
@@ -635,12 +658,3 @@ def loss_hvp(m: Mlp, x, y, loss: str):
         return out
 
     return matvec
-
-
-def lambda_max_estimate(m: Mlp, d, loss: str = "cross_entropy", iters: int = 30, seed: int = 0) -> float:
-    """Dominant eigenvalue of the loss Hessian via power iteration on exact Hessian-vector
-    products (``loss_hvp``); no model is rebuilt."""
-    if iters < 1:
-        raise ConfigError("iters must be >= 1")
-    x, y = _as_xy(d)
-    return power_iteration_eig(loss_hvp(m, x, y, loss), m.param_count, iters, seed)

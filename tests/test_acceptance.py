@@ -39,7 +39,7 @@ from dckit.augment import ImageBatch, multi_formation, channel_multi_formation
 from dckit.cli import main
 from dckit.condense import MethodConfig, kmeans_coreset, tuned_config
 from dckit.data import train_eval_split
-from dckit.harness import _train_fresh
+from dckit.harness import _train_stack
 from dckit.seeding import derive_seed
 from dckit.spaces import REGIMES
 
@@ -265,11 +265,9 @@ def test_criterion_7_desk_scale_condensation():
         d = two_blobs(n_per_class=1000, dim=2, separation=6.0, seed=700 + seed)
         t_train, t_eval = train_eval_split(d, 0.2, seed=derive_seed(seed, "split"))
         s0 = init_synthetic(t_train, 1, "subsample", seed=derive_seed(seed, "init"))
-        base_accs = [
-            _train_fresh((16,), t_train.features, t_train.labels, 2, eval_cfg,
-                         seed=derive_seed(seed, f"eval:{r}")).accuracy(t_eval.features, t_eval.labels)
-            for r in range(3)
-        ]
+        eval_seeds = [derive_seed(seed, f"eval:{r}") for r in range(3)]
+        base_accs = [m.accuracy(t_eval.features, t_eval.labels)
+                     for m in _train_stack((16,), t_train, eval_cfg, eval_seeds)]
         baseline = float(np.mean(base_accs))
         assert baseline >= 0.99, f"seed {seed}: baseline {baseline}"
         for method in methods:
@@ -278,11 +276,8 @@ def test_criterion_7_desk_scale_condensation():
             else:
                 cfg = tuned_config(method, seed=derive_seed(seed, "condense"))
             s_star, _ = condense(cfg, t_train, s0)
-            accs = [
-                _train_fresh((16,), s_star.features, s_star.labels, 2, eval_cfg,
-                             seed=derive_seed(seed, f"eval:{r}")).accuracy(t_eval.features, t_eval.labels)
-                for r in range(3)
-            ]
+            accs = [m.accuracy(t_eval.features, t_eval.labels)
+                    for m in _train_stack((16,), s_star, eval_cfg, eval_seeds)]
             acc = float(np.mean(accs))
             results[method].append((acc, baseline))
             assert acc >= baseline - 0.05, f"seed {seed} {method}: {acc} vs baseline {baseline}"

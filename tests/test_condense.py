@@ -39,7 +39,7 @@ from dckit.condense import (
     _trajectory_objective,
     tuned_config,
 )
-from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, SolveError
+from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
 from dckit.kernels import _central_diff
 from dckit.models import IdentityModel, LinearModel, TrainConfig
 from tests.conftest import copy_as_synthetic
@@ -84,6 +84,30 @@ def test_variant_parameters_resolved_once():
     assert cfg.variant("curvature") == {"rho": 0.01}  # table defaults for an unset variant
     assert MethodConfig(method="dm", image_shape=(1, 4, 4), variants={"siamese": {}}).variants == {
         "siamese": {"op": "shift"}}
+
+
+def test_image_shape_checked_by_condense_for_library_callers():
+    t = two_blobs(n_per_class=6, dim=16, separation=3.0, seed=2)
+    cfg = MethodConfig(method="dm", image_shape=(1, 3, 3), variants={"multiform": {"r": 3}}, outer_steps=1)
+    with pytest.raises(ShapeError, match=r"method\.image_shape \(1, 3, 3\) needs 9 features, the data has 16"):
+        condense(cfg, t, copy_as_synthetic(t))
+    cfg.check_image_shape(9)
+    MethodConfig(method="dm").check_image_shape(16)  # no image variant: nothing to check
+
+
+def test_pretrained_ensemble_trains_as_separate_members():
+    from dckit.condense import _make_ensemble
+    from dckit.seeding import derive_seed
+
+    t = two_blobs(n_per_class=20, seed=4)
+    cfg = small_cfg("dm", ensemble=3, provenance="pretrained", pretrain_epochs=3, inner_batch=7, inner_lr=0.05)
+    stacked = _make_ensemble(cfg, 2, 2, t.features, t.labels, step=5)
+    assert len(stacked) == 3
+    for i, m in enumerate(stacked):
+        alone, _ = sgd_train(Mlp.init((2, 6, 2), "tanh", seed=derive_seed(cfg.seed, f"model:5:{i}")), t,
+                             TrainConfig(learning_rate=0.05, epochs=3, batch_size=7, loss=cfg.loss,
+                                         seed=derive_seed(cfg.seed, f"pretrain:5:{i}")))
+        assert np.array_equal(m.flat_params(), alone.flat_params())
 
 
 def test_readme_variant_table_matches_code():

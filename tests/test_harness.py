@@ -20,6 +20,7 @@ from dckit import (
     sgd_train,
     two_blobs,
 )
+from dckit import harness
 from dckit.cli import main
 from dckit.errors import ConfigError, DivergenceError
 from dckit.seeding import derive_seed
@@ -97,6 +98,32 @@ def test_evaluate_reports_robust_accuracy():
                                                   hidden_architectures=((8,),)), seed=3)
     assert rep.robust_accuracy is not None
     assert 0.0 <= rep.robust_accuracy <= rep.per_architecture["mlp-8"]["mean"] + 1e-12
+
+
+def test_evaluate_trains_repeats_as_one_sweep(monkeypatch):
+    from dckit import init_synthetic
+    from dckit.data import train_eval_split
+    from dckit.models import _FlatSgd
+
+    d = two_blobs(n_per_class=30, dim=2, separation=2.0, seed=8)
+    t_train, t_eval = train_eval_split(d, 0.2, seed=1)
+    s = init_synthetic(t_train, 3, "subsample", seed=0)
+    cfg = EvalConfig(hidden_architectures=((8,), (4, 3)), repeats=3, epochs=12, learning_rate=0.2,
+                     batch_size=10, pgd_eps=0.2, pgd_steps=4)
+    calls = []
+    step = _FlatSgd.step
+    monkeypatch.setattr(_FlatSgd, "step", lambda self, x, *a: calls.append(x.shape[0]) or step(self, x, *a))
+    rep = harness.evaluate(s, t_train, t_eval, cfg, seed=5)
+    # per side and architecture, epochs * ceil(n / B) steps, each over all 3 repeats
+    sweeps = sum(cfg.epochs * -(-n // cfg.batch_size) for n in (s.n_samples, t_train.n_samples))
+    assert (s.n_samples, t_train.n_samples) == (6, 48)
+    assert calls == [3] * (len(cfg.hidden_architectures) * sweeps)
+    # the values of three sequential trainings per side, so any reordering of seeds or repeats fails
+    assert {k: v["accuracies"] for k, v in rep.per_architecture.items()} == {
+        "mlp-8": [10 / 12, 9 / 12, 10 / 12], "mlp-4-3": [5 / 12, 6 / 12, 6 / 12]}
+    assert rep.baseline_accuracy.hex() == "0x1.a38e38e38e38dp-1"
+    assert rep.gd_estimate.hex() == "0x1.bcb3fa5aaf631p-3"
+    assert rep.robust_accuracy == 0.375
 
 
 def test_eval_seeds_are_stage_isolated():
@@ -358,15 +385,20 @@ def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, 
     {"method": "dm", "image_shape": [1, 2, 2], "variants": {"channel_multiform": {}}},
     {"method": "dm", "image_shape": [1, 2, 2], "variants": {"siamese": {}}},
 ], ids=["multiform", "channel_multiform", "siamese"])
-def test_cli_image_shape_must_match_feature_count(tmp_path, capsys, method):
+def test_cli_image_shape_must_match_feature_count(tmp_path, capsys, monkeypatch, method):
+    # checked right after load: no later stage runs and the message names no stage
     data = tmp_path / "d16.csv"
     save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": str(data), "method": method, "eval": {"epochs": 1, "repeats": 1},
                                 "out_dir": str(tmp_path / "out")}))
+    staged = []
+    for name in ("normalize_features", "train_eval_split", "init_synthetic", "condense"):
+        monkeypatch.setattr(harness, name, lambda *a, name=name, **k: staged.append(name))
     assert main(["condense", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "image_shape" in err and "16" in err
+    assert "config error" in err and "method.image_shape" in err and "16" in err
+    assert "[stage " not in err and staged == []
 
 
 @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out-dir", "existing-out-dir"])

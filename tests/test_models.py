@@ -1,13 +1,14 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dckit import Mlp, TrainConfig, lambda_max_estimate, pgd_attack, power_iteration_eig, sgd_train, two_blobs
-from dckit.errors import ConfigError, DivergenceError, DomainError
+from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
+from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import loss_hvp, per_sample_loss
+from dckit.models import loss_hvp, max_eigenvalue, per_sample_loss
 
 
 def fd_param_grad(m, x, y, loss, h=1e-5):
@@ -164,7 +165,7 @@ def test_lambda_max_estimate_builds_no_mlp(monkeypatch):
     built = []
     with_params = Mlp.with_params
     monkeypatch.setattr(Mlp, "with_params", lambda self, flat: built.append(1) or with_params(self, flat))
-    assert np.isfinite(lambda_max_estimate(m, d, iters=5))
+    assert np.isfinite(max_eigenvalue(loss_hvp(m, d.features, d.labels, "cross_entropy"), m.param_count, iters=5)[0])
     assert built == []
 
 
@@ -196,6 +197,71 @@ def test_sgd_divergence_names_epoch():
     cfg = TrainConfig(learning_rate=1e150, epochs=3, loss="mse", seed=0)
     with pytest.raises(DivergenceError, match="epoch"):
         sgd_train(Mlp.init([2, 8, 2], "relu", seed=0), d, cfg)
+
+
+def _reference_sgd(m, x, y, cfg):
+    """Plain per-batch SGD through ``Mlp.backward`` and ``with_params``: the loop the stacked trainer must match."""
+    rng = np.random.default_rng(cfg.seed)
+    snaps = [m.flat_params()]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            rows = perm[start : start + cfg.batch_size]
+            _, g, _ = m.backward(x[rows], y[rows], cfg.loss)
+            m = m.with_params(m.flat_params() - cfg.learning_rate * g)
+        snaps.append(m.flat_params())
+    return m, np.stack(snaps)
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("epochs, hidden", [(0, (5,)), (4, (5,)), (3, (5, 4))])
+def test_sgd_train_stack_equals_separate_runs(members, activation, loss, epochs, hidden):
+    # 31 rows in batches of 7 leave a short last batch; each member has its own init and shuffling seed
+    d = two_blobs(15, seed=3)
+    x, y = np.vstack([d.features, [[0.5, 0.5]]]), np.append(d.labels, 1)
+    cfg = TrainConfig(learning_rate=0.2, epochs=epochs, batch_size=7, loss=loss, seed=123)
+    models = [Mlp.init((2, *hidden, 2), activation, seed=10 + r) for r in range(members)]
+    seeds = [40 + 7 * r for r in range(members)]
+    stacked, trajectories = sgd_train_stack(models, (x, y), cfg, seeds, record=True)
+    assert len(stacked) == len(trajectories) == members
+    for m, seed, out, traj in zip(models, seeds, stacked, trajectories):
+        alone, alone_traj = sgd_train(m, (x, y), replace(cfg, seed=seed), record=True)
+        ref, ref_snaps = _reference_sgd(m, x, y, replace(cfg, seed=seed))
+        assert np.array_equal(out.flat_params(), alone.flat_params())
+        assert np.array_equal(out.flat_params(), ref.flat_params())
+        assert np.array_equal(traj.stack(), alone_traj.stack()) and np.array_equal(traj.stack(), ref_snaps)
+        if epochs == 0:
+            assert out is m and alone is m
+
+
+def test_sgd_train_stack_one_diverging_member_raises():
+    # member 1 starts at huge weights, so its mse loss overflows in the first epoch; the others are healthy
+    d = two_blobs(30, seed=1)
+    cfg = TrainConfig(learning_rate=0.1, epochs=3, loss="mse")
+    models = [Mlp.init([2, 8, 2], "relu", seed=r) for r in range(3)]
+    models[1] = models[1].with_params(1e200 * models[1].flat_params())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="epoch 0"):
+            sgd_train_stack(models, d, cfg, [1, 2, 3])
+        with pytest.raises(DivergenceError, match="epoch"):  # lr 1e150 overflows every member
+            sgd_train_stack(models[::2], d, replace(cfg, learning_rate=1e150), [1, 3])
+
+
+def test_sgd_train_stack_rejects_mismatched_members():
+    d = two_blobs(10, seed=1)
+    cfg = TrainConfig(epochs=1)
+    a, b = Mlp.init([2, 4, 2], "relu", seed=0), Mlp.init([2, 5, 2], "relu", seed=1)
+    with pytest.raises(ShapeError):
+        sgd_train_stack([a, b], d, cfg, [0, 1])
+    with pytest.raises(ShapeError):
+        sgd_train_stack([a, Mlp.init([2, 4, 2], "tanh", seed=1)], d, cfg, [0, 1])
+    with pytest.raises(ConfigError):
+        sgd_train_stack([a, a], d, cfg, [0])
+    with pytest.raises(ConfigError):
+        sgd_train_stack([], d, cfg, [])
 
 
 def test_trajectory_prefix_reproducible():
@@ -245,21 +311,22 @@ def test_pgd_monotone_in_steps(rng):
 
 def test_power_iteration_identity_quadratic():
     # quadratic loss 0.5 ||theta||^2 has identity Hessian
-    est = power_iteration_eig(lambda v: v, dim=12, iters=30, seed=0)
+    est, _ = max_eigenvalue(lambda v: v, dim=12, iters=30, seed=0)
     assert est == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("a", [0.5, 3.0])
 def test_power_iteration_scaled_quadratic(a):
-    est = power_iteration_eig(lambda v: a * v, dim=9, iters=40, seed=1)
+    est, _ = max_eigenvalue(lambda v: a * v, dim=9, iters=40, seed=1)
     assert est == pytest.approx(a, abs=1e-6 * a)
 
 
 def test_lambda_max_stable_across_starts():
     d = two_blobs(40, seed=3)
     m, _ = sgd_train(Mlp.init([2, 6, 2], "tanh", seed=0), d, TrainConfig(epochs=10, seed=1))
-    a = lambda_max_estimate(m, d, iters=60, seed=0)
-    b = lambda_max_estimate(m, d, iters=60, seed=99)
+    hvp = loss_hvp(m, d.features, d.labels, "cross_entropy")
+    a, _ = max_eigenvalue(hvp, m.param_count, iters=60, seed=0)
+    b, _ = max_eigenvalue(hvp, m.param_count, iters=60, seed=99)
     assert abs(a - b) / max(abs(a), 1e-9) <= 1e-3
 
 
@@ -267,7 +334,7 @@ def test_lambda_max_iters_validated():
     d = two_blobs(10, seed=0)
     m = Mlp.init([2, 4, 2], "relu", seed=0)
     with pytest.raises(ConfigError):
-        lambda_max_estimate(m, d, iters=0)
+        max_eigenvalue(loss_hvp(m, d.features, d.labels, "cross_entropy"), m.param_count, iters=0)
 
 
 def test_checkpoint_roundtrip():
