@@ -34,7 +34,8 @@ ntk_lin = KernelSpec("empirical_ntk", model=lin)
 print(f"  linear model: k(x1,x2) = {kernel_eval(ntk_lin, x1, x2):.6f}  vs  x1.x2 = {x1 @ x2:.6f}")
 net = Mlp.init((3, 16, 2), "relu", seed=0)
 ntk = KernelSpec("empirical_ntk", model=net)
-g = gram_matrix(ntk, rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3)))
+pts = rng.uniform(size=(6, 3))
+g = gram_matrix(ntk, pts, pts)
 print(f"  relu net Gram is PSD: min eig = {np.linalg.eigvalsh((g + g.T) / 2).min():.2e}")
 
 print("\n== random Fourier features -> Gaussian kernel ==")

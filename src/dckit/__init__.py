@@ -82,7 +82,6 @@ from .spaces import (
     fit_linear_autoencoder,
     identity_autoencoder,
     pullback_spec,
-    push_forward_dataset,
     regime_objective,
 )
 

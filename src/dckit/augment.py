@@ -184,14 +184,3 @@ def siamese_vjp(grad_out: np.ndarray, data: np.ndarray, op: str, params: dict) -
         mask = ((scaled > 0.0) & (scaled < 1.0)).astype(np.float64)
         return grad_out * mask * s
     raise ShapeError(f"unknown siamese op {op!r}")
-
-
-def flatten_batch(x: ImageBatch) -> np.ndarray:
-    """Rows of flattened images, shape (b, c*h*w)."""
-    b = x.shape[0]
-    return x.data.reshape(b, -1)
-
-
-def batch_from_rows(rows: np.ndarray, channels: int, height: int, width: int) -> ImageBatch:
-    rows = np.asarray(rows, dtype=np.float64)
-    return ImageBatch(rows.reshape(rows.shape[0], channels, height, width))

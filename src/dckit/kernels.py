@@ -156,18 +156,6 @@ def _nfk_features(model, x: np.ndarray):
     return feats[pen], lambda g: model.feature_input_vjp(x, [g if i == pen else None for i in range(len(feats))])
 
 
-def _central_diff(fn, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    h = 1e-5
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step.flat[i] = h
-        grad.flat[i] = (fn(x + step) - fn(x - step)) / (2 * h)
-    return grad
-
-
 def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise kernel matrix k(a_i, b_j)."""
     a = _as_points(a)
@@ -225,16 +213,19 @@ def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray)
     """sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
 
     An einsum over ``kernel_grad2`` for the analytic families, one reverse sweep per model
-    for nfk, and the base's contraction times the encoder Jacobian for a pullback.
-    empirical_ntk's input gradient needs mixed second derivatives of the network, so it
-    takes a central difference over b.
+    for nfk, and the base's contraction times the encoder Jacobian for a pullback. For
+    empirical_ntk, k(a_i, b_j) = <J(a_i), J(b_j)> with J the (C, P) logit Jacobian, so the
+    sum is grad_x <V_j, J(x)> at x = b_j with V_j = sum_i coef[i, j] J(a_i): per model one
+    ``output_param_jacobian`` of a (A*C*P floats) and one ``jacobian_input_grad`` of b (B*C*P).
     """
     a, b = _as_points(a), _as_points(b)
     if spec.family == "nfk":
         models = _model_list(spec.model)
         return sum(_nfk_features(m, b)[1](coef.T @ _nfk_features(m, a)[0]) for m in models) / len(models)
     if spec.family == "empirical_ntk":
-        return _central_diff(lambda u: float(np.sum(coef * gram_matrix(spec, a, u))), b)
+        models = _model_list(spec.model)
+        return sum(m.jacobian_input_grad(b, (coef.T @ _ntk_rows(m, a)).reshape(len(b), m.n_outputs, -1))
+                   for m in models) / len(models)
     if spec.family == "pullback":
         inner = kernel_vjp(spec.base, spec.encoder.encode(a), spec.encoder.encode(b), coef)
         return inner @ spec.encoder.encode_jacobian()

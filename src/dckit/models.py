@@ -130,7 +130,7 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
         g = ga * _act_prime(activation, zs[i - 1])
 
 
-def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str, vw, vb, grads=None, input_part=True):
+def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, vb, grads=None, input_part=True):
     """One forward-over-reverse sweep (Pearlmutter 1994) along the parameter direction (vw, vb).
 
     It starts from the primal of the mean loss at ``weights``: ``_forward_sweep``'s
@@ -138,7 +138,8 @@ def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str, vw, vb, gra
     <v, grad_theta meanloss>. With ``grads``, per-layer views as in ``_reverse_sweep``,
     it also writes the parameter part, the exact Hessian-vector product H v; without
     ``input_part`` it stops there and returns None. On a stacked primal each batch
-    takes its own direction (one row of a (C, P) buffer).
+    takes its own direction (one row of a (C, P) buffer). With ``loss`` None the
+    functional is <g, logits> itself: g is fixed, so its tangent is zero.
     """
     last = len(weights) - 1
     aps = [_act_prime(activation, z) for z in zs[:-1]]
@@ -147,7 +148,7 @@ def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str, vw, vb, gra
         zdot = acts[i] @ vw[i] if i == 0 else adots[i] @ weights[i] + acts[i] @ vw[i]
         zdots.append(zdot + vb[i][..., None, :])
         adots.append(aps[i] * zdots[i] if i < last else None)
-    gdot = _loss_grad_logits_tangent(acts[-1], zdots[-1], loss)
+    gdot = np.zeros_like(zdots[-1]) if loss is None else _loss_grad_logits_tangent(acts[-1], zdots[-1], loss)
     for i in range(last, -1, -1):
         if grads is not None:
             np.matmul(np.swapaxes(acts[i], -1, -2), gdot, out=grads[0][i])
@@ -313,10 +314,6 @@ class Mlp:
         zs, acts = self._forward(x)
         return acts[-1], list(acts[1:])
 
-    def forward_with_features(self, x: np.ndarray):
-        logits, feats = self.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
-        return logits[0], [f[0] for f in feats]
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         logits, _ = self.forward_batch(x)
         return np.argmax(logits, axis=1)
@@ -385,32 +382,29 @@ class Mlp:
 
     # -- per-sample output Jacobians --------------------------------------------------
 
-    def output_param_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample Jacobian of each logit w.r.t. the flat parameter vector, shape (B, C, P)."""
+    def _logit_stack(self, x: np.ndarray):
+        """Forward sweep of the (B*C, 1, n) stack that repeats each row of x once per logit c,
+        and the seeds e_c that make logit c the functional of its copy."""
         x = np.asarray(x, dtype=np.float64)
-        zs, acts = self._forward(x)
-        bsz = x.shape[0]
-        cdim = self.n_outputs
-        out = np.zeros((bsz, cdim, self.param_count))
-        last = len(self.weights) - 1
-        for c in range(cdim):
-            g = np.zeros((bsz, cdim))
-            g[:, c] = 1.0
-            pieces = []
-            gc = g
-            for i in range(last, -1, -1):
-                dw = np.einsum("bi,bo->bio", acts[i], gc)
-                db = gc
-                pieces.append((i, dw, db))
-                if i == 0:
-                    break
-                gc = (gc @ self.weights[i].T) * _act_prime(self.activation, zs[i - 1])
-            pieces.sort(key=lambda t: t[0])
-            flat = np.concatenate(
-                [np.concatenate([dw.reshape(bsz, -1), db], axis=1) for _, dw, db in pieces], axis=1
-            )
-            out[:, c, :] = flat
-        return out
+        c = self.n_outputs
+        zs, acts = self._forward(np.repeat(x, c, axis=0)[:, None, :])
+        return zs, acts, np.tile(np.eye(c), (x.shape[0], 1))[:, None, :]
+
+    def output_param_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Per-sample Jacobian of each logit w.r.t. the flat parameter vector, shape (B, C, P):
+        one reverse sweep over ``_logit_stack`` into a (B*C, P) buffer. Memory is B*C*P floats."""
+        zs, acts, g = self._logit_stack(x)
+        out = np.empty((g.shape[0], self.param_count))
+        _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(out), input_part=False)
+        return out.reshape(-1, self.n_outputs, self.param_count)
+
+    def jacobian_input_grad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """grad_x of sum_c <v[b, c], d f_c(x_b) / d theta> for each row b, with v of shape (B, C, P):
+        one tangent sweep over ``_logit_stack``, copy (b, c) along the direction v[b, c]."""
+        zs, acts, g = self._logit_stack(x)
+        vw, vb = self._split_flat(np.asarray(v, dtype=np.float64).reshape(-1, self.param_count))
+        gx = _tangent_sweep(self.weights, self.activation, zs, acts, g, None, vw, vb)
+        return gx.reshape(-1, self.n_outputs, gx.shape[-1]).sum(axis=1)
 
     # -- serialization -----------------------------------------------------------------
 
@@ -470,15 +464,15 @@ class LinearModel:
         return np.asarray(upstream[-1], dtype=np.float64) @ self.weight.T
 
     def output_param_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """d f_c(x_b) / d W is x_b in column c and zero elsewhere, shape (B, C, n*C)."""
         x = np.asarray(x, dtype=np.float64)
-        bsz, n = x.shape
         c = self.n_outputs
-        out = np.zeros((bsz, c, n * c))
-        for k in range(c):
-            block = np.zeros((bsz, n, c))
-            block[:, :, k] = x
-            out[:, k, :] = block.reshape(bsz, -1)
-        return out
+        return np.einsum("bn,cd->bcnd", x, np.eye(c)).reshape(x.shape[0], c, -1)
+
+    def jacobian_input_grad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """grad_x of sum_c <v[b, c], d f_c(x_b) / d W> = sum_c of column c of v[b, c] as an (n, C) matrix."""
+        c = self.n_outputs
+        return np.einsum("bcnc->bn", np.asarray(v, dtype=np.float64).reshape(-1, c, self.n_inputs, c))
 
 
 class IdentityModel:

@@ -67,9 +67,6 @@ class LinearAutoencoder:
         """d encode / d x, shape (m, n); constant since the map is affine."""
         return self.basis.T
 
-    def decode_jacobian(self) -> np.ndarray:
-        return self.basis
-
     def to_text(self) -> str:
         payload = {
             "mean": [repr(float(v)) for v in self.mean],
@@ -112,15 +109,6 @@ def fit_linear_autoencoder(data, m: int) -> LinearAutoencoder:
         if w[k, j] < 0:
             w[:, j] = -w[:, j]
     return LinearAutoencoder(mean=mu, basis=w)
-
-
-def push_forward_dataset(ae: LinearAutoencoder, points: np.ndarray, direction: str) -> np.ndarray:
-    """Empirical push-forward: apply the encoder or decoder row-wise."""
-    if direction == "encode":
-        return ae.encode(points)
-    if direction == "decode":
-        return ae.decode(points)
-    raise ConfigError(f"direction must be 'encode' or 'decode', got {direction!r}")
 
 
 def pullback_spec(base: KernelSpec, ae: LinearAutoencoder) -> KernelSpec:

@@ -29,3 +29,16 @@ def copy_as_synthetic(t: LabeledDataset) -> SyntheticDataset:
     return SyntheticDataset(
         t.features[order], t.labels[order], per_class_size=int(counts[0]), origin="copy"
     )
+
+
+def central_diff(fn, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time: the
+    oracle that the exact gradients are checked against."""
+    x = np.asarray(x, dtype=np.float64)
+    h = 1e-5
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step.flat[i] = h
+        grad.flat[i] = (fn(x + step) - fn(x - step)) / (2 * h)
+    return grad

@@ -3,9 +3,7 @@ import pytest
 
 from dckit import ImageBatch, channel_multi_formation, multi_formation, siamese_augment
 from dckit.augment import (
-    batch_from_rows,
     channel_multi_formation_vjp,
-    flatten_batch,
     multi_formation_vjp,
     siamese_vjp,
 )
@@ -158,11 +156,3 @@ def test_siamese_shift_adjoint(rng):
     lhs = np.sum(g * out.data)
     rhs = np.sum(siamese_vjp(g, x.data, "shift", params) * x.data)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_flatten_roundtrip(rng):
-    x = rand_batch(rng, b=2, c=3, h=4, w=4)
-    rows = flatten_batch(x)
-    assert rows.shape == (2, 48)
-    x2 = batch_from_rows(rows, 3, 4, 4)
-    assert np.array_equal(x2.data, x.data)

@@ -40,9 +40,8 @@ from dckit.condense import (
     tuned_config,
 )
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
-from dckit.kernels import _central_diff
 from dckit.models import IdentityModel, LinearModel, TrainConfig
-from tests.conftest import copy_as_synthetic
+from tests.conftest import central_diff, copy_as_synthetic
 
 MATCHING = ("dm", "gm", "mmd", "moment", "sam")
 
@@ -441,7 +440,8 @@ _NFK_PAIR = KernelSpec("nfk", model=(Mlp.init((3, 5, 2), "tanh", seed=1), Mlp.in
 
 
 @pytest.mark.parametrize("kernel", ["nfk", "nfk-linear", "nfk-identity", "pullback-nfk", "pullback-gaussian",
-                                    "empirical_ntk"])
+                                    "empirical_ntk", "empirical_ntk-relu", "empirical_ntk-ensemble",
+                                    "empirical_ntk-linear"])
 def test_nfk_gradients_match_fd_oracle(kernel):
     from dckit import fit_linear_autoencoder, pullback_spec
     from dckit.condense import _krr_loss_and_grads
@@ -462,13 +462,19 @@ def test_nfk_gradients_match_fd_oracle(kernel):
     if kernel == "pullback-gaussian":
         ae = fit_linear_autoencoder(LabeledDataset(x, np.argmax(y, axis=1), 2), 2)
         spec = pullback_spec(gaussian_spec(2.0), ae)
-    if kernel == "empirical_ntk":  # the one kernel whose input gradient is a central difference
+    if kernel == "empirical_ntk":  # a tangent sweep over the per-logit stack of each row
         spec = KernelSpec("empirical_ntk", model=Mlp.init((3, 4, 2), "tanh", seed=1))
+    if kernel == "empirical_ntk-relu":
+        spec = KernelSpec("empirical_ntk", model=Mlp.init((3, 4, 2), "relu", seed=1))
+    if kernel == "empirical_ntk-ensemble":
+        spec = KernelSpec("empirical_ntk", model=_NFK_PAIR.model)
+    if kernel == "empirical_ntk-linear":  # closed form
+        spec = KernelSpec("empirical_ntk", model=LinearModel(rng.normal(size=(3, 2))))
     _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
     oracles = [
-        (grad_s, _central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
-        (grad_t, _central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
-        (mmd_squared_grad_s(spec, x, s), _central_diff(lambda u: mmd_squared(spec, x, u), s)),
+        (grad_s, central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
+        (grad_t, central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
+        (mmd_squared_grad_s(spec, x, s), central_diff(lambda u: mmd_squared(spec, x, u), s)),
     ]
     for grad, fd in oracles:
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -520,7 +526,7 @@ def test_bptt_adjoint_matches_fd_oracle(case, activation):
         return _bptt_value_and_grad(cfg, t, model, labels, theta, v[:-1].reshape(s.shape), v[-1], window)[0]
 
     _, grad = _bptt_value_and_grad(cfg, t, model, labels, theta, s, 0.3, window)
-    fd = _central_diff(value, np.append(s.ravel(), 0.3))
+    fd = central_diff(value, np.append(s.ravel(), 0.3))
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -572,7 +578,7 @@ def test_trajectory_adjoint_matches_fd_oracle(loss, epochs, batch):
                        inner_batch=batch, inner_lr=0.3, loss=loss, seed=3)
     objective = _trajectory_objective(cfg, LabeledDataset(x, y, 2), s0)
     _, grad, _ = objective(s0.features, 0)
-    fd = _central_diff(lambda u: objective(u, 0)[0], s0.features)
+    fd = central_diff(lambda u: objective(u, 0)[0], s0.features)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -673,7 +679,7 @@ def test_curvature_gradient_matches_fd_at_converged_eigenvector(toy_pair):
         return _curvature_penalty(model, t.features, t.labels, x_s, s.labels, cfg)
 
     _, grad = penalty(s.features)
-    fd = _central_diff(lambda x_s: penalty(x_s)[0], s.features)
+    fd = central_diff(lambda x_s: penalty(x_s)[0], s.features)
     assert np.max(np.abs(grad - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
@@ -824,7 +830,7 @@ def test_regularizer_gradient_matches_fd_oracle(name, activation):
         return regularizer_eval(name, RegContext(u, y_s, 3, x_t, y_t, models, tau=0.5))
 
     value, grad = value_and_grad(s)
-    fd = _central_diff(lambda u: value_and_grad(u)[0], s)
+    fd = central_diff(lambda u: value_and_grad(u)[0], s)
     assert value != 0.0 and np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -839,7 +845,7 @@ def test_rep_gradient_on_a_large_real_set_stays_linear_in_its_size():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 3000**2 * 8 / 10  # far below one N_T x N_T float array
-    fd = _central_diff(lambda u: regularizer_eval("rep", ctx(u))[0], s)
+    fd = central_diff(lambda u: regularizer_eval("rep", ctx(u))[0], s)
     assert value < 0.0 and np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -852,7 +858,7 @@ def test_regularizers_in_latent_regime_match_fd_oracle(toy_pair):
                     regularizers={name: 0.1 for name in ("rep", "div", "inter", "intra", "con", "cos", "dis")})
     v0, objective, *_ = _matching_problem(cfg, t, s)
     _, grad, extra = objective(v0, 0)
-    fd = _central_diff(lambda u: objective(u, 0)[0], v0)
+    fd = central_diff(lambda u: objective(u, 0)[0], v0)
     assert extra["reg_inter"] > 0.0 and np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 

@@ -1,10 +1,16 @@
-"""Static checks over the package source that need nothing beyond the standard library."""
+"""Static checks over the package source, the demos and the README quick start.
+
+Each check parses source with ``ast``; only the import-name check imports ``dckit``.
+"""
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dckit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dckit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -108,24 +114,32 @@ def _fd_site(node) -> bool:
 
 
 def central_diff_sites(source: str) -> dict:
-    """Finite-difference sites (``_fd_site``) per enclosing top-level function or class, apart
-    from the ``_central_diff`` helper itself, whose callers are the sites."""
+    """Finite-difference sites (``_fd_site``) per enclosing top-level function or class."""
     sites = {}
     for top in ast.parse(source).body:
-        if getattr(top, "name", None) == "_central_diff":
-            continue
         n = sum(_fd_site(node) for node in ast.walk(top))
         if n:
             sites[top.name] = n
     return sites
 
 
+def central_diff_helpers(source: str) -> list[str]:
+    """Definitions and imports of a ``_central_diff`` helper: the oracle lives in the tests."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_central_diff":
+            found.append(f"def (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                a.name.split(".")[-1] == "_central_diff" for a in node.names):
+            found.append(f"import (line {node.lineno})")
+    return found
+
+
 # Each finite-difference gradient site in production code. Removing one lowers its
-# count here; a new one fails until it is written down. Left: the empirical_ntk
-# branch of kernels.kernel_vjp, and the two Danskin terms, each a central difference
-# of an exact tangent sweep along the top eigenvector (curvdc's lambda term in
-# _bptt_value_and_grad, and the gm curvature penalty's S gradient).
-FD_SITES = {"kernel_vjp": 1, "_bptt_value_and_grad": 1, "_curvature_penalty": 1}
+# count here; a new one fails until it is written down. Left: the two Danskin terms,
+# each a central difference of an exact tangent sweep along the top eigenvector
+# (curvdc's lambda term in _bptt_value_and_grad, and the gm curvature penalty's S gradient).
+FD_SITES = {"_bptt_value_and_grad": 1, "_curvature_penalty": 1}
 
 
 def test_modules_found():
@@ -203,6 +217,21 @@ def test_central_diff_sites_ratchet():
     assert sites == FD_SITES
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_central_diff_helper(path):
+    assert central_diff_helpers(path.read_text()) == []
+
+
+def test_central_diff_helper_detected():
+    planted = (
+        "from .kernels import _central_diff\n"
+        "from tests.conftest import central_diff\n"
+        "import dckit._central_diff\n\n\n"
+        "def _central_diff(fn, x):\n    return x\n"
+    )
+    assert central_diff_helpers(planted) == ["import (line 1)", "import (line 3)", "def (line 6)"]
+
+
 def test_central_diff_site_detected():
     planted = (
         "def _central_diff(fn, x):\n    return x\n\n\n"
@@ -238,3 +267,52 @@ def test_no_numpy2_only_api(path):
 def test_numpy2_only_api_detected():
     planted = "import numpy as np\n\n\ndef f(a, b):\n    return a.mT @ b, np.vecdot(a, b), a.T, np.swapaxes(a, -1, -2), b.concat\n"
     assert numpy2_only_uses(planted) == ["mT (line 5)", "vecdot (line 5)"]
+
+
+def missing_dckit_imports(source: str) -> list[str]:
+    """Names that ``from dckit[.module] import ...`` statements in ``source`` ask for but the package
+    lacks, found with ``getattr`` on the imported module; the source itself is not run."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dckit":
+            try:
+                module = importlib.import_module(node.module)
+            except ImportError:
+                missing.append(f"{node.module} (line {node.lineno})")
+                continue
+            missing += [f"{node.module}.{a.name} (line {node.lineno})" for a in node.names
+                        if not hasattr(module, a.name)]
+    return missing
+
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 7
+
+
+def readme_python_blocks() -> str:
+    return "\n".join(re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_exist(path):
+    assert missing_dckit_imports(path.read_text()) == []
+
+
+def test_readme_quick_start_imports_exist():
+    source = readme_python_blocks()
+    assert "from dckit import" in source
+    assert missing_dckit_imports(source) == []
+
+
+def test_missing_dckit_import_detected():
+    planted = (
+        "import numpy as np\n"
+        "from dckit import Mlp, push_forward_dataset\n"
+        "from dckit.kernels import gram_matrix, _central_diff\n"
+        "from dckit.nowhere import thing\n"
+    )
+    assert missing_dckit_imports(planted) == [
+        "dckit.push_forward_dataset (line 2)", "dckit.kernels._central_diff (line 3)", "dckit.nowhere (line 4)"]

@@ -16,7 +16,7 @@ from dckit import (
     random_feature_map,
 )
 from dckit.errors import ConfigError, DomainError
-from dckit.kernels import feature_map_batch
+from dckit.kernels import feature_map_batch, kernel_vjp
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -174,3 +174,29 @@ def test_ntk_ensemble_average(rng):
     x1, x2 = rng.uniform(size=2), rng.uniform(size=2)
     singles = [kernel_eval(KernelSpec("empirical_ntk", model=m), x1, x2) for m in models]
     assert kernel_eval(spec, x1, x2) == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+@pytest.mark.parametrize("per_class", [1, 3])
+def test_ntk_vjp_is_one_tangent_sweep_per_model(per_class, rng, monkeypatch):
+    # the input gradient of the empirical NTK is exact: no Gram matrix at shifted rows
+    import dckit.kernels
+    import dckit.models
+
+    calls = {"_tangent_sweep": 0, "gram_matrix": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dckit.models, "_tangent_sweep")
+    counted(dckit.kernels, "gram_matrix")
+    spec = KernelSpec("empirical_ntk", model=(Mlp.init([3, 5, 2], "tanh", seed=1), Mlp.init([3, 4, 6, 2], "relu", seed=2)))
+    a, b = rng.uniform(size=(12, 3)), rng.uniform(size=(2 * per_class, 3))
+    grad = kernel_vjp(spec, a, b, rng.normal(size=(12, 2 * per_class)))
+    assert grad.shape == b.shape
+    assert calls == {"_tangent_sweep": 2, "gram_matrix": 0}

@@ -8,7 +8,8 @@ import pytest
 from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import loss_hvp, max_eigenvalue, per_sample_loss
+from dckit.models import LinearModel, loss_hvp, max_eigenvalue, per_sample_loss
+from tests.conftest import central_diff
 
 
 def fd_param_grad(m, x, y, loss, h=1e-5):
@@ -48,8 +49,8 @@ def test_zero_weight_logits_equal_bias():
 def test_relu_all_negative_preactivation_zero_features():
     m = Mlp([1, 2, 1], "relu", [np.array([[1.0, 1.0]]), np.array([[1.0], [1.0]])],
             [np.array([-5.0, -5.0]), np.array([0.0])])
-    _, feats = m.forward_with_features(np.array([0.5]))
-    assert np.all(feats[0] == 0.0)
+    _, feats = m.forward_batch(np.array([[0.5]]))
+    assert np.all(feats[0][0] == 0.0)
 
 
 def test_tanh_hand_computation():
@@ -62,8 +63,8 @@ def test_tanh_hand_computation():
     x = 0.4
     h = np.tanh(np.array([0.5 * x + 0.1, -1.0 * x + 0.2]))
     expected = 2.0 * h[0] - 0.5 * h[1] + 0.3
-    logits, _ = m.forward_with_features(np.array([x]))
-    assert logits[0] == pytest.approx(expected, abs=1e-12)
+    logits, _ = m.forward_batch(np.array([[x]]))
+    assert logits[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
@@ -144,6 +145,21 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
         assert np.array_equal(tangent_c, m.input_grad_param_tangent(x[c], y[c], loss, v[c]))
         assert np.array_equal(hvps[c], hvp_c) and np.array_equal(hvp_c, loss_hvp(m, x[c], y[c], loss)(v[c]))
         assert m.input_grad_param_tangent(x[c], y[c], loss, v[c], grads=m._split_flat(hvp_c), input_part=False) is None
+
+
+@pytest.mark.parametrize("model", [*(Mlp.init([3, *hidden, 2], activation, seed=5) for activation in ("relu", "tanh")
+                                     for hidden in ((), (5,), (5, 4))),
+                                   LinearModel(np.random.default_rng(5).normal(size=(3, 2)))],
+                         ids=[f"{a}-{h}" for a in ("relu", "tanh") for h in (0, 1, 2)] + ["linear"])
+def test_output_param_jacobian_matches_fd_oracle(model, rng):
+    x = rng.uniform(size=(3, 3))
+    rebuild = model.with_params if isinstance(model, Mlp) else lambda p: LinearModel(p.reshape(model.weight.shape))
+    jac = model.output_param_jacobian(x)
+    assert jac.shape == (3, 2, model.param_count)
+    for b in range(3):
+        for c in range(2):
+            fd = central_diff(lambda p: rebuild(p).forward_batch(x[b : b + 1])[0][0, c], model.flat_params())
+            assert np.max(np.abs(jac[b, c] - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 def test_tangent_at_other_params_builds_no_mlp(rng, monkeypatch):

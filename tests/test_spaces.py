@@ -11,7 +11,6 @@ from dckit import (
     identity_autoencoder,
     mmd_squared,
     pullback_spec,
-    push_forward_dataset,
     regime_objective,
 )
 from dckit.errors import ConfigError, ValidationError
@@ -54,12 +53,6 @@ def test_fit_latent_dim_validation(rng):
 def test_orthonormality_enforced():
     with pytest.raises(ValidationError):
         LinearAutoencoder(mean=np.zeros(2), basis=np.array([[1.0], [1.0]]))
-
-
-def test_push_forward_dirac():
-    ae = identity_autoencoder(2)
-    out = push_forward_dataset(ae, np.array([[0.3, 0.4]]), "encode")
-    assert np.array_equal(out, np.array([[0.3, 0.4]]))
 
 
 def test_decode_encode_identity_on_span(rng):
