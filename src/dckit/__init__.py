@@ -17,8 +17,6 @@ from .condense import (
     StepLog,
     cig_ridge_value_and_grad,
     condense,
-    condense_bilevel,
-    condense_krr,
     dp_noise_calibration,
     kcenter_covering,
     kmeans_coreset,
@@ -28,7 +26,6 @@ from .condense import (
     regularizer_eval,
 )
 from .data import (
-    ClassPartition,
     LabeledDataset,
     SyntheticDataset,
     init_synthetic,
@@ -71,7 +68,6 @@ from .models import (
     LinearModel,
     Mlp,
     TrainConfig,
-    Trajectory,
     pgd_attack,
     sgd_train,
     sgd_train_stack,

@@ -102,12 +102,11 @@ def channel_multi_formation(x: ImageBatch, seed: int = 0, mixing: np.ndarray | N
     return ImageBatch(np.concatenate(copies, axis=0))
 
 
-def channel_multi_formation_vjp(
-    grad_out: np.ndarray, x: ImageBatch, seed: int = 0, mixing: np.ndarray | None = None
-) -> np.ndarray:
-    """Adjoint of channel_multi_formation with the clip treated as a pass-through mask."""
-    b, c, h, w = x.shape
-    m = _mixing_matrices(b, c, seed) if mixing is None else np.asarray(mixing, dtype=np.float64)
+def channel_multi_formation_vjp(grad_out: np.ndarray, x: ImageBatch, mixing: np.ndarray) -> np.ndarray:
+    """Adjoint of channel_multi_formation with the given mixing matrices, the clip treated as a
+    pass-through mask."""
+    b = x.shape[0]
+    m = np.asarray(mixing, dtype=np.float64)
     g = np.array(grad_out[:b], copy=True)
     for k in range(3):
         mixed = np.einsum("bij,bjhw->bihw", m[k], x.data)

@@ -6,9 +6,12 @@ and each parameter's kind, lower bound and default. ``MethodConfig`` resolves it
 at construction, so condensation reads only checked values with defaults filled
 in (``cfg.variant(name)`` gives the defaults of a variant the run does not set).
 
-Every gradient method is an objective ``objective(v, step) -> (value, grad,
-extra_log_fields)`` over its synthetic variables ``v``, and ``_descend`` is the
-one outer loop that logs, steps, projects and checks them. Matching objectives
+Every gradient method is a problem builder that returns ``(v0, objective, log,
+project, finish)``: ``objective(v, step) -> (value, grad, extra_log_fields)`` over
+the synthetic variables ``v``, and ``finish(v)`` turns the final variables into
+(synthetic set, log). ``condense`` picks the builder by method name and runs
+``_descend``, the one outer loop that logs, steps, projects and checks the
+variables; the coresets are selected directly. Matching objectives
 (dm/gm/mmd/moment/sam) follow the per-class convention and approximate the
 hypothesis-space supremum by averaging over a periodically refreshed model
 ensemble (one ``None`` member for the kernel families). Each splits into a
@@ -20,11 +23,11 @@ channel_multiform, whose transforms depend on the step), and an S-side term
 with an analytic outer gradient; gm runs its S side as one sweep per member
 over the (C, m, d) stack of the class batches. dm, moment and sam share
 ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
-discrepancy report. The regularizers
-score the rows the ensemble sees, and their exact gradients join the S-side
-ones. krr and mmd reach every kernel family through ``kernels.kernel_vjp``. The
-unrolled bilevel flavors (bptt/robdc/curvdc, trajectory) take one exact adjoint
-sweep (``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
+discrepancy report. The regularizers score the rows the ensemble sees, and
+their exact gradients join the S-side ones. krr and mmd reach every kernel
+family through ``kernels.kernel_vjp``. The unrolled bilevel flavors
+(bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
+(``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
 """
 from __future__ import annotations
 
@@ -72,9 +75,9 @@ from .kernels import (
     mmd_squared_grad_s,
 )
 from .models import (
+    ACTIVATIONS,
     Mlp,
     TrainConfig,
-    Trajectory,
     _FlatSgd,
     _power_iteration,
     epoch_batches,
@@ -85,6 +88,7 @@ from .models import (
     sgd_train_stack,
 )
 from .seeding import derive_seed, derived_rng
+from .spaces import REGIMES
 
 METHODS = (
     "dm",
@@ -102,7 +106,6 @@ METHODS = (
     "curvdc",
 )
 MATCHING_METHODS = ("dm", "gm", "mmd", "moment", "sam")
-BILEVEL_METHODS = ("bptt", "trajectory", "cig_ridge", "robdc", "curvdc")
 _REQUIRED = object()  # the default of a parameter that every use of its variant must set
 _FULL_BATCH = (slice(None),)  # an unrolled epoch of one SGD step on every row
 # variant -> (methods it applies to, whether it transforms images,
@@ -187,6 +190,9 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
+        for name, allowed in (("activation", ACTIVATIONS), ("regime", REGIMES)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name, low in (("outer_steps", 1), ("refresh", 1), ("ensemble", 1), ("inner_steps", 0),
                           ("inner_batch", 1), ("pretrain_epochs", 0), ("curv_iters", 1)):
             check_number(name, getattr(self, name), integer=True, low=low)
@@ -328,6 +334,11 @@ def _synthetic(s0: SyntheticDataset, features, name: str, meta: dict) -> Synthet
                             origin=f"condense:{name}", class_count=s0.class_count, meta=meta)
 
 
+def _finish(s0: SyntheticDataset, name: str, meta: dict, log: StepLog):
+    """The ``finish`` of a problem whose variables are the synthetic features themselves."""
+    return lambda v: (_synthetic(s0, v, name, meta), log)
+
+
 # ---------------------------------------------------------------------------
 # privacy plumbing
 # ---------------------------------------------------------------------------
@@ -435,7 +446,7 @@ class RegContext:
     real_features: np.ndarray | None = None
     real_labels: np.ndarray | None = None
     models: tuple = ()
-    trajectory: Trajectory | None = None
+    trajectory: np.ndarray | None = None  # (K, P) parameter snapshots, as ``sgd_train(record=True)`` gives them
     theta: np.ndarray | None = None
     tau: float = 1.0
 
@@ -584,7 +595,7 @@ def regularizer_eval(reg_id: str, ctx: RegContext):
     if reg_id == "proj":
         if ctx.theta is None or ctx.trajectory is None:
             raise ContextError("proj needs theta and an expert trajectory")
-        basis = ctx.trajectory.stack().T  # (P, K)
+        basis = np.asarray(ctx.trajectory).T  # (P, K)
         coef, *_ = np.linalg.lstsq(basis, ctx.theta, rcond=None)
         return float(np.abs(ctx.theta - basis @ coef).sum()), 0.0
     if ctx.synthetic_features is None or ctx.synthetic_labels is None:
@@ -657,7 +668,7 @@ def _krr_loss_and_grads(spec, x_t, y_t, s, y_s, lam, want_grad_t=False):
     return loss, grad_s, grad_t
 
 
-def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
+def _krr_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """Gradient descent on the ridge-predictor loss over T; RidgeDC when ridge_robust set."""
     spec = cfg.kernel if cfg.kernel is not None else median_heuristic_spec(t.features)
     lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-8
@@ -681,9 +692,8 @@ def condense_krr(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
         return value, grad_s, {}
 
     log = StepLog(meta={"method": "krr", "kernel": spec.describe(), "lambda": lam, "eps": eps})
-    s = _descend(cfg, np.array(s0.features, copy=True), objective, log, _clip01)
     meta = {"kernel": spec.describe(), "lambda": lam, "seed": cfg.seed, "eps": eps}
-    return _synthetic(s0, s, "krr", meta), log
+    return np.array(s0.features, copy=True), objective, log, _clip01, _finish(s0, "krr", meta, log)
 
 
 # ---------------------------------------------------------------------------
@@ -731,31 +741,15 @@ def _checked(value, grad):
     return value, grad
 
 
-def condense_bilevel(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
-    """BPTT-family and implicit-gradient condensation.
-
-    bptt/robdc/curvdc differentiate an outer loss through K full-batch inner steps,
-    and trajectory the distance to expert parameter snapshots through the student's
-    minibatch epochs, with one exact adjoint sweep over the same SGD tape; cig_ridge
-    uses the implicit-function formula on the convex ridge inner problem.
-    """
-    if cfg.method not in BILEVEL_METHODS:
-        raise ConfigError(f"bilevel method must be one of {BILEVEL_METHODS}")
-    if cfg.method == "cig_ridge":
-        lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-6
-        y_t = one_hot(t.labels, t.class_count)
-        y_s = one_hot(s0.labels, s0.class_count)
-        objective = lambda s, step: (*cig_ridge_value_and_grad(s, y_s, t.features, y_t, lam), {})
-        log = StepLog(meta={"method": "cig_ridge", "lambda": lam})
-        meta = {"lambda": lam, "seed": cfg.seed}
-    elif cfg.method == "trajectory":
-        objective = _trajectory_objective(cfg, t, s0)
-        log = StepLog(meta={"method": "trajectory", "inner_epochs": cfg.inner_steps})
-        meta = {"seed": cfg.seed}
-    else:
-        return _condense_bptt(cfg, t, s0)
-    s = _descend(cfg, np.array(s0.features, copy=True), objective, log, _clip01)
-    return _synthetic(s0, s, cfg.method, meta), log
+def _cig_ridge_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
+    """Implicit-gradient condensation: the implicit-function formula on the convex ridge inner problem."""
+    lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-6
+    y_t = one_hot(t.labels, t.class_count)
+    y_s = one_hot(s0.labels, s0.class_count)
+    objective = lambda s, step: (*cig_ridge_value_and_grad(s, y_s, t.features, y_t, lam), {})
+    log = StepLog(meta={"method": "cig_ridge", "lambda": lam})
+    meta = {"lambda": lam, "seed": cfg.seed}
+    return np.array(s0.features, copy=True), objective, log, _clip01, _finish(s0, "cig_ridge", meta, log)
 
 
 def cig_ridge_value_and_grad(s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray, y_t: np.ndarray, lam: float):
@@ -780,8 +774,9 @@ def cig_ridge_value_and_grad(s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray, y_
     return value, grad_s
 
 
-def _trajectory_objective(cfg, t, s0):
-    """Summed distance of the student's epoch snapshots to the expert's, and its exact S-gradient."""
+def _trajectory_problem(cfg, t, s0):
+    """Summed distance of the student's epoch snapshots to the expert's through the student's
+    minibatch epochs, with its exact S-gradient from one adjoint sweep over the SGD tape."""
     init_seed = derive_seed(cfg.seed, "traj_init")
     widths = (t.n_features, *cfg.hidden, t.class_count)
     m0 = Mlp.init(widths, cfg.activation, seed=init_seed)
@@ -792,8 +787,8 @@ def _trajectory_objective(cfg, t, s0):
         loss=cfg.loss,
         seed=derive_seed(cfg.seed, "traj_train"),
     )
-    _, expert = sgd_train(m0, t, train_cfg, record=True)
-    expert_stack, theta0, lr = expert.stack(), m0.flat_params(), train_cfg.learning_rate
+    _, expert_stack = sgd_train(m0, t, train_cfg, record=True)
+    theta0, lr = m0.flat_params(), train_cfg.learning_rate
 
     def objective(s, step):
         ends, tapes = _unroll(m0, theta0, s, s0.labels, cfg.loss, lr, epoch_batches(len(s), train_cfg), "epoch")
@@ -804,7 +799,9 @@ def _trajectory_objective(cfg, t, s0):
             g_s, _ = _unroll_adjoint(m0, tapes, adjoints, s, s0.labels, cfg.loss, lr)
         return (*_checked(float(np.sum(dists)), g_s), {})
 
-    return objective
+    log = StepLog(meta={"method": "trajectory", "inner_epochs": cfg.inner_steps})
+    meta = {"seed": cfg.seed}
+    return np.array(s0.features, copy=True), objective, log, _clip01, _finish(s0, "trajectory", meta, log)
 
 
 def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
@@ -824,14 +821,16 @@ def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
             h, hvps = 1e-5, np.empty((2, trained.param_count))
             for out, at in zip(hvps, (h, -h)):
                 trained.input_grad_param_tangent(t.features, t.labels, cfg.loss, u, grads=trained._split_flat(out),
-                                                 at=at, input_part=False)
+                                                 params=ends[-1] + at * u, input_part=False)
             value += cfg.curv_lambda * curv
             lam += cfg.curv_lambda * (hvps[0] - hvps[1]) / (2 * h)
         g_s, g_eta = _unroll_adjoint(model, tapes, [0.0] * (window - 1) + [lam], s, labels, cfg.loss, eta)
     return _checked(value, np.append(g_s.ravel(), g_eta))
 
 
-def _condense_bptt(cfg, t, s0):
+def _bptt_problem(cfg, t, s0):
+    """BPTT-family condensation: the outer loss differentiated through K full-batch inner steps,
+    over v = (s.ravel(), eta)."""
     model = Mlp.init((t.n_features, *cfg.hidden, t.class_count), cfg.activation,
                      seed=derive_seed(cfg.seed, "bptt_init"))
     theta = model.flat_params()
@@ -854,9 +853,12 @@ def _condense_bptt(cfg, t, s0):
         return np.append(_clip01(v[:-1]), max(v[-1], 1e-6))
 
     log = StepLog(meta={"method": cfg.method, "window": window, "eps": cfg.variant("robust_outer")["eps"]})
-    v = _descend(cfg, np.append(s0.features.ravel(), cfg.inner_lr), objective, log, project)
-    meta = {"seed": cfg.seed, "eta_final": float(v[-1]), "window": window}
-    return _synthetic(s0, v[:-1].reshape(shape), cfg.method, meta), log
+
+    def finish(v):
+        meta = {"seed": cfg.seed, "eta_final": float(v[-1]), "window": window}
+        return _synthetic(s0, v[:-1].reshape(shape), cfg.method, meta), log
+
+    return np.append(s0.features.ravel(), cfg.inner_lr), objective, log, project, finish
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +956,7 @@ def _regime_views(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
         fwd = lambda v: ae.encode(v)
         vjp = lambda g: g @ ae.basis.T
         return ae.encode(t.features), np.array(s0.features, copy=True), fwd, vjp, True, ident
-    if cfg.regime == "latent_latent":
-        return ae.encode(t.features), ae.encode(s0.features), ident, (lambda g: g), False, (
-            lambda v: ae.decode(v)
-        )
-    raise ConfigError(f"unknown regime {cfg.regime!r}")
+    return ae.encode(t.features), ae.encode(s0.features), ident, (lambda g: g), False, (lambda v: ae.decode(v))
 
 
 def condense(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
@@ -969,13 +967,12 @@ def condense(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """
     if s0.class_count != t.class_count:
         raise ConfigError("synthetic classes must match the real dataset")
-    if cfg.method == "krr":
-        return condense_krr(cfg, t, s0)
-    if cfg.method in BILEVEL_METHODS:
-        return condense_bilevel(cfg, t, s0)
     if cfg.method in ("kcenter", "kmeans"):
         return _condense_coreset(cfg, t, s0)
-    v0, objective, log, project, finish = _matching_problem(cfg, t, s0)
+    problems = {"krr": _krr_problem, "cig_ridge": _cig_ridge_problem, "trajectory": _trajectory_problem,
+                **dict.fromkeys(("bptt", "robdc", "curvdc"), _bptt_problem),
+                **dict.fromkeys(MATCHING_METHODS, _matching_problem)}
+    v0, objective, log, project, finish = problems[cfg.method](cfg, t, s0)
     return finish(_descend(cfg, v0, objective, log, project))
 
 
@@ -1179,6 +1176,6 @@ def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg):
     hvp_s = loss_hvp(model, x_s, y_s, cfg.loss)
     seed = derive_seed(cfg.seed, "curv_gm")
     lam, u = max_eigenvalue(lambda v: hvp_t(v) - hvp_s(v), model.param_count, iters=cfg.curv_iters, seed=seed)
-    h = 1e-5
-    tangent = lambda at: model.input_grad_param_tangent(x_s, y_s, cfg.loss, u, at=at)
+    h, theta = 1e-5, model.flat_params()
+    tangent = lambda at: model.input_grad_param_tangent(x_s, y_s, cfg.loss, u, params=theta + at * u)
     return lam, (tangent(-h) - tangent(h)) / (2 * h)

@@ -19,6 +19,9 @@ from .errors import (
 )
 
 
+INIT_MODES = ("subsample", "gaussian_noise")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.setflags(write=False)
@@ -27,7 +30,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormParams:
-    """Per-feature min-max scaling parameters, kept so scaling can be inverted."""
+    """Per-feature min-max scaling parameters, recorded in the synthetic set's sidecar."""
 
     mins: np.ndarray
     ranges: np.ndarray  # max - min; 0 marks a constant feature
@@ -37,15 +40,8 @@ class NormParams:
         out = (x - self.mins) / safe
         return np.where(self.ranges > 0, out, 0.0)
 
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        return x * self.ranges + self.mins
-
     def to_dict(self) -> dict:
         return {"mins": self.mins.tolist(), "ranges": self.ranges.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormParams":
-        return cls(mins=np.asarray(d["mins"], dtype=float), ranges=np.asarray(d["ranges"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -124,24 +120,6 @@ class SyntheticDataset:
 
     def with_features(self, features: np.ndarray) -> "SyntheticDataset":
         return replace(self, features=features)
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    """Disjoint, exhaustive per-class row index lists."""
-
-    indices: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        frozen = {int(k): _readonly(np.asarray(v, dtype=np.int64)) for k, v in self.indices.items()}
-        object.__setattr__(self, "indices", frozen)
-
-    def __getitem__(self, label: int) -> np.ndarray:
-        return self.indices[label]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.indices)
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
@@ -243,15 +221,13 @@ def normalize_features(d: LabeledDataset) -> LabeledDataset:
     )
 
 
-def per_class_partition(d: LabeledDataset | SyntheticDataset) -> ClassPartition:
-    """Group row indices by class; every class must have at least one row."""
-    idx: dict[int, np.ndarray] = {}
-    for y in range(d.class_count):
-        rows = np.nonzero(d.labels == y)[0]
+def per_class_partition(d: LabeledDataset | SyntheticDataset) -> list[np.ndarray]:
+    """The row indices of each class, indexed by label; every class must have at least one row."""
+    part = [np.nonzero(d.labels == y)[0] for y in range(d.class_count)]
+    for y, rows in enumerate(part):
         if rows.size == 0:
             raise EmptyClassError(f"class {y} has no samples")
-        idx[y] = rows
-    return ClassPartition(indices=idx)
+    return part
 
 
 def init_synthetic(
@@ -264,7 +240,7 @@ def init_synthetic(
     """
     if per_class < 1:
         raise CapacityError("per_class must be >= 1")
-    if mode not in ("subsample", "gaussian_noise"):
+    if mode not in INIT_MODES:
         raise ConfigError(f"unknown init mode {mode!r}")
     part = per_class_partition(d)
     rng = np.random.default_rng(seed)
@@ -305,12 +281,11 @@ def two_blobs(
     dim: int = 2,
     separation: float = 6.0,
     seed: int = 0,
-    normalized: bool = True,
 ) -> LabeledDataset:
     """Two isotropic Gaussian blobs separated by ``separation`` standard deviations.
 
     A standard desk-scale fixture: class means sit ``separation`` sigma apart along
-    the first axis, unit sigma, optionally min-max normalized into [0, 1].
+    the first axis, unit sigma, min-max normalized into [0, 1].
     """
     rng = np.random.default_rng(seed)
     m0 = np.zeros(dim)
@@ -321,8 +296,7 @@ def two_blobs(
     f = np.vstack([x0, x1])
     y = np.concatenate([np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64)])
     order = rng.permutation(2 * n_per_class)
-    d = LabeledDataset(features=f[order], labels=y[order], class_count=2)
-    return normalize_features(d) if normalized else d
+    return normalize_features(LabeledDataset(features=f[order], labels=y[order], class_count=2))
 
 
 def train_eval_split(d: LabeledDataset, eval_fraction: float = 0.2, seed: int = 0):

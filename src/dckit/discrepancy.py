@@ -18,7 +18,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
+from .kernels import median_heuristic_spec, mmd_squared
 
 PROVENANCES = ("random_init", "pretrained", "trajectory_snapshots")
 
@@ -71,14 +71,6 @@ class DiscrepancyReport:
             "params": self.params,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscrepancyReport":
-        d = json.loads(text)
-        checks = [
-            (c["name"], c["lhs"], c["rhs"], c["satisfied"]) for c in d.get("hierarchy_checks", [])
-        ]
-        return cls(values=d["values"], hierarchy_checks=checks, params=d.get("params", {}))
 
 
 def _points(x) -> np.ndarray:
@@ -288,29 +280,20 @@ def _argmin_loss(batch: ModelBatch, d, loss: str) -> int:
     return int(np.argmin(losses))  # first index wins ties
 
 
-def generalization_discrepancy_finite(
-    batch: ModelBatch,
-    t,
-    s,
-    loss: str = "cross_entropy",
-    eval_points: np.ndarray | None = None,
-    eval_seed: int = 0,
-    eval_extra: int = 256,
-):
+def generalization_discrepancy_finite(batch: ModelBatch, t, s, loss: str = "cross_entropy", eval_seed: int = 0):
     """(gd, vd, pd) for the finite hypothesis set with first-index argmin tie-breaking.
 
-    gd = |L(h*_S, T) - L(h*_T, T)|; vd is the sup output gap over T plus uniform
-    sample points; pd is the parameter-vector distance (same architecture only).
+    gd = |L(h*_S, T) - L(h*_T, T)|; vd is the sup output gap over T plus 256
+    uniform sample points drawn from ``eval_seed``; pd is the parameter-vector
+    distance (same architecture only).
     """
     i_t = _argmin_loss(batch, t, loss)
     i_s = _argmin_loss(batch, s, loss)
     h_t = batch.models[i_t]
     h_s = batch.models[i_s]
     gd = abs(h_s.mean_loss(t.features, t.labels, loss) - h_t.mean_loss(t.features, t.labels, loss))
-    if eval_points is None:
-        rng = np.random.default_rng(eval_seed)
-        extra = rng.uniform(0.0, 1.0, size=(eval_extra, t.features.shape[1]))
-        eval_points = np.vstack([t.features, extra])
+    extra = np.random.default_rng(eval_seed).uniform(0.0, 1.0, size=(256, t.features.shape[1]))
+    eval_points = np.vstack([t.features, extra])
     out_t, _ = h_t.forward_batch(eval_points)
     out_s, _ = h_s.forward_batch(eval_points)
     vd = float(np.abs(out_t - out_s).max())
@@ -327,35 +310,22 @@ def generalization_discrepancy_finite(
 # ---------------------------------------------------------------------------
 
 
-def hierarchy_report(
-    t,
-    s,
-    batch: ModelBatch | None = None,
-    kernel: KernelSpec | None = None,
-    loss: str = "cross_entropy",
-    freq_count: int = 128,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> DiscrepancyReport:
+def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0) -> DiscrepancyReport:
     """Compute every available discrepancy for (T, S) and record the bound checks.
 
-    With a batch, records the one bound check gd <= 2 dd in the finite-batch sense
-    (dd over the same hypothesis set, loss criterion).
+    MMD takes the median-heuristic Gaussian kernel of T, and cd 128 frequencies
+    drawn from ``seed``. With a batch, records the one bound check gd <= 2 dd in
+    the finite-batch sense (dd over the same hypothesis set, cross-entropy criterion).
     """
     values: dict[str, float] = {}
     checks: list = []
-    params: dict = {"loss": loss, "freq_count": freq_count, "seed": seed}
-
-    if kernel is None:
-        kernel = median_heuristic_spec(t.features)
-    params["kernel"] = kernel.describe()
+    loss = "cross_entropy"
+    kernel = median_heuristic_spec(t.features)
+    params: dict = {"loss": loss, "freq_count": 128, "seed": seed, "kernel": kernel.describe()}
     values["mmd"] = float(np.sqrt(max(mmd_squared(kernel, t.features, s.features), 0.0)))
     values["w1"] = wasserstein1(t.features, s.features)
     values["hausdorff"] = hausdorff_distance(t.features, s.features)
-
-    rng = np.random.default_rng(seed)
-    freqs = rng.normal(size=(freq_count, t.features.shape[1]))
-    values["cd"] = characteristic_discrepancy(t.features, s.features, freqs=freqs)
+    values["cd"] = characteristic_discrepancy(t.features, s.features, seed=seed)
 
     if batch is not None:
         values["dd_feature"] = ipm_feature_stat(batch, t, s)
@@ -366,7 +336,7 @@ def hierarchy_report(
         values["vd"] = vd
         values["pd"] = pd
         dd_loss = loss_discrepancy(batch, t, s, loss)
-        checks.append(("gd_le_2dd", gd, 2.0 * dd_loss, gd <= 2.0 * dd_loss + tol))
+        checks.append(("gd_le_2dd", gd, 2.0 * dd_loss, gd <= 2.0 * dd_loss + 1e-9))
         params["batch_size"] = len(batch)
         params["batch_provenance"] = batch.provenance
     return DiscrepancyReport(values=values, hierarchy_checks=checks, params=params)

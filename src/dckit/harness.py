@@ -17,6 +17,7 @@ import numpy as np
 
 from .condense import MethodConfig, StepLog, condense
 from .data import (
+    INIT_MODES,
     LabeledDataset,
     SyntheticDataset,
     init_synthetic,
@@ -59,6 +60,8 @@ class EvalConfig:
     pgd_steps: int = 10
 
     def __post_init__(self):
+        if not self.hidden_architectures:
+            raise ConfigError("eval.hidden_architectures must list at least one architecture")
         check_number("repeats", self.repeats, integer=True, low=1)
         check_number("pgd_eps", self.pgd_eps, low=0)
         check_number("pgd_steps", self.pgd_steps, integer=True, low=0)
@@ -85,6 +88,10 @@ class RunConfig:
             raise ConfigError(f"dataset must be a CSV path, got {self.dataset!r}")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise ConfigError(f"out_dir must be a directory path, got {self.out_dir!r}")
+        if self.init_mode not in INIT_MODES:
+            raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
         check_number("per_class", self.per_class, integer=True, low=1)
         check_number("latent_dim", self.latent_dim, integer=True, low=0)
         check_number("seed", self.seed, integer=True)

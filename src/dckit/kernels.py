@@ -80,10 +80,9 @@ def median_heuristic(x: np.ndarray) -> float:
     return float(np.median(vals))
 
 
-def median_heuristic_spec(x: np.ndarray, gamma: float = 2.0) -> KernelSpec:
-    """Gaussian-family spec with c = 1 / (2 median^gamma), the standard default bandwidth."""
-    med = median_heuristic(x)
-    return KernelSpec(family="gamma_exponential", gamma=gamma, scale=1.0 / (2.0 * med**gamma))
+def median_heuristic_spec(x: np.ndarray) -> KernelSpec:
+    """Gaussian spec with c = 1 / (2 median^2), the standard default bandwidth."""
+    return gaussian_spec(1.0 / (2.0 * median_heuristic(x) ** 2.0))
 
 
 def _as_points(x) -> np.ndarray:
@@ -110,7 +109,7 @@ def _rff_params(n: int, p: int, scale: float, seed: int):
     return _RFF_CACHE[key]
 
 
-def random_feature_map(spec: KernelSpec, x: np.ndarray, seed: int | None = None) -> np.ndarray:
+def random_feature_map(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     """Random Fourier features sqrt(2/p) cos(Wx + b) for one point or a batch.
 
     A 1-D input is one n-dimensional point; a 2-D input is a batch of rows.
@@ -120,7 +119,7 @@ def random_feature_map(spec: KernelSpec, x: np.ndarray, seed: int | None = None)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = x[None, :] if single else _as_points(x)
-    w, b = _rff_params(pts.shape[1], spec.feature_dim, spec.scale, spec.seed if seed is None else seed)
+    w, b = _rff_params(pts.shape[1], spec.feature_dim, spec.scale, spec.seed)
     phi = np.sqrt(2.0 / spec.feature_dim) * np.cos(pts @ w.T + b)
     return phi[0] if single else phi
 

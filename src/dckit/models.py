@@ -187,39 +187,6 @@ class TrainConfig:
             raise ConfigError(f"loss must be one of {LOSSES}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered flattened parameter snapshots; snapshot 0 is the initialization."""
-
-    snapshots: tuple
-
-    def __post_init__(self):
-        snaps = tuple(np.asarray(s, dtype=np.float64) for s in self.snapshots)
-        if len(snaps) == 0:
-            raise ValidationError("trajectory needs at least the initial snapshot")
-        dim = snaps[0].shape
-        if any(s.shape != dim for s in snaps):
-            raise ValidationError("all snapshots must share one dimension")
-        object.__setattr__(self, "snapshots", snaps)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def stack(self) -> np.ndarray:
-        return np.stack(self.snapshots)
-
-    def to_text(self) -> str:
-        lines = [" ".join(repr(float(v)) for v in snap) for snap in self.snapshots]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Trajectory":
-        snaps = tuple(
-            np.asarray([float(v) for v in line.split()]) for line in text.strip().split("\n")
-        )
-        return cls(snaps)
-
-
 class Mlp:
     """Fully connected network with explicit weights; immutable by convention.
 
@@ -361,21 +328,18 @@ class Mlp:
 
     # -- forward-over-reverse tangent -----------------------------------------------
 
-    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, at=0.0, params=None, input_part=True):
+    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, params=None, input_part=True):
         """One ``_tangent_sweep`` along the parameter direction v.
 
-        Differentiates the mean-loss gradients along theta + eps v at eps = ``at``,
-        where theta is the model's parameters or, given ``params``, per-layer views
-        into that flat vector (no model is built). Returns the input part, grad_x of
+        Differentiates the mean-loss gradients along v at theta, the model's
+        parameters or, given ``params``, per-layer views into that flat vector (no
+        model is built). Returns the input part, grad_x of
         <v, grad_theta meanloss>, used for analytic gradient matching; with ``grads``
         it also writes the exact Hessian-vector product H v there, and without
         ``input_part`` returns None instead. Stacks as in ``backward``, with a (C, P) v.
         """
         vw, vb = self._split_flat(np.asarray(v_flat, dtype=np.float64))
         weights, biases = (self.weights, self.biases) if params is None else self._split_flat(params)
-        if at:
-            weights = [w + at * d for w, d in zip(weights, vw)]
-            biases = [b + at * d for b, d in zip(biases, vb)]
         zs, acts = _forward_sweep(weights, biases, self.activation, x)
         _, g = _loss_value_and_grad(acts[-1], y, loss)
         return _tangent_sweep(weights, self.activation, zs, acts, g, loss, vw, vb, grads, input_part)
@@ -405,29 +369,6 @@ class Mlp:
         vw, vb = self._split_flat(np.asarray(v, dtype=np.float64).reshape(-1, self.param_count))
         gx = _tangent_sweep(self.weights, self.activation, zs, acts, g, None, vw, vb)
         return gx.reshape(-1, self.n_outputs, gx.shape[-1]).sum(axis=1)
-
-    # -- serialization -----------------------------------------------------------------
-
-    def to_text(self) -> str:
-        header = {
-            "widths": list(self.widths),
-            "activation": self.activation,
-            "init_seed": self.init_seed,
-        }
-        import json
-
-        params = " ".join(repr(float(v)) for v in self.flat_params())
-        return json.dumps(header) + "\n" + params + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Mlp":
-        import json
-
-        head, params = text.strip().split("\n", 1)
-        header = json.loads(head)
-        flat = np.asarray([float(v) for v in params.split()], dtype=np.float64)
-        m = cls.init(header["widths"], header["activation"], seed=header.get("init_seed", 0))
-        return m.with_params(flat)
 
 
 class LinearModel:
@@ -543,9 +484,9 @@ def sgd_train_stack(models, d, cfg: TrainConfig, seeds, record: bool = False):
     is not read). Each step is one ``_FlatSgd`` sweep over the (R, B, n) stack of
     the members' batches, updating one (R, P) parameter buffer in place. Returns
     the trained models (``models`` themselves when ``cfg.epochs`` is 0) and, when
-    ``record`` is set, each member's trajectory of end-of-epoch flattened snapshots
-    (snapshot 0 is the initialization), else None. The first epoch in which any
-    member goes non-finite raises ``DivergenceError`` naming it.
+    ``record`` is set, each member's (epochs + 1, P) array of end-of-epoch flattened
+    snapshots (row 0 is the initialization), else None. The first epoch in which
+    any member goes non-finite raises ``DivergenceError`` naming it.
     """
     if not models or len(seeds) != len(models):
         raise ConfigError(f"need one seed per model and at least one model, got {len(models)} and {len(seeds)}")
@@ -562,19 +503,19 @@ def sgd_train_stack(models, d, cfg: TrainConfig, seeds, record: bool = False):
             if record:
                 snaps.append(net.params.copy())
     out = list(models) if cfg.epochs == 0 else [m.with_params(p) for m, p in zip(models, net.params)]
-    return out, [Trajectory(tuple(s[r] for s in snaps)) for r in range(len(models))] if record else None
+    return out, list(np.stack(snaps, axis=1)) if record else None
 
 
 def sgd_train(m: Mlp, d, cfg: TrainConfig, record: bool = False):
     """Mini-batch SGD with per-epoch shuffling fixed by the config seed: ``sgd_train_stack`` with one member.
 
     Returns a freshly validated ``Mlp`` (``m`` itself when ``cfg.epochs`` is 0)
-    and, when ``record`` is set, the trajectory of end-of-epoch flattened snapshots
-    (snapshot 0 is the initialization). Divergence raises ``DivergenceError``
-    naming the epoch.
+    and, when ``record`` is set, the (epochs + 1, P) array of end-of-epoch flattened
+    snapshots (row 0 is the initialization), else None. Divergence raises
+    ``DivergenceError`` naming the epoch.
     """
-    [out], trajectories = sgd_train_stack([m], d, cfg, [cfg.seed], record)
-    return out, trajectories[0] if record else None
+    [out], snapshots = sgd_train_stack([m], d, cfg, [cfg.seed], record)
+    return out, snapshots[0] if record else None
 
 
 def pgd_attack(

@@ -12,18 +12,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
+_WIDTH, _HEIGHT = 640, 400  # every plot's frame, in pixels
+
+
+def _svg_header(title: str) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="10" y="18" font-family="monospace" font-size="13">{title}</text>',
     ]
 
 
-def polyline_svg(values, path, title: str = "objective", width: int = 640, height: int = 400) -> None:
+def polyline_svg(values, path, title: str = "objective") -> None:
     """Line plot of a numeric series; an empty series yields an empty frame."""
-    lines = _svg_header(width, height, title)
+    lines = _svg_header(title)
     vals = [float(v) for v in values]
     if vals:
         lo, hi = min(vals), max(vals)
@@ -31,38 +34,38 @@ def polyline_svg(values, path, title: str = "objective", width: int = 640, heigh
         nx = max(len(vals) - 1, 1)
         pts = []
         for i, v in enumerate(vals):
-            x = 40 + (width - 60) * (i / nx)
-            y = height - 30 - (height - 60) * ((v - lo) / span)
+            x = 40 + (_WIDTH - 60) * (i / nx)
+            y = _HEIGHT - 30 - (_HEIGHT - 60) * ((v - lo) / span)
             pts.append(f"{_fmt(x)},{_fmt(y)}")
         lines.append(
             f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{" ".join(pts)}"/>'
         )
         lines.append(
-            f'<text x="10" y="{height - 8}" font-family="monospace" font-size="11">'
+            f'<text x="10" y="{_HEIGHT - 8}" font-family="monospace" font-size="11">'
             f"min={_fmt(lo)} max={_fmt(hi)} n={len(vals)}</text>"
         )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def bar_svg(labels, values, path, title: str = "accuracy", width: int = 640, height: int = 400) -> None:
+def bar_svg(labels, values, path, title: str = "accuracy") -> None:
     """Bar plot over labeled values in [0, 1]-ish scale."""
-    lines = _svg_header(width, height, title)
+    lines = _svg_header(title)
     vals = [float(v) for v in values]
     if vals:
         hi = max(max(vals), 1e-12)
         n = len(vals)
-        bw = (width - 80) / n
+        bw = (_WIDTH - 80) / n
         for i, (lab, v) in enumerate(zip(labels, vals)):
             x = 40 + i * bw
-            bh = (height - 80) * (v / hi)
-            y = height - 40 - bh
+            bh = (_HEIGHT - 80) * (v / hi)
+            y = _HEIGHT - 40 - bh
             lines.append(
                 f'<rect x="{_fmt(x + 4)}" y="{_fmt(y)}" width="{_fmt(bw - 8)}" '
                 f'height="{_fmt(bh)}" fill="steelblue"/>'
             )
             lines.append(
-                f'<text x="{_fmt(x + 4)}" y="{height - 24}" font-family="monospace" '
+                f'<text x="{_fmt(x + 4)}" y="{_HEIGHT - 24}" font-family="monospace" '
                 f'font-size="10">{lab}</text>'
             )
             lines.append(
@@ -73,9 +76,9 @@ def bar_svg(labels, values, path, title: str = "accuracy", width: int = 640, hei
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def series_csv(values, path, column: str = "objective") -> None:
+def series_csv(values, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"step,{column}\n")
+        fh.write("step,objective\n")
         for i, v in enumerate(values):
             fh.write(f"{i},{float(v)!r}\n")
 

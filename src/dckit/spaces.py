@@ -6,7 +6,6 @@ make the resulting injectivity/surjectivity caveats constructible.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,21 +65,6 @@ class LinearAutoencoder:
     def encode_jacobian(self) -> np.ndarray:
         """d encode / d x, shape (m, n); constant since the map is affine."""
         return self.basis.T
-
-    def to_text(self) -> str:
-        payload = {
-            "mean": [repr(float(v)) for v in self.mean],
-            "basis_column_major": [repr(float(v)) for v in self.basis.ravel(order="F")],
-            "shape": list(self.basis.shape),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LinearAutoencoder":
-        d = json.loads(text)
-        n, m = d["shape"]
-        basis = np.asarray([float(v) for v in d["basis_column_major"]]).reshape((n, m), order="F")
-        return cls(mean=np.asarray([float(v) for v in d["mean"]]), basis=basis)
 
 
 def identity_autoencoder(n: int) -> LinearAutoencoder:

@@ -15,10 +15,8 @@ from dckit import (
     Mlp,
     RegContext,
     SyntheticDataset,
-    Trajectory,
     cig_ridge_value_and_grad,
     condense,
-    condense_bilevel,
     dp_noise_calibration,
     gaussian_spec,
     kcenter_covering,
@@ -36,7 +34,7 @@ from dckit.condense import (
     _bptt_value_and_grad,
     _curvature_penalty,
     _matching_problem,
-    _trajectory_objective,
+    _trajectory_problem,
     tuned_config,
 )
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
@@ -576,7 +574,7 @@ def test_trajectory_adjoint_matches_fd_oracle(loss, epochs, batch):
     s0 = SyntheticDataset(x[rows], y[rows], per_class_size=3, origin="init")
     cfg = MethodConfig(method="trajectory", hidden=(4,), activation="tanh", inner_steps=epochs,
                        inner_batch=batch, inner_lr=0.3, loss=loss, seed=3)
-    objective = _trajectory_objective(cfg, LabeledDataset(x, y, 2), s0)
+    _, objective, *_ = _trajectory_problem(cfg, LabeledDataset(x, y, 2), s0)
     _, grad, _ = objective(s0.features, 0)
     fd = central_diff(lambda u: objective(u, 0)[0], s0.features)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -592,7 +590,7 @@ def test_trajectory_step_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         rows = [*np.flatnonzero(t.labels == 0)[:3], *np.flatnonzero(t.labels == 1)[:3]]
         s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=3, origin="init")
         cfg = MethodConfig(method="trajectory", hidden=(4,), inner_steps=2, inner_batch=4, seed=0)
-        objective = _trajectory_objective(cfg, t, s)  # trains the expert
+        _, objective, *_ = _trajectory_problem(cfg, t, s)  # trains the expert
         calls = []
         for owner, name in ((_FlatSgd, "step"), (Mlp, "input_grad_param_tangent")):
             original = getattr(owner, name)
@@ -637,10 +635,7 @@ def test_cig_matches_fd(rng):
         assert np.max(np.abs(fd - grad) / (np.abs(fd) + 1e-8)) <= 1e-4
 
 
-def test_bilevel_flavor_validation(toy_pair):
-    t, s = toy_pair
-    with pytest.raises(ConfigError):
-        condense_bilevel(MethodConfig(method="dm", seed=0), t, s)  # not a bilevel method
+def test_bilevel_flavor_validation():
     with pytest.raises(ConfigError):
         MethodConfig(method="robdc", seed=0)  # robust_outer variant missing
 
@@ -777,15 +772,14 @@ def test_div_duplicates():
 
 
 def test_proj_in_span(rng):
-    snaps = tuple(rng.normal(size=20) for _ in range(4))
-    traj = Trajectory(snaps)
+    traj = rng.normal(size=(4, 20))  # 4 snapshots of 20 parameters
     coef = rng.normal(size=4)
-    theta = traj.stack().T @ coef
+    theta = traj.T @ coef
     ctx = RegContext(theta=theta, trajectory=traj)
     assert regularizer_eval("proj", ctx)[0] <= 1e-9
     # out-of-span component measured in l1, cross-checked by lstsq residual
     theta2 = theta + rng.normal(size=20) * 0.3
-    basis = traj.stack().T
+    basis = traj.T
     resid = theta2 - basis @ np.linalg.lstsq(basis, theta2, rcond=None)[0]
     assert regularizer_eval("proj", RegContext(theta=theta2, trajectory=traj))[0] == pytest.approx(
         float(np.abs(resid).sum()), rel=1e-9)

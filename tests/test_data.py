@@ -82,7 +82,8 @@ def test_normalize_extremes_unchanged():
 def test_normalize_records_inversion():
     d = LabeledDataset(np.array([[2.0, 1.0], [4.0, 3.0]]), np.array([0, 1]), 2)
     out = normalize_features(d)
-    back = out.norm.invert(out.features)
+    assert out.norm.mins.tolist() == [2.0, 1.0] and out.norm.ranges.tolist() == [2.0, 2.0]
+    back = out.features * out.norm.ranges + out.norm.mins
     assert np.allclose(back, d.features, atol=1e-12)
 
 

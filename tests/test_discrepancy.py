@@ -7,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from dckit import (
-    DiscrepancyReport,
     IdentityModel,
     LabeledDataset,
     Mlp,
@@ -287,11 +286,3 @@ def test_hierarchy_checks_random_sweep(rng):
         s = SyntheticDataset(rng.uniform(size=(4, 2)), np.array([0, 0, 1, 1]), per_class_size=2, origin="x")
         rep = hierarchy_report(t, s, batch_of(6, widths=(2, 6, 2), base_seed=trial))
         assert all(ok for (_, _, _, ok) in rep.hierarchy_checks)
-
-
-def test_report_roundtrip(toy_pair):
-    t, s = toy_pair
-    rep = hierarchy_report(t, s, batch_of(2))
-    again = DiscrepancyReport.from_json(rep.to_json())
-    assert again.values == {k: float(v) for k, v in rep.values.items()}
-    assert [tuple(c) for c in again.hierarchy_checks] == [tuple(c) for c in rep.hierarchy_checks]

@@ -263,7 +263,8 @@ def test_divergence_leaks_no_runtime_warning(tmp_path):
     {"loss": "bogus"},
     {"learning_rate": float("nan")},
     {"batch_size": 0},
-], ids=["epochs", "lr-zero", "loss", "lr-nan", "batch-size"])
+    {"hidden_architectures": []},
+], ids=["epochs", "lr-zero", "loss", "lr-nan", "batch-size", "no-architectures"])
 def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
     # only the eval block is invalid, and it must be reported before any stage runs
     cfg = {"dataset": str(blobs_csv), "method": {"method": "kmeans"}, "eval": bad}
@@ -290,9 +291,10 @@ def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, 
     {"reg_tau": 0, "regularizers": {"div": 1}},
     {"image_shape": [1, 4, 4], "variants": {"multiform": {"r": 2}}, "regularizers": {"inter": 0.1}},
     {"image_shape": [1, 4, 4], "variants": {"multiform": {"r": 2}}, "regularizers": {"proj": 0.1}},
+    {"activation": "bogus"},
 ], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch",
         "con-one-model", "cos-one-model", "bptt-regularizer", "krr-regularizer", "reg-tau-zero", "inter-multiform",
-        "proj-multiform"])
+        "proj-multiform", "activation"])
 def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
     cfg = {"dataset": str(blobs_csv), "method": {"method": "dm", **bad}}
     path = tmp_path / "bad.json"
@@ -310,7 +312,12 @@ def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys
     ({"method": {"method": "mmd", "kernel": {"family": "gamma_exponential", "typo": 1}}}, "method.kernel.typo"),
     ({"method": {"method": "mmd", "kernel": {"family": "gamma_exponential", "gamma": "2"}}}, "gamma"),
     ({"method": "dm"}, "method must be a JSON object"),
-], ids=["method-key", "eval-key", "top-level-key", "kernel-family", "kernel-key", "gamma-string", "method-type"])
+    ({"method": {"method": "dm", "regime": "bogus"}}, "regime must be one of"),
+    ({"method": {"method": "dm", "regime": "bogus"}, "latent_dim": 1}, "regime must be one of"),
+    ({"method": {"method": "dm"}, "init_mode": "bogus"}, "init_mode must be one of"),
+    ({"method": {"method": "dm"}, "normalize": "no"}, "normalize must be true or false"),
+], ids=["method-key", "eval-key", "top-level-key", "kernel-family", "kernel-key", "gamma-string", "method-type",
+        "regime", "regime-latent-dim", "init-mode", "normalize-string"])
 def test_cli_malformed_config_exit_two(blobs_csv, tmp_path, capsys, cfg, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": str(blobs_csv), **cfg}))

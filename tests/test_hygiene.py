@@ -1,6 +1,6 @@
 """Static checks over the package source, the demos and the README quick start.
 
-Each check parses source with ``ast``; only the import-name check imports ``dckit``.
+Each check parses source with ``ast``; only the import-name and traced-name checks import ``dckit``.
 """
 import ast
 import importlib
@@ -316,3 +316,139 @@ def test_missing_dckit_import_detected():
     )
     assert missing_dckit_imports(planted) == [
         "dckit.push_forward_dataset (line 2)", "dckit.kernels._central_diff (line 3)", "dckit.nowhere (line 4)"]
+
+
+def read_names(source: str) -> set:
+    """Every name that ``source`` reads: plain names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def uncalled_public_names(sources: dict, callers: list) -> list[str]:
+    """Public top-level functions and classes of ``sources``, and the public methods of those
+    classes, that no source in ``callers`` names (a definition is not a use of itself)."""
+    used = set().union(*map(read_names, callers))
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            names = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                names += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            found += [f"{module}:{qualified}" for qualified, name in names if name not in used]
+    return found
+
+
+def _callee(func):
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def unset_optional_params(sources: dict, callers: list) -> list[str]:
+    """Optional parameters of the public top-level functions of ``sources`` that no call in
+    ``callers`` sets, by keyword, by position or as a keyword or position of ``partial(fn, ...)``.
+    Calls are matched by the called name; a ``*args`` call sets every position."""
+    positions, keywords = {}, {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            n = float("inf") if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            positions[name] = max(positions.get(name, 0), n)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+    found = []
+    for module, source in sources.items():
+        for fn in ast.parse(source).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = [*a.posonlyargs, *a.args]
+            optional = [(i, arg.arg) for i, arg in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+            optional += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [f"{module}:{fn.name}({arg})" for i, arg in optional if arg not in keywords.get(fn.name, ())
+                      and (i is None or positions.get(fn.name, 0) <= i)]
+    return found
+
+
+def missing_traced_names(tracing_source: str) -> list[str]:
+    """The ``(module, attr)`` pairs of a tracer's ``FUNCTIONS`` table and the ``Mlp`` methods of
+    its ``MLP_METHODS`` table that do not exist; the tracer source is parsed, not run."""
+    tables = {node.targets[0].id: [[getattr(e, "value", None) for e in row.elts] for row in node.value.elts]
+              for node in ast.parse(tracing_source).body
+              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "MLP_METHODS")}
+    missing = []
+    for _, module, attr, _ in tables.get("FUNCTIONS", []):
+        try:
+            found = hasattr(importlib.import_module(module), attr)
+        except ImportError:
+            missing.append(module)
+            continue
+        if not found:
+            missing.append(f"{module}.{attr}")
+    mlp = importlib.import_module("dckit.models").Mlp
+    return missing + [f"Mlp.{attr}" for _, attr, _ in tables.get("MLP_METHODS", []) if attr not in vars(mlp)]
+
+
+PACKAGE = {p.name: p.read_text() for p in MODULES}
+PRODUCTION_CALLERS = [*PACKAGE.values(), *(p.read_text() for p in DEMOS), readme_python_blocks()]
+TEST_SOURCES = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+# Public names whose only callers are the tests: each is kept as a test aid. Any other public
+# name with no caller in the package, the demos or the README is surface to delete.
+TEST_ONLY_NAMES = ["condense.py:matching_value_and_grad", "data.py:SyntheticDataset.with_features",
+                   "data.py:save_dataset", "models.py:IdentityModel"]
+
+
+def test_public_names_only_tests_reference():
+    assert uncalled_public_names(PACKAGE, PRODUCTION_CALLERS) == TEST_ONLY_NAMES
+    assert uncalled_public_names(PACKAGE, PRODUCTION_CALLERS + TEST_SOURCES) == []
+
+
+def test_uncalled_public_name_detected():
+    lib = ("def used(x):\n    return helper(x)\n\n\ndef helper(x):\n    return x\n\n\n"
+           "def tested_only():\n    pass\n\n\nclass Box:\n    def open(self):\n        pass\n\n"
+           "    def seal(self):\n        pass\n\n    def _hidden(self):\n        pass\n\n\ndef _private():\n    pass\n")
+    caller = "from lib import used, Box\nBox().open()\nused(1)\n"
+    assert uncalled_public_names({"lib.py": lib}, [lib, caller]) == ["lib.py:tested_only", "lib.py:Box.seal"]
+    assert uncalled_public_names({"lib.py": lib}, [lib, caller, "tested_only()\nb.seal()\n"]) == []
+
+
+def test_every_optional_parameter_is_set_by_a_call():
+    assert unset_optional_params(PACKAGE, PRODUCTION_CALLERS + TEST_SOURCES) == []
+
+
+def test_unset_optional_parameter_detected():
+    lib = ("def plot(values, path, title='t', width=640, height=400, *, dpi=72, ink=None):\n    pass\n\n\n"
+           "def draw(x, seed=0, mixing=None):\n    pass\n\n\n"
+           "def spread(a, b=1, c=2):\n    pass\n\n\n"
+           "def _private(a, b=1):\n    pass\n")
+    callers = ["plot(v, 'p', 'title', width=10)\nobj.plot(v, 'p', ink='red')\n",
+               "from functools import partial\nf = partial(draw, mixing=m)\nspread(*args)\n"]
+    assert unset_optional_params({"lib.py": lib}, callers) == [
+        "lib.py:plot(height)", "lib.py:plot(dpi)", "lib.py:draw(seed)"]
+
+
+def test_traced_names_exist():
+    assert missing_traced_names((ROOT / "perfbench" / "tracing.py").read_text()) == []
+
+
+def test_missing_traced_name_detected():
+    planted = (
+        "FUNCTIONS = (\n"
+        "    ('data.load_dataset', 'dckit.data', 'load_dataset', lambda a, k, r: r.n_samples),\n"
+        "    ('condense.gone', 'dckit.condense', 'no_such_function', None),\n"
+        "    ('gone.f', 'dckit.gone', 'f', None),\n"
+        ")\n"
+        "MLP_METHODS = (('models.backward', 'backward', None), ('models.gone', 'no_such_method', None))\n"
+    )
+    assert missing_traced_names(planted) == ["dckit.condense.no_such_function", "dckit.gone", "Mlp.no_such_method"]

@@ -70,13 +70,6 @@ def test_push_forward_mean_linearity(rng):
     assert np.allclose(z.mean(axis=0), ae.encode(x.mean(axis=0)[None])[0], atol=1e-12)
 
 
-def test_serialization_preserves_orthonormality(rng):
-    ae = fit_linear_autoencoder(rng.normal(size=(30, 4)), 2)
-    ae2 = LinearAutoencoder.from_text(ae.to_text())
-    assert np.max(np.abs(ae2.basis.T @ ae2.basis - np.eye(2))) <= 1e-10
-    assert np.allclose(ae2.basis, ae.basis)
-
-
 @pytest.mark.parametrize("disc", ["mmd", "w1", "ipm_feature"])
 def test_identity_encoder_regimes_agree(disc, rng):
     t = rng.uniform(size=(10, 3))
