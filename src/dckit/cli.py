@@ -12,7 +12,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from .condense import MethodConfig
-from .data import load_dataset, load_synthetic
 from .errors import (
     CondensationError,
     ConfigError,
@@ -21,7 +20,7 @@ from .errors import (
     SolveError,
     check_number,
 )
-from .harness import EvalConfig, RunConfig, discrepancy_command, emit_plots, evaluate, run
+from .harness import EvalConfig, EvalReport, RunConfig, discrepancy_command, emit_plots, evaluate_command, run
 from .kernels import KernelSpec
 
 _NUMERIC_ERRORS = (DivergenceError, NumericalError, SolveError)
@@ -96,13 +95,19 @@ def _build_run_config(args) -> RunConfig:
     return RunConfig(**run_d)
 
 
+def _print_accuracies(report: EvalReport) -> None:
+    for name, entry in report.per_architecture.items():
+        print(f"  {name}: accuracy {entry['mean']:.4f} +/- {entry['std']:.4f}")
+    print(f"  baseline: {report.baseline_accuracy:.4f}  gd_estimate: {report.gd_estimate:.6f}")
+    if report.robust_accuracy is not None:
+        print(f"  robust accuracy: {report.robust_accuracy:.4f}")
+
+
 def _cmd_condense(args) -> int:
     cfg = _build_run_config(args)
     report = run(cfg)
     print(f"condense: method={cfg.method.method} seed={cfg.seed}")
-    for name, entry in report.per_architecture.items():
-        print(f"  {name}: accuracy {entry['mean']:.4f} +/- {entry['std']:.4f}")
-    print(f"  baseline: {report.baseline_accuracy:.4f}  gd_estimate: {report.gd_estimate:.6f}")
+    _print_accuracies(report)
     if cfg.out_dir:
         print(f"  artifacts in {cfg.out_dir}")
     return 0
@@ -110,36 +115,16 @@ def _cmd_condense(args) -> int:
 
 def _cmd_discrepancy(args) -> int:
     selectors = tuple(s.strip() for s in args.metrics.split(",") if s.strip())
-    report = discrepancy_command(
-        args.a, args.b, selectors, freq_count=args.freqs, seed=args.seed or 0, out_path=args.out
-    )
+    report = discrepancy_command(args.a, args.b, selectors, freq_count=args.freqs, seed=args.seed, out_path=args.out)
     for name in selectors:
         print(f"{name}: {report.values[name]:.12g}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    s = load_synthetic(args.synthetic)
-    d = load_dataset(args.real)
-    from .data import train_eval_split
-    from .seeding import derive_seed
-
-    t_train, t_eval = train_eval_split(d, 0.2, seed=derive_seed(args.seed or 0, "split"))
     eval_cfg = EvalConfig(repeats=args.repeats, pgd_eps=args.pgd_eps)
-    report = evaluate(s, t_train, t_eval, eval_cfg, seed=args.seed or 0)
-    for name, entry in report.per_architecture.items():
-        print(f"{name}: accuracy {entry['mean']:.4f} +/- {entry['std']:.4f}")
-    print(f"baseline: {report.baseline_accuracy:.4f}  gd_estimate: {report.gd_estimate:.6f}")
-    if report.robust_accuracy is not None:
-        print(f"robust accuracy (pgd eps={args.pgd_eps}): {report.robust_accuracy:.4f}")
-    if args.out:
-        payload = {
-            "per_architecture": report.per_architecture,
-            "baseline_accuracy": report.baseline_accuracy,
-            "gd_estimate": report.gd_estimate,
-            "robust_accuracy": report.robust_accuracy,
-        }
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    report = evaluate_command(args.synthetic, args.real, eval_cfg, args.seed, args.out)
+    _print_accuracies(report)
     return 0
 
 

@@ -88,7 +88,7 @@ from .models import (
     sgd_train_stack,
 )
 from .seeding import derive_seed, derived_rng
-from .spaces import REGIMES
+from .spaces import REGIMES, regime_maps
 
 METHODS = (
     "dm",
@@ -939,26 +939,6 @@ def _make_ensemble(cfg: MethodConfig, input_dim: int, class_count: int, t_matche
     return models
 
 
-def _regime_views(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
-    """Matched T view, initial variables, variable-to-matched map + vjp, and the
-    map recovering input-space synthetic features from the variables."""
-    ae = cfg.autoencoder
-    if cfg.regime != "input_input" and ae is None:
-        raise ConfigError(f"regime {cfg.regime!r} needs an autoencoder")
-    ident = lambda v: v
-    if cfg.regime == "input_input":
-        return t.features, np.array(s0.features, copy=True), ident, (lambda g: g), True, ident
-    if cfg.regime == "input_latent":
-        fwd = lambda v: ae.decode(v)
-        vjp = lambda g: g @ ae.basis
-        return t.features, ae.encode(s0.features), fwd, vjp, False, fwd
-    if cfg.regime == "latent_input":
-        fwd = lambda v: ae.encode(v)
-        vjp = lambda g: g @ ae.basis.T
-        return ae.encode(t.features), np.array(s0.features, copy=True), fwd, vjp, True, ident
-    return ae.encode(t.features), ae.encode(s0.features), ident, (lambda g: g), False, (lambda v: ae.decode(v))
-
-
 def condense(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """Run one condensation method; returns (synthetic set, per-step objective log).
 
@@ -1014,7 +994,8 @@ def matching_value_and_grad(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticD
 def _matching_problem(cfg, t, s0):
     """The matching run as (v0, objective, log, project, finish) for ``_descend``;
     ``finish(v)`` turns the final variables into (synthetic set, log)."""
-    t_matched, v0, fwd, regime_vjp, clip_inputs, to_input = _regime_views(cfg, t, s0)
+    to_matched, to_variables, fwd, regime_vjp, to_input = regime_maps(cfg.regime, cfg.autoencoder)
+    t_matched, v0 = to_matched(t.features), np.array(to_variables(s0.features), copy=True)
     part_t = per_class_partition(t)
     part_s = per_class_partition(s0)
     classes = range(t.class_count)
@@ -1165,7 +1146,7 @@ def _matching_problem(cfg, t, s0):
         meta = {"seed": cfg.seed, "regime": cfg.regime, "kernel": kernel.describe() if kernel else None}
         return _synthetic(s0, np.asarray(to_input(v)), cfg.method, meta), log
 
-    return v0, objective, log, _clip01 if clip_inputs else (lambda v: v), finish
+    return v0, objective, log, _clip01 if cfg.regime.endswith("_input") else (lambda v: v), finish
 
 
 def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg):

@@ -18,7 +18,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .kernels import median_heuristic_spec, mmd_squared
+from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
 
 PROVENANCES = ("random_init", "pretrained", "trajectory_snapshots")
 
@@ -310,22 +310,47 @@ def generalization_discrepancy_finite(batch: ModelBatch, t, s, loss: str = "cros
 # ---------------------------------------------------------------------------
 
 
+MODEL_FREE = ("mmd", "w1", "hausdorff", "cd")
+
+
+def model_free(t, s, names, kernel: KernelSpec | None, freq_count: int, seed: int):
+    """The model-free discrepancies ``names`` between (N, n) point sets t and s, as (values, params).
+
+    mmd is the MMD under ``kernel``, or under the median-heuristic Gaussian kernel of t
+    when it is None; cd takes ``freq_count`` frequencies drawn from ``seed``. Unknown or
+    missing names raise ConfigError, and point sets of different dimension ShapeError,
+    before anything is computed.
+    """
+    if not names or not set(names) <= set(MODEL_FREE):
+        raise ConfigError(f"discrepancy names must be a nonempty selection of {MODEL_FREE}, got {tuple(names)}")
+    if t.shape[1] != s.shape[1]:
+        raise ShapeError(f"point dimensions differ: {t.shape[1]} vs {s.shape[1]}")
+    values, params = {}, {}
+    if "mmd" in names:
+        kernel = kernel if kernel is not None else median_heuristic_spec(t)
+        params["kernel"] = kernel.describe()
+        values["mmd"] = float(np.sqrt(max(mmd_squared(kernel, t, s), 0.0)))
+    if "w1" in names:
+        values["w1"] = wasserstein1(t, s)
+    if "hausdorff" in names:
+        values["hausdorff"] = hausdorff_distance(t, s)
+    if "cd" in names:
+        params.update(freq_count=freq_count, seed=seed)
+        values["cd"] = characteristic_discrepancy(t, s, sample_count=freq_count, seed=seed)
+    return values, params
+
+
 def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0) -> DiscrepancyReport:
     """Compute every available discrepancy for (T, S) and record the bound checks.
 
-    MMD takes the median-heuristic Gaussian kernel of T, and cd 128 frequencies
-    drawn from ``seed``. With a batch, records the one bound check gd <= 2 dd in
-    the finite-batch sense (dd over the same hypothesis set, cross-entropy criterion).
+    The model-free values are ``model_free`` with the median-heuristic kernel of T and
+    128 frequencies drawn from ``seed``. With a batch, records the one bound check gd <= 2 dd
+    in the finite-batch sense (dd over the same hypothesis set, cross-entropy criterion).
     """
-    values: dict[str, float] = {}
     checks: list = []
     loss = "cross_entropy"
-    kernel = median_heuristic_spec(t.features)
-    params: dict = {"loss": loss, "freq_count": 128, "seed": seed, "kernel": kernel.describe()}
-    values["mmd"] = float(np.sqrt(max(mmd_squared(kernel, t.features, s.features), 0.0)))
-    values["w1"] = wasserstein1(t.features, s.features)
-    values["hausdorff"] = hausdorff_distance(t.features, s.features)
-    values["cd"] = characteristic_discrepancy(t.features, s.features, seed=seed)
+    values, params = model_free(t.features, s.features, MODEL_FREE, None, 128, seed)
+    params = {"loss": loss, **params}
 
     if batch is not None:
         values["dd_feature"] = ipm_feature_stat(batch, t, s)

@@ -6,6 +6,7 @@ that is excluded from that guarantee.
 """
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -19,23 +20,18 @@ from .condense import MethodConfig, StepLog, condense
 from .data import (
     INIT_MODES,
     LabeledDataset,
+    NormParams,
     SyntheticDataset,
     init_synthetic,
     load_dataset,
+    load_synthetic,
     normalize_features,
     save_synthetic,
     train_eval_split,
 )
-from .discrepancy import (
-    DiscrepancyReport,
-    ModelBatch,
-    characteristic_discrepancy,
-    hausdorff_distance,
-    hierarchy_report,
-    wasserstein1,
-)
-from .errors import CondensationError, ConfigError, check_number
-from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
+from .discrepancy import DiscrepancyReport, ModelBatch, hierarchy_report, model_free
+from .errors import CondensationError, ConfigError, ShapeError, check_number
+from .kernels import KernelSpec
 from .models import Mlp, TrainConfig, pgd_attack, sgd_train_stack
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
 from .seeding import derive_seed
@@ -205,9 +201,7 @@ def run(cfg: RunConfig) -> EvalReport:
         cfg.method.check_image_shape(d.n_features)  # before any stage works on the data
         if cfg.normalize:
             d = timer.run("normalize", lambda: normalize_features(d))
-        t_train, t_eval = timer.run(
-            "split", lambda: train_eval_split(d, 0.2, seed=derive_seed(cfg.seed, "split"))
-        )
+        t_train, t_eval = timer.run("split", lambda: _split(d, cfg.seed))
         method = cfg.method
         if method.regime != "input_input" and method.autoencoder is None:
             if not 1 <= cfg.latent_dim < d.n_features:
@@ -270,6 +264,21 @@ def _method_dict(m: MethodConfig) -> dict:
     return out
 
 
+def _split(d: LabeledDataset, seed: int):
+    """The run's (train, eval) split of the loaded and normalized dataset."""
+    return train_eval_split(d, 0.2, seed=derive_seed(seed, "split"))
+
+
+def _evaluation_block(report: EvalReport) -> dict:
+    """The ``evaluation`` block of report.json, which ``evaluate_command`` also writes."""
+    return {
+        "per_architecture": report.per_architecture,
+        "baseline_accuracy": report.baseline_accuracy,
+        "gd_estimate": report.gd_estimate,
+        "robust_accuracy": report.robust_accuracy,
+    }
+
+
 def _report_json(cfg: RunConfig, s_star: SyntheticDataset, log: StepLog, report: EvalReport) -> str:
     payload = {
         "config": {
@@ -294,12 +303,7 @@ def _report_json(cfg: RunConfig, s_star: SyntheticDataset, log: StepLog, report:
             "nonincreasing_fraction": log.meta.get("nonincreasing_fraction"),
             "meta": {k: v for k, v in log.meta.items() if k != "nonincreasing_fraction"},
         },
-        "evaluation": {
-            "per_architecture": report.per_architecture,
-            "baseline_accuracy": report.baseline_accuracy,
-            "gd_estimate": report.gd_estimate,
-            "robust_accuracy": report.robust_accuracy,
-        },
+        "evaluation": _evaluation_block(report),
         "discrepancy": json.loads(report.discrepancy.to_json()) if report.discrepancy else None,
     }
     return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
@@ -317,38 +321,36 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-DISCREPANCY_SELECTORS = ("mmd", "w1", "hausdorff", "cd")
+def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = None, freq_count: int = 128,
+                        seed: int = 0, out_path=None) -> DiscrepancyReport:
+    """Standalone discrepancy tool over two dataset CSVs; optionally writes the report JSON.
 
-
-def discrepancy_command(
-    path_a, path_b, selectors=("mmd", "w1", "hausdorff"), kernel: KernelSpec | None = None,
-    freq_count: int = 128, seed: int = 0, out_path=None,
-) -> DiscrepancyReport:
-    """Standalone discrepancy tool over two dataset CSVs; prints and optionally writes JSON."""
+    The values are ``model_free`` of the two feature sets, as in the run's report."""
     a = load_dataset(path_a)
     b = load_dataset(path_b)
-    values: dict[str, float] = {}
-    params: dict = {"a": str(path_a), "b": str(path_b)}
-    for sel in selectors:
-        if sel == "mmd":
-            spec = kernel if kernel is not None else median_heuristic_spec(a.features)
-            params["kernel"] = spec.describe()
-            values["mmd"] = float(np.sqrt(max(mmd_squared(spec, a.features, b.features), 0.0)))
-        elif sel == "w1":
-            values["w1"] = wasserstein1(a.features, b.features)
-        elif sel == "hausdorff":
-            values["hausdorff"] = hausdorff_distance(a.features, b.features)
-        elif sel == "cd":
-            params["freq_count"] = freq_count
-            params["freq_seed"] = seed
-            values["cd"] = characteristic_discrepancy(
-                a.features, b.features, sample_count=freq_count, seed=seed
-            )
-        else:
-            raise ConfigError(f"unknown selector {sel!r}; pick from {DISCREPANCY_SELECTORS}")
-    report = DiscrepancyReport(values=values, params=params)
+    values, params = model_free(a.features, b.features, selectors, kernel, freq_count, seed)
+    report = DiscrepancyReport(values=values, params={"a": str(path_a), "b": str(path_b), **params})
     if out_path is not None:
         Path(out_path).write_text(report.to_json() + "\n")
+    return report
+
+
+def evaluate_command(synthetic_path, real_path, eval_cfg: EvalConfig, seed: int, out_path) -> EvalReport:
+    """Score a saved synthetic set as ``run`` does: the real rows are scaled by the
+    normalization recorded in the synthetic sidecar, split with ``seed``, and evaluated;
+    ``out_path`` (if given) receives report.json's ``evaluation`` block."""
+    s = load_synthetic(synthetic_path)
+    d = load_dataset(real_path)
+    if (s.n_features, s.class_count) != (d.n_features, d.class_count):
+        raise ShapeError(f"the synthetic set has {s.n_features} features and {s.class_count} classes, "
+                         f"the real dataset {d.n_features} and {d.class_count}")
+    if "normalization" in s.meta:
+        norm = NormParams(**{k: np.asarray(v, dtype=np.float64) for k, v in s.meta["normalization"].items()})
+        d = LabeledDataset(features=norm.apply(d.features), labels=d.labels, class_count=d.class_count, norm=norm)
+    t_train, t_eval = _split(d, seed)
+    report = evaluate(s, t_train, t_eval, eval_cfg, seed=seed)
+    if out_path is not None:
+        Path(out_path).write_text(json.dumps(_evaluation_block(report), sort_keys=True, indent=2) + "\n")
     return report
 
 
@@ -356,32 +358,29 @@ _PLOT_FILES = ("objective.csv", "objective.svg", "accuracy.csv", "accuracy.svg")
 
 
 def emit_plots(report_path, steplog_path, out_dir) -> list:
-    """Objective-vs-step and accuracy-bar outputs as CSV plus deterministic SVG."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    objectives = []
-    if steplog_path is not None and Path(steplog_path).exists():
-        with open(steplog_path) as fh:
-            header = fh.readline().strip().split(",")
-            if "objective" in header:
-                col = header.index("objective")
-                for line in fh:
-                    parts = line.rstrip("\n").split(",")
-                    if len(parts) > col and parts[col]:
-                        objectives.append(float(parts[col]))
-    written = [out_dir / name for name in _PLOT_FILES]
-    series_csv(objectives, written[0])
-    polyline_svg(objectives, written[1], title="objective vs step")
-    labels, values = [], []
-    if report_path is not None and Path(report_path).exists():
-        rep = json.loads(Path(report_path).read_text())
-        eval_part = rep.get("evaluation", {})
+    """Objective-vs-step and accuracy-bar outputs as CSV plus deterministic SVG.
+
+    Either input may be None (its plots come out empty), not both; a given path must exist.
+    """
+    if report_path is None and steplog_path is None:
+        raise ConfigError("plots need a report.json (--report) or a steps.csv (--log)")
+    objectives, labels, values = [], [], []
+    if steplog_path is not None:
+        with open(steplog_path, newline="") as fh:
+            objectives = [float(row["objective"]) for row in csv.DictReader(fh) if row.get("objective")]
+    if report_path is not None:
+        eval_part = json.loads(Path(report_path).read_text()).get("evaluation", {})
         for name, entry in sorted(eval_part.get("per_architecture", {}).items()):
             labels.append(name)
             values.append(entry["mean"])
         if eval_part.get("baseline_accuracy") is not None:
             labels.append("baseline")
             values.append(eval_part["baseline_accuracy"])
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = [out_dir / name for name in _PLOT_FILES]
+    series_csv(objectives, written[0])
+    polyline_svg(objectives, written[1], title="objective vs step")
     bars_csv(labels, values, written[2])
     bar_svg(labels, values, written[3], title="train-on-synthetic accuracy")
     return written

@@ -116,19 +116,27 @@ def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None, model_
     raise ConfigError(f"unknown discrepancy selector {disc!r}")
 
 
-def regime_pair(regime: str, ae: LinearAutoencoder, t_points: np.ndarray, sz_points: np.ndarray):
-    """The matched point-set pair for each optimize/match quadrant."""
-    t_points = np.asarray(t_points, dtype=np.float64)
-    sz_points = np.asarray(sz_points, dtype=np.float64)
-    if regime == "input_input":
-        return t_points, sz_points
-    if regime == "input_latent":
-        return t_points, ae.decode(sz_points)
-    if regime == "latent_input":
-        return ae.encode(t_points), ae.encode(sz_points)
-    if regime == "latent_latent":
-        return ae.encode(t_points), sz_points
-    raise ConfigError(f"regime must be one of {REGIMES}")
+def _space_map(ae: LinearAutoencoder, src: str, dst: str):
+    """The map from space ``src`` to space ``dst`` ("input" or "latent") and its VJP."""
+    if src == dst:
+        return (lambda x: x), (lambda g: g)
+    if dst == "latent":
+        return ae.encode, lambda g: g @ ae.basis.T
+    return ae.decode, lambda g: g @ ae.basis
+
+
+def regime_maps(regime: str, ae: LinearAutoencoder | None):
+    """The maps of a regime ``<match space>_<variable space>``, as (to_matched, to_variables,
+    variables_to_matched, its VJP, variables_to_input): T's input rows to the matched
+    view, input rows to the variables (the init), the variables to the matched view, and
+    the variables back to input rows. Only ``input_input`` runs without an autoencoder."""
+    if regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {REGIMES}")
+    if regime != "input_input" and ae is None:
+        raise ConfigError(f"regime {regime!r} needs an autoencoder")
+    match, var = regime.split("_")
+    return (_space_map(ae, "input", match)[0], _space_map(ae, "input", var)[0],
+            *_space_map(ae, var, match), _space_map(ae, var, "input")[0])
 
 
 def regime_objective(
@@ -145,12 +153,13 @@ def regime_objective(
     ``sz_points`` lives in input space for input-optimized regimes and in latent
     space for latent-optimized ones; a dimension mismatch raises ConfigError.
     """
+    to_matched, _, fwd, _, _ = regime_maps(regime, ae)
     sz = np.atleast_2d(np.asarray(sz_points, dtype=np.float64))
-    expect = ae.input_dim if regime in ("input_input", "latent_input") else ae.latent_dim
+    expect = ae.input_dim if regime.endswith("_input") else ae.latent_dim
     if sz.shape[1] != expect:
         raise ConfigError(
             f"regime {regime} optimizes {expect}-dim variables, got {sz.shape[1]}-dim"
         )
-    a, b = regime_pair(regime, ae, t_points, sz)
+    a, b = to_matched(np.asarray(t_points, dtype=np.float64)), fwd(sz)
     fn = _resolve_disc(disc, a, kernel, model_batch)
     return float(fn(a, b))

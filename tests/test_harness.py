@@ -6,6 +6,7 @@ import pytest
 
 from dckit import (
     EvalConfig,
+    LabeledDataset,
     MethodConfig,
     Mlp,
     RunConfig,
@@ -13,6 +14,7 @@ from dckit import (
     discrepancy_command,
     emit_plots,
     gaussian_spec,
+    hierarchy_report,
     load_dataset,
     mmd_squared,
     run,
@@ -20,7 +22,7 @@ from dckit import (
     sgd_train,
     two_blobs,
 )
-from dckit import harness
+from dckit import discrepancy, harness
 from dckit.cli import main
 from dckit.errors import ConfigError, DivergenceError
 from dckit.seeding import derive_seed
@@ -169,6 +171,38 @@ def test_discrepancy_command_matches_kernel_oracle(blobs_csv, tmp_path):
     assert rep.values["mmd"] == pytest.approx(float(expected), abs=1e-12)
 
 
+def test_discrepancy_command_equals_hierarchy_report(blobs_csv, tmp_path):
+    other = tmp_path / "other.csv"
+    save_dataset(two_blobs(n_per_class=30, dim=2, separation=4.0, seed=8), other)
+    cmd = discrepancy_command(blobs_csv, other, discrepancy.MODEL_FREE, seed=7)
+    hier = hierarchy_report(load_dataset(blobs_csv), load_dataset(other), seed=7)
+    assert cmd.values == {name: hier.values[name] for name in discrepancy.MODEL_FREE}
+
+
+@pytest.mark.parametrize("metrics", [",", " , ", "w1,bogus"], ids=["separators", "blank", "unknown"])
+def test_cli_discrepancy_rejects_bad_metrics_before_computing(blobs_csv, tmp_path, capsys, monkeypatch, metrics):
+    def computed(*args, **kwargs):
+        raise AssertionError("a discrepancy was computed")
+
+    for name in ("wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"):
+        monkeypatch.setattr(discrepancy, name, computed)
+        monkeypatch.setattr(harness, name, computed, raising=False)  # a copy the CLI layer might import
+    out = tmp_path / "d.json"
+    argv = ["discrepancy", "--a", str(blobs_csv), "--b", str(blobs_csv), "--metrics", metrics, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in discrepancy.MODEL_FREE)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["mmd", "w1", "hausdorff", "cd"])
+def test_cli_discrepancy_dimension_mismatch_exits_two(blobs_csv, tmp_path, capsys, metric):
+    other = tmp_path / "wide.csv"
+    save_dataset(two_blobs(n_per_class=3, dim=3, seed=2), other)
+    assert main(["discrepancy", "--a", str(blobs_csv), "--b", str(other), "--metrics", metric]) == 2
+    assert "point dimensions differ" in capsys.readouterr().err
+
+
 def test_emit_plots_empty_log(tmp_path):
     log = tmp_path / "empty.csv"
     log.write_text("step,objective,method_value,grad_norm\n")
@@ -196,6 +230,16 @@ def test_emit_plots_deterministic(tmp_path):
     emit_plots(None, log, tmp_path / "p1")
     emit_plots(None, log, tmp_path / "p2")
     assert (tmp_path / "p1" / "objective.svg").read_bytes() == (tmp_path / "p2" / "objective.svg").read_bytes()
+
+
+@pytest.mark.parametrize("given", [(), ("--log", "missing.csv"), ("--report", "missing.json")],
+                         ids=["no-input", "missing-log", "missing-report"])
+def test_cli_plot_needs_an_existing_input(tmp_path, capsys, given):
+    argv = ["plot", *(str(tmp_path / a) if a.startswith("missing") else a for a in given),
+            "--out", str(tmp_path / "plots")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
 
 
 # --- CLI -----------------------------------------------------------------------------
@@ -473,3 +517,37 @@ def test_cli_evaluate_command(tmp_path, blobs_csv):
                  "--repeats", "2", "--out", str(tmp_path / "eval.json")]) == 0
     payload = json.loads((tmp_path / "eval.json").read_text())
     assert 0.0 <= payload["baseline_accuracy"] <= 1.0
+
+
+def raw_blobs_csv(tmp_path, dim=2):
+    """Two blobs far from [0, 1], so normalization changes every feature."""
+    rng = np.random.default_rng(4)
+    feats = np.vstack([rng.normal(50.0, 3.0, size=(40, dim)), rng.normal(50.0, 3.0, size=(40, dim)) + 12.0])
+    path = tmp_path / f"raw{dim}.csv"
+    save_dataset(LabeledDataset(features=feats, labels=np.repeat([0, 1], 40), class_count=2), path)
+    return path
+
+
+def test_cli_evaluate_reproduces_the_run_evaluation(tmp_path):
+    raw, out = raw_blobs_csv(tmp_path), tmp_path / "run"
+    cfg = {"dataset": str(raw), "method": {"method": "kmeans"}, "eval": {"repeats": 2},
+           "out_dir": str(out), "seed": 4}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["condense", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert main(["evaluate", "--synthetic", str(out / "synthetic.csv"), "--real", str(raw),
+                 "--repeats", "2", "--seed", "4", "--out", str(tmp_path / "eval.json")]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert json.loads((tmp_path / "eval.json").read_text()) == report["evaluation"]
+
+
+@pytest.mark.parametrize("dim,classes", [(3, 2), (2, 3)], ids=["features", "classes"])
+def test_cli_evaluate_shape_mismatch_exits_before_training(tmp_path, capsys, monkeypatch, dim, classes):
+    def trained(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(harness, "_train_stack", trained)
+    synthetic = tmp_path / "s.csv"
+    save_dataset(LabeledDataset(features=np.full((classes, 2), 0.5), labels=np.arange(classes),
+                                class_count=classes), synthetic)
+    assert main(["evaluate", "--synthetic", str(synthetic), "--real", str(raw_blobs_csv(tmp_path, dim=dim))]) == 2
+    assert "the synthetic set has" in capsys.readouterr().err

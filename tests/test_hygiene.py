@@ -244,6 +244,30 @@ def test_central_diff_site_detected():
     assert central_diff_sites(planted) == {"objective": 2, "Solver": 1, "danskin": 1}
 
 
+# The discrepancy functionals: the CLI layer reaches them only through ``discrepancy.model_free``
+# and ``hierarchy_report``, so each value has one definition.
+DISCREPANCY_FUNCTIONALS = {"wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"}
+
+
+def imported_functionals(source: str) -> list[str]:
+    """The discrepancy functionals that ``source`` imports by name."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if alias.name.split(".")[-1] in DISCREPANCY_FUNCTIONALS]
+
+
+@pytest.mark.parametrize("name", ["harness.py", "cli.py"])
+def test_cli_layer_imports_no_discrepancy_functional(name):
+    assert imported_functionals((SRC / name).read_text()) == []
+
+
+def test_imported_functional_detected():
+    planted = ("from .discrepancy import ModelBatch, wasserstein1\n"
+               "from .kernels import KernelSpec, mmd_squared as mmd\n"
+               "import dckit.discrepancy\nfrom .discrepancy import model_free\n")
+    assert imported_functionals(planted) == ["wasserstein1 (line 1)", "mmd_squared (line 2)"]
+
+
 # pyproject.toml declares numpy>=1.24: these names exist only from numpy 2.0 on.
 NUMPY2_ONLY = {"mT", "mH", "vecdot", "matvec", "vecmat", "matrix_transpose", "permute_dims", "unstack",
                "concat", "isdtype", "cumulative_sum", "cumulative_prod", "bitwise_count"}

@@ -14,7 +14,7 @@ from dckit import (
     regime_objective,
 )
 from dckit.errors import ConfigError, ValidationError
-from dckit.spaces import REGIMES
+from dckit.spaces import REGIMES, regime_maps
 
 
 def test_fit_line_exact(rng):
@@ -129,3 +129,25 @@ def test_injectivity_caveat_constructive(rng):
     input_gap = mmd_squared(kern, s1, s2)
     assert latent_gap <= 1e-12
     assert input_gap > 1e-3
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_maps_follow_the_name(rng, regime):
+    ae = fit_linear_autoencoder(rng.normal(size=(30, 3)), 2)
+    to_matched, to_variables, fwd, vjp, to_input = regime_maps(regime, ae)
+    x = rng.normal(size=(4, 3))
+    match, var = regime.split("_")
+    assert np.array_equal(to_matched(x), x if match == "input" else ae.encode(x))
+    v = to_variables(x)
+    assert np.array_equal(v, x if var == "input" else ae.encode(x))
+    assert np.array_equal(to_input(v), x if var == "input" else ae.decode(v))
+    assert np.array_equal(fwd(v), v if match == var else ae.encode(v) if match == "latent" else ae.decode(v))
+    # the maps are affine, so the VJP pairs with a finite step exactly up to rounding
+    g, dv = rng.normal(size=fwd(v).shape), rng.normal(size=v.shape)
+    assert np.sum(g * (fwd(v + dv) - fwd(v))) == pytest.approx(np.sum(vjp(g) * dv), rel=1e-10)
+
+
+def test_latent_regime_needs_an_autoencoder():
+    assert regime_maps("input_input", None)[0] is not None
+    with pytest.raises(ConfigError, match="needs an autoencoder"):
+        regime_maps("latent_latent", None)
