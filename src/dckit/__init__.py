@@ -22,7 +22,6 @@ from .condense import (
     kmeans_coreset,
     krr_fit,
     krr_fit_targets,
-    matching_value_and_grad,
     regularizer_eval,
 )
 from .data import (
@@ -34,7 +33,6 @@ from .data import (
     normalize_features,
     one_hot,
     per_class_partition,
-    save_dataset,
     save_synthetic,
     train_eval_split,
     two_blobs,
@@ -64,7 +62,6 @@ from .kernels import (
     random_feature_map,
 )
 from .models import (
-    IdentityModel,
     LinearModel,
     Mlp,
     TrainConfig,

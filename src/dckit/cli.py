@@ -8,78 +8,47 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .condense import MethodConfig
-from .errors import (
-    CondensationError,
-    ConfigError,
-    DivergenceError,
-    NumericalError,
-    SolveError,
-    check_number,
+from .discrepancy import CF_FREQUENCIES
+from .errors import (CondensationError, ConfigError, DivergenceError, NumericalError, SolveError, check_keys,
+                     check_widths)
+from .harness import (
+    EvalReport,
+    RunConfig,
+    discrepancy_command,
+    emit_plots,
+    eval_config_from_dict,
+    evaluate_command,
+    run,
 )
-from .harness import EvalConfig, EvalReport, RunConfig, discrepancy_command, emit_plots, evaluate_command, run
 from .kernels import KernelSpec
 
 _NUMERIC_ERRORS = (DivergenceError, NumericalError, SolveError)
 
 
-def _checked(d, cls, path: str, exclude=()) -> dict:
-    """A copy of ``d``; ConfigError unless it is a JSON object keyed by fields of ``cls``.
-
-    ``exclude`` names fields holding objects that a JSON config cannot express.
-    """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or 'the config'} must be a JSON object")
-    allowed = {f.name for f in fields(cls)} - set(exclude)
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
-    return dict(d)
-
-
-def _widths(value, path: str) -> tuple:
-    """The JSON list of hidden-layer widths at ``path`` as a tuple; ConfigError otherwise."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{path} must be a list of layer widths, got {value!r}")
-    for width in value:
-        check_number(f"{path} entries", width, integer=True, low=1)
-    return tuple(value)
-
-
 def kernel_spec_from_dict(d: dict) -> KernelSpec:
-    d = _checked(d, KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
+    d = check_keys(d, KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
     if "family" not in d:
         raise ConfigError("method.kernel.family is required")
     return KernelSpec(**d)
 
 
 def method_config_from_dict(d: dict) -> MethodConfig:
-    d = _checked(d, MethodConfig, "method", exclude=("autoencoder",))
+    d = check_keys(d, MethodConfig, "method", exclude=("autoencoder",))
     if d.get("kernel") is not None:
         d["kernel"] = kernel_spec_from_dict(d["kernel"])
     if "hidden" in d:
-        d["hidden"] = _widths(d["hidden"], "method.hidden")
+        d["hidden"] = check_widths(d["hidden"], "method.hidden")
     return MethodConfig(**d)
-
-
-def eval_config_from_dict(d: dict) -> EvalConfig:
-    d = _checked(d, EvalConfig, "eval")
-    if "hidden_architectures" in d:
-        archs = d["hidden_architectures"]
-        if not isinstance(archs, list):
-            raise ConfigError(f"eval.hidden_architectures must be a list of width lists, got {archs!r}")
-        d["hidden_architectures"] = tuple(_widths(h, "eval.hidden_architectures") for h in archs)
-    return EvalConfig(**d)
 
 
 def _build_run_config(args) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
-        file_cfg = _checked(json.loads(Path(args.config).read_text()), RunConfig, "")
-    method_d = _checked(file_cfg.get("method", {}), MethodConfig, "method", exclude=("autoencoder",))
+        file_cfg = check_keys(json.loads(Path(args.config).read_text()), RunConfig, "")
+    method_d = check_keys(file_cfg.get("method", {}), MethodConfig, "method", exclude=("autoencoder",))
     if args.method is not None:
         method_d["method"] = args.method
     if "method" not in method_d:
@@ -122,8 +91,8 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    eval_cfg = EvalConfig(repeats=args.repeats, pgd_eps=args.pgd_eps)
-    report = evaluate_command(args.synthetic, args.real, eval_cfg, args.seed, args.out)
+    overrides = {k: v for k, v in (("repeats", args.repeats), ("pgd_eps", args.pgd_eps)) if v is not None}
+    report = evaluate_command(args.synthetic, args.real, args.out, seed=args.seed, **overrides)
     _print_accuracies(report)
     return 0
 
@@ -153,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--metrics", default="mmd,w1,hausdorff")
-    p.add_argument("--freqs", type=int, default=128)
+    p.add_argument("--freqs", type=int, default=CF_FREQUENCIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=_cmd_discrepancy)
@@ -161,9 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="train fresh models on a synthetic set and score them")
     p.add_argument("--synthetic", required=True)
     p.add_argument("--real", required=True)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pgd-eps", dest="pgd_eps", type=float, default=0.0)
+    # each of these defaults to the run's value, which the synthetic sidecar records
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--pgd-eps", dest="pgd_eps", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_evaluate)
 

@@ -70,8 +70,8 @@ from .kernels import (
     feature_map_batch,
     feature_map_input_jacobian,
     gram_matrix,
+    kernel_or_default,
     kernel_vjp,
-    median_heuristic_spec,
     mmd_squared_grad_s,
 )
 from .models import (
@@ -670,7 +670,7 @@ def _krr_loss_and_grads(spec, x_t, y_t, s, y_s, lam, want_grad_t=False):
 
 def _krr_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
     """Gradient descent on the ridge-predictor loss over T; RidgeDC when ridge_robust set."""
-    spec = cfg.kernel if cfg.kernel is not None else median_heuristic_spec(t.features)
+    spec = kernel_or_default(cfg.kernel, t.features)
     lam = cfg.ridge_lambda if cfg.ridge_lambda > 0 else 1e-8
     y_t = one_hot(t.labels, t.class_count)
     y_s = one_hot(s0.labels, s0.class_count)
@@ -985,12 +985,6 @@ def _condense_coreset(cfg, t, s0):
     return out, log
 
 
-def matching_value_and_grad(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
-    """Objective value and analytic gradient of one matching step at S0 (no update)."""
-    v0, objective, *_ = _matching_problem(cfg, t, s0)
-    return objective(v0, 0)[:2]
-
-
 def _matching_problem(cfg, t, s0):
     """The matching run as (v0, objective, log, project, finish) for ``_descend``;
     ``finish(v)`` turns the final variables into (synthetic set, log)."""
@@ -1003,9 +997,7 @@ def _matching_problem(cfg, t, s0):
 
     cfg.check_image_shape(t_matched.shape[1])
     has_image_ops = any(name in cfg.variants for name in _IMAGE_VARIANTS)
-    kernel = cfg.kernel
-    if cfg.method == "mmd" and kernel is None:
-        kernel = median_heuristic_spec(t_matched)
+    kernel = kernel_or_default(cfg.kernel, t_matched) if cfg.method == "mmd" else cfg.kernel
     # the mean-embedding route: plain mmd with random features, or any dp_merf run
     embed_path = "dp_merf" in cfg.variants or (
         cfg.method == "mmd" and kernel.family == "random_feature" and not has_image_ops

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +118,6 @@ class SyntheticDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def with_features(self, features: np.ndarray) -> "SyntheticDataset":
-        return replace(self, features=features)
-
 
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Load a labeled dataset from a CSV file with header ``f0,...,f{n-1},label``.
@@ -164,29 +161,21 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     return LabeledDataset(features=np.asarray(feats, dtype=np.float64), labels=y, class_count=c)
 
 
-def _write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    n = features.shape[1]
+def save_synthetic(s: SyntheticDataset, path: str | Path) -> None:
+    """Write a synthetic set as CSV plus a JSON sidecar with its provenance.
+
+    The CSV is the format ``load_dataset`` reads; floats use repr so a load round-trips exactly."""
+    path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(n)] + ["label"])
-        for row, lab in zip(features, labels):
+        writer.writerow([f"f{i}" for i in range(s.n_features)] + ["label"])
+        for row, lab in zip(s.features, s.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
-
-
-def save_dataset(d: LabeledDataset, path: str | Path) -> None:
-    """Write a dataset as CSV; floats use repr so a load round-trips exactly."""
-    _write_csv(Path(path), d.features, d.labels)
-
-
-def save_synthetic(s: SyntheticDataset, path: str | Path) -> None:
-    """Write a synthetic set as CSV plus a JSON sidecar with its provenance."""
-    path = Path(path)
-    _write_csv(path, s.features, s.labels)
     meta = {
         "origin": s.origin,
         "per_class_size": s.per_class_size,
         "class_count": s.class_count,
-        **{k: v for k, v in s.meta.items()},
+        **s.meta,
     }
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")

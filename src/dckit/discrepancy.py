@@ -18,9 +18,11 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
+from .kernels import KernelSpec, kernel_or_default, mmd_squared
 
 PROVENANCES = ("random_init", "pretrained", "trajectory_snapshots")
+# frequencies of the characteristic-function discrepancy cd, in report.json and in `dckit discrepancy`
+CF_FREQUENCIES = 128
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,7 @@ def empirical_cf(x: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def characteristic_discrepancy(
-    t, s, freqs: np.ndarray | None = None, sample_count: int = 128, seed: int = 0
+    t, s, freqs: np.ndarray | None = None, sample_count: int = CF_FREQUENCIES, seed: int = 0
 ) -> float:
     """Sampled-sup gap between empirical characteristic functions.
 
@@ -327,7 +329,7 @@ def model_free(t, s, names, kernel: KernelSpec | None, freq_count: int, seed: in
         raise ShapeError(f"point dimensions differ: {t.shape[1]} vs {s.shape[1]}")
     values, params = {}, {}
     if "mmd" in names:
-        kernel = kernel if kernel is not None else median_heuristic_spec(t)
+        kernel = kernel_or_default(kernel, t)
         params["kernel"] = kernel.describe()
         values["mmd"] = float(np.sqrt(max(mmd_squared(kernel, t, s), 0.0)))
     if "w1" in names:
@@ -344,12 +346,12 @@ def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0) -> Di
     """Compute every available discrepancy for (T, S) and record the bound checks.
 
     The model-free values are ``model_free`` with the median-heuristic kernel of T and
-    128 frequencies drawn from ``seed``. With a batch, records the one bound check gd <= 2 dd
+    ``CF_FREQUENCIES`` frequencies drawn from ``seed``. With a batch, records the one bound check gd <= 2 dd
     in the finite-batch sense (dd over the same hypothesis set, cross-entropy criterion).
     """
     checks: list = []
     loss = "cross_entropy"
-    values, params = model_free(t.features, s.features, MODEL_FREE, None, 128, seed)
+    values, params = model_free(t.features, s.features, MODEL_FREE, None, CF_FREQUENCIES, seed)
     params = {"loss": loss, **params}
 
     if batch is not None:

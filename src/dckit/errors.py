@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the number check every config uses."""
+"""Exception types shared across the package, and the checks every config uses."""
 import math
 import numbers
+from dataclasses import fields
 
 
 class CondensationError(Exception):
@@ -71,3 +72,26 @@ def check_number(name: str, value, *, integer: bool = False, low=None) -> None:
             or (low is not None and value < low)):
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{name} must be {what}{'' if low is None else f' >= {low}'}, got {value!r}")
+
+
+def check_keys(d, cls, path: str, exclude=()) -> dict:
+    """A copy of ``d``; ConfigError unless it is a JSON object keyed by fields of ``cls``.
+
+    ``exclude`` names fields holding objects that a JSON config cannot express.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'the config'} must be a JSON object")
+    allowed = {f.name for f in fields(cls)} - set(exclude)
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
+    return dict(d)
+
+
+def check_widths(value, path: str) -> tuple:
+    """The JSON list of hidden-layer widths at ``path`` as a tuple; ConfigError otherwise."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list of layer widths, got {value!r}")
+    for width in value:
+        check_number(f"{path} entries", width, integer=True, low=1)
+    return tuple(value)

@@ -29,8 +29,8 @@ from .data import (
     save_synthetic,
     train_eval_split,
 )
-from .discrepancy import DiscrepancyReport, ModelBatch, hierarchy_report, model_free
-from .errors import CondensationError, ConfigError, ShapeError, check_number
+from .discrepancy import CF_FREQUENCIES, DiscrepancyReport, ModelBatch, hierarchy_report, model_free
+from .errors import CondensationError, ConfigError, ShapeError, check_keys, check_number, check_widths
 from .kernels import KernelSpec
 from .models import Mlp, TrainConfig, pgd_attack, sgd_train_stack
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
@@ -63,6 +63,17 @@ class EvalConfig:
         check_number("pgd_steps", self.pgd_steps, integer=True, low=0)
         # the trainer's own rules, checked now rather than after condensation
         TrainConfig(self.learning_rate, self.epochs, self.batch_size, self.loss)
+
+
+def eval_config_from_dict(d: dict) -> EvalConfig:
+    """The EvalConfig of a JSON ``eval`` block: a config file's, or the run record of a synthetic sidecar."""
+    d = check_keys(d, EvalConfig, "eval")
+    if "hidden_architectures" in d:
+        archs = d["hidden_architectures"]
+        if not isinstance(archs, list):
+            raise ConfigError(f"eval.hidden_architectures must be a list of width lists, got {archs!r}")
+        d["hidden_architectures"] = tuple(check_widths(h, "eval.hidden_architectures") for h in archs)
+    return EvalConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -231,8 +242,11 @@ def run(cfg: RunConfig) -> EvalReport:
         if out_dir is not None:
             made_dirs = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
             out_dir.mkdir(parents=True, exist_ok=True)
+            # the run's seed and eval block, which `evaluate_command` reads back
+            record = json.loads(json.dumps({"run_seed": cfg.seed, "eval": vars(cfg.eval)}, default=_json_default))
             if d.norm is not None:
-                s_star = replace(s_star, meta={**s_star.meta, "normalization": d.norm.to_dict()})
+                record["normalization"] = d.norm.to_dict()
+            s_star = replace(s_star, meta={**s_star.meta, **record})
             s_path, log_path, report_path, timings_path = (
                 out_dir / name for name in ("synthetic.csv", "steps.csv", "report.json", "timings.json"))
             created = [s_path, s_path.with_suffix(".csv.meta.json"), log_path, report_path, timings_path,
@@ -289,7 +303,7 @@ def _report_json(cfg: RunConfig, s_star: SyntheticDataset, log: StepLog, report:
             "latent_dim": cfg.latent_dim,
             "seed": cfg.seed,
             "method": _method_dict(cfg.method),
-            "eval": dict(cfg.eval.__dict__),
+            "eval": vars(cfg.eval),
         },
         "synthetic": {
             "origin": s_star.origin,
@@ -321,8 +335,8 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = None, freq_count: int = 128,
-                        seed: int = 0, out_path=None) -> DiscrepancyReport:
+def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = None,
+                        freq_count: int = CF_FREQUENCIES, seed: int = 0, out_path=None) -> DiscrepancyReport:
     """Standalone discrepancy tool over two dataset CSVs; optionally writes the report JSON.
 
     The values are ``model_free`` of the two feature sets, as in the run's report."""
@@ -335,11 +349,22 @@ def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = N
     return report
 
 
-def evaluate_command(synthetic_path, real_path, eval_cfg: EvalConfig, seed: int, out_path) -> EvalReport:
-    """Score a saved synthetic set as ``run`` does: the real rows are scaled by the
-    normalization recorded in the synthetic sidecar, split with ``seed``, and evaluated;
-    ``out_path`` (if given) receives report.json's ``evaluation`` block."""
+def evaluate_command(synthetic_path, real_path, out_path, seed: int | None = None, **overrides) -> EvalReport:
+    """Score a saved synthetic set as ``run`` did, from the run record in its sidecar.
+
+    The record holds the run's eval block and seed (a set without one gets ``EvalConfig()``
+    and seed 0); ``seed`` and ``overrides``, EvalConfig fields, replace them when given. The
+    real rows are scaled by the recorded normalization, split with the seed, and evaluated;
+    ``out_path`` (if given) receives report.json's ``evaluation`` block.
+    """
     s = load_synthetic(synthetic_path)
+    try:
+        recorded = eval_config_from_dict(s.meta.get("eval", {}))
+        check_number("run_seed", s.meta.get("run_seed", 0), integer=True)
+    except ConfigError as e:
+        raise ConfigError(f"the run record of {synthetic_path}: {e}") from None
+    eval_cfg = replace(recorded, **overrides)
+    seed = s.meta.get("run_seed", 0) if seed is None else seed
     d = load_dataset(real_path)
     if (s.n_features, s.class_count) != (d.n_features, d.class_count):
         raise ShapeError(f"the synthetic set has {s.n_features} features and {s.class_count} classes, "

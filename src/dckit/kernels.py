@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigError, DomainError, ShapeError, check_number
 
@@ -68,21 +68,26 @@ def gaussian_spec(scale: float = 1.0) -> KernelSpec:
 
 
 def median_heuristic(x: np.ndarray) -> float:
-    """Median of the positive pairwise Euclidean distances (1.0 when degenerate)."""
-    x = _as_points(x)
-    if x.shape[0] < 2:
-        return 1.0
-    d = cdist(x, x)
-    vals = d[np.triu_indices_from(d, k=1)]
-    vals = vals[vals > 0]
+    """Median of the positive pairwise Euclidean distances (1.0 when degenerate).
+
+    The N(N-1)/2 distances of ``pdist`` are the only quadratic array besides their positive
+    copy, which the median partitions in place."""
+    d = pdist(_as_points(x))
+    vals = d[d > 0]
     if vals.size == 0:
         return 1.0
-    return float(np.median(vals))
+    return float(np.median(vals, overwrite_input=True))
 
 
 def median_heuristic_spec(x: np.ndarray) -> KernelSpec:
     """Gaussian spec with c = 1 / (2 median^2), the standard default bandwidth."""
     return gaussian_spec(1.0 / (2.0 * median_heuristic(x) ** 2.0))
+
+
+def kernel_or_default(kernel: KernelSpec | None, reference: np.ndarray) -> KernelSpec:
+    """The kernel a run uses: ``kernel``, or the median-heuristic Gaussian of the reference
+    rows when none is given. Every default-kernel choice in the package is this call."""
+    return kernel if kernel is not None else median_heuristic_spec(reference)
 
 
 def _as_points(x) -> np.ndarray:

@@ -416,17 +416,6 @@ class LinearModel:
         return np.einsum("bcnc->bn", np.asarray(v, dtype=np.float64).reshape(-1, c, self.n_inputs, c))
 
 
-class IdentityModel:
-    """Feature extractor returning the raw input, handy as an oracle in tests."""
-
-    def forward_batch(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        return x, [x]
-
-    def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
-        return np.asarray(upstream[-1], dtype=np.float64)
-
-
 def _as_xy(d):
     if isinstance(d, (LabeledDataset, SyntheticDataset)):
         return d.features, d.labels

@@ -12,7 +12,7 @@ import numpy as np
 
 from .discrepancy import _feature_gap, wasserstein1
 from .errors import ConfigError, ShapeError, ValidationError
-from .kernels import KernelSpec, median_heuristic_spec, mmd_squared
+from .kernels import KernelSpec, kernel_or_default, mmd_squared
 
 REGIMES = ("input_input", "input_latent", "latent_input", "latent_latent")
 
@@ -104,7 +104,7 @@ def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None, model_
     if callable(disc):
         return disc
     if disc == "mmd":
-        spec = kernel if kernel is not None else median_heuristic_spec(reference)
+        spec = kernel_or_default(kernel, reference)
         return lambda a, b: mmd_squared(spec, a, b)
     if disc == "w1":
         return wasserstein1

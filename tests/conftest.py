@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from dckit import LabeledDataset, SyntheticDataset
+from dckit.condense import _matching_problem
 
 
 @pytest.fixture
@@ -42,3 +45,18 @@ def central_diff(fn, x: np.ndarray) -> np.ndarray:
         step.flat[i] = h
         grad.flat[i] = (fn(x + step) - fn(x - step)) / (2 * h)
     return grad
+
+
+def write_csv(d, path) -> None:
+    """Write a dataset as the CSV ``load_dataset`` reads; repr floats make a load round-trip exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(d.features.shape[1])] + ["label"])
+        for row, label in zip(d.features, d.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def matching_value_and_grad(cfg, t: LabeledDataset, s0: SyntheticDataset):
+    """Objective value and analytic gradient of one matching step at S0 (no update)."""
+    v0, objective, *_ = _matching_problem(cfg, t, s0)
+    return objective(v0, 0)[:2]

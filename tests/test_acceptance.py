@@ -7,6 +7,7 @@ finite differences for gradients, exhaustive subsets for k-center.
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +28,9 @@ from dckit import (
     init_synthetic,
     kcenter_covering,
     loss_discrepancy,
-    matching_value_and_grad,
     mmd_squared,
     random_feature_map,
     regime_objective,
-    save_dataset,
     two_blobs,
     wasserstein1,
 )
@@ -42,6 +41,7 @@ from dckit.data import train_eval_split
 from dckit.harness import _train_stack
 from dckit.seeding import derive_seed
 from dckit.spaces import REGIMES
+from tests.conftest import matching_value_and_grad, write_csv
 
 
 def _report(criterion, detail):
@@ -109,8 +109,8 @@ def _fd_outer(cfg, t, s, h=1e-5):
             fp, fm = s.features.copy(), s.features.copy()
             fp[j, k] += h
             fm[j, k] -= h
-            vp, _ = matching_value_and_grad(cfg, t, s.with_features(fp))
-            vm, _ = matching_value_and_grad(cfg, t, s.with_features(fm))
+            vp, _ = matching_value_and_grad(cfg, t, replace(s, features=fp))
+            vm, _ = matching_value_and_grad(cfg, t, replace(s, features=fm))
             fd[j, k] = (vp - vm) / (2 * h)
     return fd
 
@@ -379,7 +379,7 @@ def test_criterion_10_formation_operators(rng):
 def test_criterion_11_end_to_end_determinism(tmp_path):
     d = two_blobs(n_per_class=40, dim=2, separation=6.0, seed=11)
     data_path = tmp_path / "blobs.csv"
-    save_dataset(d, data_path)
+    write_csv(d, data_path)
     cfg = {
         "dataset": str(data_path),
         "per_class": 1,

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dckit import save_dataset, two_blobs
+from dckit import two_blobs
 from dckit.cli import main
+from tests.conftest import write_csv
 
 DATASET = "<dataset>"  # replaced by the path of a 40-row, 16-feature CSV
 BASES = {
@@ -77,7 +78,7 @@ def mutated_configs(draw):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     work = tmp_path_factory.mktemp("mutations")
-    save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=5), work / "d.csv")
+    write_csv(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=5), work / "d.csv")
     return work
 
 

@@ -11,7 +11,6 @@ from dckit import (
     load_synthetic,
     normalize_features,
     per_class_partition,
-    save_dataset,
     save_synthetic,
     two_blobs,
 )
@@ -147,8 +146,8 @@ def test_init_gaussian_noise_clipped(toy_pair):
 
 
 def test_roundtrip_exact(tmp_path, rng):
-    d = LabeledDataset(rng.normal(size=(20, 4)), rng.integers(0, 2, 20), 2)
-    save_dataset(d, tmp_path / "x.csv")
+    d = SyntheticDataset(rng.normal(size=(20, 4)), np.repeat([1, 0], 10), per_class_size=10, origin="x")
+    save_synthetic(d, tmp_path / "x.csv")
     d2 = load_dataset(tmp_path / "x.csv")
     assert np.array_equal(d.features, d2.features)
     assert np.array_equal(d.labels, d2.labels)

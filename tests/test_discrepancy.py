@@ -7,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from dckit import (
-    IdentityModel,
     LabeledDataset,
     Mlp,
     ModelBatch,
@@ -23,6 +22,7 @@ from dckit import (
     wasserstein1,
 )
 from dckit.errors import ArchitectureError, DomainError, LabelError
+from dckit.models import LinearModel
 from tests.conftest import copy_as_synthetic
 
 
@@ -48,7 +48,7 @@ def test_ipm_zero_on_identical(toy_pair):
 def test_ipm_identity_feature_oracle():
     t = LabeledDataset(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0, 0]), 1)
     s = SyntheticDataset(np.array([[1.0, 0.0]]), np.array([0]), per_class_size=1, origin="x")
-    batch = ModelBatch((IdentityModel(),))
+    batch = ModelBatch((LinearModel(np.eye(2)),))
     assert ipm_feature_stat(batch, t, s) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -101,7 +101,7 @@ def test_gradient_discrepancy_per_sample_oracle(rng):
 def test_moment_zero_and_variance_sensitivity():
     t = LabeledDataset(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
     s = SyntheticDataset(np.array([[1.0], [1.0]]), np.array([0, 0]), per_class_size=2, origin="x")
-    batch = ModelBatch((IdentityModel(),))
+    batch = ModelBatch((LinearModel(np.eye(1)),))
     # means match (1 vs 1) so the first-moment stat is 0 while variances differ by 1
     assert ipm_feature_stat(batch, t, s) == pytest.approx(0.0, abs=1e-15)
     assert moment_discrepancy(batch, t, s) == pytest.approx(1.0, abs=1e-12)

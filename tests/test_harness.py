@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dckit import (
     MethodConfig,
     Mlp,
     RunConfig,
+    SyntheticDataset,
     TrainConfig,
     discrepancy_command,
     emit_plots,
@@ -18,7 +20,7 @@ from dckit import (
     load_dataset,
     mmd_squared,
     run,
-    save_dataset,
+    save_synthetic,
     sgd_train,
     two_blobs,
 )
@@ -26,13 +28,14 @@ from dckit import discrepancy, harness
 from dckit.cli import main
 from dckit.errors import ConfigError, DivergenceError
 from dckit.seeding import derive_seed
+from tests.conftest import write_csv
 
 
 @pytest.fixture
 def blobs_csv(tmp_path):
     d = two_blobs(n_per_class=40, dim=2, separation=6.0, seed=3)
     p = tmp_path / "blobs.csv"
-    save_dataset(d, p)
+    write_csv(d, p)
     return p
 
 
@@ -74,7 +77,7 @@ def test_report_embeds_hyperparameters(blobs_csv, tmp_path):
 def test_kcenter_full_size_reproduces_baseline(tmp_path):
     d = two_blobs(n_per_class=20, dim=2, separation=6.0, seed=5)
     p = tmp_path / "d.csv"
-    save_dataset(d, p)
+    write_csv(d, p)
     cfg = RunConfig(
         dataset=str(p),
         method=MethodConfig(method="kcenter"),
@@ -164,7 +167,7 @@ def test_discrepancy_command_matches_kernel_oracle(blobs_csv, tmp_path):
     d = load_dataset(blobs_csv)
     other = two_blobs(n_per_class=40, dim=2, separation=6.0, seed=9)
     p2 = tmp_path / "other.csv"
-    save_dataset(other, p2)
+    write_csv(other, p2)
     spec = gaussian_spec(1.0)
     rep = discrepancy_command(blobs_csv, p2, ("mmd",), kernel=spec)
     expected = np.sqrt(max(mmd_squared(spec, d.features, other.features), 0.0))
@@ -173,7 +176,7 @@ def test_discrepancy_command_matches_kernel_oracle(blobs_csv, tmp_path):
 
 def test_discrepancy_command_equals_hierarchy_report(blobs_csv, tmp_path):
     other = tmp_path / "other.csv"
-    save_dataset(two_blobs(n_per_class=30, dim=2, separation=4.0, seed=8), other)
+    write_csv(two_blobs(n_per_class=30, dim=2, separation=4.0, seed=8), other)
     cmd = discrepancy_command(blobs_csv, other, discrepancy.MODEL_FREE, seed=7)
     hier = hierarchy_report(load_dataset(blobs_csv), load_dataset(other), seed=7)
     assert cmd.values == {name: hier.values[name] for name in discrepancy.MODEL_FREE}
@@ -198,7 +201,7 @@ def test_cli_discrepancy_rejects_bad_metrics_before_computing(blobs_csv, tmp_pat
 @pytest.mark.parametrize("metric", ["mmd", "w1", "hausdorff", "cd"])
 def test_cli_discrepancy_dimension_mismatch_exits_two(blobs_csv, tmp_path, capsys, metric):
     other = tmp_path / "wide.csv"
-    save_dataset(two_blobs(n_per_class=3, dim=3, seed=2), other)
+    write_csv(two_blobs(n_per_class=3, dim=3, seed=2), other)
     assert main(["discrepancy", "--a", str(blobs_csv), "--b", str(other), "--metrics", metric]) == 2
     assert "point dimensions differ" in capsys.readouterr().err
 
@@ -267,7 +270,7 @@ def divergent_config(tmp_path, method):
     """CLI config whose absurd mse inner learning rate overflows the inner training."""
     d = two_blobs(n_per_class=10, dim=2, separation=6.0, seed=1)
     p = tmp_path / "d.csv"
-    save_dataset(d, p)
+    write_csv(d, p)
     cfg = {
         "dataset": str(p),
         "per_class": 1,
@@ -423,7 +426,7 @@ _IMG = {"image_shape": [1, 4, 4]}
         "curvature-with-channel_multiform", "curvature-with-siamese"])
 def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, named):
     data = tmp_path / "d16.csv"
-    save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
+    write_csv(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": str(data), "method": method, "eval": {"epochs": 1, "repeats": 1}}))
     assert main(["condense", "--config", str(path)]) == 2
@@ -439,7 +442,7 @@ def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, 
 def test_cli_image_shape_must_match_feature_count(tmp_path, capsys, monkeypatch, method):
     # checked right after load: no later stage runs and the message names no stage
     data = tmp_path / "d16.csv"
-    save_dataset(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
+    write_csv(two_blobs(n_per_class=20, dim=16, separation=3.0, seed=2), data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": str(data), "method": method, "eval": {"epochs": 1, "repeats": 1},
                                 "out_dir": str(tmp_path / "out")}))
@@ -524,20 +527,81 @@ def raw_blobs_csv(tmp_path, dim=2):
     rng = np.random.default_rng(4)
     feats = np.vstack([rng.normal(50.0, 3.0, size=(40, dim)), rng.normal(50.0, 3.0, size=(40, dim)) + 12.0])
     path = tmp_path / f"raw{dim}.csv"
-    save_dataset(LabeledDataset(features=feats, labels=np.repeat([0, 1], 40), class_count=2), path)
+    write_csv(LabeledDataset(features=feats, labels=np.repeat([0, 1], 40), class_count=2), path)
     return path
 
 
-def test_cli_evaluate_reproduces_the_run_evaluation(tmp_path):
+def kmeans_run(tmp_path, eval_block):
+    """``dckit condense`` of a kmeans run at seed 4 on the raw blobs; returns (raw CSV, out dir)."""
     raw, out = raw_blobs_csv(tmp_path), tmp_path / "run"
-    cfg = {"dataset": str(raw), "method": {"method": "kmeans"}, "eval": {"repeats": 2},
-           "out_dir": str(out), "seed": 4}
+    cfg = {"dataset": str(raw), "method": {"method": "kmeans"}, "eval": eval_block, "out_dir": str(out), "seed": 4}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["condense", "--config", str(tmp_path / "cfg.json")]) == 0
+    return raw, out
+
+
+@pytest.mark.parametrize("eval_block", [{}, {"repeats": 2, "epochs": 60}], ids=["default", "repeats2-epochs60"])
+def test_cli_evaluate_reproduces_the_run_evaluation(tmp_path, eval_block):
+    # no flag but the paths: the seed and the eval block come from the run record in the sidecar
+    raw, out = kmeans_run(tmp_path, eval_block)
     assert main(["evaluate", "--synthetic", str(out / "synthetic.csv"), "--real", str(raw),
-                 "--repeats", "2", "--seed", "4", "--out", str(tmp_path / "eval.json")]) == 0
+                 "--out", str(tmp_path / "eval.json")]) == 0
     report = json.loads((out / "report.json").read_text())
     assert json.loads((tmp_path / "eval.json").read_text()) == report["evaluation"]
+    sidecar = json.loads((out / "synthetic.csv.meta.json").read_text())
+    assert (sidecar["run_seed"], sidecar["eval"]) == (4, report["config"]["eval"])
+
+
+def evaluate_spy(monkeypatch) -> list:
+    """The (EvalConfig, seed) of every ``harness.evaluate`` call from now on; none trains a model."""
+    seen = []
+
+    def spy(s, t_train, t_eval, eval_cfg, seed):
+        seen.append((eval_cfg, seed))
+        return harness.EvalReport(per_architecture={}, baseline_accuracy=0.0, gd_estimate=0.0, discrepancy=None)
+
+    monkeypatch.setattr(harness, "evaluate", spy)
+    return seen
+
+
+def test_cli_evaluate_flags_override_the_run_record(tmp_path, monkeypatch):
+    raw, out = kmeans_run(tmp_path, {"repeats": 2, "epochs": 20, "pgd_eps": 0.05})
+    seen = evaluate_spy(monkeypatch)
+    paths = ["evaluate", "--synthetic", str(out / "synthetic.csv"), "--real", str(raw)]
+    assert main(paths) == 0
+    assert main([*paths, "--repeats", "1", "--seed", "7"]) == 0
+    assert main([*paths, "--pgd-eps", "0"]) == 0
+    recorded = EvalConfig(repeats=2, epochs=20, pgd_eps=0.05)
+    assert seen == [(recorded, 4), (replace(recorded, repeats=1), 7), (replace(recorded, pgd_eps=0.0), 4)]
+
+
+def test_cli_evaluate_without_a_run_record_uses_the_default_protocol(tmp_path, blobs_csv, monkeypatch):
+    seen = evaluate_spy(monkeypatch)
+    synthetic = tmp_path / "s.csv"
+    write_csv(LabeledDataset(features=np.full((2, 2), 0.5), labels=np.arange(2), class_count=2), synthetic)
+    assert main(["evaluate", "--synthetic", str(synthetic), "--real", str(blobs_csv)]) == 0
+    assert seen == [(EvalConfig(), 0)]  # 3 repeats: the flag no longer has a default of its own
+
+
+@pytest.mark.parametrize("record", [
+    {"eval": {"repeats": 0}},
+    {"eval": {"bogus": 1}},
+    {"eval": [2, 60]},
+    {"eval": {"hidden_architectures": [[0]]}},
+    {"run_seed": 1.5},
+    {"run_seed": True},
+], ids=["repeats-zero", "unknown-key", "not-an-object", "zero-width", "seed-float", "seed-bool"])
+def test_cli_evaluate_rejects_a_malformed_run_record_before_training(tmp_path, blobs_csv, capsys, monkeypatch,
+                                                                      record):
+    def trained(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(harness, "_train_stack", trained)
+    synthetic = tmp_path / "s.csv"
+    save_synthetic(SyntheticDataset(np.full((2, 2), 0.5), np.arange(2), per_class_size=1, origin="edited",
+                                    meta=record), synthetic)
+    assert main(["evaluate", "--synthetic", str(synthetic), "--real", str(blobs_csv)]) == 2
+    assert "config error: the run record of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim,classes", [(3, 2), (2, 3)], ids=["features", "classes"])
@@ -547,7 +611,7 @@ def test_cli_evaluate_shape_mismatch_exits_before_training(tmp_path, capsys, mon
 
     monkeypatch.setattr(harness, "_train_stack", trained)
     synthetic = tmp_path / "s.csv"
-    save_dataset(LabeledDataset(features=np.full((classes, 2), 0.5), labels=np.arange(classes),
-                                class_count=classes), synthetic)
+    write_csv(LabeledDataset(features=np.full((classes, 2), 0.5), labels=np.arange(classes),
+                             class_count=classes), synthetic)
     assert main(["evaluate", "--synthetic", str(synthetic), "--real", str(raw_blobs_csv(tmp_path, dim=dim))]) == 2
     assert "the synthetic set has" in capsys.readouterr().err

@@ -427,10 +427,10 @@ def missing_traced_names(tracing_source: str) -> list[str]:
 PACKAGE = {p.name: p.read_text() for p in MODULES}
 PRODUCTION_CALLERS = [*PACKAGE.values(), *(p.read_text() for p in DEMOS), readme_python_blocks()]
 TEST_SOURCES = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
-# Public names whose only callers are the tests: each is kept as a test aid. Any other public
-# name with no caller in the package, the demos or the README is surface to delete.
-TEST_ONLY_NAMES = ["condense.py:matching_value_and_grad", "data.py:SyntheticDataset.with_features",
-                   "data.py:save_dataset", "models.py:IdentityModel"]
+# Public names whose only callers are the tests. A test aid belongs in tests/conftest.py, so
+# this stays empty: a public name with no caller in the package, the demos or the README is
+# surface to delete.
+TEST_ONLY_NAMES = []
 
 
 def test_public_names_only_tests_reference():
@@ -476,3 +476,23 @@ def test_missing_traced_name_detected():
         "MLP_METHODS = (('models.backward', 'backward', None), ('models.gone', 'no_such_method', None))\n"
     )
     assert missing_traced_names(planted) == ["dckit.condense.no_such_function", "dckit.gone", "Mlp.no_such_method"]
+
+
+def call_sites(sources: dict, name: str) -> list[str]:
+    """``module:definition`` for each call of ``name`` (as a plain name or an attribute) in
+    ``sources``, named by the top-level definition that holds it (``<module>`` outside one)."""
+    return [f"{module}:{getattr(top, 'name', '<module>')}" for module, source in sources.items()
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and _callee(node.func) == name]
+
+
+def test_default_kernel_is_chosen_in_one_place():
+    # every command that falls back to the median-heuristic kernel goes through kernel_or_default
+    assert call_sites(PACKAGE, "median_heuristic_spec") == ["kernels.py:kernel_or_default"]
+
+
+def test_call_site_detected():
+    planted = ("def default(k, x):\n    return k or median_heuristic_spec(x)\n\n\n"
+               "class Solver:\n    def spec(self, x):\n        return kernels.median_heuristic_spec(x)\n\n\n"
+               "SPEC = median_heuristic_spec(X)\nname = 'median_heuristic_spec'\nf = median_heuristic_spec\n")
+    assert call_sites({"a.py": planted}, "median_heuristic_spec") == ["a.py:default", "a.py:Solver", "a.py:<module>"]
