@@ -33,7 +33,7 @@ s = SyntheticDataset(rng.uniform(0, 1, (6, 2)), np.array([0] * 3 + [1] * 3),
 print("== model-free metrics on the pooled point sets ==")
 kern = gaussian_spec(1.0)
 print(f"MMD^2 (Gaussian c=1)      {mmd_squared(kern, t.features, s.features):.6f}")
-print(f"Wasserstein-1 (exact LP)  {wasserstein1(t.features, s.features):.6f}")
+print(f"Wasserstein-1 (exact)     {wasserstein1(t.features, s.features):.6f}")
 print(f"Hausdorff                 {hausdorff_distance(t.features, s.features):.6f}")
 print(f"Characteristic (128 freq) {characteristic_discrepancy(t.features, s.features):.6f}")
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .augment import (
     SIAMESE_OPS,
@@ -65,14 +64,14 @@ from .errors import (
 )
 from .kernels import (
     KernelSpec,
-    _mmd_from_means,
     _nfk_features,
     feature_map_batch,
     feature_map_input_jacobian,
     gram_matrix,
     kernel_or_default,
     kernel_vjp,
-    mmd_squared_grad_s,
+    mmd_squared_and_grad_s,
+    sq_distances,
 )
 from .models import (
     ACTIVATIONS,
@@ -364,7 +363,8 @@ def kcenter_covering(points: np.ndarray, m: int, method: str = "auto"):
     """Covering-radius minimizing subset of the points (the coreset regime).
 
     Exact brute force when C(|T|, m) <= 1e5, else the greedy farthest-point
-    2-approximation starting from index 0. Returns (indices, covering radius).
+    2-approximation starting from index 0, which takes one distance row per pick.
+    Returns (indices, covering radius).
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -372,11 +372,11 @@ def kcenter_covering(points: np.ndarray, m: int, method: str = "auto"):
     n = pts.shape[0]
     if not 1 <= m <= n:
         raise CapacityError(f"m must lie in [1, {n}], got {m}")
-    d = cdist(pts, pts)
     if method not in ("auto", "greedy", "exact"):
         raise ConfigError("method must be auto, greedy, or exact")
     use_exact = method == "exact" or (method == "auto" and math.comb(n, m) <= 10**5)
     if use_exact:
+        d = np.sqrt(sq_distances(pts, pts))
         best_idx, best_r = None, np.inf
         for combo in itertools.combinations(range(n), m):
             r = d[:, combo].min(axis=1).max()
@@ -384,11 +384,11 @@ def kcenter_covering(points: np.ndarray, m: int, method: str = "auto"):
                 best_idx, best_r = combo, r
         return np.asarray(best_idx, dtype=np.int64), float(best_r)
     sel = [0]
-    mind = d[0].copy()
+    mind = np.sqrt(sq_distances(pts[:1], pts)[0])
     while len(sel) < m:
         nxt = int(np.argmax(mind))
         sel.append(nxt)
-        mind = np.minimum(mind, d[nxt])
+        mind = np.minimum(mind, np.sqrt(sq_distances(pts[nxt:nxt + 1], pts)[0]))
     return np.asarray(sel, dtype=np.int64), float(mind.max())
 
 
@@ -416,7 +416,7 @@ def kmeans_coreset(points: np.ndarray, k: int, iters: int = 50, seed: int = 0):
         d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
     inertias = []
     for _ in range(max(iters, 1)):
-        dist2 = cdist(pts, centers, "sqeuclidean")
+        dist2 = sq_distances(pts, centers)
         assign = np.argmin(dist2, axis=1)
         for j in range(k):
             rows = assign == j
@@ -425,7 +425,7 @@ def kmeans_coreset(points: np.ndarray, k: int, iters: int = 50, seed: int = 0):
             else:
                 far = int(np.argmax(dist2.min(axis=1)))
                 centers[j] = pts[far]
-        inertias.append(float(cdist(pts, centers, "sqeuclidean").min(axis=1).sum()))
+        inertias.append(float(sq_distances(pts, centers).min(axis=1).sum()))
         if len(inertias) >= 2 and abs(inertias[-2] - inertias[-1]) <= 1e-15:
             break
     return centers, inertias
@@ -1071,9 +1071,9 @@ def _matching_problem(cfg, t, s0):
                 grads.append(np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rs.shape[0]))
             elif kernel_objective:
                 rows_t, ktt = stat
-                values.append(_mmd_from_means(ktt, gram_matrix(kernel, rows_t, rs).mean(),
-                                              gram_matrix(kernel, rs, rs).mean()))
-                grads.append(mmd_squared_grad_s(kernel, rows_t, rs))
+                value, grad = mmd_squared_and_grad_s(kernel, rows_t, rs, ktt)
+                values.append(value)
+                grads.append(grad)
             else:
                 val, up = _feature_gap(cfg.method, stat, model.forward_batch(rs)[1])
                 values.append(val)

@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csc_array
-from scipy.spatial.distance import cdist
 
 from .data import per_class_partition
 from .errors import (
@@ -18,7 +16,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .kernels import KernelSpec, kernel_or_default, mmd_squared
+from .kernels import KernelSpec, kernel_or_default, mmd_squared, sq_distances
 
 PROVENANCES = ("random_init", "pretrained", "trajectory_snapshots")
 # frequencies of the characteristic-function discrepancy cd, in report.json and in `dckit discrepancy`
@@ -208,40 +206,110 @@ def loss_discrepancy(batch: ModelBatch, t, s, loss: str = "cross_entropy") -> fl
 # ---------------------------------------------------------------------------
 
 
+def _transport(d: np.ndarray) -> np.ndarray:
+    """The optimal integer transport plan for the (n, m) costs d with n >= m: with
+    g = gcd(n, m), row i ships m/g units and column j takes n/g.
+
+    Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9; Peyre
+    & Cuturi, *Computational Optimal Transport*, 2019, ch. 3). Rows enter one at a time, and
+    each augments by the bottleneck along a shortest path that Dijkstra finds over the
+    columns only: the path enters column j from the row at cost d[i, j], and moves units that
+    a row r ships to column j on to column k at cost d[r, k] - d[r, j]. Column potentials h
+    make every reduced cost d[r, k] - d[r, j] + h[j] - h[k] nonnegative. Columns with spare
+    capacity keep h = 0, so the first of them that Dijkstra finalizes ends a shortest path.
+    Each column is finalized at most once per search, so the predecessors form a tree even
+    under float ties. With n = m this is the shortest-augmenting-path assignment method.
+    """
+    n, m = d.shape
+    g = math.gcd(n, m)
+    supply, cap = m // g, n // g
+    flow = np.zeros((n, m), dtype=np.int64)
+    load = np.zeros(m, dtype=np.int64)
+    h = np.zeros(m)
+    ships = [[] for _ in range(m)]  # the rows with flow into each column
+    moves = [None] * m  # per column while its rows are unchanged: (cost to each column, via row)
+    pred_col = np.empty(m, dtype=np.int64)
+    pred_row = np.empty(m, dtype=np.int64)
+    for i in range(n):
+        left = supply
+        while left:
+            work = d[i] - h  # tentative reduced distances from row i; +inf once finalized
+            open_ = np.ones(m, dtype=bool)
+            pred_col.fill(-1)
+            pred_row.fill(i)
+            done, done_dist = [], []
+            while True:
+                j = int(work.argmin())
+                if load[j] < cap:
+                    break
+                dj = work[j]
+                done.append(j)
+                done_dist.append(dj)
+                work[j] = np.inf
+                open_[j] = False
+                if moves[j] is None:
+                    rows = np.array(ships[j])
+                    cost = d[rows] - d[rows, j][:, None]
+                    best = cost.argmin(axis=0)
+                    moves[j] = cost[best, np.arange(m)], rows[best]
+                step, via = moves[j]
+                cand = step - h
+                cand += dj + h[j]
+                better = cand < work
+                better &= open_
+                np.copyto(work, cand, where=better)
+                np.copyto(pred_col, j, where=better)
+                np.copyto(pred_row, via, where=better)
+            if done:
+                h[done] += np.asarray(done_dist) - work[j]
+            delta, k = min(left, cap - load[j]), j
+            while pred_col[k] >= 0:
+                delta = min(delta, flow[pred_row[k], pred_col[k]])
+                k = pred_col[k]
+            k = j
+            while True:
+                r, prev = int(pred_row[k]), int(pred_col[k])
+                flow[r, k] += delta
+                if flow[r, k] == delta:
+                    ships[k].append(r)
+                    moves[k] = None
+                if prev < 0:
+                    break
+                flow[r, prev] -= delta
+                if flow[r, prev] == 0:
+                    ships[prev].remove(r)
+                    moves[prev] = None
+                k = prev
+            load[j] += delta
+            left -= delta
+    return flow
+
+
 def wasserstein1(t, s) -> float:
     """Exact W1 between uniform empirical measures.
 
-    Equal-size sets reduce to an optimal assignment (Hungarian method); unequal
-    sizes solve the transport LP on the bipartite polytope exactly. Its (n+m) x nm
-    marginal constraint matrix is sparse, with 2nm nonzeros, so memory is O(nm).
+    The optimal plan ships integer units (``_transport``): with g = gcd(n, m), each point of
+    the larger set supplies m/g units, each point of the smaller set takes n/g, and
+    W1 = sum x_ij d_ij / (n m / g). Memory is O(nm).
     """
     a = _points(t)
     b = _points(s)
     if a.shape[1] != b.shape[1]:
         raise ShapeError("point dimensions differ")
-    d = cdist(a, b)
-    n, m = d.shape
-    if n == m:
-        rows, cols = linear_sum_assignment(d)
-        return float(d[rows, cols].sum() / n)
-    # transport LP: minimize <gamma, d> with uniform marginals 1/n and 1/m
-    # variable i*m + j is gamma_ij; its column has a one in row-sum i and column-sum n + j
-    c = d.ravel()
-    i, j = np.divmod(np.arange(n * m), m)
-    row_idx = np.column_stack([i, n + j]).ravel()
-    a_eq = csc_array((np.ones(2 * n * m), row_idx, np.arange(0, 2 * n * m + 1, 2)), shape=(n + m, n * m))
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise DomainError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    d = np.sqrt(sq_distances(a, b))
+    if not np.isfinite(d).all():
+        raise DomainError("point sets must give finite distances")
+    if d.shape[0] < d.shape[1]:
+        d = np.ascontiguousarray(d.T)
+    flow = _transport(d)
+    return float((flow * d).sum() / flow.sum())
 
 
 def hausdorff_distance(t, s) -> float:
     """max of the two directed farthest-nearest Euclidean distances."""
     a = _points(t)
     b = _points(s)
-    d = cdist(a, b)
+    d = np.sqrt(sq_distances(a, b))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 

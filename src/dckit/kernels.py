@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import ConfigError, DomainError, ShapeError, check_number
 
@@ -67,16 +66,58 @@ def gaussian_spec(scale: float = 1.0) -> KernelSpec:
     return KernelSpec(family="gamma_exponential", gamma=2.0, scale=scale)
 
 
+# entries of one block of rows in sq_distances and median_heuristic: small enough that the
+# per-feature passes over a block stay in cache
+_BLOCK_ENTRIES = 1 << 15
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of (A, n) a and (B, n) b, shape (A, B).
+
+    The squared differences are added one feature at a time, in feature order, so a distance
+    does not depend on which other rows it is computed with. ``np.sum`` over a difference
+    tensor adds them pairwise and rounds differently from 8 features on."""
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    rows = max(1, _BLOCK_ENTRIES // max(b.shape[0], 1))
+    diff = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for i0 in range(0, a.shape[0], rows):
+        block = out[i0:i0 + rows]
+        d = diff[:block.shape[0]]
+        for f in range(a.shape[1]):
+            np.subtract(at[f, i0:i0 + rows, None], bt[f], out=d)
+            d *= d
+            block += d
+    return out
+
+
 def median_heuristic(x: np.ndarray) -> float:
     """Median of the positive pairwise Euclidean distances (1.0 when degenerate).
 
-    The N(N-1)/2 distances of ``pdist`` are the only quadratic array besides their positive
-    copy, which the median partitions in place."""
-    d = pdist(_as_points(x))
+    The N(N-1)/2 distances i < j fill one condensed buffer a block of rows at a time, so it
+    is the only quadratic array besides its positive copy, which is partitioned in place."""
+    x = _as_points(x)
+    n = x.shape[0]
+    d = np.empty(n * (n - 1) // 2)
+    rows, pos = max(1, _BLOCK_ENTRIES // max(n, 1)), 0
+    for i0 in range(0, n - 1, rows):
+        block = sq_distances(x[i0:i0 + rows], x[i0 + 1:])  # column c is row i0 + 1 + c
+        for r in range(min(rows, n - 1 - i0)):
+            d[pos:pos + block.shape[1] - r] = block[r, r:]
+            pos += block.shape[1] - r
+    np.sqrt(d, out=d)
     vals = d[d > 0]
     if vals.size == 0:
         return 1.0
-    return float(np.median(vals, overwrite_input=True))
+    # np.median's value without its NaN check, which imports numpy.ma (no NaN passes d > 0)
+    k = vals.size // 2
+    if vals.size % 2:
+        vals.partition(k)
+        return float(vals[k])
+    vals.partition([k - 1, k])
+    return float((vals[k - 1] + vals[k]) / 2.0)
 
 
 def median_heuristic_spec(x: np.ndarray) -> KernelSpec:
@@ -167,7 +208,7 @@ def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == "gamma_exponential":
-        r = cdist(a, b)
+        r = np.sqrt(sq_distances(a, b))
         return np.exp(-spec.scale * r**spec.gamma)
     if spec.family == "random_feature":
         return feature_map_batch(spec, a) @ feature_map_batch(spec, b).T
@@ -201,16 +242,34 @@ def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_points(b)
     if spec.family == "gamma_exponential":
         diff = b[None, :, :] - a[:, None, :]  # (A, B, n)
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        k = np.exp(-spec.scale * r**spec.gamma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(r > 0, r ** (spec.gamma - 2.0), 0.0)
-        return (-spec.scale * spec.gamma) * (k * coef)[:, :, None] * diff
+        return _gaussian_grad2(spec, diff, diff * diff)
     if spec.family == "random_feature":
         phi_a = feature_map_batch(spec, a)  # (A, p)
         jac_b = feature_map_input_jacobian(spec, b)  # (B, p, n)
         return np.einsum("ap,bpn->abn", phi_a, jac_b)
     raise ConfigError(f"no analytic gradient for family {spec.family!r}")
+
+
+def _gaussian_grad2(spec: KernelSpec, diff: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``kernel_grad2`` of a gamma-exponential spec from the (A, B, n) differences b_j - a_i
+    and their squares."""
+    r = np.sqrt(np.sum(sq, axis=2))
+    k = np.exp(-spec.scale * r**spec.gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(r > 0, r ** (spec.gamma - 2.0), 0.0)
+    return (-spec.scale * spec.gamma) * (k * coef)[:, :, None] * diff
+
+
+def _gaussian_gram_and_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
+    """``gram_matrix`` and ``kernel_grad2`` of a gamma-exponential spec from one difference
+    tensor. The Gram's r adds the squares in feature order, as ``sq_distances`` does, and
+    the gradient's r is ``kernel_grad2``'s own ``np.sum``, so both keep their bits."""
+    diff = b[None, :, :] - a[:, None, :]
+    sq = diff * diff
+    r2 = np.zeros(sq.shape[:2])
+    for f in range(sq.shape[2]):
+        r2 += sq[:, :, f]
+    return np.exp(-spec.scale * np.sqrt(r2) ** spec.gamma), _gaussian_grad2(spec, diff, sq)
 
 
 def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -257,15 +316,25 @@ def _mmd_from_means(ktt, kts, kss) -> float:
     return val
 
 
-def mmd_squared_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gradient of the V-statistic MMD^2 w.r.t. every point of S."""
+def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt: float):
+    """The V-statistic MMD^2 of ``mmd_squared`` given ``ktt``, the mean k(T, T) (constant in
+    S, so callers cache it), and its gradient w.r.t. every point of S.
+
+    A gamma-exponential kernel takes each Gram matrix and its gradient from one difference
+    tensor.
+    """
     t, s = _as_points(t), _as_points(s)
     n_t, n_s = t.shape[0], s.shape[0]
+    if spec.family == "gamma_exponential":
+        (k_ts, d_ts), (k_ss, d_ss) = _gaussian_gram_and_grad2(spec, t, s), _gaussian_gram_and_grad2(spec, s, s)
+    else:
+        k_ts, k_ss = gram_matrix(spec, t, s), gram_matrix(spec, s, s)
+    value = _mmd_from_means(ktt, k_ts.mean(), k_ss.mean())
     # d/ds_j [mean k(S,S)] = (2 / M^2) sum_a d2 k(s_a, s_j); the a=j term carries the
     # total derivative of the diagonal entry via kernel symmetry
-    if spec.family not in ("gamma_exponential", "random_feature"):
-        return (kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
-                - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
-    g_ss = kernel_grad2(spec, s, s).sum(axis=0) * (2.0 / (n_s * n_s))
-    g_ts = kernel_grad2(spec, t, s).sum(axis=0) * (2.0 / (n_t * n_s))
-    return g_ss - g_ts
+    if spec.family == "random_feature":
+        d_ts, d_ss = kernel_grad2(spec, t, s), kernel_grad2(spec, s, s)
+    elif spec.family != "gamma_exponential":
+        return value, (kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
+                       - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
+    return value, d_ss.sum(axis=0) * (2.0 / (n_s * n_s)) - d_ts.sum(axis=0) * (2.0 / (n_t * n_s))

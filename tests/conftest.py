@@ -2,6 +2,9 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import csc_array
+from scipy.spatial.distance import cdist
 
 from dckit import LabeledDataset, SyntheticDataset
 from dckit.condense import _matching_problem
@@ -45,6 +48,21 @@ def central_diff(fn, x: np.ndarray) -> np.ndarray:
         step.flat[i] = h
         grad.flat[i] = (fn(x + step) - fn(x - step)) / (2 * h)
     return grad
+
+
+def transport_lp(a: np.ndarray, b: np.ndarray) -> float:
+    """W1 between the uniform measures on the rows of a and b as the transport LP, solved by
+    HiGHS: the oracle that the exact transport solver is checked against. The (n+m) x nm
+    marginal constraint matrix is sparse, with 2nm nonzeros."""
+    d = cdist(a.reshape(len(a), -1), b.reshape(len(b), -1))
+    n, m = d.shape
+    i, j = np.divmod(np.arange(n * m), m)  # variable i*m + j is gamma_ij
+    a_eq = csc_array((np.ones(2 * n * m), np.column_stack([i, n + j]).ravel(), np.arange(0, 2 * n * m + 1, 2)),
+                     shape=(n + m, n * m))
+    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
+    res = linprog(d.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def write_csv(d, path) -> None:

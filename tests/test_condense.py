@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from dckit import (
     condense,
     dp_noise_calibration,
     gaussian_spec,
+    gram_matrix,
     kcenter_covering,
     kmeans_coreset,
     krr_fit,
@@ -443,7 +445,7 @@ _NFK_PAIR = KernelSpec("nfk", model=(Mlp.init((3, 5, 2), "tanh", seed=1), Mlp.in
 def test_nfk_gradients_match_fd_oracle(kernel):
     from dckit import fit_linear_autoencoder, pullback_spec
     from dckit.condense import _krr_loss_and_grads
-    from dckit.kernels import mmd_squared_grad_s
+    from dckit.kernels import mmd_squared_and_grad_s
 
     rng = np.random.default_rng(2024)
     x = rng.uniform(0.0, 1.0, (12, 3))
@@ -469,10 +471,12 @@ def test_nfk_gradients_match_fd_oracle(kernel):
     if kernel == "empirical_ntk-linear":  # closed form
         spec = KernelSpec("empirical_ntk", model=LinearModel(rng.normal(size=(3, 2))))
     _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
+    mmd2, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
+    assert mmd2 == mmd_squared(spec, x, s)
     oracles = [
         (grad_s, central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
         (grad_t, central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
-        (mmd_squared_grad_s(spec, x, s), central_diff(lambda u: mmd_squared(spec, x, u), s)),
+        (mmd_grad, central_diff(lambda u: mmd_squared(spec, x, u), s)),
     ]
     for grad, fd in oracles:
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
@@ -725,6 +729,31 @@ def test_kcenter_greedy_within_2x_exact(rng):
         _, greedy = kcenter_covering(pts, m, method="greedy")
         _, exact = kcenter_covering(pts, m, method="exact")
         assert greedy <= 2.0 * exact + 1e-12
+
+
+def test_kcenter_greedy_matches_full_matrix_greedy(rng):
+    # the farthest-point picks on the full distance matrix, the reference the row-per-pick
+    # greedy must reproduce bit for bit
+    pts = rng.normal(size=(500, 32))
+    d = cdist(pts, pts)
+    sel, mind = [0], d[0].copy()
+    while len(sel) < 12:
+        sel.append(int(np.argmax(mind)))
+        mind = np.minimum(mind, d[sel[-1]])
+    idx, radius = kcenter_covering(pts, 12, method="greedy")
+    assert idx.tolist() == sel and radius == mind.max()
+
+
+def test_kcenter_greedy_memory_is_linear(rng):
+    pts = rng.uniform(size=(4000, 2))
+    tracemalloc.start()
+    try:
+        idx, _ = kcenter_covering(pts, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(idx.tolist())) == 10
+    assert peak < 4e6  # one 4000 x 4000 distance matrix would be 128 MB
 
 
 def test_kmeans_k_equals_n(rng):

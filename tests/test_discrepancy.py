@@ -23,7 +23,7 @@ from dckit import (
 )
 from dckit.errors import ArchitectureError, DomainError, LabelError
 from dckit.models import LinearModel
-from tests.conftest import copy_as_synthetic
+from tests.conftest import copy_as_synthetic, transport_lp
 
 
 def w1_bruteforce(a, b):
@@ -160,6 +160,36 @@ def test_w1_unequal_sizes_match_repeated_assignment(rng):
     assert got == pytest.approx(oracle, abs=1e-12)
     # a dense (n+m) x nm constraint matrix alone would be 105 MB here
     assert peak < 16e6
+
+
+def _tied_grid(n, m, seed):
+    # integer coordinates in {0, 1, 2}^2: duplicate rows on both sides and many tied costs
+    r = np.random.default_rng(seed)
+    return r.integers(0, 3, size=(n, 2)).astype(float), r.integers(0, 3, size=(m, 2)).astype(float)
+
+
+@pytest.mark.parametrize("n,m,dim", [(61, 7, 3), (199, 20, 2), (7, 61, 3), (40, 40, 2), (40, 40, 32), (9, 1, 2),
+                                     (1, 6, 2), (13, 5, 1), (120, 30, 16)],
+                         ids=["g1", "g1-199x20", "n-lt-m", "n-eq-m", "n-eq-m-32d", "m1", "n1", "1d", "g30-16d"])
+def test_w1_matches_transport_lp(n, m, dim, rng):
+    a, b = rng.normal(size=(n, dim)), rng.normal(size=(m, dim)) + 0.5
+    if dim == 1:
+        a, b = a[:, 0], b[:, 0]
+    oracle = transport_lp(a, b)
+    assert abs(wasserstein1(a, b) - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("n,m,seed", [(20, 30, 0), (30, 20, 1), (25, 25, 2), (21, 8, 3)])
+def test_w1_ties_and_duplicates_match_transport_lp(n, m, seed):
+    a, b = _tied_grid(n, m, seed)
+    oracle = transport_lp(a, b)
+    assert abs(wasserstein1(a, b) - oracle) <= 1e-12 * oracle
+    assert wasserstein1(np.vstack([a, a]), a) == 0.0
+
+
+def test_w1_rejects_non_finite_points():
+    with pytest.raises(DomainError):
+        wasserstein1(np.array([[0.0], [np.inf]]), np.array([[1.0]]))
 
 
 def test_w1_metric_axioms(rng):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,23 @@ def test_cli_discrepancy_exit_zero(blobs_csv, capsys):
     assert main(["discrepancy", "--a", str(blobs_csv), "--b", str(blobs_csv)]) == 0
     out = capsys.readouterr().out
     assert "mmd" in out and "w1" in out
+
+
+def test_cli_condense_loads_no_scipy(blobs_csv, tmp_path):
+    # a whole run, report included, in a fresh interpreter: numpy is the only dependency
+    configs = []
+    for method in ({"method": "mmd", "outer_steps": 3}, {"method": "kmeans"}, {"method": "kcenter"}):
+        path = tmp_path / f"{method['method']}.json"
+        path.write_text(json.dumps({"dataset": str(blobs_csv), "method": method, "per_class": 2,
+                                    "eval": {"epochs": 1, "repeats": 1}, "out_dir": str(tmp_path / method["method"])}))
+        configs.append(str(path))
+    code = ("import sys\nfrom dckit.cli import main\n"
+            "print([main(['condense', '--config', c]) for c in sys.argv[1:]],"
+            " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0] []"
 
 
 def test_cli_missing_method_is_config_error(blobs_csv):

@@ -293,6 +293,29 @@ def test_numpy2_only_api_detected():
     assert numpy2_only_uses(planted) == ["mT (line 5)", "vecdot (line 5)"]
 
 
+def scipy_imports(source: str) -> list[str]:
+    """The ``import scipy...`` and ``from scipy... import`` statements anywhere in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            found.append(f"{node.module} (line {node.lineno})")
+    return found
+
+
+# numpy is the package's one runtime dependency; scipy serves the tests as an oracle.
+@pytest.mark.parametrize("path", [SRC / "__init__.py", *MODULES], ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_scipy_import_detected():
+    planted = ("import numpy as np\nimport scipy\nfrom scipy.spatial.distance import cdist\n\n\n"
+               "def f():\n    import scipy.optimize as opt\n    from .scipy import x\n    return opt, x\n")
+    assert scipy_imports(planted) == ["scipy (line 2)", "scipy.spatial.distance (line 3)", "scipy.optimize (line 7)"]
+
+
 def missing_dckit_imports(source: str) -> list[str]:
     """Names that ``from dckit[.module] import ...`` statements in ``source`` ask for but the package
     lacks, found with ``getattr`` on the imported module; the source itself is not run."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from dckit import (
     KernelSpec,
@@ -15,8 +16,8 @@ from dckit import (
     pullback_spec,
     random_feature_map,
 )
-from dckit.errors import ConfigError, DomainError
-from dckit.kernels import feature_map_batch, kernel_vjp
+from dckit.errors import ConfigError, DomainError, ShapeError
+from dckit.kernels import feature_map_batch, kernel_vjp, sq_distances
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -166,6 +167,36 @@ def test_median_heuristic():
     assert median_heuristic(pts) == 2.0
     spec = median_heuristic_spec(pts)
     assert spec.scale == pytest.approx(1.0 / 8.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 32, 33, 64, 100])
+def test_sq_distances_match_cdist_and_pdist_bits(dim, rng):
+    a = rng.normal(size=(37, dim)) * 3.0
+    b = rng.uniform(size=(23, dim))
+    b[5] = b[2]  # duplicate rows
+    a[4] = b[2]
+    assert np.array_equal(sq_distances(a, b), cdist(a, b, "sqeuclidean"))
+    assert np.array_equal(np.sqrt(sq_distances(a, b)), cdist(a, b))
+    assert np.array_equal(np.sqrt(sq_distances(a[:1], b)), cdist(a[:1], b))  # a single row
+    assert np.array_equal(np.sqrt(sq_distances(a, a))[np.triu_indices(len(a), 1)], pdist(a))
+
+
+def test_sq_distances_rejects_dimension_mismatch(rng):
+    with pytest.raises(ShapeError):
+        sq_distances(rng.uniform(size=(3, 2)), rng.uniform(size=(4, 3)))
+
+
+@pytest.mark.parametrize("n,dim", [(3, 2), (400, 2), (400, 32), (400, 64), (1600, 2), (1600, 32), (1600, 64),
+                                   (4000, 2), (500, 1)])
+def test_median_heuristic_matches_pdist_bits(n, dim, rng):
+    x = rng.normal(size=(n, dim))
+    for dup in (False, True):  # the two give positive distance counts of opposite parity
+        if dup:
+            x[-1] = x[0]  # a duplicated row gives one zero distance, which the median skips
+        d = pdist(x)
+        assert median_heuristic(x) == np.median(d[d > 0])
+        if dim == 1:
+            assert median_heuristic(x[:, 0]) == np.median(d[d > 0])  # 1-D input is one feature per point
 
 
 def test_ntk_ensemble_average(rng):
