@@ -26,6 +26,7 @@ from .harness import (
 from .kernels import KernelSpec
 
 _NUMERIC_ERRORS = (DivergenceError, NumericalError, SolveError)
+_NOT_IN_FILES = ("autoencoder", "seed")  # an object, and the seed that the run derives from its own
 
 
 def kernel_spec_from_dict(d: dict) -> KernelSpec:
@@ -36,7 +37,7 @@ def kernel_spec_from_dict(d: dict) -> KernelSpec:
 
 
 def method_config_from_dict(d: dict) -> MethodConfig:
-    d = check_keys(d, MethodConfig, "method", exclude=("autoencoder",))
+    d = check_keys(d, MethodConfig, "method", exclude=_NOT_IN_FILES)
     if d.get("kernel") is not None:
         d["kernel"] = kernel_spec_from_dict(d["kernel"])
     if "hidden" in d:
@@ -48,7 +49,7 @@ def _build_run_config(args) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
         file_cfg = check_keys(json.loads(Path(args.config).read_text()), RunConfig, "")
-    method_d = check_keys(file_cfg.get("method", {}), MethodConfig, "method", exclude=("autoencoder",))
+    method_d = check_keys(file_cfg.get("method", {}), MethodConfig, "method", exclude=_NOT_IN_FILES)
     if args.method is not None:
         method_d["method"] = args.method
     if "method" not in method_d:
@@ -123,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--metrics", default="mmd,w1,hausdorff")
     p.add_argument("--freqs", type=int, default=CF_FREQUENCIES)
-    p.add_argument("--seed", type=int, default=0)
+    # cd's frequency seed: the run's when --b is a run's synthetic set, else 0
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=_cmd_discrepancy)
 

@@ -20,8 +20,10 @@ T-side statistic per (member, class), built by ``t_stat`` in
 the statistics are built) and kept in its one cache ``t_stats`` until an
 ensemble or k-means proxy refresh (rebuilt every step under siamese and
 channel_multiform, whose transforms depend on the step), and an S-side term
-with an analytic outer gradient; gm runs its S side as one sweep per member
-over the (C, m, d) stack of the class batches. dm, moment and sam share
+with an analytic outer gradient. Every method transforms S as one (C, m, d)
+stack of its class batches: gm, dm, moment and sam run one sweep per member
+over it, and mmd takes its classes from it one at a time. An mmd under random
+features, like any dp_merf run, matches mean embeddings. dm, moment and sam share
 ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
 discrepancy report. The regularizers score the rows the ensemble sees, and
 their exact gradients join the S-side ones. krr and mmd reach every kernel
@@ -64,6 +66,7 @@ from .errors import (
 )
 from .kernels import (
     KernelSpec,
+    _as_points,
     _nfk_features,
     feature_map_batch,
     feature_map_input_jacobian,
@@ -89,22 +92,8 @@ from .models import (
 from .seeding import derive_seed, derived_rng
 from .spaces import REGIMES, regime_maps
 
-METHODS = (
-    "dm",
-    "gm",
-    "mmd",
-    "moment",
-    "sam",
-    "krr",
-    "trajectory",
-    "bptt",
-    "cig_ridge",
-    "kcenter",
-    "kmeans",
-    "robdc",
-    "curvdc",
-)
 MATCHING_METHODS = ("dm", "gm", "mmd", "moment", "sam")
+METHODS = (*MATCHING_METHODS, "krr", "trajectory", "bptt", "cig_ridge", "kcenter", "kmeans", "robdc", "curvdc")
 _REQUIRED = object()  # the default of a parameter that every use of its variant must set
 _FULL_BATCH = (slice(None),)  # an unrolled epoch of one SGD step on every row
 # variant -> (methods it applies to, whether it transforms images,
@@ -366,9 +355,7 @@ def kcenter_covering(points: np.ndarray, m: int, method: str = "auto"):
     2-approximation starting from index 0, which takes one distance row per pick.
     Returns (indices, covering radius).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     n = pts.shape[0]
     if not 1 <= m <= n:
         raise CapacityError(f"m must lie in [1, {n}], got {m}")
@@ -397,9 +384,7 @@ def kmeans_coreset(points: np.ndarray, k: int, iters: int = 50, seed: int = 0):
 
     Returns (centers, inertia history); inertia is nonincreasing per iteration.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise CapacityError(f"k must lie in [1, {n}], got {k}")
@@ -996,12 +981,9 @@ def _matching_problem(cfg, t, s0):
     s_labels = s0.labels
 
     cfg.check_image_shape(t_matched.shape[1])
-    has_image_ops = any(name in cfg.variants for name in _IMAGE_VARIANTS)
     kernel = kernel_or_default(cfg.kernel, t_matched) if cfg.method == "mmd" else cfg.kernel
-    # the mean-embedding route: plain mmd with random features, or any dp_merf run
-    embed_path = "dp_merf" in cfg.variants or (
-        cfg.method == "mmd" and kernel.family == "random_feature" and not has_image_ops
-    )
+    # the mean-embedding route: mmd with random features, or any dp_merf run
+    embed_path = "dp_merf" in cfg.variants or (cfg.method == "mmd" and kernel.family == "random_feature")
     merf_sigma = cfg.variant("dp_merf")["sigma"]
     rng_merf = derived_rng(cfg.seed, "dp_merf")
     dp_sigma = cfg.variant("dp_grad")["sigma"]
@@ -1017,9 +999,7 @@ def _matching_problem(cfg, t, s0):
     # unless the T transform depends on the step (siamese and channel_multiform draw per step)
     t_stats = []
     cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
-    # gm's S side is one (C, m, d) stack of the class batches (each S class has per_class_size rows)
-    s_batches = ([(np.stack([part_s[y] for y in classes]), classes)] if cfg.method == "gm"
-                 else [(part_s[y], [y]) for y in classes])
+    s_rows = np.stack(part_s)  # (C, m): S's side is one stack of the class batches (per_class_size rows each)
     dp_invocations = grad_draws = 0
 
     log = StepLog(meta={"method": cfg.method, "regime": cfg.regime,
@@ -1053,32 +1033,32 @@ def _matching_problem(cfg, t, s0):
             return stat
         return model.forward_batch(rows)[1]
 
-    def s_terms(model, stats, s_side):
-        """The S-side terms against the T statistics: (values, gradients with respect
-        to each S batch's transformed rows). Contrastive gm gives one value. gm takes
-        every class's parameter gradient and input tangent from one sweep each over its stack."""
+    def s_terms(model, stats, rs, ls):
+        """The S-side terms against the T statistics: (values, gradient with respect to the
+        (C, m, d') stack ``rs`` of S's transformed rows). Contrastive gm gives one value. The
+        model methods take every class's terms from one sweep each over the stack."""
         if cfg.method == "gm":
-            [(_, rs, ls, _)] = s_side
             _, g_s, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True)
             values, ups = _gradient_gap(contrastive, stats, g_s)
-            return values, [tangent(np.stack(ups))]
+            return values, tangent(np.stack(ups))
+        if not kernel_objective:  # each class's gap on its views of the stacked features
+            feats = model.forward_batch(rs)[1]
+            values, ups = zip(*(_feature_gap(cfg.method, stat, [f[y] for f in feats]) for y, stat in enumerate(stats)))
+            upstream = [None if u[0] is None else np.stack(u) for u in zip(*ups)]  # per feature, over classes
+            return values, model.feature_input_vjp(rs, upstream)
         values, grads = [], []
-        for stat, (_, rs, _, _) in zip(stats, s_side):
+        for stat, r in zip(stats, rs):
             if embed_path:
-                diff = stat - feature_map_batch(kernel, rs).mean(axis=0)
+                diff = stat - feature_map_batch(kernel, r).mean(axis=0)
                 values.append(float(diff @ diff))
-                jac = feature_map_input_jacobian(kernel, rs)
-                grads.append(np.einsum("p,bpn->bn", diff, jac) * (-2.0 / rs.shape[0]))
-            elif kernel_objective:
+                jac = feature_map_input_jacobian(kernel, r)
+                grads.append(np.einsum("p,bpn->bn", diff, jac) * (-2.0 / r.shape[0]))
+            else:
                 rows_t, ktt = stat
-                value, grad = mmd_squared_and_grad_s(kernel, rows_t, rs, ktt)
+                value, grad = mmd_squared_and_grad_s(kernel, rows_t, r, ktt)
                 values.append(value)
                 grads.append(grad)
-            else:
-                val, up = _feature_gap(cfg.method, stat, model.forward_batch(rs)[1])
-                values.append(val)
-                grads.append(model.feature_input_vjp(rs, up))
-        return values, grads
+        return values, np.stack(grads)
 
     def objective(v, step):
         nonlocal ensemble, grad_draws
@@ -1104,16 +1084,15 @@ def _matching_problem(cfg, t, s0):
             t_stats.extend([t_stat(model, *t_side[y], rng_grad) for y in classes] for model in members)
 
         s_matched = fwd(v)
-        s_side = [(rows, *tr.apply(s_matched[rows], s_labels[rows], "s", ys)) for rows, ys in s_batches]
+        rs, ls, vjp_s = tr.apply(s_matched[s_rows], s_labels[s_rows], "s", classes)
         value = 0.0
         grad_matched = np.zeros_like(s_matched)
         n_e = len(members)
         for model, stats in zip(members, t_stats):
-            values, g_rows = s_terms(model, stats, s_side)
+            values, g = s_terms(model, stats, rs, ls)
             for val in values:
                 value += val / n_e
-            for (rows, _, _, vjp_s), g in zip(s_side, g_rows):
-                grad_matched[rows] += vjp_s(g) / n_e
+            grad_matched[s_rows] += vjp_s(g) / n_e
             if rho is not None:
                 lam, grad_lam = _curvature_penalty(model, t_matched, t.labels, s_matched, s_labels, cfg)
                 value += 0.5 * rho * lam / n_e

@@ -177,15 +177,18 @@ def save_synthetic(s: SyntheticDataset, path: str | Path) -> None:
         "class_count": s.class_count,
         **s.meta,
     }
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def _read_sidecar(path: str | Path) -> dict:
+    """The JSON sidecar that ``save_synthetic`` writes next to the CSV at path; {} if there is none."""
+    sidecar = Path(f"{path}.meta.json")
+    return json.loads(sidecar.read_text()) if sidecar.exists() else {}
 
 
 def load_synthetic(path: str | Path) -> SyntheticDataset:
-    path = Path(path)
     d = load_dataset(path)
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    meta = _read_sidecar(path)
     per_class = int(meta.get("per_class_size", d.n_samples // d.class_count))
     origin = meta.get("origin", "unknown")
     extra = {k: v for k, v in meta.items() if k not in ("origin", "per_class_size", "class_count")}

@@ -22,6 +22,7 @@ from .data import (
     LabeledDataset,
     NormParams,
     SyntheticDataset,
+    _read_sidecar,
     init_synthetic,
     load_dataset,
     load_synthetic,
@@ -116,16 +117,11 @@ class EvalReport:
     wall_clock: dict = field(default_factory=dict)
 
 
-def _canonical_order(features: np.ndarray, labels: np.ndarray):
-    """Stable class-grouped ordering so identical multisets train identically."""
-    order = np.argsort(labels, kind="stable")
-    return features[order], labels[order]
-
-
 def _train_stack(hidden, data, eval_cfg: EvalConfig, seeds) -> list:
     """One fresh relu network per seed (its init and shuffling seed), trained on data's class-sorted
     rows as one ``sgd_train_stack``: bit for bit as separate ``sgd_train`` runs."""
-    x, y = _canonical_order(np.asarray(data.features), np.asarray(data.labels))
+    order = np.argsort(data.labels, kind="stable")  # class-grouped, so identical multisets train identically
+    x, y = np.asarray(data.features)[order], np.asarray(data.labels)[order]
     fresh = [Mlp.init((x.shape[1], *hidden, data.class_count), "relu", seed=r) for r in seeds]
     cfg = TrainConfig(learning_rate=eval_cfg.learning_rate, epochs=eval_cfg.epochs,
                       batch_size=eval_cfg.batch_size, loss=eval_cfg.loss)
@@ -178,12 +174,6 @@ def evaluate(
     )
 
 
-def _resolve_dataset(cfg: RunConfig) -> LabeledDataset:
-    if isinstance(cfg.dataset, LabeledDataset):
-        return cfg.dataset
-    return load_dataset(cfg.dataset)
-
-
 class _StageTimer:
     def __init__(self):
         self.timings: dict[str, float] = {}
@@ -208,7 +198,8 @@ def run(cfg: RunConfig) -> EvalReport:
     created, made_dirs = [], []
     timer = _StageTimer()
     try:
-        d = timer.run("load", lambda: _resolve_dataset(cfg))
+        d = timer.run("load", lambda: cfg.dataset if isinstance(cfg.dataset, LabeledDataset)
+                      else load_dataset(cfg.dataset))
         cfg.method.check_image_shape(d.n_features)  # before any stage works on the data
         if cfg.normalize:
             d = timer.run("normalize", lambda: normalize_features(d))
@@ -236,7 +227,7 @@ def run(cfg: RunConfig) -> EvalReport:
         )
         report.discrepancy = timer.run(
             "hierarchy",
-            lambda: hierarchy_report(t_train, s_star, batch, seed=derive_seed(cfg.seed, "freq") % (2**32)),
+            lambda: hierarchy_report(t_train, s_star, batch, seed=_freq_seed(cfg.seed)),
         )
         report.wall_clock = dict(timer.timings)
         if out_dir is not None:
@@ -281,6 +272,11 @@ def _method_dict(m: MethodConfig) -> dict:
 def _split(d: LabeledDataset, seed: int):
     """The run's (train, eval) split of the loaded and normalized dataset."""
     return train_eval_split(d, 0.2, seed=derive_seed(seed, "split"))
+
+
+def _freq_seed(seed: int) -> int:
+    """The seed of the run's characteristic-discrepancy frequencies."""
+    return derive_seed(seed, "freq") % (2**32)
 
 
 def _evaluation_block(report: EvalReport) -> dict:
@@ -336,12 +332,19 @@ def _json_default(v):
 
 
 def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = None,
-                        freq_count: int = CF_FREQUENCIES, seed: int = 0, out_path=None) -> DiscrepancyReport:
+                        freq_count: int = CF_FREQUENCIES, seed: int | None = None,
+                        out_path=None) -> DiscrepancyReport:
     """Standalone discrepancy tool over two dataset CSVs; optionally writes the report JSON.
 
-    The values are ``model_free`` of the two feature sets, as in the run's report."""
-    a = load_dataset(path_a)
-    b = load_dataset(path_b)
+    The values are ``model_free`` of the two feature sets, as in the run's report. When b is a
+    run's synthetic set (its sidecar holds the run record), a is read back as that run's train
+    split (``_read_back``) and cd's frequencies come from the run's seed unless ``seed`` is given."""
+    if "run_seed" in _read_sidecar(path_b):
+        b, _, run_seed, a, _ = _read_back(path_b, path_a)
+        seed = _freq_seed(run_seed) if seed is None else seed
+    else:
+        a, b = load_dataset(path_a), load_dataset(path_b)
+        seed = 0 if seed is None else seed
     values, params = model_free(a.features, b.features, selectors, kernel, freq_count, seed)
     report = DiscrepancyReport(values=values, params={"a": str(path_a), "b": str(path_b), **params})
     if out_path is not None:
@@ -349,13 +352,13 @@ def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = N
     return report
 
 
-def evaluate_command(synthetic_path, real_path, out_path, seed: int | None = None, **overrides) -> EvalReport:
-    """Score a saved synthetic set as ``run`` did, from the run record in its sidecar.
+def _read_back(synthetic_path, real_path, seed: int | None = None):
+    """A saved synthetic set and the real dataset as its run saw them, from the run record in
+    the set's sidecar: (s, recorded eval block, seed, train split, eval split).
 
-    The record holds the run's eval block and seed (a set without one gets ``EvalConfig()``
-    and seed 0); ``seed`` and ``overrides``, EvalConfig fields, replace them when given. The
-    real rows are scaled by the recorded normalization, split with the seed, and evaluated;
-    ``out_path`` (if given) receives report.json's ``evaluation`` block.
+    A set without a record gets ``EvalConfig()`` and seed 0; ``seed`` replaces the recorded
+    one when given. The real rows are scaled by the recorded normalization and split with
+    the seed. A malformed record raises ConfigError, another width or class count ShapeError.
     """
     s = load_synthetic(synthetic_path)
     try:
@@ -363,7 +366,6 @@ def evaluate_command(synthetic_path, real_path, out_path, seed: int | None = Non
         check_number("run_seed", s.meta.get("run_seed", 0), integer=True)
     except ConfigError as e:
         raise ConfigError(f"the run record of {synthetic_path}: {e}") from None
-    eval_cfg = replace(recorded, **overrides)
     seed = s.meta.get("run_seed", 0) if seed is None else seed
     d = load_dataset(real_path)
     if (s.n_features, s.class_count) != (d.n_features, d.class_count):
@@ -372,8 +374,16 @@ def evaluate_command(synthetic_path, real_path, out_path, seed: int | None = Non
     if "normalization" in s.meta:
         norm = NormParams(**{k: np.asarray(v, dtype=np.float64) for k, v in s.meta["normalization"].items()})
         d = LabeledDataset(features=norm.apply(d.features), labels=d.labels, class_count=d.class_count, norm=norm)
-    t_train, t_eval = _split(d, seed)
-    report = evaluate(s, t_train, t_eval, eval_cfg, seed=seed)
+    return s, recorded, seed, *_split(d, seed)
+
+
+def evaluate_command(synthetic_path, real_path, out_path, seed: int | None = None, **overrides) -> EvalReport:
+    """Score a saved synthetic set as ``run`` did, from the run record in its sidecar
+    (``_read_back``); ``overrides``, EvalConfig fields, replace the recorded ones when given.
+    ``out_path`` (if given) receives report.json's ``evaluation`` block.
+    """
+    s, recorded, seed, t_train, t_eval = _read_back(synthetic_path, real_path, seed)
+    report = evaluate(s, t_train, t_eval, replace(recorded, **overrides), seed=seed)
     if out_path is not None:
         Path(out_path).write_text(json.dumps(_evaluation_block(report), sort_keys=True, indent=2) + "\n")
     return report

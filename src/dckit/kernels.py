@@ -208,8 +208,7 @@ def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == "gamma_exponential":
-        r = np.sqrt(sq_distances(a, b))
-        return np.exp(-spec.scale * r**spec.gamma)
+        return _gaussian_from_sq(spec, sq_distances(a, b))
     if spec.family == "random_feature":
         return feature_map_batch(spec, a) @ feature_map_batch(spec, b).T
     if spec.family == "empirical_ntk":
@@ -250,6 +249,14 @@ def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise ConfigError(f"no analytic gradient for family {spec.family!r}")
 
 
+def _gaussian_from_sq(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
+    """exp(-c r^gamma) of the squared distances r2, computed in r2's buffer, which it returns."""
+    np.sqrt(r2, out=r2)
+    r2 **= spec.gamma
+    r2 *= -spec.scale
+    return np.exp(r2, out=r2)
+
+
 def _gaussian_grad2(spec: KernelSpec, diff: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """``kernel_grad2`` of a gamma-exponential spec from the (A, B, n) differences b_j - a_i
     and their squares."""
@@ -269,7 +276,7 @@ def _gaussian_gram_and_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
     r2 = np.zeros(sq.shape[:2])
     for f in range(sq.shape[2]):
         r2 += sq[:, :, f]
-    return np.exp(-spec.scale * np.sqrt(r2) ** spec.gamma), _gaussian_grad2(spec, diff, sq)
+    return _gaussian_from_sq(spec, r2), _gaussian_grad2(spec, diff, sq)
 
 
 def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -325,16 +332,12 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt: 
     """
     t, s = _as_points(t), _as_points(s)
     n_t, n_s = t.shape[0], s.shape[0]
-    if spec.family == "gamma_exponential":
-        (k_ts, d_ts), (k_ss, d_ss) = _gaussian_gram_and_grad2(spec, t, s), _gaussian_gram_and_grad2(spec, s, s)
-    else:
-        k_ts, k_ss = gram_matrix(spec, t, s), gram_matrix(spec, s, s)
-    value = _mmd_from_means(ktt, k_ts.mean(), k_ss.mean())
     # d/ds_j [mean k(S,S)] = (2 / M^2) sum_a d2 k(s_a, s_j); the a=j term carries the
     # total derivative of the diagonal entry via kernel symmetry
-    if spec.family == "random_feature":
-        d_ts, d_ss = kernel_grad2(spec, t, s), kernel_grad2(spec, s, s)
-    elif spec.family != "gamma_exponential":
-        return value, (kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
-                       - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
-    return value, d_ss.sum(axis=0) * (2.0 / (n_s * n_s)) - d_ts.sum(axis=0) * (2.0 / (n_t * n_s))
+    if spec.family != "gamma_exponential":
+        return (_mmd_from_means(ktt, gram_matrix(spec, t, s).mean(), gram_matrix(spec, s, s).mean()),
+                kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
+                - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
+    (k_ts, d_ts), (k_ss, d_ss) = _gaussian_gram_and_grad2(spec, t, s), _gaussian_gram_and_grad2(spec, s, s)
+    return (_mmd_from_means(ktt, k_ts.mean(), k_ss.mean()),
+            d_ss.sum(axis=0) * (2.0 / (n_s * n_s)) - d_ts.sum(axis=0) * (2.0 / (n_t * n_s)))

@@ -274,6 +274,9 @@ def test_mmd_objectives_pinned(name):
 # family and trajectory moved onto one unrolled tape; the two trajectory entries were
 # then re-pinned when its adjoint replaced central differences: step-0 objective bits
 # unchanged, later objectives within 1.2e-12 relative, grad_norm 9.1e-11, features 1.4e-11.
+# mmd-rff-siamese was re-pinned when an mmd under random features took the mean
+# embedding under image variants too, instead of three Gram matrices: objective,
+# method_value and grad_norm within 1.9e-16 relative, features 6.1e-16, meta unchanged.
 OUTER_PINS = json.loads((Path(__file__).parent / "outer_loop_pins.json").read_text())
 _GAUSS = gaussian_spec(0.8)
 _NFK = KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1))
@@ -900,9 +903,30 @@ def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         matching_value_and_grad(cfg, t, s)
         monkeypatch.undo()
         counts.append(len(calls))
-    # dm: per member and class one T forward, one S forward and one S sweep; inter one forward
-    # and one sweep on the first member; con one of each per member
-    assert counts == [3 * 2 * 3 + 2 + 2 * 3] * 2
+    # dm: per member one T forward per class, then one S forward and one S sweep over the class
+    # stack; inter one forward and one sweep on the first member; con one of each per member
+    assert counts == [3 * (2 + 1 + 1) + 2 + 2 * 3] * 2
+
+
+@pytest.mark.parametrize("method", ["dm", "moment", "sam"])
+def test_feature_matching_s_sweeps_do_not_grow_with_class_count(method, monkeypatch):
+    rng = np.random.default_rng(5)
+    for classes in (2, 4):
+        rows = rng.uniform(0.0, 1.0, (4 * classes, 3))
+        labels = np.repeat(np.arange(classes), 4)
+        t = LabeledDataset(rows, labels, classes)
+        keep = np.arange(4 * classes) % 4 < 2  # the first 2 rows of each class
+        s = SyntheticDataset(rows[keep], labels[keep], per_class_size=2, origin="init")
+        calls = []
+        for name in ("forward_batch", "feature_input_vjp"):
+            original = getattr(Mlp, name)
+            monkeypatch.setattr(Mlp, name, lambda self, *a, _f=original, _n=name, **k: calls.append(_n)
+                                or _f(self, *a, **k))
+        matching_value_and_grad(MethodConfig(method=method, ensemble=2, hidden=(4,), seed=0), t, s)
+        monkeypatch.undo()
+        # per member (2) one T forward per class, then one S forward and one S sweep over the class stack
+        assert calls.count("forward_batch") == 2 * (classes + 1)
+        assert calls.count("feature_input_vjp") == 2
 
 
 @pytest.mark.parametrize("name", ["inter", "intra", "con", "cos", "dis", "proj"])
@@ -1070,7 +1094,7 @@ def test_siamese_op_applied_once_per_transform(rng, monkeypatch):
     cfg = MethodConfig(method="dm", outer_steps=3, outer_lr=0.01, ensemble=1, hidden=(6,), activation="tanh",
                        image_shape=shape, variants={"siamese": {"op": "flip"}}, seed=0)
     condense(cfg, t, s)
-    assert len(calls) == 3 * 2 * 2  # outer steps x classes x (T side, S side)
+    assert len(calls) == 3 * (2 + 1)  # outer steps x (T classes + S's class stack)
 
 
 def test_kmeans_proxy_runs(toy_pair):

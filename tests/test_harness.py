@@ -384,8 +384,9 @@ def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys
     ({"method": {"method": "dm", "regime": "bogus"}, "latent_dim": 1}, "regime must be one of"),
     ({"method": {"method": "dm"}, "init_mode": "bogus"}, "init_mode must be one of"),
     ({"method": {"method": "dm"}, "normalize": "no"}, "normalize must be true or false"),
+    ({"method": {"method": "dm", "seed": 123}}, "method.seed"),  # the run derives it from the top-level seed
 ], ids=["method-key", "eval-key", "top-level-key", "kernel-family", "kernel-key", "gamma-string", "method-type",
-        "regime", "regime-latent-dim", "init-mode", "normalize-string"])
+        "regime", "regime-latent-dim", "init-mode", "normalize-string", "method-seed"])
 def test_cli_malformed_config_exit_two(blobs_csv, tmp_path, capsys, cfg, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": str(blobs_csv), **cfg}))
@@ -571,6 +572,19 @@ def test_cli_evaluate_reproduces_the_run_evaluation(tmp_path, eval_block):
     assert json.loads((tmp_path / "eval.json").read_text()) == report["evaluation"]
     sidecar = json.loads((out / "synthetic.csv.meta.json").read_text())
     assert (sidecar["run_seed"], sidecar["eval"]) == (4, report["config"]["eval"])
+
+
+def test_cli_discrepancy_reads_back_the_run(tmp_path):
+    # the raw real CSV and the run's synthetic set: a is scaled and split as the run did
+    raw, out = kmeans_run(tmp_path, {"repeats": 1, "epochs": 5})
+    names = ("mmd", "w1", "hausdorff", "cd")
+    argv = ["discrepancy", "--a", str(raw), "--b", str(out / "synthetic.csv"), "--metrics", ",".join(names)]
+    assert main([*argv, "--out", str(tmp_path / "d.json")]) == 0
+    assert main([*argv, "--seed", "7", "--out", str(tmp_path / "d7.json")]) == 0
+    report = json.loads((out / "report.json").read_text())["discrepancy"]
+    got, got7 = (json.loads((tmp_path / name).read_text()) for name in ("d.json", "d7.json"))
+    assert got["values"] == {name: report["values"][name] for name in names}
+    assert got["params"]["seed"] == report["params"]["seed"] and got7["params"]["seed"] == 7
 
 
 def evaluate_spy(monkeypatch) -> list:

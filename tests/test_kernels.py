@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
@@ -167,6 +169,25 @@ def test_median_heuristic():
     assert median_heuristic(pts) == 2.0
     spec = median_heuristic_spec(pts)
     assert spec.scale == pytest.approx(1.0 / 8.0)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0, 0.3])
+def test_gaussian_gram_matches_the_formula_bits(gamma, rng):
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
+    a, b = rng.uniform(size=(40, 9)), rng.uniform(size=(31, 9))
+    want = np.exp(-spec.scale * np.sqrt(cdist(a, b, "sqeuclidean")) ** spec.gamma)
+    assert np.array_equal(gram_matrix(spec, a, b), want)
+
+
+def test_gaussian_gram_peak_memory_is_one_matrix(rng):
+    x = rng.uniform(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        gram_matrix(gaussian_spec(1.0), x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2000**2 * 8  # the sqrt, power and exp each in a new N x N array would be 3x
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 32, 33, 64, 100])
