@@ -233,6 +233,8 @@ class MethodConfig:
             raise ConfigError(f"variants.rat_truncation.window must lie in [1, inner_steps={self.inner_steps}]")
         if "dp_merf" in self.variants and (self.kernel is None or self.kernel.family != "random_feature"):
             raise ConfigError("variants.dp_merf needs a random_feature kernel spec")
+        if self.kernel is not None and self.method not in ("mmd", "krr") and "dp_merf" not in self.variants:
+            raise ConfigError(f"method.kernel applies to mmd, krr and variants.dp_merf; {self.method!r} uses no kernel")
         if self.regime != "input_input" and self.method not in MATCHING_METHODS:
             raise ConfigError("latent regimes are wired for the matching methods only")
         if self.regularizers and self.method not in MATCHING_METHODS:

@@ -236,12 +236,19 @@ def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:
 
 
 def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient of k(a_i, b_j) w.r.t. b_j, shape (A, B, n). Analytic families only."""
+    """Gradient of k(a_i, b_j) w.r.t. b_j, shape (A, B, n). Analytic families only.
+
+    The gamma-exponential contractions do not build this tensor (``_gaussian_gram_and_vjp``);
+    it is their reference in the tests."""
     a = _as_points(a)
     b = _as_points(b)
     if spec.family == "gamma_exponential":
         diff = b[None, :, :] - a[:, None, :]  # (A, B, n)
-        return _gaussian_grad2(spec, diff, diff * diff)
+        r = np.sqrt(np.sum(diff * diff, axis=2))
+        k = np.exp(-spec.scale * r**spec.gamma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where(r > 0, r ** (spec.gamma - 2.0), 0.0)
+        return (-spec.scale * spec.gamma) * (k * coef)[:, :, None] * diff
     if spec.family == "random_feature":
         phi_a = feature_map_batch(spec, a)  # (A, p)
         jac_b = feature_map_input_jacobian(spec, b)  # (B, p, n)
@@ -257,36 +264,45 @@ def _gaussian_from_sq(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
     return np.exp(r2, out=r2)
 
 
-def _gaussian_grad2(spec: KernelSpec, diff: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """``kernel_grad2`` of a gamma-exponential spec from the (A, B, n) differences b_j - a_i
-    and their squares."""
-    r = np.sqrt(np.sum(sq, axis=2))
-    k = np.exp(-spec.scale * r**spec.gamma)
+def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray | None = None):
+    """``gram_matrix`` of a gamma-exponential spec, shape (A, B), and sum_i coef[i, j]
+    grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n), with coef all ones when None.
+
+    grad_{b_j} k(a_i, b_j) = w_ij (b_j - a_i) with w = -c gamma k r^(gamma - 2), so the sum
+    runs one feature at a time on (A, B) matrices. r comes from the Gram's ``sq_distances``
+    and each feature's terms are added over i in row order, as an einsum or ``sum(axis=0)``
+    over ``kernel_grad2`` does: the same bits below 8 features, about 1 ulp apart from 8 on,
+    where ``kernel_grad2``'s ``np.sum`` adds the squares pairwise."""
+    r = sq_distances(a, b)
+    k = _gaussian_from_sq(spec, r.copy())
+    np.sqrt(r, out=r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(r > 0, r ** (spec.gamma - 2.0), 0.0)
-    return (-spec.scale * spec.gamma) * (k * coef)[:, :, None] * diff
-
-
-def _gaussian_gram_and_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
-    """``gram_matrix`` and ``kernel_grad2`` of a gamma-exponential spec from one difference
-    tensor. The Gram's r adds the squares in feature order, as ``sq_distances`` does, and
-    the gradient's r is ``kernel_grad2``'s own ``np.sum``, so both keep their bits."""
-    diff = b[None, :, :] - a[:, None, :]
-    sq = diff * diff
-    r2 = np.zeros(sq.shape[:2])
-    for f in range(sq.shape[2]):
-        r2 += sq[:, :, f]
-    return _gaussian_from_sq(spec, r2), _gaussian_grad2(spec, diff, sq)
+        w = r ** (spec.gamma - 2.0)
+    w[r == 0] = 0.0
+    w *= k
+    w *= -spec.scale * spec.gamma
+    g = np.empty((b.shape[0], b.shape[1]))
+    d = r  # r's buffer holds one feature's terms at a time
+    for f in range(b.shape[1]):
+        np.subtract(b[:, f], a[:, f, None], out=d)
+        d *= w
+        if coef is not None:
+            d *= coef
+        # sum(axis=0) adds the rows in order, except down a single column, which it adds pairwise
+        g[:, f] = d.sum(axis=0) if d.shape[1] > 1 or not len(d) else np.add.accumulate(d[:, 0])[-1]
+    return k, g
 
 
 def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
 
-    An einsum over ``kernel_grad2`` for the analytic families, one reverse sweep per model
-    for nfk, and the base's contraction times the encoder Jacobian for a pullback. For
-    empirical_ntk, k(a_i, b_j) = <J(a_i), J(b_j)> with J the (C, P) logit Jacobian, so the
-    sum is grad_x <V_j, J(x)> at x = b_j with V_j = sum_i coef[i, j] J(a_i): per model one
-    ``output_param_jacobian`` of a (A*C*P floats) and one ``jacobian_input_grad`` of b (B*C*P).
+    One feature at a time from the Gram's distances for a gamma-exponential spec, in O(A·B)
+    memory (``_gaussian_gram_and_vjp``), an einsum over ``kernel_grad2`` for random
+    features, one reverse sweep per model for nfk, and the base's contraction times the
+    encoder Jacobian for a pullback. For empirical_ntk, k(a_i, b_j) = <J(a_i), J(b_j)> with
+    J the (C, P) logit Jacobian, so the sum is grad_x <V_j, J(x)> at x = b_j with
+    V_j = sum_i coef[i, j] J(a_i): per model one ``output_param_jacobian`` of a (A*C*P
+    floats) and one ``jacobian_input_grad`` of b (B*C*P).
     """
     a, b = _as_points(a), _as_points(b)
     if spec.family == "nfk":
@@ -299,6 +315,8 @@ def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray)
     if spec.family == "pullback":
         inner = kernel_vjp(spec.base, spec.encoder.encode(a), spec.encoder.encode(b), coef)
         return inner @ spec.encoder.encode_jacobian()
+    if spec.family == "gamma_exponential":
+        return _gaussian_gram_and_vjp(spec, a, b, coef)[1]
     return np.einsum("ab,abn->bn", coef, kernel_grad2(spec, a, b))
 
 
@@ -327,8 +345,8 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt: 
     """The V-statistic MMD^2 of ``mmd_squared`` given ``ktt``, the mean k(T, T) (constant in
     S, so callers cache it), and its gradient w.r.t. every point of S.
 
-    A gamma-exponential kernel takes each Gram matrix and its gradient from one difference
-    tensor.
+    A gamma-exponential kernel takes each Gram matrix and the plain sum of its gradients
+    from one ``_gaussian_gram_and_vjp`` call, in O(A·B) memory, and scales the sums.
     """
     t, s = _as_points(t), _as_points(s)
     n_t, n_s = t.shape[0], s.shape[0]
@@ -338,6 +356,6 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt: 
         return (_mmd_from_means(ktt, gram_matrix(spec, t, s).mean(), gram_matrix(spec, s, s).mean()),
                 kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
                 - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
-    (k_ts, d_ts), (k_ss, d_ss) = _gaussian_gram_and_grad2(spec, t, s), _gaussian_gram_and_grad2(spec, s, s)
+    (k_ts, d_ts), (k_ss, d_ss) = _gaussian_gram_and_vjp(spec, t, s), _gaussian_gram_and_vjp(spec, s, s)
     return (_mmd_from_means(ktt, k_ts.mean(), k_ss.mean()),
-            d_ss.sum(axis=0) * (2.0 / (n_s * n_s)) - d_ts.sum(axis=0) * (2.0 / (n_t * n_s)))
+            d_ss * (2.0 / (n_s * n_s)) - d_ts * (2.0 / (n_t * n_s)))

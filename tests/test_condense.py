@@ -32,6 +32,7 @@ from dckit import (
     two_blobs,
 )
 from dckit.condense import (
+    METHODS,
     MethodConfig,
     _bptt_value_and_grad,
     _curvature_penalty,
@@ -153,6 +154,17 @@ def test_method_config_accepts_numpy_numbers():
     assert cfg.outer_steps == 3
 
 
+def test_kernel_only_where_a_method_reads_it():
+    rff = KernelSpec("random_feature", feature_dim=8)
+    for method in ("mmd", "krr"):
+        assert MethodConfig(method=method, kernel=gaussian_spec(1.0)).kernel is not None
+    assert MethodConfig(method="dm", kernel=rff, variants={"dp_merf": {}}).kernel is rff
+    for method in sorted(set(METHODS) - {"mmd", "krr"}):
+        variants = {"robust_outer": {}} if method == "robdc" else {}
+        with pytest.raises(ConfigError, match="method.kernel"):
+            MethodConfig(method=method, kernel=gaussian_spec(1.0), variants=variants)
+
+
 def test_unknown_method():
     with pytest.raises(ConfigError):
         MethodConfig(method="magic")
@@ -229,10 +241,13 @@ def test_mmd_1d_converges_to_class_mean(rng):
 # reverse sweep of kernels.kernel_vjp, and the siamese run transforms T every step, so a
 # k(T, T) term reused across steps would change its values. The nfk run was re-pinned
 # when that sweep replaced central differences: step 0 unchanged, later steps within 4.1e-10.
+# The siamese run (16-D rows) was re-pinned when the Gaussian gradient took its r from the
+# Gram's feature-order distances instead of np.sum's pairwise ones: steps 0 and 1 unchanged,
+# steps 2 and 3 within 3.8e-16 relative.
 MMD_OBJECTIVES = {
     "gaussian": ["0x1.9f762549a4324p-3", "0x1.344d20fa952a8p-4", "0x1.2fa24dd52dd80p-5", "0x1.acfb14fbaa840p-6"],
     "nfk": ["0x1.1533cce9fc1d0p-2", "0x1.0575783b39040p-5", "0x1.dc3dbc486bf00p-9"],
-    "siamese": ["0x1.87ec65fbcf76bp+0", "0x1.2db0afac0834bp+0", "0x1.198d20a6e51f7p+0", "0x1.29a85a8d36a94p-1"],
+    "siamese": ["0x1.87ec65fbcf76bp+0", "0x1.2db0afac0834bp+0", "0x1.198d20a6e51f8p+0", "0x1.29a85a8d36a96p-1"],
 }
 
 
@@ -277,6 +292,8 @@ def test_mmd_objectives_pinned(name):
 # mmd-rff-siamese was re-pinned when an mmd under random features took the mean
 # embedding under image variants too, instead of three Gram matrices: objective,
 # method_value and grad_norm within 1.9e-16 relative, features 6.1e-16, meta unchanged.
+# mmd-siamese (16-D rows) was re-pinned when the Gaussian gradient took its r from the
+# Gram's feature-order distances: objective, method_value, grad_norm and meta unchanged, features within 2.1e-16 relative.
 OUTER_PINS = json.loads((Path(__file__).parent / "outer_loop_pins.json").read_text())
 _GAUSS = gaussian_spec(0.8)
 _NFK = KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1))

@@ -456,6 +456,22 @@ def test_cli_variant_config_rejected_before_any_stage(tmp_path, capsys, method, 
     assert "config error" in err and named in err and "[stage " not in err
 
 
+@pytest.mark.parametrize("method", ["gm", "dm", "bptt", "kmeans"])
+def test_cli_kernel_on_a_method_without_one_exits_two(blobs_csv, tmp_path, capsys, monkeypatch, method):
+    # only mmd, krr and dp_merf read method.kernel; elsewhere it would be ignored
+    kernel = {"family": "gamma_exponential", "scale": 0.5}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dataset": str(blobs_csv), "method": {"method": method, "kernel": kernel},
+                                "out_dir": str(tmp_path / "out")}))
+    staged = []
+    for name in ("load_dataset", "condense"):
+        monkeypatch.setattr(harness, name, lambda *a, name=name, **k: staged.append(name))
+    assert main(["condense", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "method.kernel" in err and "[stage " not in err
+    assert staged == [] and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method", [
     {"method": "dm", "image_shape": [1, 3, 3], "variants": {"multiform": {"r": 3}}},
     {"method": "dm", "image_shape": [1, 2, 2], "variants": {"channel_multiform": {}}},

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from dckit import (
     random_feature_map,
 )
 from dckit.errors import ConfigError, DomainError, ShapeError
-from dckit.kernels import feature_map_batch, kernel_vjp, sq_distances
+from dckit.kernels import feature_map_batch, kernel_grad2, kernel_vjp, mmd_squared_and_grad_s, sq_distances
+from tests.conftest import central_diff
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -188,6 +190,95 @@ def test_gaussian_gram_peak_memory_is_one_matrix(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2000**2 * 8  # the sqrt, power and exp each in a new N x N array would be 3x
+
+
+def _mmd_grad_reference(spec, t, s):
+    """The S gradient of MMD^2 from the summed (A, B, n) tensors of ``kernel_grad2``."""
+    return (kernel_grad2(spec, s, s).sum(axis=0) * (2.0 / len(s) ** 2)
+            - kernel_grad2(spec, t, s).sum(axis=0) * (2.0 / (len(t) * len(s))))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 32])
+def test_gaussian_contractions_match_kernel_grad2(gamma, dim, rng):
+    # below 8 features the Gram's feature-order r is np.sum's r, so the bits agree; from 8 on
+    # np.sum adds kernel_grad2's squares pairwise and the two differ by about 1 ulp
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
+    t, s = rng.uniform(size=(40, dim)), rng.uniform(size=(6, dim))
+    t[3] = s[1]  # an S row on a T row, where the gradient's r^(gamma - 2) is not taken
+    coef = rng.normal(size=(40, 6))
+    want_vjp = np.einsum("ab,abn->bn", coef, kernel_grad2(spec, t, s))
+    want_mmd = _mmd_grad_reference(spec, t, s)
+    got_vjp = kernel_vjp(spec, t, s, coef)
+    value, got_mmd = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())
+    assert value == mmd_squared(spec, t, s)
+    for got, want in ((got_vjp, want_vjp), (got_mmd, want_mmd)):
+        if dim < 8:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.0])
+def test_gaussian_vjp_adds_a_single_column_in_row_order(gamma, rng):
+    # sum(axis=0) adds an (A, 1) column pairwise; the contraction keeps row order for every B
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
+    a, b, coef = rng.normal(size=(400, 2)), rng.normal(size=(1, 2)), rng.normal(size=(400, 1))
+    terms = coef[:, :, None] * kernel_grad2(spec, a, b)
+    want = terms[0].copy()
+    for row in terms[1:]:
+        want += row
+    assert np.array_equal(kernel_vjp(spec, a, b, coef), want)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0, 0.3])
+def test_gaussian_gradients_finite_where_rows_coincide(gamma, rng):
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
+    t, s = rng.uniform(size=(12, 3)), rng.uniform(size=(4, 3))
+    t[5] = s[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, grad = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())  # (S, S) diagonal too
+        vjp = kernel_vjp(spec, t, s, np.ones((12, 4)))
+        alone = kernel_vjp(spec, t[5:6], s, np.ones((1, 4)))
+    assert np.all(np.isfinite(grad)) and np.all(np.isfinite(vjp))
+    assert np.all(alone[2] == 0.0)  # the coinciding pair adds nothing
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0])
+def test_gaussian_gradients_match_fd_oracle(gamma):
+    from dckit.condense import _krr_loss_and_grads
+
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, 1.0, (12, 3))
+    y = np.eye(2)[[0] * 6 + [1] * 6]
+    s, y_s = x[[0, 1, 6, 7]] + 0.05, y[[0, 1, 6, 7]]
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.8)
+    _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
+    _, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
+    oracles = [
+        (grad_s, central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
+        (grad_t, central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
+        (mmd_grad, central_diff(lambda u: mmd_squared(spec, x, u), s)),
+    ]
+    for grad, fd in oracles:
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_gaussian_gradient_peak_memory_is_a_few_matrices(rng):
+    # one (A, B, n) difference tensor alone is n / 8 = 8 times this bound; built and squared
+    # it peaked at 150 MiB here
+    n_a, n_b, dim = 2000, 50, 64
+    spec = gaussian_spec(0.01)
+    t, s, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
+    for call in (lambda: mmd_squared_and_grad_s(spec, t, s, 0.5), lambda: kernel_vjp(spec, t, s, coef)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n_a * n_b * 8
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 32, 33, 64, 100])
