@@ -14,18 +14,19 @@ the synthetic variables ``v``, and ``finish(v)`` turns the final variables into
 variables; the coresets are selected directly. Matching objectives
 (dm/gm/mmd/moment/sam) follow the per-class convention and approximate the
 hypothesis-space supremum by averaging over a periodically refreshed model
-ensemble (one ``None`` member for the kernel families). Each splits into a
-T-side statistic per (member, class), built by ``t_stat`` in
-``_matching_problem`` from the class's T rows (transformed once per class when
-the statistics are built) and kept in its one cache ``t_stats`` until an
-ensemble or k-means proxy refresh (rebuilt every step under siamese and
-channel_multiform, whose transforms depend on the step), and an S-side term
-with an analytic outer gradient. Every method transforms S as one (C, m, d)
-stack of its class batches: gm, dm, moment and sam run one sweep per member
-over it, and mmd takes its classes from it one at a time. An mmd under random
-features, like any dp_merf run, matches mean embeddings. dm, moment and sam share
-``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
-discrepancy report. The regularizers score the rows the ensemble sees, and
+ensemble (one ``None`` member for the kernel families). Each splits into T-side
+statistics per member, built by ``t_stat`` in ``_matching_problem`` from each
+class's T rows (transformed once when the statistics are built) and kept in its
+one cache ``t_stats`` until an ensemble or k-means proxy refresh (rebuilt every
+step under siamese and channel_multiform, whose transforms depend on the step),
+and an S-side term with an analytic outer gradient. gm, dm, moment and sam
+cache (C, ...) arrays of the statistics themselves; the kernel families keep
+one per class. Every method transforms S as one (C, m, d) stack of its class
+batches: gm, dm, moment and sam compare their statistics with one sweep per
+member over it, and mmd takes its classes from it one at a time. An mmd under
+random features, like any dp_merf run, matches mean embeddings. dm, moment and
+sam share ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``,
+with the discrepancy report. The regularizers score the rows the ensemble sees, and
 their exact gradients join the S-side ones. krr and mmd reach every kernel
 family through ``kernels.kernel_vjp``. The unrolled bilevel flavors
 (bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
@@ -53,7 +54,7 @@ from .augment import (
     siamese_vjp,
 )
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
-from .discrepancy import _feature_gap, _gradient_gap
+from .discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from .errors import (
     CapacityError,
     ConfigError,
@@ -184,8 +185,9 @@ class MethodConfig:
         for name, low in (("outer_steps", 1), ("refresh", 1), ("ensemble", 1), ("inner_steps", 0),
                           ("inner_batch", 1), ("pretrain_epochs", 0), ("curv_iters", 1)):
             check_number(name, getattr(self, name), integer=True, low=low)
-        for name in ("outer_lr", "inner_lr", "ridge_lambda", "reg_tau", "curv_lambda"):
-            check_number(name, getattr(self, name))
+        for name, low in (("outer_lr", None), ("inner_lr", None), ("ridge_lambda", 0), ("reg_tau", None),
+                          ("curv_lambda", 0)):
+            check_number(name, getattr(self, name), low=low)
         for name in ("outer_lr", "reg_tau"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -193,8 +195,6 @@ class MethodConfig:
             TrainConfig(self.inner_lr, self.inner_steps, self.inner_batch, self.loss)
         except ConfigError as e:
             raise ConfigError(f"inner_lr/inner_steps/inner_batch/loss: {e}") from None
-        if self.ridge_lambda < 0:
-            raise ConfigError("ridge_lambda must be >= 0")
         if self.provenance not in ("random_init", "pretrained"):
             raise ConfigError("provenance must be random_init or pretrained")
         if not isinstance(self.variants, dict) or not isinstance(self.regularizers, dict):
@@ -997,7 +997,7 @@ def _matching_problem(cfg, t, s0):
     kernel_objective = embed_path or cfg.method == "mmd"
     ensemble = None
     t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
-    # per ensemble member, each class's T statistic; kept until an ensemble or proxy refresh
+    # per ensemble member, its T statistics over the classes; kept until an ensemble or proxy refresh
     # unless the T transform depends on the step (siamese and channel_multiform draw per step)
     t_stats = []
     cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
@@ -1015,25 +1015,29 @@ def _matching_problem(cfg, t, s0):
                            batch_size=cfg.inner_batch, loss=cfg.loss, seed=derive_seed(cfg.seed, "proj_train"))
         _, expert = sgd_train(base, (t_matched, t.labels), tcfg, record=True)
 
-    def t_stat(model, rows, labels, rng_grad):
-        """The T-side statistic of one class for an ensemble member (``model`` is None
-        for the kernel families) from the class's transformed T rows: the
-        dp_merf-noised mean embedding, (rows, mean k(T_y, T_y)) for the Gram route,
-        the dp_grad-clipped and noised class-mean gradient, or the feature list."""
+    def t_stat(model, t_side, rng_grad):
+        """An ensemble member's T statistics (``model`` is None for the kernel families) from
+        each class's transformed (rows, labels) in ``t_side``: per class, the dp_merf-noised
+        mean embedding or (rows, mean k(T_y, T_y)) for the Gram route; otherwise (C, ...)
+        arrays, the dp_grad-clipped and noised class-mean gradients or ``_feature_stats``."""
         nonlocal dp_invocations
-        if embed_path:
-            mean_phi = feature_map_batch(kernel, rows).mean(axis=0)
-            return mean_phi + merf_sigma * rng_merf.normal(size=mean_phi.shape)  # sigma 0 adds zeros
+        if embed_path:  # sigma 0 adds zeros
+            means = [feature_map_batch(kernel, rows).mean(axis=0) for rows, _ in t_side]
+            return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
-            return rows, gram_matrix(kernel, rows, rows).mean()
-        if cfg.method == "gm":
+            return [(rows, gram_matrix(kernel, rows, rows).mean()) for rows, _ in t_side]
+        if cfg.method != "gm":
+            per_class = (_feature_stats(cfg.method, model.forward_batch(rows)[1]) for rows, _ in t_side)
+            return [np.stack(stat) for stat in zip(*per_class)]
+        stats = []
+        for rows, labels in t_side:
             _, stat, _ = model.backward(rows, labels, cfg.loss)
             if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
                 stat = stat / max(np.linalg.norm(stat), 1.0)
                 stat = stat + dp_sigma * rng_grad.normal(size=stat.shape)
                 dp_invocations += 1
-            return stat
-        return model.forward_batch(rows)[1]
+            stats.append(stat)
+        return np.stack(stats)
 
     def s_terms(model, stats, rs, ls):
         """The S-side terms against the T statistics: (values, gradient with respect to the
@@ -1041,12 +1045,10 @@ def _matching_problem(cfg, t, s0):
         model methods take every class's terms from one sweep each over the stack."""
         if cfg.method == "gm":
             _, g_s, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True)
-            values, ups = _gradient_gap(contrastive, stats, g_s)
-            return values, tangent(np.stack(ups))
-        if not kernel_objective:  # each class's gap on its views of the stacked features
-            feats = model.forward_batch(rs)[1]
-            values, ups = zip(*(_feature_gap(cfg.method, stat, [f[y] for f in feats]) for y, stat in enumerate(stats)))
-            upstream = [None if u[0] is None else np.stack(u) for u in zip(*ups)]  # per feature, over classes
+            values, upstream = _gradient_gap(contrastive, stats, g_s)
+            return values, tangent(upstream)
+        if not kernel_objective:
+            values, upstream = _feature_gap(cfg.method, stats, model.forward_batch(rs)[1])
             return values, model.feature_input_vjp(rs, upstream)
         values, grads = [], []
         for stat, r in zip(stats, rs):
@@ -1083,7 +1085,7 @@ def _matching_problem(cfg, t, s0):
             rng_grad = derived_rng(cfg.seed, f"dp_grad:{step}") if dp_sigma > 0 else None
             t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2]
                       for y in classes]
-            t_stats.extend([t_stat(model, *t_side[y], rng_grad) for y in classes] for model in members)
+            t_stats.extend(t_stat(model, t_side, rng_grad) for model in members)
 
         s_matched = fwd(v)
         rs, ls, vjp_s = tr.apply(s_matched[s_rows], s_labels[s_rows], "s", classes)

@@ -82,61 +82,60 @@ def _points(x) -> np.ndarray:
     return x
 
 
-def _matched_partitions(t, s):
-    if t.class_count != s.class_count:
-        raise LabelError(f"class counts differ: {t.class_count} vs {s.class_count}")
-    return per_class_partition(t), per_class_partition(s)
+def _feature_stats(method: str, feats: list) -> list:
+    """The statistics that the dm / moment / sam gap compares, reduced over axis -2.
 
-
-def _feature_gap(method: str, feats_t: list, feats_s: list):
-    """The dm / moment / sam gap of one class between two feature lists.
-
-    ``feats_t`` and ``feats_s`` list each hidden activation and then the logits,
-    as ``forward_batch`` returns them. dm is ||mean h(T) - mean h(S)||_2^2 on the
-    penultimate feature h (the final hidden activation); moment adds the gap of
-    the feature-wise variances of h; sam sums the gaps of the mean squared
-    activations over every feature. Returns (value, upstream), where upstream
-    holds the gradient of the value with respect to each S feature (None where
-    it does not depend on one).
+    ``feats`` lists each hidden activation and then the logits, as ``forward_batch``
+    returns them, of one (B, n) batch or of a (C, B, n) stack of class batches. dm
+    takes the mean of the penultimate feature h (the final hidden activation), moment
+    its mean and feature-wise variance, and sam the mean square of every feature.
     """
-    n_feats = len(feats_s)
-    upstream = [None] * n_feats
-    b = feats_s[0].shape[0]
-    pen = n_feats - 2 if n_feats >= 2 else n_feats - 1
+    pen = max(len(feats) - 2, 0)
     if method == "dm":
-        diff = feats_t[pen].mean(axis=0) - feats_s[pen].mean(axis=0)
-        upstream[pen] = np.broadcast_to(-(2.0 / b) * diff, feats_s[pen].shape).copy()
-        return float(diff @ diff), upstream
+        return [feats[pen].mean(axis=-2)]
     if method == "moment":
-        ft, fs = feats_t[pen], feats_s[pen]
-        dmean = ft.mean(axis=0) - fs.mean(axis=0)
-        dvar = ft.var(axis=0) - fs.var(axis=0)
-        up = np.broadcast_to(-(2.0 / b) * dmean, fs.shape).copy()
-        up += -(4.0 / b) * dvar * (fs - fs.mean(axis=0))
-        upstream[pen] = up
-        return float(dmean @ dmean) + float(dvar @ dvar), upstream
+        return [feats[pen].mean(axis=-2), feats[pen].var(axis=-2)]
     if method == "sam":
-        value = 0.0
-        for l in range(n_feats):
-            diff = (feats_t[l] ** 2).mean(axis=0) - (feats_s[l] ** 2).mean(axis=0)
-            value += float(diff @ diff)
-            upstream[l] = -(4.0 / b) * diff * feats_s[l]
-        return value, upstream
+        return [(f ** 2).mean(axis=-2) for f in feats]
     raise ConfigError(f"not a feature objective: {method!r}")
 
 
-def _gradient_gap(contrastive: bool, grads_t: list, grads_s: list):
-    """The gm gap between the class-mean parameter gradients of T and of S.
+def _feature_gap(method: str, stats_t: list, feats_s: list):
+    """The dm / moment / sam gap of each class c, the sum of ||stat_T[c] - stat_S[c]||_2^2 over
+    T's ``_feature_stats`` ``stats_t`` ((C, h) arrays) and those of the features of S's
+    (C, m, n) class stack. Returns (values, upstream), where upstream holds the gradient of
+    the summed values with respect to each S feature (None where they do not depend on one).
+    """
+    stats_s = _feature_stats(method, feats_s)
+    diffs = [st - ss for st, ss in zip(stats_t, stats_s)]
+    values = [0.0] * len(diffs[0])
+    for d in diffs:
+        for c, row in enumerate(d):
+            values[c] += float(row @ row)
+    b = feats_s[0].shape[-2]
+    if method == "sam":
+        return values, [-(4.0 / b) * d[:, None] * f for d, f in zip(diffs, feats_s)]
+    upstream = [None] * len(feats_s)
+    pen = max(len(feats_s) - 2, 0)
+    fs = feats_s[pen]
+    upstream[pen] = np.broadcast_to(-(2.0 / b) * diffs[0][:, None], fs.shape).copy()
+    if method == "moment":
+        upstream[pen] += -(4.0 / b) * diffs[1][:, None] * (fs - stats_s[0][:, None])
+    return values, upstream
 
-    One value ||g_S - g_T||^2 per class, or with ``contrastive`` one value for the
-    gradients summed over classes. Returns (values, upstream), where upstream
+
+def _gradient_gap(contrastive: bool, g_t: np.ndarray, g_s: np.ndarray):
+    """The gm gap between the (C, P) class-mean parameter gradients of T and of S.
+
+    One value ||g_S[c] - g_T[c]||^2 per class, or with ``contrastive`` one value for the
+    gradients summed over classes. Returns (values, upstream), where the (C, P) upstream
     holds the gradient of the summed values with respect to each class's g_S.
     """
     if contrastive:
-        diff = np.sum(grads_s, axis=0) - np.sum(grads_t, axis=0)
-        return [float(diff @ diff)], [2.0 * diff] * len(grads_s)
-    diffs = [g_s - g_t for g_t, g_s in zip(grads_t, grads_s)]
-    return [float(d @ d) for d in diffs], [2.0 * d for d in diffs]
+        diff = np.sum(g_s, axis=0) - np.sum(g_t, axis=0)
+        return [float(diff @ diff)], np.broadcast_to(2.0 * diff, g_s.shape)
+    diffs = g_s - g_t
+    return [float(d @ d) for d in diffs], np.multiply(diffs, 2.0, out=diffs)  # doubled once the values are read
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +143,26 @@ def _gradient_gap(contrastive: bool, grads_t: list, grads_s: list):
 # ---------------------------------------------------------------------------
 
 
-def _feature_discrepancy(batch: ModelBatch, t, s, method: str) -> float:
-    """Max over the batch of the ``_feature_gap`` of ``method`` summed over classes."""
-    pt, ps = _matched_partitions(t, s)
+def _model_gap(batch: ModelBatch, t, s, method: str, loss: str, contrastive: bool) -> float:
+    """Max over the batch of the class gaps of ``method`` (dm, moment, sam or gm) summed over
+    classes: per model, T's class statistics against one sweep over S's class stack. Raises
+    LabelError when the class counts differ or S's classes differ in size."""
+    if t.class_count != s.class_count:
+        raise LabelError(f"class counts differ: {t.class_count} vs {s.class_count}")
+    pt, ps = per_class_partition(t), per_class_partition(s)
+    if len({p.size for p in ps}) > 1:
+        raise LabelError(f"S's classes must be equal in size, got {[p.size for p in ps]}")
+    rows = np.stack(ps)
     best = 0.0
     for m in batch:
-        total = 0.0
-        for y in range(t.class_count):
-            _, ft = m.forward_batch(t.features[pt[y]])
-            _, fs = m.forward_batch(s.features[ps[y]])
-            total += _feature_gap(method, ft, fs)[0]
-        best = max(best, total)
+        if method == "gm":
+            g_t = np.stack([m.backward(t.features[p], t.labels[p], loss)[1] for p in pt])
+            values, _ = _gradient_gap(contrastive, g_t, m.backward(s.features[rows], s.labels[rows], loss)[1])
+        else:
+            per_class = (_feature_stats(method, m.forward_batch(t.features[p])[1]) for p in pt)
+            stats_t = [np.stack(stat) for stat in zip(*per_class)]
+            values, _ = _feature_gap(method, stats_t, m.forward_batch(s.features[rows])[1])
+        best = max(best, sum(values))
     return best
 
 
@@ -164,7 +172,7 @@ def ipm_feature_stat(batch: ModelBatch, t, s) -> float:
     Per class y the statistic is ||mean h(T^y) - mean h(S^y)||_2^2 on the
     penultimate feature h (final hidden activation), summed over classes.
     """
-    return _feature_discrepancy(batch, t, s, "dm")
+    return _model_gap(batch, t, s, "dm", "cross_entropy", False)
 
 
 def gradient_discrepancy(
@@ -177,18 +185,12 @@ def gradient_discrepancy(
     """
     if mode not in ("per_class", "contrastive"):
         raise ConfigError(f"unknown mode {mode!r}")
-    pt, ps = _matched_partitions(t, s)
-    best = 0.0
-    for m in batch:
-        gt = [m.backward(t.features[pt[y]], t.labels[pt[y]], loss)[1] for y in range(t.class_count)]
-        gs = [m.backward(s.features[ps[y]], s.labels[ps[y]], loss)[1] for y in range(t.class_count)]
-        best = max(best, sum(_gradient_gap(mode == "contrastive", gt, gs)[0]))
-    return best
+    return _model_gap(batch, t, s, "gm", loss, mode == "contrastive")
 
 
 def moment_discrepancy(batch: ModelBatch, t, s) -> float:
     """Max over the batch of per-class first plus second (feature-wise variance) moment gaps."""
-    return _feature_discrepancy(batch, t, s, "moment")
+    return _model_gap(batch, t, s, "moment", "cross_entropy", False)
 
 
 def loss_discrepancy(batch: ModelBatch, t, s, loss: str = "cross_entropy") -> float:
@@ -345,11 +347,6 @@ def characteristic_discrepancy(
 # ---------------------------------------------------------------------------
 
 
-def _argmin_loss(batch: ModelBatch, d, loss: str) -> int:
-    losses = [m.mean_loss(d.features, d.labels, loss) for m in batch]
-    return int(np.argmin(losses))  # first index wins ties
-
-
 def generalization_discrepancy_finite(batch: ModelBatch, t, s, loss: str = "cross_entropy", eval_seed: int = 0):
     """(gd, vd, pd) for the finite hypothesis set with first-index argmin tie-breaking.
 
@@ -357,11 +354,12 @@ def generalization_discrepancy_finite(batch: ModelBatch, t, s, loss: str = "cros
     uniform sample points drawn from ``eval_seed``; pd is the parameter-vector
     distance (same architecture only).
     """
-    i_t = _argmin_loss(batch, t, loss)
-    i_s = _argmin_loss(batch, s, loss)
+    losses_t = [m.mean_loss(t.features, t.labels, loss) for m in batch]
+    i_t = int(np.argmin(losses_t))  # first index wins ties
+    i_s = int(np.argmin([m.mean_loss(s.features, s.labels, loss) for m in batch]))
     h_t = batch.models[i_t]
     h_s = batch.models[i_s]
-    gd = abs(h_s.mean_loss(t.features, t.labels, loss) - h_t.mean_loss(t.features, t.labels, loss))
+    gd = abs(losses_t[i_s] - losses_t[i_t])
     extra = np.random.default_rng(eval_seed).uniform(0.0, 1.0, size=(256, t.features.shape[1]))
     eval_points = np.vstack([t.features, extra])
     out_t, _ = h_t.forward_batch(eval_points)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _feature_gap, wasserstein1
+from .discrepancy import _feature_gap, _feature_stats, wasserstein1
 from .errors import ConfigError, ShapeError, ValidationError
 from .kernels import KernelSpec, kernel_or_default, mmd_squared
 
@@ -111,8 +111,8 @@ def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None, model_
     if disc == "ipm_feature":
         if model_batch is None:
             raise ConfigError("ipm_feature regime objectives need a model_batch")
-        return lambda a, b: max((_feature_gap("dm", m.forward_batch(a)[1], m.forward_batch(b)[1])[0]
-                                 for m in model_batch), default=0.0)
+        return lambda a, b: max((_feature_gap("dm", _feature_stats("dm", m.forward_batch(a[None])[1]),
+                                              m.forward_batch(b[None])[1])[0][0] for m in model_batch), default=0.0)
     raise ConfigError(f"unknown discrepancy selector {disc!r}")
 
 

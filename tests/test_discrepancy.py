@@ -21,6 +21,7 @@ from dckit import (
     moment_discrepancy,
     wasserstein1,
 )
+from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import ArchitectureError, DomainError, LabelError
 from dckit.models import LinearModel
 from tests.conftest import copy_as_synthetic, transport_lp
@@ -110,6 +111,130 @@ def test_moment_zero_and_variance_sensitivity():
 def test_moment_zero_on_identical(toy_pair):
     t, _ = toy_pair
     assert moment_discrepancy(batch_of(2), t, copy_as_synthetic(t)) == 0.0
+
+
+def feature_gap_reference(method, feats_t, feats_s):
+    """The dm / moment / sam gap of one class from its T and S feature lists, one class at a
+    time: the reference for the stacked ``_feature_gap``."""
+    n_feats = len(feats_s)
+    upstream = [None] * n_feats
+    b = feats_s[0].shape[0]
+    pen = n_feats - 2 if n_feats >= 2 else n_feats - 1
+    if method == "dm":
+        diff = feats_t[pen].mean(axis=0) - feats_s[pen].mean(axis=0)
+        upstream[pen] = np.broadcast_to(-(2.0 / b) * diff, feats_s[pen].shape).copy()
+        return float(diff @ diff), upstream
+    if method == "moment":
+        ft, fs = feats_t[pen], feats_s[pen]
+        dmean = ft.mean(axis=0) - fs.mean(axis=0)
+        dvar = ft.var(axis=0) - fs.var(axis=0)
+        up = np.broadcast_to(-(2.0 / b) * dmean, fs.shape).copy()
+        up += -(4.0 / b) * dvar * (fs - fs.mean(axis=0))
+        upstream[pen] = up
+        return float(dmean @ dmean) + float(dvar @ dvar), upstream
+    value = 0.0
+    for l in range(n_feats):
+        diff = (feats_t[l] ** 2).mean(axis=0) - (feats_s[l] ** 2).mean(axis=0)
+        value += float(diff @ diff)
+        upstream[l] = -(4.0 / b) * diff * feats_s[l]
+    return value, upstream
+
+
+def gradient_gap_reference(contrastive, grads_t, grads_s):
+    """The gm gap from per-class lists of class-mean gradients: the reference for the stacked
+    ``_gradient_gap``."""
+    if contrastive:
+        diff = np.sum(grads_s, axis=0) - np.sum(grads_t, axis=0)
+        return [float(diff @ diff)], [2.0 * diff] * len(grads_s)
+    diffs = [g_s - g_t for g_t, g_s in zip(grads_t, grads_s)]
+    return [float(d @ d) for d in diffs], [2.0 * d for d in diffs]
+
+
+# 0, 1 and 2 hidden layers; the last has a penultimate feature of width 1
+GAP_WIDTHS = [(3, 2), (3, 6, 2), (3, 5, 1, 2)]
+
+
+def class_rows(rng, classes, m):
+    """T's class batches (of different sizes) and S's (C, m, 3) class stack with its labels."""
+    t_rows = [rng.uniform(size=(4 + c, 3)) for c in range(classes)]
+    s_stack = rng.uniform(size=(classes, m, 3))
+    s_labels = np.repeat(np.arange(classes) % 2, m).reshape(classes, m)
+    return t_rows, s_stack, s_labels
+
+
+@pytest.mark.parametrize("widths", GAP_WIDTHS, ids=["0-hidden", "1-hidden", "2-hidden"])
+@pytest.mark.parametrize("method", ["dm", "moment", "sam"])
+def test_stacked_feature_gap_matches_per_class_bits(method, widths, rng):
+    model = Mlp.init(widths, "tanh", seed=3)
+    for classes, m in itertools.product((1, 3), (1, 2, 9)):
+        t_rows, s_stack, _ = class_rows(rng, classes, m)
+        feats_t = [model.forward_batch(rows)[1] for rows in t_rows]
+        feats_s = model.forward_batch(s_stack)[1]
+        stats_t = [np.stack(stat) for stat in zip(*(_feature_stats(method, f) for f in feats_t))]
+        values, upstream = _feature_gap(method, stats_t, feats_s)
+        for c in range(classes):
+            value, up = feature_gap_reference(method, feats_t[c], [f[c] for f in feats_s])
+            assert values[c] == value
+            assert [u is None for u in upstream] == [u is None for u in up]
+            for got, want in zip(upstream, up):
+                assert want is None or np.array_equal(got[c], want)
+
+
+@pytest.mark.parametrize("widths", GAP_WIDTHS, ids=["0-hidden", "1-hidden", "2-hidden"])
+@pytest.mark.parametrize("contrastive", [False, True], ids=["per_class", "contrastive"])
+def test_stacked_gradient_gap_matches_per_class_bits(contrastive, widths, rng):
+    model = Mlp.init(widths, "tanh", seed=3)
+    for classes, m in itertools.product((1, 3), (1, 2, 9)):
+        t_rows, s_stack, s_labels = class_rows(rng, classes, m)
+        grads_t = [model.backward(rows, np.full(len(rows), c % 2), "cross_entropy")[1]
+                   for c, rows in enumerate(t_rows)]
+        g_s = model.backward(s_stack, s_labels, "cross_entropy")[1]
+        values, upstream = _gradient_gap(contrastive, np.stack(grads_t), g_s)
+        want_values, want_up = gradient_gap_reference(contrastive, grads_t, list(g_s))
+        assert values == want_values
+        assert upstream.shape == g_s.shape
+        assert all(np.array_equal(got, want) for got, want in zip(upstream, want_up))
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_report_sweeps_s_once_per_model(classes, rng, monkeypatch):
+    # per model, one sweep per T class and one over S's whole class stack; the value is the
+    # per-class formula's, bit for bit
+    t = LabeledDataset(rng.uniform(size=(5 * classes + 3, 3)), np.r_[np.arange(classes).repeat(5), [0, 1, 1]], classes)
+    s = SyntheticDataset(rng.uniform(size=(2 * classes, 3)), np.arange(classes).repeat(2), per_class_size=2,
+                         origin="x", class_count=classes)
+    batch = batch_of(2, widths=(3, 6, classes))
+    calls = []
+    forward, backward = Mlp.forward_batch, Mlp.backward
+    monkeypatch.setattr(Mlp, "forward_batch", lambda self, x: calls.append(np.ndim(x)) or forward(self, x))
+    monkeypatch.setattr(Mlp, "backward", lambda self, x, y, loss: calls.append(np.ndim(x)) or backward(self, x, y, loss))
+    sweeps = ([2] * classes + [3]) * len(batch)
+    rows_t = [t.features[t.labels == y] for y in range(classes)]
+    rows_s = [s.features[s.labels == y] for y in range(classes)]
+    for fn, method in ((ipm_feature_stat, "dm"), (moment_discrepancy, "moment")):
+        calls.clear()
+        got = fn(batch, t, s)
+        assert calls == sweeps
+        want = max(sum(feature_gap_reference(method, forward(m, a)[1], forward(m, b)[1])[0]
+                       for a, b in zip(rows_t, rows_s)) for m in batch)
+        assert got == want
+    for mode in ("per_class", "contrastive"):
+        calls.clear()
+        got = gradient_discrepancy(batch, t, s, mode)
+        assert calls == sweeps
+        grads = [[backward(m, rows, np.full(len(rows), y), "cross_entropy")[1] for y, rows in enumerate(part)]
+                 for m in batch for part in (rows_t, rows_s)]
+        want = max(sum(gradient_gap_reference(mode == "contrastive", g_t, g_s)[0])
+                   for g_t, g_s in zip(grads[::2], grads[1::2]))
+        assert got == want
+
+
+@pytest.mark.parametrize("fn", [ipm_feature_stat, moment_discrepancy, gradient_discrepancy])
+def test_report_rejects_unequal_s_classes(fn, toy_pair, rng):
+    t, _ = toy_pair
+    s = LabeledDataset(rng.uniform(size=(3, 3)), np.array([0, 0, 1]), 2)
+    with pytest.raises(LabelError, match="equal in size"):
+        fn(batch_of(1), t, s)
 
 
 # --- W1 / Hausdorff / CD -------------------------------------------------------
@@ -290,6 +415,20 @@ def test_gd_bounded_by_twice_loss_discrepancy(rng):
         batch = batch_of(8, base_seed=trial * 100)
         gd, _, _ = generalization_discrepancy_finite(batch, t, s)
         assert gd <= 2.0 * loss_discrepancy(batch, t, s) + 1e-9
+
+
+def test_gd_takes_each_loss_once(toy_pair, monkeypatch):
+    # gd reuses the T losses of the argmin pass: one mean_loss per model and side, same value
+    t, s = toy_pair
+    batch = batch_of(4)
+    mean_loss = Mlp.mean_loss
+    losses_t = [mean_loss(m, t.features, t.labels, "cross_entropy") for m in batch]
+    losses_s = [mean_loss(m, s.features, s.labels, "cross_entropy") for m in batch]
+    calls = []
+    monkeypatch.setattr(Mlp, "mean_loss", lambda self, x, y, loss: calls.append(1) or mean_loss(self, x, y, loss))
+    gd, _, _ = generalization_discrepancy_finite(batch, t, s)
+    assert len(calls) == 2 * len(batch)
+    assert gd == abs(losses_t[int(np.argmin(losses_s))] - losses_t[int(np.argmin(losses_t))])
 
 
 def test_pd_architecture_error(toy_pair):

@@ -360,9 +360,10 @@ def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, 
     {"image_shape": [1, 4, 4], "variants": {"multiform": {"r": 2}}, "regularizers": {"inter": 0.1}},
     {"image_shape": [1, 4, 4], "variants": {"multiform": {"r": 2}}, "regularizers": {"proj": 0.1}},
     {"activation": "bogus"},
+    {"method": "curvdc", "curv_lambda": -5},
 ], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch",
         "con-one-model", "cos-one-model", "bptt-regularizer", "krr-regularizer", "reg-tau-zero", "inter-multiform",
-        "proj-multiform", "activation"])
+        "proj-multiform", "activation", "curv-lambda-negative"])
 def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
     cfg = {"dataset": str(blobs_csv), "method": {"method": "dm", **bad}}
     path = tmp_path / "bad.json"

@@ -514,6 +514,16 @@ def test_default_kernel_is_chosen_in_one_place():
     assert call_sites(PACKAGE, "median_heuristic_spec") == ["kernels.py:kernel_or_default"]
 
 
+def test_class_statistics_are_compared_in_one_place():
+    # the matching engine, the discrepancy report and the regime objective share one formula
+    # per statistic, each comparing T's class statistics with one sweep over S's class stack
+    assert call_sites(PACKAGE, "_feature_stats") == ["condense.py:_matching_problem", "discrepancy.py:_feature_gap",
+                                                     "discrepancy.py:_model_gap", "spaces.py:_resolve_disc"]
+    assert call_sites(PACKAGE, "_feature_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gap",
+                                                   "spaces.py:_resolve_disc"]
+    assert call_sites(PACKAGE, "_gradient_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gap"]
+
+
 def test_call_site_detected():
     planted = ("def default(k, x):\n    return k or median_heuristic_spec(x)\n\n\n"
                "class Solver:\n    def spec(self, x):\n        return kernels.median_heuristic_spec(x)\n\n\n"

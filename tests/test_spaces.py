@@ -83,6 +83,16 @@ def test_identity_encoder_regimes_agree(disc, rng):
     assert max(vals) - min(vals) <= 1e-10
 
 
+def test_ipm_feature_objective_is_the_feature_mean_gap(rng):
+    # max over the batch of ||mean h(T) - mean h(S)||^2 on the penultimate feature, bit for bit
+    t = rng.uniform(size=(10, 3))
+    s = rng.uniform(size=(4, 3))
+    batch = ModelBatch(tuple(Mlp.init((3, 6, 2), "tanh", seed=i) for i in range(2)))
+    got = regime_objective("input_input", identity_autoencoder(3), t, s, disc="ipm_feature", model_batch=batch)
+    diffs = [m.forward_batch(t)[1][0].mean(axis=0) - m.forward_batch(s)[1][0].mean(axis=0) for m in batch]
+    assert got == max(float(d @ d) for d in diffs)
+
+
 def test_latent_latent_equals_latent_input(rng):
     t = rng.uniform(size=(12, 3))
     s = rng.uniform(size=(5, 3))
