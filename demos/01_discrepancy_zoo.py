@@ -20,6 +20,7 @@ from dckit import (
     hausdorff_distance,
     hierarchy_report,
     ipm_feature_stat,
+    loss_discrepancy,
     mmd_squared,
     moment_discrepancy,
     wasserstein1,
@@ -46,6 +47,7 @@ print(f"first+second moments      {moment_discrepancy(batch, t, s):.6f}")
 print("\n== generalization / value / parameter discrepancies ==")
 gd, vd, pd = generalization_discrepancy_finite(batch, t, s)
 print(f"gd={gd:.6f}  vd={vd:.6f}  pd={pd:.6f}")
+print(f"dd={loss_discrepancy(batch, t, s):.6f}  (max loss gap; gd <= 2 dd)")
 
 print("\n== full hierarchy report ==")
 rep = hierarchy_report(t, s, batch)

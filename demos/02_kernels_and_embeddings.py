@@ -1,8 +1,9 @@
 """Kernel families and the mean-embedding view of MMD.
 
 Shows the gamma-exponential family, the empirical NTK of an actual network,
-random Fourier features converging to the Gaussian kernel, and the identity
-MMD^2 = || mean phi(T) - mean phi(S) ||^2 for finite feature maps.
+random Fourier features converging to the Gaussian kernel, the identity
+MMD^2 = || mean phi(T) - mean phi(S) ||^2 for finite feature maps, and the exact
+input gradients sum_i coef[i, j] grad_{b_j} k(a_i, b_j) that krr and mmd take.
 """
 import numpy as np
 
@@ -17,7 +18,7 @@ from dckit import (
     mmd_squared,
     random_feature_map,
 )
-from dckit.kernels import feature_map_batch
+from dckit.kernels import kernel_grad2, kernel_vjp
 
 rng = np.random.default_rng(1)
 x1, x2 = rng.uniform(size=3), rng.uniform(size=3)
@@ -49,9 +50,23 @@ print("\n== kernel-only MMD vs the embedding norm ==")
 t = rng.uniform(size=(10, 3))
 s = rng.uniform(size=(4, 3))
 spec = KernelSpec("random_feature", scale=c, feature_dim=256, seed=5)
-emb = feature_map_batch(spec, t).mean(axis=0) - feature_map_batch(spec, s).mean(axis=0)
+emb = random_feature_map(spec, t).mean(axis=0) - random_feature_map(spec, s).mean(axis=0)
 print(f"  double-sum MMD^2      = {mmd_squared(spec, t, s):.12f}")
 print(f"  ||mean embedding gap||^2 = {float(emb @ emb):.12f}")
+
+print("\n== exact input gradients ==")
+coef = rng.normal(size=(len(t), len(s)))
+gauss = gaussian_spec(1.0)
+tensor = np.einsum("ab,abn->bn", coef, kernel_grad2(gauss, t, s))  # the (A, B, n) tensor, summed
+err = np.abs(kernel_vjp(gauss, t, s, coef) - tensor).max()
+print(f"  Gaussian: max |kernel_vjp - summed kernel_grad2| = {err:.1e}")
+h, fd = 1e-5, np.zeros_like(s)
+for j, f in np.ndindex(s.shape):  # central difference of sum_ij coef_ij k(t_i, s_j) in s_jf
+    step = np.zeros_like(s)
+    step[j, f] = h
+    fd[j, f] = np.sum(coef * (gram_matrix(spec, t, s + step) - gram_matrix(spec, t, s - step))) / (2 * h)
+err = np.abs(kernel_vjp(spec, t, s, coef) - fd).max()
+print(f"  random features (p=256): max |kernel_vjp - central difference| = {err:.1e}")
 
 print("\n== median-heuristic bandwidth ==")
 spec = median_heuristic_spec(t)

@@ -24,11 +24,13 @@ cache (C, ...) arrays of the statistics themselves; the kernel families keep
 one per class. Every method transforms S as one (C, m, d) stack of its class
 batches: gm, dm, moment and sam compare their statistics with one sweep per
 member over it, and mmd takes its classes from it one at a time. An mmd under
-random features, like any dp_merf run, matches mean embeddings. dm, moment and
-sam share ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``,
-with the discrepancy report. The regularizers score the rows the ensemble sees, and
-their exact gradients join the S-side ones. krr and mmd reach every kernel
-family through ``kernels.kernel_vjp``. The unrolled bilevel flavors
+random features, like any dp_merf run, matches mean embeddings and takes its S
+gradient from the random-feature pullback. dm, moment and sam share
+``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
+discrepancy report. The regularizers score the rows the ensemble sees, and
+their exact gradients join the S-side ones. krr and mmd reach every kernel through
+``kernels.kernel_vjp``: a kernel is a gamma-exponential, a feature map Phi with its
+pullback, or a pullback-encoder. The unrolled bilevel flavors
 (bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
 (``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
 """
@@ -69,12 +71,12 @@ from .kernels import (
     KernelSpec,
     _as_points,
     _nfk_features,
-    feature_map_batch,
-    feature_map_input_jacobian,
+    _pullback,
     gram_matrix,
     kernel_or_default,
     kernel_vjp,
     mmd_squared_and_grad_s,
+    random_feature_map,
     sq_distances,
 )
 from .models import (
@@ -1022,7 +1024,7 @@ def _matching_problem(cfg, t, s0):
         arrays, the dp_grad-clipped and noised class-mean gradients or ``_feature_stats``."""
         nonlocal dp_invocations
         if embed_path:  # sigma 0 adds zeros
-            means = [feature_map_batch(kernel, rows).mean(axis=0) for rows, _ in t_side]
+            means = [random_feature_map(kernel, rows).mean(axis=0) for rows, _ in t_side]
             return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
             return [(rows, gram_matrix(kernel, rows, rows).mean()) for rows, _ in t_side]
@@ -1053,10 +1055,9 @@ def _matching_problem(cfg, t, s0):
         values, grads = [], []
         for stat, r in zip(stats, rs):
             if embed_path:
-                diff = stat - feature_map_batch(kernel, r).mean(axis=0)
+                diff = stat - random_feature_map(kernel, r).mean(axis=0)
                 values.append(float(diff @ diff))
-                jac = feature_map_input_jacobian(kernel, r)
-                grads.append(np.einsum("p,bpn->bn", diff, jac) * (-2.0 / r.shape[0]))
+                grads.append(_pullback(kernel, None, r, diff) * (-2.0 / r.shape[0]))
             else:
                 rows_t, ktt = stat
                 value, grad = mmd_squared_and_grad_s(kernel, rows_t, r, ktt)

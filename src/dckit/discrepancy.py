@@ -193,14 +193,16 @@ def moment_discrepancy(batch: ModelBatch, t, s) -> float:
     return _model_gap(batch, t, s, "moment", "cross_entropy", False)
 
 
-def loss_discrepancy(batch: ModelBatch, t, s, loss: str = "cross_entropy") -> float:
-    """Finite-batch distribution discrepancy max_h |L(h, T) - L(h, S)|."""
-    best = 0.0
-    for m in batch:
-        lt = m.mean_loss(t.features, t.labels, loss)
-        ls = m.mean_loss(s.features, s.labels, loss)
-        best = max(best, abs(lt - ls))
-    return best
+def loss_discrepancy(batch: ModelBatch, t, s) -> float:
+    """Finite-batch distribution discrepancy max_h |L(h, T) - L(h, S)| under cross-entropy."""
+    return _mean_losses(batch, t, s, "cross_entropy")[2]
+
+
+def _mean_losses(batch: ModelBatch, t, s, loss: str):
+    """Each model's mean loss on T and on S, as the lists L_T and L_S that gd reads, and from
+    them dd = max_h |L(h, T) - L(h, S)| (0 for an empty batch)."""
+    losses_t, losses_s = ([m.mean_loss(d.features, d.labels, loss) for m in batch] for d in (t, s))
+    return losses_t, losses_s, max([0.0, *(abs(lt - ls) for lt, ls in zip(losses_t, losses_s))])
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +349,20 @@ def characteristic_discrepancy(
 # ---------------------------------------------------------------------------
 
 
-def generalization_discrepancy_finite(batch: ModelBatch, t, s, loss: str = "cross_entropy", eval_seed: int = 0):
-    """(gd, vd, pd) for the finite hypothesis set with first-index argmin tie-breaking.
+def generalization_discrepancy_finite(batch: ModelBatch, t, s):
+    """(gd, vd, pd) for the finite hypothesis set under cross-entropy, first index winning ties.
 
     gd = |L(h*_S, T) - L(h*_T, T)|; vd is the sup output gap over T plus 256
-    uniform sample points drawn from ``eval_seed``; pd is the parameter-vector
-    distance (same architecture only).
+    uniform sample points drawn from seed 0 (``hierarchy_report`` draws them from its
+    seed); pd is the parameter-vector distance (same architecture only).
     """
-    losses_t = [m.mean_loss(t.features, t.labels, loss) for m in batch]
+    return _generalization(batch, t, *_mean_losses(batch, t, s, "cross_entropy")[:2], 0)
+
+
+def _generalization(batch: ModelBatch, t, losses_t, losses_s, eval_seed: int):
+    """(gd, vd, pd) from the ``_mean_losses`` lists, with vd's points drawn from ``eval_seed``."""
     i_t = int(np.argmin(losses_t))  # first index wins ties
-    i_s = int(np.argmin([m.mean_loss(s.features, s.labels, loss) for m in batch]))
+    i_s = int(np.argmin(losses_s))
     h_t = batch.models[i_t]
     h_s = batch.models[i_s]
     gd = abs(losses_t[i_s] - losses_t[i_t])
@@ -424,11 +430,9 @@ def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0) -> Di
         values["dd_feature"] = ipm_feature_stat(batch, t, s)
         values["dd_gradient"] = gradient_discrepancy(batch, t, s, loss=loss)
         values["dd_moment"] = moment_discrepancy(batch, t, s)
-        gd, vd, pd = generalization_discrepancy_finite(batch, t, s, loss=loss, eval_seed=seed)
-        values["gd"] = gd
-        values["vd"] = vd
-        values["pd"] = pd
-        dd_loss = loss_discrepancy(batch, t, s, loss)
+        losses_t, losses_s, dd_loss = _mean_losses(batch, t, s, loss)
+        gd, vd, pd = _generalization(batch, t, losses_t, losses_s, seed)
+        values.update(gd=gd, vd=vd, pd=pd)
         checks.append(("gd_le_2dd", gd, 2.0 * dd_loss, gd <= 2.0 * dd_loss + 1e-9))
         params["batch_size"] = len(batch)
         params["batch_provenance"] = batch.provenance

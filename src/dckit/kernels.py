@@ -1,4 +1,7 @@
-"""Kernel families, Gram matrices, random-feature embeddings, and the kernel-only MMD."""
+"""Kernels, Gram matrices, their exact input gradients, and the kernel-only MMD. A kernel is a
+gamma-exponential, a feature map Phi with its pullback, or a pullback-encoder: random features,
+the empirical NTK and nfk give k(a, b) = <Phi(a), Phi(b)> (``_features``) averaged over the
+spec's models, and grad_x <u, Phi(x)> (``_pullback``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -166,30 +169,18 @@ def random_feature_map(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     pts = x[None, :] if single else _as_points(x)
     w, b = _rff_params(pts.shape[1], spec.feature_dim, spec.scale, spec.seed)
-    phi = np.sqrt(2.0 / spec.feature_dim) * np.cos(pts @ w.T + b)
+    phi = pts @ w.T
+    phi += b
+    np.cos(phi, out=phi)
+    phi *= np.sqrt(2.0 / spec.feature_dim)
     return phi[0] if single else phi
 
 
-def feature_map_batch(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """Batch feature map, shape (B, p)."""
-    return random_feature_map(spec, _as_points(x))
-
-
-def feature_map_input_jacobian(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """Jacobian d phi / d x for a batch, shape (B, p, n)."""
-    pts = _as_points(x)
-    w, b = _rff_params(pts.shape[1], spec.feature_dim, spec.scale, spec.seed)
-    s = -np.sqrt(2.0 / spec.feature_dim) * np.sin(pts @ w.T + b)  # (B, p)
-    return s[:, :, None] * w[None, :, :]
-
-
-def _model_list(model) -> list:
-    return list(model) if isinstance(model, (list, tuple)) else [model]
-
-
-def _ntk_rows(model, x: np.ndarray) -> np.ndarray:
-    j = model.output_param_jacobian(_as_points(x))
-    return j.reshape(j.shape[0], -1)
+def _members(spec: KernelSpec) -> list:
+    """The models a feature-map spec averages its kernel over: one None for random features."""
+    if spec.family == "random_feature":
+        return [None]
+    return list(spec.model) if isinstance(spec.model, (list, tuple)) else [spec.model]
 
 
 def _nfk_features(model, x: np.ndarray):
@@ -201,31 +192,45 @@ def _nfk_features(model, x: np.ndarray):
     return feats[pen], lambda g: model.feature_input_vjp(x, [g if i == pen else None for i in range(len(feats))])
 
 
+def _features(spec: KernelSpec, model, x: np.ndarray) -> np.ndarray:
+    """Phi(x), shape (B, p), of one member (None for random features) of a feature-map spec: the
+    random Fourier features, the flattened logit Jacobian, or nfk's final hidden activation."""
+    if spec.family == "random_feature":
+        return random_feature_map(spec, x)
+    if spec.family == "empirical_ntk":
+        j = model.output_param_jacobian(x)
+        return j.reshape(j.shape[0], -1)
+    return _nfk_features(model, x)[0]
+
+
+def _pullback(spec: KernelSpec, model, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """grad_x <u, Phi(x)> for every row of x, shape (B, n), with u (B, p) or one (p,) row, and no
+    (B, p, n) Jacobian: (u * -sqrt(2/p) sin(xW^T + b)) @ W, or one tangent or reverse sweep."""
+    if spec.family == "random_feature":
+        w, b = _rff_params(x.shape[1], spec.feature_dim, spec.scale, spec.seed)
+        d = x @ w.T
+        d += b
+        np.sin(d, out=d)
+        d *= -np.sqrt(2.0 / spec.feature_dim)
+        d *= u
+        return d @ w
+    if spec.family == "empirical_ntk":
+        return model.jacobian_input_grad(x, u.reshape(len(x), model.n_outputs, -1))
+    return _nfk_features(model, x)[1](u)
+
+
 def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise kernel matrix k(a_i, b_j)."""
-    a = _as_points(a)
-    b = _as_points(b)
+    """Entrywise kernel matrix k(a_i, b_j): exp(-c r^gamma) of the distances, the member
+    average of Phi(a) Phi(b)^T for a feature map, or the base kernel of the encoded rows."""
+    a, b = _as_points(a), _as_points(b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == "gamma_exponential":
         return _gaussian_from_sq(spec, sq_distances(a, b))
-    if spec.family == "random_feature":
-        return feature_map_batch(spec, a) @ feature_map_batch(spec, b).T
-    if spec.family == "empirical_ntk":
-        models = _model_list(spec.model)
-        g = np.zeros((a.shape[0], b.shape[0]))
-        for m in models:
-            g += _ntk_rows(m, a) @ _ntk_rows(m, b).T
-        return g / len(models)
-    if spec.family == "nfk":
-        models = _model_list(spec.model)
-        g = np.zeros((a.shape[0], b.shape[0]))
-        for m in models:
-            g += _nfk_features(m, a)[0] @ _nfk_features(m, b)[0].T
-        return g / len(models)
     if spec.family == "pullback":
         return gram_matrix(spec.base, spec.encoder.encode(a), spec.encoder.encode(b))
-    raise ConfigError(f"unknown family {spec.family!r}")
+    members = _members(spec)
+    return sum(_features(spec, m, a) @ _features(spec, m, b).T for m in members) / len(members)
 
 
 def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:
@@ -236,24 +241,19 @@ def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:
 
 
 def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient of k(a_i, b_j) w.r.t. b_j, shape (A, B, n). Analytic families only.
+    """Gradient of k(a_i, b_j) w.r.t. b_j, shape (A, B, n), for a gamma-exponential spec.
 
-    The gamma-exponential contractions do not build this tensor (``_gaussian_gram_and_vjp``);
-    it is their reference in the tests."""
-    a = _as_points(a)
-    b = _as_points(b)
-    if spec.family == "gamma_exponential":
-        diff = b[None, :, :] - a[:, None, :]  # (A, B, n)
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        k = np.exp(-spec.scale * r**spec.gamma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(r > 0, r ** (spec.gamma - 2.0), 0.0)
-        return (-spec.scale * spec.gamma) * (k * coef)[:, :, None] * diff
-    if spec.family == "random_feature":
-        phi_a = feature_map_batch(spec, a)  # (A, p)
-        jac_b = feature_map_input_jacobian(spec, b)  # (B, p, n)
-        return np.einsum("ap,bpn->abn", phi_a, jac_b)
-    raise ConfigError(f"no analytic gradient for family {spec.family!r}")
+    No contraction in the package builds this tensor: ``kernel_vjp`` sums it one feature at a
+    time (``_gaussian_gram_and_vjp``), and the sum is checked against this one."""
+    if spec.family != "gamma_exponential":
+        raise ConfigError(f"no analytic gradient for family {spec.family!r}")
+    a, b = _as_points(a), _as_points(b)
+    diff = b[None, :, :] - a[:, None, :]  # (A, B, n)
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    k = np.exp(-spec.scale * r**spec.gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(r > 0, r ** (spec.gamma - 2.0), 0.0)
+    return (-spec.scale * spec.gamma) * (k * coef)[:, :, None] * diff
 
 
 def _gaussian_from_sq(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
@@ -296,28 +296,20 @@ def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef:
 def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
 
-    One feature at a time from the Gram's distances for a gamma-exponential spec, in O(A·B)
-    memory (``_gaussian_gram_and_vjp``), an einsum over ``kernel_grad2`` for random
-    features, one reverse sweep per model for nfk, and the base's contraction times the
-    encoder Jacobian for a pullback. For empirical_ntk, k(a_i, b_j) = <J(a_i), J(b_j)> with
-    J the (C, P) logit Jacobian, so the sum is grad_x <V_j, J(x)> at x = b_j with
-    V_j = sum_i coef[i, j] J(a_i): per model one ``output_param_jacobian`` of a (A*C*P
-    floats) and one ``jacobian_input_grad`` of b (B*C*P).
+    A gamma-exponential spec sums one feature at a time from the Gram's distances, in O(A·B)
+    memory (``_gaussian_gram_and_vjp``). For a feature map, k(a_i, b_j) = <Phi(a_i), Phi(b_j)>,
+    so the sum is the pullback grad_x <u_j, Phi(x)> at x = b_j of u = coef^T Phi(a): per member
+    one (A, p) feature matrix of a and one ``_pullback`` of b. A pullback-encoder spec is its
+    base's contraction times the encoder Jacobian.
     """
     a, b = _as_points(a), _as_points(b)
-    if spec.family == "nfk":
-        models = _model_list(spec.model)
-        return sum(_nfk_features(m, b)[1](coef.T @ _nfk_features(m, a)[0]) for m in models) / len(models)
-    if spec.family == "empirical_ntk":
-        models = _model_list(spec.model)
-        return sum(m.jacobian_input_grad(b, (coef.T @ _ntk_rows(m, a)).reshape(len(b), m.n_outputs, -1))
-                   for m in models) / len(models)
+    if spec.family == "gamma_exponential":
+        return _gaussian_gram_and_vjp(spec, a, b, coef)[1]
     if spec.family == "pullback":
         inner = kernel_vjp(spec.base, spec.encoder.encode(a), spec.encoder.encode(b), coef)
         return inner @ spec.encoder.encode_jacobian()
-    if spec.family == "gamma_exponential":
-        return _gaussian_gram_and_vjp(spec, a, b, coef)[1]
-    return np.einsum("ab,abn->bn", coef, kernel_grad2(spec, a, b))
+    members = _members(spec)
+    return sum(_pullback(spec, m, b, coef.T @ _features(spec, m, a)) for m in members) / len(members)
 
 
 def mmd_squared(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 
 from dckit import LabeledDataset, SyntheticDataset
 from dckit.condense import _matching_problem
+from dckit.kernels import _rff_params, random_feature_map
 
 
 @pytest.fixture
@@ -48,6 +49,21 @@ def central_diff(fn, x: np.ndarray) -> np.ndarray:
         step.flat[i] = h
         grad.flat[i] = (fn(x + step) - fn(x - step)) / (2 * h)
     return grad
+
+
+def rff_input_jacobian(spec, x: np.ndarray) -> np.ndarray:
+    """d phi / d x of the random Fourier features of the rows x, shape (B, p, n): the dense
+    Jacobian that the random-feature gradients are checked against."""
+    w, b = _rff_params(x.shape[1], spec.feature_dim, spec.scale, spec.seed)
+    s = -np.sqrt(2.0 / spec.feature_dim) * np.sin(x @ w.T + b)
+    return s[:, :, None] * w[None, :, :]
+
+
+def rff_vjp_reference(spec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for random features, through the (A, B, n)
+    tensor of per-pair gradients phi(a_i) . d phi(b_j) / d b_j."""
+    per_pair = np.einsum("ap,bpn->abn", random_feature_map(spec, a), rff_input_jacobian(spec, b))
+    return np.einsum("ab,abn->bn", coef, per_pair)
 
 
 def transport_lp(a: np.ndarray, b: np.ndarray) -> float:

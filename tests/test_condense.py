@@ -294,6 +294,10 @@ def test_mmd_objectives_pinned(name):
 # method_value and grad_norm within 1.9e-16 relative, features 6.1e-16, meta unchanged.
 # mmd-siamese (16-D rows) was re-pinned when the Gaussian gradient took its r from the
 # Gram's feature-order distances: objective, method_value, grad_norm and meta unchanged, features within 2.1e-16 relative.
+# mmd-rff, dm-dp_merf and mmd-rff-siamese were re-pinned when the random-feature S gradient
+# became the pullback (u * -sqrt(2/p) sin(xW^T + b)) @ W instead of an einsum over the (B, p, n)
+# Jacobian: objective, method_value and meta unchanged, grad_norm within 3.7e-16 relative,
+# features within 2.3e-16 relative (dm-dp_merf's unchanged).
 OUTER_PINS = json.loads((Path(__file__).parent / "outer_loop_pins.json").read_text())
 _GAUSS = gaussian_spec(0.8)
 _NFK = KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1))
@@ -461,7 +465,7 @@ _NFK_PAIR = KernelSpec("nfk", model=(Mlp.init((3, 5, 2), "tanh", seed=1), Mlp.in
 
 @pytest.mark.parametrize("kernel", ["nfk", "nfk-linear", "nfk-identity", "pullback-nfk", "pullback-gaussian",
                                     "empirical_ntk", "empirical_ntk-relu", "empirical_ntk-ensemble",
-                                    "empirical_ntk-linear"])
+                                    "empirical_ntk-linear", "random_feature", "pullback-random_feature"])
 def test_nfk_gradients_match_fd_oracle(kernel):
     from dckit import fit_linear_autoencoder, pullback_spec
     from dckit.condense import _krr_loss_and_grads
@@ -490,6 +494,11 @@ def test_nfk_gradients_match_fd_oracle(kernel):
         spec = KernelSpec("empirical_ntk", model=_NFK_PAIR.model)
     if kernel == "empirical_ntk-linear":  # closed form
         spec = KernelSpec("empirical_ntk", model=LinearModel(rng.normal(size=(3, 2))))
+    if kernel == "random_feature":  # the pullback (u * -sqrt(2/p) sin(xW^T + b)) @ W
+        spec = _RFF
+    if kernel == "pullback-random_feature":
+        ae = fit_linear_autoencoder(LabeledDataset(x, np.argmax(y, axis=1), 2), 2)
+        spec = pullback_spec(_RFF, ae)
     _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
     mmd2, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
     assert mmd2 == mmd_squared(spec, x, s)

@@ -418,17 +418,23 @@ def test_gd_bounded_by_twice_loss_discrepancy(rng):
 
 
 def test_gd_takes_each_loss_once(toy_pair, monkeypatch):
-    # gd reuses the T losses of the argmin pass: one mean_loss per model and side, same value
+    # gd reuses the T losses of the argmin pass: one mean_loss per model and side, same value;
+    # the report takes gd and the dd of its gd <= 2 dd check from the same losses
     t, s = toy_pair
     batch = batch_of(4)
     mean_loss = Mlp.mean_loss
     losses_t = [mean_loss(m, t.features, t.labels, "cross_entropy") for m in batch]
     losses_s = [mean_loss(m, s.features, s.labels, "cross_entropy") for m in batch]
+    dd = max(abs(lt - ls) for lt, ls in zip(losses_t, losses_s))
     calls = []
     monkeypatch.setattr(Mlp, "mean_loss", lambda self, x, y, loss: calls.append(1) or mean_loss(self, x, y, loss))
     gd, _, _ = generalization_discrepancy_finite(batch, t, s)
     assert len(calls) == 2 * len(batch)
     assert gd == abs(losses_t[int(np.argmin(losses_s))] - losses_t[int(np.argmin(losses_t))])
+    calls.clear()
+    rep = hierarchy_report(t, s, batch)
+    assert len(calls) == 2 * len(batch)
+    assert rep.values["gd"] == gd and rep.hierarchy_checks == [("gd_le_2dd", gd, 2.0 * dd, gd <= 2.0 * dd + 1e-9)]
 
 
 def test_pd_architecture_error(toy_pair):

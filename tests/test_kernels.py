@@ -7,8 +7,11 @@ from scipy.spatial.distance import cdist, pdist
 
 from dckit import (
     KernelSpec,
+    LabeledDataset,
     LinearModel,
+    MethodConfig,
     Mlp,
+    SyntheticDataset,
     gaussian_spec,
     gram_matrix,
     identity_autoencoder,
@@ -20,8 +23,8 @@ from dckit import (
     random_feature_map,
 )
 from dckit.errors import ConfigError, DomainError, ShapeError
-from dckit.kernels import feature_map_batch, kernel_grad2, kernel_vjp, mmd_squared_and_grad_s, sq_distances
-from tests.conftest import central_diff
+from dckit.kernels import kernel_grad2, kernel_vjp, mmd_squared_and_grad_s, sq_distances
+from tests.conftest import central_diff, matching_value_and_grad, rff_input_jacobian, rff_vjp_reference
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -142,7 +145,7 @@ def test_mmd_embedding_identity(rng):
     spec = KernelSpec("random_feature", scale=0.8, feature_dim=128, seed=3)
     t = rng.uniform(0, 1, (8, 4))
     s = rng.uniform(0, 1, (3, 4))
-    emb = feature_map_batch(spec, t).mean(axis=0) - feature_map_batch(spec, s).mean(axis=0)
+    emb = random_feature_map(spec, t).mean(axis=0) - random_feature_map(spec, s).mean(axis=0)
     assert mmd_squared(spec, t, s) == pytest.approx(float(emb @ emb), abs=1e-10)
 
 
@@ -279,6 +282,38 @@ def test_gaussian_gradient_peak_memory_is_a_few_matrices(rng):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n_a * n_b * 8
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_a,n_b,dim", [(1, 5, 3), (7, 1, 3), (7, 5, 1), (40, 12, 9)])
+def test_random_feature_gradients_match_jacobian_reference(n_a, n_b, dim, rng):
+    spec = KernelSpec("random_feature", scale=0.6, feature_dim=64, seed=2)
+    a, b, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
+    assert _rel_err(kernel_vjp(spec, a, b, coef), rff_vjp_reference(spec, a, b, coef)) <= 1e-13
+    # the mean-embedding route of an mmd, with T's n_a rows and S's n_b rows as one class
+    t = LabeledDataset(a, np.zeros(n_a, dtype=np.int64), 1)
+    s = SyntheticDataset(b, np.zeros(n_b, dtype=np.int64), per_class_size=n_b, origin="init")
+    value, grad = matching_value_and_grad(MethodConfig(method="mmd", kernel=spec), t, s)
+    gap = random_feature_map(spec, a).mean(axis=0) - random_feature_map(spec, b).mean(axis=0)
+    assert value == float(gap @ gap)
+    assert _rel_err(grad, np.einsum("p,bpn->bn", gap, rff_input_jacobian(spec, b)) * (-2.0 / n_b)) <= 1e-13
+
+
+def test_random_feature_vjp_peak_memory_is_two_feature_matrices(rng):
+    # an (A, B, n) tensor of per-pair gradients alone would be 51 MB, 3.1 times this bound
+    n_a, n_b, dim, p = 2000, 50, 64, 512
+    spec = KernelSpec("random_feature", scale=0.01, feature_dim=p, seed=0)
+    a, b, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
+    tracemalloc.start()
+    try:
+        kernel_vjp(spec, a, b, coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n_a * p * 8
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 32, 33, 64, 100])
