@@ -9,7 +9,6 @@ import numpy as np
 
 from dckit import (
     KernelSpec,
-    LinearModel,
     Mlp,
     gaussian_spec,
     gram_matrix,
@@ -30,9 +29,11 @@ for gamma, name in ((2.0, "Gaussian"), (1.0, "Laplacian"), (0.5, "gamma=0.5")):
     print(f"  {name:10s} k(x1,x2) = {kernel_eval(spec, x1, x2):.6f}   (exp(-r^{gamma}) = {np.exp(-r**gamma):.6f})")
 
 print("\n== empirical NTK ==")
-lin = LinearModel(np.ones((3, 1)))
+# a network without hidden layers is the linear model x.w + b; its logit's parameter gradient
+# is (x, 1), so its NTK is x1.x2 + 1, the 1 coming from the bias
+lin = Mlp((3, 1), "relu", [np.ones((3, 1))], [np.zeros(1)])
 ntk_lin = KernelSpec("empirical_ntk", model=lin)
-print(f"  linear model: k(x1,x2) = {kernel_eval(ntk_lin, x1, x2):.6f}  vs  x1.x2 = {x1 @ x2:.6f}")
+print(f"  linear model: k(x1,x2) = {kernel_eval(ntk_lin, x1, x2):.6f}  vs  x1.x2 + 1 = {x1 @ x2 + 1:.6f}")
 net = Mlp.init((3, 16, 2), "relu", seed=0)
 ntk = KernelSpec("empirical_ntk", model=net)
 pts = rng.uniform(size=(6, 3))

@@ -62,7 +62,6 @@ from .kernels import (
     random_feature_map,
 )
 from .models import (
-    LinearModel,
     Mlp,
     TrainConfig,
     pgd_attack,

@@ -29,22 +29,6 @@ _NUMERIC_ERRORS = (DivergenceError, NumericalError, SolveError)
 _NOT_IN_FILES = ("autoencoder", "seed")  # an object, and the seed that the run derives from its own
 
 
-def kernel_spec_from_dict(d: dict) -> KernelSpec:
-    d = check_keys(d, KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
-    if "family" not in d:
-        raise ConfigError("method.kernel.family is required")
-    return KernelSpec(**d)
-
-
-def method_config_from_dict(d: dict) -> MethodConfig:
-    d = check_keys(d, MethodConfig, "method", exclude=_NOT_IN_FILES)
-    if d.get("kernel") is not None:
-        d["kernel"] = kernel_spec_from_dict(d["kernel"])
-    if "hidden" in d:
-        d["hidden"] = check_widths(d["hidden"], "method.hidden")
-    return MethodConfig(**d)
-
-
 def _build_run_config(args) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
@@ -60,7 +44,14 @@ def _build_run_config(args) -> RunConfig:
         raise ConfigError("no dataset given (flag --dataset or config file)")
     if args.steps is not None:
         method_d["outer_steps"] = args.steps
-    run_d["method"] = method_config_from_dict(method_d)
+    if method_d.get("kernel") is not None:
+        kernel_d = check_keys(method_d["kernel"], KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
+        if "family" not in kernel_d:
+            raise ConfigError("method.kernel.family is required")
+        method_d["kernel"] = KernelSpec(**kernel_d)
+    if "hidden" in method_d:
+        method_d["hidden"] = check_widths(method_d["hidden"], "method.hidden")
+    run_d["method"] = MethodConfig(**method_d)
     run_d["eval"] = eval_config_from_dict(run_d.get("eval", {}))
     return RunConfig(**run_d)
 

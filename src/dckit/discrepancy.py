@@ -17,26 +17,26 @@ from .errors import (
     ValidationError,
 )
 from .kernels import KernelSpec, kernel_or_default, mmd_squared, sq_distances
+from .models import Mlp
 
-PROVENANCES = ("random_init", "pretrained", "trajectory_snapshots")
 # frequencies of the characteristic-function discrepancy cd, in report.json and in `dckit discrepancy`
 CF_FREQUENCIES = 128
 
 
 @dataclass(frozen=True)
 class ModelBatch:
-    """Finite stand-in for the hypothesis space: an ordered list of models."""
+    """Finite stand-in for the hypothesis space: an ordered, nonempty tuple of ``Mlp``s that
+    agree on their input dimension."""
 
     models: tuple
-    provenance: str = "random_init"
 
     def __post_init__(self):
         models = tuple(self.models)
         if len(models) == 0:
             raise ValidationError("model batch must be nonempty")
-        if self.provenance not in PROVENANCES:
-            raise ConfigError(f"provenance must be one of {PROVENANCES}")
-        dims = {getattr(m, "n_inputs", None) for m in models if hasattr(m, "n_inputs")}
+        if not all(isinstance(m, Mlp) for m in models):
+            raise ArchitectureError(f"a model batch holds Mlps, got {[type(m).__name__ for m in models]}")
+        dims = {m.n_inputs for m in models}
         if len(dims) > 1:
             raise ArchitectureError(f"models disagree on input dimension: {dims}")
         object.__setattr__(self, "models", models)
@@ -143,26 +143,29 @@ def _gradient_gap(contrastive: bool, g_t: np.ndarray, g_s: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _model_gap(batch: ModelBatch, t, s, method: str, loss: str, contrastive: bool) -> float:
-    """Max over the batch of the class gaps of ``method`` (dm, moment, sam or gm) summed over
-    classes: per model, T's class statistics against one sweep over S's class stack. Raises
-    LabelError when the class counts differ or S's classes differ in size."""
+def _model_gap(batch: ModelBatch, t, s, methods: tuple, loss: str, contrastive: bool) -> list:
+    """For each of ``methods`` (gm alone, or dm, moment or sam) the max over the batch of its
+    class gaps summed over classes: per model, T's class statistics against one sweep over S's
+    class stack. Feature methods share one forward per class and model, which takes the
+    statistics of the last method (moment's begin with dm's). Raises LabelError when the class
+    counts differ or S's classes differ in size."""
     if t.class_count != s.class_count:
         raise LabelError(f"class counts differ: {t.class_count} vs {s.class_count}")
     pt, ps = per_class_partition(t), per_class_partition(s)
     if len({p.size for p in ps}) > 1:
         raise LabelError(f"S's classes must be equal in size, got {[p.size for p in ps]}")
     rows = np.stack(ps)
-    best = 0.0
+    best = [0.0] * len(methods)
     for m in batch:
-        if method == "gm":
+        if methods == ("gm",):
             g_t = np.stack([m.backward(t.features[p], t.labels[p], loss)[1] for p in pt])
-            values, _ = _gradient_gap(contrastive, g_t, m.backward(s.features[rows], s.labels[rows], loss)[1])
+            gaps = [sum(_gradient_gap(contrastive, g_t, m.backward(s.features[rows], s.labels[rows], loss)[1])[0])]
         else:
-            per_class = (_feature_stats(method, m.forward_batch(t.features[p])[1]) for p in pt)
+            per_class = (_feature_stats(methods[-1], m.forward_batch(t.features[p])[1]) for p in pt)
             stats_t = [np.stack(stat) for stat in zip(*per_class)]
-            values, _ = _feature_gap(method, stats_t, m.forward_batch(s.features[rows])[1])
-        best = max(best, sum(values))
+            feats_s = m.forward_batch(s.features[rows])[1]
+            gaps = [sum(_feature_gap(method, stats_t, feats_s)[0]) for method in methods]
+        best = [max(b, gap) for b, gap in zip(best, gaps)]
     return best
 
 
@@ -172,7 +175,7 @@ def ipm_feature_stat(batch: ModelBatch, t, s) -> float:
     Per class y the statistic is ||mean h(T^y) - mean h(S^y)||_2^2 on the
     penultimate feature h (final hidden activation), summed over classes.
     """
-    return _model_gap(batch, t, s, "dm", "cross_entropy", False)
+    return _model_gap(batch, t, s, ("dm",), "cross_entropy", False)[0]
 
 
 def gradient_discrepancy(
@@ -185,12 +188,12 @@ def gradient_discrepancy(
     """
     if mode not in ("per_class", "contrastive"):
         raise ConfigError(f"unknown mode {mode!r}")
-    return _model_gap(batch, t, s, "gm", loss, mode == "contrastive")
+    return _model_gap(batch, t, s, ("gm",), loss, mode == "contrastive")[0]
 
 
 def moment_discrepancy(batch: ModelBatch, t, s) -> float:
     """Max over the batch of per-class first plus second (feature-wise variance) moment gaps."""
-    return _model_gap(batch, t, s, "moment", "cross_entropy", False)
+    return _model_gap(batch, t, s, ("moment",), "cross_entropy", False)[0]
 
 
 def loss_discrepancy(batch: ModelBatch, t, s) -> float:
@@ -427,13 +430,12 @@ def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0) -> Di
     params = {"loss": loss, **params}
 
     if batch is not None:
-        values["dd_feature"] = ipm_feature_stat(batch, t, s)
+        values["dd_feature"], values["dd_moment"] = _model_gap(batch, t, s, ("dm", "moment"), loss, False)
         values["dd_gradient"] = gradient_discrepancy(batch, t, s, loss=loss)
-        values["dd_moment"] = moment_discrepancy(batch, t, s)
         losses_t, losses_s, dd_loss = _mean_losses(batch, t, s, loss)
         gd, vd, pd = _generalization(batch, t, losses_t, losses_s, seed)
         values.update(gd=gd, vd=vd, pd=pd)
         checks.append(("gd_le_2dd", gd, 2.0 * dd_loss, gd <= 2.0 * dd_loss + 1e-9))
         params["batch_size"] = len(batch)
-        params["batch_provenance"] = batch.provenance
+        params["batch_provenance"] = "random_init"  # a constant of report.json's format
     return DiscrepancyReport(values=values, hierarchy_checks=checks, params=params)

@@ -204,13 +204,12 @@ def run(cfg: RunConfig) -> EvalReport:
         if cfg.normalize:
             d = timer.run("normalize", lambda: normalize_features(d))
         t_train, t_eval = timer.run("split", lambda: _split(d, cfg.seed))
-        method = cfg.method
-        if method.regime != "input_input" and method.autoencoder is None:
+        fitted = {}
+        if cfg.method.regime != "input_input" and cfg.method.autoencoder is None:
             if not 1 <= cfg.latent_dim < d.n_features:
                 raise ConfigError("latent regimes need 1 <= latent_dim < n_features")
-            ae = timer.run("autoencoder", lambda: fit_linear_autoencoder(t_train, cfg.latent_dim))
-            method = MethodConfig(**{**method.__dict__, "autoencoder": ae})
-        method = MethodConfig(**{**method.__dict__, "seed": derive_seed(cfg.seed, "condense")})
+            fitted["autoencoder"] = timer.run("autoencoder", lambda: fit_linear_autoencoder(t_train, cfg.latent_dim))
+        method = replace(cfg.method, seed=derive_seed(cfg.seed, "condense"), **fitted)
         s0 = timer.run(
             "init",
             lambda: init_synthetic(t_train, cfg.per_class, cfg.init_mode, seed=derive_seed(cfg.seed, "init")),

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, check_number
+from .models import Mlp, _feature_vjp
 
 FAMILIES = ("gamma_exponential", "empirical_ntk", "random_feature", "nfk", "pullback")
 
@@ -18,9 +19,9 @@ class KernelSpec:
     """Kernel family plus hyperparameters.
 
     ``scale`` is the c in exp(-c r^gamma) and the target Gaussian scale for random
-    features; ``feature_dim``/``seed`` configure the random Fourier map; ``model``
-    references the network behind empirical-NTK/NFK kernels; ``encoder``/``base``
-    define a pullback kernel k(g_e(x1), g_e(x2)).
+    features; ``feature_dim``/``seed`` configure the random Fourier map; ``model`` is
+    the ``Mlp`` behind an empirical-NTK/NFK kernel, or a tuple of them that the kernel
+    averages over; ``encoder``/``base`` define a pullback kernel k(g_e(x1), g_e(x2)).
     """
 
     family: str
@@ -183,13 +184,13 @@ def _members(spec: KernelSpec) -> list:
     return list(spec.model) if isinstance(spec.model, (list, tuple)) else [spec.model]
 
 
-def _nfk_features(model, x: np.ndarray):
+def _nfk_features(model: Mlp, x: np.ndarray):
     """The final hidden activation of the rows x (the logits without a hidden layer), and the
-    map of a gradient on it back to x, one reverse sweep."""
-    x = _as_points(x)
-    _, feats = model.forward_batch(x)
-    pen = max(len(feats) - 2, 0)
-    return feats[pen], lambda g: model.feature_input_vjp(x, [g if i == pen else None for i in range(len(feats))])
+    map of a gradient on it back to x: one reverse sweep from this call's forward sweep."""
+    zs, acts = model._forward(_as_points(x))
+    pen = max(len(zs) - 2, 0)  # in the features list acts[1:]
+    return acts[pen + 1], lambda g: _feature_vjp(model.weights, model.activation, zs, acts,
+                                                 [g if i == pen else None for i in range(len(zs))])
 
 
 def _features(spec: KernelSpec, model, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Small feedforward networks with hand-written forward and backward passes.
 
-The reverse-mode engine exposes per-layer features, exact parameter and input
-gradients, and one forward-over-reverse tangent sweep that gives the mixed
-second derivatives of gradient matching and exact Hessian-vector products.
+``Mlp`` is the package's one model class: every hypothesis of a ``ModelBatch``, every
+network behind an eNTK or NFK kernel and every trained evaluator is one, and a linear
+hypothesis x W + b is an ``Mlp`` without hidden layers. The reverse-mode engine exposes
+per-layer features, exact parameter and input gradients, and one forward-over-reverse
+tangent sweep that gives the mixed second derivatives of gradient matching and exact
+Hessian-vector products.
 """
 from __future__ import annotations
 
@@ -128,6 +131,16 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
         if upstream is not None and upstream[i - 1] is not None:
             ga = ga + upstream[i - 1]
         g = ga * _act_prime(activation, zs[i - 1])
+
+
+def _feature_vjp(weights, activation: str, zs, acts, upstream: list) -> np.ndarray:
+    """Input gradients of sum_b <upstream_b, feature_b> from ``_forward_sweep``'s zs and acts, with
+    ``upstream`` aligned with the features list (None where a feature takes no gradient)."""
+    up = list(upstream)
+    if len(up) != len(weights):
+        raise ShapeError("upstream must align with the features list")
+    g0 = up[-1] if up[-1] is not None else np.zeros_like(acts[-1])
+    return _reverse_sweep(weights, activation, zs, acts, g0, upstream=[*up[:-1], None])
 
 
 def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, vb, grads=None, input_part=True):
@@ -319,12 +332,7 @@ class Mlp:
 
     def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
         """Input gradients of sum_b <upstream_b, feature_b> summed over feature entries."""
-        zs, acts = self._forward(x)
-        up = list(upstream)
-        if len(up) != len(self.weights):
-            raise ShapeError("upstream must align with the features list")
-        g0 = up[-1] if up[-1] is not None else np.zeros_like(acts[-1])
-        return _reverse_sweep(self.weights, self.activation, zs, acts, g0, upstream=[*up[:-1], None])
+        return _feature_vjp(self.weights, self.activation, *self._forward(x), upstream)
 
     # -- forward-over-reverse tangent -----------------------------------------------
 
@@ -369,51 +377,6 @@ class Mlp:
         vw, vb = self._split_flat(np.asarray(v, dtype=np.float64).reshape(-1, self.param_count))
         gx = _tangent_sweep(self.weights, self.activation, zs, acts, g, None, vw, vb)
         return gx.reshape(-1, self.n_outputs, gx.shape[-1]).sum(axis=1)
-
-
-class LinearModel:
-    """Bias-free linear hypothesis f(x) = x W, the convex inner problem of ridge flavors."""
-
-    def __init__(self, weight: np.ndarray):
-        w = np.asarray(weight, dtype=np.float64)
-        if w.ndim != 2:
-            raise ShapeError("weight must be 2-D")
-        self.weight = w.copy()
-        self.weight.setflags(write=False)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def param_count(self) -> int:
-        return self.weight.size
-
-    def flat_params(self) -> np.ndarray:
-        return self.weight.ravel().copy()
-
-    def forward_batch(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        logits = x @ self.weight
-        return logits, [logits]
-
-    def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
-        return np.asarray(upstream[-1], dtype=np.float64) @ self.weight.T
-
-    def output_param_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """d f_c(x_b) / d W is x_b in column c and zero elsewhere, shape (B, C, n*C)."""
-        x = np.asarray(x, dtype=np.float64)
-        c = self.n_outputs
-        return np.einsum("bn,cd->bcnd", x, np.eye(c)).reshape(x.shape[0], c, -1)
-
-    def jacobian_input_grad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """grad_x of sum_c <v[b, c], d f_c(x_b) / d W> = sum_c of column c of v[b, c] as an (n, C) matrix."""
-        c = self.n_outputs
-        return np.einsum("bcnc->bn", np.asarray(v, dtype=np.float64).reshape(-1, c, self.n_inputs, c))
 
 
 def _as_xy(d):

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
-from dckit import LabeledDataset, SyntheticDataset
+from dckit import LabeledDataset, Mlp, SyntheticDataset
 from dckit.condense import _matching_problem
 from dckit.kernels import _rff_params, random_feature_map
 
@@ -36,6 +36,12 @@ def copy_as_synthetic(t: LabeledDataset) -> SyntheticDataset:
     return SyntheticDataset(
         t.features[order], t.labels[order], per_class_size=int(counts[0]), origin="copy"
     )
+
+
+def linear_mlp(w) -> Mlp:
+    """The linear hypothesis x W: an ``Mlp`` without hidden layers, with weight w and zero bias."""
+    w = np.asarray(w, dtype=np.float64)
+    return Mlp(w.shape, "relu", [w], [np.zeros(w.shape[1])])
 
 
 def central_diff(fn, x: np.ndarray) -> np.ndarray:

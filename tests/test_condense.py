@@ -41,8 +41,8 @@ from dckit.condense import (
     tuned_config,
 )
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
-from dckit.models import LinearModel, TrainConfig
-from tests.conftest import central_diff, copy_as_synthetic, matching_value_and_grad
+from dckit.models import TrainConfig
+from tests.conftest import central_diff, copy_as_synthetic, linear_mlp, matching_value_and_grad
 
 MATCHING = ("dm", "gm", "mmd", "moment", "sam")
 
@@ -406,11 +406,11 @@ def test_outer_loop_values_pinned(name):
 
 
 def test_krr_scalar_oracle():
-    lin = LinearModel(np.ones((1, 1)))
-    spec = KernelSpec("empirical_ntk", model=lin)
+    # k(x, x') = x x' + 1 (the bias adds 1), so alpha = 1 / (k(2, 2) + lam) = 1/6 and pred(3) = k(3, 2) / 6
+    spec = KernelSpec("empirical_ntk", model=linear_mlp(np.ones((1, 1))))
     pred = krr_fit_targets(spec, np.array([[2.0]]), np.array([[1.0]]), lam=1.0)
-    assert pred.alpha[0, 0] == pytest.approx(0.2, abs=1e-12)
-    assert pred(np.array([[3.0]]))[0, 0] == pytest.approx(1.2, abs=1e-12)
+    assert pred.alpha[0, 0] == pytest.approx(1 / 6, abs=1e-12)
+    assert pred(np.array([[3.0]]))[0, 0] == pytest.approx(7 / 6, abs=1e-12)
 
 
 def test_krr_ridge_dominance(rng):
@@ -477,9 +477,9 @@ def test_nfk_gradients_match_fd_oracle(kernel):
     s, y_s = x[[0, 1, 6, 7]], y[[0, 1, 6, 7]]
     spec = _NFK_PAIR
     if kernel == "nfk-linear":
-        spec = KernelSpec("nfk", model=LinearModel(rng.normal(size=(3, 2))))
+        spec = KernelSpec("nfk", model=linear_mlp(rng.normal(size=(3, 2))))
     if kernel == "nfk-identity":
-        spec = KernelSpec("nfk", model=LinearModel(np.eye(3)))
+        spec = KernelSpec("nfk", model=linear_mlp(np.eye(3)))
     if kernel == "pullback-nfk":
         ae = fit_linear_autoencoder(LabeledDataset(x, np.argmax(y, axis=1), 2), 2)
         spec = pullback_spec(KernelSpec("nfk", model=Mlp.init((2, 5, 2), "tanh", seed=1)), ae)
@@ -492,8 +492,8 @@ def test_nfk_gradients_match_fd_oracle(kernel):
         spec = KernelSpec("empirical_ntk", model=Mlp.init((3, 4, 2), "relu", seed=1))
     if kernel == "empirical_ntk-ensemble":
         spec = KernelSpec("empirical_ntk", model=_NFK_PAIR.model)
-    if kernel == "empirical_ntk-linear":  # closed form
-        spec = KernelSpec("empirical_ntk", model=LinearModel(rng.normal(size=(3, 2))))
+    if kernel == "empirical_ntk-linear":  # a network without hidden layers
+        spec = KernelSpec("empirical_ntk", model=linear_mlp(rng.normal(size=(3, 2))))
     if kernel == "random_feature":  # the pullback (u * -sqrt(2/p) sin(xW^T + b)) @ W
         spec = _RFF
     if kernel == "pullback-random_feature":
@@ -922,16 +922,15 @@ def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         rows = [*np.flatnonzero(t.labels == 0)[:per_class], *np.flatnonzero(t.labels == 1)[:per_class]]
         s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=per_class, origin="init")
         calls = []
-        for name in ("forward_batch", "feature_input_vjp"):
-            original = getattr(Mlp, name)
-            monkeypatch.setattr(Mlp, name, lambda self, *a, _f=original, **k: calls.append(1) or _f(self, *a, **k))
+        forward = Mlp._forward
+        monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(1) or forward(self, x))
         cfg = MethodConfig(method="dm", ensemble=3, hidden=(4,), regularizers={"inter": 0.1, "con": 0.1}, seed=0)
         matching_value_and_grad(cfg, t, s)
         monkeypatch.undo()
         counts.append(len(calls))
-    # dm: per member one T forward per class, then one S forward and one S sweep over the class
-    # stack; inter one forward and one sweep on the first member; con one of each per member
-    assert counts == [3 * (2 + 1 + 1) + 2 + 2 * 3] * 2
+    # forward sweeps. dm: per member one T forward per class, then one S forward and one for the
+    # S sweep over the class stack; inter one forward on the first member, con one per member
+    assert counts == [3 * (2 + 1 + 1) + 1 + 3] * 2
 
 
 @pytest.mark.parametrize("method", ["dm", "moment", "sam"])

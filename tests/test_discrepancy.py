@@ -23,8 +23,7 @@ from dckit import (
 )
 from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import ArchitectureError, DomainError, LabelError
-from dckit.models import LinearModel
-from tests.conftest import copy_as_synthetic, transport_lp
+from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp
 
 
 def w1_bruteforce(a, b):
@@ -49,7 +48,7 @@ def test_ipm_zero_on_identical(toy_pair):
 def test_ipm_identity_feature_oracle():
     t = LabeledDataset(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0, 0]), 1)
     s = SyntheticDataset(np.array([[1.0, 0.0]]), np.array([0]), per_class_size=1, origin="x")
-    batch = ModelBatch((LinearModel(np.eye(2)),))
+    batch = ModelBatch((linear_mlp(np.eye(2)),))
     assert ipm_feature_stat(batch, t, s) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -102,7 +101,7 @@ def test_gradient_discrepancy_per_sample_oracle(rng):
 def test_moment_zero_and_variance_sensitivity():
     t = LabeledDataset(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
     s = SyntheticDataset(np.array([[1.0], [1.0]]), np.array([0, 0]), per_class_size=2, origin="x")
-    batch = ModelBatch((LinearModel(np.eye(1)),))
+    batch = ModelBatch((linear_mlp(np.eye(1)),))
     # means match (1 vs 1) so the first-moment stat is 0 while variances differ by 1
     assert ipm_feature_stat(batch, t, s) == pytest.approx(0.0, abs=1e-15)
     assert moment_discrepancy(batch, t, s) == pytest.approx(1.0, abs=1e-12)
@@ -435,6 +434,29 @@ def test_gd_takes_each_loss_once(toy_pair, monkeypatch):
     rep = hierarchy_report(t, s, batch)
     assert len(calls) == 2 * len(batch)
     assert rep.values["gd"] == gd and rep.hierarchy_checks == [("gd_le_2dd", gd, 2.0 * dd, gd <= 2.0 * dd + 1e-9)]
+
+
+def test_model_batch_holds_mlps():
+    with pytest.raises(ArchitectureError, match="Mlp"):
+        ModelBatch((Mlp.init((3, 4, 2)), object()))
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_report_forwards_each_class_once_per_model_for_dm_and_moment(classes, rng, monkeypatch):
+    t = LabeledDataset(rng.uniform(size=(5 * classes + 3, 3)), np.r_[np.arange(classes).repeat(5), [0, 1, 1]], classes)
+    s = SyntheticDataset(rng.uniform(size=(2 * classes, 3)), np.arange(classes).repeat(2), per_class_size=2,
+                         origin="x", class_count=classes)
+    batch = batch_of(3, widths=(3, 6, classes))
+    calls = []
+    forward = Mlp.forward_batch
+    monkeypatch.setattr(Mlp, "forward_batch", lambda self, x: calls.append(1) or forward(self, x))
+    rep = hierarchy_report(t, s, batch)
+    # dd_feature and dd_moment together: per model one forward per T class and one of S's class
+    # stack; the rest are each model's mean loss on T and on S, and vd's two models
+    assert len(calls) == len(batch) * (classes + 1) + 2 * len(batch) + 2
+    monkeypatch.undo()
+    assert rep.values["dd_feature"] == ipm_feature_stat(batch, t, s)
+    assert rep.values["dd_moment"] == moment_discrepancy(batch, t, s)
 
 
 def test_pd_architecture_error(toy_pair):

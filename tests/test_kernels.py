@@ -8,7 +8,6 @@ from scipy.spatial.distance import cdist, pdist
 from dckit import (
     KernelSpec,
     LabeledDataset,
-    LinearModel,
     MethodConfig,
     Mlp,
     SyntheticDataset,
@@ -24,7 +23,7 @@ from dckit import (
 )
 from dckit.errors import ConfigError, DomainError, ShapeError
 from dckit.kernels import kernel_grad2, kernel_vjp, mmd_squared_and_grad_s, sq_distances
-from tests.conftest import central_diff, matching_value_and_grad, rff_input_jacobian, rff_vjp_reference
+from tests.conftest import central_diff, linear_mlp, matching_value_and_grad, rff_input_jacobian, rff_vjp_reference
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -64,10 +63,10 @@ def test_spec_validation():
 
 
 def test_ntk_of_linear_model_is_dot_product(rng):
-    lin = LinearModel(np.ones((3, 1)))
-    spec = KernelSpec("empirical_ntk", model=lin)
+    # the logit x.w + b has parameter gradient (x, 1), so the kernel is x1.x2 + 1
+    spec = KernelSpec("empirical_ntk", model=linear_mlp(np.ones((3, 1))))
     x1, x2 = rng.normal(size=3), rng.normal(size=3)
-    assert kernel_eval(spec, x1, x2) == pytest.approx(float(x1 @ x2), rel=1e-12)
+    assert kernel_eval(spec, x1, x2) == pytest.approx(float(x1 @ x2) + 1.0, rel=1e-12)
 
 
 def test_gram_single_point():
@@ -352,6 +351,27 @@ def test_ntk_ensemble_average(rng):
     x1, x2 = rng.uniform(size=2), rng.uniform(size=2)
     singles = [kernel_eval(KernelSpec("empirical_ntk", model=m), x1, x2) for m in models]
     assert kernel_eval(spec, x1, x2) == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)], ids=["0-hidden", "1-hidden", "2-hidden"])
+def test_nfk_vjp_forwards_each_point_set_once_per_model(hidden, rng, monkeypatch):
+    # per model one forward sweep of a for its features and one of b, whose reverse sweep reuses it
+    rows = []
+    forward = Mlp._forward
+    monkeypatch.setattr(Mlp, "_forward", lambda self, x: rows.append(len(x)) or forward(self, x))
+    members = (Mlp.init([3, *hidden, 2], "tanh", seed=1), Mlp.init([3, *hidden, 2], "relu", seed=2))
+    spec = KernelSpec("nfk", model=members)
+    a, b, coef = rng.uniform(size=(7, 3)), rng.uniform(size=(4, 3)), rng.normal(size=(7, 4))
+    grad = kernel_vjp(spec, a, b, coef)
+    assert rows == [7, 4] * 2
+    monkeypatch.undo()
+
+    def reference(m):  # the features of a and b, and a separate reverse sweep of b
+        feats_a, feats_b = m.forward_batch(a)[1], m.forward_batch(b)[1]
+        pen = max(len(feats_b) - 2, 0)
+        return m.feature_input_vjp(b, [coef.T @ feats_a[pen] if i == pen else None for i in range(len(feats_b))])
+
+    assert np.array_equal(grad, sum(reference(m) for m in spec.model) / 2)
 
 
 @pytest.mark.parametrize("per_class", [1, 3])
