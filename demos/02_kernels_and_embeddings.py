@@ -17,7 +17,7 @@ from dckit import (
     mmd_squared,
     random_feature_map,
 )
-from dckit.kernels import kernel_grad2, kernel_vjp
+from dckit.kernels import gram_and_vjp, kernel_grad2
 
 rng = np.random.default_rng(1)
 x1, x2 = rng.uniform(size=3), rng.uniform(size=3)
@@ -56,18 +56,20 @@ print(f"  double-sum MMD^2      = {mmd_squared(spec, t, s):.12f}")
 print(f"  ||mean embedding gap||^2 = {float(emb @ emb):.12f}")
 
 print("\n== exact input gradients ==")
+# gram_and_vjp(spec, a, b) returns k(a, b) and its VJP coef -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j)
+# from one evaluation of a and b
 coef = rng.normal(size=(len(t), len(s)))
 gauss = gaussian_spec(1.0)
 tensor = np.einsum("ab,abn->bn", coef, kernel_grad2(gauss, t, s))  # the (A, B, n) tensor, summed
-err = np.abs(kernel_vjp(gauss, t, s, coef) - tensor).max()
-print(f"  Gaussian: max |kernel_vjp - summed kernel_grad2| = {err:.1e}")
+err = np.abs(gram_and_vjp(gauss, t, s)[1](coef) - tensor).max()
+print(f"  Gaussian: max |gram_and_vjp's VJP - summed kernel_grad2| = {err:.1e}")
 h, fd = 1e-5, np.zeros_like(s)
 for j, f in np.ndindex(s.shape):  # central difference of sum_ij coef_ij k(t_i, s_j) in s_jf
     step = np.zeros_like(s)
     step[j, f] = h
     fd[j, f] = np.sum(coef * (gram_matrix(spec, t, s + step) - gram_matrix(spec, t, s - step))) / (2 * h)
-err = np.abs(kernel_vjp(spec, t, s, coef) - fd).max()
-print(f"  random features (p=256): max |kernel_vjp - central difference| = {err:.1e}")
+err = np.abs(gram_and_vjp(spec, t, s)[1](coef) - fd).max()
+print(f"  random features (p=256): max |gram_and_vjp's VJP - central difference| = {err:.1e}")
 
 print("\n== median-heuristic bandwidth ==")
 spec = median_heuristic_spec(t)

@@ -42,8 +42,6 @@ def _build_run_config(args) -> RunConfig:
     run_d = {**file_cfg, **{key: value for key, value in flags.items() if value is not None}}
     if run_d.get("dataset") is None:
         raise ConfigError("no dataset given (flag --dataset or config file)")
-    if args.steps is not None:
-        method_d["outer_steps"] = args.steps
     if method_d.get("kernel") is not None:
         kernel_d = check_keys(method_d["kernel"], KernelSpec, "method.kernel", exclude=("model", "encoder", "base"))
         if "family" not in kernel_d:
@@ -107,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory for artifacts")
     p.add_argument("--seed", type=int)
     p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--steps", type=int, help="outer steps override")
     p.set_defaults(fn=_cmd_condense)
 
     p = sub.add_parser("discrepancy", help="compute discrepancies between two CSV datasets")

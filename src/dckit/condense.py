@@ -29,8 +29,9 @@ gradient from the random-feature pullback. dm, moment and sam share
 ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
 discrepancy report. The regularizers score the rows the ensemble sees, and
 their exact gradients join the S-side ones. krr and mmd reach every kernel through
-``kernels.kernel_vjp``: a kernel is a gamma-exponential, a feature map Phi with its
-pullback, or a pullback-encoder. The unrolled bilevel flavors
+``kernels.gram_and_vjp``, which gives a Gram matrix and its VJP from one evaluation of
+each point set: a kernel is a gamma-exponential, a feature map Phi with its pullback, or
+a pullback-encoder. The unrolled bilevel flavors
 (bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
 (``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
 """
@@ -70,11 +71,11 @@ from .errors import (
 from .kernels import (
     KernelSpec,
     _as_points,
+    _feature_map,
     _nfk_features,
-    _pullback,
+    gram_and_vjp,
     gram_matrix,
     kernel_or_default,
-    kernel_vjp,
     mmd_squared_and_grad_s,
     random_feature_map,
     sq_distances,
@@ -641,19 +642,19 @@ def _krr_loss_and_grads(spec, x_t, y_t, s, y_s, lam, want_grad_t=False):
     """Mean squared prediction error of the ridge fit on T and its gradients.
 
     Returns (loss, grad wrt S rows, grad wrt T rows or None); each Gram matrix's
-    share is one ``kernel_vjp`` contraction.
+    share is the VJP that ``gram_and_vjp`` returns with it.
     """
     n = x_t.shape[0]
-    g = gram_matrix(spec, s, s)
+    g, vjp_ss = gram_and_vjp(spec, s, s)
     alpha = krr_solve(g, y_s, lam)
-    k_ts = gram_matrix(spec, x_t, s)
+    k_ts, vjp_ts = gram_and_vjp(spec, x_t, s)
     resid = k_ts @ alpha - y_t
     loss = float(np.sum(resid**2) / n)
     r = (2.0 / n) * resid  # (N, C)
     m2 = alpha @ r.T  # (M, N)
     m1 = alpha @ (k_ts.T @ r).T @ np.linalg.inv(g + lam * np.eye(g.shape[0]))
-    grad_s = kernel_vjp(spec, x_t, s, m2.T) - kernel_vjp(spec, s, s, m1 + m1.T)
-    grad_t = kernel_vjp(spec, s, x_t, m2) if want_grad_t else None
+    grad_s = vjp_ts(m2.T) - vjp_ss(m1 + m1.T)
+    grad_t = gram_and_vjp(spec, s, x_t)[1](m2) if want_grad_t else None
     return loss, grad_s, grad_t
 
 
@@ -1055,9 +1056,10 @@ def _matching_problem(cfg, t, s0):
         values, grads = [], []
         for stat, r in zip(stats, rs):
             if embed_path:
-                diff = stat - random_feature_map(kernel, r).mean(axis=0)
+                phi, pullback = _feature_map(kernel, None, r)
+                diff = stat - phi.mean(axis=0)
                 values.append(float(diff @ diff))
-                grads.append(_pullback(kernel, None, r, diff) * (-2.0 / r.shape[0]))
+                grads.append(pullback(diff) * (-2.0 / r.shape[0]))
             else:
                 rows_t, ktt = stat
                 value, grad = mmd_squared_and_grad_s(kernel, rows_t, r, ktt)

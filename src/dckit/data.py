@@ -104,6 +104,8 @@ class SyntheticDataset:
             raise ValidationError(
                 f"row count {f.shape[0]} != per_class_size {self.per_class_size} x class_count {c}"
             )
+        if np.any((y < 0) | (y >= c)):
+            raise LabelError(f"labels must lie in [0, {c})")
         counts = np.bincount(y, minlength=c)
         if not np.all(counts == self.per_class_size):
             raise LabelError("labels must hold per_class_size copies of every class")

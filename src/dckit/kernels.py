@@ -1,7 +1,8 @@
 """Kernels, Gram matrices, their exact input gradients, and the kernel-only MMD. A kernel is a
 gamma-exponential, a feature map Phi with its pullback, or a pullback-encoder: random features,
-the empirical NTK and nfk give k(a, b) = <Phi(a), Phi(b)> (``_features``) averaged over the
-spec's models, and grad_x <u, Phi(x)> (``_pullback``)."""
+the empirical NTK and nfk give k(a, b) = <Phi(a), Phi(b)> averaged over the spec's models, and
+``_feature_map`` returns Phi(x) with grad_x <u, Phi(x)> from one evaluation of x, so
+``gram_and_vjp`` gives a Gram matrix and its VJP from one evaluation of each point set."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ class KernelSpec:
             raise ConfigError("scale c must be positive")
         if self.family == "random_feature" and self.feature_dim < 1:
             raise ConfigError("random_feature kernels need feature_dim >= 1")
-        if self.family in ("empirical_ntk", "nfk") and self.model is None:
-            raise ConfigError(f"{self.family} kernels need a model reference")
+        if self.family in ("empirical_ntk", "nfk") and not all(isinstance(m, Mlp) for m in _members(self) or [None]):
+            raise ConfigError(f"{self.family} kernels need an Mlp or a non-empty tuple of them as model")
         if self.family == "pullback":
             if self.base is None or self.encoder is None:
                 raise ConfigError("pullback kernels wrap exactly one base spec plus an encoder")
@@ -193,21 +194,19 @@ def _nfk_features(model: Mlp, x: np.ndarray):
                                                  [g if i == pen else None for i in range(len(zs))])
 
 
-def _features(spec: KernelSpec, model, x: np.ndarray) -> np.ndarray:
-    """Phi(x), shape (B, p), of one member (None for random features) of a feature-map spec: the
-    random Fourier features, the flattened logit Jacobian, or nfk's final hidden activation."""
-    if spec.family == "random_feature":
-        return random_feature_map(spec, x)
+def _feature_map(spec: KernelSpec, model, x: np.ndarray):
+    """Phi(x), shape (B, p), of one member (None for random features) of a feature-map spec, and
+    its pullback u (B, p) or (p,) -> grad_x <u, Phi(x)>, shape (B, n), with no (B, p, n) Jacobian:
+    random Fourier features with (u * -sqrt(2/p) sin(xW^T + b)) @ W, computed when called, the
+    flattened logit Jacobian with one tangent sweep, or nfk's final hidden activation with one
+    reverse sweep; both sweeps start from the forward sweep that gave Phi(x)."""
     if spec.family == "empirical_ntk":
-        j = model.output_param_jacobian(x)
-        return j.reshape(j.shape[0], -1)
-    return _nfk_features(model, x)[0]
+        j, pullback = model.logit_jacobian(x)
+        return j.reshape(j.shape[0], -1), pullback
+    if spec.family == "nfk":
+        return _nfk_features(model, x)
 
-
-def _pullback(spec: KernelSpec, model, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """grad_x <u, Phi(x)> for every row of x, shape (B, n), with u (B, p) or one (p,) row, and no
-    (B, p, n) Jacobian: (u * -sqrt(2/p) sin(xW^T + b)) @ W, or one tangent or reverse sweep."""
-    if spec.family == "random_feature":
+    def pullback(u):
         w, b = _rff_params(x.shape[1], spec.feature_dim, spec.scale, spec.seed)
         d = x @ w.T
         d += b
@@ -215,23 +214,16 @@ def _pullback(spec: KernelSpec, model, x: np.ndarray, u: np.ndarray) -> np.ndarr
         d *= -np.sqrt(2.0 / spec.feature_dim)
         d *= u
         return d @ w
-    if spec.family == "empirical_ntk":
-        return model.jacobian_input_grad(x, u.reshape(len(x), model.n_outputs, -1))
-    return _nfk_features(model, x)[1](u)
+
+    return random_feature_map(spec, x), pullback
 
 
 def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise kernel matrix k(a_i, b_j): exp(-c r^gamma) of the distances, the member
-    average of Phi(a) Phi(b)^T for a feature map, or the base kernel of the encoded rows."""
-    a, b = _as_points(a), _as_points(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if spec.family == "gamma_exponential":
-        return _gaussian_from_sq(spec, sq_distances(a, b))
-    if spec.family == "pullback":
-        return gram_matrix(spec.base, spec.encoder.encode(a), spec.encoder.encode(b))
-    members = _members(spec)
-    return sum(_features(spec, m, a) @ _features(spec, m, b).T for m in members) / len(members)
+    """Entrywise kernel matrix k(a_i, b_j): exp(-c r^gamma) of the distances, built in place,
+    or ``gram_and_vjp``'s matrix."""
+    if spec.family != "gamma_exponential":
+        return gram_and_vjp(spec, a, b)[0]
+    return _gaussian_from_sq(spec, sq_distances(_as_points(a), _as_points(b)))
 
 
 def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:
@@ -244,7 +236,7 @@ def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:
 def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gradient of k(a_i, b_j) w.r.t. b_j, shape (A, B, n), for a gamma-exponential spec.
 
-    No contraction in the package builds this tensor: ``kernel_vjp`` sums it one feature at a
+    No contraction in the package builds this tensor: ``gram_and_vjp`` sums it one feature at a
     time (``_gaussian_gram_and_vjp``), and the sum is checked against this one."""
     if spec.family != "gamma_exponential":
         raise ConfigError(f"no analytic gradient for family {spec.family!r}")
@@ -265,9 +257,9 @@ def _gaussian_from_sq(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
     return np.exp(r2, out=r2)
 
 
-def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray | None = None):
-    """``gram_matrix`` of a gamma-exponential spec, shape (A, B), and sum_i coef[i, j]
-    grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n), with coef all ones when None.
+def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
+    """``gram_matrix`` of a gamma-exponential spec, shape (A, B), and its VJP: coef (all ones
+    when None) -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
 
     grad_{b_j} k(a_i, b_j) = w_ij (b_j - a_i) with w = -c gamma k r^(gamma - 2), so the sum
     runs one feature at a time on (A, B) matrices. r comes from the Gram's ``sq_distances``
@@ -282,35 +274,41 @@ def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef:
     w[r == 0] = 0.0
     w *= k
     w *= -spec.scale * spec.gamma
-    g = np.empty((b.shape[0], b.shape[1]))
-    d = r  # r's buffer holds one feature's terms at a time
-    for f in range(b.shape[1]):
-        np.subtract(b[:, f], a[:, f, None], out=d)
-        d *= w
-        if coef is not None:
-            d *= coef
-        # sum(axis=0) adds the rows in order, except down a single column, which it adds pairwise
-        g[:, f] = d.sum(axis=0) if d.shape[1] > 1 or not len(d) else np.add.accumulate(d[:, 0])[-1]
-    return k, g
+
+    def vjp(coef=None):
+        g = np.empty((b.shape[0], b.shape[1]))
+        d = r  # r's buffer holds one feature's terms at a time
+        for f in range(b.shape[1]):
+            np.subtract(b[:, f], a[:, f, None], out=d)
+            d *= w
+            if coef is not None:
+                d *= coef
+            # sum(axis=0) adds the rows in order, except down a single column, which it adds pairwise
+            g[:, f] = d.sum(axis=0) if d.shape[1] > 1 or not len(d) else np.add.accumulate(d[:, 0])[-1]
+        return g
+
+    return k, vjp
 
 
-def kernel_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
+def gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
+    """``gram_matrix(spec, a, b)`` and its VJP coef -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for
+    every row b_j, shape (B, n), both from one evaluation of each point set.
 
     A gamma-exponential spec sums one feature at a time from the Gram's distances, in O(A·B)
-    memory (``_gaussian_gram_and_vjp``). For a feature map, k(a_i, b_j) = <Phi(a_i), Phi(b_j)>,
-    so the sum is the pullback grad_x <u_j, Phi(x)> at x = b_j of u = coef^T Phi(a): per member
-    one (A, p) feature matrix of a and one ``_pullback`` of b. A pullback-encoder spec is its
-    base's contraction times the encoder Jacobian.
-    """
+    memory (``_gaussian_gram_and_vjp``). For a feature map, k(a_i, b_j) = <Phi(a_i), Phi(b_j)>
+    averaged over the members, so the VJP is the pullback of Phi(b) at u = coef^T Phi(a). A
+    pullback-encoder spec's VJP is its base's, at the encoded rows, times the encoder Jacobian."""
     a, b = _as_points(a), _as_points(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if spec.family == "gamma_exponential":
-        return _gaussian_gram_and_vjp(spec, a, b, coef)[1]
+        return _gaussian_gram_and_vjp(spec, a, b)
     if spec.family == "pullback":
-        inner = kernel_vjp(spec.base, spec.encoder.encode(a), spec.encoder.encode(b), coef)
-        return inner @ spec.encoder.encode_jacobian()
-    members = _members(spec)
-    return sum(_pullback(spec, m, b, coef.T @ _features(spec, m, a)) for m in members) / len(members)
+        k, vjp = gram_and_vjp(spec.base, spec.encoder.encode(a), spec.encoder.encode(b))
+        return k, lambda coef: vjp(coef) @ spec.encoder.encode_jacobian()
+    maps = [(_feature_map(spec, m, a)[0], _feature_map(spec, m, b)) for m in _members(spec)]
+    k = sum(phi_a @ phi_b.T for phi_a, (phi_b, _) in maps) / len(maps)
+    return k, lambda coef: sum(pullback(coef.T @ phi_a) for phi_a, (_, pullback) in maps) / len(maps)
 
 
 def mmd_squared(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> float:
@@ -346,9 +344,9 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt: 
     # d/ds_j [mean k(S,S)] = (2 / M^2) sum_a d2 k(s_a, s_j); the a=j term carries the
     # total derivative of the diagonal entry via kernel symmetry
     if spec.family != "gamma_exponential":
-        return (_mmd_from_means(ktt, gram_matrix(spec, t, s).mean(), gram_matrix(spec, s, s).mean()),
-                kernel_vjp(spec, s, s, np.full((n_s, n_s), 2.0 / (n_s * n_s)))
-                - kernel_vjp(spec, t, s, np.full((n_t, n_s), 2.0 / (n_t * n_s))))
-    (k_ts, d_ts), (k_ss, d_ss) = _gaussian_gram_and_vjp(spec, t, s), _gaussian_gram_and_vjp(spec, s, s)
+        (k_ts, vjp_ts), (k_ss, vjp_ss) = gram_and_vjp(spec, t, s), gram_and_vjp(spec, s, s)
+        return (_mmd_from_means(ktt, k_ts.mean(), k_ss.mean()),
+                vjp_ss(np.full((n_s, n_s), 2.0 / (n_s * n_s))) - vjp_ts(np.full((n_t, n_s), 2.0 / (n_t * n_s))))
+    (k_ts, vjp_ts), (k_ss, vjp_ss) = _gaussian_gram_and_vjp(spec, t, s), _gaussian_gram_and_vjp(spec, s, s)
     return (_mmd_from_means(ktt, k_ts.mean(), k_ss.mean()),
-            d_ss * (2.0 / (n_s * n_s)) - d_ts * (2.0 / (n_t * n_s)))
+            vjp_ss() * (2.0 / (n_s * n_s)) - vjp_ts() * (2.0 / (n_t * n_s)))

@@ -207,7 +207,7 @@ class Mlp:
     hidden layers and linear logits. Zero hidden layers (``[n, C]``) is allowed.
     """
 
-    def __init__(self, widths, activation, weights, biases, init_seed=0):
+    def __init__(self, widths, activation, weights, biases):
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ConfigError(f"widths must be >= 1 with at least input and output: {widths}")
@@ -233,7 +233,6 @@ class Mlp:
         self.activation = activation
         self.weights = tuple(ws)
         self.biases = tuple(bs)
-        self.init_seed = init_seed
 
     @classmethod
     def init(cls, widths, activation: str = "relu", seed: int = 0) -> "Mlp":
@@ -245,7 +244,7 @@ class Mlp:
             for i in range(len(widths) - 1)
         ]
         bs = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
-        return cls(widths, activation, ws, bs, init_seed=seed)
+        return cls(widths, activation, ws, bs)
 
     # -- parameter vector plumbing -------------------------------------------------
 
@@ -282,7 +281,7 @@ class Mlp:
 
     def with_params(self, flat: np.ndarray) -> "Mlp":
         ws, bs = self._split_flat(np.asarray(flat, dtype=np.float64))
-        return Mlp(self.widths, self.activation, ws, bs, init_seed=self.init_seed)
+        return Mlp(self.widths, self.activation, ws, bs)
 
     # -- forward -------------------------------------------------------------------
 
@@ -354,29 +353,24 @@ class Mlp:
 
     # -- per-sample output Jacobians --------------------------------------------------
 
-    def _logit_stack(self, x: np.ndarray):
-        """Forward sweep of the (B*C, 1, n) stack that repeats each row of x once per logit c,
-        and the seeds e_c that make logit c the functional of its copy."""
+    def logit_jacobian(self, x: np.ndarray):
+        """Per-sample Jacobian of each logit w.r.t. the flat parameter vector, shape (B, C, P), and its
+        pullback v (B, C, P) -> grad_x of sum_c <v[b, c], d f_c(x_b) / d theta> for each row b. One forward
+        sweep of the (B*C, 1, n) stack that repeats each row once per logit c, seeded with e_c, feeds
+        one reverse sweep into a (B*C, P) buffer and each pullback's tangent sweep along v[b, c]."""
         x = np.asarray(x, dtype=np.float64)
         c = self.n_outputs
         zs, acts = self._forward(np.repeat(x, c, axis=0)[:, None, :])
-        return zs, acts, np.tile(np.eye(c), (x.shape[0], 1))[:, None, :]
-
-    def output_param_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Per-sample Jacobian of each logit w.r.t. the flat parameter vector, shape (B, C, P):
-        one reverse sweep over ``_logit_stack`` into a (B*C, P) buffer. Memory is B*C*P floats."""
-        zs, acts, g = self._logit_stack(x)
+        g = np.tile(np.eye(c), (x.shape[0], 1))[:, None, :]
         out = np.empty((g.shape[0], self.param_count))
         _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(out), input_part=False)
-        return out.reshape(-1, self.n_outputs, self.param_count)
 
-    def jacobian_input_grad(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """grad_x of sum_c <v[b, c], d f_c(x_b) / d theta> for each row b, with v of shape (B, C, P):
-        one tangent sweep over ``_logit_stack``, copy (b, c) along the direction v[b, c]."""
-        zs, acts, g = self._logit_stack(x)
-        vw, vb = self._split_flat(np.asarray(v, dtype=np.float64).reshape(-1, self.param_count))
-        gx = _tangent_sweep(self.weights, self.activation, zs, acts, g, None, vw, vb)
-        return gx.reshape(-1, self.n_outputs, gx.shape[-1]).sum(axis=1)
+        def pullback(v):
+            vw, vb = self._split_flat(np.asarray(v, dtype=np.float64).reshape(-1, self.param_count))
+            gx = _tangent_sweep(self.weights, self.activation, zs, acts, g, None, vw, vb)
+            return gx.reshape(-1, c, gx.shape[-1]).sum(axis=1)
+
+        return out.reshape(-1, c, self.param_count), pullback
 
 
 def _as_xy(d):

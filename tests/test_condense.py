@@ -238,7 +238,7 @@ def test_mmd_1d_converges_to_class_mean(rng):
 
 # Objective logs of three short mmd runs, pinned as float.hex before mean k(T, T)
 # was cached: the Gaussian run uses the analytic gradient, the nfk run the
-# reverse sweep of kernels.kernel_vjp, and the siamese run transforms T every step, so a
+# reverse sweep of kernels.gram_and_vjp's VJP, and the siamese run transforms T every step, so a
 # k(T, T) term reused across steps would change its values. The nfk run was re-pinned
 # when that sweep replaced central differences: step 0 unchanged, later steps within 4.1e-10.
 # The siamese run (16-D rows) was re-pinned when the Gaussian gradient took its r from the
@@ -411,6 +411,28 @@ def test_krr_scalar_oracle():
     pred = krr_fit_targets(spec, np.array([[2.0]]), np.array([[1.0]]), lam=1.0)
     assert pred.alpha[0, 0] == pytest.approx(1 / 6, abs=1e-12)
     assert pred(np.array([[3.0]]))[0, 0] == pytest.approx(7 / 6, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["gamma_exponential", "nfk", "empirical_ntk"])
+def test_krr_step_evaluates_each_point_set_once_per_gram(family, rng, monkeypatch):
+    # each of K(S, S) and K(T, S) comes with its VJP from one evaluation of its two point sets:
+    # one sq_distances per Gram, or per member one forward sweep of each side
+    import dckit.kernels
+    from dckit.condense import _krr_loss_and_grads
+
+    members = (Mlp.init([3, 5, 2], "tanh", seed=1), Mlp.init([3, 4, 2], "relu", seed=2))
+    spec = gaussian_spec(0.8) if family == "gamma_exponential" else KernelSpec(family, model=members)
+    x_t, s = rng.uniform(size=(12, 3)), rng.uniform(size=(4, 3))
+    y_t, y_s = np.eye(2)[rng.integers(0, 2, 12)], np.eye(2)[[0, 0, 1, 1]]
+    calls = []
+    forward, sq_distances = Mlp._forward, dckit.kernels.sq_distances
+    monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(self) or forward(self, x))
+    monkeypatch.setattr(dckit.kernels, "sq_distances", lambda a, b: calls.append("sq") or sq_distances(a, b))
+    _krr_loss_and_grads(spec, x_t, y_t, s, y_s, 0.1)
+    if family == "gamma_exponential":
+        assert calls == ["sq"] * 2
+    else:
+        assert [calls.count(m) for m in members] == [4, 4] and len(calls) == 8
 
 
 def test_krr_ridge_dominance(rng):

@@ -169,6 +169,9 @@ def test_synthetic_invariants():
         SyntheticDataset(np.zeros((3, 1)), np.array([0, 0, 1]), per_class_size=2, origin="x")
     with pytest.raises(LabelError):
         SyntheticDataset(np.zeros((4, 1)), np.array([0, 0, 0, 1]), per_class_size=2, origin="x")
+    for labels in ([-1, 0], [0, 2]):
+        with pytest.raises(LabelError, match=r"\[0, 2\)"):
+            SyntheticDataset(np.zeros((2, 2)), np.array(labels), per_class_size=1, origin="x", class_count=2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -273,6 +274,48 @@ def test_cli_condense_loads_no_scipy(blobs_csv, tmp_path):
     done = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.split("\n")[-2] == "[0, 0, 0] []"
+
+
+def test_cli_condense_has_no_steps_flag(blobs_csv, capsys):
+    # the outer step count is method.outer_steps in the config file
+    with pytest.raises(SystemExit) as exit_:
+        main(["condense", "--dataset", str(blobs_csv), "--method", "dm", "--steps", "3"])
+    assert exit_.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_artifacts_byte_identical_across_blas_threads(tmp_path):
+    # one interpreter per thread count, since BLAS reads these variables when numpy loads; the
+    # full-batch 64-unit evaluator's (960, 32) @ (32, 64) products are large enough to be threaded
+    rng = np.random.default_rng(5)
+    d = LabeledDataset(rng.normal(size=(1200, 32)) + np.repeat(3.0 * np.eye(4, 32), 300, axis=0),
+                       np.repeat(np.arange(4), 300), 4)
+    write_csv(d, tmp_path / "data.csv")
+    methods = ({"method": "krr", "outer_steps": 3}, {"method": "mmd", "outer_steps": 3},
+               {"method": "dm", "outer_steps": 3, "hidden": [64]}, {"method": "gm", "outer_steps": 2, "hidden": [64]})
+    configs = []
+    for method in methods:
+        configs.append(str(tmp_path / f"{method['method']}.json"))
+        Path(configs[-1]).write_text(json.dumps({
+            "dataset": str(tmp_path / "data.csv"), "method": method, "per_class": 2, "seed": 4,
+            "out_dir": method["method"],  # relative to the run's working directory
+            "eval": {"repeats": 1, "epochs": 5, "batch_size": 1200, "hidden_architectures": [[64]]}}))
+    code = "import sys\nfrom dckit.cli import main\nprint([main(['condense', '--config', c]) for c in sys.argv[1:]])"
+    src = str(Path(harness.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, **{name: threads for name in BLAS_THREAD_VARIABLES}}
+        done = subprocess.run([sys.executable, "-c", code, *configs], cwd=cwd, env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0]"
+        digests[threads] = {f"{m['method']}/{name}": hashlib.sha256((cwd / m["method"] / name).read_bytes()).hexdigest()
+                            for m in methods for name in ("synthetic.csv", "steps.csv", "report.json")}
+    assert digests["1"] == digests["2"]
 
 
 def test_cli_missing_method_is_config_error(blobs_csv):

@@ -22,7 +22,7 @@ from dckit import (
     random_feature_map,
 )
 from dckit.errors import ConfigError, DomainError, ShapeError
-from dckit.kernels import kernel_grad2, kernel_vjp, mmd_squared_and_grad_s, sq_distances
+from dckit.kernels import gram_and_vjp, kernel_grad2, mmd_squared_and_grad_s, sq_distances
 from tests.conftest import central_diff, linear_mlp, matching_value_and_grad, rff_input_jacobian, rff_vjp_reference
 
 
@@ -57,6 +57,12 @@ def test_spec_validation():
         KernelSpec("random_feature", feature_dim=0)
     with pytest.raises(ConfigError):
         KernelSpec("empirical_ntk")
+    net = Mlp.init([2, 1], seed=0)
+    for family in ("empirical_ntk", "nfk"):  # an Mlp or a non-empty tuple or list of them
+        for model in (object(), (), [], (net, "net")):
+            with pytest.raises(ConfigError, match="Mlp"):
+                KernelSpec(family, model=model)
+        assert [KernelSpec(family, model=m).family for m in (net, (net,), [net, net])] == [family] * 3
     base = gaussian_spec(1.0)
     with pytest.raises(ConfigError):
         KernelSpec("pullback", base=base)  # encoder missing
@@ -211,7 +217,7 @@ def test_gaussian_contractions_match_kernel_grad2(gamma, dim, rng):
     coef = rng.normal(size=(40, 6))
     want_vjp = np.einsum("ab,abn->bn", coef, kernel_grad2(spec, t, s))
     want_mmd = _mmd_grad_reference(spec, t, s)
-    got_vjp = kernel_vjp(spec, t, s, coef)
+    got_vjp = gram_and_vjp(spec, t, s)[1](coef)
     value, got_mmd = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())
     assert value == mmd_squared(spec, t, s)
     for got, want in ((got_vjp, want_vjp), (got_mmd, want_mmd)):
@@ -230,7 +236,7 @@ def test_gaussian_vjp_adds_a_single_column_in_row_order(gamma, rng):
     want = terms[0].copy()
     for row in terms[1:]:
         want += row
-    assert np.array_equal(kernel_vjp(spec, a, b, coef), want)
+    assert np.array_equal(gram_and_vjp(spec, a, b)[1](coef), want)
 
 
 @pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0, 0.3])
@@ -241,8 +247,8 @@ def test_gaussian_gradients_finite_where_rows_coincide(gamma, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, grad = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())  # (S, S) diagonal too
-        vjp = kernel_vjp(spec, t, s, np.ones((12, 4)))
-        alone = kernel_vjp(spec, t[5:6], s, np.ones((1, 4)))
+        vjp = gram_and_vjp(spec, t, s)[1](np.ones((12, 4)))
+        alone = gram_and_vjp(spec, t[5:6], s)[1](np.ones((1, 4)))
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(vjp))
     assert np.all(alone[2] == 0.0)  # the coinciding pair adds nothing
 
@@ -273,7 +279,7 @@ def test_gaussian_gradient_peak_memory_is_a_few_matrices(rng):
     n_a, n_b, dim = 2000, 50, 64
     spec = gaussian_spec(0.01)
     t, s, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
-    for call in (lambda: mmd_squared_and_grad_s(spec, t, s, 0.5), lambda: kernel_vjp(spec, t, s, coef)):
+    for call in (lambda: mmd_squared_and_grad_s(spec, t, s, 0.5), lambda: gram_and_vjp(spec, t, s)[1](coef)):
         tracemalloc.start()
         try:
             call()
@@ -291,7 +297,7 @@ def _rel_err(got, want):
 def test_random_feature_gradients_match_jacobian_reference(n_a, n_b, dim, rng):
     spec = KernelSpec("random_feature", scale=0.6, feature_dim=64, seed=2)
     a, b, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
-    assert _rel_err(kernel_vjp(spec, a, b, coef), rff_vjp_reference(spec, a, b, coef)) <= 1e-13
+    assert _rel_err(gram_and_vjp(spec, a, b)[1](coef), rff_vjp_reference(spec, a, b, coef)) <= 1e-13
     # the mean-embedding route of an mmd, with T's n_a rows and S's n_b rows as one class
     t = LabeledDataset(a, np.zeros(n_a, dtype=np.int64), 1)
     s = SyntheticDataset(b, np.zeros(n_b, dtype=np.int64), per_class_size=n_b, origin="init")
@@ -308,7 +314,7 @@ def test_random_feature_vjp_peak_memory_is_two_feature_matrices(rng):
     a, b, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
     tracemalloc.start()
     try:
-        kernel_vjp(spec, a, b, coef)
+        gram_and_vjp(spec, a, b)[1](coef)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,7 +368,7 @@ def test_nfk_vjp_forwards_each_point_set_once_per_model(hidden, rng, monkeypatch
     members = (Mlp.init([3, *hidden, 2], "tanh", seed=1), Mlp.init([3, *hidden, 2], "relu", seed=2))
     spec = KernelSpec("nfk", model=members)
     a, b, coef = rng.uniform(size=(7, 3)), rng.uniform(size=(4, 3)), rng.normal(size=(7, 4))
-    grad = kernel_vjp(spec, a, b, coef)
+    grad = gram_and_vjp(spec, a, b)[1](coef)
     assert rows == [7, 4] * 2
     monkeypatch.undo()
 
@@ -395,6 +401,6 @@ def test_ntk_vjp_is_one_tangent_sweep_per_model(per_class, rng, monkeypatch):
     counted(dckit.kernels, "gram_matrix")
     spec = KernelSpec("empirical_ntk", model=(Mlp.init([3, 5, 2], "tanh", seed=1), Mlp.init([3, 4, 6, 2], "relu", seed=2)))
     a, b = rng.uniform(size=(12, 3)), rng.uniform(size=(2 * per_class, 3))
-    grad = kernel_vjp(spec, a, b, rng.normal(size=(12, 2 * per_class)))
+    grad = gram_and_vjp(spec, a, b)[1](rng.normal(size=(12, 2 * per_class)))
     assert grad.shape == b.shape
     assert calls == {"_tangent_sweep": 2, "gram_matrix": 0}

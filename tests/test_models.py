@@ -152,7 +152,7 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
                          ids=[f"{a}-{h}" for a in ("relu", "tanh") for h in (0, 1, 2)])
 def test_output_param_jacobian_matches_fd_oracle(model, rng):
     x = rng.uniform(size=(3, 3))
-    jac = model.output_param_jacobian(x)
+    jac = model.logit_jacobian(x)[0]
     assert jac.shape == (3, 2, model.param_count)
     for b in range(3):
         for c in range(2):
