@@ -694,12 +694,12 @@ def _krr_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
 def _unroll(model: Mlp, theta, s, labels, loss, eta, epochs, where):
     """SGD of size eta on (s, labels) from ``theta`` over ``epochs``, each a list of row batches: the
     iterates [theta, end of epoch 1, ...] and per epoch a tape of (rows, theta_k, grad_theta L_k)."""
-    net, prev, ends, tapes = _FlatSgd(model, theta), theta, [theta], []
+    net, prev, ends, tapes = _FlatSgd(model, theta, s, labels, loss, eta), theta, [theta], []
     with np.errstate(over="ignore", invalid="ignore"):
         for e, batches in enumerate(epochs):
             tapes.append([])
             for rows in batches:
-                net.step(s[rows], labels[rows], loss, eta, f"{where} {e}")
+                net.step(rows, f"{where} {e}")
                 tapes[-1].append((rows, prev, net.grad.copy()))
                 prev = net.params.copy()
             ends.append(prev)

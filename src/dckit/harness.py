@@ -33,7 +33,7 @@ from .data import (
 from .discrepancy import CF_FREQUENCIES, DiscrepancyReport, ModelBatch, hierarchy_report, model_free
 from .errors import CondensationError, ConfigError, ShapeError, check_keys, check_number, check_widths
 from .kernels import KernelSpec
-from .models import Mlp, TrainConfig, pgd_attack, sgd_train_stack
+from .models import Mlp, TrainConfig, per_sample_loss, pgd_attack, sgd_train_stack
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
 from .seeding import derive_seed
 from .spaces import fit_linear_autoencoder
@@ -128,6 +128,14 @@ def _train_stack(hidden, data, eval_cfg: EvalConfig, seeds) -> list:
     return sgd_train_stack(fresh, (x, y), cfg, seeds)[0]
 
 
+def _scores(m: Mlp, data: LabeledDataset, loss: str) -> tuple[float, float]:
+    """The accuracy and mean loss of m on data, from one forward of its rows: the values of
+    ``m.accuracy`` and ``m.mean_loss``."""
+    logits, _ = m.forward_batch(data.features)
+    y = np.asarray(data.labels, dtype=np.int64)
+    return float(np.mean(np.argmax(logits, axis=1) == y)), float(np.mean(per_sample_loss(logits, y, loss)))
+
+
 def evaluate(
     s: SyntheticDataset,
     t_train: LabeledDataset,
@@ -151,10 +159,9 @@ def evaluate(
         trained_s, trained_t = (_train_stack(hidden, data, eval_cfg, seeds) for data in (s, t_train))
         accs = []
         for m_s, m_t in zip(trained_s, trained_t):
-            accs.append(m_s.accuracy(t_eval.features, t_eval.labels))
-            baseline_accs.append(m_t.accuracy(t_eval.features, t_eval.labels))
-            loss_s = m_s.mean_loss(t_eval.features, t_eval.labels, eval_cfg.loss)
-            loss_t = m_t.mean_loss(t_eval.features, t_eval.labels, eval_cfg.loss)
+            (acc_s, loss_s), (acc_t, loss_t) = (_scores(m, t_eval, eval_cfg.loss) for m in (m_s, m_t))
+            accs.append(acc_s)
+            baseline_accs.append(acc_t)
             gd_terms.append(abs(loss_s - loss_t))
             if eval_cfg.pgd_eps > 0:
                 adv = pgd_attack(m_s, t_eval.features, t_eval.labels, eval_cfg.pgd_eps,

@@ -220,10 +220,21 @@ def _feature_map(spec: KernelSpec, model, x: np.ndarray):
 
 def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise kernel matrix k(a_i, b_j): exp(-c r^gamma) of the distances, built in place,
-    or ``gram_and_vjp``'s matrix."""
-    if spec.family != "gamma_exponential":
-        return gram_and_vjp(spec, a, b)[0]
-    return _gaussian_from_sq(spec, sq_distances(_as_points(a), _as_points(b)))
+    the member average of Phi(a) Phi(b)^T, or the base kernel of the encoded rows.
+
+    A feature map's members are summed one at a time in ``gram_and_vjp``'s order, so only one
+    member's features are alive at once and the matrix has ``gram_and_vjp``'s bits."""
+    a, b = _as_points(a), _as_points(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if spec.family == "gamma_exponential":
+        return _gaussian_from_sq(spec, sq_distances(a, b))
+    if spec.family == "pullback":
+        return gram_matrix(spec.base, spec.encoder.encode(a), spec.encoder.encode(b))
+    members, k = _members(spec), 0
+    for m in members:
+        k += _feature_map(spec, m, a)[0] @ _feature_map(spec, m, b)[0].T
+    return k / len(members)
 
 
 def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:

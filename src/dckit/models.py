@@ -9,6 +9,7 @@ Hessian-vector products.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +29,29 @@ LOSSES = ("cross_entropy", "mse")
 ACTIVATIONS = ("relu", "tanh")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+def _act(name: str, z: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out) if name == "relu" else np.tanh(z, out=out)
 
 
-def _act_prime(name: str, z: np.ndarray) -> np.ndarray:
+def _act_prime(name: str, z: np.ndarray, out=None) -> np.ndarray:
+    """The activation's derivative at z, in ``out`` when given (a new array otherwise)."""
+    out = np.empty_like(z) if out is None else out
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    a = np.tanh(z)
-    return 1.0 - a * a
+        return np.greater(z, 0.0, out=out)
+    np.tanh(z, out=out)
+    out *= out
+    return np.subtract(1.0, out, out=out)
+
+
+def _check_labels(y: np.ndarray, k: int) -> None:
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise ValidationError(f"labels must lie in [0, {k})")
 
 
 def per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
     """Loss of each sample; cross-entropy uses log-sum-exp stabilization."""
     y = np.asarray(labels, dtype=np.int64)
+    _check_labels(y, logits.shape[1])
     if loss == "cross_entropy":
         m = logits.max(axis=1)
         lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
@@ -52,30 +62,59 @@ def per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.nda
     raise ConfigError(f"unknown loss {loss!r}")
 
 
-def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str):
+def _loss_workspace(shape) -> tuple:
+    """The buffers of ``_loss_value_and_grad`` for logits of shape (..., B, k): the logit
+    gradient, two per-row columns, the per-row values, and the flat index of each row's label
+    entry with the row offsets it is taken from."""
+    lead, k = tuple(shape[:-1]), shape[-1]
+    n = math.prod(lead)
+    return (np.empty(shape), np.empty((*lead, 1)), np.empty((*lead, 1)), np.empty(lead),
+            np.arange(0, n * k, k), np.empty(n, dtype=np.int64))
+
+
+def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str, out=None):
     """Mean batch loss and its gradient with respect to the logits.
 
     One softmax (cross-entropy) or one residual (mse) feeds both. The value has
     the bits of ``mean(per_sample_loss(...))``: ``sum() / b`` is ``np.mean``'s
     own arithmetic without its per-call overhead. A leading stack axis on logits
-    and labels gives each batch its own mean loss (an array of values).
+    and labels gives each batch its own mean loss (an array of values). The one-hot
+    target is subtracted as 1.0 at each label entry (x - 0.0 is x, bit for bit), so
+    given ``out``, a ``_loss_workspace`` of the logits' shape, the gradient is written
+    there and nothing batch-sized is allocated; a workspace's owner checks its labels
+    once (``_FlatSgd``), where a call without one checks them every time.
     """
-    b, k = logits.shape[-2:]
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    target = one_hot(y, k).reshape(logits.shape)
-    if loss == "cross_entropy":
-        m = logits.max(axis=-1, keepdims=True)
-        e = np.exp(logits - m)
-        total = e.sum(axis=-1, keepdims=True)
-        lse = m[..., 0] + np.log(total[..., 0])
-        picked = logits.reshape(-1, k)[np.arange(y.size), y].reshape(lse.shape)
-        value = (lse - picked).sum(axis=-1) / b
-        grad = (e / total - target) / b
-    elif loss == "mse":
-        r = logits - target
-        value, grad = (0.5 * np.sum(r**2, axis=-1)).sum(axis=-1) / b, r / b
-    else:
+    if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")
+    b, k = logits.shape[-2:]
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if out is None:
+        _check_labels(y, k)
+        out = _loss_workspace(logits.shape)
+    grad, col, lse, per_row, offsets, at = out
+    np.add(offsets, y, out=at)
+    flat = grad.reshape(-1)
+    if loss == "cross_entropy":
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=col)
+        np.subtract(logits, col, out=grad)
+        np.exp(grad, out=grad)
+        np.add.reduce(grad, axis=-1, keepdims=True, out=lse)
+        grad /= lse
+        np.log(lse, out=lse)
+        lse += col
+        # "clip" never clips an index in range, and unlike "raise" takes no buffered copy
+        logits.reshape(-1).take(at, out=per_row.reshape(-1), mode="clip")
+        np.subtract(lse[..., 0], per_row, out=per_row)
+    else:
+        np.copyto(grad, logits)
+        np.subtract.at(flat, at, 1.0)
+        np.square(grad, out=grad)
+        np.add.reduce(grad, axis=-1, out=per_row)
+        per_row *= 0.5
+        np.copyto(grad, logits)  # the residual again, where its squares were
+    value = np.add.reduce(per_row, axis=-1) / b
+    np.subtract.at(flat, at, 1.0)
+    grad /= b
     return (float(value) if value.ndim == 0 else value), grad
 
 
@@ -89,33 +128,43 @@ def _loss_grad_logits_tangent(logits: np.ndarray, zdot: np.ndarray, loss: str) -
     return (p * zdot - p * inner) / b
 
 
-def _forward_sweep(weights, biases, activation: str, x: np.ndarray):
+def _forward_sweep(weights, biases, activation: str, x: np.ndarray, out=None):
     """Pre-activations and activations (input first, logits last) of one (B, n) batch, or of each
     batch of a (C, B, n) stack; the sweeps below keep any such leading stack axis. Per-layer
-    weights (C, in, out) and biases (C, out) give each batch of a stack its own network."""
+    weights (C, in, out) and biases (C, out) give each batch of a stack its own network. ``out``,
+    a pair of per-layer buffer lists (every layer's z, then each hidden activation), receives
+    them in place of new arrays."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[-2]:
         raise ShapeError(f"expected (B, {weights[0].shape[-2]}) inputs or a stack of them, got {x.shape}")
+    z_out, a_out = ([None] * len(weights),) * 2 if out is None else out
     acts = [x]
     zs = []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b[..., None, :]
+        z = np.matmul(acts[-1], w, out=z_out[i])
+        z += b[..., None, :]
         zs.append(z)
-        acts.append(_act(activation, z) if i < last else z)
+        acts.append(_act(activation, z, a_out[i]) if i < last else z)
     return zs, acts
 
 
-def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, grads=None, input_part=True):
+def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, grads=None, input_part=True,
+                   out=None):
     """Reverse sweep from logit gradients plus optional per-feature upstream terms.
 
     ``upstream`` aligns with the features list (hidden activations then logits).
     ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
     buffer that receives the parameter gradients, one row per batch of a stack; None
-    skips them. Returns the input gradients; without ``input_part`` it stops at
-    layer 0's parameter gradients and returns None.
+    skips them. ``out``, a pair of per-layer buffer lists indexed by layer (ga and the
+    activation's derivative act', from layer 1 on), receives each hidden layer's ga, which
+    then holds its g, and act' in place of new arrays; they may be the buffers of
+    ``acts[i]`` and ``zs[i - 1]``, which the sweep has read for the last time when it
+    writes them. Returns the input gradients; without
+    ``input_part`` it stops at layer 0's parameter gradients and returns None.
     """
     last = len(weights) - 1
+    ga_out, ap_out = ([None] * (last + 1),) * 2 if out is None else out
     g = g_logits
     if upstream is not None and upstream[last] is not None:
         g = g + upstream[last]
@@ -125,12 +174,12 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
             g.sum(axis=-2, out=grads[1][i])
         if i == 0 and not input_part:
             return None
-        ga = g @ np.swapaxes(weights[i], -1, -2)
+        ga = np.matmul(g, np.swapaxes(weights[i], -1, -2), out=ga_out[i])
         if i == 0:
             return ga
         if upstream is not None and upstream[i - 1] is not None:
-            ga = ga + upstream[i - 1]
-        g = ga * _act_prime(activation, zs[i - 1])
+            ga += upstream[i - 1]
+        g = np.multiply(ga, _act_prime(activation, zs[i - 1], ap_out[i]), out=ga)
 
 
 def _feature_vjp(weights, activation: str, zs, acts, upstream: list) -> np.ndarray:
@@ -381,31 +430,63 @@ def _as_xy(d):
 
 
 class _FlatSgd:
-    """A private flat parameter buffer and a gradient buffer, with per-layer views made once.
+    """SGD of size ``lr`` on the rows of (x, y), with a private flat parameter buffer and a
+    gradient buffer whose per-layer views are made once.
 
     The buffer is one network's (P,) parameters, or an (R, P) stack of R networks
-    of one architecture that step together on (R, B, n) batches. ``step`` runs one
-    forward sweep, the fused loss, one reverse sweep into the gradient buffer
-    (stopping at layer 0's parameter gradients) and an in-place update, so no
-    ``Mlp`` is built per step. Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``; the two finiteness checks
-    turn an overflow of any member into a ``DivergenceError``.
+    of one architecture that step together on (R, B) row batches. ``step`` gathers the
+    batch and runs one forward sweep, the fused loss, one reverse sweep into the
+    gradient buffer (stopping at layer 0's parameter gradients) and an in-place update,
+    so no ``Mlp`` is built per step. A step reuses per-shape workspaces and allocates
+    nothing batch-sized: a run has at most two batch shapes, the full batch and a ragged
+    last one, and their workspaces are freed with the object when the run ends. Callers
+    run it under ``np.errstate(over="ignore", invalid="ignore")``; the two finiteness
+    checks turn an overflow of any member into a ``DivergenceError``.
     """
 
-    def __init__(self, m: Mlp, params: np.ndarray):
-        self.activation = m.activation
+    def __init__(self, m: Mlp, params: np.ndarray, x, y, loss: str, lr: float):
+        self.widths, self.activation, self.loss, self.lr = m.widths, m.activation, loss, lr
+        self.x, self.y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+        _check_labels(self.y, m.n_outputs)
         self.params = np.array(params, dtype=np.float64)
         self.grad = np.empty_like(self.params)
+        self.update = np.empty_like(self.params)
         self.weights, self.biases = m._split_flat(self.params)
         self.grads = m._split_flat(self.grad)
+        self.workspaces = {}
 
-    def step(self, x, y, loss: str, lr: float, where: str):
-        zs, acts = _forward_sweep(self.weights, self.biases, self.activation, x)
-        value, g = _loss_value_and_grad(acts[-1], y, loss)
+    def _workspace(self, shape) -> tuple:
+        """The buffers of a step on row batches of ``shape``: the gathered rows and labels, the
+        ``out`` of each sweep and the loss's. ``_reverse_sweep`` writes each hidden layer's ga and
+        act' over the activation and z that ``_forward_sweep`` wrote there, each of which it
+        has read for the last time by then. The rows, z and activations are views of one block,
+        so the workspace is freed whole instead of leaving holes in the heap."""
+        if shape not in self.workspaces:
+            n, widths = math.prod(shape), (*self.widths, *self.widths[1:-1])
+            ends = np.cumsum(widths) * n
+            block = np.empty(ends[-1])
+            x, *bufs = (block[end - n * w:end].reshape(*shape, w) for w, end in zip(widths, ends))
+            zs, acts = bufs[:len(self.widths) - 1], bufs[len(self.widths) - 1:]
+            self.workspaces[shape] = (x, np.empty(shape, dtype=np.int64), (zs, acts),
+                                      ([None, *acts], [None, *zs[:-1]]), _loss_workspace((*shape, self.widths[-1])))
+        return self.workspaces[shape]
+
+    def step(self, rows, where: str):
+        """One step on the rows ``rows`` of (x, y): an index array, gathered into the workspace,
+        or a slice, which takes a view."""
+        if isinstance(rows, slice):
+            x, y = self.x[rows], self.y[rows]
+            forward, reverse, loss_out = self._workspace(y.shape)[2:]
+        else:  # rows index x, so "clip" never clips; "raise" would take a buffered copy
+            xb, yb, forward, reverse, loss_out = self._workspace(rows.shape)
+            x, y = self.x.take(rows, axis=0, out=xb, mode="clip"), self.y.take(rows, out=yb, mode="clip")
+        zs, acts = _forward_sweep(self.weights, self.biases, self.activation, x, forward)
+        value, g = _loss_value_and_grad(acts[-1], y, self.loss, loss_out)
         if not np.isfinite(value).all():
             raise DivergenceError(f"loss became non-finite at {where}")
-        _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self.grads, input_part=False)
-        self.params -= lr * self.grad
+        _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self.grads, input_part=False, out=reverse)
+        np.multiply(self.grad, self.lr, out=self.update)
+        self.params -= self.update
         if not np.isfinite(self.params).all():
             raise DivergenceError(f"parameters became non-finite at {where}")
 
@@ -439,13 +520,13 @@ def sgd_train_stack(models, d, cfg: TrainConfig, seeds, record: bool = False):
     if any(m.widths != models[0].widths or m.activation != models[0].activation for m in models):
         raise ShapeError("stacked models must share their widths and activation")
     x, y = _as_xy(d)
-    net = _FlatSgd(models[0], np.stack([m.flat_params() for m in models]))
+    net = _FlatSgd(models[0], np.stack([m.flat_params() for m in models]), x, y, cfg.loss, cfg.learning_rate)
     snaps = [net.params.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch, batches in enumerate(epoch_batches(x.shape[0], cfg, seeds)):
             where = f"epoch {epoch}"
             for rows in batches:
-                net.step(x[rows], y[rows], cfg.loss, cfg.learning_rate, where)
+                net.step(rows, where)
             if record:
                 snaps.append(net.params.copy())
     out = list(models) if cfg.epochs == 0 else [m.with_params(p) for m, p in zip(models, net.params)]
@@ -531,11 +612,15 @@ def max_eigenvalue(matvec, dim: int, iters: int = 30, seed: int = 0):
 
 
 def loss_hvp(m: Mlp, x, y, loss: str):
-    """Exact Hessian-vector products of the mean loss at m's parameters, one tangent sweep each."""
+    """Exact Hessian-vector products of the mean loss at m's parameters: the primal (forward
+    sweep and logit gradient) is built once, and each product is one tangent sweep from it."""
+    zs, acts = m._forward(x)
+    _, g = _loss_value_and_grad(acts[-1], y, loss)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = np.empty(m.param_count)
-        m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(out), input_part=False)
+        vw, vb = m._split_flat(np.asarray(v, dtype=np.float64))
+        _tangent_sweep(m.weights, m.activation, zs, acts, g, loss, vw, vb, m._split_flat(out), input_part=False)
         return out
 
     return matvec

@@ -44,6 +44,36 @@ def linear_mlp(w) -> Mlp:
     return Mlp(w.shape, "relu", [w], [np.zeros(w.shape[1])])
 
 
+def reference_sgd_step(model: Mlp, params: np.ndarray, x: np.ndarray, y: np.ndarray, loss: str, lr: float):
+    """One SGD step of size lr on the batch (x, y) through ``model``'s architecture at ``params``:
+    a (P,) vector with a (B, n) batch, or an (R, P) stack with an (R, B, n) one. Every operation
+    makes a new array and the target is one-hot, as in the trainer before its steps reused
+    workspaces: the reference the workspace step is checked against bit for bit. Returns the flat
+    gradient and the updated parameters."""
+    ws, bs = model._split_flat(params)
+    relu = model.activation == "relu"
+    acts, zs = [x], []
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        zs.append(acts[-1] @ w + b[..., None, :])
+        if i < len(ws) - 1:
+            acts.append(np.maximum(zs[-1], 0.0) if relu else np.tanh(zs[-1]))
+    logits = zs[-1]
+    target = np.eye(logits.shape[-1])[y]
+    if loss == "cross_entropy":
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        g = (e / e.sum(axis=-1, keepdims=True) - target) / logits.shape[-2]
+    else:
+        g = (logits - target) / logits.shape[-2]
+    parts = []
+    for i in range(len(ws) - 1, -1, -1):
+        parts = [(np.swapaxes(acts[i], -1, -2) @ g).reshape(*g.shape[:-2], -1), g.sum(axis=-2), *parts]
+        if i > 0:
+            g = (g @ np.swapaxes(ws[i], -1, -2)) * ((zs[i - 1] > 0.0).astype(np.float64) if relu
+                                                    else 1.0 - np.tanh(zs[i - 1]) ** 2)
+    grad = np.concatenate(parts, axis=-1)
+    return grad, params - lr * grad
+
+
 def central_diff(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time: the
     oracle that the exact gradients are checked against."""

@@ -110,6 +110,24 @@ def test_evaluate_reports_robust_accuracy():
     assert 0.0 <= rep.robust_accuracy <= rep.per_architecture["mlp-8"]["mean"] + 1e-12
 
 
+def test_evaluate_forwards_the_held_out_split_once_per_model(monkeypatch):
+    # accuracy and mean loss of each trained model come from one forward of t_eval
+    from dckit import init_synthetic
+    from dckit.data import train_eval_split
+
+    d = two_blobs(n_per_class=30, dim=2, separation=2.0, seed=8)
+    t_train, t_eval = train_eval_split(d, 0.2, seed=1)
+    s = init_synthetic(t_train, 3, "subsample", seed=0)
+    cfg = EvalConfig(hidden_architectures=((8,), (4, 3)), repeats=2, epochs=5)
+    expected = harness.evaluate(s, t_train, t_eval, cfg, seed=5)
+    rows = []
+    forward = Mlp._forward
+    monkeypatch.setattr(Mlp, "_forward", lambda self, x: rows.append(len(x)) or forward(self, x))
+    rep = harness.evaluate(s, t_train, t_eval, cfg, seed=5)
+    assert rows == [t_eval.n_samples] * (2 * 2 * 2)  # per architecture and repeat, one S and one T model
+    assert rep == expected
+
+
 def test_evaluate_trains_repeats_as_one_sweep(monkeypatch):
     from dckit import init_synthetic
     from dckit.data import train_eval_split

@@ -316,6 +316,34 @@ def test_scipy_import_detected():
     assert scipy_imports(planted) == ["scipy (line 2)", "scipy.spatial.distance (line 3)", "scipy.optimize (line 7)"]
 
 
+def malloc_tuning(source: str) -> list[str]:
+    """Calls of ``mallopt`` or ``malloc_trim`` (by name or attribute), and string constants naming
+    a glibc malloc setting: a ``MALLOC_*`` environment variable or a ``GLIBC_TUNABLES`` entry."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _callee(node.func) in ("mallopt", "malloc_trim"):
+            found.append(f"{_callee(node.func)} (line {node.lineno})")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                "MALLOC_" in node.value or "GLIBC_TUNABLES" in node.value):
+            found.append(f"{node.value!r} (line {node.lineno})")
+    return found
+
+
+# Heap settings are process-wide and glibc-specific, and they would only hide an allocation
+# churn: a step that faults its pages back in is mended by reusing its buffers.
+@pytest.mark.parametrize("path", [SRC / "__init__.py", *MODULES], ids=lambda p: p.name)
+def test_no_malloc_tuning(path):
+    assert malloc_tuning(path.read_text()) == []
+
+
+def test_malloc_tuning_detected():
+    planted = ("import ctypes\nimport os\n\nos.environ['MALLOC_TRIM_THRESHOLD_'] = '1000000000'\n\n\n"
+               "def tune(libc):\n    libc.mallopt(-1, 1 << 30)\n    os.environ.setdefault('GLIBC_TUNABLES', 'x')\n"
+               "    return ctypes.CDLL(None).malloc_trim(0), 'MALLOC'\n")
+    assert malloc_tuning(planted) == ["'MALLOC_TRIM_THRESHOLD_' (line 4)", "mallopt (line 8)",
+                                      "'GLIBC_TUNABLES' (line 9)", "malloc_trim (line 10)"]
+
+
 def missing_dckit_imports(source: str) -> list[str]:
     """Names that ``from dckit[.module] import ...`` statements in ``source`` ask for but the package
     lacks, found with ``getattr`` on the imported module; the source itself is not run."""

@@ -404,3 +404,19 @@ def test_ntk_vjp_is_one_tangent_sweep_per_model(per_class, rng, monkeypatch):
     grad = gram_and_vjp(spec, a, b)[1](rng.normal(size=(12, 2 * per_class)))
     assert grad.shape == b.shape
     assert calls == {"_tangent_sweep": 2, "gram_matrix": 0}
+
+
+def test_feature_map_gram_sums_members_one_at_a_time(rng):
+    # three 32-16-10 eNTK members at 400 x 20 rows: one member's J(a) (400 x 10 x 698 floats,
+    # 22.3 MB) is alive at a time, where keeping every member's features and pullback peaked at 70 MB
+    members = tuple(Mlp.init([32, 16, 10], "relu", seed=r) for r in range(3))
+    spec = KernelSpec("empirical_ntk", model=members)
+    a, b = rng.uniform(size=(400, 32)), rng.uniform(size=(20, 32))
+    tracemalloc.start()
+    try:
+        k = gram_matrix(spec, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(k, gram_and_vjp(spec, a, b)[0])
+    assert peak < 2 * 400 * 10 * members[0].param_count * 8

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
-from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError
+from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError, ValidationError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import loss_hvp, max_eigenvalue, per_sample_loss
-from tests.conftest import central_diff
+from dckit.models import _FlatSgd, epoch_batches, loss_hvp, max_eigenvalue, per_sample_loss
+from tests.conftest import central_diff, reference_sgd_step
 
 
 def fd_param_grad(m, x, y, loss, h=1e-5):
@@ -183,6 +184,26 @@ def test_lambda_max_estimate_builds_no_mlp(monkeypatch):
     assert built == []
 
 
+def test_hvp_builds_its_primal_once(rng, monkeypatch):
+    # each product of a power iteration is one tangent sweep from one forward sweep at theta
+    import dckit.models
+
+    m = Mlp.init([4, 6, 3], "relu", seed=1)
+    x, y = rng.uniform(size=(9, 4)), rng.integers(0, 3, 9)
+    vs = rng.normal(size=(5, m.param_count))
+    expected = []
+    for v in vs:
+        hv = np.empty(m.param_count)
+        m.input_grad_param_tangent(x, y, "cross_entropy", v, grads=m._split_flat(hv), input_part=False)
+        expected.append(hv)
+    sweeps = []
+    forward = dckit.models._forward_sweep
+    monkeypatch.setattr(dckit.models, "_forward_sweep", lambda *a: sweeps.append(1) or forward(*a))
+    hvp = loss_hvp(m, x, y, "cross_entropy")
+    assert all(np.array_equal(hvp(v), e) for v, e in zip(vs, expected))
+    assert len(sweeps) == 1
+
+
 def test_sgd_zero_epochs_unchanged(rng):
     m = Mlp.init([2, 4, 2], "relu", seed=0)
     d = (rng.uniform(size=(6, 2)), rng.integers(0, 2, 6))
@@ -214,17 +235,17 @@ def test_sgd_divergence_names_epoch():
 
 
 def _reference_sgd(m, x, y, cfg):
-    """Plain per-batch SGD through ``Mlp.backward`` and ``with_params``: the loop the stacked trainer must match."""
+    """Plain per-batch SGD through the allocating ``reference_sgd_step``: the loop the stacked trainer must match."""
     rng = np.random.default_rng(cfg.seed)
-    snaps = [m.flat_params()]
+    theta = m.flat_params()
+    snaps = [theta]
     for _ in range(cfg.epochs):
         perm = rng.permutation(len(x))
         for start in range(0, len(x), cfg.batch_size):
             rows = perm[start : start + cfg.batch_size]
-            _, g, _ = m.backward(x[rows], y[rows], cfg.loss)
-            m = m.with_params(m.flat_params() - cfg.learning_rate * g)
-        snaps.append(m.flat_params())
-    return m, np.stack(snaps)
+            _, theta = reference_sgd_step(m, theta, x[rows], y[rows], cfg.loss, cfg.learning_rate)
+        snaps.append(theta)
+    return m.with_params(theta), np.stack(snaps)
 
 
 @pytest.mark.parametrize("members", [1, 3])
@@ -232,7 +253,8 @@ def _reference_sgd(m, x, y, cfg):
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
 @pytest.mark.parametrize("epochs, hidden", [(0, (5,)), (4, (5,)), (3, (5, 4))])
 def test_sgd_train_stack_equals_separate_runs(members, activation, loss, epochs, hidden):
-    # 31 rows in batches of 7 leave a short last batch; each member has its own init and shuffling seed
+    # 31 rows in batches of 7 leave a short last batch, so the step's workspace shape changes every
+    # epoch; each member has its own init and shuffling seed
     d = two_blobs(15, seed=3)
     x, y = np.vstack([d.features, [[0.5, 0.5]]]), np.append(d.labels, 1)
     cfg = TrainConfig(learning_rate=0.2, epochs=epochs, batch_size=7, loss=loss, seed=123)
@@ -276,6 +298,61 @@ def test_sgd_train_stack_rejects_mismatched_members():
         sgd_train_stack([a, a], d, cfg, [0])
     with pytest.raises(ConfigError):
         sgd_train_stack([], d, cfg, [])
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("batches", ["full", "ragged"])
+def test_unroll_tapes_equal_allocating_reference(activation, loss, batches):
+    # the tape keeps a copy of each step's theta_k and gradient, not a view of a reused buffer
+    d = two_blobs(15, seed=5)
+    s, labels = d.features[:10], d.labels[:10]
+    m = Mlp.init((2, 6, 2), activation, seed=4)
+    epochs = ([_FULL_BATCH] * 4 if batches == "full"
+              else list(epoch_batches(len(s), TrainConfig(epochs=2, batch_size=4, seed=6))))
+    ends, tapes = _unroll(m, m.flat_params(), s, labels, loss, 0.3, epochs, "step")
+    theta = m.flat_params()
+    for end, tape in zip(ends[1:], tapes):
+        for rows, theta_k, grad_k in tape:
+            grad, after = reference_sgd_step(m, theta, s[rows], labels[rows], loss, 0.3)
+            assert np.array_equal(theta_k, theta) and np.array_equal(grad_k, grad)
+            theta = after
+        assert np.array_equal(end, theta)
+
+
+def test_sgd_step_allocates_nothing_batch_sized(monkeypatch):
+    # a (1, 480, 32) batch through a 32-64-10 net: after the warm-up step that makes the workspace,
+    # a step's peak stays below one (R, B, h) float array (the allocating step made about six)
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(size=(480, 32)), rng.integers(0, 10, 480)
+    peaks, step = [], _FlatSgd.step
+
+    def traced(self, *args):
+        if not peaks:
+            peaks.append(None)
+            return step(self, *args)
+        tracemalloc.start()
+        try:
+            step(self, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(_FlatSgd, "step", traced)
+    sgd_train_stack([Mlp.init((32, 64, 10), "relu", seed=0)], (x, y), TrainConfig(epochs=4, batch_size=480), [1])
+    assert len(peaks) == 4 and max(peaks[1:]) < 480 * 64 * 8
+
+
+def test_labels_outside_the_logits_rejected(rng):
+    m = Mlp.init([3, 4, 2], "relu", seed=0)
+    x = rng.uniform(size=(4, 3))
+    for y in ([0, 1, 2, 0], [0, -1, 1, 0]):
+        with pytest.raises(ValidationError, match="labels"):
+            m.backward(x, y)
+        with pytest.raises(ValidationError, match="labels"):
+            m.mean_loss(x, y)
+        with pytest.raises(ValidationError, match="labels"):
+            sgd_train(m, (x, np.array(y)), TrainConfig(epochs=1))
 
 
 def test_trajectory_prefix_reproducible():
