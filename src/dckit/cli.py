@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (CondensationError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (CondensationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

@@ -85,6 +85,7 @@ from .models import (
     Mlp,
     TrainConfig,
     _FlatSgd,
+    _loss_value_and_grad,
     _power_iteration,
     epoch_batches,
     loss_hvp,
@@ -501,23 +502,24 @@ def _inter(ctx, s, y, c):
 
 def _intra(ctx, s, y, c):
     """The mean over S of -log of the softmax weight (temperature tau) of a row's real class-mean
-    feature against the row's other same-class synthetic rows."""
+    feature against the row's other same-class synthetic rows: per class k, the cross-entropy of
+    target 0 over the scores [h e_k | h h^T] / tau, whose diagonal (a row against itself) is -inf."""
     if ctx.real_features is None or ctx.real_labels is None:
         raise ContextError("intra needs the real dataset")
     emb, _ = _class_means(ctx.feat(ctx.real_features)[0], np.asarray(ctx.real_labels), c)
     h_s, vjp = ctx.feat(s)
-    vals, g = [], np.zeros_like(h_s)
-    for k in range(c):
+    total, g = 0.0, np.zeros_like(h_s)
+    for k in np.unique(y):
         rows = y == k
         h = h_s[rows]
-        pos = np.exp(h @ emb[k] / ctx.tau)
-        sims = np.exp(h @ h.T / ctx.tau)
-        np.fill_diagonal(sims, 0.0)
-        z = pos + sims.sum(axis=1)
-        vals.extend(-np.log(pos / z))
-        q = sims / z[:, None]
-        g[rows] = (np.outer(pos / z - 1.0, emb[k]) + (q + q.T) @ h) / ctx.tau
-    return float(np.mean(vals)), vjp(g / len(vals))
+        sims = h @ h.T
+        np.fill_diagonal(sims, -np.inf)
+        value, q = _loss_value_and_grad(np.column_stack([h @ emb[k], sims]) / ctx.tau,
+                                        np.zeros(len(h), dtype=np.int64), "cross_entropy")
+        weight = len(h) / len(s)
+        total += weight * value
+        g[rows] = weight * (q[:, :1] * emb[k] + (q[:, 1:] + q[:, 1:].T) @ h) / ctx.tau
+    return total, vjp(g)
 
 
 def _con_cos(ctx, s, y, c, cosine):
@@ -529,18 +531,17 @@ def _con_cos(ctx, s, y, c, cosine):
     ups, total = [np.zeros_like(h) for h, _ in feats], 0.0
     for k in range(c):
         rows = y == k
-        scale = 1.0 / (n_h**2 * rows.sum())
         for j, l in itertools.permutations(range(n_h), 2):
             a, b = feats[j][0][rows], feats[l][0][rows]
             if cosine:
+                scale = 1.0 / (n_h**2 * len(a))
                 sim, cos_vjp = _cosine(a, b)
                 total += scale * float(np.trace(sim))
                 g_a, g_b = cos_vjp(scale * np.eye(len(a)))
-            else:
-                logits = a @ b.T / ctx.tau  # (i, t) pairings
-                lse = np.log(np.exp(logits).sum(axis=1))
-                total += scale * float(np.sum(lse - np.diag(logits)))
-                coef = scale * (np.exp(logits - lse[:, None]) - np.eye(len(a))) / ctx.tau
+            else:  # row i of a against every row of b, its own pairing i the target
+                value, q = _loss_value_and_grad(a @ b.T / ctx.tau, np.arange(len(a)), "cross_entropy")
+                total += value / n_h**2
+                coef = q / (n_h**2 * ctx.tau)
                 g_a, g_b = coef @ b, coef.T @ a
             ups[j][rows] += g_a
             ups[l][rows] += g_b
@@ -558,11 +559,9 @@ def _dis(ctx, s, y, c):
     total, g = 0.0, np.zeros_like(proto)
     for k in range(c):
         h = h_t[rl == k]
-        scores = h @ proto.T  # (B, C) similarity to every class prototype
-        m = scores.max(axis=1, keepdims=True)
-        logp = scores - (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))
-        total += float(np.mean(-logp[:, k]))
-        g += (np.exp(logp) - np.eye(c)[k]).T @ h / (len(h) * c)
+        value, q = _loss_value_and_grad(h @ proto.T, np.full(len(h), k), "cross_entropy")  # (B, C) scores
+        total += value
+        g += q.T @ h / c
     return total / c, vjp(proto_vjp(g))
 
 
@@ -1051,8 +1050,9 @@ def _matching_problem(cfg, t, s0):
             values, upstream = _gradient_gap(contrastive, stats, g_s)
             return values, tangent(upstream)
         if not kernel_objective:
-            values, upstream = _feature_gap(cfg.method, stats, model.forward_batch(rs)[1])
-            return values, model.feature_input_vjp(rs, upstream)
+            feats, pullback = model.feature_input_vjp(rs)
+            values, upstream = _feature_gap(cfg.method, stats, feats)
+            return values, pullback(upstream)
         values, grads = [], []
         for stat, r in zip(stats, rs):
             if embed_path:

@@ -16,6 +16,7 @@ from .errors import (
     LabelError,
     ParseError,
     ValidationError,
+    check_number,
 )
 
 
@@ -189,9 +190,15 @@ def _read_sidecar(path: str | Path) -> dict:
 
 
 def load_synthetic(path: str | Path) -> SyntheticDataset:
+    """The synthetic set at path and its sidecar's provenance; a ``per_class_size`` there that is
+    not an integer >= 1 raises ConfigError naming the sidecar."""
     d = load_dataset(path)
     meta = _read_sidecar(path)
-    per_class = int(meta.get("per_class_size", d.n_samples // d.class_count))
+    per_class = meta.get("per_class_size", d.n_samples // d.class_count)
+    try:
+        check_number("per_class_size", per_class, integer=True, low=1)
+    except ConfigError as e:
+        raise ConfigError(f"{path}.meta.json: {e}") from None
     origin = meta.get("origin", "unknown")
     extra = {k: v for k, v in meta.items() if k not in ("origin", "per_class_size", "class_count")}
     return SyntheticDataset(

@@ -96,6 +96,11 @@ class RunConfig:
             raise ConfigError(f"dataset must be a CSV path, got {self.dataset!r}")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise ConfigError(f"out_dir must be a directory path, got {self.out_dir!r}")
+        if self.out_dir:  # the artifacts are written after every stage: refuse a file now
+            out = Path(self.out_dir)
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"out_dir {self.out_dir} is not a directory: {existing} is a file")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if not isinstance(self.normalize, bool):
@@ -364,23 +369,37 @@ def _read_back(synthetic_path, real_path, seed: int | None = None):
 
     A set without a record gets ``EvalConfig()`` and seed 0; ``seed`` replaces the recorded
     one when given. The real rows are scaled by the recorded normalization and split with
-    the seed. A malformed record raises ConfigError, another width or class count ShapeError.
+    the seed. A malformed record raises ConfigError naming the sidecar, another width or
+    class count ShapeError.
     """
     s = load_synthetic(synthetic_path)
     try:
         recorded = eval_config_from_dict(s.meta.get("eval", {}))
         check_number("run_seed", s.meta.get("run_seed", 0), integer=True)
+        norm = _norm_params(s.meta["normalization"], s.n_features) if "normalization" in s.meta else None
     except ConfigError as e:
-        raise ConfigError(f"the run record of {synthetic_path}: {e}") from None
+        raise ConfigError(f"the run record in {synthetic_path}.meta.json: {e}") from None
     seed = s.meta.get("run_seed", 0) if seed is None else seed
     d = load_dataset(real_path)
     if (s.n_features, s.class_count) != (d.n_features, d.class_count):
         raise ShapeError(f"the synthetic set has {s.n_features} features and {s.class_count} classes, "
                          f"the real dataset {d.n_features} and {d.class_count}")
-    if "normalization" in s.meta:
-        norm = NormParams(**{k: np.asarray(v, dtype=np.float64) for k, v in s.meta["normalization"].items()})
+    if norm is not None:
         d = LabeledDataset(features=norm.apply(d.features), labels=d.labels, class_count=d.class_count, norm=norm)
     return s, recorded, seed, *_split(d, seed)
+
+
+def _norm_params(record, n_features: int) -> NormParams:
+    """The recorded normalization: an object with exactly ``mins`` and ``ranges``, each a list of
+    n_features finite numbers, the ranges >= 0; ConfigError otherwise."""
+    if not isinstance(record, dict) or set(record) != {"mins", "ranges"}:
+        raise ConfigError(f"normalization must be an object with exactly mins and ranges, got {record!r}")
+    for key, values in record.items():
+        if not isinstance(values, list) or len(values) != n_features:
+            raise ConfigError(f"normalization.{key} must be a list of {n_features} numbers, got {values!r}")
+        for v in values:
+            check_number(f"normalization.{key} entries", v, low=0 if key == "ranges" else None)
+    return NormParams(**{k: np.asarray(v, dtype=np.float64) for k, v in record.items()})
 
 
 def evaluate_command(synthetic_path, real_path, out_path, seed: int | None = None, **overrides) -> EvalReport:
@@ -402,19 +421,33 @@ def emit_plots(report_path, steplog_path, out_dir) -> list:
     """Objective-vs-step and accuracy-bar outputs as CSV plus deterministic SVG.
 
     Either input may be None (its plots come out empty), not both; a given path must exist.
+    An objective or accuracy that is not a finite number raises ConfigError naming its file.
     """
     if report_path is None and steplog_path is None:
         raise ConfigError("plots need a report.json (--report) or a steps.csv (--log)")
     objectives, labels, values = [], [], []
     if steplog_path is not None:
         with open(steplog_path, newline="") as fh:
-            objectives = [float(row["objective"]) for row in csv.DictReader(fh) if row.get("objective")]
+            texts = [row["objective"] for row in csv.DictReader(fh) if row.get("objective")]
+        try:
+            objectives = [float(v) for v in texts]
+        except ValueError as e:
+            raise ConfigError(f"{steplog_path}: an objective is not a number: {e}") from None
+        for v in objectives:
+            check_number(f"{steplog_path}: objective", v)
     if report_path is not None:
-        eval_part = json.loads(Path(report_path).read_text()).get("evaluation", {})
-        for name, entry in sorted(eval_part.get("per_architecture", {}).items()):
+        report = json.loads(Path(report_path).read_text())
+        eval_part = report.get("evaluation", {}) if isinstance(report, dict) else None
+        archs = eval_part.get("per_architecture", {}) if isinstance(eval_part, dict) else None
+        if not isinstance(archs, dict):
+            raise ConfigError(f"{report_path}: expected a report object with an evaluation.per_architecture object")
+        for name, entry in sorted(archs.items()):
+            mean = entry.get("mean") if isinstance(entry, dict) else None
+            check_number(f"{report_path}: per_architecture.{name}.mean", mean)
             labels.append(name)
-            values.append(entry["mean"])
+            values.append(mean)
         if eval_part.get("baseline_accuracy") is not None:
+            check_number(f"{report_path}: baseline_accuracy", eval_part["baseline_accuracy"])
             labels.append("baseline")
             values.append(eval_part["baseline_accuracy"])
     out_dir = Path(out_dir)

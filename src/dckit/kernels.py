@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, check_number
-from .models import Mlp, _feature_vjp
+from .models import Mlp
 
 FAMILIES = ("gamma_exponential", "empirical_ntk", "random_feature", "nfk", "pullback")
 
@@ -187,11 +187,10 @@ def _members(spec: KernelSpec) -> list:
 
 def _nfk_features(model: Mlp, x: np.ndarray):
     """The final hidden activation of the rows x (the logits without a hidden layer), and the
-    map of a gradient on it back to x: one reverse sweep from this call's forward sweep."""
-    zs, acts = model._forward(_as_points(x))
-    pen = max(len(zs) - 2, 0)  # in the features list acts[1:]
-    return acts[pen + 1], lambda g: _feature_vjp(model.weights, model.activation, zs, acts,
-                                                 [g if i == pen else None for i in range(len(zs))])
+    map of a gradient on it back to x: the penultimate slice of ``Mlp.feature_input_vjp``."""
+    feats, pullback = model.feature_input_vjp(_as_points(x))
+    pen = max(len(feats) - 2, 0)
+    return feats[pen], lambda g: pullback([g if i == pen else None for i in range(len(feats))])
 
 
 def _feature_map(spec: KernelSpec, model, x: np.ndarray):

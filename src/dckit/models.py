@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, SyntheticDataset, one_hot
+from .data import LabeledDataset, SyntheticDataset
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -49,17 +49,12 @@ def _check_labels(y: np.ndarray, k: int) -> None:
 
 
 def per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
-    """Loss of each sample; cross-entropy uses log-sum-exp stabilization."""
+    """Loss of each sample: the per-row values that ``_loss_value_and_grad`` computes."""
     y = np.asarray(labels, dtype=np.int64)
     _check_labels(y, logits.shape[1])
-    if loss == "cross_entropy":
-        m = logits.max(axis=1)
-        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-        return lse - logits[np.arange(len(y)), y]
-    if loss == "mse":
-        target = one_hot(y, logits.shape[1])
-        return 0.5 * np.sum((logits - target) ** 2, axis=1)
-    raise ConfigError(f"unknown loss {loss!r}")
+    out = _loss_workspace(logits.shape)
+    _loss_value_and_grad(logits, y, loss, out)
+    return out[3]
 
 
 def _loss_workspace(shape) -> tuple:
@@ -112,7 +107,7 @@ def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str, out=
         np.add.reduce(grad, axis=-1, out=per_row)
         per_row *= 0.5
         np.copyto(grad, logits)  # the residual again, where its squares were
-    value = np.add.reduce(per_row, axis=-1) / b
+    value = np.add.reduce(per_row, axis=-1) / max(b, 1)  # an empty batch's rows sum to 0
     np.subtract.at(flat, at, 1.0)
     grad /= b
     return (float(value) if value.ndim == 0 else value), grad
@@ -180,16 +175,6 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
         if upstream is not None and upstream[i - 1] is not None:
             ga += upstream[i - 1]
         g = np.multiply(ga, _act_prime(activation, zs[i - 1], ap_out[i]), out=ga)
-
-
-def _feature_vjp(weights, activation: str, zs, acts, upstream: list) -> np.ndarray:
-    """Input gradients of sum_b <upstream_b, feature_b> from ``_forward_sweep``'s zs and acts, with
-    ``upstream`` aligned with the features list (None where a feature takes no gradient)."""
-    up = list(upstream)
-    if len(up) != len(weights):
-        raise ShapeError("upstream must align with the features list")
-    g0 = up[-1] if up[-1] is not None else np.zeros_like(acts[-1])
-    return _reverse_sweep(weights, activation, zs, acts, g0, upstream=[*up[:-1], None])
 
 
 def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, vb, grads=None, input_part=True):
@@ -378,9 +363,20 @@ class Mlp:
         return value, flat, ginput, lambda v: _tangent_sweep(self.weights, self.activation, zs, acts, g, loss,
                                                              *self._split_flat(v))
 
-    def feature_input_vjp(self, x: np.ndarray, upstream: list) -> np.ndarray:
-        """Input gradients of sum_b <upstream_b, feature_b> summed over feature entries."""
-        return _feature_vjp(self.weights, self.activation, *self._forward(x), upstream)
+    def feature_input_vjp(self, x: np.ndarray):
+        """``forward_batch(x)``'s features and their pullback from this call's one forward sweep:
+        upstream, aligned with the features list (None where a feature takes no gradient) -> the
+        input gradients of sum_b <upstream_b, feature_b>, one reverse sweep."""
+        zs, acts = self._forward(x)
+
+        def pullback(upstream: list) -> np.ndarray:
+            up = list(upstream)
+            if len(up) != len(self.weights):
+                raise ShapeError("upstream must align with the features list")
+            g0 = up[-1] if up[-1] is not None else np.zeros_like(acts[-1])
+            return _reverse_sweep(self.weights, self.activation, zs, acts, g0, upstream=[*up[:-1], None])
+
+        return list(acts[1:]), pullback
 
     # -- forward-over-reverse tangent -----------------------------------------------
 

@@ -74,6 +74,20 @@ def reference_sgd_step(model: Mlp, params: np.ndarray, x: np.ndarray, y: np.ndar
     return grad, params - lr * grad
 
 
+def reference_per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
+    """Loss of each row by a formula of its own, as ``per_sample_loss`` computed it before it took
+    its values from ``_loss_value_and_grad``: cross-entropy as a log-sum-exp shifted by each row's
+    maximum, mse as half the squared residual to the one-hot target. The package is checked
+    against it bit for bit."""
+    y = np.asarray(labels, dtype=np.int64)
+    if loss == "cross_entropy":
+        m = logits.max(axis=1)
+        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+        return lse - logits[np.arange(len(y)), y]
+    target = np.eye(logits.shape[1])[y]
+    return 0.5 * np.sum((logits - target) ** 2, axis=1)
+
+
 def central_diff(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the scalar ``fn`` at ``x``, one coordinate at a time: the
     oracle that the exact gradients are checked against."""

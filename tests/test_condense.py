@@ -4,12 +4,14 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp, softmax
 
 from dckit import (
     KernelSpec,
@@ -41,6 +43,7 @@ from dckit.condense import (
     tuned_config,
 )
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
+from dckit.kernels import _nfk_features
 from dckit.models import TrainConfig
 from tests.conftest import central_diff, copy_as_synthetic, linear_mlp, matching_value_and_grad
 
@@ -891,6 +894,58 @@ def test_dis_and_intra_need_real(rng):
         regularizer_eval("intra", ctx)
 
 
+def intra_reference(s, y, emb, tau):
+    """intra without models, row by row: each row's cross-entropy of its real class mean against
+    its other same-class rows, by scipy's max-shifted log-sum-exp and softmax."""
+    value, g = 0.0, np.zeros_like(s)
+    for i in range(len(s)):
+        others = np.flatnonzero((y == y[i]) & (np.arange(len(s)) != i))
+        scores = np.concatenate([[s[i] @ emb[y[i]]], s[others] @ s[i]]) / tau
+        p = softmax(scores)
+        value += logsumexp(scores) - scores[0]
+        g[i] += ((p[0] - 1.0) * emb[y[i]] + p[1:] @ s[others]) / tau
+        g[others] += np.outer(p[1:], s[i]) / tau
+    return value / len(s), g / len(s)
+
+
+def con_reference(s, y, models, tau):
+    """con row by row: per class and ordered model pair, each row's cross-entropy of its own
+    pairing, by scipy's max-shifted log-sum-exp and softmax, mapped back through each model."""
+    feats = [_nfk_features(m, s) for m in models]
+    n_h, value = len(models), 0.0
+    ups = [np.zeros_like(h) for h, _ in feats]
+    for k in np.unique(y):
+        rows = np.flatnonzero(y == k)
+        for j, l in itertools.permutations(range(n_h), 2):
+            a, b = feats[j][0][rows], feats[l][0][rows]
+            for i in range(len(rows)):
+                scores = b @ a[i] / tau
+                coef = softmax(scores) - np.eye(len(rows))[i]
+                value += (logsumexp(scores) - scores[i]) / (n_h**2 * len(rows))
+                ups[j][rows[i]] += coef @ b / (n_h**2 * len(rows) * tau)
+                ups[l][rows] += np.outer(coef, a[i]) / (n_h**2 * len(rows) * tau)
+    return value, sum(vjp(up) for (_, vjp), up in zip(feats, ups))
+
+
+@pytest.mark.parametrize("name", ["con", "intra"])
+def test_contrastive_regularizers_do_not_overflow_at_a_small_tau(name):
+    # scores of order 50 * 50 / 1e-3: an exp without the row maximum subtracted overflows
+    rng = np.random.default_rng(2)
+    s, y_s = 50.0 * rng.uniform(size=(8, 3)), np.repeat(np.arange(2), 4)
+    x_t, y_t = 50.0 * rng.uniform(size=(10, 3)), np.repeat(np.arange(2), 5)
+    models = tuple(Mlp.init((3, 6, 2), "tanh" if i else "relu", seed=i) for i in range(2))
+    ctx = RegContext(s, y_s, 2, x_t, y_t, models if name == "con" else (), tau=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = regularizer_eval(name, ctx)
+    emb = np.stack([x_t[y_t == k].mean(axis=0) for k in range(2)])
+    want, want_grad = (con_reference(s, y_s, models, 1e-3) if name == "con"
+                       else intra_reference(s, y_s, emb, 1e-3))
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert abs(value - want) <= 1e-12 * abs(want)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("name", ["rep", "div", "inter", "intra", "con", "cos", "dis"])
 def test_regularizer_gradient_matches_fd_oracle(name, activation):
@@ -950,9 +1005,9 @@ def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         matching_value_and_grad(cfg, t, s)
         monkeypatch.undo()
         counts.append(len(calls))
-    # forward sweeps. dm: per member one T forward per class, then one S forward and one for the
-    # S sweep over the class stack; inter one forward on the first member, con one per member
-    assert counts == [3 * (2 + 1 + 1) + 1 + 3] * 2
+    # forward sweeps. dm: per member one T forward per class, then one S forward over the class
+    # stack that its pullback reuses; inter one forward on the first member, con one per member
+    assert counts == [3 * (2 + 1) + 1 + 3] * 2
 
 
 @pytest.mark.parametrize("method", ["dm", "moment", "sam"])
@@ -965,14 +1020,16 @@ def test_feature_matching_s_sweeps_do_not_grow_with_class_count(method, monkeypa
         keep = np.arange(4 * classes) % 4 < 2  # the first 2 rows of each class
         s = SyntheticDataset(rows[keep], labels[keep], per_class_size=2, origin="init")
         calls = []
-        for name in ("forward_batch", "feature_input_vjp"):
+        for name in ("_forward", "forward_batch", "feature_input_vjp"):
             original = getattr(Mlp, name)
             monkeypatch.setattr(Mlp, name, lambda self, *a, _f=original, _n=name, **k: calls.append(_n)
                                 or _f(self, *a, **k))
         matching_value_and_grad(MethodConfig(method=method, ensemble=2, hidden=(4,), seed=0), t, s)
         monkeypatch.undo()
-        # per member (2) one T forward per class, then one S forward and one S sweep over the class stack
-        assert calls.count("forward_batch") == 2 * (classes + 1)
+        # per member (2) one T forward per class, then one S forward over the class stack that
+        # its pullback reuses
+        assert calls.count("_forward") == 2 * (classes + 1)
+        assert calls.count("forward_batch") == 2 * classes
         assert calls.count("feature_input_vjp") == 2
 
 

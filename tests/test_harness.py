@@ -348,6 +348,67 @@ def test_cli_missing_file_is_config_error(tmp_path):
     assert main(["discrepancy", "--a", str(tmp_path / "no.csv"), "--b", str(tmp_path / "no.csv")]) == 2
 
 
+def bad_input_argv(case, tmp_path, blobs_csv) -> list:
+    """The arguments of a CLI call whose input is a directory, not UTF-8 text or malformed."""
+    folder, plots = tmp_path / "folder", str(tmp_path / "plots")
+    folder.mkdir()
+
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    condense = ["condense", "--method", "kmeans"]
+    if case == "dataset-dir":
+        return [*condense, "--dataset", str(folder)]
+    if case == "config-dir":
+        return [*condense, "--dataset", str(blobs_csv), "--config", str(folder)]
+    if case == "real-dir":
+        synthetic = tmp_path / "s.csv"
+        write_csv(LabeledDataset(np.full((2, 2), 0.5), np.arange(2), 2), synthetic)
+        return ["evaluate", "--synthetic", str(synthetic), "--real", str(folder)]
+    if case == "log-dir":
+        return ["plot", "--log", str(folder), "--out", plots]
+    if case == "dataset-not-utf8":
+        (tmp_path / "latin1.csv").write_bytes("f0,f1,label\n0.5,0.5,0\n0.1,0.2,1 \xe9t\xe9\n".encode("latin-1"))
+        return [*condense, "--dataset", str(tmp_path / "latin1.csv")]
+    if case == "out-is-a-file":
+        return [*condense, "--dataset", str(blobs_csv), "--out", write("taken", "")]
+    if case == "report-a-list":
+        return ["plot", "--report", write("r.json", "[1, 2]"), "--out", plots]
+    if case == "report-entry-without-mean":
+        report = {"evaluation": {"per_architecture": {"mlp": {"std": 0.1}}}}
+        return ["plot", "--report", write("r.json", json.dumps(report)), "--out", plots]
+    assert case == "objective-not-a-number"
+    return ["plot", "--log", write("steps.csv", "step,objective\n0,1.0\n1,lots\n"), "--out", plots]
+
+
+@pytest.mark.parametrize("case", ["dataset-dir", "config-dir", "real-dir", "log-dir", "dataset-not-utf8",
+                                  "out-is-a-file", "report-a-list", "report-entry-without-mean",
+                                  "objective-not-a-number"])
+def test_cli_bad_files_exit_two_with_one_line(case, tmp_path, blobs_csv, capsys, monkeypatch):
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(harness, "condense", stage)
+    monkeypatch.setattr(harness, "_train_stack", stage)
+    assert main(bad_input_argv(case, tmp_path, blobs_csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("reg", ["con", "intra"])
+def test_cli_condense_with_a_contrastive_regularizer_at_a_small_tau_is_finite(reg, tmp_path, blobs_csv):
+    out = tmp_path / "run"
+    cfg = {"dataset": str(blobs_csv), "per_class": 3, "out_dir": str(out),
+           "method": {"method": "dm", "hidden": [8], "ensemble": 2, "outer_steps": 5, "reg_tau": 0.001,
+                      "regularizers": {reg: 0.1}}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["condense", "--config", str(tmp_path / "cfg.json")]) == 0
+    steps = np.genfromtxt(out / "steps.csv", delimiter=",", names=True)
+    assert len(steps) == 5 and np.all(np.isfinite(steps["objective"])) and np.all(np.isfinite(steps[f"reg_{reg}"]))
+    assert np.isfinite(json.loads((out / "report.json").read_text())["log"]["final_objective"])
+
+
 def divergent_config(tmp_path, method):
     """CLI config whose absurd mse inner learning rate overflows the inner training."""
     d = two_blobs(n_per_class=10, dim=2, separation=6.0, seed=1)
@@ -696,25 +757,56 @@ def test_cli_evaluate_without_a_run_record_uses_the_default_protocol(tmp_path, b
     assert seen == [(EvalConfig(), 0)]  # 3 repeats: the flag no longer has a default of its own
 
 
-@pytest.mark.parametrize("record", [
-    {"eval": {"repeats": 0}},
-    {"eval": {"bogus": 1}},
-    {"eval": [2, 60]},
-    {"eval": {"hidden_architectures": [[0]]}},
-    {"run_seed": 1.5},
-    {"run_seed": True},
-], ids=["repeats-zero", "unknown-key", "not-an-object", "zero-width", "seed-float", "seed-bool"])
+MALFORMED_RECORDS = {
+    "repeats-zero": {"eval": {"repeats": 0}},
+    "unknown-key": {"eval": {"bogus": 1}},
+    "not-an-object": {"eval": [2, 60]},
+    "zero-width": {"eval": {"hidden_architectures": [[0]]}},
+    "seed-float": {"run_seed": 1.5},
+    "seed-bool": {"run_seed": True},
+    "per-class-text": {"per_class_size": "one"},
+    "per-class-zero": {"per_class_size": 0},
+    "norm-one-entry": {"normalization": {"mins": [0.0], "ranges": [1.0]}},
+    "norm-no-ranges": {"normalization": {"mins": [0.0, 0.0]}},
+    "norm-extra-key": {"normalization": {"mins": [0.0, 0.0], "ranges": [1.0, 1.0], "scale": 2}},
+    "norm-negative-range": {"normalization": {"mins": [0.0, 0.0], "ranges": [1.0, -1.0]}},
+    "norm-text-entry": {"normalization": {"mins": [0.0, "0"], "ranges": [1.0, 1.0]}},
+    "norm-not-an-object": {"normalization": [[0.0, 0.0], [1.0, 1.0]]},
+}
+
+
+def malformed_run(tmp_path, record):
+    """A two-row synthetic set over the blobs' 2 features whose sidecar carries ``record``."""
+    synthetic = tmp_path / "s.csv"
+    save_synthetic(SyntheticDataset(np.full((2, 2), 0.5), np.arange(2), per_class_size=1, origin="edited",
+                                    meta=record), synthetic)
+    return synthetic
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
 def test_cli_evaluate_rejects_a_malformed_run_record_before_training(tmp_path, blobs_csv, capsys, monkeypatch,
                                                                       record):
     def trained(*args, **kwargs):
         raise AssertionError("a model was trained")
 
     monkeypatch.setattr(harness, "_train_stack", trained)
-    synthetic = tmp_path / "s.csv"
-    save_synthetic(SyntheticDataset(np.full((2, 2), 0.5), np.arange(2), per_class_size=1, origin="edited",
-                                    meta=record), synthetic)
+    synthetic = malformed_run(tmp_path, record)
     assert main(["evaluate", "--synthetic", str(synthetic), "--real", str(blobs_csv)]) == 2
-    assert "config error: the run record of" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{synthetic}.meta.json" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
+def test_cli_discrepancy_rejects_a_malformed_run_record_before_computing(tmp_path, blobs_csv, capsys, monkeypatch,
+                                                                         record):
+    def computed(*args, **kwargs):
+        raise AssertionError("a discrepancy was computed")
+
+    monkeypatch.setattr(harness, "model_free", computed)
+    synthetic = malformed_run(tmp_path, {"run_seed": 0, **record})  # a run record: a is read back
+    assert main(["discrepancy", "--a", str(blobs_csv), "--b", str(synthetic)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{synthetic}.meta.json" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("dim,classes", [(3, 2), (2, 3)], ids=["features", "classes"])

@@ -244,6 +244,41 @@ def test_central_diff_site_detected():
     assert central_diff_sites(planted) == {"objective": 2, "Solver": 1, "danskin": 1}
 
 
+def log_sum_exp_sites(source: str) -> list[str]:
+    """The top-level definitions of ``source`` that call both ``np.exp`` and ``np.log``: each one
+    writes a log-sum-exp, such as a softmax cross-entropy, of its own."""
+    found = []
+    for top in ast.parse(source).body:
+        called = {(getattr(node.func.value, "id", None), node.func.attr) for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+        if {("np", "exp"), ("np", "log")} <= called:
+            found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+# The package's one softmax cross-entropy: the training loss, ``per_sample_loss`` and the con,
+# intra and dis regularizers take their values and gradients from it. A softmax alone, such as
+# the one in ``_loss_grad_logits_tangent``, takes no log and is not a site.
+LOG_SUM_EXP_SITES = {"_loss_value_and_grad"}
+
+
+def test_log_sum_exp_sites_ratchet():
+    assert {name for path in MODULES for name in log_sum_exp_sites(path.read_text())} == LOG_SUM_EXP_SITES
+
+
+def test_log_sum_exp_site_detected():
+    planted = (
+        "import math\nimport numpy as np\n\n\n"
+        "def xent(z, y):\n    m = z.max(axis=1)\n    return m + np.log(np.exp(z - m[:, None]).sum(axis=1)) - z[y]\n\n\n"
+        "class Head:\n    def loss(self, z):\n        return -np.log(np.exp(z) / np.exp(z).sum())\n\n\n"
+        "def softmax(z):\n    e = np.exp(z - z.max())\n    return e / e.sum()\n\n\n"
+        "def entropy(p):\n    return -np.sum(p * np.log(p))\n\n\n"
+        "def mixed(z):\n    return math.log(np.exp(z).sum())\n\n\n"
+        "LSE = np.log(np.exp(1.0) + 1.0)\n"
+    )
+    assert log_sum_exp_sites(planted) == ["xent", "Head", "<module>"]
+
+
 # The discrepancy functionals: the CLI layer reaches them only through ``discrepancy.model_free``
 # and ``hierarchy_report``, so each value has one definition.
 DISCREPANCY_FUNCTIONALS = {"wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"}

@@ -373,9 +373,9 @@ def test_nfk_vjp_forwards_each_point_set_once_per_model(hidden, rng, monkeypatch
     monkeypatch.undo()
 
     def reference(m):  # the features of a and b, and a separate reverse sweep of b
-        feats_a, feats_b = m.forward_batch(a)[1], m.forward_batch(b)[1]
+        feats_a, (feats_b, pullback) = m.forward_batch(a)[1], m.feature_input_vjp(b)
         pen = max(len(feats_b) - 2, 0)
-        return m.feature_input_vjp(b, [coef.T @ feats_a[pen] if i == pen else None for i in range(len(feats_b))])
+        return pullback([coef.T @ feats_a[pen] if i == pen else None for i in range(len(feats_b))])
 
     assert np.array_equal(grad, sum(reference(m) for m in spec.model) / 2)
 

@@ -9,8 +9,9 @@ import pytest
 from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError, ValidationError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import _FlatSgd, epoch_batches, loss_hvp, max_eigenvalue, per_sample_loss
-from tests.conftest import central_diff, reference_sgd_step
+from dckit.models import (_FlatSgd, _loss_value_and_grad, epoch_batches, loss_hvp, max_eigenvalue,
+                          per_sample_loss)
+from tests.conftest import central_diff, reference_per_sample_loss, reference_sgd_step
 
 
 def fd_param_grad(m, x, y, loss, h=1e-5):
@@ -341,6 +342,37 @@ def test_sgd_step_allocates_nothing_batch_sized(monkeypatch):
     monkeypatch.setattr(_FlatSgd, "step", traced)
     sgd_train_stack([Mlp.init((32, 64, 10), "relu", seed=0)], (x, y), TrainConfig(epochs=4, batch_size=480), [1])
     assert len(peaks) == 4 and max(peaks[1:]) < 480 * 64 * 8
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+def test_per_sample_loss_is_the_reference_formula_bit_for_bit(loss):
+    rng = np.random.default_rng(3)
+    for b, k in [(1, 1), (1, 7), (5, 2), (33, 3), (64, 10), (700, 11)]:
+        for scale in (1e-3, 1.0, 1e3):
+            logits, y = scale * rng.normal(size=(b, k)), rng.integers(0, k, b)
+            got = per_sample_loss(logits, y, loss)
+            assert np.array_equal(got, reference_per_sample_loss(logits, y, loss))
+            assert np.mean(got) == _loss_value_and_grad(logits, y, loss)[0]
+    assert per_sample_loss(np.empty((0, 3)), [], loss).shape == (0,)  # and no RuntimeWarning
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)], ids=["0-hidden", "1-hidden", "2-hidden"])
+def test_feature_input_vjp_is_forward_batch_and_its_pullback(hidden, rng, monkeypatch):
+    m = Mlp.init([3, *hidden, 2], "tanh", seed=4)
+    x = rng.uniform(size=(6, 3))
+    up = [rng.normal(size=(6, w)) for w in (*hidden, 2)]
+    calls = []
+    forward = Mlp._forward
+    monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(1) or forward(self, x))
+    feats, pullback = m.feature_input_vjp(x)
+    grad = pullback(up)
+    assert len(calls) == 1  # the pullback reuses the call's forward sweep
+    monkeypatch.undo()
+    assert all(np.array_equal(f, g) for f, g in zip(feats, m.forward_batch(x)[1], strict=True))
+    fd = central_diff(lambda u: sum(np.sum(a * f) for a, f in zip(up, m.forward_batch(u)[1])), x)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+    with pytest.raises(ShapeError, match="align"):
+        pullback(up[:-1])
 
 
 def test_labels_outside_the_logits_rejected(rng):
