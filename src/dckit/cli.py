@@ -6,11 +6,10 @@ A JSON config file seeds the run; explicitly passed flags win over file values.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .condense import MethodConfig
+from .data import read_json
 from .discrepancy import CF_FREQUENCIES
 from .errors import (CondensationError, ConfigError, DivergenceError, NumericalError, SolveError, check_keys,
                      check_widths)
@@ -32,7 +31,7 @@ _NOT_IN_FILES = ("autoencoder", "seed")  # an object, and the seed that the run 
 def _build_run_config(args) -> RunConfig:
     file_cfg: dict = {}
     if args.config:
-        file_cfg = check_keys(json.loads(Path(args.config).read_text()), RunConfig, "")
+        file_cfg = check_keys(read_json(args.config), RunConfig, "")
     method_d = check_keys(file_cfg.get("method", {}), MethodConfig, "method", exclude=_NOT_IN_FILES)
     if args.method is not None:
         method_d["method"] = args.method
@@ -143,7 +142,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (CondensationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (CondensationError, OSError, UnicodeDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

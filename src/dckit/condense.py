@@ -1004,6 +1004,7 @@ def _matching_problem(cfg, t, s0):
     t_stats = []
     cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
     s_rows = np.stack(part_s)  # (C, m): S's side is one stack of the class batches (per_class_size rows each)
+    g_s = None  # gm's (C, P) S class gradients: one buffer that every member and step writes over
     dp_invocations = grad_draws = 0
 
     log = StepLog(meta={"method": cfg.method, "regime": cfg.regime,
@@ -1031,23 +1032,25 @@ def _matching_problem(cfg, t, s0):
         if cfg.method != "gm":
             per_class = (_feature_stats(cfg.method, model.forward_batch(rows)[1]) for rows, _ in t_side)
             return [np.stack(stat) for stat in zip(*per_class)]
-        stats = []
-        for rows, labels in t_side:
-            _, stat, _ = model.backward(rows, labels, cfg.loss)
+        stats = np.empty((len(t_side), model.param_count))
+        for stat, (rows, labels) in zip(stats, t_side):
+            model.backward(rows, labels, cfg.loss, out=stat, input_part=False)
             if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
-                stat = stat / max(np.linalg.norm(stat), 1.0)
-                stat = stat + dp_sigma * rng_grad.normal(size=stat.shape)
+                stat /= max(np.linalg.norm(stat), 1.0)
+                stat += dp_sigma * rng_grad.normal(size=stat.shape)
                 dp_invocations += 1
-            stats.append(stat)
-        return np.stack(stats)
+        return stats
 
     def s_terms(model, stats, rs, ls):
         """The S-side terms against the T statistics: (values, gradient with respect to the
         (C, m, d') stack ``rs`` of S's transformed rows). Contrastive gm gives one value. The
-        model methods take every class's terms from one sweep each over the stack."""
+        model methods take every class's terms from one sweep each over the stack; gm's
+        writes S's class gradients, then their gap, into the one buffer ``g_s``."""
+        nonlocal g_s
         if cfg.method == "gm":
-            _, g_s, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True)
-            values, upstream = _gradient_gap(contrastive, stats, g_s)
+            g_s = np.empty_like(stats) if g_s is None else g_s
+            _, grads, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True, out=g_s, input_part=False)
+            values, upstream = _gradient_gap(contrastive, stats, grads)
             return values, tangent(upstream)
         if not kernel_objective:
             feats, pullback = model.feature_input_vjp(rs)

@@ -126,31 +126,34 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     """Load a labeled dataset from a CSV file with header ``f0,...,f{n-1},label``.
 
     Labels must be contiguous integers starting at 0. Raises ParseError with the
-    offending row index for malformed rows, LabelError for non-contiguous labels,
-    and EmptyDatasetError for a header-only file.
+    offending row index for malformed rows, or naming the file when it is not UTF-8,
+    LabelError for non-contiguous labels, and EmptyDatasetError for a header-only file.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path} is empty") from None
-        if len(header) < 2 or header[-1].strip() != "label":
-            raise ParseError(f"{path}: header must end with a 'label' column")
-        n = len(header) - 1
-        feats: list[list[float]] = []
-        labels: list[int] = []
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise ParseError(f"{path}: row {i + 1} has {len(row)} fields, expected {n + 1}")
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                feats.append([float(v) for v in row[:n]])
-                labels.append(int(row[n]))
-            except ValueError as e:
-                raise ParseError(f"{path}: row {i + 1}: {e}") from None
+                header = next(reader)
+            except StopIteration:
+                raise EmptyDatasetError(f"{path} is empty") from None
+            if len(header) < 2 or header[-1].strip() != "label":
+                raise ParseError(f"{path}: header must end with a 'label' column")
+            n = len(header) - 1
+            feats: list[list[float]] = []
+            labels: list[int] = []
+            for i, row in enumerate(reader):
+                if not row:
+                    continue
+                if len(row) != n + 1:
+                    raise ParseError(f"{path}: row {i + 1} has {len(row)} fields, expected {n + 1}")
+                try:
+                    feats.append([float(v) for v in row[:n]])
+                    labels.append(int(row[n]))
+                except ValueError as e:
+                    raise ParseError(f"{path}: row {i + 1}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {e}") from None
     if not feats:
         raise EmptyDatasetError(f"{path} contains a header but no data rows")
     y = np.asarray(labels, dtype=np.int64)
@@ -183,10 +186,18 @@ def save_synthetic(s: SyntheticDataset, path: str | Path) -> None:
     Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def read_json(path: str | Path):
+    """The JSON document in the file at path; one that is not UTF-8 JSON raises ParseError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _read_sidecar(path: str | Path) -> dict:
     """The JSON sidecar that ``save_synthetic`` writes next to the CSV at path; {} if there is none."""
     sidecar = Path(f"{path}.meta.json")
-    return json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    return read_json(sidecar) if sidecar.exists() else {}
 
 
 def load_synthetic(path: str | Path) -> SyntheticDataset:

@@ -129,12 +129,13 @@ def _gradient_gap(contrastive: bool, g_t: np.ndarray, g_s: np.ndarray):
 
     One value ||g_S[c] - g_T[c]||^2 per class, or with ``contrastive`` one value for the
     gradients summed over classes. Returns (values, upstream), where the (C, P) upstream
-    holds the gradient of the summed values with respect to each class's g_S.
+    holds the gradient of the summed values with respect to each class's g_S. Per class,
+    the upstream is g_s itself: the differences, then their doubles, are written over it.
     """
     if contrastive:
         diff = np.sum(g_s, axis=0) - np.sum(g_t, axis=0)
         return [float(diff @ diff)], np.broadcast_to(2.0 * diff, g_s.shape)
-    diffs = g_s - g_t
+    diffs = np.subtract(g_s, g_t, out=g_s)
     return [float(d @ d) for d in diffs], np.multiply(diffs, 2.0, out=diffs)  # doubled once the values are read
 
 

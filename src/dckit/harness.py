@@ -27,6 +27,7 @@ from .data import (
     load_dataset,
     load_synthetic,
     normalize_features,
+    read_json,
     save_synthetic,
     train_eval_split,
 )
@@ -108,6 +109,10 @@ class RunConfig:
         check_number("per_class", self.per_class, integer=True, low=1)
         check_number("latent_dim", self.latent_dim, integer=True, low=0)
         check_number("seed", self.seed, integer=True)
+        for name in ("con", "intra"):  # each scores a row against its class's other synthetic rows
+            if self.per_class == 1 and name in self.method.regularizers:
+                raise ConfigError(f"regularizer {name} is exactly 0 at one synthetic row per class: "
+                                  "it needs per_class >= 2")
 
 
 @dataclass
@@ -436,7 +441,7 @@ def emit_plots(report_path, steplog_path, out_dir) -> list:
         for v in objectives:
             check_number(f"{steplog_path}: objective", v)
     if report_path is not None:
-        report = json.loads(Path(report_path).read_text())
+        report = read_json(report_path)
         eval_part = report.get("evaluation", {}) if isinstance(report, dict) else None
         archs = eval_part.get("per_architecture", {}) if isinstance(eval_part, dict) else None
         if not isinstance(archs, dict):

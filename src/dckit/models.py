@@ -177,7 +177,8 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
         g = np.multiply(ga, _act_prime(activation, zs[i - 1], ap_out[i]), out=ga)
 
 
-def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, vb, grads=None, input_part=True):
+def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, vb, grads=None, input_part=True,
+                   aps=None):
     """One forward-over-reverse sweep (Pearlmutter 1994) along the parameter direction (vw, vb).
 
     It starts from the primal of the mean loss at ``weights``: ``_forward_sweep``'s
@@ -186,10 +187,11 @@ def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, 
     it also writes the parameter part, the exact Hessian-vector product H v; without
     ``input_part`` it stops there and returns None. On a stacked primal each batch
     takes its own direction (one row of a (C, P) buffer). With ``loss`` None the
-    functional is <g, logits> itself: g is fixed, so its tangent is zero.
+    functional is <g, logits> itself: g is fixed, so its tangent is zero. ``aps``, the primal's
+    act' of each hidden layer, saves recomputing them when one primal serves many sweeps.
     """
     last = len(weights) - 1
-    aps = [_act_prime(activation, z) for z in zs[:-1]]
+    aps = [_act_prime(activation, z) for z in zs[:-1]] if aps is None else aps
     zdots, adots = [], [None]  # the input does not move with theta
     for i in range(last + 1):
         zdot = acts[i] @ vw[i] if i == 0 else adots[i] @ weights[i] + acts[i] @ vw[i]
@@ -204,10 +206,11 @@ def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, 
                 grads[0][i] += np.swapaxes(adots[i], -1, -2) @ g
         if i == 0 and not input_part:
             return None
-        gadot = gdot @ weights[i].T + g @ np.swapaxes(vw[i], -1, -2)
+        wt = np.swapaxes(weights[i], -1, -2)
+        gadot = gdot @ wt + g @ np.swapaxes(vw[i], -1, -2)
         if i == 0:
             return gadot
-        ga = g @ weights[i].T
+        ga = g @ wt
         g = ga * aps[i - 1]
         gdot = gadot * aps[i - 1]
         if activation == "tanh":  # d/d eps of tanh'(z): -2 tanh(z) tanh'(z) zdot; relu's is 0 a.e.
@@ -340,12 +343,15 @@ class Mlp:
 
     # -- reverse mode ----------------------------------------------------------------
 
-    def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy", tangent: bool = False):
+    def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy", tangent: bool = False,
+                 out=None, input_part: bool = True):
         """Exact gradients of the mean batch loss w.r.t. parameters and inputs.
 
         Returns (loss value, flat parameter gradient, per-row input gradients). On a
         (C, B, n) stack of batches with (C, B) labels each batch has its own mean
-        loss: C values, a (C, P) gradient and (C, B, n) input gradients. With
+        loss: C values, a (C, P) gradient and (C, B, n) input gradients. ``out``, a
+        (P,) or (C, P) buffer, receives the parameter gradient in place of a new array,
+        and without ``input_part`` the input gradients are skipped (None). With
         ``tangent`` it also returns v -> ``input_grad_param_tangent(x, y, loss, v)``,
         one tangent sweep that reuses this call's forward pass; on a stack v is one
         direction per batch, so gradient matching takes every class's gradient from
@@ -356,8 +362,9 @@ class Mlp:
             raise ShapeError("batch must be nonempty")
         zs, acts = self._forward(x)
         value, g = _loss_value_and_grad(acts[-1], y, loss)
-        flat = np.empty((*x.shape[:-2], self.param_count))
-        ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat))
+        flat = np.empty((*x.shape[:-2], self.param_count)) if out is None else out
+        ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat),
+                                input_part=input_part)
         if not tangent:
             return value, flat, ginput
         return value, flat, ginput, lambda v: _tangent_sweep(self.weights, self.activation, zs, acts, g, loss,
@@ -609,14 +616,16 @@ def max_eigenvalue(matvec, dim: int, iters: int = 30, seed: int = 0):
 
 def loss_hvp(m: Mlp, x, y, loss: str):
     """Exact Hessian-vector products of the mean loss at m's parameters: the primal (forward
-    sweep and logit gradient) is built once, and each product is one tangent sweep from it."""
+    sweep, logit gradient and act') is built once, and each product is one tangent sweep from it."""
     zs, acts = m._forward(x)
     _, g = _loss_value_and_grad(acts[-1], y, loss)
+    aps = [_act_prime(m.activation, z) for z in zs[:-1]]
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = np.empty(m.param_count)
         vw, vb = m._split_flat(np.asarray(v, dtype=np.float64))
-        _tangent_sweep(m.weights, m.activation, zs, acts, g, loss, vw, vb, m._split_flat(out), input_part=False)
+        _tangent_sweep(m.weights, m.activation, zs, acts, g, loss, vw, vb, m._split_flat(out), input_part=False,
+                       aps=aps)
         return out
 
     return matvec

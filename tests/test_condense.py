@@ -326,9 +326,11 @@ OUTER_CASES = {
     "mmd-rff": {"kernel": _RFF},
     "dm-dp_merf": {"kernel": _RFF, "variants": {"dp_merf": {"sigma": 0.5}}},
     "dm-pretrained": {"provenance": "pretrained", "pretrain_epochs": 2},
+    "gm-pretrained": {"provenance": "pretrained", "pretrain_epochs": 2},
     "mmd-latent_latent": {"kernel": _GAUSS, "regime": "latent_latent"},
     "dm-input_latent": {"regime": "input_latent"},
     "dm-multiform": {"image_shape": (1, 4, 4), "variants": {"multiform": {"r": 2}}},
+    "gm-multiform": {"image_shape": (1, 4, 4), "variants": {"multiform": {"r": 2}}},  # img8-gm's variant
     "gm-siamese": {"image_shape": (1, 4, 4), "variants": {"siamese": {"op": "flip"}}},
     "mmd-siamese": {"kernel": _GAUSS, "image_shape": (1, 4, 4), "variants": {"siamese": {"op": "shift"}}},
     "sam-channel_multiform": {"image_shape": (1, 4, 4), "variants": {"channel_multiform": {}}},
@@ -1162,6 +1164,30 @@ def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
             assert calls.count("backward+tangent") == calls.count("_tangent_sweep") == 2
             assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == t_backward + 2
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("contrastive", [False, True], ids=["per-class", "contrastive"])
+def test_gm_step_allocates_nothing_class_gradient_sized(contrastive):
+    # img8-gm's shapes: 10 classes of 1x8x8 images under multiform r 2 (320 inputs), 2 rows per class,
+    # hidden [32], 3 members (P 10,602). After the refresh step, a step's peak stays below one (C, P)
+    # float array (the allocating step made two per member: the S gradients and their gap)
+    rng = np.random.default_rng(0)
+    t = LabeledDataset(rng.uniform(size=(40, 64)), np.repeat(np.arange(10), 4), 10)
+    s = SyntheticDataset(t.features[::2], t.labels[::2], per_class_size=2, origin="init")
+    variants = {"multiform": {"r": 2}, **({"contrastive": {}} if contrastive else {})}
+    cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=3, refresh=25, hidden=(32,),
+                       image_shape=(1, 8, 8), variants=variants, seed=1)
+    v0, objective, *_ = _matching_problem(cfg, t, s)
+    objective(v0, 0)
+    peaks = []
+    for step in (1, 2):
+        tracemalloc.start()
+        try:
+            objective(v0, step)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 10 * 10602 * 8
 
 
 def test_image_variant_gradient_matches_fd(rng):

@@ -371,6 +371,13 @@ def bad_input_argv(case, tmp_path, blobs_csv) -> list:
     if case == "dataset-not-utf8":
         (tmp_path / "latin1.csv").write_bytes("f0,f1,label\n0.5,0.5,0\n0.1,0.2,1 \xe9t\xe9\n".encode("latin-1"))
         return [*condense, "--dataset", str(tmp_path / "latin1.csv")]
+    if case == "config-not-utf8":
+        (tmp_path / "latin1.json").write_bytes('{"eval": {"loss": "\xe9t\xe9"}}'.encode("latin-1"))
+        return [*condense, "--dataset", str(blobs_csv), "--config", str(tmp_path / "latin1.json")]
+    if case == "sidecar-not-utf8":
+        write_csv(LabeledDataset(np.full((2, 2), 0.5), np.arange(2), 2), tmp_path / "s.csv")
+        (tmp_path / "s.csv.meta.json").write_bytes('{"origin": "\xe9t\xe9"}'.encode("latin-1"))
+        return ["evaluate", "--synthetic", str(tmp_path / "s.csv"), "--real", str(blobs_csv)]
     if case == "out-is-a-file":
         return [*condense, "--dataset", str(blobs_csv), "--out", write("taken", "")]
     if case == "report-a-list":
@@ -382,7 +389,10 @@ def bad_input_argv(case, tmp_path, blobs_csv) -> list:
     return ["plot", "--log", write("steps.csv", "step,objective\n0,1.0\n1,lots\n"), "--out", plots]
 
 
-@pytest.mark.parametrize("case", ["dataset-dir", "config-dir", "real-dir", "log-dir", "dataset-not-utf8",
+NOT_UTF8 = {"dataset-not-utf8": "latin1.csv", "config-not-utf8": "latin1.json", "sidecar-not-utf8": "s.csv.meta.json"}
+
+
+@pytest.mark.parametrize("case", ["dataset-dir", "config-dir", "real-dir", "log-dir", *NOT_UTF8,
                                   "out-is-a-file", "report-a-list", "report-entry-without-mean",
                                   "objective-not-a-number"])
 def test_cli_bad_files_exit_two_with_one_line(case, tmp_path, blobs_csv, capsys, monkeypatch):
@@ -394,6 +404,8 @@ def test_cli_bad_files_exit_two_with_one_line(case, tmp_path, blobs_csv, capsys,
     assert main(bad_input_argv(case, tmp_path, blobs_csv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if case in NOT_UTF8:  # the message names the file
+        assert f"{tmp_path / NOT_UTF8[case]}: 'utf-8' codec can't decode" in err
 
 
 @pytest.mark.parametrize("reg", ["con", "intra"])
@@ -508,8 +520,12 @@ def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys
     ({"method": {"method": "dm"}, "init_mode": "bogus"}, "init_mode must be one of"),
     ({"method": {"method": "dm"}, "normalize": "no"}, "normalize must be true or false"),
     ({"method": {"method": "dm", "seed": 123}}, "method.seed"),  # the run derives it from the top-level seed
+    # each scores a row against its class's other synthetic rows, so at one row per class it is exactly 0
+    ({"method": {"method": "dm", "ensemble": 2, "regularizers": {"con": 0.1}}}, "regularizer con"),
+    ({"method": {"method": "dm", "regularizers": {"intra": 0.1}}, "per_class": 1}, "regularizer intra"),
 ], ids=["method-key", "eval-key", "top-level-key", "kernel-family", "kernel-key", "gamma-string", "method-type",
-        "regime", "regime-latent-dim", "init-mode", "normalize-string", "method-seed"])
+        "regime", "regime-latent-dim", "init-mode", "normalize-string", "method-seed", "con-one-row",
+        "intra-one-row"])
 def test_cli_malformed_config_exit_two(blobs_csv, tmp_path, capsys, cfg, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": str(blobs_csv), **cfg}))

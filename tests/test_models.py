@@ -9,8 +9,8 @@ import pytest
 from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError, ValidationError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import (_FlatSgd, _loss_value_and_grad, epoch_batches, loss_hvp, max_eigenvalue,
-                          per_sample_loss)
+from dckit.models import (_FlatSgd, _forward_sweep, _loss_value_and_grad, _tangent_sweep, epoch_batches, loss_hvp,
+                          max_eigenvalue, per_sample_loss)
 from tests.conftest import central_diff, reference_per_sample_loss, reference_sgd_step
 
 
@@ -136,6 +136,9 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
     tangents_hvp = m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(hvps))
     assert values.shape == (4,) and grads.shape == flat.shape == v.shape and tangents.shape == x.shape
     assert np.array_equal(values_t, values) and np.array_equal(ginputs_t, ginputs)
+    out = np.empty_like(v)  # the gradients written into a given buffer, without the input part
+    values_o, flat_o, ginputs_o = m.backward(x, y, loss, out=out, input_part=False)
+    assert np.array_equal(values_o, values) and flat_o is out and np.array_equal(out, grads) and ginputs_o is None
     for c in range(4):
         value_c, grad_c, ginput_c = m.backward(x[c], y[c], loss)
         hvp_c = np.empty(m.param_count)
@@ -147,6 +150,28 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
         assert np.array_equal(tangent_c, m.input_grad_param_tangent(x[c], y[c], loss, v[c]))
         assert np.array_equal(hvps[c], hvp_c) and np.array_equal(hvp_c, loss_hvp(m, x[c], y[c], loss)(v[c]))
         assert m.input_grad_param_tangent(x[c], y[c], loss, v[c], grads=m._split_flat(hvp_c), input_part=False) is None
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [0, 1], ids=["0-hidden", "1-hidden"])
+def test_tangent_sweep_takes_per_batch_weights(activation, hidden, rng):
+    # (C, in, out) weights give each batch of a (C, B, n) stack its own network, bit for bit the 2-D
+    # sweep of its slice; at C = in = out a transpose of the stack's first two axes would raise nothing
+    for widths in ((4, 5, 3)[-hidden - 2:], (2,) * (hidden + 2)):
+        nets = [Mlp.init(widths, activation, seed=seed) for seed in (1, 2)]
+        ws, bs = ([np.stack(layer) for layer in zip(*params)] for params in
+                  ([n.weights for n in nets], [n.biases for n in nets]))
+        x, y = rng.uniform(size=(2, 6, widths[0])), rng.integers(0, widths[-1], (2, 6))
+        v = rng.normal(size=(2, nets[0].param_count))
+        zs, acts = _forward_sweep(ws, bs, activation, x)
+        _, g = _loss_value_and_grad(acts[-1], y, "cross_entropy")
+        hvps = np.empty_like(v)
+        gx = _tangent_sweep(ws, activation, zs, acts, g, "cross_entropy", *nets[0]._split_flat(v),
+                            grads=nets[0]._split_flat(hvps))
+        for c, net in enumerate(nets):
+            hvp = np.empty(net.param_count)
+            want = net.input_grad_param_tangent(x[c], y[c], "cross_entropy", v[c], grads=net._split_flat(hvp))
+            assert np.array_equal(gx[c], want) and np.array_equal(hvps[c], hvp)
 
 
 @pytest.mark.parametrize("model", [Mlp.init([3, *hidden, 2], activation, seed=5) for activation in ("relu", "tanh")
@@ -186,7 +211,7 @@ def test_lambda_max_estimate_builds_no_mlp(monkeypatch):
 
 
 def test_hvp_builds_its_primal_once(rng, monkeypatch):
-    # each product of a power iteration is one tangent sweep from one forward sweep at theta
+    # each product of a power iteration is one tangent sweep from one forward sweep and one act' at theta
     import dckit.models
 
     m = Mlp.init([4, 6, 3], "relu", seed=1)
@@ -197,12 +222,13 @@ def test_hvp_builds_its_primal_once(rng, monkeypatch):
         hv = np.empty(m.param_count)
         m.input_grad_param_tangent(x, y, "cross_entropy", v, grads=m._split_flat(hv), input_part=False)
         expected.append(hv)
-    sweeps = []
-    forward = dckit.models._forward_sweep
+    sweeps, primes = [], []
+    forward, act_prime = dckit.models._forward_sweep, dckit.models._act_prime
     monkeypatch.setattr(dckit.models, "_forward_sweep", lambda *a: sweeps.append(1) or forward(*a))
+    monkeypatch.setattr(dckit.models, "_act_prime", lambda *a, **k: primes.append(1) or act_prime(*a, **k))
     hvp = loss_hvp(m, x, y, "cross_entropy")
     assert all(np.array_equal(hvp(v), e) for v, e in zip(vs, expected))
-    assert len(sweeps) == 1
+    assert len(sweeps) == 1 and len(primes) == 1  # one hidden layer
 
 
 def test_sgd_zero_epochs_unchanged(rng):
