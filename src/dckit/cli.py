@@ -11,14 +11,13 @@ import sys
 from .condense import MethodConfig
 from .data import read_json
 from .discrepancy import CF_FREQUENCIES
-from .errors import (CondensationError, ConfigError, DivergenceError, NumericalError, SolveError, check_keys,
-                     check_widths)
+from .errors import CondensationError, ConfigError, DivergenceError, NumericalError, SolveError, check_keys
 from .harness import (
+    EvalConfig,
     EvalReport,
     RunConfig,
     discrepancy_command,
     emit_plots,
-    eval_config_from_dict,
     evaluate_command,
     run,
 )
@@ -46,10 +45,8 @@ def _build_run_config(args) -> RunConfig:
         if "family" not in kernel_d:
             raise ConfigError("method.kernel.family is required")
         method_d["kernel"] = KernelSpec(**kernel_d)
-    if "hidden" in method_d:
-        method_d["hidden"] = check_widths(method_d["hidden"], "method.hidden")
     run_d["method"] = MethodConfig(**method_d)
-    run_d["eval"] = eval_config_from_dict(run_d.get("eval", {}))
+    run_d["eval"] = EvalConfig(**check_keys(run_d.get("eval", {}), EvalConfig, "eval"))
     return RunConfig(**run_d)
 
 

@@ -59,6 +59,8 @@ from .augment import (
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
 from .discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from .errors import (
+    POSITIVE,
+    WIDTHS,
     CapacityError,
     ConfigError,
     ContextError,
@@ -66,7 +68,8 @@ from .errors import (
     DomainError,
     ShapeError,
     SolveError,
-    check_number,
+    check_fields,
+    check_value,
 )
 from .kernels import (
     KernelSpec,
@@ -82,6 +85,7 @@ from .kernels import (
 )
 from .models import (
     ACTIVATIONS,
+    LOSSES,
     Mlp,
     TrainConfig,
     _FlatSgd,
@@ -120,6 +124,18 @@ VARIANTS = {
 }
 _IMAGE_VARIANTS = tuple(name for name, (_, image, _) in VARIANTS.items() if image)
 REGULARIZERS = ("intra", "inter", "rep", "div", "con", "cos", "dis", "proj")
+# MethodConfig's fields as (kind, lower bound), the kinds of ``errors.check_value``; as
+# EvalConfig, RunConfig, KernelSpec and TrainConfig do with their own tables, its
+# ``__post_init__`` checks them with ``errors.check_fields`` and keeps only the rules
+# between fields.
+FIELDS = {
+    "method": (METHODS, None), "outer_steps": (int, 1), "outer_lr": (POSITIVE, None), "refresh": (int, 1),
+    "ensemble": (int, 1), "ridge_lambda": (float, 0), "inner_steps": (int, 0), "inner_lr": (POSITIVE, None),
+    "inner_batch": (int, 1), "loss": (LOSSES, None), "hidden": (WIDTHS, 1), "activation": (ACTIVATIONS, None),
+    "provenance": (("random_init", "pretrained"), None), "pretrain_epochs": (int, 0), "reg_tau": (POSITIVE, None),
+    "regime": (REGIMES, None), "image_shape": (WIDTHS, 1), "curv_lambda": (float, 0), "curv_iters": (int, 1),
+    "seed": (int, None),
+}
 
 
 def _resolve_variant(method: str, name: str, params) -> dict:
@@ -141,12 +157,9 @@ def _resolve_variant(method: str, name: str, params) -> dict:
         path, value = f"variants.{name}.{key}", params.get(key, default)
         if value is _REQUIRED:
             raise ConfigError(f"{path} is required")
-        if isinstance(kind, tuple):
-            if value not in kind:
-                raise ConfigError(f"{path} must be one of {kind}, got {value!r}")
-        elif value is not default:  # the table's defaults are valid as written
-            check_number(path, value, integer=kind is int, low=low)
-            value = kind(value)
+        if value is not default:  # the table's defaults are valid as written
+            value = check_value(path, value, kind, low)
+            value = value if isinstance(kind, tuple) else kind(value)
         resolved[key] = value
     return resolved
 
@@ -181,26 +194,7 @@ class MethodConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}")
-        for name, allowed in (("activation", ACTIVATIONS), ("regime", REGIMES)):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        for name, low in (("outer_steps", 1), ("refresh", 1), ("ensemble", 1), ("inner_steps", 0),
-                          ("inner_batch", 1), ("pretrain_epochs", 0), ("curv_iters", 1)):
-            check_number(name, getattr(self, name), integer=True, low=low)
-        for name, low in (("outer_lr", None), ("inner_lr", None), ("ridge_lambda", 0), ("reg_tau", None),
-                          ("curv_lambda", 0)):
-            check_number(name, getattr(self, name), low=low)
-        for name in ("outer_lr", "reg_tau"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        try:  # the inner trainer's own rules, checked now rather than inside condense
-            TrainConfig(self.inner_lr, self.inner_steps, self.inner_batch, self.loss)
-        except ConfigError as e:
-            raise ConfigError(f"inner_lr/inner_steps/inner_batch/loss: {e}") from None
-        if self.provenance not in ("random_init", "pretrained"):
-            raise ConfigError("provenance must be random_init or pretrained")
+        check_fields(self, FIELDS)
         if not isinstance(self.variants, dict) or not isinstance(self.regularizers, dict):
             raise ConfigError("variants and regularizers must be objects keyed by name")
         object.__setattr__(self, "variants", {name: _resolve_variant(self.method, name, params)
@@ -208,16 +202,13 @@ class MethodConfig:
         for name, weight in self.regularizers.items():
             if name not in REGULARIZERS:
                 raise ConfigError(f"unknown regularizer {name!r}")
-            check_number(f"regularizer {name!r} weight", weight, low=0)
+            check_value(f"regularizer {name!r} weight", weight, float, 0)
             if name in ("con", "cos") and self.ensemble < 2:
                 raise ConfigError(f"regularizer {name!r} compares models and needs ensemble >= 2")
             if name in ("inter", "intra", "con", "cos", "dis", "proj") and "multiform" in self.variants:
                 raise ConfigError(f"regularizer {name!r} works on untransformed rows and excludes variants.multiform")
-        if self.image_shape is not None:
-            if not isinstance(self.image_shape, (tuple, list)) or len(self.image_shape) != 3:
-                raise ConfigError(f"image_shape must be (c, h, w), got {self.image_shape!r}")
-            for value in self.image_shape:
-                check_number("image_shape entries", value, integer=True, low=1)
+        if self.image_shape is not None and len(self.image_shape) != 3:
+            raise ConfigError(f"image_shape must be (c, h, w), got {self.image_shape!r}")
         if self.method == "robdc" and "robust_outer" not in self.variants:
             raise ConfigError("robdc needs the robust_outer variant (eps may be 0 for the degenerate ladder)")
         if image := [v for v in _IMAGE_VARIANTS if v in self.variants]:
@@ -247,7 +238,7 @@ class MethodConfig:
     def check_image_shape(self, n_features: int) -> None:
         """Raise ``ShapeError`` unless the image variants' c*h*w equals the data's feature count."""
         if any(name in self.variants for name in _IMAGE_VARIANTS) and math.prod(self.image_shape) != n_features:
-            raise ShapeError(f"method.image_shape {tuple(self.image_shape)} needs {math.prod(self.image_shape)} "
+            raise ShapeError(f"method.image_shape {self.image_shape} needs {math.prod(self.image_shape)} "
                              f"features, the data has {n_features}")
 
     def variant(self, name: str) -> dict:

@@ -159,8 +159,11 @@ def _model_gap(batch: ModelBatch, t, s, methods: tuple, loss: str, contrastive: 
     best = [0.0] * len(methods)
     for m in batch:
         if methods == ("gm",):
-            g_t = np.stack([m.backward(t.features[p], t.labels[p], loss)[1] for p in pt])
-            gaps = [sum(_gradient_gap(contrastive, g_t, m.backward(s.features[rows], s.labels[rows], loss)[1])[0])]
+            g_t = np.empty((len(pt), m.param_count))
+            for p, row in zip(pt, g_t):
+                m.backward(t.features[p], t.labels[p], loss, out=row, input_part=False)
+            g_s = m.backward(s.features[rows], s.labels[rows], loss, input_part=False)[1]
+            gaps = [sum(_gradient_gap(contrastive, g_t, g_s)[0])]
         else:
             per_class = (_feature_stats(methods[-1], m.forward_batch(t.features[p])[1]) for p in pt)
             stats_t = [np.stack(stat) for stat in zip(*per_class)]

@@ -74,6 +74,40 @@ def check_number(name: str, value, *, integer: bool = False, low=None) -> None:
         raise ConfigError(f"{name} must be {what}{'' if low is None else f' >= {low}'}, got {value!r}")
 
 
+POSITIVE, WIDTHS, ARCHITECTURES = "positive", "widths", "architectures"
+
+
+def check_value(name: str, value, kind, low):
+    """``value``, of ``kind`` and at least ``low``; ConfigError naming ``name`` otherwise. A kind is
+    int, float, POSITIVE (a float > 0), bool, a tuple of the allowed values, WIDTHS (a list of
+    integers) or ARCHITECTURES (a non-empty list of WIDTHS); a number is finite and never a bool.
+    Widths come back as tuples, every other value as it is."""
+    if kind in (WIDTHS, ARCHITECTURES):
+        if not isinstance(value, (list, tuple)) or (kind == ARCHITECTURES and not value):
+            what = "a non-empty list of width lists" if kind == ARCHITECTURES else "a list of integers"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        inner = WIDTHS if kind == ARCHITECTURES else int
+        return tuple(check_value(f"{name}[{i}]", v, inner, low) for i, v in enumerate(value))
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{name} must be one of {kind}, got {value!r}")
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if kind in (int, float, POSITIVE):
+        check_number(name, value, integer=kind is int, low=low)
+        if kind == POSITIVE and value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def check_fields(config, table: dict) -> None:
+    """``check_value`` each field of the dataclass ``config`` that ``table`` maps to its (kind,
+    lower bound), and keep what it returns; a field left at its default is valid as written."""
+    defaults = {f.name: f.default for f in fields(config)}
+    for name, (kind, low) in table.items():
+        if (value := getattr(config, name)) is not defaults[name]:
+            object.__setattr__(config, name, check_value(name, value, kind, low))
+
+
 def check_keys(d, cls, path: str, exclude=()) -> dict:
     """A copy of ``d``; ConfigError unless it is a JSON object keyed by fields of ``cls``.
 
@@ -86,12 +120,3 @@ def check_keys(d, cls, path: str, exclude=()) -> dict:
         if key not in allowed:
             raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
     return dict(d)
-
-
-def check_widths(value, path: str) -> tuple:
-    """The JSON list of hidden-layer widths at ``path`` as a tuple; ConfigError otherwise."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{path} must be a list of layer widths, got {value!r}")
-    for width in value:
-        check_number(f"{path} entries", width, integer=True, low=1)
-    return tuple(value)

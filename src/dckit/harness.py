@@ -32,12 +32,17 @@ from .data import (
     train_eval_split,
 )
 from .discrepancy import CF_FREQUENCIES, DiscrepancyReport, ModelBatch, hierarchy_report, model_free
-from .errors import CondensationError, ConfigError, ShapeError, check_keys, check_number, check_widths
+from .errors import (ARCHITECTURES, CondensationError, ConfigError, ParseError, ShapeError, check_fields, check_keys,
+                     check_number)
 from .kernels import KernelSpec
-from .models import Mlp, TrainConfig, per_sample_loss, pgd_attack, sgd_train_stack
+from .models import TRAIN_FIELDS, Mlp, TrainConfig, per_sample_loss, pgd_attack, sgd_train_stack
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
 from .seeding import derive_seed
 from .spaces import fit_linear_autoencoder
+
+
+EVAL_FIELDS = {"hidden_architectures": (ARCHITECTURES, 1), "repeats": (int, 1), "pgd_eps": (float, 0),
+               "pgd_steps": (int, 0), **{k: TRAIN_FIELDS[k] for k in ("learning_rate", "epochs", "batch_size", "loss")}}
 
 
 @dataclass(frozen=True)
@@ -58,24 +63,11 @@ class EvalConfig:
     pgd_steps: int = 10
 
     def __post_init__(self):
-        if not self.hidden_architectures:
-            raise ConfigError("eval.hidden_architectures must list at least one architecture")
-        check_number("repeats", self.repeats, integer=True, low=1)
-        check_number("pgd_eps", self.pgd_eps, low=0)
-        check_number("pgd_steps", self.pgd_steps, integer=True, low=0)
-        # the trainer's own rules, checked now rather than after condensation
-        TrainConfig(self.learning_rate, self.epochs, self.batch_size, self.loss)
+        check_fields(self, EVAL_FIELDS)
 
 
-def eval_config_from_dict(d: dict) -> EvalConfig:
-    """The EvalConfig of a JSON ``eval`` block: a config file's, or the run record of a synthetic sidecar."""
-    d = check_keys(d, EvalConfig, "eval")
-    if "hidden_architectures" in d:
-        archs = d["hidden_architectures"]
-        if not isinstance(archs, list):
-            raise ConfigError(f"eval.hidden_architectures must be a list of width lists, got {archs!r}")
-        d["hidden_architectures"] = tuple(check_widths(h, "eval.hidden_architectures") for h in archs)
-    return EvalConfig(**d)
+RUN_FIELDS = {"per_class": (int, 1), "init_mode": (INIT_MODES, None), "normalize": (bool, None),
+              "latent_dim": (int, 0), "seed": (int, None)}
 
 
 @dataclass(frozen=True)
@@ -93,6 +85,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, RUN_FIELDS)
         if not isinstance(self.dataset, (str, os.PathLike, LabeledDataset)):
             raise ConfigError(f"dataset must be a CSV path, got {self.dataset!r}")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
@@ -102,13 +95,6 @@ class RunConfig:
             existing = next(p for p in (out, *out.parents) if p.exists())
             if not existing.is_dir():
                 raise ConfigError(f"out_dir {self.out_dir} is not a directory: {existing} is a file")
-        if self.init_mode not in INIT_MODES:
-            raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
-        if not isinstance(self.normalize, bool):
-            raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
-        check_number("per_class", self.per_class, integer=True, low=1)
-        check_number("latent_dim", self.latent_dim, integer=True, low=0)
-        check_number("seed", self.seed, integer=True)
         for name in ("con", "intra"):  # each scores a row against its class's other synthetic rows
             if self.per_class == 1 and name in self.method.regularizers:
                 raise ConfigError(f"regularizer {name} is exactly 0 at one synthetic row per class: "
@@ -379,7 +365,7 @@ def _read_back(synthetic_path, real_path, seed: int | None = None):
     """
     s = load_synthetic(synthetic_path)
     try:
-        recorded = eval_config_from_dict(s.meta.get("eval", {}))
+        recorded = EvalConfig(**check_keys(s.meta.get("eval", {}), EvalConfig, "eval"))
         check_number("run_seed", s.meta.get("run_seed", 0), integer=True)
         norm = _norm_params(s.meta["normalization"], s.n_features) if "normalization" in s.meta else None
     except ConfigError as e:
@@ -426,16 +412,18 @@ def emit_plots(report_path, steplog_path, out_dir) -> list:
     """Objective-vs-step and accuracy-bar outputs as CSV plus deterministic SVG.
 
     Either input may be None (its plots come out empty), not both; a given path must exist.
-    An objective or accuracy that is not a finite number raises ConfigError naming its file.
+    A non-finite objective or accuracy, or a log that is not UTF-8, raises an error naming its file.
     """
     if report_path is None and steplog_path is None:
         raise ConfigError("plots need a report.json (--report) or a steps.csv (--log)")
     objectives, labels, values = [], [], []
     if steplog_path is not None:
-        with open(steplog_path, newline="") as fh:
-            texts = [row["objective"] for row in csv.DictReader(fh) if row.get("objective")]
         try:
+            with open(steplog_path, newline="") as fh:
+                texts = [row["objective"] for row in csv.DictReader(fh) if row.get("objective")]
             objectives = [float(v) for v in texts]
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{steplog_path}: {e}") from None
         except ValueError as e:
             raise ConfigError(f"{steplog_path}: an objective is not a number: {e}") from None
         for v in objectives:

@@ -9,10 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, check_number
+from .errors import POSITIVE, ConfigError, DomainError, ShapeError, check_fields
 from .models import Mlp
 
 FAMILIES = ("gamma_exponential", "empirical_ntk", "random_feature", "nfk", "pullback")
+KERNEL_FIELDS = {"family": (FAMILIES, None), "gamma": (float, None), "scale": (POSITIVE, None),
+                 "feature_dim": (int, 0), "seed": (int, 0)}
 
 
 @dataclass(frozen=True)
@@ -35,16 +37,9 @@ class KernelSpec:
     base: "KernelSpec | None" = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}")
-        for name in ("gamma", "scale"):
-            check_number(name, getattr(self, name))
-        check_number("feature_dim", self.feature_dim, integer=True, low=0)
-        check_number("seed", self.seed, integer=True, low=0)
+        check_fields(self, KERNEL_FIELDS)
         if self.family == "gamma_exponential" and not (0.0 < self.gamma <= 2.0):
             raise ConfigError("gamma must lie in (0, 2]")
-        if self.scale <= 0:
-            raise ConfigError("scale c must be positive")
         if self.family == "random_feature" and self.feature_dim < 1:
             raise ConfigError("random_feature kernels need feature_dim >= 1")
         if self.family in ("empirical_ntk", "nfk") and not all(isinstance(m, Mlp) for m in _members(self) or [None]):

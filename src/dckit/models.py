@@ -16,12 +16,14 @@ import numpy as np
 
 from .data import LabeledDataset, SyntheticDataset
 from .errors import (
+    POSITIVE,
     ConfigError,
     DivergenceError,
     DomainError,
     NumericalError,
     ShapeError,
     ValidationError,
+    check_fields,
     check_number,
 )
 
@@ -217,6 +219,10 @@ def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, 
             gdot += ga * (-2.0 * acts[i] * aps[i - 1] * zdots[i - 1])
 
 
+TRAIN_FIELDS = {"learning_rate": (POSITIVE, None), "epochs": (int, 0), "batch_size": (int, 1),
+                "loss": (LOSSES, None), "seed": (int, None)}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """SGD hyperparameters; deterministic given the seed."""
@@ -228,13 +234,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_number("learning_rate", self.learning_rate)
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        check_number("epochs", self.epochs, integer=True, low=0)
-        check_number("batch_size", self.batch_size, integer=True, low=1)
-        if self.loss not in LOSSES:
-            raise ConfigError(f"loss must be one of {LOSSES}")
+        check_fields(self, TRAIN_FIELDS)
 
 
 class Mlp:

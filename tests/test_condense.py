@@ -132,6 +132,31 @@ def test_readme_variant_table_matches_code():
     assert rows == want
 
 
+def test_readme_field_table_matches_code():
+    """README's field table gives each MethodConfig field the kind, bound and JSON default of FIELDS."""
+    from dataclasses import MISSING, fields
+
+    from dckit.condense import FIELDS
+    from dckit.errors import POSITIVE, WIDTHS
+
+    rows = {}
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0]] = (cells[1], cells[2])
+    defaults = {f.name: f.default for f in fields(MethodConfig)}
+    want = {}
+    for name, (kind, low) in FIELDS.items():
+        if isinstance(kind, tuple):
+            shown = "one of " + ", ".join(f"`{json.dumps(v)}`" for v in kind)
+        else:
+            shown = {int: "integer", float: "real", POSITIVE: "real > 0", WIDTHS: "list of integers"}[kind]
+            shown += "" if low is None else f" >= {low}"
+        default = defaults[name]
+        want[f"`{name}`"] = (shown, "required" if default is MISSING else f"`{json.dumps(default)}`")
+    assert rows == want
+
+
 def test_negative_variant_params_rejected():
     with pytest.raises(ConfigError):
         MethodConfig(method="gm", variants={"dp_grad": {"sigma": -1.0}})
@@ -146,6 +171,7 @@ def test_image_variants_need_shape():
     {"outer_steps": 2.5}, {"outer_steps": True}, {"ensemble": 1.5}, {"refresh": "3"},
     {"outer_lr": float("nan")}, {"outer_lr": float("inf")}, {"outer_lr": "0.1"},
     {"inner_lr": float("nan")}, {"inner_steps": -1}, {"inner_batch": 0}, {"loss": "bogus"},
+    {"hidden": (0,)}, {"hidden": (2.5,)}, {"seed": 1.5},
 ])
 def test_method_config_numbers_validated(bad):
     with pytest.raises(ConfigError):

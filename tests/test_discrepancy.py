@@ -207,7 +207,8 @@ def test_report_sweeps_s_once_per_model(classes, rng, monkeypatch):
     calls = []
     forward, backward = Mlp.forward_batch, Mlp.backward
     monkeypatch.setattr(Mlp, "forward_batch", lambda self, x: calls.append(np.ndim(x)) or forward(self, x))
-    monkeypatch.setattr(Mlp, "backward", lambda self, x, y, loss: calls.append(np.ndim(x)) or backward(self, x, y, loss))
+    monkeypatch.setattr(Mlp, "backward",
+                        lambda self, x, y, loss, **kw: calls.append(np.ndim(x)) or backward(self, x, y, loss, **kw))
     sweeps = ([2] * classes + [3]) * len(batch)
     rows_t = [t.features[t.labels == y] for y in range(classes)]
     rows_s = [s.features[s.labels == y] for y in range(classes)]

@@ -378,6 +378,9 @@ def bad_input_argv(case, tmp_path, blobs_csv) -> list:
         write_csv(LabeledDataset(np.full((2, 2), 0.5), np.arange(2), 2), tmp_path / "s.csv")
         (tmp_path / "s.csv.meta.json").write_bytes('{"origin": "\xe9t\xe9"}'.encode("latin-1"))
         return ["evaluate", "--synthetic", str(tmp_path / "s.csv"), "--real", str(blobs_csv)]
+    if case == "log-not-utf8":
+        (tmp_path / "steps.csv").write_bytes("step,objective\n0,1.0 \xe9t\xe9\n".encode("latin-1"))
+        return ["plot", "--log", str(tmp_path / "steps.csv"), "--out", plots]
     if case == "out-is-a-file":
         return [*condense, "--dataset", str(blobs_csv), "--out", write("taken", "")]
     if case == "report-a-list":
@@ -389,7 +392,8 @@ def bad_input_argv(case, tmp_path, blobs_csv) -> list:
     return ["plot", "--log", write("steps.csv", "step,objective\n0,1.0\n1,lots\n"), "--out", plots]
 
 
-NOT_UTF8 = {"dataset-not-utf8": "latin1.csv", "config-not-utf8": "latin1.json", "sidecar-not-utf8": "s.csv.meta.json"}
+NOT_UTF8 = {"dataset-not-utf8": "latin1.csv", "config-not-utf8": "latin1.json", "sidecar-not-utf8": "s.csv.meta.json",
+            "log-not-utf8": "steps.csv"}
 
 
 @pytest.mark.parametrize("case", ["dataset-dir", "config-dir", "real-dir", "log-dir", *NOT_UTF8,
@@ -532,6 +536,13 @@ def test_cli_malformed_config_exit_two(blobs_csv, tmp_path, capsys, cfg, named):
     assert main(["condense", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err and "[stage " not in err
+
+
+@pytest.mark.parametrize("archs", [((0,),), ((2.5,),)], ids=["zero-width", "fractional-width"])
+def test_eval_config_rejects_bad_widths_when_built(archs):
+    # library construction runs the checks that the CLI runs on an eval block
+    with pytest.raises(ConfigError, match=r"hidden_architectures\[0\]\[0\] must be an integer >= 1"):
+        EvalConfig(hidden_architectures=archs)
 
 
 @pytest.mark.parametrize("cfg", [

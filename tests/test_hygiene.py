@@ -592,3 +592,40 @@ def test_call_site_detected():
                "class Solver:\n    def spec(self, x):\n        return kernels.median_heuristic_spec(x)\n\n\n"
                "SPEC = median_heuristic_spec(X)\nname = 'median_heuristic_spec'\nf = median_heuristic_spec\n")
     assert call_sites({"a.py": planted}, "median_heuristic_spec") == ["a.py:default", "a.py:Solver", "a.py:<module>"]
+
+
+def post_init_number_checks(source: str) -> list[str]:
+    """The ``check_number`` calls in the ``__post_init__`` of a dataclass in ``source``: a config
+    field's kind and bound belong in its class's field table, which ``errors.check_fields`` enforces."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or "dataclass" not in {
+                _callee(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}:
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                found += [f"{cls.name} (line {node.lineno})" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and _callee(node.func) == "check_number"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_config_post_init_checks_no_number_itself(path):
+    assert post_init_number_checks(path.read_text()) == []
+
+
+def test_post_init_number_check_detected():
+    planted = (
+        "from dataclasses import dataclass\nimport dataclasses\n\n\n"
+        "@dataclass(frozen=True)\nclass Run:\n    seed: int = 0\n\n"
+        "    def __post_init__(self):\n        check_fields(self, FIELDS)\n"
+        "        check_number('seed', self.seed, integer=True)\n\n\n"
+        "@dataclasses.dataclass\nclass Spec:\n    scale: float = 1.0\n\n"
+        "    def __post_init__(self):\n        if self.scale:\n            errors.check_number('scale', self.scale)\n\n\n"
+        "@dataclass\nclass Table:\n    rows: int = 1\n\n"
+        "    def __post_init__(self):\n        check_fields(self, {'rows': (int, 1)})\n\n"
+        "    def grow(self, n):\n        check_number('n', n, integer=True)\n\n\n"
+        "class Plain:\n    def __post_init__(self):\n        check_number('x', 1)\n\n\n"
+        "def read(v):\n    check_number('v', v)\n"
+    )
+    assert post_init_number_checks(planted) == ["Run (line 11)", "Spec (line 20)"]
