@@ -31,7 +31,7 @@ for gamma, name in ((2.0, "Gaussian"), (1.0, "Laplacian"), (0.5, "gamma=0.5")):
 print("\n== empirical NTK ==")
 # a network without hidden layers is the linear model x.w + b; its logit's parameter gradient
 # is (x, 1), so its NTK is x1.x2 + 1, the 1 coming from the bias
-lin = Mlp((3, 1), "relu", [np.ones((3, 1))], [np.zeros(1)])
+lin = Mlp((3, 1), "relu", [1.0, 1.0, 1.0, 0.0])  # the flat parameters: w = (1, 1, 1), then b = 0
 ntk_lin = KernelSpec("empirical_ntk", model=lin)
 print(f"  linear model: k(x1,x2) = {kernel_eval(ntk_lin, x1, x2):.6f}  vs  x1.x2 + 1 = {x1 @ x2 + 1:.6f}")
 net = Mlp.init((3, 16, 2), "relu", seed=0)

@@ -99,7 +99,7 @@ from .models import (
     sgd_train_stack,
 )
 from .seeding import derive_seed, derived_rng
-from .spaces import REGIMES, regime_maps
+from .spaces import REGIMES, LinearAutoencoder, regime_maps
 
 MATCHING_METHODS = ("dm", "gm", "mmd", "moment", "sam")
 METHODS = (*MATCHING_METHODS, "krr", "trajectory", "bptt", "cig_ridge", "kcenter", "kmeans", "robdc", "curvdc")
@@ -130,11 +130,12 @@ REGULARIZERS = ("intra", "inter", "rep", "div", "con", "cos", "dis", "proj")
 # between fields.
 FIELDS = {
     "method": (METHODS, None), "outer_steps": (int, 1), "outer_lr": (POSITIVE, None), "refresh": (int, 1),
-    "ensemble": (int, 1), "ridge_lambda": (float, 0), "inner_steps": (int, 0), "inner_lr": (POSITIVE, None),
-    "inner_batch": (int, 1), "loss": (LOSSES, None), "hidden": (WIDTHS, 1), "activation": (ACTIVATIONS, None),
-    "provenance": (("random_init", "pretrained"), None), "pretrain_epochs": (int, 0), "reg_tau": (POSITIVE, None),
-    "regime": (REGIMES, None), "image_shape": (WIDTHS, 1), "curv_lambda": (float, 0), "curv_iters": (int, 1),
-    "seed": (int, None),
+    "ensemble": (int, 1), "kernel": (KernelSpec, None), "ridge_lambda": (float, 0), "inner_steps": (int, 0),
+    "inner_lr": (POSITIVE, None), "inner_batch": (int, 1), "loss": (LOSSES, None), "hidden": (WIDTHS, 1),
+    "activation": (ACTIVATIONS, None), "provenance": (("random_init", "pretrained"), None),
+    "pretrain_epochs": (int, 0), "variants": (dict, None), "regularizers": (dict, None), "reg_tau": (POSITIVE, None),
+    "regime": (REGIMES, None), "autoencoder": (LinearAutoencoder, None), "image_shape": (WIDTHS, 1),
+    "curv_lambda": (float, 0), "curv_iters": (int, 1), "seed": (int, None),
 }
 
 
@@ -195,8 +196,6 @@ class MethodConfig:
 
     def __post_init__(self):
         check_fields(self, FIELDS)
-        if not isinstance(self.variants, dict) or not isinstance(self.regularizers, dict):
-            raise ConfigError("variants and regularizers must be objects keyed by name")
         object.__setattr__(self, "variants", {name: _resolve_variant(self.method, name, params)
                                               for name, params in self.variants.items()})
         for name, weight in self.regularizers.items():

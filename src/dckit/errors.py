@@ -80,8 +80,14 @@ POSITIVE, WIDTHS, ARCHITECTURES = "positive", "widths", "architectures"
 def check_value(name: str, value, kind, low):
     """``value``, of ``kind`` and at least ``low``; ConfigError naming ``name`` otherwise. A kind is
     int, float, POSITIVE (a float > 0), bool, a tuple of the allowed values, WIDTHS (a list of
-    integers) or ARCHITECTURES (a non-empty list of WIDTHS); a number is finite and never a bool.
+    integers), ARCHITECTURES (a non-empty list of WIDTHS), or any other class or a tuple of
+    classes, which the value must be an instance of; a number is finite and never a bool.
     Widths come back as tuples, every other value as it is."""
+    classes = kind if isinstance(kind, tuple) else (kind,)
+    if all(isinstance(c, type) for c in classes) and not {int, float, bool} & set(classes):
+        if not isinstance(value, classes):
+            raise ConfigError(f"{name} must be of type {' or '.join(c.__name__ for c in classes)}, got {value!r}")
+        return value
     if kind in (WIDTHS, ARCHITECTURES):
         if not isinstance(value, (list, tuple)) or (kind == ARCHITECTURES and not value):
             what = "a non-empty list of width lists" if kind == ARCHITECTURES else "a list of integers"

@@ -66,8 +66,10 @@ class EvalConfig:
         check_fields(self, EVAL_FIELDS)
 
 
-RUN_FIELDS = {"per_class": (int, 1), "init_mode": (INIT_MODES, None), "normalize": (bool, None),
-              "latent_dim": (int, 0), "seed": (int, None)}
+RUN_FIELDS = {"dataset": ((str, os.PathLike, LabeledDataset), None), "method": (MethodConfig, None),
+              "eval": (EvalConfig, None), "per_class": (int, 1), "init_mode": (INIT_MODES, None),
+              "normalize": (bool, None), "latent_dim": (int, 0), "out_dir": ((str, os.PathLike), None),
+              "seed": (int, None)}
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, RUN_FIELDS)
-        if not isinstance(self.dataset, (str, os.PathLike, LabeledDataset)):
-            raise ConfigError(f"dataset must be a CSV path, got {self.dataset!r}")
-        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
-            raise ConfigError(f"out_dir must be a directory path, got {self.out_dir!r}")
         if self.out_dir:  # the artifacts are written after every stage: refuse a file now
             out = Path(self.out_dir)
             existing = next(p for p in (out, *out.parents) if p.exists())

@@ -13,8 +13,6 @@ from .errors import POSITIVE, ConfigError, DomainError, ShapeError, check_fields
 from .models import Mlp
 
 FAMILIES = ("gamma_exponential", "empirical_ntk", "random_feature", "nfk", "pullback")
-KERNEL_FIELDS = {"family": (FAMILIES, None), "gamma": (float, None), "scale": (POSITIVE, None),
-                 "feature_dim": (int, 0), "seed": (int, 0)}
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,12 @@ class KernelSpec:
         if self.family == "pullback":
             d["base"] = self.base.describe()
         return d
+
+
+# KernelSpec's fields as (kind, lower bound). ``model``'s kind depends on the family, and
+# ``encoder`` is duck-typed (this module cannot import ``spaces``), so neither has a row.
+KERNEL_FIELDS = {"family": (FAMILIES, None), "gamma": (float, None), "scale": (POSITIVE, None),
+                 "feature_dim": (int, 0), "seed": (int, 0), "base": (KernelSpec, None)}
 
 
 def gaussian_spec(scale: float = 1.0) -> KernelSpec:

@@ -238,50 +238,40 @@ class TrainConfig:
 
 
 class Mlp:
-    """Fully connected network with explicit weights; immutable by convention.
+    """Fully connected network whose parameters are one read-only flat vector.
 
     Architecture is ``widths = [n, w1, ..., wL, C]`` with the chosen activation on
     hidden layers and linear logits. Zero hidden layers (``[n, C]``) is allowed.
+    ``Mlp(widths, activation, params)`` copies ``params``, the flat vector in
+    ``_split_flat``'s order (w0, b0, w1, b1, ...), into a private read-only buffer, and
+    ``weights`` and ``biases`` are per-layer views of that buffer.
     """
 
-    def __init__(self, widths, activation, weights, biases):
+    def __init__(self, widths, activation, params):
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ConfigError(f"widths must be >= 1 with at least input and output: {widths}")
         if activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
-        if len(weights) != len(widths) - 1 or len(biases) != len(widths) - 1:
-            raise ShapeError("one weight/bias pair per affine layer required")
-        ws, bs = [], []
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
-                raise ShapeError(f"layer {i}: weight shape {w.shape} incompatible with {widths}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValidationError("parameters contain NaN or Inf")
-            w = w.copy()
-            b = b.copy()
-            w.setflags(write=False)
-            b.setflags(write=False)
-            ws.append(w)
-            bs.append(b)
-        self.widths = widths
-        self.activation = activation
-        self.weights = tuple(ws)
-        self.biases = tuple(bs)
+        self.widths, self.activation = widths, activation
+        self._params = np.array(params, dtype=np.float64)
+        if self._params.shape != (self.param_count,):
+            raise ShapeError(f"expected {self.param_count} parameters for widths {widths}, got {self._params.shape}")
+        if not np.all(np.isfinite(self._params)):
+            raise ValidationError("parameters contain NaN or Inf")
+        self._params.setflags(write=False)
+        self.weights, self.biases = map(tuple, self._split_flat(self._params))
 
     @classmethod
     def init(cls, widths, activation: str = "relu", seed: int = 0) -> "Mlp":
-        """He-style scaled Gaussian initialization from the seed; zero biases."""
+        """He-style scaled Gaussian initialization from the seed, layer by layer; zero biases."""
         rng = np.random.default_rng(seed)
         widths = tuple(int(w) for w in widths)
-        ws = [
-            rng.normal(0.0, np.sqrt(2.0 / widths[i]), size=(widths[i], widths[i + 1]))
-            for i in range(len(widths) - 1)
-        ]
-        bs = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
-        return cls(widths, activation, ws, bs)
+        flat, pos = np.zeros(sum((a + 1) * b for a, b in zip(widths, widths[1:]))), 0
+        for a, b in zip(widths, widths[1:]):
+            flat[pos:pos + a * b] = rng.normal(0.0, np.sqrt(2.0 / a), size=a * b)
+            pos += (a + 1) * b
+        return cls(widths, activation, flat)
 
     # -- parameter vector plumbing -------------------------------------------------
 
@@ -295,30 +285,25 @@ class Mlp:
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return sum((a + 1) * b for a, b in zip(self.widths, self.widths[1:]))
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
+        """A fresh, writable copy of the parameter vector."""
+        return self._params.copy()
 
     def _split_flat(self, flat: np.ndarray):
         """Per-layer (weight, bias) views into a flat parameter vector, or into each row of a (C, P) stack."""
-        ws, bs, pos = [], [], 0
-        lead = flat.shape[:-1]
-        for i in range(len(self.widths) - 1):
-            nin, nout = self.widths[i], self.widths[i + 1]
+        ws, bs, pos, lead = [], [], 0, flat.shape[:-1]
+        for nin, nout in zip(self.widths, self.widths[1:]):
             ws.append(flat[..., pos : pos + nin * nout].reshape(*lead, nin, nout))
-            pos += nin * nout
-            bs.append(flat[..., pos : pos + nout])
-            pos += nout
+            bs.append(flat[..., pos + nin * nout : pos + (nin + 1) * nout])
+            pos += (nin + 1) * nout
         if pos != flat.shape[-1]:
             raise ShapeError(f"flat vector length {flat.shape[-1]} != param count {self.param_count}")
         return ws, bs
 
     def with_params(self, flat: np.ndarray) -> "Mlp":
-        ws, bs = self._split_flat(np.asarray(flat, dtype=np.float64))
-        return Mlp(self.widths, self.activation, ws, bs)
+        return Mlp(self.widths, self.activation, flat)
 
     # -- forward -------------------------------------------------------------------
 

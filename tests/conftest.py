@@ -41,7 +41,7 @@ def copy_as_synthetic(t: LabeledDataset) -> SyntheticDataset:
 def linear_mlp(w) -> Mlp:
     """The linear hypothesis x W: an ``Mlp`` without hidden layers, with weight w and zero bias."""
     w = np.asarray(w, dtype=np.float64)
-    return Mlp(w.shape, "relu", [w], [np.zeros(w.shape[1])])
+    return Mlp(w.shape, "relu", np.concatenate([w.ravel(), np.zeros(w.shape[1])]))
 
 
 def reference_sgd_step(model: Mlp, params: np.ndarray, x: np.ndarray, y: np.ndarray, loss: str, lr: float):

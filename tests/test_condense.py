@@ -138,19 +138,23 @@ def test_readme_field_table_matches_code():
 
     from dckit.condense import FIELDS
     from dckit.errors import POSITIVE, WIDTHS
+    from dckit.spaces import LinearAutoencoder
 
     rows = {}
     for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
         cells = [c.strip() for c in line.strip("| ").split("|")]
         if line.startswith("| `") and len(cells) == 3:
             rows[cells[0]] = (cells[1], cells[2])
-    defaults = {f.name: f.default for f in fields(MethodConfig)}
+    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                for f in fields(MethodConfig)}
     want = {}
     for name, (kind, low) in FIELDS.items():
         if isinstance(kind, tuple):
             shown = "one of " + ", ".join(f"`{json.dumps(v)}`" for v in kind)
         else:
-            shown = {int: "integer", float: "real", POSITIVE: "real > 0", WIDTHS: "list of integers"}[kind]
+            shown = {int: "integer", float: "real", POSITIVE: "real > 0", WIDTHS: "list of integers",
+                     KernelSpec: "kernel object", dict: "object",
+                     LinearAutoencoder: "`LinearAutoencoder` (library only)"}[kind]
             shown += "" if low is None else f" >= {low}"
         default = defaults[name]
         want[f"`{name}`"] = (shown, "required" if default is MISSING else f"`{json.dumps(default)}`")

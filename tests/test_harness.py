@@ -12,6 +12,7 @@ import pytest
 
 from dckit import (
     EvalConfig,
+    KernelSpec,
     LabeledDataset,
     MethodConfig,
     Mlp,
@@ -543,6 +544,26 @@ def test_eval_config_rejects_bad_widths_when_built(archs):
     # library construction runs the checks that the CLI runs on an eval block
     with pytest.raises(ConfigError, match=r"hidden_architectures\[0\]\[0\] must be an integer >= 1"):
         EvalConfig(hidden_architectures=archs)
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: RunConfig("x.csv", method={"method": "dm"}), "method must be of type MethodConfig"),
+    (lambda: RunConfig("x.csv", method=MethodConfig(method="dm"), eval={"repeats": 1}),
+     "eval must be of type EvalConfig"),
+    (lambda: RunConfig(3, method=MethodConfig(method="dm")), "dataset must be of type str or PathLike"),
+    (lambda: RunConfig("x.csv", method=MethodConfig(method="dm"), out_dir=3), "out_dir must be of type str"),
+    (lambda: KernelSpec("pullback", base="gaussian", encoder=object()), "base must be of type KernelSpec"),
+    (lambda: MethodConfig(method="mmd", kernel="gaussian"), "kernel must be of type KernelSpec"),
+    (lambda: MethodConfig(method="mmd", autoencoder=3), "autoencoder must be of type LinearAutoencoder"),
+    (lambda: MethodConfig(method="gm", variants=[]), "variants must be of type dict"),
+    (lambda: MethodConfig(method="dm", regularizers=None), "regularizers must be of type dict"),
+], ids=["run-method-dict", "run-eval-dict", "run-dataset-int", "run-out-dir-int", "kernel-base-string",
+        "method-kernel-string", "method-autoencoder-int", "method-variants-list", "method-regularizers-none"])
+def test_object_valued_field_rejected_when_built(build, named):
+    # a library caller that passes the wrong object gets a ConfigError naming the field, not an
+    # AttributeError from __post_init__ or a stage
+    with pytest.raises(ConfigError, match=named):
+        build()
 
 
 @pytest.mark.parametrize("cfg", [

@@ -629,3 +629,63 @@ def test_post_init_number_check_detected():
         "def read(v):\n    check_number('v', v)\n"
     )
     assert post_init_number_checks(planted) == ["Run (line 11)", "Spec (line 20)"]
+
+
+def _table_rows(table: ast.Dict) -> set:
+    """The string keys of a dict literal, with those of a ``**{k: ... for k in (<strings>)}`` entry."""
+    rows = set()
+    for key, value in zip(table.keys, table.values):
+        if key is not None:
+            rows.add(key.value)
+        elif isinstance(value, ast.DictComp) and isinstance(value.generators[0].iter, ast.Tuple):
+            rows |= {e.value for e in value.generators[0].iter.elts}
+    return rows
+
+
+def untabled_fields(source: str) -> dict:
+    """For each class of ``source`` whose ``__post_init__`` calls ``check_fields(self, TABLE)``, the
+    annotated fields that have no row in TABLE, a module-level dict literal of ``source``."""
+    tree = ast.parse(source)
+    tables = {node.targets[0].id: _table_rows(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Dict)}
+    found = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and _callee(call.func) == "check_fields":
+                    rows = tables.get(getattr(call.args[1], "id", None), set())
+                    found[cls.name] = [f.target.id for f in cls.body
+                                       if isinstance(f, ast.AnnAssign) and f.target.id not in rows]
+    return found
+
+
+# Every field of a config class has a row in its class's field table, so ``errors.check_fields``
+# checks its kind when the object is built. KernelSpec.model's kind depends on the family, and
+# KernelSpec.encoder is duck-typed because ``kernels`` cannot import ``spaces``.
+UNTABLED_FIELDS = {"RunConfig": [], "MethodConfig": [], "EvalConfig": [], "TrainConfig": [],
+                   "KernelSpec": ["model", "encoder"]}
+
+
+def test_every_config_field_has_a_table_row():
+    assert {name: fields for path in MODULES for name, fields in untabled_fields(path.read_text()).items()} \
+        == UNTABLED_FIELDS
+
+
+def test_untabled_field_detected():
+    planted = (
+        "from dataclasses import dataclass\n\n"
+        "BASE = {'lr': (float, 0), 'epochs': (int, 0)}\n"
+        "RUN = {'seed': (int, None), **{k: BASE[k] for k in ('lr',)}}\n\n\n"
+        "@dataclass(frozen=True)\nclass Run:\n    seed: int = 0\n    lr: float = 0.1\n    model: object = None\n"
+        "    out: str = ''\n\n"
+        "    def __post_init__(self):\n        check_fields(self, RUN)\n\n\n"
+        "@dataclass\nclass Lost:\n    n: int = 1\n\n"
+        "    def __post_init__(self):\n        errors.check_fields(self, MISSING)\n\n\n"
+        "@dataclass\nclass Free:\n    x: int = 0\n\n"
+        "    def __post_init__(self):\n        check_value('x', self.x, int, 0)\n"
+    )
+    assert untabled_fields(planted) == {"Run": ["model", "out"], "Lost": ["n"]}

@@ -49,19 +49,15 @@ def test_zero_weight_logits_equal_bias():
 
 
 def test_relu_all_negative_preactivation_zero_features():
-    m = Mlp([1, 2, 1], "relu", [np.array([[1.0, 1.0]]), np.array([[1.0], [1.0]])],
-            [np.array([-5.0, -5.0]), np.array([0.0])])
+    m = Mlp([1, 2, 1], "relu", [1.0, 1.0, -5.0, -5.0, 1.0, 1.0, 0.0])  # w0, b0, w1, b1
     _, feats = m.forward_batch(np.array([[0.5]]))
     assert np.all(feats[0][0] == 0.0)
 
 
 def test_tanh_hand_computation():
     # 1-2-1 network with hand-set weights, checked against a pencil computation
-    w1 = np.array([[0.5, -1.0]])
-    b1 = np.array([0.1, 0.2])
-    w2 = np.array([[2.0], [-0.5]])
-    b2 = np.array([0.3])
-    m = Mlp([1, 2, 1], "tanh", [w1, w2], [b1, b2])
+    # w1 = [[0.5, -1.0]], b1 = [0.1, 0.2], w2 = [[2.0], [-0.5]], b2 = [0.3]
+    m = Mlp([1, 2, 1], "tanh", [0.5, -1.0, 0.1, 0.2, 2.0, -0.5, 0.3])
     x = 0.4
     h = np.tanh(np.array([0.5 * x + 0.1, -1.0 * x + 0.2]))
     expected = 2.0 * h[0] - 0.5 * h[1] + 0.3
@@ -490,6 +486,54 @@ def test_lambda_max_iters_validated():
 def test_param_count_reported():
     m = Mlp.init([3, 4, 2], "relu", seed=0)
     assert m.param_count == 3 * 4 + 4 + 4 * 2 + 2
+
+
+def test_layers_are_views_of_one_read_only_vector():
+    m = Mlp.init([3, 4, 5, 2], "tanh", seed=0)
+    assert m._params.shape == (m.param_count,) and not m._params.flags.writeable
+    offset = 0
+    for w, b in zip(m.weights, m.biases):
+        for layer in (w, b):  # in _split_flat's order: w0, b0, w1, b1, ...
+            assert np.shares_memory(layer, m._params[offset:offset + layer.size]) and not layer.flags.writeable
+            assert np.array_equal(layer.ravel(), m._params[offset:offset + layer.size])
+            offset += layer.size
+    assert offset == m.param_count
+    assert not np.shares_memory(m.flat_params(), m._params)
+    with pytest.raises(ValueError):
+        m.weights[1][0, 0] = 1.0
+
+
+def test_flat_params_is_a_copy():
+    m = Mlp.init([2, 3, 2], "relu", seed=4)
+    flat = m.flat_params()
+    assert np.array_equal(flat, m.flat_params())
+    x = np.array([[0.3, -0.2]])
+    before = m.forward_batch(x)[0]
+    flat[:] = 7.0
+    assert np.array_equal(m.forward_batch(x)[0], before) and not np.array_equal(m.flat_params(), flat)
+
+
+def test_constructor_checks_length_and_finiteness():
+    with pytest.raises(ShapeError, match="expected 17 parameters"):
+        Mlp([2, 3, 2], "relu", np.zeros(16))
+    with pytest.raises(ShapeError, match="expected 17 parameters"):
+        Mlp([2, 3, 2], "relu", np.zeros((1, 17)))
+    params = np.zeros(17)
+    params[5] = np.nan
+    with pytest.raises(ValidationError):
+        Mlp([2, 3, 2], "relu", params)
+
+
+@pytest.mark.parametrize("widths", [(3, 2), (3, 5, 2), (4, 6, 3, 2)], ids=["0-hidden", "1-hidden", "2-hidden"])
+def test_init_draws_each_layer_in_turn(widths):
+    # the reference: each layer's weights drawn as one (in, out) matrix from the seed's stream, zero biases
+    rng = np.random.default_rng(7)
+    want = []
+    for a, b in zip(widths, widths[1:]):
+        want += [rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)), np.zeros(b)]
+    m = Mlp.init(widths, "relu", seed=7)
+    got = [layer for pair in zip(m.weights, m.biases) for layer in pair]
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # SHA-256 of the float64 bytes of outputs captured before the flat-buffer
