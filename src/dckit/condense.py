@@ -22,10 +22,11 @@ step under siamese and channel_multiform, whose transforms depend on the step),
 and an S-side term with an analytic outer gradient. gm, dm, moment and sam
 cache (C, ...) arrays of the statistics themselves; the kernel families keep
 one per class. Every method transforms S as one (C, m, d) stack of its class
-batches: gm, dm, moment and sam compare their statistics with one sweep per
-member over it, and mmd takes its classes from it one at a time. An mmd under
-random features, like any dp_merf run, matches mean embeddings and takes its S
-gradient from the random-feature pullback. dm, moment and sam share
+batches: dm, moment and sam compare their statistics, stacked over the members,
+with one sweep of it through the whole ensemble's stacked weights, gm with one
+sweep per member over it, and mmd takes its classes from it one at a time. An
+mmd under random features, like any dp_merf run, matches mean embeddings and
+takes its S gradient from the random-feature pullback. dm, moment and sam share
 ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
 discrepancy report. The regularizers score the rows the ensemble sees, and
 their exact gradients join the S-side ones. krr and mmd reach every kernel through
@@ -89,8 +90,11 @@ from .models import (
     Mlp,
     TrainConfig,
     _FlatSgd,
+    _forward_sweep,
     _loss_value_and_grad,
     _power_iteration,
+    _reverse_sweep,
+    _sweep_workspace,
     epoch_batches,
     loss_hvp,
     max_eigenvalue,
@@ -987,9 +991,14 @@ def _matching_problem(cfg, t, s0):
 
     model_dim = _Transforms(cfg, 0).output_dim(t_matched.shape[1])
     kernel_objective = embed_path or cfg.method == "mmd"
-    ensemble = None
+    # dm, moment and sam sweep S through every member at once: the ensemble's per-layer
+    # (M, 1, in, out) weights and (M, 1, out) biases, views of its (M, P) parameters
+    stacked = not kernel_objective and cfg.method != "gm"
+    ensemble = stack = None
+    sweeps = {}  # the stacked sweeps' workspace, per (C, m, d') shape of S's transformed stack
     t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
-    # per ensemble member, its T statistics over the classes; kept until an ensemble or proxy refresh
+    # per ensemble member, its T statistics over the classes (under ``stacked``, one entry: each
+    # statistic's (M, C, h) stack over the members); kept until an ensemble or proxy refresh
     # unless the T transform depends on the step (siamese and channel_multiform draw per step)
     t_stats = []
     cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
@@ -1031,21 +1040,33 @@ def _matching_problem(cfg, t, s0):
                 dp_invocations += 1
         return stats
 
+    def stacked_terms(stats, rs):
+        """dm, moment or sam's S-side terms of every member against the stacked T statistics:
+        one forward and one reverse sweep of the (C, m, d') stack ``rs`` of S's transformed rows
+        through the ensemble's stacked weights, into the workspace of its shape. Returns the
+        (M, C) values and the (M, C, m, d') gradient with respect to ``rs``, which lives in the
+        workspace until the next step."""
+        weights, biases = stack
+        if rs.shape not in sweeps:
+            sweeps[rs.shape] = _sweep_workspace(ensemble[0].widths, (len(ensemble), *rs.shape[:-1]))
+        _, forward, reverse = sweeps[rs.shape]
+        zs, acts = _forward_sweep(weights, biases, cfg.activation, rs, forward)
+        values, upstream = _feature_gap(cfg.method, stats, acts[1:])
+        g0 = upstream[-1] if upstream[-1] is not None else np.zeros_like(acts[-1])
+        return values, _reverse_sweep(weights, cfg.activation, zs, acts, g0, upstream=[*upstream[:-1], None],
+                                      out=reverse)
+
     def s_terms(model, stats, rs, ls):
-        """The S-side terms against the T statistics: (values, gradient with respect to the
-        (C, m, d') stack ``rs`` of S's transformed rows). Contrastive gm gives one value. The
-        model methods take every class's terms from one sweep each over the stack; gm's
-        writes S's class gradients, then their gap, into the one buffer ``g_s``."""
+        """gm's or a kernel family's S-side terms against one member's T statistics: (values,
+        gradient with respect to the (C, m, d') stack ``rs`` of S's transformed rows).
+        Contrastive gm gives one value. gm takes every class's terms from one sweep over the
+        stack, which writes S's class gradients, then their gap, into the one buffer ``g_s``."""
         nonlocal g_s
         if cfg.method == "gm":
             g_s = np.empty_like(stats) if g_s is None else g_s
             _, grads, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True, out=g_s, input_part=False)
             values, upstream = _gradient_gap(contrastive, stats, grads)
             return values, tangent(upstream)
-        if not kernel_objective:
-            feats, pullback = model.feature_input_vjp(rs)
-            values, upstream = _feature_gap(cfg.method, stats, feats)
-            return values, pullback(upstream)
         values, grads = [], []
         for stat, r in zip(stats, rs):
             if embed_path:
@@ -1061,10 +1082,12 @@ def _matching_problem(cfg, t, s0):
         return values, np.stack(grads)
 
     def objective(v, step):
-        nonlocal ensemble, grad_draws
+        nonlocal ensemble, stack, grad_draws
         tr = _Transforms(cfg, step)
         if (not kernel_objective or reg_weights) and (ensemble is None or step % cfg.refresh == 0):
             ensemble = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step)
+            if stacked:
+                stack = ensemble[0]._split_flat(np.stack([m.flat_params() for m in ensemble])[:, None])
             if not kernel_objective:  # kernel statistics do not depend on the models
                 t_stats.clear()
         if proxy is not None and step % proxy["period"] == 0:
@@ -1081,15 +1104,19 @@ def _matching_problem(cfg, t, s0):
             rng_grad = derived_rng(cfg.seed, f"dp_grad:{step}") if dp_sigma > 0 else None
             t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2]
                       for y in classes]
-            t_stats.extend(t_stat(model, t_side, rng_grad) for model in members)
+            stats = [t_stat(model, t_side, rng_grad) for model in members]
+            t_stats.extend([[np.stack(stat) for stat in zip(*stats)]] if stacked else stats)
 
         s_matched = fwd(v)
         rs, ls, vjp_s = tr.apply(s_matched[s_rows], s_labels[s_rows], "s", classes)
         value = 0.0
         grad_matched = np.zeros_like(s_matched)
         n_e = len(members)
-        for model, stats in zip(members, t_stats):
-            values, g = s_terms(model, stats, rs, ls)
+        if stacked:
+            terms = zip(*stacked_terms(t_stats[0], rs))
+        else:
+            terms = (s_terms(model, stats, rs, ls) for model, stats in zip(members, t_stats))
+        for model, (values, g) in zip(members, terms):  # member by member, in the ensemble's order
             for val in values:
                 value += val / n_e
             grad_matched[s_rows] += vjp_s(g) / n_e

@@ -100,27 +100,32 @@ def _feature_stats(method: str, feats: list) -> list:
     raise ConfigError(f"not a feature objective: {method!r}")
 
 
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """||row||_2^2 of each row of d (..., h), with the bits of ``float(row @ row)``: the matmul
+    of each (1, h) row by its (h, 1) column takes the same dot product."""
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+
+
 def _feature_gap(method: str, stats_t: list, feats_s: list):
     """The dm / moment / sam gap of each class c, the sum of ||stat_T[c] - stat_S[c]||_2^2 over
     T's ``_feature_stats`` ``stats_t`` ((C, h) arrays) and those of the features of S's
-    (C, m, n) class stack. Returns (values, upstream), where upstream holds the gradient of
-    the summed values with respect to each S feature (None where they do not depend on one).
+    (C, m, n) class stack. Leading axes before C carry through: an ensemble's (M, C, h)
+    statistics against its (M, C, m, n) features give each member's gaps. Returns (values,
+    upstream): the (..., C) values, and the gradient of the summed values with respect to each
+    S feature (None where they do not depend on one).
     """
     stats_s = _feature_stats(method, feats_s)
     diffs = [st - ss for st, ss in zip(stats_t, stats_s)]
-    values = [0.0] * len(diffs[0])
-    for d in diffs:
-        for c, row in enumerate(d):
-            values[c] += float(row @ row)
+    values = sum(_squared_norms(d) for d in diffs)
     b = feats_s[0].shape[-2]
     if method == "sam":
-        return values, [-(4.0 / b) * d[:, None] * f for d, f in zip(diffs, feats_s)]
+        return values, [-(4.0 / b) * d[..., None, :] * f for d, f in zip(diffs, feats_s)]
     upstream = [None] * len(feats_s)
     pen = max(len(feats_s) - 2, 0)
     fs = feats_s[pen]
-    upstream[pen] = np.broadcast_to(-(2.0 / b) * diffs[0][:, None], fs.shape).copy()
+    upstream[pen] = np.broadcast_to(-(2.0 / b) * diffs[0][..., None, :], fs.shape).copy()
     if method == "moment":
-        upstream[pen] += -(4.0 / b) * diffs[1][:, None] * (fs - stats_s[0][:, None])
+        upstream[pen] += -(4.0 / b) * diffs[1][..., None, :] * (fs - stats_s[0][..., None, :])
     return values, upstream
 
 

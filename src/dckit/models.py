@@ -127,12 +127,14 @@ def _loss_grad_logits_tangent(logits: np.ndarray, zdot: np.ndarray, loss: str) -
 
 def _forward_sweep(weights, biases, activation: str, x: np.ndarray, out=None):
     """Pre-activations and activations (input first, logits last) of one (B, n) batch, or of each
-    batch of a (C, B, n) stack; the sweeps below keep any such leading stack axis. Per-layer
-    weights (C, in, out) and biases (C, out) give each batch of a stack its own network. ``out``,
-    a pair of per-layer buffer lists (every layer's z, then each hidden activation), receives
-    them in place of new arrays."""
+    batch of a (..., B, n) stack; the sweeps below keep leading stack axes, which broadcast as
+    in ``np.matmul``. Per-layer weights (C, in, out) and biases (C, out) give each batch of a
+    (C, B, n) stack its own network, and an ensemble's (M, 1, in, out) weights and (M, 1, out)
+    biases sweep it through each of M networks into (M, C, B, ·) arrays. ``out``, a pair of
+    per-layer buffer lists (every layer's z, then each hidden activation), receives them in
+    place of new arrays."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != weights[0].shape[-2]:
+    if x.ndim < 2 or x.shape[-1] != weights[0].shape[-2]:
         raise ShapeError(f"expected (B, {weights[0].shape[-2]}) inputs or a stack of them, got {x.shape}")
     z_out, a_out = ([None] * len(weights),) * 2 if out is None else out
     acts = [x]
@@ -150,10 +152,11 @@ def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, 
                    out=None):
     """Reverse sweep from logit gradients plus optional per-feature upstream terms.
 
-    ``upstream`` aligns with the features list (hidden activations then logits).
-    ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
-    buffer that receives the parameter gradients, one row per batch of a stack; None
-    skips them. ``out``, a pair of per-layer buffer lists indexed by layer (ga and the
+    It takes ``_forward_sweep``'s zs and acts, with their stack axes, and the weights they
+    were swept through. ``upstream`` aligns with the features list (hidden activations then
+    logits). ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
+    buffer that receives the parameter gradients, one row per batch of a stack; None skips
+    them. ``out``, a pair of per-layer buffer lists indexed by layer (ga and the
     activation's derivative act', from layer 1 on), receives each hidden layer's ga, which
     then holds its g, and act' in place of new arrays; they may be the buffers of
     ``acts[i]`` and ``zs[i - 1]``, which the sweep has read for the last time when it
@@ -187,8 +190,9 @@ def _tangent_sweep(weights, activation: str, zs, acts, g, loss: str | None, vw, 
     zs and acts and the logit gradient g. Returns the input part, grad_x of
     <v, grad_theta meanloss>. With ``grads``, per-layer views as in ``_reverse_sweep``,
     it also writes the parameter part, the exact Hessian-vector product H v; without
-    ``input_part`` it stops there and returns None. On a stacked primal each batch
-    takes its own direction (one row of a (C, P) buffer). With ``loss`` None the
+    ``input_part`` it stops there and returns None. The direction's per-layer views
+    broadcast against the primal's stack axes as the weights do: on a (C, B, n) primal each
+    batch takes its own direction (one row of a (C, P) buffer). With ``loss`` None the
     functional is <g, logits> itself: g is fixed, so its tangent is zero. ``aps``, the primal's
     act' of each hidden layer, saves recomputing them when one primal serves many sweeps.
     """
@@ -417,6 +421,21 @@ def _as_xy(d):
     return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
+def _sweep_workspace(widths, shape) -> tuple:
+    """The buffers of one forward and one reverse sweep of row batches of ``shape`` (leading
+    stack axes, then rows) through networks of ``widths``: an input-sized buffer, and the
+    ``out`` of ``_forward_sweep`` and of ``_reverse_sweep``. ``_reverse_sweep`` writes each
+    layer's ga and act' over the activation (the input-sized buffer, at layer 0) and z that
+    ``_forward_sweep`` wrote there, each of which it has read for the last time by then. All
+    are views of one block, so a workspace is freed whole instead of leaving holes in the heap."""
+    n, sizes = math.prod(shape), (*widths, *widths[1:-1])
+    ends = np.cumsum(sizes) * n
+    block = np.empty(ends[-1])
+    x, *bufs = (block[end - n * w:end].reshape(*shape, w) for w, end in zip(sizes, ends))
+    zs, acts = bufs[:len(widths) - 1], bufs[len(widths) - 1:]
+    return x, (zs, acts), ([x, *acts], [None, *zs[:-1]])
+
+
 class _FlatSgd:
     """SGD of size ``lr`` on the rows of (x, y), with a private flat parameter buffer and a
     gradient buffer whose per-layer views are made once.
@@ -445,18 +464,11 @@ class _FlatSgd:
 
     def _workspace(self, shape) -> tuple:
         """The buffers of a step on row batches of ``shape``: the gathered rows and labels, the
-        ``out`` of each sweep and the loss's. ``_reverse_sweep`` writes each hidden layer's ga and
-        act' over the activation and z that ``_forward_sweep`` wrote there, each of which it
-        has read for the last time by then. The rows, z and activations are views of one block,
-        so the workspace is freed whole instead of leaving holes in the heap."""
+        ``out`` of each sweep (``_sweep_workspace``'s) and the loss's."""
         if shape not in self.workspaces:
-            n, widths = math.prod(shape), (*self.widths, *self.widths[1:-1])
-            ends = np.cumsum(widths) * n
-            block = np.empty(ends[-1])
-            x, *bufs = (block[end - n * w:end].reshape(*shape, w) for w, end in zip(widths, ends))
-            zs, acts = bufs[:len(self.widths) - 1], bufs[len(self.widths) - 1:]
-            self.workspaces[shape] = (x, np.empty(shape, dtype=np.int64), (zs, acts),
-                                      ([None, *acts], [None, *zs[:-1]]), _loss_workspace((*shape, self.widths[-1])))
+            x, forward, reverse = _sweep_workspace(self.widths, shape)
+            self.workspaces[shape] = (x, np.empty(shape, dtype=np.int64), forward, reverse,
+                                      _loss_workspace((*shape, self.widths[-1])))
         return self.workspaces[shape]
 
     def step(self, rows, where: str):

@@ -38,10 +38,14 @@ from dckit.condense import (
     MethodConfig,
     _bptt_value_and_grad,
     _curvature_penalty,
+    _make_ensemble,
     _matching_problem,
     _trajectory_problem,
+    _Transforms,
     tuned_config,
 )
+from dckit.data import per_class_partition
+from dckit.discrepancy import _feature_gap, _feature_stats
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
 from dckit.kernels import _nfk_features
 from dckit.models import TrainConfig
@@ -99,7 +103,6 @@ def test_image_shape_checked_by_condense_for_library_callers():
 
 
 def test_pretrained_ensemble_trains_as_separate_members():
-    from dckit.condense import _make_ensemble
     from dckit.seeding import derive_seed
 
     t = two_blobs(n_per_class=20, seed=4)
@@ -1024,6 +1027,7 @@ def test_regularizers_in_latent_regime_match_fd_oracle(toy_pair):
 
 
 def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
+    condense_module = importlib.import_module("dckit.condense")
     d = two_blobs(n_per_class=12, dim=3, separation=3.0, seed=1)
     t = LabeledDataset(np.clip(d.features / 8 + 0.5, 0, 1), d.labels, 2)
     counts = []
@@ -1031,38 +1035,89 @@ def test_regularizer_sweeps_do_not_grow_with_synthetic_size(monkeypatch):
         rows = [*np.flatnonzero(t.labels == 0)[:per_class], *np.flatnonzero(t.labels == 1)[:per_class]]
         s = SyntheticDataset(t.features[rows], t.labels[rows], per_class_size=per_class, origin="init")
         calls = []
-        forward = Mlp._forward
-        monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(1) or forward(self, x))
+        forward, stacked = Mlp._forward, condense_module._forward_sweep
+        monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append("member") or forward(self, x))
+        monkeypatch.setattr(condense_module, "_forward_sweep", lambda *a: calls.append("stack") or stacked(*a))
         cfg = MethodConfig(method="dm", ensemble=3, hidden=(4,), regularizers={"inter": 0.1, "con": 0.1}, seed=0)
         matching_value_and_grad(cfg, t, s)
         monkeypatch.undo()
-        counts.append(len(calls))
-    # forward sweeps. dm: per member one T forward per class, then one S forward over the class
-    # stack that its pullback reuses; inter one forward on the first member, con one per member
-    assert counts == [3 * (2 + 1) + 1 + 3] * 2
+        counts.append((calls.count("member"), calls.count("stack")))
+    # forward sweeps. dm: per member one T forward per class, then one S forward of the class stack
+    # through every member; inter one forward on the first member, con one per member
+    assert counts == [(3 * 2 + 1 + 3, 1)] * 2
 
 
 @pytest.mark.parametrize("method", ["dm", "moment", "sam"])
 def test_feature_matching_s_sweeps_do_not_grow_with_class_count(method, monkeypatch):
+    condense_module = importlib.import_module("dckit.condense")
     rng = np.random.default_rng(5)
-    for classes in (2, 4):
+    for classes, ensemble in itertools.product((2, 4), (2, 4)):
         rows = rng.uniform(0.0, 1.0, (4 * classes, 3))
         labels = np.repeat(np.arange(classes), 4)
         t = LabeledDataset(rows, labels, classes)
         keep = np.arange(4 * classes) % 4 < 2  # the first 2 rows of each class
         s = SyntheticDataset(rows[keep], labels[keep], per_class_size=2, origin="init")
         calls = []
-        for name in ("_forward", "forward_batch", "feature_input_vjp"):
-            original = getattr(Mlp, name)
-            monkeypatch.setattr(Mlp, name, lambda self, *a, _f=original, _n=name, **k: calls.append(_n)
-                                or _f(self, *a, **k))
-        matching_value_and_grad(MethodConfig(method=method, ensemble=2, hidden=(4,), seed=0), t, s)
+        for owner, name in ((Mlp, "_forward"), (Mlp, "forward_batch"), (Mlp, "feature_input_vjp"),
+                            (condense_module, "_forward_sweep"), (condense_module, "_reverse_sweep")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        matching_value_and_grad(MethodConfig(method=method, ensemble=ensemble, hidden=(4,), seed=0), t, s)
         monkeypatch.undo()
-        # per member (2) one T forward per class, then one S forward over the class stack that
-        # its pullback reuses
-        assert calls.count("_forward") == 2 * (classes + 1)
-        assert calls.count("forward_batch") == 2 * classes
-        assert calls.count("feature_input_vjp") == 2
+        # per member one T forward per class, then one forward and one reverse sweep of S's class
+        # stack through every member at once
+        assert calls.count("_forward") == calls.count("forward_batch") == ensemble * classes
+        assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == 1
+        assert calls.count("feature_input_vjp") == 0
+
+
+def per_member_objective(cfg, t, s, v, step):
+    """dm, moment or sam's objective value and gradient at ``step`` as a loop over the members
+    of the ensemble drawn at the last refresh: per member its T statistics, S's features and
+    pullback from ``feature_input_vjp`` of S's class stack, ``_feature_gap``, and the values and
+    pulled-back gradient added in the ensemble's order. The reference for the stacked sweep."""
+    tr = _Transforms(cfg, step)
+    d = tr.output_dim(t.features.shape[1])
+    members = _make_ensemble(cfg, d, t.class_count, t.features, t.labels, step - step % cfg.refresh)
+    rows = np.stack(per_class_partition(s))
+    t_side = [tr.apply(t.features[p], t.labels[p], "t", [y])[0] for y, p in enumerate(per_class_partition(t))]
+    rs, _, vjp_s = tr.apply(v[rows], s.labels[rows], "s", range(t.class_count))
+    value, grad = 0.0, np.zeros_like(v)
+    for m in members:
+        per_class = (_feature_stats(cfg.method, m.forward_batch(r)[1]) for r in t_side)
+        feats, pullback = m.feature_input_vjp(rs)
+        values, upstream = _feature_gap(cfg.method, [np.stack(stat) for stat in zip(*per_class)], feats)
+        for val in values:
+            value += val / len(members)
+        grad[rows] += vjp_s(pullback(upstream)) / len(members)
+    return value, grad
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("method", ["dm", "moment", "sam"])
+@pytest.mark.parametrize("shape", [(2, 1, 2, (32,)), (10, 2, 64, (32,)), (10, 10, 32, (64, 64)),
+                                   (10, 10, 64, (128,))], ids=["2x1x2-32", "10x2x64-32", "10x10x32-64x64",
+                                                               "10x10x64-128"])
+def test_stacked_feature_objective_equals_per_member_loop(shape, method, activation):
+    # the one stacked sweep through every member, into the run's workspace, keeps the bits of the
+    # per-member loop: on cached steps, after a refresh, and under siamese, which redraws T each step
+    classes, m, d, hidden = shape
+    rng = np.random.default_rng(d)
+    rows = rng.uniform(0.0, 1.0, ((m + 3) * classes, d))
+    labels = np.repeat(np.arange(classes), m + 3)
+    t = LabeledDataset(rows, labels, classes)
+    s = SyntheticDataset(rows[np.arange(len(rows)) % (m + 3) < m], labels[:: m + 3].repeat(m), m, origin="init")
+    variants = [{}] + ([{"siamese": {"op": "shift"}}] if d > 2 else [])
+    for variant in variants:
+        image = dict(image_shape=(1, 8, d // 8), variants=variant) if variant else {}
+        cfg = MethodConfig(method=method, ensemble=3, hidden=hidden, activation=activation, refresh=2, seed=4,
+                           **image)
+        v0, objective, *_ = _matching_problem(cfg, t, s)
+        for step in range(4):
+            v = np.clip(v0 + 0.01 * step * rng.normal(size=v0.shape), 0.0, 1.0)
+            value, grad, _ = objective(v, step)
+            want_value, want_grad = per_member_objective(cfg, t, s, v, step)
+            assert value == want_value and np.array_equal(grad, want_grad)
 
 
 @pytest.mark.parametrize("name", ["inter", "intra", "con", "cos", "dis", "proj"])

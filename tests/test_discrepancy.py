@@ -21,7 +21,7 @@ from dckit import (
     moment_discrepancy,
     wasserstein1,
 )
-from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
+from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap, _squared_norms
 from dckit.errors import ArchitectureError, DomainError, LabelError
 from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp
 
@@ -177,6 +177,17 @@ def test_stacked_feature_gap_matches_per_class_bits(method, widths, rng):
             assert [u is None for u in upstream] == [u is None for u in up]
             for got, want in zip(upstream, up):
                 assert want is None or np.array_equal(got[c], want)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 2), (2, 10, 32), (3, 10, 64), (3, 10, 128), (3, 2, 784)])
+def test_squared_norms_are_each_rows_dot(shape, rng):
+    # the stacked gap's values, one matmul over an ensemble's (M, C, h) differences, keep the bits
+    # that the dot of each row with itself gives
+    for scale in np.geomspace(1e-3, 1e3, 20):
+        d = scale * rng.normal(size=shape)
+        got = _squared_norms(d)
+        assert got.shape == shape[:-1]
+        assert np.array_equal(got.reshape(-1), [float(row @ row) for row in d.reshape(-1, shape[-1])])
 
 
 @pytest.mark.parametrize("widths", GAP_WIDTHS, ids=["0-hidden", "1-hidden", "2-hidden"])

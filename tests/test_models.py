@@ -9,8 +9,8 @@ import pytest
 from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError, ValidationError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import (_FlatSgd, _forward_sweep, _loss_value_and_grad, _tangent_sweep, epoch_batches, loss_hvp,
-                          max_eigenvalue, per_sample_loss)
+from dckit.models import (_FlatSgd, _forward_sweep, _loss_value_and_grad, _reverse_sweep, _tangent_sweep, epoch_batches,
+                          loss_hvp, max_eigenvalue, per_sample_loss)
 from tests.conftest import central_diff, reference_per_sample_loss, reference_sgd_step
 
 
@@ -168,6 +168,48 @@ def test_tangent_sweep_takes_per_batch_weights(activation, hidden, rng):
             hvp = np.empty(net.param_count)
             want = net.input_grad_param_tangent(x[c], y[c], "cross_entropy", v[c], grads=net._split_flat(hvp))
             assert np.array_equal(gx[c], want) and np.array_equal(hvps[c], hvp)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)], ids=["0-hidden", "1-hidden", "2-hidden"])
+def test_sweeps_take_an_ensemble_stack(activation, hidden, rng):
+    # an ensemble's (M, 1, in, out) weights sweep a (C, m, n) class stack into (M, C, m, .) arrays,
+    # each member's slice bit for bit its own sweep of the stack
+    nets = [Mlp.init([3, *hidden, 2], activation, seed=seed) for seed in (1, 2, 3)]
+    ws, bs = nets[0]._split_flat(np.stack([n.flat_params() for n in nets])[:, None])
+    x, y = rng.uniform(size=(4, 5, 3)), rng.integers(0, 2, (4, 5))
+    g_logits = rng.normal(size=(3, 4, 5, 2))
+    upstream = [rng.normal(size=(3, 4, 5, w)) for w in hidden] + [None]
+    v = rng.normal(size=(3, nets[0].param_count))
+    zs, acts = _forward_sweep(ws, bs, activation, x)
+    grads = np.empty((3, 4, nets[0].param_count))
+    gx = _reverse_sweep(ws, activation, zs, acts, g_logits, upstream, grads=nets[0]._split_flat(grads))
+    _, g = _loss_value_and_grad(acts[-1], np.broadcast_to(y, (3, 4, 5)), "cross_entropy")
+    hvps = np.empty_like(grads)
+    tangent = _tangent_sweep(ws, activation, zs, acts, g, "cross_entropy", *nets[0]._split_flat(v[:, None]),
+                             grads=nets[0]._split_flat(hvps))
+    assert gx.shape == tangent.shape == (3, 4, 5, 3)
+    for i, net in enumerate(nets):
+        zs_i, acts_i = _forward_sweep(net.weights, net.biases, activation, x)
+        assert all(np.array_equal(a[i], b) for a, b in zip([*zs, *acts[1:]], [*zs_i, *acts_i[1:]], strict=True))
+        grads_i = np.empty((4, net.param_count))
+        gx_i = _reverse_sweep(net.weights, activation, zs_i, acts_i, g_logits[i],
+                              [None if u is None else u[i] for u in upstream], grads=net._split_flat(grads_i))
+        assert np.array_equal(gx[i], gx_i) and np.array_equal(grads[i], grads_i)
+        hvp_i = np.empty((4, net.param_count))
+        tangent_i = net.input_grad_param_tangent(x, y, "cross_entropy", np.tile(v[i], (4, 1)),
+                                                 grads=net._split_flat(hvp_i))
+        assert np.array_equal(tangent[i], tangent_i) and np.array_equal(hvps[i], hvp_i)
+
+
+def test_sweep_takes_any_leading_stack_axes(rng):
+    m = Mlp.init([3, 4, 2], "relu", seed=0)
+    x = rng.uniform(size=(2, 3, 5, 3))
+    logits = m.forward_batch(x)[0]
+    assert all(np.array_equal(logits[i, j], m.forward_batch(x[i, j])[0]) for i in range(2) for j in range(3))
+    for x in (np.ones(3), np.ones((2, 4)), np.ones((3, 2, 2, 4))):
+        with pytest.raises(ShapeError, match="expected"):
+            _forward_sweep(m.weights, m.biases, "relu", x)
 
 
 @pytest.mark.parametrize("model", [Mlp.init([3, *hidden, 2], activation, seed=5) for activation in ("relu", "tanh")
