@@ -10,31 +10,30 @@ Every gradient method is a problem builder that returns ``(v0, objective, log,
 project, finish)``: ``objective(v, step) -> (value, grad, extra_log_fields)`` over
 the synthetic variables ``v``, and ``finish(v)`` turns the final variables into
 (synthetic set, log). ``condense`` picks the builder by method name and runs
-``_descend``, the one outer loop that logs, steps, projects and checks the
-variables; the coresets are selected directly. Matching objectives
-(dm/gm/mmd/moment/sam) follow the per-class convention and approximate the
-hypothesis-space supremum by averaging over a periodically refreshed model
-ensemble (one ``None`` member for the kernel families). Each splits into T-side
-statistics per member, built by ``t_stat`` in ``_matching_problem`` from each
-class's T rows (transformed once when the statistics are built) and kept in its
-one cache ``t_stats`` until an ensemble or k-means proxy refresh (rebuilt every
-step under siamese and channel_multiform, whose transforms depend on the step),
-and an S-side term with an analytic outer gradient. gm, dm, moment and sam
-cache (C, ...) arrays of the statistics themselves; the kernel families keep
-one per class. Every method transforms S as one (C, m, d) stack of its class
-batches: dm, moment and sam compare their statistics, stacked over the members,
-with one sweep of it through the whole ensemble's stacked weights, gm with one
-sweep per member over it, and mmd takes its classes from it one at a time. An
-mmd under random features, like any dp_merf run, matches mean embeddings and
-takes its S gradient from the random-feature pullback. dm, moment and sam share
-``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the
-discrepancy report. The regularizers score the rows the ensemble sees, and
-their exact gradients join the S-side ones. krr and mmd reach every kernel through
-``kernels.gram_and_vjp``, which gives a Gram matrix and its VJP from one evaluation of
-each point set: a kernel is a gamma-exponential, a feature map Phi with its pullback, or
-a pullback-encoder. The unrolled bilevel flavors
-(bptt/robdc/curvdc, trajectory) take one exact adjoint sweep
-(``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
+``_descend``, the one outer loop that logs, steps, projects and checks the variables; the
+coresets are selected directly. Matching objectives (dm/gm/mmd/moment/sam) follow the
+per-class convention and approximate the hypothesis-space supremum by averaging over a
+periodically refreshed model ensemble (one member for the kernel families). Each splits
+into T-side statistics, built for every member by ``t_stat`` in ``_matching_problem`` from
+each class's T rows (transformed once when the statistics are built) and kept in its one
+cache ``t_stats`` until an ensemble or k-means proxy refresh (rebuilt every step under
+siamese and channel_multiform, whose transforms depend on the step), and S-side terms with
+an analytic outer gradient. gm, dm, moment and sam cache (C, ...) arrays of the statistics
+themselves, dm, moment and sam stacked over the members; the kernel families keep one per
+class. Every method transforms S as one (C, m, d) stack of its class batches, and one
+function, ``s_terms``, yields every member's values and gradient against it in the
+ensemble's order: dm, moment and sam from one sweep of the stack through the whole
+ensemble's stacked weights, gm from one sweep per member, mmd class by class. The objective
+adds every member's pulled-back gradient, and gm's curvature term, into one (C, m, d)
+buffer and writes it to S's rows once. An mmd under random features, like any dp_merf run,
+matches mean embeddings and takes its S gradient from the random-feature pullback. dm,
+moment and sam share ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``,
+with the discrepancy report. The regularizers score the rows the ensemble sees, and their
+exact gradients join the S-side ones. krr and mmd reach every kernel through
+``kernels.gram_and_vjp``, which gives a Gram matrix and its VJP from one evaluation of each
+point set: a kernel is a gamma-exponential, a feature map Phi with its pullback, or a
+pullback-encoder. The unrolled bilevel flavors (bptt/robdc/curvdc, trajectory) take one
+exact adjoint sweep (``_unroll_adjoint``) back through the SGD tape of ``_unroll``.
 """
 from __future__ import annotations
 
@@ -991,16 +990,15 @@ def _matching_problem(cfg, t, s0):
 
     model_dim = _Transforms(cfg, 0).output_dim(t_matched.shape[1])
     kernel_objective = embed_path or cfg.method == "mmd"
-    # dm, moment and sam sweep S through every member at once: the ensemble's per-layer
-    # (M, 1, in, out) weights and (M, 1, out) biases, views of its (M, P) parameters
-    stacked = not kernel_objective and cfg.method != "gm"
+    n_e = 1 if kernel_objective else cfg.ensemble  # the members whose terms the objective averages
+    # stack: dm, moment and sam's per-layer (M, 1, in, out) weights and (M, 1, out) biases, views
+    # of the ensemble's stacked (M, 1, P) parameters; built by their first step after a refresh
     ensemble = stack = None
     sweeps = {}  # the stacked sweeps' workspace, per (C, m, d') shape of S's transformed stack
     t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
-    # per ensemble member, its T statistics over the classes (under ``stacked``, one entry: each
-    # statistic's (M, C, h) stack over the members); kept until an ensemble or proxy refresh
-    # unless the T transform depends on the step (siamese and channel_multiform draw per step)
-    t_stats = []
+    # every member's T statistics, as ``t_stat`` builds them; kept until an ensemble or proxy
+    # refresh unless the T transform depends on the step (siamese and channel_multiform draw per step)
+    t_stats = None
     cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
     s_rows = np.stack(part_s)  # (C, m): S's side is one stack of the class batches (per_class_size rows each)
     g_s = None  # gm's (C, P) S class gradients: one buffer that every member and step writes over
@@ -1017,115 +1015,112 @@ def _matching_problem(cfg, t, s0):
                            batch_size=cfg.inner_batch, loss=cfg.loss, seed=derive_seed(cfg.seed, "proj_train"))
         _, expert = sgd_train(base, (t_matched, t.labels), tcfg, record=True)
 
-    def t_stat(model, t_side, rng_grad):
-        """An ensemble member's T statistics (``model`` is None for the kernel families) from
-        each class's transformed (rows, labels) in ``t_side``: per class, the dp_merf-noised
-        mean embedding or (rows, mean k(T_y, T_y)) for the Gram route; otherwise (C, ...)
-        arrays, the dp_grad-clipped and noised class-mean gradients or ``_feature_stats``."""
-        nonlocal dp_invocations
+    def t_stat(tr):
+        """Every member's T statistics, as ``s_terms`` reads them, from each class's T rows under
+        the step's transforms ``tr``. The kernel families have one member and keep a list over
+        the classes: the dp_merf-noised mean embedding, or (rows, mean k(T_y, T_y)) for the Gram
+        route. dm, moment and sam stack each ``_feature_stats`` statistic into one (M, C, h)
+        array; gm keeps per member a (C, P) array of the dp_grad-clipped and noised class-mean
+        gradients. T forwards run per member and class."""
+        nonlocal dp_invocations, grad_draws
+        t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2] for y in classes]
         if embed_path:  # sigma 0 adds zeros
             means = [random_feature_map(kernel, rows).mean(axis=0) for rows, _ in t_side]
             return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
             return [(rows, gram_matrix(kernel, rows, rows).mean()) for rows, _ in t_side]
         if cfg.method != "gm":
-            per_class = (_feature_stats(cfg.method, model.forward_batch(rows)[1]) for rows, _ in t_side)
-            return [np.stack(stat) for stat in zip(*per_class)]
-        stats = np.empty((len(t_side), model.param_count))
-        for stat, (rows, labels) in zip(stats, t_side):
-            model.backward(rows, labels, cfg.loss, out=stat, input_part=False)
-            if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
-                stat /= max(np.linalg.norm(stat), 1.0)
-                stat += dp_sigma * rng_grad.normal(size=stat.shape)
-                dp_invocations += 1
-        return stats
+            members = ([np.stack(stat) for stat in zip(*(_feature_stats(cfg.method, model.forward_batch(rows)[1])
+                                                       for rows, _ in t_side))] for model in ensemble)
+            return [np.stack(stat) for stat in zip(*members)]
+        grad_draws += 1
+        rng_grad = derived_rng(cfg.seed, f"dp_grad:{tr.step}") if dp_sigma > 0 else None
+        members = []
+        for model in ensemble:
+            members.append(np.empty((len(t_side), model.param_count)))
+            for stat, (rows, labels) in zip(members[-1], t_side):
+                model.backward(rows, labels, cfg.loss, out=stat, input_part=False)
+                if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
+                    stat /= max(np.linalg.norm(stat), 1.0)
+                    stat += dp_sigma * rng_grad.normal(size=stat.shape)
+                    dp_invocations += 1
+        return members
 
-    def stacked_terms(stats, rs):
-        """dm, moment or sam's S-side terms of every member against the stacked T statistics:
-        one forward and one reverse sweep of the (C, m, d') stack ``rs`` of S's transformed rows
-        through the ensemble's stacked weights, into the workspace of its shape. Returns the
-        (M, C) values and the (M, C, m, d') gradient with respect to ``rs``, which lives in the
-        workspace until the next step."""
-        weights, biases = stack
-        if rs.shape not in sweeps:
-            sweeps[rs.shape] = _sweep_workspace(ensemble[0].widths, (len(ensemble), *rs.shape[:-1]))
-        _, forward, reverse = sweeps[rs.shape]
-        zs, acts = _forward_sweep(weights, biases, cfg.activation, rs, forward)
-        values, upstream = _feature_gap(cfg.method, stats, acts[1:])
-        g0 = upstream[-1] if upstream[-1] is not None else np.zeros_like(acts[-1])
-        return values, _reverse_sweep(weights, cfg.activation, zs, acts, g0, upstream=[*upstream[:-1], None],
-                                      out=reverse)
-
-    def s_terms(model, stats, rs, ls):
-        """gm's or a kernel family's S-side terms against one member's T statistics: (values,
-        gradient with respect to the (C, m, d') stack ``rs`` of S's transformed rows).
-        Contrastive gm gives one value. gm takes every class's terms from one sweep over the
-        stack, which writes S's class gradients, then their gap, into the one buffer ``g_s``."""
-        nonlocal g_s
+    def s_terms(stats, rs, ls):
+        """Yields every member's S-side terms against ``t_stat``'s statistics, in the ensemble's
+        order: (values, gradient with respect to the (C, m, d') stack ``rs`` of S's transformed
+        rows). dm, moment and sam take them all from one forward and one reverse sweep of ``rs``
+        through the ensemble's stacked weights, into the workspace of its shape, where the
+        gradients live until the next step. gm takes each member's from one sweep over the stack,
+        which writes S's class gradients, then their gap, into the one buffer ``g_s``; contrastive
+        gm gives one value. The kernel families give their one member's, class by class."""
+        nonlocal stack, g_s
         if cfg.method == "gm":
-            g_s = np.empty_like(stats) if g_s is None else g_s
-            _, grads, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True, out=g_s, input_part=False)
-            values, upstream = _gradient_gap(contrastive, stats, grads)
-            return values, tangent(upstream)
-        values, grads = [], []
-        for stat, r in zip(stats, rs):
-            if embed_path:
-                phi, pullback = _feature_map(kernel, None, r)
-                diff = stat - phi.mean(axis=0)
-                values.append(float(diff @ diff))
-                grads.append(pullback(diff) * (-2.0 / r.shape[0]))
-            else:
-                rows_t, ktt = stat
-                value, grad = mmd_squared_and_grad_s(kernel, rows_t, r, ktt)
-                values.append(value)
-                grads.append(grad)
-        return values, np.stack(grads)
+            for model, stat in zip(ensemble, stats):
+                g_s = np.empty_like(stat) if g_s is None else g_s
+                _, grads, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True, out=g_s, input_part=False)
+                values, upstream = _gradient_gap(contrastive, stat, grads)
+                yield values, tangent(upstream)
+        elif not kernel_objective:
+            if stack is None:
+                stack = ensemble[0]._split_flat(np.stack([m.flat_params() for m in ensemble])[:, None])
+            weights, biases = stack
+            if rs.shape not in sweeps:
+                sweeps[rs.shape] = _sweep_workspace(ensemble[0].widths, (len(ensemble), *rs.shape[:-1]))
+            _, forward, reverse = sweeps[rs.shape]
+            zs, acts = _forward_sweep(weights, biases, cfg.activation, rs, forward)
+            values, upstream = _feature_gap(cfg.method, stats, acts[1:])  # (M, C) values
+            g0 = upstream[-1] if upstream[-1] is not None else np.zeros_like(acts[-1])
+            yield from zip(values, _reverse_sweep(weights, cfg.activation, zs, acts, g0,
+                                                  upstream=[*upstream[:-1], None], out=reverse))
+        else:
+            values, grads = [], []
+            for stat, r in zip(stats, rs):
+                if embed_path:
+                    phi, pullback = _feature_map(kernel, None, r)
+                    diff = stat - phi.mean(axis=0)
+                    values.append(float(diff @ diff))
+                    grads.append(pullback(diff) * (-2.0 / r.shape[0]))
+                else:
+                    rows_t, ktt = stat
+                    value, grad = mmd_squared_and_grad_s(kernel, rows_t, r, ktt)
+                    values.append(value)
+                    grads.append(grad)
+            yield values, np.stack(grads)
 
     def objective(v, step):
-        nonlocal ensemble, stack, grad_draws
+        nonlocal ensemble, stack, t_stats
         tr = _Transforms(cfg, step)
         if (not kernel_objective or reg_weights) and (ensemble is None or step % cfg.refresh == 0):
-            ensemble = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step)
-            if stacked:
-                stack = ensemble[0]._split_flat(np.stack([m.flat_params() for m in ensemble])[:, None])
+            ensemble, stack = _make_ensemble(cfg, model_dim, t.class_count, t_matched, t.labels, step), None
             if not kernel_objective:  # kernel statistics do not depend on the models
-                t_stats.clear()
+                t_stats = None
         if proxy is not None and step % proxy["period"] == 0:
             for y in classes:
                 t_rows[y], _ = kmeans_coreset(
                     t_matched[part_t[y]], proxy["k"] or min(16, part_t[y].size),
                     iters=25, seed=derive_seed(cfg.seed, f"proxy:{step}:{y}"),
                 )
-            t_stats.clear()
-        members = [None] if kernel_objective else ensemble
-        if not t_stats:  # a refresh, or T rows that this step's transform redraws
-            if cfg.method == "gm":
-                grad_draws += 1
-            rng_grad = derived_rng(cfg.seed, f"dp_grad:{step}") if dp_sigma > 0 else None
-            t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2]
-                      for y in classes]
-            stats = [t_stat(model, t_side, rng_grad) for model in members]
-            t_stats.extend([[np.stack(stat) for stat in zip(*stats)]] if stacked else stats)
+            t_stats = None
+        if t_stats is None:  # a refresh, or T rows that this step's transform redraws
+            t_stats = t_stat(tr)
 
         s_matched = fwd(v)
         rs, ls, vjp_s = tr.apply(s_matched[s_rows], s_labels[s_rows], "s", classes)
         value = 0.0
-        grad_matched = np.zeros_like(s_matched)
-        n_e = len(members)
-        if stacked:
-            terms = zip(*stacked_terms(t_stats[0], rs))
-        else:
-            terms = (s_terms(model, stats, rs, ls) for model, stats in zip(members, t_stats))
-        for model, (values, g) in zip(members, terms):  # member by member, in the ensemble's order
+        grad_s = np.zeros((*s_rows.shape, s_matched.shape[1]))  # every member's terms, in the ensemble's order
+        for i, (values, g) in enumerate(s_terms(t_stats, rs, ls)):
             for val in values:
                 value += val / n_e
-            grad_matched[s_rows] += vjp_s(g) / n_e
+            grad_s += vjp_s(g) / n_e
             if rho is not None:
-                lam, grad_lam = _curvature_penalty(model, t_matched, t.labels, s_matched, s_labels, cfg)
+                lam, grad_lam = _curvature_penalty(ensemble[i], t_matched, t.labels, s_matched, s_labels, cfg)
                 value += 0.5 * rho * lam / n_e
-                grad_matched += (0.5 * rho / n_e) * grad_lam
+                grad_s += (0.5 * rho / n_e) * grad_lam[s_rows]
         if not cache_t:
-            t_stats.clear()
+            t_stats = None
+        grad_matched = np.zeros_like(s_matched)
+        grad_matched[s_rows] = grad_s  # s_rows partitions S's rows: one scatter
 
         reg_values = {}
         if reg_weights:  # scored on the rows the ensemble sees, so their gradients join grad_matched

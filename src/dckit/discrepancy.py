@@ -351,6 +351,8 @@ def characteristic_discrepancy(
         rng = np.random.default_rng(seed)
         freqs = rng.normal(size=(sample_count, a.shape[1]))
     freqs = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
+    if freqs.ndim != 2 or not a.shape[1] == b.shape[1] == freqs.shape[1]:
+        raise ShapeError(f"points of widths {a.shape[1]}, {b.shape[1]} need (F, width) freqs, got {freqs.shape}")
     if freqs.shape[0] < 1:
         raise DomainError("need at least one frequency")
     return float(np.abs(empirical_cf(a, freqs) - empirical_cf(b, freqs)).max())

@@ -45,10 +45,12 @@ from dckit.condense import (
     tuned_config,
 )
 from dckit.data import per_class_partition
-from dckit.discrepancy import _feature_gap, _feature_stats
+from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
 from dckit.kernels import _nfk_features
 from dckit.models import TrainConfig
+from dckit.seeding import derived_rng
+from dckit.spaces import regime_maps
 from tests.conftest import central_diff, copy_as_synthetic, linear_mlp, matching_value_and_grad
 
 MATCHING = ("dm", "gm", "mmd", "moment", "sam")
@@ -1072,25 +1074,48 @@ def test_feature_matching_s_sweeps_do_not_grow_with_class_count(method, monkeypa
 
 
 def per_member_objective(cfg, t, s, v, step):
-    """dm, moment or sam's objective value and gradient at ``step`` as a loop over the members
-    of the ensemble drawn at the last refresh: per member its T statistics, S's features and
-    pullback from ``feature_input_vjp`` of S's class stack, ``_feature_gap``, and the values and
-    pulled-back gradient added in the ensemble's order. The reference for the stacked sweep."""
+    """A matching objective's value and gradient at ``step`` as a loop over the members of the
+    ensemble drawn at the last refresh, each member's terms added into ``grad[rows]`` in the
+    ensemble's order. dm, moment and sam: per member its T statistics, S's features and pullback
+    from ``feature_input_vjp`` of S's class stack, and ``_feature_gap``. gm: per member T's class
+    gradients through ``backward(out=, input_part=False)``, clipped and noised under dp_grad, and
+    S's through ``backward(tangent=True)`` and ``_gradient_gap``, then ``_curvature_penalty``
+    under curvature. The reference for the engine's stacked sweep and its one scatter."""
+    to_matched, _, fwd, regime_vjp, _ = regime_maps(cfg.regime, cfg.autoencoder)
+    t_matched, s_matched = to_matched(t.features), fwd(v)
     tr = _Transforms(cfg, step)
-    d = tr.output_dim(t.features.shape[1])
-    members = _make_ensemble(cfg, d, t.class_count, t.features, t.labels, step - step % cfg.refresh)
+    refresh = step - step % cfg.refresh
+    members = _make_ensemble(cfg, tr.output_dim(t_matched.shape[1]), t.class_count, t_matched, t.labels, refresh)
     rows = np.stack(per_class_partition(s))
-    t_side = [tr.apply(t.features[p], t.labels[p], "t", [y])[0] for y, p in enumerate(per_class_partition(t))]
-    rs, _, vjp_s = tr.apply(v[rows], s.labels[rows], "s", range(t.class_count))
-    value, grad = 0.0, np.zeros_like(v)
+    t_side = [tr.apply(t_matched[p], t.labels[p], "t", [y])[:2] for y, p in enumerate(per_class_partition(t))]
+    rs, ls, vjp_s = tr.apply(s_matched[rows], s.labels[rows], "s", range(t.class_count))
+    sigma, rng_grad = cfg.variant("dp_grad")["sigma"], derived_rng(cfg.seed, f"dp_grad:{refresh}")
+    value, grad = 0.0, np.zeros_like(s_matched)
     for m in members:
-        per_class = (_feature_stats(cfg.method, m.forward_batch(r)[1]) for r in t_side)
-        feats, pullback = m.feature_input_vjp(rs)
-        values, upstream = _feature_gap(cfg.method, [np.stack(stat) for stat in zip(*per_class)], feats)
+        if cfg.method == "gm":
+            stats = np.empty((t.class_count, m.param_count))
+            for stat, (r, labels) in zip(stats, t_side):
+                m.backward(r, labels, cfg.loss, out=stat, input_part=False)
+                if sigma > 0:
+                    stat /= max(np.linalg.norm(stat), 1.0)
+                    stat += sigma * rng_grad.normal(size=stat.shape)
+            _, grads, _, tangent = m.backward(rs, ls, cfg.loss, tangent=True, input_part=False)
+            values, upstream = _gradient_gap("contrastive" in cfg.variants, stats, grads)
+            g = tangent(upstream)
+        else:
+            per_class = (_feature_stats(cfg.method, m.forward_batch(r)[1]) for r, _ in t_side)
+            feats, pullback = m.feature_input_vjp(rs)
+            values, upstream = _feature_gap(cfg.method, [np.stack(stat) for stat in zip(*per_class)], feats)
+            g = pullback(upstream)
         for val in values:
             value += val / len(members)
-        grad[rows] += vjp_s(pullback(upstream)) / len(members)
-    return value, grad
+        grad[rows] += vjp_s(g) / len(members)
+        if "curvature" in cfg.variants:
+            rho = cfg.variants["curvature"]["rho"]
+            lam, grad_lam = _curvature_penalty(m, t_matched, t.labels, s_matched, s.labels, cfg)
+            value += 0.5 * rho * lam / len(members)
+            grad[rows] += (0.5 * rho / len(members)) * grad_lam[rows]
+    return value, regime_vjp(grad)
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -1118,6 +1143,32 @@ def test_stacked_feature_objective_equals_per_member_loop(shape, method, activat
             value, grad, _ = objective(v, step)
             want_value, want_grad = per_member_objective(cfg, t, s, v, step)
             assert value == want_value and np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("regime", ["input_input", "input_latent"])
+@pytest.mark.parametrize("variants", [{}, {"contrastive": {}}, {"dp_grad": {"sigma": 0.5}},
+                                      {"curvature": {"rho": 0.1}}], ids=["per_class", "contrastive", "dp_grad",
+                                                                         "curvature"])
+def test_gm_objective_equals_per_member_loop(variants, regime):
+    # every member's terms, the curvature penalty's among them, added into one buffer and
+    # scattered once keep the bits of adding each term into S's rows in the ensemble's order,
+    # on cached steps and after a refresh
+    from dckit import fit_linear_autoencoder
+
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(0.0, 1.0, (15, 4))
+    labels = np.repeat(np.arange(3), 5)
+    t = LabeledDataset(rows, labels, 3)
+    s = SyntheticDataset(rows[np.arange(15) % 5 < 2], np.repeat(np.arange(3), 2), 2, origin="init")
+    latent = dict(autoencoder=fit_linear_autoencoder(t, 2)) if regime == "input_latent" else {}
+    cfg = MethodConfig(method="gm", ensemble=3, hidden=(5,), refresh=2, curv_iters=3, regime=regime,
+                       variants=variants, seed=6, **latent)
+    v0, objective, _, project, _ = _matching_problem(cfg, t, s)
+    for step in range(4):
+        v = project(v0 + 0.01 * step * rng.normal(size=v0.shape))
+        value, grad, _ = objective(v, step)
+        want_value, want_grad = per_member_objective(cfg, t, s, v, step)
+        assert value == want_value and np.array_equal(grad, want_grad)
 
 
 @pytest.mark.parametrize("name", ["inter", "intra", "con", "cos", "dis", "proj"])

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from dckit import (
+    KernelSpec,
     LabeledDataset,
     Mlp,
     ModelBatch,
@@ -18,11 +20,12 @@ from dckit import (
     hierarchy_report,
     ipm_feature_stat,
     loss_discrepancy,
+    mmd_squared,
     moment_discrepancy,
     wasserstein1,
 )
 from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap, _squared_norms
-from dckit.errors import ArchitectureError, DomainError, LabelError
+from dckit.errors import ArchitectureError, DomainError, LabelError, ShapeError
 from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp
 
 
@@ -402,6 +405,20 @@ def test_cd_pseudometric_on_fixed_freqs(rng):
 def test_cd_requires_frequencies(rng):
     with pytest.raises(DomainError):
         characteristic_discrepancy(np.array([0.0]), np.array([1.0]), sample_count=0)
+
+
+@pytest.mark.parametrize("distance, widths", [
+    (wasserstein1, (2, 3)),
+    (hausdorff_distance, (2, 3)),
+    (partial(mmd_squared, KernelSpec("gamma_exponential")), (2, 3)),
+    (characteristic_discrepancy, (2, 3)),
+    (partial(characteristic_discrepancy, freqs=np.ones((4, 3))), (2, 2)),
+    (partial(characteristic_discrepancy, freqs=np.ones((4, 2))), (3, 3)),
+], ids=["w1", "hausdorff", "mmd", "cd", "cd-wide-freqs", "cd-narrow-freqs"])
+def test_point_set_distances_reject_mismatched_widths(distance, widths, rng):
+    # point sets of different widths, or frequencies of another width than the points'
+    with pytest.raises(ShapeError):
+        distance(rng.uniform(size=(5, widths[0])), rng.uniform(size=(4, widths[1])))
 
 
 # --- GD / VD / PD ---------------------------------------------------------------
