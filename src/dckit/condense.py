@@ -91,7 +91,6 @@ from .models import (
     _FlatSgd,
     _forward_sweep,
     _loss_value_and_grad,
-    _power_iteration,
     _reverse_sweep,
     _sweep_workspace,
     epoch_batches,
@@ -630,24 +629,26 @@ def krr_fit(spec: KernelSpec, s: SyntheticDataset, lam: float) -> KrrPredictor:
     return krr_fit_targets(spec, s.features, one_hot(s.labels, s.class_count), lam)
 
 
-def _krr_loss_and_grads(spec, x_t, y_t, s, y_s, lam, want_grad_t=False):
-    """Mean squared prediction error of the ridge fit on T and its gradients.
-
-    Returns (loss, grad wrt S rows, grad wrt T rows or None); each Gram matrix's
-    share is the VJP that ``gram_and_vjp`` returns with it.
-    """
-    n = x_t.shape[0]
+def _krr_fit(spec, s, y_s, lam):
+    """The ridge fit of S, built once while S holds still (K(S, S) with its VJP, and alpha), as two
+    functions of T's rows (x_t, y_t): the fit's mean squared prediction error on T with its gradient
+    with respect to S's rows, and its gradient with respect to T's rows. Each Gram matrix's share
+    is the VJP that ``gram_and_vjp`` returns with it."""
     g, vjp_ss = gram_and_vjp(spec, s, s)
     alpha = krr_solve(g, y_s, lam)
-    k_ts, vjp_ts = gram_and_vjp(spec, x_t, s)
-    resid = k_ts @ alpha - y_t
-    loss = float(np.sum(resid**2) / n)
-    r = (2.0 / n) * resid  # (N, C)
-    m2 = alpha @ r.T  # (M, N)
-    m1 = alpha @ (k_ts.T @ r).T @ np.linalg.inv(g + lam * np.eye(g.shape[0]))
-    grad_s = vjp_ts(m2.T) - vjp_ss(m1 + m1.T)
-    grad_t = gram_and_vjp(spec, s, x_t)[1](m2) if want_grad_t else None
-    return loss, grad_s, grad_t
+
+    def loss_and_grad_s(x_t, y_t):
+        k_ts, vjp_ts = gram_and_vjp(spec, x_t, s)
+        resid = k_ts @ alpha - y_t
+        r = (2.0 / len(y_t)) * resid
+        m1 = alpha @ (k_ts.T @ r).T @ np.linalg.inv(g + lam * np.eye(g.shape[0]))
+        return float(np.sum(resid**2) / len(y_t)), vjp_ts((alpha @ r.T).T) - vjp_ss(m1 + m1.T)
+
+    def grad_t(x_t, y_t):  # K(S, T)'s VJP at the residual of K(T, S)
+        r = (2.0 / len(y_t)) * (gram_matrix(spec, x_t, s) @ alpha - y_t)
+        return gram_and_vjp(spec, s, x_t)[1](alpha @ r.T)
+
+    return loss_and_grad_s, grad_t
 
 
 def _krr_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
@@ -662,16 +663,14 @@ def _krr_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
 
     def objective(s, step):
         nonlocal delta
+        loss_and_grad_s, grad_t = _krr_fit(spec, s, y_s, lam)
         if eps > 0:
             step_size = eps / max(adv_steps, 1) * 2.5
             for _ in range(adv_steps):
-                _, _, grad_t = _krr_loss_and_grads(
-                    spec, np.clip(t.features + delta, 0.0, 1.0), y_t, s, y_s, lam, want_grad_t=True
-                )
-                delta = np.clip(delta + step_size * np.sign(grad_t), -eps, eps)
+                g = grad_t(np.clip(t.features + delta, 0.0, 1.0), y_t)
+                delta = np.clip(delta + step_size * np.sign(g), -eps, eps)
         x_eff = np.clip(t.features + delta, 0.0, 1.0) if eps > 0 else t.features
-        value, grad_s, _ = _krr_loss_and_grads(spec, x_eff, y_t, s, y_s, lam)
-        return value, grad_s, {}
+        return (*loss_and_grad_s(x_eff, y_t), {})
 
     log = StepLog(meta={"method": "krr", "kernel": spec.describe(), "lambda": lam, "eps": eps})
     meta = {"kernel": spec.describe(), "lambda": lam, "seed": cfg.seed, "eps": eps}
@@ -790,22 +789,18 @@ def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
     """The outer loss after ``window`` full-batch inner steps of size eta on (s, labels) from
     ``theta_start``, and its exact gradient in v = (s.ravel(), eta): one adjoint sweep back
     through the ``_unroll`` tape (2 window P floats). robdc differentiates at the fixed PGD
-    point and curvdc's eigenvalue estimate at its final iterate u (Danskin's theorem)."""
+    point, and curvdc adds curv_lambda times lambda_max of T's loss Hessian (``_sharpness``)."""
     robust = cfg.variant("robust_outer")
     ends, tapes = _unroll(model, theta_start, s, labels, cfg.loss, eta, [_FULL_BATCH] * window, "inner step")
     with np.errstate(over="ignore", invalid="ignore"):
         trained = model.with_params(ends[-1])
         x_adv = pgd_attack(trained, t.features, t.labels, robust["eps"], steps=robust["steps"], loss=cfg.loss)
-        value, lam, _ = trained.backward(x_adv, t.labels, cfg.loss)
-        if cfg.method == "curvdc":  # grad_theta u^T H_T u: a central difference of H_T(theta +/- h u) u
-            curv, u = _power_iteration(loss_hvp(trained, t.features, t.labels, cfg.loss), trained.param_count,
-                                       cfg.curv_iters, derive_seed(cfg.seed, "curv"))
-            h, hvps = 1e-5, np.empty((2, trained.param_count))
-            for out, at in zip(hvps, (h, -h)):
-                trained.input_grad_param_tangent(t.features, t.labels, cfg.loss, u, grads=trained._split_flat(out),
-                                                 params=ends[-1] + at * u, input_part=False)
+        value, lam, _ = trained.backward(x_adv, t.labels, cfg.loss, input_part=False)
+        if cfg.method == "curvdc":
+            curv, danskin, _ = _sharpness(trained, loss_hvp(trained, t.features, t.labels, cfg.loss), t.features,
+                                          t.labels, cfg, "curv", cfg.curv_lambda)
             value += cfg.curv_lambda * curv
-            lam += cfg.curv_lambda * (hvps[0] - hvps[1]) / (2 * h)
+            lam += danskin
         g_s, g_eta = _unroll_adjoint(model, tapes, [0.0] * (window - 1) + [lam], s, labels, cfg.loss, eta)
     return _checked(value, np.append(g_s.ravel(), g_eta))
 
@@ -940,31 +935,24 @@ def condense(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
 
 def _condense_coreset(cfg, t, s0):
     part = per_class_partition(t)
-    feats, labels = [], []
-    per_class_scores = []
+    feats, scores = [], []
     for y in range(t.class_count):
         pts = t.features[part[y]]
         if cfg.method == "kcenter":
             idx, radius = kcenter_covering(pts, s0.per_class_size)
             feats.append(pts[np.sort(idx)])
-            per_class_scores.append(radius)
+            scores.append(radius)
         else:
-            centers, inertias = kmeans_coreset(
-                pts, s0.per_class_size, iters=max(cfg.outer_steps, 10),
-                seed=derive_seed(cfg.seed, f"kmeans:{y}"),
-            )
+            centers, inertias = kmeans_coreset(pts, s0.per_class_size, iters=max(cfg.outer_steps, 10),
+                                               seed=derive_seed(cfg.seed, f"kmeans:{y}"))
             feats.append(centers)
-            per_class_scores.append(inertias[-1])
-        labels.extend([y] * s0.per_class_size)
-    objective = max(per_class_scores) if cfg.method == "kcenter" else float(sum(per_class_scores))
-    log = StepLog(meta={"method": cfg.method, "per_class_scores": per_class_scores})
-    log.append(step=0, objective=float(objective), method_value=float(objective), grad_norm=0.0)
-    out = SyntheticDataset(
-        features=np.vstack(feats), labels=np.asarray(labels, dtype=np.int64),
-        per_class_size=s0.per_class_size, origin=f"condense:{cfg.method}",
-        class_count=t.class_count, meta={"seed": cfg.seed},
-    )
-    return out, log
+            scores.append(inertias[-1])
+    objective = float(max(scores) if cfg.method == "kcenter" else sum(scores))
+    log = StepLog(meta={"method": cfg.method, "per_class_scores": scores})
+    log.append(step=0, objective=objective, method_value=objective, grad_norm=0.0)
+    labels = np.repeat(np.arange(t.class_count, dtype=np.int64), s0.per_class_size)
+    return SyntheticDataset(features=np.vstack(feats), labels=labels, per_class_size=s0.per_class_size,
+                            origin=f"condense:{cfg.method}", class_count=t.class_count, meta={"seed": cfg.seed}), log
 
 
 def _matching_problem(cfg, t, s0):
@@ -1142,14 +1130,24 @@ def _matching_problem(cfg, t, s0):
     return v0, objective, log, _clip01 if cfg.regime.endswith("_input") else (lambda v: v), finish
 
 
+def _sharpness(model, hvp, x, y, cfg, salt, scale):
+    """lambda_max of the Hessian operator ``hvp`` at the model's parameters theta (``max_eigenvalue``,
+    seeded from ``salt``) and, by Danskin's theorem, ``scale`` times the gradient of u^T H(x, y) u at
+    its top unit eigenvector u: one central difference of two tangent sweeps of (x, y) along u at
+    theta +/- h u, each writing its parameter part (H(theta +/- h u) u) and its input part.
+    Returns (lambda_max, parameter part, input part)."""
+    lam, u = max_eigenvalue(hvp, model.param_count, iters=cfg.curv_iters, seed=derive_seed(cfg.seed, salt))
+    h, theta, sweeps = 1e-5, model.flat_params(), []
+    for at in (h, -h):
+        hu = np.empty(model.param_count)
+        sweeps.append((hu, model.input_grad_param_tangent(x, y, cfg.loss, u, grads=model._split_flat(hu),
+                                                          params=theta + at * u)))
+    return (lam, *(scale * (plus - minus) / (2 * h) for plus, minus in zip(*sweeps)))
+
+
 def _curvature_penalty(model, x_t, y_t, x_s, y_s, cfg):
     """lambda^+ of H_T - H_S at the model parameters from exact Hessian-vector products, and its
-    x_s-gradient: by Danskin's theorem -grad_{x_s} u^T H_S u at the top unit eigenvector u, one
-    central difference of the exact input tangent along u at theta -/+ h u (two sweeps)."""
-    hvp_t = loss_hvp(model, x_t, y_t, cfg.loss)
-    hvp_s = loss_hvp(model, x_s, y_s, cfg.loss)
-    seed = derive_seed(cfg.seed, "curv_gm")
-    lam, u = max_eigenvalue(lambda v: hvp_t(v) - hvp_s(v), model.param_count, iters=cfg.curv_iters, seed=seed)
-    h, theta = 1e-5, model.flat_params()
-    tangent = lambda at: model.input_grad_param_tangent(x_s, y_s, cfg.loss, u, params=theta + at * u)
-    return lam, (tangent(-h) - tangent(h)) / (2 * h)
+    x_s-gradient: by Danskin's theorem -grad_{x_s} u^T H_S u at the top unit eigenvector u."""
+    hvp_t, hvp_s = loss_hvp(model, x_t, y_t, cfg.loss), loss_hvp(model, x_s, y_s, cfg.loss)
+    lam, _, grad_s = _sharpness(model, lambda v: hvp_t(v) - hvp_s(v), x_s, y_s, cfg, "curv_gm", -1.0)
+    return lam, grad_s

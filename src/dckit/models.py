@@ -558,29 +558,30 @@ def pgd_attack(
 
     Iterates stay inside both the eps-ball around x and [0, 1]^n. The clean input
     is always a candidate, so the attacked loss never drops below the clean loss.
+    One forward sweep per iterate gives its losses and, by an input-only reverse sweep, its ascent.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if eps == 0:
         return x.copy()
-    if step_size is None:
-        step_size = max(eps / max(steps, 1) * 2.5, 1e-12)
+    step_size = max(eps / max(steps, 1) * 2.5, 1e-12) if step_size is None else step_size
     y = np.asarray(y, dtype=np.int64)
-    best = x.copy()
-    logits, _ = m.forward_batch(best)
-    best_loss = per_sample_loss(logits, y, loss)
-    adv = x.copy()
-    for _ in range(steps):
-        _, _, ginput = m.backward(adv, y, loss)
-        adv = adv + step_size * np.sign(ginput)
-        adv = np.clip(adv, x - eps, x + eps)
-        adv = np.clip(adv, 0.0, 1.0)
-        logits, _ = m.forward_batch(adv)
-        cand = per_sample_loss(logits, y, loss)
-        better = cand > best_loss
-        best[better] = adv[better]
-        best_loss = np.where(better, cand, best_loss)
+    _check_labels(y, m.n_outputs)
+    ws = _loss_workspace((*x.shape[:-1], m.n_outputs))
+    best, adv = x.copy(), x
+    for k in range(steps + 1):
+        zs, acts = m._forward(adv)
+        _, g = _loss_value_and_grad(acts[-1], y, loss, ws)  # ws[3] holds the per-sample losses
+        if k == 0:
+            best_loss = ws[3].copy()
+        else:
+            better = ws[3] > best_loss
+            best[better] = adv[better]
+            best_loss = np.where(better, ws[3], best_loss)
+        if k < steps:
+            ginput = _reverse_sweep(m.weights, m.activation, zs, acts, g)
+            adv = np.clip(np.clip(adv + step_size * np.sign(ginput), x - eps, x + eps), 0.0, 1.0)
     return best
 
 

@@ -164,12 +164,12 @@ def test_criterion_3_gradient_correctness():
                 kw["ridge_lambda"] = 0.1
             cfg = MethodConfig(method=method, **kw)
             if method == "krr":
-                from dckit.condense import _krr_loss_and_grads
+                from dckit.condense import _krr_fit
                 from dckit.data import one_hot
 
                 y_t = one_hot(t.labels, 2)
                 y_s = one_hot(s.labels, 2)
-                _, grad, _ = _krr_loss_and_grads(cfg.kernel, t.features, y_t, s.features, y_s, 0.1)
+                _, grad = _krr_fit(cfg.kernel, s.features, y_s, 0.1)[0](t.features, y_t)
                 h = 1e-5
                 fd = np.zeros_like(s.features)
                 for j in range(2):
@@ -177,8 +177,8 @@ def test_criterion_3_gradient_correctness():
                         sp, sm = s.features.copy(), s.features.copy()
                         sp[j, k] += h
                         sm[j, k] -= h
-                        fd[j, k] = (_krr_loss_and_grads(cfg.kernel, t.features, y_t, sp, y_s, 0.1)[0]
-                                    - _krr_loss_and_grads(cfg.kernel, t.features, y_t, sm, y_s, 0.1)[0]) / (2 * h)
+                        fd[j, k] = (_krr_fit(cfg.kernel, sp, y_s, 0.1)[0](t.features, y_t)[0]
+                                    - _krr_fit(cfg.kernel, sm, y_s, 0.1)[0](t.features, y_t)[0]) / (2 * h)
             else:
                 _, grad = matching_value_and_grad(cfg, t, s)
                 fd = _fd_outer(cfg, t, s)

@@ -48,8 +48,8 @@ from dckit.data import per_class_partition
 from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
 from dckit.kernels import _nfk_features
-from dckit.models import TrainConfig
-from dckit.seeding import derived_rng
+from dckit.models import TrainConfig, loss_hvp, max_eigenvalue
+from dckit.seeding import derive_seed, derived_rng
 from dckit.spaces import regime_maps
 from tests.conftest import central_diff, copy_as_synthetic, linear_mlp, matching_value_and_grad
 
@@ -105,8 +105,6 @@ def test_image_shape_checked_by_condense_for_library_callers():
 
 
 def test_pretrained_ensemble_trains_as_separate_members():
-    from dckit.seeding import derive_seed
-
     t = two_blobs(n_per_class=20, seed=4)
     cfg = small_cfg("dm", ensemble=3, provenance="pretrained", pretrain_epochs=3, inner_batch=7, inner_lr=0.05)
     stacked = _make_ensemble(cfg, 2, 2, t.features, t.labels, step=5)
@@ -394,7 +392,7 @@ def _hex(values):
 
 def outer_loop_record(name):
     """The pinned quantities of one case of OUTER_CASES or OUTER_PROBES."""
-    from dckit.condense import _krr_loss_and_grads
+    from dckit.condense import _krr_fit
     from dckit import fit_linear_autoencoder
 
     rng = np.random.default_rng(2024)
@@ -412,8 +410,9 @@ def outer_loop_record(name):
         _, grad = _bptt_value_and_grad(cfg, t, model, s.labels, model.flat_params(), s.features, 0.1, 2)
         return {"grad_s": _hex(grad[:-1]), "grad_eta": _hex(grad[-1])}
     if name == "krr_loss_and_grads":
-        loss, grad_s, grad_t = _krr_loss_and_grads(_NFK, x, np.eye(2)[y], s.features, np.eye(2)[s.labels],
-                                                   0.1, want_grad_t=True)
+        loss_and_grad_s, grad_wrt_t = _krr_fit(_NFK, s.features, np.eye(2)[s.labels], 0.1)
+        loss, grad_s = loss_and_grad_s(x, np.eye(2)[y])
+        grad_t = grad_wrt_t(x, np.eye(2)[y])
         return {"loss": _hex(loss), "grad_s": _hex(grad_s), "grad_t": _digest_array(grad_t)}
     kw = dict(outer_steps=3, outer_lr=0.05, ensemble=2, refresh=2, hidden=(4,), activation="tanh",
               inner_steps=2, inner_lr=0.1, inner_batch=6, seed=3)
@@ -458,7 +457,7 @@ def test_krr_step_evaluates_each_point_set_once_per_gram(family, rng, monkeypatc
     # each of K(S, S) and K(T, S) comes with its VJP from one evaluation of its two point sets:
     # one sq_distances per Gram, or per member one forward sweep of each side
     import dckit.kernels
-    from dckit.condense import _krr_loss_and_grads
+    from dckit.condense import _krr_fit
 
     members = (Mlp.init([3, 5, 2], "tanh", seed=1), Mlp.init([3, 4, 2], "relu", seed=2))
     spec = gaussian_spec(0.8) if family == "gamma_exponential" else KernelSpec(family, model=members)
@@ -468,11 +467,31 @@ def test_krr_step_evaluates_each_point_set_once_per_gram(family, rng, monkeypatc
     forward, sq_distances = Mlp._forward, dckit.kernels.sq_distances
     monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(self) or forward(self, x))
     monkeypatch.setattr(dckit.kernels, "sq_distances", lambda a, b: calls.append("sq") or sq_distances(a, b))
-    _krr_loss_and_grads(spec, x_t, y_t, s, y_s, 0.1)
+    _krr_fit(spec, s, y_s, 0.1)[0](x_t, y_t)
     if family == "gamma_exponential":
         assert calls == ["sq"] * 2
     else:
         assert [calls.count(m) for m in members] == [4, 4] and len(calls) == 8
+
+
+def test_ridge_robust_fits_s_once_per_outer_step(rng, monkeypatch):
+    # K(S, S) and its solve are built once per outer step, each adversarial step evaluates only
+    # K(T + delta, S) and the VJP of K(S, T + delta), and the final loss reuses the fit
+    import dckit.kernels
+    from dckit.condense import _krr_problem
+
+    t = LabeledDataset(rng.uniform(size=(12, 3)), np.repeat([0, 1], 6), 2)
+    s0 = SyntheticDataset(t.features[[0, 6]], t.labels[[0, 6]], per_class_size=1, origin="init")
+    calls, sq_distances, counts = [], dckit.kernels.sq_distances, []
+    monkeypatch.setattr(dckit.kernels, "sq_distances", lambda a, b: calls.append(1) or sq_distances(a, b))
+    for steps in (0, 3):
+        cfg = MethodConfig(method="krr", kernel=gaussian_spec(0.8), ridge_lambda=0.1,
+                           variants={"ridge_robust": {"eps": 0.05, "steps": steps}})
+        v0, objective, *_ = _krr_problem(cfg, t, s0)
+        calls.clear()
+        objective(v0, 0)
+        counts.append(len(calls))
+    assert counts == [2, 2 + 2 * 3]
 
 
 def test_krr_ridge_dominance(rng):
@@ -530,7 +549,7 @@ _NFK_PAIR = KernelSpec("nfk", model=(Mlp.init((3, 5, 2), "tanh", seed=1), Mlp.in
                                     "empirical_ntk-linear", "random_feature", "pullback-random_feature"])
 def test_nfk_gradients_match_fd_oracle(kernel):
     from dckit import fit_linear_autoencoder, pullback_spec
-    from dckit.condense import _krr_loss_and_grads
+    from dckit.condense import _krr_fit
     from dckit.kernels import mmd_squared_and_grad_s
 
     rng = np.random.default_rng(2024)
@@ -561,12 +580,13 @@ def test_nfk_gradients_match_fd_oracle(kernel):
     if kernel == "pullback-random_feature":
         ae = fit_linear_autoencoder(LabeledDataset(x, np.argmax(y, axis=1), 2), 2)
         spec = pullback_spec(_RFF, ae)
-    _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
+    loss_and_grad_s, grad_wrt_t = _krr_fit(spec, s, y_s, 0.1)
+    grad_s, grad_t = loss_and_grad_s(x, y)[1], grad_wrt_t(x, y)
     mmd2, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
     assert mmd2 == mmd_squared(spec, x, s)
     oracles = [
-        (grad_s, central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
-        (grad_t, central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
+        (grad_s, central_diff(lambda u: _krr_fit(spec, u, y_s, 0.1)[0](x, y)[0], s)),
+        (grad_t, central_diff(lambda u: loss_and_grad_s(u, y)[0], x)),
         (mmd_grad, central_diff(lambda u: mmd_squared(spec, x, u), s)),
     ]
     for grad, fd in oracles:
@@ -758,6 +778,22 @@ def test_curvdc_runs(toy_pair):
                        hidden=(4,), activation="tanh", curv_iters=4, seed=1)
     _, log = condense(cfg, t, s)
     assert np.isfinite(log.rows[0]["objective"])
+
+
+def test_curvdc_penalizes_the_largest_signed_eigenvalue():
+    # this net's loss Hessian has a dominant eigenvalue near -1.26 and lambda_max near +0.79; an
+    # unshifted power iteration would add the first and so reward the curvature it penalizes
+    model = Mlp.init((3, 8, 2), "tanh", seed=14)
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0, 1, (40, 3))
+    y = rng.integers(0, 2, 40)
+    cfg = MethodConfig(method="curvdc", hidden=(8,), activation="tanh", inner_steps=0, curv_iters=8,
+                       curv_lambda=1.0, seed=0)
+    value, _ = _bptt_value_and_grad(cfg, LabeledDataset(x, y, 2), model, y[:4], model.flat_params(), x[:4], 0.1, 0)
+    lam, _ = max_eigenvalue(loss_hvp(model, x, y, "cross_entropy"), model.param_count, iters=8,
+                            seed=derive_seed(0, "curv"))
+    assert lam > 0.5
+    assert value == model.mean_loss(x, y) + lam
 
 
 def test_curvature_gradient_matches_fd_at_converged_eigenvector(toy_pair):

@@ -136,10 +136,10 @@ def central_diff_helpers(source: str) -> list[str]:
 
 
 # Each finite-difference gradient site in production code. Removing one lowers its
-# count here; a new one fails until it is written down. Left: the two Danskin terms,
-# each a central difference of an exact tangent sweep along the top eigenvector
-# (curvdc's lambda term in _bptt_value_and_grad, and the gm curvature penalty's S gradient).
-FD_SITES = {"_bptt_value_and_grad": 1, "_curvature_penalty": 1}
+# count here; a new one fails until it is written down. Left: the one Danskin term, a
+# central difference of two exact tangent sweeps along the top eigenvector, which both
+# curvdc's penalty and gm's curvature variant take from _sharpness.
+FD_SITES = {"_sharpness": 1}
 
 
 def test_modules_found():
@@ -585,6 +585,20 @@ def test_class_statistics_are_compared_in_one_place():
     assert call_sites(PACKAGE, "_feature_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gap",
                                                    "spaces.py:_resolve_disc"]
     assert call_sites(PACKAGE, "_gradient_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gap"]
+
+
+def test_eigenvalues_are_solved_in_one_place():
+    # a bare power iteration returns the eigenvalue of largest magnitude; max_eigenvalue shifts
+    # a negative one away, so every curvature term penalizes the largest signed eigenvalue
+    assert set(call_sites(PACKAGE, "_power_iteration")) == {"models.py:max_eigenvalue"}
+
+
+def test_bare_power_iteration_detected():
+    planted = {
+        "models.py": "def max_eigenvalue(hvp, p):\n    return _power_iteration(hvp, p, 8, 0)\n",
+        "condense.py": "def _penalty(model, hvp, cfg):\n    return models._power_iteration(hvp, model.param_count, 8, 0)\n",
+    }
+    assert call_sites(planted, "_power_iteration") == ["models.py:max_eigenvalue", "condense.py:_penalty"]
 
 
 def test_call_site_detected():

@@ -255,18 +255,19 @@ def test_gaussian_gradients_finite_where_rows_coincide(gamma, rng):
 
 @pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0])
 def test_gaussian_gradients_match_fd_oracle(gamma):
-    from dckit.condense import _krr_loss_and_grads
+    from dckit.condense import _krr_fit
 
     rng = np.random.default_rng(2024)
     x = rng.uniform(0.0, 1.0, (12, 3))
     y = np.eye(2)[[0] * 6 + [1] * 6]
     s, y_s = x[[0, 1, 6, 7]] + 0.05, y[[0, 1, 6, 7]]
     spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.8)
-    _, grad_s, grad_t = _krr_loss_and_grads(spec, x, y, s, y_s, 0.1, want_grad_t=True)
+    loss_and_grad_s, grad_wrt_t = _krr_fit(spec, s, y_s, 0.1)
+    grad_s, grad_t = loss_and_grad_s(x, y)[1], grad_wrt_t(x, y)
     _, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
     oracles = [
-        (grad_s, central_diff(lambda u: _krr_loss_and_grads(spec, x, y, u, y_s, 0.1)[0], s)),
-        (grad_t, central_diff(lambda u: _krr_loss_and_grads(spec, u, y, s, y_s, 0.1)[0], x)),
+        (grad_s, central_diff(lambda u: _krr_fit(spec, u, y_s, 0.1)[0](x, y)[0], s)),
+        (grad_t, central_diff(lambda u: loss_and_grad_s(u, y)[0], x)),
         (mmd_grad, central_diff(lambda u: mmd_squared(spec, x, u), s)),
     ]
     for grad, fd in oracles:

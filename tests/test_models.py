@@ -497,6 +497,40 @@ def test_pgd_monotone_in_steps(rng):
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def _reference_pgd(m, x, y, eps, steps, loss):
+    # the ascent written plainly: a full backward at each iterate, then a forward for its losses
+    step_size = max(eps / max(steps, 1) * 2.5, 1e-12)
+    best, best_loss, adv = x.copy(), per_sample_loss(m.forward_batch(x)[0], y, loss), x.copy()
+    for _ in range(steps):
+        adv = np.clip(np.clip(adv + step_size * np.sign(m.backward(adv, y, loss)[2]), x - eps, x + eps), 0.0, 1.0)
+        cand = per_sample_loss(m.forward_batch(adv)[0], y, loss)
+        better = cand > best_loss
+        best[better] = adv[better]
+        best_loss = np.where(better, cand, best_loss)
+    return best
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+def test_pgd_matches_reference_ascent(activation, loss):
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        m = Mlp.init([5, 16, 16, 3], activation, seed=seed)
+        x, y = rng.uniform(size=(30, 5)), rng.integers(0, 3, 30)
+        assert np.array_equal(pgd_attack(m, x, y, eps=0.1, steps=5, loss=loss), _reference_pgd(m, x, y, 0.1, 5, loss))
+
+
+def test_pgd_forwards_each_iterate_once(rng, monkeypatch):
+    # steps + 1 forwards: one per iterate gives its losses and, through an input-only reverse
+    # sweep, its ascent direction
+    m = Mlp.init([5, 16, 16, 3], "relu", seed=0)
+    x, y = rng.uniform(size=(20, 5)), rng.integers(0, 3, 20)
+    calls, forward = [], Mlp._forward
+    monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(1) or forward(self, x))
+    pgd_attack(m, x, y, eps=0.1, steps=5)
+    assert len(calls) == 5 + 1
+
+
 def test_power_iteration_identity_quadratic():
     # quadratic loss 0.5 ||theta||^2 has identity Hessian
     est, _ = max_eigenvalue(lambda v: v, dim=12, iters=30, seed=0)
