@@ -55,6 +55,7 @@ from .kernels import (
     KernelSpec,
     gaussian_spec,
     gram_matrix,
+    gram_mean,
     kernel_eval,
     median_heuristic,
     median_heuristic_spec,

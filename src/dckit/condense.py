@@ -78,6 +78,7 @@ from .kernels import (
     _nfk_features,
     gram_and_vjp,
     gram_matrix,
+    gram_mean,
     kernel_or_default,
     mmd_squared_and_grad_s,
     random_feature_map,
@@ -1016,7 +1017,7 @@ def _matching_problem(cfg, t, s0):
             means = [random_feature_map(kernel, rows).mean(axis=0) for rows, _ in t_side]
             return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
-            return [(rows, gram_matrix(kernel, rows, rows).mean()) for rows, _ in t_side]
+            return [(rows, gram_mean(kernel, rows, rows)) for rows, _ in t_side]
         if cfg.method != "gm":
             members = ([np.stack(stat) for stat in zip(*(_feature_stats(cfg.method, model.forward_batch(rows)[1])
                                                        for rows, _ in t_side))] for model in ensemble)

@@ -329,10 +329,33 @@ def hausdorff_distance(t, s) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+# complex entries of one row block of empirical_cf
+_CF_BLOCK_ENTRIES = 1 << 12
+
+
 def empirical_cf(x: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Empirical characteristic function values, one complex number per frequency."""
+    """Empirical characteristic function values, one complex number per frequency: the bits of
+    ``np.exp(1j * phase).mean(axis=0)`` over the (N, F) phases, without its (N, F) complex arrays.
+
+    The phases are one GEMM. Down the rows of an (N, F) array with F > 1, numpy's sum adds the
+    rows in order, so ``exp(1j * phase)`` is taken a block of rows at a time, each block's sum
+    starts from the carried sum of the rows before it, and the mean divides the total as numpy
+    does. Down a single column numpy's sum is pairwise, so one frequency takes its (N, 1) column
+    whole, which is O(N)."""
     phase = _points(x) @ np.asarray(freqs, dtype=np.float64).T  # (N, F)
-    return np.exp(1j * phase).mean(axis=0)
+    n, f = phase.shape
+    if f == 1:
+        return np.exp(1j * phase).mean(axis=0)
+    rows = max(1, _CF_BLOCK_ENTRIES // f)
+    block = np.zeros((rows + 1, f), dtype=complex)  # row 0 carries the sum
+    total = np.zeros(f, dtype=complex)
+    for r0 in range(0, n, rows):
+        terms = block[1:1 + min(rows, n - r0)]
+        np.multiply(1j, phase[r0:r0 + rows], out=terms)
+        np.exp(terms, out=terms)
+        block[0] = total
+        np.add.reduce(block[:1 + len(terms)], axis=0, out=total)
+    return total / n
 
 
 def characteristic_discrepancy(
@@ -428,16 +451,18 @@ def model_free(t, s, names, kernel: KernelSpec | None, freq_count: int, seed: in
     return values, params
 
 
-def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0) -> DiscrepancyReport:
+def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0,
+                     kernel: KernelSpec | None = None) -> DiscrepancyReport:
     """Compute every available discrepancy for (T, S) and record the bound checks.
 
-    The model-free values are ``model_free`` with the median-heuristic kernel of T and
-    ``CF_FREQUENCIES`` frequencies drawn from ``seed``. With a batch, records the one bound check gd <= 2 dd
-    in the finite-batch sense (dd over the same hypothesis set, cross-entropy criterion).
+    The model-free values are ``model_free`` with ``kernel`` (by default the median-heuristic
+    kernel of T) and ``CF_FREQUENCIES`` frequencies drawn from ``seed``. With a batch, records
+    the one bound check gd <= 2 dd in the finite-batch sense (dd over the same hypothesis set,
+    cross-entropy criterion).
     """
     checks: list = []
     loss = "cross_entropy"
-    values, params = model_free(t.features, s.features, MODEL_FREE, None, CF_FREQUENCIES, seed)
+    values, params = model_free(t.features, s.features, MODEL_FREE, kernel, CF_FREQUENCIES, seed)
     params = {"loss": loss, **params}
 
     if batch is not None:

@@ -70,9 +70,18 @@ def gaussian_spec(scale: float = 1.0) -> KernelSpec:
     return KernelSpec(family="gamma_exponential", gamma=2.0, scale=scale)
 
 
-# entries of one block of rows in sq_distances and median_heuristic: small enough that the
-# per-feature passes over a block stay in cache
+# entries of one block of rows in sq_distances and median_heuristic's scans: small enough that
+# the per-feature passes over a block stay in cache
 _BLOCK_ENTRIES = 1 << 15
+# median_heuristic: the most seeded pairs whose squared distances bracket the middle rank (one
+# in 32 pairs below that, so the sample costs a few percent of the scan), and the candidates
+# inside the bracket that one scan may keep per point; a histogram of bit patterns with 2^11
+# bins narrows a bracket that holds more
+_MEDIAN_SAMPLE = 1 << 15
+_MEDIAN_SEED = 0
+_CANDIDATES_PER_POINT = 64
+_HIST_BITS = 11
+_INF_BITS = 0x7FF0000000000000  # +inf; the positive doubles' bit patterns are 1 to this, in order
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,30 +107,108 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def median_heuristic(x: np.ndarray) -> float:
-    """Median of the positive pairwise Euclidean distances (1.0 when degenerate).
+    """Median of the positive pairwise Euclidean distances (1.0 when degenerate), in O(N) memory.
 
-    The N(N-1)/2 distances i < j fill one condensed buffer a block of rows at a time, so it
-    is the only quadratic array besides its positive copy, which is partitioned in place."""
+    An exact selection on the squared distances of the N(N-1)/2 pairs i < j (Floyd & Rivest,
+    "Expected time bounds for selection", CACM 1975). A seeded sample of pairs brackets the middle
+    rank, one scan of ``sq_distances``'s row blocks counts the positive values and those below the
+    bracket and keeps those inside it, and a partition of the kept values gives the rank-k values.
+    Their square roots are ``np.median``'s operands over the positive distances, because a
+    correctly rounded square root is monotone, so the value has the bits of the full condensed
+    distance vector's median. A bracket that misses the rank, or holds more than 64 values per
+    point, is moved or narrowed by further scans, so the seed changes only the time."""
     x = _as_points(x)
     n = x.shape[0]
-    d = np.empty(n * (n - 1) // 2)
-    rows, pos = max(1, _BLOCK_ENTRIES // max(n, 1)), 0
-    for i0 in range(0, n - 1, rows):
-        block = sq_distances(x[i0:i0 + rows], x[i0 + 1:])  # column c is row i0 + 1 + c
-        for r in range(min(rows, n - 1 - i0)):
-            d[pos:pos + block.shape[1] - r] = block[r, r:]
-            pos += block.shape[1] - r
-    np.sqrt(d, out=d)
-    vals = d[d > 0]
-    if vals.size == 0:
+    pairs, cap = n * (n - 1) // 2, _CANDIDATES_PER_POINT * n
+    lo, hi = _sample_bracket(x, min(_MEDIAN_SAMPLE, pairs // 32)) if pairs > cap else (1, _INF_BITS)
+    scan = _median_scan(x, lo, hi, cap)
+    count = scan[0]
+    if count == 0:
         return 1.0
-    # np.median's value without its NaN check, which imports numpy.ma (no NaN passes d > 0)
-    k = vals.size // 2
-    if vals.size % 2:
-        vals.partition(k)
-        return float(vals[k])
-    vals.partition([k - 1, k])
-    return float((vals[k - 1] + vals[k]) / 2.0)
+    k = count // 2
+    vals = [np.sqrt(_rank_value(x, r, lo, hi, scan, cap)) for r in ((k,) if count % 2 else (k - 1, k))]
+    return float(vals[0]) if len(vals) == 1 else float((vals[0] + vals[1]) / 2.0)
+
+
+def _sample_bracket(x: np.ndarray, size: int) -> tuple[int, int]:
+    """The bit patterns of two squared distances of ``size`` seeded pairs i != j, about 4 standard
+    errors either side of the sample's median of positive values: the bracket of a first scan.
+    The pairs' distances are summed one feature at a time, as ``sq_distances`` sums them."""
+    rng = np.random.default_rng(_MEDIAN_SEED)
+    i = rng.integers(0, x.shape[0], size=size, dtype=np.int32)
+    j = rng.integers(0, x.shape[0] - 1, size=size, dtype=np.int32)
+    j += j >= i
+    s, d, e = np.zeros(size), np.empty(size), np.empty(size)
+    for col in x.T:
+        np.subtract(np.take(col, i, out=d), np.take(col, j, out=e), out=d)
+        d *= d
+        s += d
+    s = s[s > 0]
+    s.sort()
+    half, width = s.size // 2, int(2.0 * np.sqrt(s.size)) + 1
+    lo = s[half - width].view(np.int64) if half >= width else 1
+    hi = s[half + width].view(np.int64) if half + width < s.size else _INF_BITS
+    return int(lo), int(hi)
+
+
+def _median_scan(x: np.ndarray, lo: int, hi: int, cap: int):
+    """One scan of the squared distances of the pairs i < j against the bracket of bit patterns
+    [lo, hi]: (positive values, positive values below lo, values inside, the values inside or
+    None when there are more than ``cap``, then their histogram over the bracket's bins)."""
+    n = x.shape[0]
+    lo_f, hi_f = np.array([lo, hi], dtype=np.int64).view(np.float64)
+    shift = max(0, (hi - lo).bit_length() - _HIST_BITS)
+    cand, hist = np.empty(min(cap, n * (n - 1) // 2)), None
+    positive = below = inside = 0
+    i0 = 0
+    while i0 < n - 1:
+        rows = max(1, _BLOCK_ENTRIES // (n - 1 - i0))
+        block = sq_distances(x[i0:i0 + rows], x[i0 + 1:])  # column c is row i0 + 1 + c
+        w = min(block.shape)
+        np.copyto(block[:, :w], 0.0, where=np.tri(block.shape[0], w, -1, dtype=bool))  # pairs j <= i
+        i0 += rows
+        mask = block > 0
+        positive += np.count_nonzero(mask)
+        mask &= block < lo_f
+        below += np.count_nonzero(mask)
+        np.greater_equal(block, lo_f, out=mask)
+        mask &= block <= hi_f
+        m = np.count_nonzero(mask)
+        if hist is None and inside + m <= cap:
+            np.compress(mask.ravel(), block.ravel(), out=cand[inside:inside + m])
+        else:
+            if hist is None:
+                hist = _bit_histogram(cand[:inside], lo, hi, shift)
+            hist += _bit_histogram(block[mask], lo, hi, shift)
+        inside += m
+    return positive, below, inside, (cand[:inside] if hist is None else None), hist
+
+
+def _bit_histogram(v: np.ndarray, lo: int, hi: int, shift: int) -> np.ndarray:
+    """Counts of the values v, inside the bracket [lo, hi] of bit patterns, per bin of 2^shift patterns."""
+    return np.bincount((v.view(np.int64) - lo) >> shift, minlength=((hi - lo) >> shift) + 1)
+
+
+def _rank_value(x: np.ndarray, r: int, lo: int, hi: int, scan, cap: int):
+    """The rank-r positive squared distance, from ``_median_scan``'s result ``scan`` over the
+    bracket [lo, hi]: a bracket that misses r moves below or above itself, and one that holds
+    too many values narrows to the histogram bin that holds r, until one scan keeps r's bin."""
+    while True:
+        _, below, inside, cand, hist = scan
+        if r < below:
+            lo, hi = 1, lo - 1
+        elif r >= below + inside:
+            lo, hi = hi + 1, _INF_BITS
+        elif cand is not None:
+            cand.partition(r - below)
+            return cand[r - below]
+        else:
+            shift = max(0, (hi - lo).bit_length() - _HIST_BITS)
+            b = int(np.searchsorted(np.cumsum(hist), r - below, side="right"))
+            lo, hi = lo + (b << shift), min(hi, lo + ((b + 1) << shift) - 1)
+            if lo == hi:  # every value in the bin is this one
+                return np.array(lo, dtype=np.int64).view(np.float64)[()]
+        scan = _median_scan(x, lo, hi, cap)
 
 
 def median_heuristic_spec(x: np.ndarray) -> KernelSpec:
@@ -235,6 +322,43 @@ def gram_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return k / len(members)
 
 
+# entries of one leaf of gram_mean's pairwise tree: above numpy's 128-entry unrolled blocks
+_LEAF_ENTRIES = 1 << 16
+
+
+def gram_mean(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
+    """The bits of ``gram_matrix(spec, a, b).mean()``, in O(A + B) memory for a gamma-exponential
+    spec.
+
+    numpy adds a contiguous run of n > 128 entries pairwise, splitting it at n/2 rounded down
+    to a multiple of 8, so its tree depends only on n (Higham, "The accuracy of floating point
+    summation", SIAM J. Sci. Comput. 1993). The recursion splits the flat A·B range the same
+    way, builds each leaf of at most 2^16 entries from the rows it spans, lets ``np.add.reduce``
+    sum the leaf as numpy sums that subtree, and adds the leaves up the tree. A
+    gamma-exponential entry has the same bits whatever rows come with it; the other families'
+    entries come from a GEMM, whose rounding may depend on its blocks, so they take the whole
+    matrix."""
+    if spec.family != "gamma_exponential":
+        return gram_matrix(spec, a, b).mean()
+    a, b = _as_points(a), _as_points(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise DomainError("both point sets must be nonempty")
+    cols = b.shape[0]
+
+    def total(start, n):
+        if n > _LEAF_ENTRIES:
+            half = n // 2
+            half -= half % 8
+            return total(start, half) + total(start + half, n - half)
+        i0 = start // cols
+        leaf = _gaussian_from_sq(spec, sq_distances(a[i0:(start + n - 1) // cols + 1], b)).ravel()
+        return np.add.reduce(leaf[start - i0 * cols:start - i0 * cols + n])
+
+    return total(0, a.shape[0] * cols) / (a.shape[0] * cols)
+
+
 def kernel_eval(spec: KernelSpec, x1: np.ndarray, x2: np.ndarray) -> float:
     """Kernel value for a single pair of points."""
     x1 = np.asarray(x1, dtype=np.float64).reshape(1, -1)
@@ -329,8 +453,7 @@ def mmd_squared(spec: KernelSpec, t: np.ndarray, s: np.ndarray) -> float:
     s = _as_points(s)
     if t.shape[0] == 0 or s.shape[0] == 0:
         raise DomainError("both point sets must be nonempty")
-    return _mmd_from_means(gram_matrix(spec, t, t).mean(), gram_matrix(spec, t, s).mean(),
-                           gram_matrix(spec, s, s).mean())
+    return _mmd_from_means(gram_mean(spec, t, t), gram_mean(spec, t, s), gram_mean(spec, s, s))
 
 
 def _mmd_from_means(ktt, kts, kss) -> float:

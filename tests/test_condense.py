@@ -1419,3 +1419,21 @@ def test_latent_regime_condense(rng):
     rec = ae.decode(ae.encode(out.features))
     assert np.max(np.abs(rec - out.features)) <= 1e-10
     assert log.rows[-1]["objective"] <= log.rows[0]["objective"]
+
+
+def test_mmd_condense_memory_is_linear_in_t():
+    # 2 x 2000 T rows: the default bandwidth's median and each class's mean k(T_y, T_y) stream,
+    # where the parent held a 4000-point median buffer (129.7 MiB with its positive copy) and a
+    # 2000 x 2000 Gram per class
+    from dckit import init_synthetic
+
+    t = two_blobs(n_per_class=2000, dim=2, separation=6.0, seed=7)
+    s0 = init_synthetic(t, 5, "subsample", seed=1)
+    cfg = MethodConfig(method="mmd", outer_steps=3, outer_lr=0.05, seed=1)
+    tracemalloc.start()
+    try:
+        condense(cfg, t, s0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 8 * t.features.shape[0]

@@ -24,7 +24,15 @@ from dckit import (
     moment_discrepancy,
     wasserstein1,
 )
-from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap, _squared_norms
+from dckit.discrepancy import (
+    CF_FREQUENCIES,
+    _CF_BLOCK_ENTRIES,
+    _feature_gap,
+    _feature_stats,
+    _gradient_gap,
+    _squared_norms,
+    empirical_cf,
+)
 from dckit.errors import ArchitectureError, DomainError, LabelError, ShapeError
 from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp
 
@@ -402,6 +410,18 @@ def test_cd_pseudometric_on_fixed_freqs(rng):
     assert dac <= dab + dbc + 1e-12
 
 
+@pytest.mark.parametrize("freq_count", [1, 2, CF_FREQUENCIES])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1, 7])
+def test_empirical_cf_matches_the_full_matrix_bits(freq_count, extra_rows, rng):
+    # N at and around a multiple of the row block, so the last block is full, short or one row
+    block = max(1, _CF_BLOCK_ENTRIES // freq_count)
+    n = 3 * block + extra_rows if freq_count > 1 else 1001 + extra_rows
+    for width in (1, 2, 64):
+        x, freqs = rng.normal(size=(n, width)), rng.normal(size=(freq_count, width))
+        want = np.exp(1j * (x @ freqs.T)).mean(axis=0)
+        assert empirical_cf(x, freqs).tobytes() == want.tobytes()
+
+
 def test_cd_requires_frequencies(rng):
     with pytest.raises(DomainError):
         characteristic_discrepancy(np.array([0.0]), np.array([1.0]), sample_count=0)
@@ -513,3 +533,21 @@ def test_hierarchy_checks_random_sweep(rng):
         s = SyntheticDataset(rng.uniform(size=(4, 2)), np.array([0, 0, 1, 1]), per_class_size=2, origin="x")
         rep = hierarchy_report(t, s, batch_of(6, widths=(2, 6, 2), base_seed=trial))
         assert all(ok for (_, _, _, ok) in rep.hierarchy_checks)
+
+
+def test_hierarchy_report_memory_is_linear_in_t(rng):
+    # 4000 T rows: the parent's median buffer and its positive copy peaked at 129.7 MiB, and its
+    # mmd held a T x T Gram. cd keeps its one (N, 128) phase GEMM, 128 N floats, for its bits;
+    # the other discrepancies stay within 32 N floats beside it
+    n = 4000
+    x = np.vstack([rng.normal(size=(n // 2, 2)), rng.normal(size=(n // 2, 2)) + [6.0, 0.0]])
+    t = LabeledDataset((x - x.min(axis=0)) / np.ptp(x, axis=0), np.repeat([0, 1], n // 2), 2)
+    s = copy_as_synthetic(LabeledDataset(t.features[::400], t.labels[::400], 2))
+    batch = ModelBatch(tuple(Mlp.init((2, 32, 2), "relu", seed=i) for i in range(4)))
+    tracemalloc.start()
+    try:
+        hierarchy_report(t, s, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (CF_FREQUENCIES + 32) * 8 * n

@@ -868,3 +868,24 @@ def test_cli_evaluate_shape_mismatch_exits_before_training(tmp_path, capsys, mon
                              class_count=classes), synthetic)
     assert main(["evaluate", "--synthetic", str(synthetic), "--real", str(raw_blobs_csv(tmp_path, dim=dim))]) == 2
     assert "the synthetic set has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime, calls", [("input_input", 1), ("input_latent", 1), ("latent_input", 2)])
+def test_mmd_run_chooses_the_default_bandwidth_once_per_t(regime, calls, blobs_csv, tmp_path, monkeypatch):
+    # an mmd run that matches in the input space takes the median-heuristic kernel of T's rows,
+    # which is the report's kernel too; a latent match takes its kernel from the encoded rows
+    import dckit.kernels
+
+    seen = []
+    median = dckit.kernels.median_heuristic
+    monkeypatch.setattr(dckit.kernels, "median_heuristic", lambda x: seen.append(x) or median(x))
+    config = tmp_path / "mmd.json"
+    config.write_text(json.dumps({"dataset": str(blobs_csv), "per_class": 2, "latent_dim": 1, "out_dir": str(tmp_path / "out"),
+                                  "method": {"method": "mmd", "outer_steps": 2, "regime": regime},
+                                  "eval": {"epochs": 1, "repeats": 1}}))
+    assert main(["condense", "--config", str(config)]) == 0
+    assert len(seen) == calls
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    kernel = dckit.kernels.median_heuristic_spec(seen[-1]).describe()
+    assert report["discrepancy"]["params"]["kernel"] == kernel
+    assert (report["log"]["meta"]["kernel"] == kernel) == (calls == 1)

@@ -279,6 +279,33 @@ def test_log_sum_exp_site_detected():
     assert log_sum_exp_sites(planted) == ["xent", "Head", "<module>"]
 
 
+# The package's one mean of a whole Gram matrix: every other mean k(A, B) is ``gram_mean``'s, which
+# streams a gamma-exponential kernel's matrix with the same bits.
+GRAM_MEAN_SITES = {"gram_mean"}
+
+
+def gram_mean_sites(source: str) -> list[str]:
+    """The top-level definitions of ``source`` that take ``gram_matrix(...).mean()``."""
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "mean"
+                   and isinstance(node.func.value, ast.Call) and getattr(node.func.value.func, "id", None) == "gram_matrix"
+                   for node in ast.walk(top))]
+
+
+def test_gram_mean_sites_ratchet():
+    assert {name for path in MODULES for name in gram_mean_sites(path.read_text())} == GRAM_MEAN_SITES
+
+
+def test_gram_mean_site_detected():
+    planted = (
+        "def ktt(spec, t):\n    return gram_matrix(spec, t, t).mean()\n\n\n"
+        "class Step:\n    def __call__(self, rows):\n        return [gram_matrix(k, r, r).mean() for r in rows]\n\n\n"
+        "def fine(spec, t, s):\n    k = gram_matrix(spec, t, s)\n    return k.mean(), gram_mean(spec, t, t)\n\n\n"
+        "KSS = gram_matrix(SPEC, S, S).mean()\n"
+    )
+    assert gram_mean_sites(planted) == ["ktt", "Step", "<module>"]
+
+
 # The discrepancy functionals: the CLI layer reaches them only through ``discrepancy.model_free``
 # and ``hierarchy_report``, so each value has one definition.
 DISCREPANCY_FUNCTIONALS = {"wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"}

@@ -13,6 +13,7 @@ from dckit import (
     SyntheticDataset,
     gaussian_spec,
     gram_matrix,
+    gram_mean,
     identity_autoencoder,
     kernel_eval,
     median_heuristic,
@@ -21,6 +22,7 @@ from dckit import (
     pullback_spec,
     random_feature_map,
 )
+import dckit.kernels
 from dckit.errors import ConfigError, DomainError, ShapeError
 from dckit.kernels import gram_and_vjp, kernel_grad2, mmd_squared_and_grad_s, sq_distances
 from tests.conftest import central_diff, linear_mlp, matching_value_and_grad, rff_input_jacobian, rff_vjp_reference
@@ -350,6 +352,99 @@ def test_median_heuristic_matches_pdist_bits(n, dim, rng):
         assert median_heuristic(x) == np.median(d[d > 0])
         if dim == 1:
             assert median_heuristic(x[:, 0]) == np.median(d[d > 0])  # 1-D input is one feature per point
+
+
+def positive_median(x):
+    d = pdist(np.asarray(x, dtype=float).reshape(len(x), -1))
+    return np.median(d[d > 0]) if np.any(d > 0) else 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_median_heuristic_of_fewer_than_three_points(n, rng):
+    x = rng.normal(size=(n, 3))
+    assert median_heuristic(x) == (np.linalg.norm(x[0] - x[1]) if n == 2 else 1.0)
+    assert median_heuristic(np.zeros((n, 3))) == 1.0
+
+
+@pytest.mark.parametrize("n", [3, 130, 1000])
+def test_median_heuristic_of_equal_rows_is_one(n):
+    # every distance is zero, so there is no positive one to take the median of
+    assert median_heuristic(np.full((n, 4), 0.3)) == 1.0
+
+
+@pytest.mark.parametrize("n,levels", [(1500, 3), (1000, 2), (801, 4)])
+def test_median_heuristic_under_heavy_ties(n, levels, rng):
+    # points on a small lattice: a few distinct distances, each shared by many pairs, at the median too
+    x = rng.integers(0, levels, size=(n, 2)).astype(float)
+    assert median_heuristic(x) == positive_median(x)
+
+
+def test_median_heuristic_takes_the_bracket_that_misses_or_overflows(rng, monkeypatch):
+    # the sample only sets the first scan's bracket: one below the rank, one above it, one that
+    # holds a single value, and every positive value with room for 1 candidate per point
+    x = rng.normal(size=(900, 3))
+    x[-1] = x[0]
+    want = positive_median(x)
+    bits = lambda v: int(np.float64(v).view(np.int64))
+    for bracket in ((1, bits(1e-6)), (bits(1e3), dckit.kernels._INF_BITS), (bits(2.0), bits(2.0))):
+        monkeypatch.setattr(dckit.kernels, "_sample_bracket", lambda x, size, b=bracket: b)
+        assert median_heuristic(x) == want
+    monkeypatch.undo()
+    monkeypatch.setattr(dckit.kernels, "_CANDIDATES_PER_POINT", 1)
+    assert median_heuristic(x) == want
+    assert median_heuristic(np.round(x, 1)) == positive_median(np.round(x, 1))
+    lattice = rng.integers(0, 2, size=(900, 2)).astype(float)  # a bin of one value holds the median
+    assert median_heuristic(lattice) == positive_median(lattice)
+
+
+def test_median_heuristic_memory_is_linear_in_the_points(rng):
+    # the parent's condensed buffer and its positive copy took 129.7 MiB at 4000 points
+    x = rng.normal(size=(4000, 2))
+    tracemalloc.start()
+    try:
+        median_heuristic(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 8 * len(x)
+
+
+GRAM_MEAN_SHAPES = [(1, 1), (3, 5), (8, 16), (16, 9), (1, 128), (127, 1), (1, 129), (11, 12), (129, 1),
+                    (256, 256), (255, 257), (257, 255), (1, 65536), (65537, 1), (300, 219), (401, 400)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 32, 64])
+@pytest.mark.parametrize("gamma", [2.0, 1.0, 0.3])
+def test_gram_mean_matches_the_full_matrix_bits(dim, gamma, rng):
+    # A x B at and around numpy's 128-entry blocks and the 2^16-entry leaves, with A != B
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
+    for rows_a, rows_b in GRAM_MEAN_SHAPES:
+        a, b = rng.normal(size=(rows_a, dim)), rng.normal(size=(rows_b, dim))
+        want = gram_matrix(spec, a, b).mean()
+        got = gram_mean(spec, a, b)
+        assert type(got) is type(want) and got == want, (rows_a, rows_b)
+
+
+def test_gram_mean_of_a_large_set_is_exact_in_linear_memory(rng):
+    x, spec = rng.normal(size=(1601, 2)), gaussian_spec(0.5)
+    want = gram_matrix(spec, x, x).mean()
+    tracemalloc.start()
+    try:
+        got = gram_mean(spec, x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and peak < 2 * 8 * (dckit.kernels._LEAF_ENTRIES + 2 * len(x))
+
+
+def test_gram_mean_of_other_families(rng):
+    a, b = rng.uniform(size=(30, 3)), rng.uniform(size=(7, 3))
+    pullback = pullback_spec(gaussian_spec(0.8), identity_autoencoder(3))
+    rff = KernelSpec("random_feature", scale=0.5, feature_dim=16, seed=2)
+    for spec in (pullback, rff):
+        assert gram_mean(spec, a, b) == gram_matrix(spec, a, b).mean()
+    with pytest.raises(DomainError):
+        gram_mean(gaussian_spec(1.0), a[:0], b)
 
 
 def test_ntk_ensemble_average(rng):
