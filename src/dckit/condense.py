@@ -57,7 +57,7 @@ from .augment import (
     siamese_vjp,
 )
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
-from .discrepancy import _feature_gap, _feature_stats, _gradient_gap
+from .discrepancy import _feature_gap, _feature_stats, _gradient_gap, _squared_norms
 from .errors import (
     POSITIVE,
     WIDTHS,
@@ -1068,7 +1068,7 @@ def _matching_problem(cfg, t, s0):
                 if embed_path:
                     phi, pullback = _feature_map(kernel, None, r)
                     diff = stat - phi.mean(axis=0)
-                    values.append(float(diff @ diff))
+                    values.append(float(_squared_norms(diff)))
                     grads.append(pullback(diff) * (-2.0 / r.shape[0]))
                 else:
                     rows_t, ktt = stat

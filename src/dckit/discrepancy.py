@@ -25,8 +25,9 @@ CF_FREQUENCIES = 128
 
 @dataclass(frozen=True)
 class ModelBatch:
-    """Finite stand-in for the hypothesis space: an ordered, nonempty tuple of ``Mlp``s that
-    agree on their input dimension."""
+    """Finite stand-in for the hypothesis space: an ordered, nonempty tuple of ``Mlp``s of one
+    architecture (one ``widths`` tuple), so that pd, a distance between parameter vectors, is
+    defined for every pair."""
 
     models: tuple
 
@@ -36,9 +37,9 @@ class ModelBatch:
             raise ValidationError("model batch must be nonempty")
         if not all(isinstance(m, Mlp) for m in models):
             raise ArchitectureError(f"a model batch holds Mlps, got {[type(m).__name__ for m in models]}")
-        dims = {m.n_inputs for m in models}
-        if len(dims) > 1:
-            raise ArchitectureError(f"models disagree on input dimension: {dims}")
+        widths = {m.widths for m in models}
+        if len(widths) > 1:
+            raise ArchitectureError(f"a model batch is one architecture, got widths {sorted(widths)}")
         object.__setattr__(self, "models", models)
 
     def __len__(self) -> int:
@@ -139,9 +140,9 @@ def _gradient_gap(contrastive: bool, g_t: np.ndarray, g_s: np.ndarray):
     """
     if contrastive:
         diff = np.sum(g_s, axis=0) - np.sum(g_t, axis=0)
-        return [float(diff @ diff)], np.broadcast_to(2.0 * diff, g_s.shape)
+        return [float(_squared_norms(diff))], np.broadcast_to(2.0 * diff, g_s.shape)
     diffs = np.subtract(g_s, g_t, out=g_s)
-    return [float(d @ d) for d in diffs], np.multiply(diffs, 2.0, out=diffs)  # doubled once the values are read
+    return _squared_norms(diffs).tolist(), np.multiply(diffs, 2.0, out=diffs)  # doubled once the values are read
 
 
 # ---------------------------------------------------------------------------
@@ -149,31 +150,29 @@ def _gradient_gap(contrastive: bool, g_t: np.ndarray, g_s: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _model_gap(batch: ModelBatch, t, s, methods: tuple, loss: str, contrastive: bool) -> list:
-    """For each of ``methods`` (gm alone, or dm, moment or sam) the max over the batch of its
-    class gaps summed over classes: per model, T's class statistics against one sweep over S's
-    class stack. Feature methods share one forward per class and model, which takes the
-    statistics of the last method (moment's begin with dm's). Raises LabelError when the class
-    counts differ or S's classes differ in size."""
+def _model_gaps(batch: ModelBatch, t, s, contrastive: bool) -> list:
+    """[dd_feature, dd_moment, dd_gradient]: the max over the batch of dm's, moment's and gm's class
+    gaps summed over classes (gm's, with ``contrastive``, is its one value). Per model, one
+    ``Mlp.backward(out=row, input_part=False)`` call on each T class and one on S's class stack
+    make one forward sweep, whose features give moment's statistics (dm's are their first entry),
+    and one reverse sweep of the cross-entropy into that class's row of a (C, P) gradient buffer.
+    Raises LabelError when the class counts differ or S's classes differ in size, and
+    ValidationError when a label is not below the nets' output width."""
     if t.class_count != s.class_count:
         raise LabelError(f"class counts differ: {t.class_count} vs {s.class_count}")
     pt, ps = per_class_partition(t), per_class_partition(s)
     if len({p.size for p in ps}) > 1:
         raise LabelError(f"S's classes must be equal in size, got {[p.size for p in ps]}")
     rows = np.stack(ps)
-    best = [0.0] * len(methods)
+    g_t, g_s = (np.empty((len(p), batch.models[0].param_count)) for p in (pt, ps))
+    best = [0.0] * 3
     for m in batch:
-        if methods == ("gm",):
-            g_t = np.empty((len(pt), m.param_count))
-            for p, row in zip(pt, g_t):
-                m.backward(t.features[p], t.labels[p], loss, out=row, input_part=False)
-            g_s = m.backward(s.features[rows], s.labels[rows], loss, input_part=False)[1]
-            gaps = [sum(_gradient_gap(contrastive, g_t, g_s)[0])]
-        else:
-            per_class = (_feature_stats(methods[-1], m.forward_batch(t.features[p])[1]) for p in pt)
-            stats_t = [np.stack(stat) for stat in zip(*per_class)]
-            feats_s = m.forward_batch(s.features[rows])[1]
-            gaps = [sum(_feature_gap(method, stats_t, feats_s)[0]) for method in methods]
+        per_class = (_feature_stats("moment", m.backward(t.features[p], t.labels[p], out=row, input_part=False)[2])
+                     for p, row in zip(pt, g_t))
+        stats_t = [np.stack(stat) for stat in zip(*per_class)]
+        feats_s = m.backward(s.features[rows], s.labels[rows], out=g_s, input_part=False)[2]
+        gaps = [sum(_feature_gap(method, stats_t, feats_s)[0]) for method in ("dm", "moment")]
+        gaps.append(sum(_gradient_gap(contrastive, g_t, g_s)[0]))
         best = [max(b, gap) for b, gap in zip(best, gaps)]
     return best
 
@@ -182,38 +181,39 @@ def ipm_feature_stat(batch: ModelBatch, t, s) -> float:
     """Max over the batch of the per-class squared feature-mean mismatch.
 
     Per class y the statistic is ||mean h(T^y) - mean h(S^y)||_2^2 on the
-    penultimate feature h (final hidden activation), summed over classes.
+    penultimate feature h (final hidden activation), summed over classes. It is read from the
+    sweeps that also give gm's gradients, so the nets are classifiers of the labels: a label not
+    below their output width raises ValidationError.
     """
-    return _model_gap(batch, t, s, ("dm",), "cross_entropy", False)[0]
+    return _model_gaps(batch, t, s, False)[0]
 
 
-def gradient_discrepancy(
-    batch: ModelBatch, t, s, mode: str = "per_class", loss: str = "cross_entropy"
-) -> float:
-    """Max over the batch of the squared class-mean parameter-gradient mismatch.
+def gradient_discrepancy(batch: ModelBatch, t, s, mode: str = "per_class") -> float:
+    """Max over the batch of the squared class-mean parameter-gradient mismatch under cross-entropy.
 
     ``per_class`` differences the class-mean gradients class by class before
     summing; ``contrastive`` sums the class-mean gradients over classes first.
     """
     if mode not in ("per_class", "contrastive"):
         raise ConfigError(f"unknown mode {mode!r}")
-    return _model_gap(batch, t, s, ("gm",), loss, mode == "contrastive")[0]
+    return _model_gaps(batch, t, s, mode == "contrastive")[2]
 
 
 def moment_discrepancy(batch: ModelBatch, t, s) -> float:
-    """Max over the batch of per-class first plus second (feature-wise variance) moment gaps."""
-    return _model_gap(batch, t, s, ("moment",), "cross_entropy", False)[0]
+    """Max over the batch of per-class first plus second (feature-wise variance) moment gaps. As
+    in ``ipm_feature_stat``, a label not below the nets' output width raises ValidationError."""
+    return _model_gaps(batch, t, s, False)[1]
 
 
 def loss_discrepancy(batch: ModelBatch, t, s) -> float:
     """Finite-batch distribution discrepancy max_h |L(h, T) - L(h, S)| under cross-entropy."""
-    return _mean_losses(batch, t, s, "cross_entropy")[2]
+    return _mean_losses(batch, t, s)[2]
 
 
-def _mean_losses(batch: ModelBatch, t, s, loss: str):
-    """Each model's mean loss on T and on S, as the lists L_T and L_S that gd reads, and from
-    them dd = max_h |L(h, T) - L(h, S)| (0 for an empty batch)."""
-    losses_t, losses_s = ([m.mean_loss(d.features, d.labels, loss) for m in batch] for d in (t, s))
+def _mean_losses(batch: ModelBatch, t, s):
+    """Each model's mean cross-entropy on T and on S, as the lists L_T and L_S that gd reads, and
+    from them dd = max_h |L(h, T) - L(h, S)| (0 for an empty batch)."""
+    losses_t, losses_s = ([m.mean_loss(d.features, d.labels, "cross_entropy") for m in batch] for d in (t, s))
     return losses_t, losses_s, max([0.0, *(abs(lt - ls) for lt, ls in zip(losses_t, losses_s))])
 
 
@@ -391,9 +391,9 @@ def generalization_discrepancy_finite(batch: ModelBatch, t, s):
 
     gd = |L(h*_S, T) - L(h*_T, T)|; vd is the sup output gap over T plus 256
     uniform sample points drawn from seed 0 (``hierarchy_report`` draws them from its
-    seed); pd is the parameter-vector distance (same architecture only).
+    seed); pd is the parameter-vector distance, defined because a batch is one architecture.
     """
-    return _generalization(batch, t, *_mean_losses(batch, t, s, "cross_entropy")[:2], 0)
+    return _generalization(batch, t, *_mean_losses(batch, t, s)[:2], 0)
 
 
 def _generalization(batch: ModelBatch, t, losses_t, losses_s, eval_seed: int):
@@ -408,11 +408,7 @@ def _generalization(batch: ModelBatch, t, losses_t, losses_s, eval_seed: int):
     out_t, _ = h_t.forward_batch(eval_points)
     out_s, _ = h_s.forward_batch(eval_points)
     vd = float(np.abs(out_t - out_s).max())
-    p_t = h_t.flat_params()
-    p_s = h_s.flat_params()
-    if p_t.shape != p_s.shape:
-        raise ArchitectureError("pd requires a shared architecture across the batch")
-    pd = float(np.linalg.norm(p_t - p_s))
+    pd = float(np.linalg.norm(h_t.flat_params() - h_s.flat_params()))
     return gd, vd, pd
 
 
@@ -461,14 +457,12 @@ def hierarchy_report(t, s, batch: ModelBatch | None = None, seed: int = 0,
     cross-entropy criterion).
     """
     checks: list = []
-    loss = "cross_entropy"
     values, params = model_free(t.features, s.features, MODEL_FREE, kernel, CF_FREQUENCIES, seed)
-    params = {"loss": loss, **params}
+    params = {"loss": "cross_entropy", **params}
 
     if batch is not None:
-        values["dd_feature"], values["dd_moment"] = _model_gap(batch, t, s, ("dm", "moment"), loss, False)
-        values["dd_gradient"] = gradient_discrepancy(batch, t, s, loss=loss)
-        losses_t, losses_s, dd_loss = _mean_losses(batch, t, s, loss)
+        values["dd_feature"], values["dd_moment"], values["dd_gradient"] = _model_gaps(batch, t, s, False)
+        losses_t, losses_s, dd_loss = _mean_losses(batch, t, s)
         gd, vd, pd = _generalization(batch, t, losses_t, losses_s, seed)
         values.update(gd=gd, vd=vd, pd=pd)
         checks.append(("gd_le_2dd", gd, 2.0 * dd_loss, gd <= 2.0 * dd_loss + 1e-9))

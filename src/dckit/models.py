@@ -280,10 +280,6 @@ class Mlp:
     # -- parameter vector plumbing -------------------------------------------------
 
     @property
-    def n_inputs(self) -> int:
-        return self.widths[0]
-
-    @property
     def n_outputs(self) -> int:
         return self.widths[-1]
 
@@ -340,7 +336,8 @@ class Mlp:
         (C, B, n) stack of batches with (C, B) labels each batch has its own mean
         loss: C values, a (C, P) gradient and (C, B, n) input gradients. ``out``, a
         (P,) or (C, P) buffer, receives the parameter gradient in place of a new array,
-        and without ``input_part`` the input gradients are skipped (None). With
+        and without ``input_part`` the input gradients are skipped and the third value is
+        the forward's features, as ``forward_batch`` lists them. With
         ``tangent`` it also returns v -> ``input_grad_param_tangent(x, y, loss, v)``,
         one tangent sweep that reuses this call's forward pass; on a stack v is one
         direction per batch, so gradient matching takes every class's gradient from
@@ -354,6 +351,8 @@ class Mlp:
         flat = np.empty((*x.shape[:-2], self.param_count)) if out is None else out
         ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat),
                                 input_part=input_part)
+        if not input_part:
+            ginput = list(acts[1:])
         if not tangent:
             return value, flat, ginput
         return value, flat, ginput, lambda v: _tangent_sweep(self.weights, self.activation, zs, acts, g, loss,

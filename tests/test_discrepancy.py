@@ -30,10 +30,11 @@ from dckit.discrepancy import (
     _feature_gap,
     _feature_stats,
     _gradient_gap,
+    _model_gaps,
     _squared_norms,
     empirical_cf,
 )
-from dckit.errors import ArchitectureError, DomainError, LabelError, ShapeError
+from dckit.errors import ArchitectureError, DomainError, LabelError, ShapeError, ValidationError
 from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp
 
 
@@ -218,38 +219,57 @@ def test_stacked_gradient_gap_matches_per_class_bits(contrastive, widths, rng):
         assert all(np.array_equal(got, want) for got, want in zip(upstream, want_up))
 
 
-@pytest.mark.parametrize("classes", [2, 4])
-def test_report_sweeps_s_once_per_model(classes, rng, monkeypatch):
-    # per model, one sweep per T class and one over S's whole class stack; the value is the
-    # per-class formula's, bit for bit
+def class_pair(rng, classes):
+    """A T with classes of 5 or 6 rows and an S with 2 rows per class, both in 3 dimensions."""
     t = LabeledDataset(rng.uniform(size=(5 * classes + 3, 3)), np.r_[np.arange(classes).repeat(5), [0, 1, 1]], classes)
     s = SyntheticDataset(rng.uniform(size=(2 * classes, 3)), np.arange(classes).repeat(2), per_class_size=2,
                          origin="x", class_count=classes)
-    batch = batch_of(2, widths=(3, 6, classes))
-    calls = []
-    forward, backward = Mlp.forward_batch, Mlp.backward
-    monkeypatch.setattr(Mlp, "forward_batch", lambda self, x: calls.append(np.ndim(x)) or forward(self, x))
-    monkeypatch.setattr(Mlp, "backward",
-                        lambda self, x, y, loss, **kw: calls.append(np.ndim(x)) or backward(self, x, y, loss, **kw))
-    sweeps = ([2] * classes + [3]) * len(batch)
-    rows_t = [t.features[t.labels == y] for y in range(classes)]
-    rows_s = [s.features[s.labels == y] for y in range(classes)]
-    for fn, method in ((ipm_feature_stat, "dm"), (moment_discrepancy, "moment")):
-        calls.clear()
-        got = fn(batch, t, s)
-        assert calls == sweeps
-        want = max(sum(feature_gap_reference(method, forward(m, a)[1], forward(m, b)[1])[0]
-                       for a, b in zip(rows_t, rows_s)) for m in batch)
-        assert got == want
-    for mode in ("per_class", "contrastive"):
-        calls.clear()
-        got = gradient_discrepancy(batch, t, s, mode)
-        assert calls == sweeps
-        grads = [[backward(m, rows, np.full(len(rows), y), "cross_entropy")[1] for y, rows in enumerate(part)]
-                 for m in batch for part in (rows_t, rows_s)]
-        want = max(sum(gradient_gap_reference(mode == "contrastive", g_t, g_s)[0])
-                   for g_t, g_s in zip(grads[::2], grads[1::2]))
-        assert got == want
+    return t, s
+
+
+def model_gaps_reference(batch, t, s, contrastive):
+    """[dd_feature, dd_moment, dd_gradient] one model and one class at a time: dm's and moment's
+    statistics from ``forward_batch`` and gm's class-mean gradients from ``backward``, on T's and
+    S's rows of each class. The reference for ``_model_gaps``."""
+    rows_t = [t.features[t.labels == y] for y in range(t.class_count)]
+    rows_s = [s.features[s.labels == y] for y in range(s.class_count)]
+    best = [0.0] * 3
+    for m in batch:
+        gaps = [sum(feature_gap_reference(method, m.forward_batch(a)[1], m.forward_batch(b)[1])[0]
+                    for a, b in zip(rows_t, rows_s)) for method in ("dm", "moment")]
+        g_t, g_s = ([m.backward(rows, np.full(len(rows), y), "cross_entropy")[1] for y, rows in enumerate(part)]
+                    for part in (rows_t, rows_s))
+        gaps.append(sum(gradient_gap_reference(contrastive, g_t, g_s)[0]))
+        best = [max(b, gap) for b, gap in zip(best, gaps)]
+    return best
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_report_sweeps_s_once_per_model(classes, rng, monkeypatch):
+    # per model, one forward sweep per T class and one over S's whole class stack serve each of
+    # the three gaps; the value is the per-class formula's, bit for bit
+    t, s = class_pair(rng, classes)
+    fns = [ipm_feature_stat, moment_discrepancy, gradient_discrepancy, partial(gradient_discrepancy, mode="contrastive")]
+    forward = Mlp._forward
+    for activation, hidden in itertools.product(("relu", "tanh"), ((6,), (5, 4))):
+        batch = batch_of(2, widths=(3, *hidden, classes), activation=activation)
+        calls, got = [], []
+        monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(np.ndim(x)) or forward(self, x))
+        for fn in fns:
+            calls.clear()
+            got.append(fn(batch, t, s))
+            assert calls == ([2] * classes + [3]) * len(batch)
+        monkeypatch.undo()
+        assert got == [*model_gaps_reference(batch, t, s, False), model_gaps_reference(batch, t, s, True)[2]]
+
+
+@pytest.mark.parametrize("fn", [ipm_feature_stat, moment_discrepancy, gradient_discrepancy])
+def test_model_gaps_reject_labels_beyond_the_output_width(fn, rng):
+    # the feature gaps come from the sweeps that give gm's cross-entropy gradients, so all three
+    # take the nets as classifiers of the labels
+    t, s = class_pair(rng, 3)
+    with pytest.raises(ValidationError, match="labels must lie in"):
+        fn(batch_of(2, widths=(3, 5, 2)), t, s)
 
 
 @pytest.mark.parametrize("fn", [ipm_feature_stat, moment_discrepancy, gradient_discrepancy])
@@ -493,27 +513,35 @@ def test_model_batch_holds_mlps():
 
 @pytest.mark.parametrize("classes", [2, 4])
 def test_report_forwards_each_class_once_per_model_for_dm_and_moment(classes, rng, monkeypatch):
-    t = LabeledDataset(rng.uniform(size=(5 * classes + 3, 3)), np.r_[np.arange(classes).repeat(5), [0, 1, 1]], classes)
-    s = SyntheticDataset(rng.uniform(size=(2 * classes, 3)), np.arange(classes).repeat(2), per_class_size=2,
-                         origin="x", class_count=classes)
+    t, s = class_pair(rng, classes)
     batch = batch_of(3, widths=(3, 6, classes))
-    calls = []
-    forward = Mlp.forward_batch
-    monkeypatch.setattr(Mlp, "forward_batch", lambda self, x: calls.append(1) or forward(self, x))
+    calls, backward_calls = [], []
+    forward, backward = Mlp._forward, Mlp.backward
+    monkeypatch.setattr(Mlp, "_forward", lambda self, x: calls.append(1) or forward(self, x))
+    monkeypatch.setattr(Mlp, "backward", lambda self, *a, **kw: backward_calls.append(1) or backward(self, *a, **kw))
     rep = hierarchy_report(t, s, batch)
-    # dd_feature and dd_moment together: per model one forward per T class and one of S's class
-    # stack; the rest are each model's mean loss on T and on S, and vd's two models
+    # dd_feature, dd_moment and dd_gradient together: per model one ``backward`` per T class and
+    # one of S's class stack, each one forward sweep feeding gm's reverse sweep; the rest are each
+    # model's mean loss on T and on S, and vd's two models
+    assert len(backward_calls) == len(batch) * (classes + 1)
     assert len(calls) == len(batch) * (classes + 1) + 2 * len(batch) + 2
     monkeypatch.undo()
-    assert rep.values["dd_feature"] == ipm_feature_stat(batch, t, s)
-    assert rep.values["dd_moment"] == moment_discrepancy(batch, t, s)
+    gaps = [rep.values[name] for name in ("dd_feature", "dd_moment", "dd_gradient")]
+    assert gaps == [ipm_feature_stat(batch, t, s), moment_discrepancy(batch, t, s), gradient_discrepancy(batch, t, s)]
 
 
-def test_pd_architecture_error(toy_pair):
-    t, s = toy_pair
-    batch = ModelBatch((Mlp.init((3, 8, 2), "tanh", seed=0), Mlp.init((3, 4, 2), "tanh", seed=1)))
-    with pytest.raises(ArchitectureError):
-        generalization_discrepancy_finite(batch, t, s)
+def test_pd_architecture_error():
+    # pd compares parameter vectors, so a batch is one architecture, checked when it is built. On
+    # this T and S both loss argmins land on the 3-8-2 net, where a check made only when pd compares
+    # two widths lets a whole report through
+    nets = (Mlp.init((3, 8, 2), "tanh", seed=0), Mlp.init((3, 4, 2), "tanh", seed=1))
+    rng = np.random.default_rng(0)
+    t = LabeledDataset(rng.uniform(size=(30, 3)), np.arange(30) % 2, 2)
+    s = SyntheticDataset(rng.uniform(size=(4, 3)), np.array([0, 0, 1, 1]), per_class_size=2, origin="x")
+    losses = [[m.mean_loss(d.features, d.labels) for m in nets] for d in (t, s)]
+    assert int(np.argmin(losses[0])) == int(np.argmin(losses[1])) == 0
+    with pytest.raises(ArchitectureError, match="one architecture"):
+        ModelBatch(nets)
 
 
 # --- hierarchy report -------------------------------------------------------------

@@ -306,6 +306,38 @@ def test_gram_mean_site_detected():
     assert gram_mean_sites(planted) == ["ktt", "Step", "<module>"]
 
 
+def self_dot_sites(source: str) -> list[str]:
+    """The top-level definitions of ``source`` that take a squared norm of one name, as ``x @ x`` or
+    ``np.dot(x, x)`` (also ``vdot``, ``inner`` or ``matmul``)."""
+    def same_name(a, b):
+        return isinstance(a, ast.Name) and isinstance(b, ast.Name) and a.id == b.id
+
+    def self_dot(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return same_name(node.left, node.right)
+        return (isinstance(node, ast.Call) and _callee(node.func) in ("dot", "vdot", "inner", "matmul")
+                and len(node.args) == 2 and same_name(*node.args))
+
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body if any(map(self_dot, ast.walk(top)))]
+
+
+# The package's one squared-norm formula is ``discrepancy._squared_norms``, the matmul of each (1, h)
+# row by its (h, 1) column, which has the bits of ``row @ row`` and takes a stack of rows in one call.
+def test_squared_norms_are_taken_in_one_place():
+    assert [f"{path.name}:{name}" for path in MODULES for name in self_dot_sites(path.read_text())] == []
+
+
+def test_self_dot_site_detected():
+    planted = (
+        "import numpy as np\n\n\n"
+        "def gap(a, b):\n    d = a - b\n    return float(d @ d)\n\n\n"
+        "class Step:\n    def __call__(self, g):\n        return [np.dot(r, r) for r in g]\n\n\n"
+        "def fine(a, b, h):\n    return a @ b, h @ h.T, np.dot(a, b), _squared_norms(a - b)\n\n\n"
+        "NORM = V @ V\n"
+    )
+    assert self_dot_sites(planted) == ["gap", "Step", "<module>"]
+
+
 # The discrepancy functionals: the CLI layer reaches them only through ``discrepancy.model_free``
 # and ``hierarchy_report``, so each value has one definition.
 DISCREPANCY_FUNCTIONALS = {"wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"}
@@ -608,10 +640,10 @@ def test_class_statistics_are_compared_in_one_place():
     # the matching engine, the discrepancy report and the regime objective share one formula
     # per statistic, each comparing T's class statistics with one sweep over S's class stack
     assert call_sites(PACKAGE, "_feature_stats") == ["condense.py:_matching_problem", "discrepancy.py:_feature_gap",
-                                                     "discrepancy.py:_model_gap", "spaces.py:_resolve_disc"]
-    assert call_sites(PACKAGE, "_feature_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gap",
+                                                     "discrepancy.py:_model_gaps", "spaces.py:_resolve_disc"]
+    assert call_sites(PACKAGE, "_feature_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gaps",
                                                    "spaces.py:_resolve_disc"]
-    assert call_sites(PACKAGE, "_gradient_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gap"]
+    assert call_sites(PACKAGE, "_gradient_gap") == ["condense.py:_matching_problem", "discrepancy.py:_model_gaps"]
 
 
 def test_eigenvalues_are_solved_in_one_place():

@@ -132,9 +132,10 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
     tangents_hvp = m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(hvps))
     assert values.shape == (4,) and grads.shape == flat.shape == v.shape and tangents.shape == x.shape
     assert np.array_equal(values_t, values) and np.array_equal(ginputs_t, ginputs)
-    out = np.empty_like(v)  # the gradients written into a given buffer, without the input part
-    values_o, flat_o, ginputs_o = m.backward(x, y, loss, out=out, input_part=False)
-    assert np.array_equal(values_o, values) and flat_o is out and np.array_equal(out, grads) and ginputs_o is None
+    out = np.empty_like(v)  # the gradients written into a given buffer; the forward's features in place of the input part
+    values_o, flat_o, feats_o = m.backward(x, y, loss, out=out, input_part=False)
+    assert np.array_equal(values_o, values) and flat_o is out and np.array_equal(out, grads)
+    assert len(feats_o) == 3 and all(np.array_equal(a, b) for a, b in zip(feats_o, m.forward_batch(x)[1]))
     for c in range(4):
         value_c, grad_c, ginput_c = m.backward(x[c], y[c], loss)
         hvp_c = np.empty(m.param_count)
