@@ -57,7 +57,7 @@ from .augment import (
     siamese_vjp,
 )
 from .data import LabeledDataset, SyntheticDataset, one_hot, per_class_partition
-from .discrepancy import _feature_gap, _feature_stats, _gradient_gap, _squared_norms
+from .discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from .errors import (
     POSITIVE,
     WIDTHS,
@@ -76,6 +76,7 @@ from .kernels import (
     _as_points,
     _feature_map,
     _nfk_features,
+    _squared_norms,
     gram_and_vjp,
     gram_matrix,
     gram_mean,

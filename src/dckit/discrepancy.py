@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .kernels import KernelSpec, kernel_or_default, mmd_squared, sq_distances
+from .kernels import KernelSpec, _squared_norms, kernel_or_default, mmd_squared, sq_distances
 from .models import Mlp
 
 # frequencies of the characteristic-function discrepancy cd, in report.json and in `dckit discrepancy`
@@ -99,12 +99,6 @@ def _feature_stats(method: str, feats: list) -> list:
     if method == "sam":
         return [(f ** 2).mean(axis=-2) for f in feats]
     raise ConfigError(f"not a feature objective: {method!r}")
-
-
-def _squared_norms(d: np.ndarray) -> np.ndarray:
-    """||row||_2^2 of each row of d (..., h), with the bits of ``float(row @ row)``: the matmul
-    of each (1, h) row by its (h, 1) column takes the same dot product."""
-    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
 
 
 def _feature_gap(method: str, stats_t: list, feats_s: list):
@@ -235,18 +229,31 @@ def _transport(d: np.ndarray) -> np.ndarray:
     capacity keep h = 0, so the first of them that Dijkstra finalizes ends a shortest path.
     Each column is finalized at most once per search, so the predecessors form a tree even
     under float ties. With n = m this is the shortest-augmenting-path assignment method.
+
+    While h = 0 a row whose nearest column (the first argmin) has room for its whole supply
+    ships it there in one augmentation and leaves h at 0, so the prefix of such rows, in row
+    order, is assigned in one vectorized step with the same flow, loads and ``ships`` order.
     """
     n, m = d.shape
     g = math.gcd(n, m)
     supply, cap = m // g, n // g
     flow = np.zeros((n, m), dtype=np.int64)
-    load = np.zeros(m, dtype=np.int64)
     h = np.zeros(m)
+    nearest = d.argmin(axis=1)
+    order = np.argsort(nearest, kind="stable")
+    rank = np.empty(n, dtype=np.int64)  # the rows before each row with the same nearest column
+    rank[order] = np.arange(n) - np.searchsorted(nearest[order], nearest[order])
+    fits = supply * (rank + 1) <= cap
+    bulk = n if fits.all() else int(fits.argmin())
+    flow[np.arange(bulk), nearest[:bulk]] = supply
+    load = np.bincount(nearest[:bulk], minlength=m) * supply
     ships = [[] for _ in range(m)]  # the rows with flow into each column
+    for i, j in enumerate(nearest[:bulk].tolist()):
+        ships[j].append(i)
     moves = [None] * m  # per column while its rows are unchanged: (cost to each column, via row)
     pred_col = np.empty(m, dtype=np.int64)
     pred_row = np.empty(m, dtype=np.int64)
-    for i in range(n):
+    for i in range(bulk, n):
         left = supply
         while left:
             work = d[i] - h  # tentative reduced distances from row i; +inf once finalized

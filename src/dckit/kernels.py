@@ -73,6 +73,14 @@ def gaussian_spec(scale: float = 1.0) -> KernelSpec:
 # entries of one block of rows in sq_distances and median_heuristic's scans: small enough that
 # the per-feature passes over a block stay in cache
 _BLOCK_ENTRIES = 1 << 15
+# above this many features, sq_distances takes ||a||^2 + ||b||^2 - 2 a.b from one matrix-vector
+# product per row of a; up to it the per-feature sum keeps cdist's bits, at a cost that grows
+# with the features (400 x 400 rows at 16 features: 3.9 ms against the expansion's 1.2 ms; at
+# 64, 17 ms against 2.2 ms)
+_EXPANSION_FEATURES = 16
+# expanded squared distances at most this fraction of ||a||^2 + ||b||^2 lost too many digits to
+# cancellation and are summed again one feature at a time
+_CANCELLATION_RATIO = 2.0 ** -10
 # median_heuristic: the most seeded pairs whose squared distances bracket the middle rank (one
 # in 32 pairs below that, so the sample costs a few percent of the scan), and the candidates
 # inside the bracket that one scan may keep per point; a histogram of bit patterns with 2^11
@@ -84,17 +92,46 @@ _HIST_BITS = 11
 _INF_BITS = 0x7FF0000000000000  # +inf; the positive doubles' bit patterns are 1 to this, in order
 
 
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """||row||_2^2 of each row of d (..., h), with the bits of ``float(row @ row)``: the matmul
+    of each (1, h) row by its (h, 1) column takes the same dot product."""
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of (A, n) a and (B, n) b, shape (A, B).
 
-    The squared differences are added one feature at a time, in feature order, so a distance
-    does not depend on which other rows it is computed with. ``np.sum`` over a difference
-    tensor adds them pairwise and rounds differently from 8 features on."""
+    Up to 16 features the squared differences are added one feature at a time, in feature
+    order: ``cdist``'s bits. ``np.sum`` over a difference tensor adds them pairwise and rounds
+    differently from 8 features on. Above 16 features a distance is ||a||^2 + ||b||^2 - 2 a.b,
+    the inner products from one (1, n) @ (n, B) matmul per row of a, so an entry depends only
+    on its row of a and on b, not on the other rows of a; a GEMM's entries may depend on its
+    blocking. The expansion cancels for close rows (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, sec. 1.7), so an entry at most 2^-10 (||a||^2 + ||b||^2) is
+    summed again one feature at a time, as is a NaN that an overflowed norm leaves: equal rows
+    give exactly 0, and every entry is within a relative (2^11 + 1)(n + 2) u of the per-feature
+    sum, with u = 2^-53."""
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     out = np.zeros((a.shape[0], b.shape[0]))
     rows = max(1, _BLOCK_ENTRIES // max(b.shape[0], 1))
+    if a.shape[1] > _EXPANSION_FEATURES:
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow's inf or NaN is its value
+            norms_a, norms_b = _squared_norms(a), _squared_norms(b)
+            cut = np.empty((min(rows, a.shape[0]), b.shape[0]))
+            for i0 in range(0, a.shape[0], rows):
+                block = out[i0:i0 + rows]
+                c = cut[:len(block)]
+                np.matmul(a[i0:i0 + rows, None, :], b.T, out=block[:, None, :])
+                block *= -2.0
+                np.add(norms_a[i0:i0 + rows, None], norms_b, out=c)
+                block += c
+                c *= _CANCELLATION_RATIO
+                i, j = np.nonzero(~(block > c))  # NaN from an overflowed norm too
+                block[i, j] = _pair_sq_distances(a, b, i0 + i, j)
+        return out
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     diff = np.empty((min(rows, a.shape[0]), b.shape[0]))
     for i0 in range(0, a.shape[0], rows):
         block = out[i0:i0 + rows]
@@ -106,6 +143,20 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """||a[i_k] - b[j_k]||^2 of each index pair, its squares added one feature at a time, as
+    ``sq_distances`` adds them up to 16 features: a running sum along each pair's (k, n) row of
+    squares, in chunks of at most 2^15 entries, costs one pass where a loop over the n > 16
+    features would cost n."""
+    out, step = np.empty(len(i)), max(1, _BLOCK_ENTRIES // a.shape[1])
+    for k0 in range(0, len(i), step):
+        d = a[i[k0:k0 + step]]
+        d -= b[j[k0:k0 + step]]
+        d *= d
+        out[k0:k0 + step] = np.add.accumulate(d, axis=1, out=d)[:, -1]
+    return out
+
+
 def median_heuristic(x: np.ndarray) -> float:
     """Median of the positive pairwise Euclidean distances (1.0 when degenerate), in O(N) memory.
 
@@ -113,10 +164,14 @@ def median_heuristic(x: np.ndarray) -> float:
     "Expected time bounds for selection", CACM 1975). A seeded sample of pairs brackets the middle
     rank, one scan of ``sq_distances``'s row blocks counts the positive values and those below the
     bracket and keeps those inside it, and a partition of the kept values gives the rank-k values.
+    Up to 16 features a block holds the columns j > i; above 16 it holds full rows of
+    ``sq_distances(x, x)`` with the pairs j <= i masked, since an expanded entry depends on its
+    columns. Either way the values are those of the upper triangle of ``sq_distances(x, x)``.
     Their square roots are ``np.median``'s operands over the positive distances, because a
-    correctly rounded square root is monotone, so the value has the bits of the full condensed
-    distance vector's median. A bracket that misses the rank, or holds more than 64 values per
-    point, is moved or narrowed by further scans, so the seed changes only the time."""
+    correctly rounded square root is monotone, so the value has the bits of the median of those
+    distances: ``pdist``'s up to 16 features. A bracket that misses the rank, or holds more than
+    64 values per point, is moved or narrowed by further scans, so the seed changes only the
+    time."""
     x = _as_points(x)
     n = x.shape[0]
     pairs, cap = n * (n - 1) // 2, _CANDIDATES_PER_POINT * n
@@ -133,7 +188,9 @@ def median_heuristic(x: np.ndarray) -> float:
 def _sample_bracket(x: np.ndarray, size: int) -> tuple[int, int]:
     """The bit patterns of two squared distances of ``size`` seeded pairs i != j, about 4 standard
     errors either side of the sample's median of positive values: the bracket of a first scan.
-    The pairs' distances are summed one feature at a time, as ``sq_distances`` sums them."""
+    The pairs' distances are summed one feature at a time, as ``sq_distances`` sums them up to
+    16 features; above that the sums may differ from its bits, which moves only the bracket and
+    so only the time."""
     rng = np.random.default_rng(_MEDIAN_SEED)
     i = rng.integers(0, x.shape[0], size=size, dtype=np.int32)
     j = rng.integers(0, x.shape[0] - 1, size=size, dtype=np.int32)
@@ -155,17 +212,17 @@ def _median_scan(x: np.ndarray, lo: int, hi: int, cap: int):
     """One scan of the squared distances of the pairs i < j against the bracket of bit patterns
     [lo, hi]: (positive values, positive values below lo, values inside, the values inside or
     None when there are more than ``cap``, then their histogram over the bracket's bins)."""
-    n = x.shape[0]
+    n, full = x.shape[0], x.shape[1] > _EXPANSION_FEATURES
     lo_f, hi_f = np.array([lo, hi], dtype=np.int64).view(np.float64)
     shift = max(0, (hi - lo).bit_length() - _HIST_BITS)
     cand, hist = np.empty(min(cap, n * (n - 1) // 2)), None
     positive = below = inside = 0
     i0 = 0
     while i0 < n - 1:
-        rows = max(1, _BLOCK_ENTRIES // (n - 1 - i0))
-        block = sq_distances(x[i0:i0 + rows], x[i0 + 1:])  # column c is row i0 + 1 + c
-        w = min(block.shape)
-        np.copyto(block[:, :w], 0.0, where=np.tri(block.shape[0], w, -1, dtype=bool))  # pairs j <= i
+        start = 0 if full else i0 + 1  # full rows keep sq_distances(x, x)'s bits
+        rows = max(1, _BLOCK_ENTRIES // (n - start))
+        block = sq_distances(x[i0:i0 + rows], x[start:])  # column c is row start + c
+        np.copyto(block, 0.0, where=np.tri(*block.shape, i0 - start, dtype=bool))  # pairs j <= i
         i0 += rows
         mask = block > 0
         positive += np.count_nonzero(mask)

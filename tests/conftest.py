@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,75 @@ def transport_lp(a: np.ndarray, b: np.ndarray) -> float:
     res = linprog(d.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def transport_reference(d: np.ndarray) -> np.ndarray:
+    """``discrepancy._transport``'s successive shortest paths with every row entering one at a
+    time, the oracle for its vectorized start: with g = gcd(n, m), row i ships m/g units and
+    column j takes n/g, and each row augments along a Dijkstra path over the columns."""
+    n, m = d.shape
+    g = math.gcd(n, m)
+    supply, cap = m // g, n // g
+    flow = np.zeros((n, m), dtype=np.int64)
+    load = np.zeros(m, dtype=np.int64)
+    h = np.zeros(m)
+    ships = [[] for _ in range(m)]  # the rows with flow into each column
+    moves = [None] * m  # per column while its rows are unchanged: (cost to each column, via row)
+    pred_col = np.empty(m, dtype=np.int64)
+    pred_row = np.empty(m, dtype=np.int64)
+    for i in range(n):
+        left = supply
+        while left:
+            work = d[i] - h  # tentative reduced distances from row i; +inf once finalized
+            open_ = np.ones(m, dtype=bool)
+            pred_col.fill(-1)
+            pred_row.fill(i)
+            done, done_dist = [], []
+            while True:
+                j = int(work.argmin())
+                if load[j] < cap:
+                    break
+                dj = work[j]
+                done.append(j)
+                done_dist.append(dj)
+                work[j] = np.inf
+                open_[j] = False
+                if moves[j] is None:
+                    rows = np.array(ships[j])
+                    cost = d[rows] - d[rows, j][:, None]
+                    best = cost.argmin(axis=0)
+                    moves[j] = cost[best, np.arange(m)], rows[best]
+                step, via = moves[j]
+                cand = step - h
+                cand += dj + h[j]
+                better = cand < work
+                better &= open_
+                np.copyto(work, cand, where=better)
+                np.copyto(pred_col, j, where=better)
+                np.copyto(pred_row, via, where=better)
+            if done:
+                h[done] += np.asarray(done_dist) - work[j]
+            delta, k = min(left, cap - load[j]), j
+            while pred_col[k] >= 0:
+                delta = min(delta, flow[pred_row[k], pred_col[k]])
+                k = pred_col[k]
+            k = j
+            while True:
+                r, prev = int(pred_row[k]), int(pred_col[k])
+                flow[r, k] += delta
+                if flow[r, k] == delta:
+                    ships[k].append(r)
+                    moves[k] = None
+                if prev < 0:
+                    break
+                flow[r, prev] -= delta
+                if flow[r, prev] == 0:
+                    ships[prev].remove(r)
+                    moves[prev] = None
+                k = prev
+            load[j] += delta
+            left -= delta
+    return flow
 
 
 def write_csv(d, path) -> None:

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 from scipy.special import logsumexp, softmax
 
 from dckit import (
@@ -47,7 +46,7 @@ from dckit.condense import (
 from dckit.data import per_class_partition
 from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
-from dckit.kernels import _nfk_features
+from dckit.kernels import _nfk_features, sq_distances
 from dckit.models import TrainConfig, loss_hvp, max_eigenvalue
 from dckit.seeding import derive_seed, derived_rng
 from dckit.spaces import regime_maps
@@ -862,7 +861,7 @@ def test_kcenter_greedy_matches_full_matrix_greedy(rng):
     # the farthest-point picks on the full distance matrix, the reference the row-per-pick
     # greedy must reproduce bit for bit
     pts = rng.normal(size=(500, 32))
-    d = cdist(pts, pts)
+    d = np.sqrt(sq_distances(pts, pts))
     sel, mind = [0], d[0].copy()
     while len(sel) < 12:
         sel.append(int(np.argmax(mind)))

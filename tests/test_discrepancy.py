@@ -32,10 +32,11 @@ from dckit.discrepancy import (
     _gradient_gap,
     _model_gaps,
     _squared_norms,
+    _transport,
     empirical_cf,
 )
 from dckit.errors import ArchitectureError, DomainError, LabelError, ShapeError, ValidationError
-from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp
+from tests.conftest import copy_as_synthetic, linear_mlp, transport_lp, transport_reference
 
 
 def w1_bruteforce(a, b):
@@ -353,6 +354,30 @@ def test_w1_ties_and_duplicates_match_transport_lp(n, m, seed):
     oracle = transport_lp(a, b)
     assert abs(wasserstein1(a, b) - oracle) <= 1e-12 * oracle
     assert wasserstein1(np.vstack([a, a]), a) == 0.0
+
+
+def _transport_cases(seed):
+    # (n, m) costs with n >= m, as wasserstein1 hands them over
+    r = np.random.default_rng(seed)
+    a, b = r.normal(size=(200, 3)), r.normal(size=(20, 3)) + 0.3
+    yield "random", cdist(a, b)
+    yield "random-g10", cdist(a[:150], b)  # supply 2, capacity 15
+    lat_a, lat_b = r.integers(0, 3, size=(90, 2)).astype(float), r.integers(0, 3, size=(12, 2)).astype(float)
+    yield "lattice", cdist(lat_a, lat_b)  # many tied costs and tied argmins
+    dup = np.repeat(r.normal(size=(10, 2)), 6, axis=0)
+    yield "duplicates", cdist(dup, dup[::6])
+    yield "equal-columns", cdist(dup, dup[:3])  # three equal columns: every row's costs tie
+    yield "supply-gt-1", cdist(r.normal(size=(6, 2)), r.normal(size=(4, 2)))  # g = 2: supply 2, capacity 3
+    yield "square", cdist(a[:30], a[30:60])
+    yield "one-column", cdist(a[:9], b[:1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transport_vectorized_start_equals_the_row_loop(seed):
+    for name, d in _transport_cases(seed):
+        want = transport_reference(d)
+        assert np.array_equal(_transport(d), want), name
+        assert (want.sum(axis=1) == want.sum(axis=1)[0]).all() and (want.sum(axis=0) == want.sum(axis=0)[0]).all()
 
 
 def test_w1_rejects_non_finite_points():

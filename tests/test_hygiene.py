@@ -321,7 +321,7 @@ def self_dot_sites(source: str) -> list[str]:
     return [getattr(top, "name", "<module>") for top in ast.parse(source).body if any(map(self_dot, ast.walk(top)))]
 
 
-# The package's one squared-norm formula is ``discrepancy._squared_norms``, the matmul of each (1, h)
+# The package's one squared-norm formula is ``kernels._squared_norms``, the matmul of each (1, h)
 # row by its (h, 1) column, which has the bits of ``row @ row`` and takes a stack of rows in one call.
 def test_squared_norms_are_taken_in_one_place():
     assert [f"{path.name}:{name}" for path in MODULES for name in self_dot_sites(path.read_text())] == []

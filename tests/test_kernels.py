@@ -324,16 +324,77 @@ def test_random_feature_vjp_peak_memory_is_two_feature_matrices(rng):
     assert peak <= 2 * n_a * p * 8
 
 
+def expansion_bound(dim):
+    """The relative distance from the per-feature sum that ``sq_distances`` states above 16
+    features: (2^11 + 1)(n + 2) u, u = 2^-53."""
+    return (2**11 + 1) * (dim + 2) * 2.0**-53
+
+
+def assert_within_bound(got, want, dim):
+    assert np.all(np.abs(got - want) <= expansion_bound(dim) * want)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 32, 33, 64, 100])
 def test_sq_distances_match_cdist_and_pdist_bits(dim, rng):
+    # cdist's bits up to 16 features, the stated bound on the expansion above
     a = rng.normal(size=(37, dim)) * 3.0
     b = rng.uniform(size=(23, dim))
     b[5] = b[2]  # duplicate rows
     a[4] = b[2]
+    cases = [(sq_distances(a, b), cdist(a, b, "sqeuclidean")), (np.sqrt(sq_distances(a, b)), cdist(a, b)),
+             (np.sqrt(sq_distances(a[:1], b)), cdist(a[:1], b)),  # a single row
+             (np.sqrt(sq_distances(a, a))[np.triu_indices(len(a), 1)], pdist(a))]
+    for got, want in cases:
+        if dim <= dckit.kernels._EXPANSION_FEATURES:
+            assert np.array_equal(got, want)
+        else:
+            assert_within_bound(got, want, dim)
+    assert sq_distances(a, b)[4, 2] == sq_distances(a, b)[4, 5] == 0.0
+
+
+def bound_test_rows(dim, rng):
+    """Rows that stress the expansion: uniform rows, near duplicates 1e-6 apart, exact
+    duplicates, rows offset by +100, so that ||a||^2 + ||b||^2 dwarfs many distances, and rows
+    offset by +5, whose distances among themselves lie just above the recomputed range."""
+    a, b = rng.uniform(size=(90, dim)), rng.uniform(size=(70, dim))
+    a[10:20] = b[:10] + 1e-6 * rng.normal(size=(10, dim))
+    a[20:25] = b[10:15]
+    b[15] = b[16]
+    a[30:50] += 100.0
+    b[30:40] += 100.0
+    b[40:45] = a[30:35] + 1e-6 * rng.normal(size=(5, dim))
+    a[60:80] += 5.0
+    b[50:65] += 5.0
+    return a, b
+
+
+@pytest.mark.parametrize("dim", [2, 17, 64, 784])
+def test_sq_distances_error_bound(dim, rng):
+    a, b = bound_test_rows(dim, rng)
+    got, want = sq_distances(a, b), cdist(a, b, "sqeuclidean")  # cdist adds one feature at a time
+    assert_within_bound(got, want, dim)
+    assert np.all(got[np.arange(20, 25), np.arange(10, 15)] == 0.0) and got[0, 15] == got[0, 16]
+    assert np.all(np.diag(sq_distances(a, a)) == 0.0)
+    if dim <= dckit.kernels._EXPANSION_FEATURES:
+        assert np.array_equal(got, want)
+
+
+def test_sq_distances_overflow_like_the_per_feature_sum():
+    # an overflowed norm leaves inf - inf in the expansion, which is summed again per feature
+    a = np.full((2, 20), 1e200)
+    a[1, 0] = 0.0
+    b = np.vstack([a, np.zeros(20), np.full(20, 1e-300)])
     assert np.array_equal(sq_distances(a, b), cdist(a, b, "sqeuclidean"))
-    assert np.array_equal(np.sqrt(sq_distances(a, b)), cdist(a, b))
-    assert np.array_equal(np.sqrt(sq_distances(a[:1], b)), cdist(a[:1], b))  # a single row
-    assert np.array_equal(np.sqrt(sq_distances(a, a))[np.triu_indices(len(a), 1)], pdist(a))
+    assert sq_distances(a, b)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 17, 64, 784])
+def test_sq_distances_rows_do_not_depend_on_the_other_rows(dim, rng):
+    a, b = bound_test_rows(dim, rng)
+    full = sq_distances(a, b)
+    for i0, i1 in [(0, 1), (7, 8), (89, 90), (0, 45), (13, 71), (45, 90)]:
+        assert np.array_equal(sq_distances(a[i0:i1], b), full[i0:i1]), (i0, i1)
+    assert np.array_equal(sq_distances(a[[5, 2, 5]], b), full[[5, 2, 5]])  # a copy, rows in any order
 
 
 def test_sq_distances_rejects_dimension_mismatch(rng):
@@ -344,12 +405,19 @@ def test_sq_distances_rejects_dimension_mismatch(rng):
 @pytest.mark.parametrize("n,dim", [(3, 2), (400, 2), (400, 32), (400, 64), (1600, 2), (1600, 32), (1600, 64),
                                    (4000, 2), (500, 1)])
 def test_median_heuristic_matches_pdist_bits(n, dim, rng):
+    # the median of the package's own distances at every dim: pdist's bits up to 16 features,
+    # the stated bound on the expansion above
     x = rng.normal(size=(n, dim))
     for dup in (False, True):  # the two give positive distance counts of opposite parity
         if dup:
             x[-1] = x[0]  # a duplicated row gives one zero distance, which the median skips
+        own = np.sqrt(sq_distances(x, x)[np.triu_indices(n, 1)])
+        assert median_heuristic(x) == np.median(own[own > 0])
         d = pdist(x)
-        assert median_heuristic(x) == np.median(d[d > 0])
+        if dim <= dckit.kernels._EXPANSION_FEATURES:
+            assert median_heuristic(x) == np.median(d[d > 0])
+        else:
+            assert_within_bound(median_heuristic(x), np.median(d[d > 0]), dim)
         if dim == 1:
             assert median_heuristic(x[:, 0]) == np.median(d[d > 0])  # 1-D input is one feature per point
 
@@ -413,12 +481,13 @@ GRAM_MEAN_SHAPES = [(1, 1), (3, 5), (8, 16), (16, 9), (1, 128), (127, 1), (1, 12
                     (256, 256), (255, 257), (257, 255), (1, 65536), (65537, 1), (300, 219), (401, 400)]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 32, 64])
+@pytest.mark.parametrize("dim", [1, 2, 17, 32, 64, 784])
 @pytest.mark.parametrize("gamma", [2.0, 1.0, 0.3])
 def test_gram_mean_matches_the_full_matrix_bits(dim, gamma, rng):
-    # A x B at and around numpy's 128-entry blocks and the 2^16-entry leaves, with A != B
+    # A x B at and around numpy's 128-entry blocks and the 2^16-entry leaves, with A != B; at 784
+    # features the shapes without a 2^16-entry side
     spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
-    for rows_a, rows_b in GRAM_MEAN_SHAPES:
+    for rows_a, rows_b in GRAM_MEAN_SHAPES if dim < 784 else [s for s in GRAM_MEAN_SHAPES if max(s) < 1 << 16]:
         a, b = rng.normal(size=(rows_a, dim)), rng.normal(size=(rows_b, dim))
         want = gram_matrix(spec, a, b).mean()
         got = gram_mean(spec, a, b)
