@@ -23,7 +23,7 @@ themselves, dm, moment and sam stacked over the members; the kernel families kee
 class. Every method transforms S as one (C, m, d) stack of its class batches, and one
 function, ``s_terms``, yields every member's values and gradient against it in the
 ensemble's order: dm, moment and sam from one sweep of the stack through the whole
-ensemble's stacked weights, gm from one sweep per member, mmd class by class. The objective
+ensemble's stacked weights, gm from three sweeps per member, mmd class by class. The objective
 adds every member's pulled-back gradient, and gm's curvature term, into one (C, m, d)
 buffer and writes it to S's rows once. An mmd under random features, like any dp_merf run,
 matches mean embeddings and takes its S gradient from the random-feature pullback. dm,
@@ -95,6 +95,7 @@ from .models import (
     _loss_value_and_grad,
     _reverse_sweep,
     _sweep_workspace,
+    _tangent_sweep,
     epoch_batches,
     loss_hvp,
     max_eigenvalue,
@@ -618,8 +619,6 @@ def krr_fit_targets(spec: KernelSpec, support: np.ndarray, targets: np.ndarray, 
     """Ridge fit against explicit real-valued targets (one column per output)."""
     support = np.atleast_2d(np.asarray(support, dtype=np.float64))
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     if targets.shape[0] != support.shape[0]:
         raise ShapeError("one target row per support point required")
     alpha = krr_solve(gram_matrix(spec, support, support), targets, lam)
@@ -984,7 +983,7 @@ def _matching_problem(cfg, t, s0):
     # stack: dm, moment and sam's per-layer (M, 1, in, out) weights and (M, 1, out) biases, views
     # of the ensemble's stacked (M, 1, P) parameters; built by their first step after a refresh
     ensemble = stack = None
-    sweeps = {}  # the stacked sweeps' workspace, per (C, m, d') shape of S's transformed stack
+    sweep = None  # the stacked sweeps' workspace: S's transformed (C, m, d') stack keeps one shape
     t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
     # every member's T statistics, as ``t_stat`` builds them; kept until an ensemble or proxy
     # refresh unless the T transform depends on the step (siamese and channel_multiform draw per step)
@@ -1040,29 +1039,31 @@ def _matching_problem(cfg, t, s0):
         """Yields every member's S-side terms against ``t_stat``'s statistics, in the ensemble's
         order: (values, gradient with respect to the (C, m, d') stack ``rs`` of S's transformed
         rows). dm, moment and sam take them all from one forward and one reverse sweep of ``rs``
-        through the ensemble's stacked weights, into the workspace of its shape, where the
-        gradients live until the next step. gm takes each member's from one sweep over the stack,
-        which writes S's class gradients, then their gap, into the one buffer ``g_s``; contrastive
-        gm gives one value. The kernel families give their one member's, class by class."""
-        nonlocal stack, g_s
+        through the ensemble's stacked weights, into the one workspace, where the gradients live
+        until the next step. gm takes each member's from a forward, a reverse and a tangent sweep
+        of the stack; the reverse writes S's class gradients, then their gap, into the one buffer
+        ``g_s``. Contrastive gm gives one value, the kernel families their one member's, by class."""
+        nonlocal stack, sweep, g_s
         if cfg.method == "gm":
             for model, stat in zip(ensemble, stats):
                 g_s = np.empty_like(stat) if g_s is None else g_s
-                _, grads, _, tangent = model.backward(rs, ls, cfg.loss, tangent=True, out=g_s, input_part=False)
-                values, upstream = _gradient_gap(contrastive, stat, grads)
-                yield values, tangent(upstream)
+                w, act = model.weights, cfg.activation
+                zs, acts = _forward_sweep(w, model.biases, act, rs)
+                _, g = _loss_value_and_grad(acts[-1], ls, cfg.loss)
+                _reverse_sweep(w, act, zs, acts, g, grads=model._split_flat(g_s), input_part=False)
+                values, upstream = _gradient_gap(contrastive, stat, g_s)
+                yield values, _tangent_sweep(w, act, zs, acts, g, cfg.loss, *model._split_flat(upstream))
         elif not kernel_objective:
             if stack is None:
                 stack = ensemble[0]._split_flat(np.stack([m.flat_params() for m in ensemble])[:, None])
             weights, biases = stack
-            if rs.shape not in sweeps:
-                sweeps[rs.shape] = _sweep_workspace(ensemble[0].widths, (len(ensemble), *rs.shape[:-1]))
-            _, forward, reverse = sweeps[rs.shape]
+            if sweep is None:
+                sweep = _sweep_workspace(ensemble[0].widths, (len(ensemble), *rs.shape[:-1]))
+            _, forward, reverse = sweep
             zs, acts = _forward_sweep(weights, biases, cfg.activation, rs, forward)
             values, upstream = _feature_gap(cfg.method, stats, acts[1:])  # (M, C) values
             g0 = upstream[-1] if upstream[-1] is not None else np.zeros_like(acts[-1])
-            yield from zip(values, _reverse_sweep(weights, cfg.activation, zs, acts, g0,
-                                                  upstream=[*upstream[:-1], None], out=reverse))
+            yield from zip(values, _reverse_sweep(weights, cfg.activation, zs, acts, g0, upstream[:-1], out=reverse))
         else:
             values, grads = [], []
             for stat, r in zip(stats, rs):

@@ -167,6 +167,14 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     return LabeledDataset(features=np.asarray(feats, dtype=np.float64), labels=y, class_count=c)
 
 
+def _json_default(v):
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    raise TypeError(f"not JSON serializable: {type(v)}")
+
+
 def save_synthetic(s: SyntheticDataset, path: str | Path) -> None:
     """Write a synthetic set as CSV plus a JSON sidecar with its provenance.
 
@@ -183,7 +191,7 @@ def save_synthetic(s: SyntheticDataset, path: str | Path) -> None:
         "class_count": s.class_count,
         **s.meta,
     }
-    Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def read_json(path: str | Path):

@@ -308,32 +308,40 @@ def _transport(d: np.ndarray) -> np.ndarray:
     return flow
 
 
-def wasserstein1(t, s) -> float:
-    """Exact W1 between uniform empirical measures.
+def _distances(t, s) -> np.ndarray:
+    """The (N, M) Euclidean distances of t's and s's points; DomainError unless all are finite."""
+    d = np.sqrt(sq_distances(_points(t), _points(s)))
+    if not np.isfinite(d).all():
+        raise DomainError("point sets must give finite distances")
+    return d
+
+
+def _w1(d: np.ndarray) -> float:
+    """Exact W1 between uniform empirical measures, from their (N, M) distances d.
 
     The optimal plan ships integer units (``_transport``): with g = gcd(n, m), each point of
     the larger set supplies m/g units, each point of the smaller set takes n/g, and
     W1 = sum x_ij d_ij / (n m / g). Memory is O(nm).
     """
-    a = _points(t)
-    b = _points(s)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError("point dimensions differ")
-    d = np.sqrt(sq_distances(a, b))
-    if not np.isfinite(d).all():
-        raise DomainError("point sets must give finite distances")
     if d.shape[0] < d.shape[1]:
         d = np.ascontiguousarray(d.T)
     flow = _transport(d)
     return float((flow * d).sum() / flow.sum())
 
 
-def hausdorff_distance(t, s) -> float:
-    """max of the two directed farthest-nearest Euclidean distances."""
-    a = _points(t)
-    b = _points(s)
-    d = np.sqrt(sq_distances(a, b))
+def _hausdorff(d: np.ndarray) -> float:
+    """The larger of the two directed farthest-nearest distances, from the (N, M) distances d."""
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def wasserstein1(t, s) -> float:
+    """Exact W1 between the uniform empirical measures on the point sets t and s."""
+    return _w1(_distances(t, s))
+
+
+def hausdorff_distance(t, s) -> float:
+    """Euclidean Hausdorff distance between the point sets t and s."""
+    return _hausdorff(_distances(t, s))
 
 
 # complex entries of one row block of empirical_cf
@@ -444,13 +452,14 @@ def model_free(t, s, names, kernel: KernelSpec | None, freq_count: int, seed: in
         kernel = kernel_or_default(kernel, t)
         params["kernel"] = kernel.describe()
         values["mmd"] = float(np.sqrt(max(mmd_squared(kernel, t, s), 0.0)))
-    if "w1" in names:
-        values["w1"] = wasserstein1(t, s)
-    if "hausdorff" in names:
-        values["hausdorff"] = hausdorff_distance(t, s)
     if "cd" in names:
         params.update(freq_count=freq_count, seed=seed)
         values["cd"] = characteristic_discrepancy(t, s, sample_count=freq_count, seed=seed)
+    d = _distances(t, s) if {"w1", "hausdorff"} & set(names) else None  # one for both, after cd's arrays
+    if "w1" in names:
+        values["w1"] = _w1(d)
+    if "hausdorff" in names:
+        values["hausdorff"] = _hausdorff(d)
     return values, params
 
 

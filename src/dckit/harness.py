@@ -22,6 +22,7 @@ from .data import (
     LabeledDataset,
     NormParams,
     SyntheticDataset,
+    _json_default,
     _read_sidecar,
     init_synthetic,
     load_dataset,
@@ -35,7 +36,7 @@ from .discrepancy import CF_FREQUENCIES, DiscrepancyReport, ModelBatch, hierarch
 from .errors import (ARCHITECTURES, CondensationError, ConfigError, ParseError, ShapeError, check_fields, check_keys,
                      check_number)
 from .kernels import KernelSpec
-from .models import TRAIN_FIELDS, Mlp, TrainConfig, per_sample_loss, pgd_attack, sgd_train_stack
+from .models import TRAIN_FIELDS, Mlp, TrainConfig, _loss_value_and_grad, pgd_attack, sgd_train_stack
 from .plots import bar_svg, bars_csv, polyline_svg, series_csv
 from .seeding import derive_seed
 from .spaces import fit_linear_autoencoder
@@ -127,7 +128,7 @@ def _scores(m: Mlp, data: LabeledDataset, loss: str) -> tuple[float, float]:
     ``m.accuracy`` and ``m.mean_loss``."""
     logits, _ = m.forward_batch(data.features)
     y = np.asarray(data.labels, dtype=np.int64)
-    return float(np.mean(np.argmax(logits, axis=1) == y)), float(np.mean(per_sample_loss(logits, y, loss)))
+    return float(np.mean(np.argmax(logits, axis=1) == y)), _loss_value_and_grad(logits, y, loss)[0]
 
 
 def evaluate(
@@ -324,33 +325,21 @@ def _report_json(cfg: RunConfig, s_star: SyntheticDataset, log: StepLog, report:
     return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
-def _json_default(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, tuple):
-        return list(v)
-    raise TypeError(f"not JSON serializable: {type(v)}")
-
-
-def discrepancy_command(path_a, path_b, selectors, kernel: KernelSpec | None = None,
-                        freq_count: int = CF_FREQUENCIES, seed: int | None = None,
+def discrepancy_command(path_a, path_b, selectors, freq_count: int = CF_FREQUENCIES, seed: int | None = None,
                         out_path=None) -> DiscrepancyReport:
     """Standalone discrepancy tool over two dataset CSVs; optionally writes the report JSON.
 
-    The values are ``model_free`` of the two feature sets, as in the run's report. When b is a
-    run's synthetic set (its sidecar holds the run record), a is read back as that run's train
-    split (``_read_back``) and cd's frequencies come from the run's seed unless ``seed`` is given."""
+    The values are ``model_free`` of the two feature sets, as in the run's report (mmd under a's
+    median-heuristic kernel). When b is a run's synthetic set (its sidecar holds the run record),
+    a is read back as that run's train split (``_read_back``) and cd's frequencies come from the
+    run's seed unless ``seed`` is given."""
     if "run_seed" in _read_sidecar(path_b):
         b, _, run_seed, a, _ = _read_back(path_b, path_a)
         seed = _freq_seed(run_seed) if seed is None else seed
     else:
         a, b = load_dataset(path_a), load_dataset(path_b)
         seed = 0 if seed is None else seed
-    values, params = model_free(a.features, b.features, selectors, kernel, freq_count, seed)
+    values, params = model_free(a.features, b.features, selectors, None, freq_count, seed)
     report = DiscrepancyReport(values=values, params={"a": str(path_a), "b": str(path_b), **params})
     if out_path is not None:
         Path(out_path).write_text(report.to_json() + "\n")

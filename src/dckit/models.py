@@ -50,15 +50,6 @@ def _check_labels(y: np.ndarray, k: int) -> None:
         raise ValidationError(f"labels must lie in [0, {k})")
 
 
-def per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
-    """Loss of each sample: the per-row values that ``_loss_value_and_grad`` computes."""
-    y = np.asarray(labels, dtype=np.int64)
-    _check_labels(y, logits.shape[1])
-    out = _loss_workspace(logits.shape)
-    _loss_value_and_grad(logits, y, loss, out)
-    return out[3]
-
-
 def _loss_workspace(shape) -> tuple:
     """The buffers of ``_loss_value_and_grad`` for logits of shape (..., B, k): the logit
     gradient, two per-row columns, the per-row values, and the flat index of each row's label
@@ -72,14 +63,14 @@ def _loss_workspace(shape) -> tuple:
 def _loss_value_and_grad(logits: np.ndarray, labels: np.ndarray, loss: str, out=None):
     """Mean batch loss and its gradient with respect to the logits.
 
-    One softmax (cross-entropy) or one residual (mse) feeds both. The value has
-    the bits of ``mean(per_sample_loss(...))``: ``sum() / b`` is ``np.mean``'s
-    own arithmetic without its per-call overhead. A leading stack axis on logits
-    and labels gives each batch its own mean loss (an array of values). The one-hot
-    target is subtracted as 1.0 at each label entry (x - 0.0 is x, bit for bit), so
-    given ``out``, a ``_loss_workspace`` of the logits' shape, the gradient is written
-    there and nothing batch-sized is allocated; a workspace's owner checks its labels
-    once (``_FlatSgd``), where a call without one checks them every time.
+    The package's one loss formula: one softmax (cross-entropy) or one residual (mse) feeds
+    both, and the value is the mean of the per-row losses that stay in the workspace (which
+    ``pgd_attack`` reads), by ``sum() / b``, ``np.mean``'s own arithmetic without its per-call
+    overhead. A leading stack axis on logits and labels gives each batch its own mean loss
+    (an array of values). The one-hot target is subtracted as 1.0 at each label entry
+    (x - 0.0 is x, bit for bit), so given ``out``, a ``_loss_workspace`` of the logits'
+    shape, the gradient is written there and nothing batch-sized is allocated; a workspace's
+    owner checks its labels once (``_FlatSgd``), where a call without one checks them every time.
     """
     if loss not in LOSSES:
         raise ConfigError(f"unknown loss {loss!r}")
@@ -150,24 +141,22 @@ def _forward_sweep(weights, biases, activation: str, x: np.ndarray, out=None):
 
 def _reverse_sweep(weights, activation: str, zs, acts, g_logits, upstream=None, grads=None, input_part=True,
                    out=None):
-    """Reverse sweep from logit gradients plus optional per-feature upstream terms.
+    """Reverse sweep from logit gradients plus optional upstream terms on the hidden activations.
 
     It takes ``_forward_sweep``'s zs and acts, with their stack axes, and the weights they
-    were swept through. ``upstream`` aligns with the features list (hidden activations then
-    logits). ``grads`` is a pair of per-layer (weight, bias) views into a caller-owned flat
-    buffer that receives the parameter gradients, one row per batch of a stack; None skips
-    them. ``out``, a pair of per-layer buffer lists indexed by layer (ga and the
-    activation's derivative act', from layer 1 on), receives each hidden layer's ga, which
-    then holds its g, and act' in place of new arrays; they may be the buffers of
-    ``acts[i]`` and ``zs[i - 1]``, which the sweep has read for the last time when it
-    writes them. Returns the input gradients; without
-    ``input_part`` it stops at layer 0's parameter gradients and returns None.
+    were swept through. ``upstream`` aligns with the hidden activations (None where one takes
+    no gradient); an upstream on the logits belongs in ``g_logits``. ``grads`` is a pair of
+    per-layer (weight, bias) views into a caller-owned flat buffer that receives the parameter
+    gradients, one row per batch of a stack; None skips them. ``out``, a pair of per-layer
+    buffer lists indexed by layer (ga and the activation's derivative act', from layer 1 on),
+    receives each hidden layer's ga, which then holds its g, and act' in place of new arrays;
+    they may be the buffers of ``acts[i]`` and ``zs[i - 1]``, which the sweep has read for the
+    last time when it writes them. Returns the input gradients; without ``input_part`` it
+    stops at layer 0's parameter gradients and returns None.
     """
     last = len(weights) - 1
     ga_out, ap_out = ([None] * (last + 1),) * 2 if out is None else out
     g = g_logits
-    if upstream is not None and upstream[last] is not None:
-        g = g + upstream[last]
     for i in range(last, -1, -1):
         if grads is not None:
             np.matmul(np.swapaxes(acts[i], -1, -2), g, out=grads[0][i])
@@ -315,21 +304,17 @@ class Mlp:
         zs, acts = self._forward(x)
         return acts[-1], list(acts[1:])
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward_batch(x)
-        return np.argmax(logits, axis=1)
-
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(x) == np.asarray(y, dtype=np.int64)))
+        logits, _ = self.forward_batch(x)
+        return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y, dtype=np.int64)))
 
     def mean_loss(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy") -> float:
         logits, _ = self.forward_batch(x)
-        return float(np.mean(per_sample_loss(logits, y, loss)))
+        return _loss_value_and_grad(logits, y, loss)[0]
 
     # -- reverse mode ----------------------------------------------------------------
 
-    def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy", tangent: bool = False,
-                 out=None, input_part: bool = True):
+    def backward(self, x: np.ndarray, y: np.ndarray, loss: str = "cross_entropy", out=None, input_part: bool = True):
         """Exact gradients of the mean batch loss w.r.t. parameters and inputs.
 
         Returns (loss value, flat parameter gradient, per-row input gradients). On a
@@ -337,11 +322,7 @@ class Mlp:
         loss: C values, a (C, P) gradient and (C, B, n) input gradients. ``out``, a
         (P,) or (C, P) buffer, receives the parameter gradient in place of a new array,
         and without ``input_part`` the input gradients are skipped and the third value is
-        the forward's features, as ``forward_batch`` lists them. With
-        ``tangent`` it also returns v -> ``input_grad_param_tangent(x, y, loss, v)``,
-        one tangent sweep that reuses this call's forward pass; on a stack v is one
-        direction per batch, so gradient matching takes every class's gradient from
-        one reverse sweep and every class's input tangent from one tangent sweep.
+        the forward's features, as ``forward_batch`` lists them.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.size == 0:
@@ -351,12 +332,7 @@ class Mlp:
         flat = np.empty((*x.shape[:-2], self.param_count)) if out is None else out
         ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat),
                                 input_part=input_part)
-        if not input_part:
-            ginput = list(acts[1:])
-        if not tangent:
-            return value, flat, ginput
-        return value, flat, ginput, lambda v: _tangent_sweep(self.weights, self.activation, zs, acts, g, loss,
-                                                             *self._split_flat(v))
+        return value, flat, ginput if input_part else list(acts[1:])
 
     def feature_input_vjp(self, x: np.ndarray):
         """``forward_batch(x)``'s features and their pullback from this call's one forward sweep:
@@ -369,27 +345,26 @@ class Mlp:
             if len(up) != len(self.weights):
                 raise ShapeError("upstream must align with the features list")
             g0 = up[-1] if up[-1] is not None else np.zeros_like(acts[-1])
-            return _reverse_sweep(self.weights, self.activation, zs, acts, g0, upstream=[*up[:-1], None])
+            return _reverse_sweep(self.weights, self.activation, zs, acts, g0, upstream=up[:-1])
 
         return list(acts[1:]), pullback
 
     # -- forward-over-reverse tangent -----------------------------------------------
 
-    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, params=None, input_part=True):
-        """One ``_tangent_sweep`` along the parameter direction v.
+    def input_grad_param_tangent(self, x, y, loss, v_flat, grads=None, params=None):
+        """One forward sweep and one ``_tangent_sweep`` along the parameter direction v.
 
-        Differentiates the mean-loss gradients along v at theta, the model's
-        parameters or, given ``params``, per-layer views into that flat vector (no
-        model is built). Returns the input part, grad_x of
-        <v, grad_theta meanloss>, used for analytic gradient matching; with ``grads``
-        it also writes the exact Hessian-vector product H v there, and without
-        ``input_part`` returns None instead. Stacks as in ``backward``, with a (C, P) v.
+        Differentiates the mean-loss gradients along v at theta, the model's parameters or, given
+        ``params``, per-layer views into that flat vector (no model is built). Returns the input
+        part, grad_x of <v, grad_theta meanloss>, which the sharpness terms and the bilevel adjoint
+        read; with ``grads`` it also writes the exact Hessian-vector product H v there (``loss_hvp``
+        gives H v alone). Stacks as in ``backward``, with a (C, P) v.
         """
         vw, vb = self._split_flat(np.asarray(v_flat, dtype=np.float64))
         weights, biases = (self.weights, self.biases) if params is None else self._split_flat(params)
         zs, acts = _forward_sweep(weights, biases, self.activation, x)
         _, g = _loss_value_and_grad(acts[-1], y, loss)
-        return _tangent_sweep(weights, self.activation, zs, acts, g, loss, vw, vb, grads, input_part)
+        return _tangent_sweep(weights, self.activation, zs, acts, g, loss, vw, vb, grads)
 
     # -- per-sample output Jacobians --------------------------------------------------
 

@@ -101,8 +101,6 @@ def pullback_spec(base: KernelSpec, ae: LinearAutoencoder) -> KernelSpec:
 
 
 def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None, model_batch):
-    if callable(disc):
-        return disc
     if disc == "mmd":
         spec = kernel_or_default(kernel, reference)
         return lambda a, b: mmd_squared(spec, a, b)
@@ -144,11 +142,11 @@ def regime_objective(
     ae: LinearAutoencoder,
     t_points: np.ndarray,
     sz_points: np.ndarray,
-    disc="mmd",
+    disc: str = "mmd",
     kernel: KernelSpec | None = None,
     model_batch=None,
 ) -> float:
-    """Evaluate one quadrant of the optimize/match table.
+    """Evaluate one quadrant of the optimize/match table under ``disc``: "mmd", "w1" or "ipm_feature".
 
     ``sz_points`` lives in input space for input-optimized regimes and in latent
     space for latent-optimized ones; a dimension mismatch raises ConfigError.

@@ -76,10 +76,9 @@ def reference_sgd_step(model: Mlp, params: np.ndarray, x: np.ndarray, y: np.ndar
 
 
 def reference_per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str) -> np.ndarray:
-    """Loss of each row by a formula of its own, as ``per_sample_loss`` computed it before it took
-    its values from ``_loss_value_and_grad``: cross-entropy as a log-sum-exp shifted by each row's
-    maximum, mse as half the squared residual to the one-hot target. The package is checked
-    against it bit for bit."""
+    """Loss of each row by a formula of its own: cross-entropy as a log-sum-exp shifted by each
+    row's maximum, mse as half the squared residual to the one-hot target. The per-row losses
+    that ``_loss_value_and_grad`` leaves in its workspace are checked against it bit for bit."""
     y = np.asarray(labels, dtype=np.int64)
     if loss == "cross_entropy":
         m = logits.max(axis=1)

@@ -896,6 +896,16 @@ def test_kmeans_two_separated_pairs():
     assert got == [(0.05, 0.0), (5.05, 5.0)]
 
 
+def test_kmeans_with_fewer_distinct_rows_than_k():
+    # two distinct rows and k = 4: once both are centers every distance is 0, so the seeding draws
+    # the last two centers uniformly, and Lloyd's reseeds the clusters their duplicates leave empty
+    pts = np.repeat([[0.0, 0.0], [1.0, 2.0]], [5, 3], axis=0)
+    centers, inertias = kmeans_coreset(pts, 4, iters=10, seed=0)
+    assert centers.shape == (4, 2) and np.isfinite(centers).all()
+    assert {tuple(c) for c in centers} == {(0.0, 0.0), (1.0, 2.0)}
+    assert inertias[0] == 0.0 and all(b <= a for a, b in zip(inertias, inertias[1:]))
+
+
 def test_kmeans_inertia_monotone(rng):
     for trial in range(5):
         pts = np.random.default_rng(trial).uniform(size=(30, 3))
@@ -1113,9 +1123,10 @@ def per_member_objective(cfg, t, s, v, step):
     ensemble drawn at the last refresh, each member's terms added into ``grad[rows]`` in the
     ensemble's order. dm, moment and sam: per member its T statistics, S's features and pullback
     from ``feature_input_vjp`` of S's class stack, and ``_feature_gap``. gm: per member T's class
-    gradients through ``backward(out=, input_part=False)``, clipped and noised under dp_grad, and
-    S's through ``backward(tangent=True)`` and ``_gradient_gap``, then ``_curvature_penalty``
-    under curvature. The reference for the engine's stacked sweep and its one scatter."""
+    gradients through ``backward(out=, input_part=False)``, clipped and noised under dp_grad, S's
+    through ``backward`` and ``_gradient_gap``, their input tangent from ``input_grad_param_tangent``
+    along the gap's upstream, then ``_curvature_penalty`` under curvature. The reference for the
+    engine's stacked sweep and its one scatter."""
     to_matched, _, fwd, regime_vjp, _ = regime_maps(cfg.regime, cfg.autoencoder)
     t_matched, s_matched = to_matched(t.features), fwd(v)
     tr = _Transforms(cfg, step)
@@ -1134,9 +1145,9 @@ def per_member_objective(cfg, t, s, v, step):
                 if sigma > 0:
                     stat /= max(np.linalg.norm(stat), 1.0)
                     stat += sigma * rng_grad.normal(size=stat.shape)
-            _, grads, _, tangent = m.backward(rs, ls, cfg.loss, tangent=True, input_part=False)
+            _, grads, _ = m.backward(rs, ls, cfg.loss, input_part=False)
             values, upstream = _gradient_gap("contrastive" in cfg.variants, stats, grads)
-            g = tangent(upstream)
+            g = m.input_grad_param_tangent(rs, ls, cfg.loss, upstream)
         else:
             per_class = (_feature_stats(cfg.method, m.forward_batch(r)[1]) for r, _ in t_side)
             feats, pullback = m.feature_input_vjp(rs)
@@ -1311,7 +1322,7 @@ def test_dp_grad_noises_t_gradients_under_image_variants(rng):
 
 
 def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
-    models = importlib.import_module("dckit.models")
+    models, condense_module = importlib.import_module("dckit.models"), importlib.import_module("dckit.condense")
     for classes in (2, 5):
         rows = rng.uniform(0.0, 1.0, (3 * classes, 16))
         labels = np.repeat(np.arange(classes), 3)
@@ -1321,19 +1332,24 @@ def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
                            activation="tanh", image_shape=(1, 4, 4), variants={"multiform": {"r": 2}}, seed=0)
         v0, objective, *_ = _matching_problem(cfg, t, s)
         calls = []
-        for owner, name in ((Mlp, "backward"), (models, "_forward_sweep"), (models, "_reverse_sweep"),
-                            (models, "_tangent_sweep")):
+        sweeps = [(module, name) for module in (models, condense_module)
+                  for name in ("_forward_sweep", "_reverse_sweep", "_tangent_sweep")]
+        for owner, name in ((Mlp, "backward"), *sweeps):
             original = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k:
-                                calls.append(_n + ("+tangent" if k.get("tangent") else "")) or _f(*a, **k))
+            where = "condense." if owner is condense_module else ""
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=where + name, **k:
+                                calls.append(_n) or _f(*a, **k))
         for step in range(4):
             calls.clear()
             objective(v0, step)
             t_backward = 2 * classes if step % 2 == 0 else 0  # T gradients only on refresh steps
-            # per member (2), one S forward, one reverse and one tangent sweep over the class stack
+            # T: one backward per member (2) and class, each one forward and one reverse sweep.
+            # S: per member one forward, one reverse and one tangent sweep over the class stack
             assert calls.count("backward") == t_backward
-            assert calls.count("backward+tangent") == calls.count("_tangent_sweep") == 2
-            assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == t_backward + 2
+            assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == t_backward
+            assert calls.count("_tangent_sweep") == 0
+            for name in ("_forward_sweep", "_reverse_sweep", "_tangent_sweep"):
+                assert calls.count("condense." + name) == 2
         monkeypatch.undo()
 
 

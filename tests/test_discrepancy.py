@@ -24,6 +24,7 @@ from dckit import (
     moment_discrepancy,
     wasserstein1,
 )
+from dckit import discrepancy
 from dckit.discrepancy import (
     CF_FREQUENCIES,
     _CF_BLOCK_ENTRIES,
@@ -406,6 +407,22 @@ def test_w1_identity_of_indiscernibles(rng):
 def test_w1_empty_rejected():
     with pytest.raises(DomainError):
         wasserstein1(np.zeros((0, 1)), np.array([1.0]))
+
+
+def test_hausdorff_rejects_non_finite_points():
+    with pytest.raises(DomainError):
+        hausdorff_distance(np.array([[0.0], [np.inf]]), np.array([[1.0]]))
+
+
+def test_model_free_w1_and_hausdorff_share_one_distance_matrix(rng, monkeypatch):
+    t, s = rng.normal(size=(12, 3)), rng.normal(size=(5, 3))
+    want = {"w1": wasserstein1(t, s), "hausdorff": hausdorff_distance(t, s)}
+    calls = []
+    sq_distances = discrepancy.sq_distances
+    monkeypatch.setattr(discrepancy, "sq_distances", lambda *a: calls.append(1) or sq_distances(*a))
+    values, _ = discrepancy.model_free(t, s, ("w1", "hausdorff"), None, CF_FREQUENCIES, 0)
+    assert len(calls) == 1
+    assert values == want  # the standalone functions' bits
 
 
 def test_hausdorff_fixture():

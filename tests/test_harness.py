@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from dckit import (
     EvalConfig,
@@ -78,6 +79,26 @@ def test_report_embeds_hyperparameters(blobs_csv, tmp_path):
     # timings live in the sidecar, not the deterministic report
     assert "wall_clock" not in rep
     assert (tmp_path / "r" / "timings.json").exists()
+
+
+def test_report_describes_an_explicit_kernel(blobs_csv, tmp_path):
+    spec = gaussian_spec(0.5)
+    run(quick_run_config(blobs_csv, tmp_path / "k", method="mmd", kernel=spec, outer_steps=3))
+    rep = json.loads((tmp_path / "k" / "report.json").read_text())
+    assert rep["config"]["method"]["kernel"] == json.loads(json.dumps(spec.describe()))
+
+
+def test_report_bytes_do_not_depend_on_numpy_scalar_fields(blobs_csv, tmp_path):
+    # numpy integers, and a float32 that holds its value exactly, are written as the Python numbers they equal
+    def config(out, i, f):
+        return replace(quick_run_config(blobs_csv, tmp_path / out, outer_steps=i(3), ensemble=i(2), seed=i(4)),
+                       per_class=i(2), seed=i(11), eval=EvalConfig(repeats=i(2), epochs=i(20), learning_rate=f(0.125),
+                                                                   hidden_architectures=((8,),)))
+
+    for out, i, f in (("py", int, float), ("np", np.int64, np.float32)):
+        run(config(out, i, f))
+    for name in ("synthetic.csv", "synthetic.csv.meta.json", "steps.csv", "report.json"):
+        assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
 
 
 def test_kcenter_full_size_reproduces_baseline(tmp_path):
@@ -192,10 +213,12 @@ def test_discrepancy_command_matches_kernel_oracle(blobs_csv, tmp_path):
     other = two_blobs(n_per_class=40, dim=2, separation=6.0, seed=9)
     p2 = tmp_path / "other.csv"
     write_csv(other, p2)
-    spec = gaussian_spec(1.0)
-    rep = discrepancy_command(blobs_csv, p2, ("mmd",), kernel=spec)
+    # the median-heuristic Gaussian kernel of a's rows, from scipy's pairwise distances
+    spec = gaussian_spec(1.0 / (2.0 * float(np.median(pdist(d.features))) ** 2))
+    rep = discrepancy_command(blobs_csv, p2, ("mmd",))
     expected = np.sqrt(max(mmd_squared(spec, d.features, other.features), 0.0))
     assert rep.values["mmd"] == pytest.approx(float(expected), abs=1e-12)
+    assert rep.params["kernel"] == spec.describe()
 
 
 def test_discrepancy_command_equals_hierarchy_report(blobs_csv, tmp_path):
@@ -211,7 +234,7 @@ def test_cli_discrepancy_rejects_bad_metrics_before_computing(blobs_csv, tmp_pat
     def computed(*args, **kwargs):
         raise AssertionError("a discrepancy was computed")
 
-    for name in ("wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"):
+    for name in ("_distances", "wasserstein1", "hausdorff_distance", "characteristic_discrepancy", "mmd_squared"):
         monkeypatch.setattr(discrepancy, name, computed)
         monkeypatch.setattr(harness, name, computed, raising=False)  # a copy the CLI layer might import
     out = tmp_path / "d.json"

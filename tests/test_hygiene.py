@@ -256,8 +256,9 @@ def log_sum_exp_sites(source: str) -> list[str]:
     return found
 
 
-# The package's one softmax cross-entropy: the training loss, ``per_sample_loss`` and the con,
-# intra and dis regularizers take their values and gradients from it. A softmax alone, such as
+# The package's one softmax cross-entropy: the training loss, every mean loss (``Mlp.mean_loss``,
+# the evaluation's scores), pgd's per-row losses and the con, intra and dis regularizers take
+# their values and gradients from it. A softmax alone, such as
 # the one in ``_loss_grad_logits_tangent``, takes no log and is not a site.
 LOG_SUM_EXP_SITES = {"_loss_value_and_grad"}
 
@@ -592,7 +593,16 @@ def test_uncalled_public_name_detected():
     assert uncalled_public_names({"lib.py": lib}, [lib, caller, "tested_only()\nb.seal()\n"]) == []
 
 
+# Optional parameters that only the tests set, a ratchet as ``TEST_ONLY_NAMES`` is for names: the
+# list may shrink, and a new entry is surface for the package, the demos or the README to use or
+# for the change to delete.
+TEST_ONLY_OPTIONS = ["augment.py:siamese_augment(params)", "cli.py:main(argv)", "condense.py:kcenter_covering(method)",
+                     "discrepancy.py:gradient_discrepancy(mode)", "discrepancy.py:characteristic_discrepancy(freqs)",
+                     "models.py:pgd_attack(step_size)", "spaces.py:regime_objective(model_batch)"]
+
+
 def test_every_optional_parameter_is_set_by_a_call():
+    assert unset_optional_params(PACKAGE, PRODUCTION_CALLERS) == TEST_ONLY_OPTIONS
     assert unset_optional_params(PACKAGE, PRODUCTION_CALLERS + TEST_SOURCES) == []
 
 

@@ -9,8 +9,8 @@ import pytest
 from dckit import Mlp, TrainConfig, pgd_attack, sgd_train, sgd_train_stack, two_blobs
 from dckit.errors import ConfigError, DivergenceError, DomainError, ShapeError, ValidationError
 from dckit.condense import _FULL_BATCH, _unroll
-from dckit.models import (_FlatSgd, _forward_sweep, _loss_value_and_grad, _reverse_sweep, _tangent_sweep, epoch_batches,
-                          loss_hvp, max_eigenvalue, per_sample_loss)
+from dckit.models import (_FlatSgd, _forward_sweep, _loss_value_and_grad, _loss_workspace, _reverse_sweep,
+                          _tangent_sweep, epoch_batches, loss_hvp, max_eigenvalue)
 from tests.conftest import central_diff, reference_per_sample_loss, reference_sgd_step
 
 
@@ -126,12 +126,10 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
     y = rng.integers(0, 3, (4, 2))
     v = rng.normal(size=(4, m.param_count))
     values, grads, ginputs = m.backward(x, y, loss)
-    values_t, flat, ginputs_t, tangent = m.backward(x, y, loss, tangent=True)
-    tangents = tangent(v)
+    tangents = m.input_grad_param_tangent(x, y, loss, v)
     hvps = np.empty_like(v)
     tangents_hvp = m.input_grad_param_tangent(x, y, loss, v, grads=m._split_flat(hvps))
-    assert values.shape == (4,) and grads.shape == flat.shape == v.shape and tangents.shape == x.shape
-    assert np.array_equal(values_t, values) and np.array_equal(ginputs_t, ginputs)
+    assert values.shape == (4,) and grads.shape == v.shape and tangents.shape == x.shape
     out = np.empty_like(v)  # the gradients written into a given buffer; the forward's features in place of the input part
     values_o, flat_o, feats_o = m.backward(x, y, loss, out=out, input_part=False)
     assert np.array_equal(values_o, values) and flat_o is out and np.array_equal(out, grads)
@@ -141,12 +139,11 @@ def test_stacked_sweeps_equal_per_batch_sweeps(loss, activation, rng):
         hvp_c = np.empty(m.param_count)
         tangent_c = m.input_grad_param_tangent(x[c], y[c], loss, v[c], grads=m._split_flat(hvp_c))
         assert values[c] == value_c
-        assert np.array_equal(grads[c], grad_c) and np.array_equal(flat[c], grad_c)
+        assert np.array_equal(grads[c], grad_c)
         assert np.array_equal(ginputs[c], ginput_c)
         assert np.array_equal(tangents[c], tangent_c) and np.array_equal(tangents_hvp[c], tangent_c)
         assert np.array_equal(tangent_c, m.input_grad_param_tangent(x[c], y[c], loss, v[c]))
         assert np.array_equal(hvps[c], hvp_c) and np.array_equal(hvp_c, loss_hvp(m, x[c], y[c], loss)(v[c]))
-        assert m.input_grad_param_tangent(x[c], y[c], loss, v[c], grads=m._split_flat(hvp_c), input_part=False) is None
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -180,7 +177,7 @@ def test_sweeps_take_an_ensemble_stack(activation, hidden, rng):
     ws, bs = nets[0]._split_flat(np.stack([n.flat_params() for n in nets])[:, None])
     x, y = rng.uniform(size=(4, 5, 3)), rng.integers(0, 2, (4, 5))
     g_logits = rng.normal(size=(3, 4, 5, 2))
-    upstream = [rng.normal(size=(3, 4, 5, w)) for w in hidden] + [None]
+    upstream = [rng.normal(size=(3, 4, 5, w)) for w in hidden]  # one per hidden activation
     v = rng.normal(size=(3, nets[0].param_count))
     zs, acts = _forward_sweep(ws, bs, activation, x)
     grads = np.empty((3, 4, nets[0].param_count))
@@ -195,7 +192,7 @@ def test_sweeps_take_an_ensemble_stack(activation, hidden, rng):
         assert all(np.array_equal(a[i], b) for a, b in zip([*zs, *acts[1:]], [*zs_i, *acts_i[1:]], strict=True))
         grads_i = np.empty((4, net.param_count))
         gx_i = _reverse_sweep(net.weights, activation, zs_i, acts_i, g_logits[i],
-                              [None if u is None else u[i] for u in upstream], grads=net._split_flat(grads_i))
+                              [u[i] for u in upstream], grads=net._split_flat(grads_i))
         assert np.array_equal(gx[i], gx_i) and np.array_equal(grads[i], grads_i)
         hvp_i = np.empty((4, net.param_count))
         tangent_i = net.input_grad_param_tangent(x, y, "cross_entropy", np.tile(v[i], (4, 1)),
@@ -259,7 +256,7 @@ def test_hvp_builds_its_primal_once(rng, monkeypatch):
     expected = []
     for v in vs:
         hv = np.empty(m.param_count)
-        m.input_grad_param_tangent(x, y, "cross_entropy", v, grads=m._split_flat(hv), input_part=False)
+        m.input_grad_param_tangent(x, y, "cross_entropy", v, grads=m._split_flat(hv))
         expected.append(hv)
     sweeps, primes = [], []
     forward, act_prime = dckit.models._forward_sweep, dckit.models._act_prime
@@ -410,15 +407,19 @@ def test_sgd_step_allocates_nothing_batch_sized(monkeypatch):
 
 
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
-def test_per_sample_loss_is_the_reference_formula_bit_for_bit(loss):
+def test_per_row_losses_are_the_reference_formula_bit_for_bit(loss):
+    # the workspace's per-row losses, which pgd_attack reads, and their mean, which mean_loss returns
     rng = np.random.default_rng(3)
     for b, k in [(1, 1), (1, 7), (5, 2), (33, 3), (64, 10), (700, 11)]:
         for scale in (1e-3, 1.0, 1e3):
             logits, y = scale * rng.normal(size=(b, k)), rng.integers(0, k, b)
-            got = per_sample_loss(logits, y, loss)
-            assert np.array_equal(got, reference_per_sample_loss(logits, y, loss))
-            assert np.mean(got) == _loss_value_and_grad(logits, y, loss)[0]
-    assert per_sample_loss(np.empty((0, 3)), [], loss).shape == (0,)  # and no RuntimeWarning
+            ws = _loss_workspace(logits.shape)
+            value = _loss_value_and_grad(logits, y, loss, ws)[0]
+            want = reference_per_sample_loss(logits, y, loss)
+            assert np.array_equal(ws[3], want)
+            assert np.mean(want) == value == _loss_value_and_grad(logits, y, loss)[0]
+    ws = _loss_workspace((0, 3))
+    assert _loss_value_and_grad(np.empty((0, 3)), [], loss, ws)[0] == 0.0 and ws[3].shape == (0,)  # no RuntimeWarning
 
 
 @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)], ids=["0-hidden", "1-hidden", "2-hidden"])
@@ -483,7 +484,7 @@ def test_pgd_loss_never_below_clean_and_projected(rng):
     assert np.max(np.abs(adv - x)) <= 0.1 + 1e-12
     assert adv.min() >= 0.0 and adv.max() <= 1.0
     clean = m.mean_loss(x, y)
-    attacked = np.mean(per_sample_loss(m.forward_batch(adv)[0], y, "cross_entropy"))
+    attacked = m.mean_loss(adv, y)
     assert attacked >= clean - 1e-12
 
 
@@ -494,17 +495,17 @@ def test_pgd_monotone_in_steps(rng):
     losses = []
     for steps in (1, 2, 4, 8):
         adv = pgd_attack(m, x, y, eps=0.15, steps=steps, step_size=0.03)
-        losses.append(np.mean(per_sample_loss(m.forward_batch(adv)[0], y, "cross_entropy")))
+        losses.append(m.mean_loss(adv, y))
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
 
 def _reference_pgd(m, x, y, eps, steps, loss):
     # the ascent written plainly: a full backward at each iterate, then a forward for its losses
     step_size = max(eps / max(steps, 1) * 2.5, 1e-12)
-    best, best_loss, adv = x.copy(), per_sample_loss(m.forward_batch(x)[0], y, loss), x.copy()
+    best, best_loss, adv = x.copy(), reference_per_sample_loss(m.forward_batch(x)[0], y, loss), x.copy()
     for _ in range(steps):
         adv = np.clip(np.clip(adv + step_size * np.sign(m.backward(adv, y, loss)[2]), x - eps, x + eps), 0.0, 1.0)
-        cand = per_sample_loss(m.forward_batch(adv)[0], y, loss)
+        cand = reference_per_sample_loss(m.forward_batch(adv)[0], y, loss)
         better = cand > best_loss
         best[better] = adv[better]
         best_loss = np.where(better, cand, best_loss)
