@@ -19,17 +19,19 @@ each class's T rows (transformed once when the statistics are built) and kept in
 cache ``t_stats`` until an ensemble or k-means proxy refresh (rebuilt every step under
 siamese and channel_multiform, whose transforms depend on the step), and S-side terms with
 an analytic outer gradient. gm, dm, moment and sam cache (C, ...) arrays of the statistics
-themselves, dm, moment and sam stacked over the members; the kernel families keep one per
-class. Every method transforms S as one (C, m, d) stack of its class batches, and one
-function, ``s_terms``, yields every member's values and gradient against it in the
-ensemble's order: dm, moment and sam from one sweep of the stack through the whole
-ensemble's stacked weights, gm from three sweeps per member, mmd class by class. The objective
-adds every member's pulled-back gradient, and gm's curvature term, into one (C, m, d)
-buffer and writes it to S's rows once. An mmd under random features, like any dp_merf run,
-matches mean embeddings and takes its S gradient from the random-feature pullback. dm,
-moment and sam share ``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``,
-with the discrepancy report. The regularizers score the rows the ensemble sees, and their
-exact gradients join the S-side ones. krr and mmd reach every kernel through
+themselves, dm, moment and sam stacked over the members; mmd keeps its T rows stacked by
+class with their mean k(T_y, T_y), and a mean-embedding run one embedding per class. Every
+method transforms S as one (C, m, d) stack of its class batches, and one function,
+``s_terms``, yields every member's values and gradient against it in the ensemble's order:
+dm, moment and sam from one sweep of the stack through the whole ensemble's stacked weights,
+gm from three sweeps per member, mmd from one ``kernels.mmd_squared_and_grad_s`` call on the
+stack (one per group of classes with equal T counts). The objective adds every member's
+pulled-back gradient, and gm's curvature term, into one (C, m, d) buffer and writes it to S's
+rows once. An mmd under random features, like any dp_merf run, matches mean embeddings and
+takes its S gradient from the random-feature pullback. dm, moment and sam share
+``discrepancy._feature_gap``, and gm ``discrepancy._gradient_gap``, with the discrepancy
+report. The regularizers score the rows the ensemble sees, and their exact gradients join the
+S-side ones. krr, and mmd under a feature map or a pullback encoder, reach the kernel through
 ``kernels.gram_and_vjp``, which gives a Gram matrix and its VJP from one evaluation of each
 point set: a kernel is a gamma-exponential, a feature map Phi with its pullback, or a
 pullback-encoder. The unrolled bilevel flavors (bptt/robdc/curvdc, trajectory) take one
@@ -380,7 +382,7 @@ def kcenter_covering(points: np.ndarray, m: int, method: str = "auto"):
     return np.asarray(sel, dtype=np.int64), float(mind.max())
 
 
-def kmeans_coreset(points: np.ndarray, k: int, iters: int = 50, seed: int = 0):
+def kmeans_coreset(points: np.ndarray, k: int, iters: int, seed: int = 0):
     """Lloyd's algorithm with k-means++ seeding; empty clusters re-seed to the farthest point.
 
     Returns (centers, inertia history); inertia is nonincreasing per iteration.
@@ -1006,18 +1008,24 @@ def _matching_problem(cfg, t, s0):
 
     def t_stat(tr):
         """Every member's T statistics, as ``s_terms`` reads them, from each class's T rows under
-        the step's transforms ``tr``. The kernel families have one member and keep a list over
-        the classes: the dp_merf-noised mean embedding, or (rows, mean k(T_y, T_y)) for the Gram
-        route. dm, moment and sam stack each ``_feature_stats`` statistic into one (M, C, h)
-        array; gm keeps per member a (C, P) array of the dp_grad-clipped and noised class-mean
-        gradients. T forwards run per member and class."""
+        the step's transforms ``tr``. The kernel families have one member: a list over the
+        classes of the dp_merf-noised mean embeddings, or for the Gram route one (classes, (k, A,
+        n) stack of their rows, their k means k(T_y, T_y)) per group of the k classes with A T
+        rows each, in class order. dm, moment and sam stack each ``_feature_stats`` statistic
+        into one (M, C, h) array; gm keeps per member a (C, P) array of the dp_grad-clipped and
+        noised class-mean gradients. T forwards run per member and class."""
         nonlocal dp_invocations, grad_draws
         t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2] for y in classes]
         if embed_path:  # sigma 0 adds zeros
             means = [random_feature_map(kernel, rows).mean(axis=0) for rows, _ in t_side]
             return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
-            return [(rows, gram_mean(kernel, rows, rows)) for rows, _ in t_side]
+            groups = {}  # T row count -> its classes, in class order
+            for y, (rows, _) in enumerate(t_side):
+                groups.setdefault(rows.shape[0], []).append(y)
+            rows_t = [rows for rows, _ in t_side]
+            return [(ys, np.stack([rows_t[y] for y in ys]), [gram_mean(kernel, rows_t[y], rows_t[y]) for y in ys])
+                    for ys in groups.values()]
         if cfg.method != "gm":
             members = ([np.stack(stat) for stat in zip(*(_feature_stats(cfg.method, model.forward_batch(rows)[1])
                                                        for rows, _ in t_side))] for model in ensemble)
@@ -1042,7 +1050,9 @@ def _matching_problem(cfg, t, s0):
         through the ensemble's stacked weights, into the one workspace, where the gradients live
         until the next step. gm takes each member's from a forward, a reverse and a tangent sweep
         of the stack; the reverse writes S's class gradients, then their gap, into the one buffer
-        ``g_s``. Contrastive gm gives one value, the kernel families their one member's, by class."""
+        ``g_s``. Contrastive gm gives one value, the kernel families their one member's: the mean
+        embeddings by class, and the Gram route from one ``mmd_squared_and_grad_s`` call per group
+        of classes with equal T counts (one call when the split leaves them equal)."""
         nonlocal stack, sweep, g_s
         if cfg.method == "gm":
             for model, stat in zip(ensemble, stats):
@@ -1064,20 +1074,19 @@ def _matching_problem(cfg, t, s0):
             values, upstream = _feature_gap(cfg.method, stats, acts[1:])  # (M, C) values
             g0 = upstream[-1] if upstream[-1] is not None else np.zeros_like(acts[-1])
             yield from zip(values, _reverse_sweep(weights, cfg.activation, zs, acts, g0, upstream[:-1], out=reverse))
-        else:
+        elif embed_path:
             values, grads = [], []
             for stat, r in zip(stats, rs):
-                if embed_path:
-                    phi, pullback = _feature_map(kernel, None, r)
-                    diff = stat - phi.mean(axis=0)
-                    values.append(float(_squared_norms(diff)))
-                    grads.append(pullback(diff) * (-2.0 / r.shape[0]))
-                else:
-                    rows_t, ktt = stat
-                    value, grad = mmd_squared_and_grad_s(kernel, rows_t, r, ktt)
-                    values.append(value)
-                    grads.append(grad)
+                phi, pullback = _feature_map(kernel, None, r)
+                diff = stat - phi.mean(axis=0)
+                values.append(float(_squared_norms(diff)))
+                grads.append(pullback(diff) * (-2.0 / r.shape[0]))
             yield values, np.stack(grads)
+        else:
+            values, grads = np.empty(len(rs)), np.empty(rs.shape)
+            for ys, rows_t, ktt in stats:
+                values[ys], grads[ys] = mmd_squared_and_grad_s(kernel, rows_t, rs[ys], ktt)
+            yield values, grads
 
     def objective(v, step):
         nonlocal ensemble, stack, t_stats

@@ -176,12 +176,12 @@ def median_heuristic(x: np.ndarray) -> float:
     n = x.shape[0]
     pairs, cap = n * (n - 1) // 2, _CANDIDATES_PER_POINT * n
     lo, hi = _sample_bracket(x, min(_MEDIAN_SAMPLE, pairs // 32)) if pairs > cap else (1, _INF_BITS)
-    scan = _median_scan(x, lo, hi, cap)
-    count = scan[0]
+    scans = {(lo, hi): _median_scan(x, lo, hi, cap)}  # every bracket's scan, for both middle ranks
+    count = scans[lo, hi][0]
     if count == 0:
         return 1.0
     k = count // 2
-    vals = [np.sqrt(_rank_value(x, r, lo, hi, scan, cap)) for r in ((k,) if count % 2 else (k - 1, k))]
+    vals = [np.sqrt(_rank_value(x, r, lo, hi, scans, cap)) for r in ((k,) if count % 2 else (k - 1, k))]
     return float(vals[0]) if len(vals) == 1 else float((vals[0] + vals[1]) / 2.0)
 
 
@@ -246,12 +246,13 @@ def _bit_histogram(v: np.ndarray, lo: int, hi: int, shift: int) -> np.ndarray:
     return np.bincount((v.view(np.int64) - lo) >> shift, minlength=((hi - lo) >> shift) + 1)
 
 
-def _rank_value(x: np.ndarray, r: int, lo: int, hi: int, scan, cap: int):
-    """The rank-r positive squared distance, from ``_median_scan``'s result ``scan`` over the
-    bracket [lo, hi]: a bracket that misses r moves below or above itself, and one that holds
-    too many values narrows to the histogram bin that holds r, until one scan keeps r's bin."""
+def _rank_value(x: np.ndarray, r: int, lo: int, hi: int, scans: dict, cap: int):
+    """The rank-r positive squared distance, from the bracket [lo, hi]'s ``_median_scan`` result
+    in ``scans``: a bracket that misses r moves below or above itself, and one that holds too
+    many values narrows to the histogram bin that holds r, until one scan keeps r's bin. Each new
+    bracket's scan joins ``scans``, so a later rank that takes the same bracket scans it once."""
     while True:
-        _, below, inside, cand, hist = scan
+        _, below, inside, cand, hist = scans[lo, hi]
         if r < below:
             lo, hi = 1, lo - 1
         elif r >= below + inside:
@@ -265,7 +266,8 @@ def _rank_value(x: np.ndarray, r: int, lo: int, hi: int, scan, cap: int):
             lo, hi = lo + (b << shift), min(hi, lo + ((b + 1) << shift) - 1)
             if lo == hi:  # every value in the bin is this one
                 return np.array(lo, dtype=np.int64).view(np.float64)[()]
-        scan = _median_scan(x, lo, hi, cap)
+        if (lo, hi) not in scans:
+            scans[lo, hi] = _median_scan(x, lo, hi, cap)
 
 
 def median_heuristic_spec(x: np.ndarray) -> KernelSpec:
@@ -447,23 +449,31 @@ def _gaussian_from_sq(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
     return np.exp(r2, out=r2)
 
 
+def _gaussian_and_weight(spec: KernelSpec, r2: np.ndarray):
+    """k = exp(-c r^gamma) of the squared distances r2, and the weight w = -c gamma k r^(gamma - 2)
+    of grad_{b_j} k(a_i, b_j) = w_ij (b_j - a_i), 0 where rows coincide; r2's buffer is left
+    holding r. Both Gaussian VJPs take their terms from it and differ only in the axis they sum."""
+    k = _gaussian_from_sq(spec, r2.copy())
+    np.sqrt(r2, out=r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = r2 ** (spec.gamma - 2.0)
+    w[r2 == 0] = 0.0
+    w *= k
+    w *= -spec.scale * spec.gamma
+    return k, w
+
+
 def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
     """``gram_matrix`` of a gamma-exponential spec, shape (A, B), and its VJP: coef (all ones
     when None) -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
 
-    grad_{b_j} k(a_i, b_j) = w_ij (b_j - a_i) with w = -c gamma k r^(gamma - 2), so the sum
-    runs one feature at a time on (A, B) matrices. r comes from the Gram's ``sq_distances``
-    and each feature's terms are added over i in row order, as an einsum or ``sum(axis=0)``
-    over ``kernel_grad2`` does: the same bits below 8 features, about 1 ulp apart from 8 on,
-    where ``kernel_grad2``'s ``np.sum`` adds the squares pairwise."""
+    The sum runs one feature at a time on (A, B) matrices of ``_gaussian_and_weight``'s terms,
+    r from the Gram's ``sq_distances``, and each feature's terms are added over i in row
+    order, as an einsum or ``sum(axis=0)`` over ``kernel_grad2`` does: the same bits below 8
+    features, about 1 ulp apart from 8 on, where ``kernel_grad2``'s ``np.sum`` adds the
+    squares pairwise."""
     r = sq_distances(a, b)
-    k = _gaussian_from_sq(spec, r.copy())
-    np.sqrt(r, out=r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = r ** (spec.gamma - 2.0)
-    w[r == 0] = 0.0
-    w *= k
-    w *= -spec.scale * spec.gamma
+    k, w = _gaussian_and_weight(spec, r)
 
     def vjp(coef=None):
         g = np.empty((b.shape[0], b.shape[1]))
@@ -521,21 +531,90 @@ def _mmd_from_means(ktt, kts, kss) -> float:
     return val
 
 
-def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt: float):
+def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt):
     """The V-statistic MMD^2 of ``mmd_squared`` given ``ktt``, the mean k(T, T) (constant in
     S, so callers cache it), and its gradient w.r.t. every point of S.
 
-    A gamma-exponential kernel takes each Gram matrix and the plain sum of its gradients
-    from one ``_gaussian_gram_and_vjp`` call, in O(A·B) memory, and scales the sums.
+    One class is (A, n) rows t, (m, n) rows s and a scalar ``ktt``, giving a float and the
+    (m, n) gradient. A stack of C classes is (C, A, n), (C, m, n) and (C,), giving (C,) values
+    and the (C, m, n) gradient; each class has its own call's bits.
+
+    A gamma-exponential kernel works in (C, m, A) layout, S's rows against T's along the
+    contiguous axis (``_gaussian_mean_and_vjp``), and scales the sums. Each feature's gradient
+    terms are added over T's rows pairwise, as ``np.add.reduce`` adds a contiguous run, within
+    fixed blocks of rows that are then added in order, and over S's rows (the (S, S) term) the
+    same way; below 8 rows the pairwise and the row-order sum coincide. The Gram entries have
+    ``sq_distances``' bits and the value has ``mmd_squared``'s. Feature-map and pullback kernels
+    take each class's Gram matrices and VJPs from ``gram_and_vjp``.
     """
-    t, s = _as_points(t), _as_points(s)
-    n_t, n_s = t.shape[0], s.shape[0]
-    # d/ds_j [mean k(S,S)] = (2 / M^2) sum_a d2 k(s_a, s_j); the a=j term carries the
-    # total derivative of the diagonal entry via kernel symmetry
-    if spec.family != "gamma_exponential":
-        (k_ts, vjp_ts), (k_ss, vjp_ss) = gram_and_vjp(spec, t, s), gram_and_vjp(spec, s, s)
-        return (_mmd_from_means(ktt, k_ts.mean(), k_ss.mean()),
-                vjp_ss(np.full((n_s, n_s), 2.0 / (n_s * n_s))) - vjp_ts(np.full((n_t, n_s), 2.0 / (n_t * n_s))))
-    (k_ts, vjp_ts), (k_ss, vjp_ss) = _gaussian_gram_and_vjp(spec, t, s), _gaussian_gram_and_vjp(spec, s, s)
-    return (_mmd_from_means(ktt, k_ts.mean(), k_ss.mean()),
-            vjp_ss() * (2.0 / (n_s * n_s)) - vjp_ts() * (2.0 / (n_t * n_s)))
+    one = np.ndim(s) <= 2
+    if one:
+        t, s, ktt = _as_points(t)[None], _as_points(s)[None], [ktt]
+    else:
+        t, s = np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)
+    if t.ndim != 3 or s.ndim != 3 or t.shape[0] != s.shape[0] or t.shape[2] != s.shape[2]:
+        raise ShapeError(f"T and S class stacks do not match: {t.shape} vs {s.shape}")
+    n_t, n_s = t.shape[1], s.shape[1]
+    if n_t == 0 or n_s == 0:
+        raise DomainError("both point sets must be nonempty")
+    if spec.family == "gamma_exponential":
+        (kts, g_ts), (kss, g_ss) = _gaussian_mean_and_vjp(spec, t, s), _gaussian_mean_and_vjp(spec, s, s)
+        grads = g_ss * (2.0 / (n_s * n_s)) - g_ts * (2.0 / (n_t * n_s))
+    else:
+        # d/ds_j [mean k(S,S)] = (2 / M^2) sum_a d2 k(s_a, s_j); the a=j term carries the
+        # total derivative of the diagonal entry via kernel symmetry
+        kts, kss, grads = [], [], np.empty(s.shape)
+        for t_c, s_c, g in zip(t, s, grads):
+            (k_ts, vjp_ts), (k_ss, vjp_ss) = gram_and_vjp(spec, t_c, s_c), gram_and_vjp(spec, s_c, s_c)
+            kts.append(k_ts.mean())
+            kss.append(k_ss.mean())
+            g[...] = vjp_ss(np.full((n_s, n_s), 2.0 / (n_s * n_s))) - vjp_ts(np.full((n_t, n_s), 2.0 / (n_t * n_s)))
+    values = np.array([_mmd_from_means(*means) for means in zip(ktt, kts, kss)])
+    return (float(values[0]), grads[0]) if one else (values, grads)
+
+
+# _gaussian_mean_and_vjp's blocks: a fixed count of x rows, so that a class's sums do not depend
+# on the stack it comes in, and as many classes as keep a block's (classes, m, rows) matrices
+# within 2^14 entries: a (10, 10, 480) block took twice the time per entry, in fresh pages
+_MMD_BLOCK_ROWS = 1024
+_MMD_BLOCK_ENTRIES = 1 << 14
+
+
+def _gaussian_mean_and_vjp(spec: KernelSpec, x: np.ndarray, s: np.ndarray):
+    """Per class of the stacks x (C, X, n) and s (C, m, n): the mean of ``gram_matrix(spec, x_c,
+    s_c)``, with ``gram_mean``'s bits, and sum_i grad_{s_j} k(x_i, s_j) for every row s_j, shape
+    (C, m, n).
+
+    A block's (classes, m, rows) distances have ``sq_distances(x_c, s_c)``'s bits: up to 16
+    features they are summed one feature at a time, above they come from ``sq_distances`` of
+    the block's rows, whose expanded entries depend only on their own row and s_c. The block's
+    ``_gaussian_and_weight`` terms are formed one feature at a time, and ``np.add.reduce`` adds
+    each feature's along the contiguous rows axis. The Gram is kept in (X, m) order, whose
+    pairwise sum is ``gram_mean``'s."""
+    c, n_x, n = x.shape
+    m = s.shape[1]
+    gram = np.empty((c, n_x, m))
+    g = np.zeros(s.shape)
+    per = max(1, _MMD_BLOCK_ENTRIES // (m * min(n_x, _MMD_BLOCK_ROWS)))
+    for c0 in range(0, c, per):
+        xc, sc, gc = x[c0:c0 + per], s[c0:c0 + per], g[c0:c0 + per]
+        for i0 in range(0, n_x, _MMD_BLOCK_ROWS):
+            rows = xc[:, i0:i0 + _MMD_BLOCK_ROWS]
+            cols = np.ascontiguousarray(rows.transpose(0, 2, 1))  # each feature's values contiguous
+            if n > _EXPANSION_FEATURES:
+                r = np.ascontiguousarray([sq_distances(x_c, s_c).T for x_c, s_c in zip(rows, sc)])
+            else:
+                r = np.zeros((len(sc), m, rows.shape[1]))
+                d = np.empty_like(r)
+                for f in range(n):
+                    np.subtract(sc[:, :, f, None], cols[:, None, f], out=d)
+                    d *= d
+                    r += d
+            k, w = _gaussian_and_weight(spec, r)
+            gram[c0:c0 + per, i0:i0 + _MMD_BLOCK_ROWS] = k.transpose(0, 2, 1)
+            d = r  # r's buffer holds one feature's terms at a time
+            for f in range(n):
+                np.subtract(sc[:, :, f, None], cols[:, None, f], out=d)
+                d *= w
+                gc[:, :, f] += np.add.reduce(d, axis=2)
+    return np.add.reduce(gram.reshape(c, -1), axis=1) / (n_x * m), g

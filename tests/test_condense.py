@@ -46,7 +46,7 @@ from dckit.condense import (
 from dckit.data import per_class_partition
 from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
-from dckit.kernels import _nfk_features, sq_distances
+from dckit.kernels import _nfk_features, gram_mean, mmd_squared_and_grad_s, sq_distances
 from dckit.models import TrainConfig, loss_hvp, max_eigenvalue
 from dckit.seeding import derive_seed, derived_rng
 from dckit.spaces import regime_maps
@@ -304,7 +304,52 @@ def test_mmd_objectives_pinned(name):
                   else KernelSpec(family="nfk", model=Mlp.init((3, 5, 2), "tanh", seed=1)))
         cfg = MethodConfig(method="mmd", outer_steps=len(MMD_OBJECTIVES[name]), outer_lr=0.5, kernel=kernel, seed=3)
     _, log = condense(cfg, t, s)
-    assert [float(v).hex() for v in log.objectives()] == MMD_OBJECTIVES[name]
+    got = log.objectives()
+    assert [float(v).hex() for v in got] == MMD_OBJECTIVES[name], pin_drift(got, MMD_OBJECTIVES[name])
+
+
+def pin_drift(values, pins) -> str:
+    """The message of a failed float.hex pin: each step's logged and pinned value and their
+    relative drift."""
+    lines = []
+    for step, (v, pin) in enumerate(zip(values, pins)):
+        want = float.fromhex(pin)
+        lines.append(f"step {step}: logged {float(v).hex()}, pinned {pin}, relative drift {abs(v - want) / abs(want):.2e}")
+    if len(values) != len(pins):
+        lines.append(f"{len(values)} steps logged, {len(pins)} pinned")
+    return "\n".join(lines)
+
+
+def test_pin_drift_names_the_step_and_its_drift():
+    pins = MMD_OBJECTIVES["gaussian"]
+    values = [float.fromhex(pin) for pin in pins]
+    values[2] = np.nextafter(values[2], np.inf)  # one ulp up at step 2
+    lines = pin_drift(values, pins).splitlines()
+    assert len(lines) == len(pins)
+    assert lines[2] == (f"step 2: logged {values[2].hex()}, pinned {pins[2]}, "
+                        f"relative drift {np.spacing(float.fromhex(pins[2])) / float.fromhex(pins[2]):.2e}")
+    assert all(line.endswith("relative drift 0.00e+00") for i, line in enumerate(lines) if i != 2)
+    assert pin_drift(values[:3], pins).splitlines()[-1] == "3 steps logged, 4 pinned"
+
+
+def test_mmd_ragged_classes_match_per_class_calls(rng):
+    # T classes of 7, 7 and 9 rows: one stacked kernel call takes the first two, another the
+    # third, and the step's value and gradient are the per-class calls', added in class order
+    sizes = (7, 7, 9)
+    x = rng.uniform(size=(sum(sizes), 3))
+    y = np.repeat(np.arange(3), sizes)
+    rows = [0, 1, 7, 8, 14, 15]
+    s = SyntheticDataset(0.9 * x[rows] + 0.05, y[rows], per_class_size=2, origin="init")
+    spec = gaussian_spec(0.8)
+    out, log = condense(MethodConfig(method="mmd", outer_steps=1, outer_lr=0.5, kernel=spec, seed=3),
+                        LabeledDataset(x, y, 3), s)
+    value, grad = 0.0, np.empty_like(s.features)
+    for c in range(3):
+        t_c, at = x[y == c], s.labels == c
+        v, grad[at] = mmd_squared_and_grad_s(spec, t_c, s.features[at], gram_mean(spec, t_c, t_c))
+        value += v
+    assert log.objectives()[0] == value
+    assert np.array_equal(out.features, np.clip(s.features - 0.5 * grad, 0.0, 1.0))
 
 
 # Every outer loop and every finite-difference site, pinned on tiny runs before
@@ -755,9 +800,25 @@ def test_bilevel_flavor_validation():
 
 
 def test_rat_truncation_window_validated():
-    with pytest.raises(ConfigError, match="rat_truncation.window"):
-        MethodConfig(method="bptt", outer_steps=1, inner_steps=3, hidden=(4,),
-                     variants={"rat_truncation": {"window": 9}}, seed=0)
+    bptt = dict(method="bptt", outer_steps=1, inner_steps=3, hidden=(4,), seed=0)
+    for window in (4, 9):
+        with pytest.raises(ConfigError, match="rat_truncation.window"):
+            MethodConfig(**bptt, variants={"rat_truncation": {"window": window}})
+    assert MethodConfig(**bptt, variants={"rat_truncation": {"window": 3}}).variants["rat_truncation"]["window"] == 3
+
+
+def test_multiform_without_r_runs_with_the_default_r():
+    t = two_blobs(n_per_class=6, dim=16, separation=3.0, seed=2)
+    s = copy_as_synthetic(t)
+    runs = []
+    for params in ({}, {"r": 2}):
+        cfg = MethodConfig(method="dm", image_shape=(1, 4, 4), variants={"multiform": params},
+                           outer_steps=2, outer_lr=0.1, hidden=(5,), seed=3)
+        assert cfg.variants["multiform"] == {"r": 2}
+        runs.append(condense(cfg, t, s))
+    (out_default, log_default), (out_two, log_two) = runs
+    assert np.array_equal(log_default.objectives(), log_two.objectives())
+    assert np.array_equal(out_default.features, out_two.features)
 
 
 def test_rat_truncation_runs(toy_pair):
@@ -884,14 +945,14 @@ def test_kcenter_greedy_memory_is_linear(rng):
 
 def test_kmeans_k_equals_n(rng):
     pts = rng.uniform(size=(5, 2))
-    centers, inertias = kmeans_coreset(pts, 5, seed=0)
+    centers, inertias = kmeans_coreset(pts, 5, iters=50, seed=0)
     assert inertias[-1] == pytest.approx(0.0, abs=1e-20)
     assert sorted(map(tuple, centers.round(12))) == sorted(map(tuple, pts.round(12)))
 
 
 def test_kmeans_two_separated_pairs():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
-    centers, _ = kmeans_coreset(pts, 2, seed=1)
+    centers, _ = kmeans_coreset(pts, 2, iters=50, seed=1)
     got = sorted(map(tuple, centers.round(8)))
     assert got == [(0.05, 0.0), (5.05, 5.0)]
 

@@ -211,8 +211,10 @@ def _mmd_grad_reference(spec, t, s):
 @pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0, 0.3])
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 32])
 def test_gaussian_contractions_match_kernel_grad2(gamma, dim, rng):
-    # below 8 features the Gram's feature-order r is np.sum's r, so the bits agree; from 8 on
-    # np.sum adds kernel_grad2's squares pairwise and the two differ by about 1 ulp
+    # below 8 features the Gram's feature-order r is np.sum's r, so the VJP's row-order sums
+    # have the reference's bits; from 8 on np.sum adds kernel_grad2's squares pairwise and the
+    # two differ by about 1 ulp. The mmd gradient adds T's 40 rows pairwise, so it is within
+    # rounding of the reference's row-order sums at every dimension.
     spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
     t, s = rng.uniform(size=(40, dim)), rng.uniform(size=(6, dim))
     t[3] = s[1]  # an S row on a T row, where the gradient's r^(gamma - 2) is not taken
@@ -222,11 +224,37 @@ def test_gaussian_contractions_match_kernel_grad2(gamma, dim, rng):
     got_vjp = gram_and_vjp(spec, t, s)[1](coef)
     value, got_mmd = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())
     assert value == mmd_squared(spec, t, s)
-    for got, want in ((got_vjp, want_vjp), (got_mmd, want_mmd)):
-        if dim < 8:
-            assert np.array_equal(got, want)
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if dim < 8:
+        assert np.array_equal(got_vjp, want_vjp)
+    else:
+        assert np.max(np.abs(got_vjp - want_vjp)) <= 1e-13 * np.max(np.abs(want_vjp))
+    assert np.max(np.abs(got_mmd - want_mmd)) <= 1e-13 * np.max(np.abs(want_mmd))
+
+
+@pytest.mark.parametrize("dim", [2, 20])  # per-feature and expanded distances
+def test_stacked_mmd_classes_equal_their_own_calls(dim, rng):
+    # 5 classes of 1100 T rows, two blocks of rows each, and of 9 or 4 S rows: a class has its own
+    # call's bits whatever its stack, and its value has mmd_squared's
+    spec = KernelSpec("gamma_exponential", gamma=1.5, scale=0.37)
+    for n_t, n_s in ((1100, 4), (9, 9)):
+        t, s = rng.uniform(size=(5, n_t, dim)), rng.uniform(size=(5, n_s, dim))
+        t[1, 3] = s[1, 0]
+        ktt = np.array([gram_mean(spec, t_c, t_c) for t_c in t])
+        values, grads = mmd_squared_and_grad_s(spec, t, s, ktt)
+        assert values.shape == (5,) and grads.shape == s.shape
+        for c in range(5):
+            value, grad = mmd_squared_and_grad_s(spec, t[c], s[c], ktt[c])
+            assert values[c] == value == mmd_squared(spec, t[c], s[c])
+            assert np.array_equal(grads[c], grad)
+            assert np.array_equal(mmd_squared_and_grad_s(spec, t[c:c + 2], s[c:c + 2], ktt[c:c + 2])[1][0], grad)
+            assert np.max(np.abs(grad - _mmd_grad_reference(spec, t[c], s[c]))) <= 1e-13 * np.max(np.abs(grad))
+
+
+def test_stacked_mmd_rejects_mismatched_stacks(rng):
+    spec = gaussian_spec(1.0)
+    for t, s in (((2, 5, 3), (3, 2, 3)), ((2, 5, 3), (2, 2, 4)), ((2, 0, 3), (2, 2, 3))):
+        with pytest.raises((ShapeError, DomainError)):
+            mmd_squared_and_grad_s(spec, np.zeros(t), np.zeros(s), np.zeros(t[0]))
 
 
 @pytest.mark.parametrize("gamma", [2.0, 1.0])
@@ -463,6 +491,18 @@ def test_median_heuristic_takes_the_bracket_that_misses_or_overflows(rng, monkey
     assert median_heuristic(np.round(x, 1)) == positive_median(np.round(x, 1))
     lattice = rng.integers(0, 2, size=(900, 2)).astype(float)  # a bin of one value holds the median
     assert median_heuristic(lattice) == positive_median(lattice)
+
+
+def test_median_heuristic_scans_each_bracket_once(rng, monkeypatch):
+    # an even count of positive distances and room for 4 candidates per point: the first scan's
+    # bracket holds too many, and both middle ranks narrow to the same bin, which one rescan keeps
+    x = rng.normal(size=(800, 2))
+    scan, brackets = dckit.kernels._median_scan, []
+    monkeypatch.setattr(dckit.kernels, "_CANDIDATES_PER_POINT", 4)
+    monkeypatch.setattr(dckit.kernels, "_median_scan",
+                        lambda x, lo, hi, cap: brackets.append((lo, hi)) or scan(x, lo, hi, cap))
+    assert median_heuristic(x) == positive_median(x)
+    assert len(brackets) == 2 and len(set(brackets)) == 2
 
 
 def test_median_heuristic_memory_is_linear_in_the_points(rng):

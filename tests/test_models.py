@@ -78,6 +78,28 @@ def test_gradients_match_finite_differences(loss, activation, rng):
     assert np.max(np.abs(fx - gx) / (np.abs(fx) + 1e-8)) <= 1e-5
 
 
+def test_backward_rejects_an_empty_batch_and_takes_one_row(rng):
+    m = Mlp.init([1, 3, 2], "tanh", seed=5)
+    for x in (np.empty((0, 1)), np.empty((2, 0, 1))):
+        with pytest.raises(ShapeError, match="nonempty"):
+            m.backward(x, np.empty(x.shape[:-1], dtype=np.int64))
+    # a batch of one element, its cross-entropy gradient written out by hand: p - onehot back
+    # through tanh
+    x, y = rng.uniform(size=(1, 1)), np.array([1])
+    (w1, w2), (b1, b2) = m.weights, m.biases
+    h = np.tanh(x[0] @ w1 + b1)
+    z = h @ w2 + b2
+    p = np.exp(z - z.max())
+    p /= p.sum()
+    dz = p - np.eye(2)[1]
+    dh = (w2 @ dz) * (1.0 - h * h)
+    value, g, gx = m.backward(x, y)
+    (g1, g2), (gb1, gb2) = m._split_flat(g)
+    assert value == pytest.approx(-np.log(p[1]), rel=1e-14)
+    for got, want in ((g1, np.outer(x[0], dh)), (gb1, dh), (g2, np.outer(h, dz)), (gb2, dz), (gx[0], w1 @ dh)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+
+
 def test_duplicated_rows_same_gradient(rng):
     m = Mlp.init([2, 4, 2], "tanh", seed=3)
     x = rng.uniform(size=(3, 2))
