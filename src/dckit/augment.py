@@ -44,7 +44,8 @@ def multi_formation(x: ImageBatch, r: int) -> ImageBatch:
 
     Maps (b, c, h, w) to (b, c (r^2 + 1), h, w): the image is cut into an r x r
     grid of h/r x w/r tiles and each tile is nearest-neighbor upsampled back to
-    h x w. Deterministic and linear in the input.
+    h x w, tile (i, j) in channels (1 + i r + j) c to (2 + i r + j) c. Deterministic
+    and linear in the input.
     """
     _spatial_ok(x.shape)
     b, c, h, w = x.shape
@@ -53,28 +54,39 @@ def multi_formation(x: ImageBatch, r: int) -> ImageBatch:
     if h % r or w % r:
         raise ShapeError(f"spatial dims ({h}, {w}) must be divisible by r={r}")
     th, tw = h // r, w // r
-    parts = [x.data]
-    for i in range(r):
-        for j in range(r):
-            tile = x.data[:, :, i * th : (i + 1) * th, j * tw : (j + 1) * tw]
-            up = np.repeat(np.repeat(tile, r, axis=2), r, axis=3)
-            parts.append(up)
-    return ImageBatch(np.concatenate(parts, axis=1))
+    # axes (b, k, c, y, p, x, q): pixel (y r + p, x r + q) of channel block k, whose block 0 is the
+    # image and block 1 + i r + j tile (i, j), each of its pixels (y, x) repeated over an r x r block
+    out = np.empty((b, r * r + 1, c, th, r, tw, r))
+    out[:, 0] = x.data.reshape(b, c, th, r, tw, r)
+    out[:, 1:] = x.data.reshape(b, c, r, th, r, tw).transpose(0, 2, 4, 1, 3, 5).reshape(b, r * r, c, th, 1, tw, 1)
+    return ImageBatch(out.reshape(b, -1, h, w))
 
 
 def multi_formation_vjp(grad_out: np.ndarray, r: int, in_shape) -> np.ndarray:
-    """Adjoint of multi_formation: fold output-channel gradients back onto the input."""
+    """Adjoint of multi_formation: fold output-channel gradients back onto the input.
+
+    The adjoint of a nearest-neighbor repeat sums each r x r block of a tile's upsampled
+    gradient; the sum is added onto the tile's input pixels. The blocks of all tiles are
+    summed together by strided adds: each block row from left to right, then the row sums
+    in order. That is the order of numpy's ``reshape(b, c, th, r, tw, r).sum(axis=(3, 5))``
+    on each tile, with its bits, when r < 8 and the tiles are more than one pixel wide;
+    numpy sums a row of 8 or more entries pairwise, and the r^2 entries of a one pixel
+    wide tile's block as one row.
+    """
     b, c, h, w = in_shape
     th, tw = h // r, w // r
     g = np.array(grad_out[:, :c], copy=True)
-    k = 1
-    for i in range(r):
-        for j in range(r):
-            blk = grad_out[:, k * c : (k + 1) * c]
-            # adjoint of nearest-neighbor repeat is block summation
-            pooled = blk.reshape(b, c, th, r, tw, r).sum(axis=(3, 5))
-            g[:, :, i * th : (i + 1) * th, j * tw : (j + 1) * tw] += pooled
-            k += 1
+    blk = grad_out.reshape(b, r * r + 1, c, th, r, tw, r)[:, 1:]  # axes as in multi_formation
+    pooled, row = np.empty((2, b, r * r, c, th, tw))
+    for p in range(r):
+        acc = row if p else pooled
+        np.copyto(acc, blk[..., p, :, 0])
+        for q in range(1, r):
+            acc += blk[..., p, :, q]
+        if p:
+            pooled += row
+    tiles = g.reshape(b, c, r, th, r, tw)  # axes (b, c, i, y, j, x), a view of g
+    tiles += pooled.reshape(b, r, r, c, th, tw).transpose(0, 3, 1, 4, 2, 5)
     return g
 
 

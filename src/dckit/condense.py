@@ -25,7 +25,8 @@ method transforms S as one (C, m, d) stack of its class batches, and one functio
 ``s_terms``, yields every member's values and gradient against it in the ensemble's order:
 dm, moment and sam from one sweep of the stack through the whole ensemble's stacked weights,
 gm from three sweeps per member, mmd from one ``kernels.mmd_squared_and_grad_s`` call on the
-stack (one per group of classes with equal T counts). The objective adds every member's
+stack (one per group of T classes, a run of adjacent classes with equal T counts; gm's T side
+takes one ``Mlp.backward`` per member and group). The objective adds every member's
 pulled-back gradient, and gm's curvature term, into one (C, m, d) buffer and writes it to S's
 rows once. An mmd under random features, like any dp_merf run, matches mean embeddings and
 takes its S gradient from the random-feature pullback. dm, moment and sam share
@@ -93,8 +94,10 @@ from .models import (
     Mlp,
     TrainConfig,
     _FlatSgd,
+    _check_labels,
     _forward_sweep,
     _loss_value_and_grad,
+    _loss_workspace,
     _reverse_sweep,
     _sweep_workspace,
     _tangent_sweep,
@@ -985,14 +988,16 @@ def _matching_problem(cfg, t, s0):
     # stack: dm, moment and sam's per-layer (M, 1, in, out) weights and (M, 1, out) biases, views
     # of the ensemble's stacked (M, 1, P) parameters; built by their first step after a refresh
     ensemble = stack = None
-    sweep = None  # the stacked sweeps' workspace: S's transformed (C, m, d') stack keeps one shape
+    # S's workspace, made at the first step (S's transformed (C, m, d') stack keeps one shape): the
+    # stacked sweeps' buffers, or gm's (C, P) S class gradients, which every member and step writes
+    # over, with their per-layer views and the loss's buffers
+    sweep = None
     t_rows = {y: t_matched[part_t[y]] for y in classes}  # the k-means centers under kmeans_proxy
     # every member's T statistics, as ``t_stat`` builds them; kept until an ensemble or proxy
     # refresh unless the T transform depends on the step (siamese and channel_multiform draw per step)
     t_stats = None
     cache_t = not any(name in cfg.variants for name in ("siamese", "channel_multiform"))
     s_rows = np.stack(part_s)  # (C, m): S's side is one stack of the class batches (per_class_size rows each)
-    g_s = None  # gm's (C, P) S class gradients: one buffer that every member and step writes over
     dp_invocations = grad_draws = 0
 
     log = StepLog(meta={"method": cfg.method, "regime": cfg.regime,
@@ -1008,36 +1013,47 @@ def _matching_problem(cfg, t, s0):
 
     def t_stat(tr):
         """Every member's T statistics, as ``s_terms`` reads them, from each class's T rows under
-        the step's transforms ``tr``. The kernel families have one member: a list over the
-        classes of the dp_merf-noised mean embeddings, or for the Gram route one (classes, (k, A,
-        n) stack of their rows, their k means k(T_y, T_y)) per group of the k classes with A T
-        rows each, in class order. dm, moment and sam stack each ``_feature_stats`` statistic
-        into one (M, C, h) array; gm keeps per member a (C, P) array of the dp_grad-clipped and
-        noised class-mean gradients. T forwards run per member and class."""
+        the step's transforms ``tr``. T is split into groups, the runs of adjacent classes with
+        equal T row counts (one group when the classes are equal in size), and each group's k
+        classes are transformed one by one into one (k, A, d') stack with its (k, A) labels; no
+        other copy of T is made. The kernel families have one member: a list over the classes
+        of the dp_merf-noised mean embeddings, or for the Gram route one (classes, stack, their
+        k means k(T_y, T_y)) per group, in class order. dm, moment and sam stack each
+        ``_feature_stats`` statistic into one (M, C, h) array, from T forwards per member and
+        class. gm keeps per member a (C, P) array of the class-mean gradients: one ``backward``
+        of each group's stack writes its classes' rows, and under dp_grad each row is then
+        clipped and noised, class by class."""
         nonlocal dp_invocations, grad_draws
-        t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2] for y in classes]
+        t_side = []  # per group: (its classes, their transformed rows, their labels)
+        for _, run in itertools.groupby(classes, key=lambda y: t_rows[y].shape[0]):
+            ys = list(run)
+            for i, y in enumerate(ys):
+                rows, labels = tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2]
+                if i == 0:
+                    group_rows = np.empty((len(ys), *rows.shape))
+                    group_labels = np.empty((len(ys), *labels.shape), np.int64)
+                group_rows[i], group_labels[i] = rows, labels
+            t_side.append((ys, group_rows, group_labels))
+        by_class = [rows for _, group_rows, _ in t_side for rows in group_rows]
         if embed_path:  # sigma 0 adds zeros
-            means = [random_feature_map(kernel, rows).mean(axis=0) for rows, _ in t_side]
+            means = [random_feature_map(kernel, rows).mean(axis=0) for rows in by_class]
             return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
-            groups = {}  # T row count -> its classes, in class order
-            for y, (rows, _) in enumerate(t_side):
-                groups.setdefault(rows.shape[0], []).append(y)
-            rows_t = [rows for rows, _ in t_side]
-            return [(ys, np.stack([rows_t[y] for y in ys]), [gram_mean(kernel, rows_t[y], rows_t[y]) for y in ys])
-                    for ys in groups.values()]
+            return [(ys, group_rows, [gram_mean(kernel, rows, rows) for rows in group_rows])
+                    for ys, group_rows, _ in t_side]
         if cfg.method != "gm":
             members = ([np.stack(stat) for stat in zip(*(_feature_stats(cfg.method, model.forward_batch(rows)[1])
-                                                       for rows, _ in t_side))] for model in ensemble)
+                                                       for rows in by_class))] for model in ensemble)
             return [np.stack(stat) for stat in zip(*members)]
         grad_draws += 1
         rng_grad = derived_rng(cfg.seed, f"dp_grad:{tr.step}") if dp_sigma > 0 else None
         members = []
         for model in ensemble:
-            members.append(np.empty((len(t_side), model.param_count)))
-            for stat, (rows, labels) in zip(members[-1], t_side):
-                model.backward(rows, labels, cfg.loss, out=stat, input_part=False)
-                if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
+            members.append(np.empty((t.class_count, model.param_count)))
+            for ys, rows, labels in t_side:  # a group's classes are adjacent rows
+                model.backward(rows, labels, cfg.loss, out=members[-1][ys[0]:ys[-1] + 1], input_part=False)
+            if dp_sigma > 0:  # clip each class's gradient to norm 1, then add Gaussian noise
+                for stat in members[-1]:
                     stat /= max(np.linalg.norm(stat), 1.0)
                     stat += dp_sigma * rng_grad.normal(size=stat.shape)
                     dp_invocations += 1
@@ -1049,20 +1065,33 @@ def _matching_problem(cfg, t, s0):
         rows). dm, moment and sam take them all from one forward and one reverse sweep of ``rs``
         through the ensemble's stacked weights, into the one workspace, where the gradients live
         until the next step. gm takes each member's from a forward, a reverse and a tangent sweep
-        of the stack; the reverse writes S's class gradients, then their gap, into the one buffer
-        ``g_s``. Contrastive gm gives one value, the kernel families their one member's: the mean
-        embeddings by class, and the Gram route from one ``mmd_squared_and_grad_s`` call per group
-        of classes with equal T counts (one call when the split leaves them equal)."""
-        nonlocal stack, sweep, g_s
+        of the stack in the workspace made at the first step: S's loss buffers (its labels checked
+        once) and the (C, P) buffer ``g_s``, where the reverse writes S's class gradients, then
+        their differences from T's. The reverse also writes each hidden layer's act' over its z
+        for the tangent sweep, which runs along the undoubled differences; its (C, m, d') result
+        is doubled in place. The sweep is linear in its direction and doubling is exact, so these
+        are the bits of sweeping along the doubled differences, without a pass over ``g_s``.
+        Contrastive gm gives one value, the kernel
+        families their one member's: the mean embeddings by class, and the Gram route from one
+        ``mmd_squared_and_grad_s`` call per group of classes (one call when T's classes are
+        equal in size)."""
+        nonlocal stack, sweep
         if cfg.method == "gm":
+            if sweep is None:  # every member has the same widths, so g_s's views serve them all
+                _check_labels(ls, t.class_count)
+                g_s = np.empty_like(stats[0])
+                sweep = g_s, ensemble[0]._split_flat(g_s), _loss_workspace((*ls.shape, t.class_count))
+            g_s, grads, loss_out = sweep
             for model, stat in zip(ensemble, stats):
-                g_s = np.empty_like(stat) if g_s is None else g_s
                 w, act = model.weights, cfg.activation
                 zs, acts = _forward_sweep(w, model.biases, act, rs)
-                _, g = _loss_value_and_grad(acts[-1], ls, cfg.loss)
-                _reverse_sweep(w, act, zs, acts, g, grads=model._split_flat(g_s), input_part=False)
-                values, upstream = _gradient_gap(contrastive, stat, g_s)
-                yield values, _tangent_sweep(w, act, zs, acts, g, cfg.loss, *model._split_flat(upstream))
+                _, g = _loss_value_and_grad(acts[-1], ls, cfg.loss, loss_out)
+                _reverse_sweep(w, act, zs, acts, g, grads=grads, input_part=False,
+                               out=([None] * len(w), [None, *zs[:-1]]))
+                values, diffs = _gradient_gap(contrastive, stat, g_s)
+                direction = grads if diffs is g_s else model._split_flat(diffs)
+                gx = _tangent_sweep(w, act, zs, acts, g, cfg.loss, *direction, aps=zs[:-1])
+                yield values, np.multiply(gx, 2.0, out=gx)
         elif not kernel_objective:
             if stack is None:
                 stack = ensemble[0]._split_flat(np.stack([m.flat_params() for m in ensemble])[:, None])

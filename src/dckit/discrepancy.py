@@ -128,15 +128,17 @@ def _gradient_gap(contrastive: bool, g_t: np.ndarray, g_s: np.ndarray):
     """The gm gap between the (C, P) class-mean parameter gradients of T and of S.
 
     One value ||g_S[c] - g_T[c]||^2 per class, or with ``contrastive`` one value for the
-    gradients summed over classes. Returns (values, upstream), where the (C, P) upstream
-    holds the gradient of the summed values with respect to each class's g_S. Per class,
-    the upstream is g_s itself: the differences, then their doubles, are written over it.
+    gradients summed over classes. Returns (values, diffs), where the (C, P) diffs are half the
+    gradient of the summed values with respect to each class's g_S: the caller doubles what it
+    derives from them, which keeps the bits of doubling them here, as doubling is exact. Per
+    class, the diffs are g_s itself, written over with g_S[c] - g_T[c]; contrastive broadcasts
+    its one difference to every class.
     """
     if contrastive:
         diff = np.sum(g_s, axis=0) - np.sum(g_t, axis=0)
-        return [float(_squared_norms(diff))], np.broadcast_to(2.0 * diff, g_s.shape)
+        return [float(_squared_norms(diff))], np.broadcast_to(diff, g_s.shape)
     diffs = np.subtract(g_s, g_t, out=g_s)
-    return _squared_norms(diffs).tolist(), np.multiply(diffs, 2.0, out=diffs)  # doubled once the values are read
+    return _squared_norms(diffs).tolist(), diffs
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,41 @@ def test_multi_formation_adjoint(rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def multi_formation_reference(x, r):
+    """The formation with each tile upsampled by ``np.repeat`` and the channels concatenated:
+    the reference for the one block copy of ``multi_formation``."""
+    b, c, h, w = x.shape
+    th, tw = h // r, w // r
+    tiles = [x[:, :, i * th : (i + 1) * th, j * tw : (j + 1) * tw] for i in range(r) for j in range(r)]
+    return np.concatenate([x, *(np.repeat(np.repeat(tile, r, axis=2), r, axis=3) for tile in tiles)], axis=1)
+
+
+def multi_formation_vjp_reference(grad_out, r, in_shape):
+    """The adjoint with each tile's r x r blocks summed by ``reshape`` and ``sum(axis=(3, 5))``:
+    the reference for the strided adds of ``multi_formation_vjp``."""
+    b, c, h, w = in_shape
+    th, tw = h // r, w // r
+    g = np.array(grad_out[:, :c], copy=True)
+    for k, (i, j) in enumerate(((i, j) for i in range(r) for j in range(r)), start=1):
+        pooled = grad_out[:, k * c : (k + 1) * c].reshape(b, c, th, r, tw, r).sum(axis=(3, 5))
+        g[:, :, i * th : (i + 1) * th, j * tw : (j + 1) * tw] += pooled
+    return g
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("b", [1, 7])
+def test_multi_formation_and_vjp_equal_their_loop_formulas(b, c, r, rng):
+    # gradient entries spread over 12 decades, so that adding a block's entries in another order
+    # changes the last bits of its sum; tiles of 2 x 3 pixels
+    h, w = 2 * r, 3 * r
+    x = rng.uniform(size=(b, c, h, w))
+    assert np.array_equal(multi_formation(ImageBatch(x), r).data, multi_formation_reference(x, r))
+    shape = (b, c * (r * r + 1), h, w)
+    g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+    assert np.array_equal(multi_formation_vjp(g, r, (b, c, h, w)), multi_formation_vjp_reference(g, r, (b, c, h, w)))
+
+
 def test_channel_multi_formation_shape(rng):
     out = channel_multi_formation(rand_batch(rng), seed=0)
     assert out.shape == (8, 3, 8, 8)

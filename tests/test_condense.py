@@ -1184,10 +1184,11 @@ def per_member_objective(cfg, t, s, v, step):
     ensemble drawn at the last refresh, each member's terms added into ``grad[rows]`` in the
     ensemble's order. dm, moment and sam: per member its T statistics, S's features and pullback
     from ``feature_input_vjp`` of S's class stack, and ``_feature_gap``. gm: per member T's class
-    gradients through ``backward(out=, input_part=False)``, clipped and noised under dp_grad, S's
-    through ``backward`` and ``_gradient_gap``, their input tangent from ``input_grad_param_tangent``
-    along the gap's upstream, then ``_curvature_penalty`` under curvature. The reference for the
-    engine's stacked sweep and its one scatter."""
+    gradients through one ``backward(out=, input_part=False)`` per class, clipped and noised under
+    dp_grad, S's through ``backward`` and ``_gradient_gap``, their input tangent from
+    ``input_grad_param_tangent`` along the upstream, twice the gap's differences, then
+    ``_curvature_penalty`` under curvature. The reference for the engine's stacked sweeps, its
+    class groups and its one scatter."""
     to_matched, _, fwd, regime_vjp, _ = regime_maps(cfg.regime, cfg.autoencoder)
     t_matched, s_matched = to_matched(t.features), fwd(v)
     tr = _Transforms(cfg, step)
@@ -1207,8 +1208,8 @@ def per_member_objective(cfg, t, s, v, step):
                     stat /= max(np.linalg.norm(stat), 1.0)
                     stat += sigma * rng_grad.normal(size=stat.shape)
             _, grads, _ = m.backward(rs, ls, cfg.loss, input_part=False)
-            values, upstream = _gradient_gap("contrastive" in cfg.variants, stats, grads)
-            g = m.input_grad_param_tangent(rs, ls, cfg.loss, upstream)
+            values, diffs = _gradient_gap("contrastive" in cfg.variants, stats, grads)
+            g = m.input_grad_param_tangent(rs, ls, cfg.loss, 2.0 * diffs)
         else:
             per_class = (_feature_stats(cfg.method, m.forward_batch(r)[1]) for r, _ in t_side)
             feats, pullback = m.feature_input_vjp(rs)
@@ -1252,24 +1253,40 @@ def test_stacked_feature_objective_equals_per_member_loop(shape, method, activat
             assert value == want_value and np.array_equal(grad, want_grad)
 
 
-@pytest.mark.parametrize("regime", ["input_input", "input_latent"])
-@pytest.mark.parametrize("variants", [{}, {"contrastive": {}}, {"dp_grad": {"sigma": 0.5}},
-                                      {"curvature": {"rho": 0.1}}], ids=["per_class", "contrastive", "dp_grad",
-                                                                         "curvature"])
-def test_gm_objective_equals_per_member_loop(variants, regime):
+# (variants, regime, T's class sizes, features): 3 classes of 5 rows in 4-D, 1x4x4 images under
+# multiform, and T classes of unequal sizes, whose class groups are [0, 1], [2], [3, 4] and [5]
+GM_CASES = [
+    *(pytest.param(variants, regime, (5, 5, 5), 4, id=f"{name}-{regime}") for regime in ("input_input", "input_latent")
+      for name, variants in (("per_class", {}), ("contrastive", {"contrastive": {}}),
+                             ("dp_grad", {"dp_grad": {"sigma": 0.5}}), ("curvature", {"curvature": {"rho": 0.1}}))),
+    pytest.param({"multiform": {"r": 2}}, "input_input", (5, 5, 5), 16, id="multiform-input_input"),
+    pytest.param({"multiform": {"r": 2}, "contrastive": {}}, "input_input", (5, 5, 5), 16,
+                 id="contrastive_multiform-input_input"),
+    pytest.param({}, "input_input", (4, 4, 6, 5, 5, 4), 4, id="unequal_classes-input_input"),
+    pytest.param({"dp_grad": {"sigma": 0.5}}, "input_input", (4, 4, 6, 5, 5, 4), 4,
+                 id="unequal_classes_dp_grad-input_input"),
+]
+
+
+@pytest.mark.parametrize("variants,regime,sizes,d", GM_CASES)
+def test_gm_objective_equals_per_member_loop(variants, regime, sizes, d):
     # every member's terms, the curvature penalty's among them, added into one buffer and
     # scattered once keep the bits of adding each term into S's rows in the ensemble's order,
-    # on cached steps and after a refresh
+    # on cached steps and after a refresh: T's gradients from one backward per class group, and
+    # the tangent along the undoubled differences, doubled, keep the bits of one backward per
+    # class and the tangent along the doubled differences
     from dckit import fit_linear_autoencoder
 
     rng = np.random.default_rng(11)
-    rows = rng.uniform(0.0, 1.0, (15, 4))
-    labels = np.repeat(np.arange(3), 5)
-    t = LabeledDataset(rows, labels, 3)
-    s = SyntheticDataset(rows[np.arange(15) % 5 < 2], np.repeat(np.arange(3), 2), 2, origin="init")
+    rows = rng.uniform(0.0, 1.0, (sum(sizes), d))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    t = LabeledDataset(rows, labels, len(sizes))
+    firsts = np.concatenate([[start, start + 1] for start in np.cumsum((0, *sizes[:-1]))])
+    s = SyntheticDataset(rows[firsts], labels[firsts], 2, origin="init")
     latent = dict(autoencoder=fit_linear_autoencoder(t, 2)) if regime == "input_latent" else {}
+    image = dict(image_shape=(1, 4, 4)) if "multiform" in variants else {}
     cfg = MethodConfig(method="gm", ensemble=3, hidden=(5,), refresh=2, curv_iters=3, regime=regime,
-                       variants=variants, seed=6, **latent)
+                       variants=variants, seed=6, **latent, **image)
     v0, objective, _, project, _ = _matching_problem(cfg, t, s)
     for step in range(4):
         v = project(v0 + 0.01 * step * rng.normal(size=v0.shape))
@@ -1384,11 +1401,13 @@ def test_dp_grad_noises_t_gradients_under_image_variants(rng):
 
 def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
     models, condense_module = importlib.import_module("dckit.models"), importlib.import_module("dckit.condense")
-    for classes in (2, 5):
-        rows = rng.uniform(0.0, 1.0, (3 * classes, 16))
-        labels = np.repeat(np.arange(classes), 3)
-        t = LabeledDataset(rows, labels, classes)
-        s = SyntheticDataset(rows[::3], labels[::3], per_class_size=1, origin="init")
+    # T's class sizes and their class groups, the runs of adjacent classes of equal size
+    for sizes, groups in (((3, 3), 1), ((3,) * 5, 1), ((3, 3, 4, 3), 3)):
+        rows = rng.uniform(0.0, 1.0, (sum(sizes), 16))
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        t = LabeledDataset(rows, labels, len(sizes))
+        firsts = np.cumsum((0, *sizes[:-1]))
+        s = SyntheticDataset(rows[firsts], labels[firsts], per_class_size=1, origin="init")
         cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=2, refresh=2, hidden=(6,),
                            activation="tanh", image_shape=(1, 4, 4), variants={"multiform": {"r": 2}}, seed=0)
         v0, objective, *_ = _matching_problem(cfg, t, s)
@@ -1403,8 +1422,8 @@ def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
         for step in range(4):
             calls.clear()
             objective(v0, step)
-            t_backward = 2 * classes if step % 2 == 0 else 0  # T gradients only on refresh steps
-            # T: one backward per member (2) and class, each one forward and one reverse sweep.
+            t_backward = 2 * groups if step % 2 == 0 else 0  # T gradients only on refresh steps
+            # T: one backward per member (2) and class group, each one forward and one reverse sweep.
             # S: per member one forward, one reverse and one tangent sweep over the class stack
             assert calls.count("backward") == t_backward
             assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == t_backward
@@ -1436,6 +1455,28 @@ def test_gm_step_allocates_nothing_class_gradient_sized(contrastive):
         finally:
             tracemalloc.stop()
     assert max(peaks) < 10 * 10602 * 8
+
+
+def test_gm_refresh_step_holds_one_copy_of_t():
+    # img8-gm's shapes: 10 classes of 40 T rows of 1x8x8 images under multiform r 2 (320 inputs),
+    # hidden [32], 3 members (P 10,602). A refresh step fills T's one class group class by class, so
+    # its peak stays below the members' (C, P) statistics, one copy of T's transformed rows and
+    # 0.75 MiB: the members' parameters (0.24 MiB) and one backward's activations on the group's
+    # (10, 40, ·) stack (0.37 MiB). A second copy of T would add 0.98 MiB
+    rng = np.random.default_rng(0)
+    t = LabeledDataset(rng.uniform(size=(400, 64)), np.repeat(np.arange(10), 40), 10)
+    s = SyntheticDataset(t.features[::20], t.labels[::20], per_class_size=2, origin="init")
+    cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=3, refresh=2, hidden=(32,),
+                       image_shape=(1, 8, 8), variants={"multiform": {"r": 2}}, seed=1)
+    v0, objective, *_ = _matching_problem(cfg, t, s)
+    for step in (0, 1, 2):  # the first refresh, a cached step and a later refresh
+        tracemalloc.start()
+        try:
+            objective(v0, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10 * 10602 * 8 + 400 * 320 * 8 + 0.75 * 2**20
 
 
 def test_image_variant_gradient_matches_fd(rng):

@@ -214,11 +214,12 @@ def test_stacked_gradient_gap_matches_per_class_bits(contrastive, widths, rng):
                    for c, rows in enumerate(t_rows)]
         g_s = model.backward(s_stack, s_labels, "cross_entropy")[1]
         want_values, want_up = gradient_gap_reference(contrastive, grads_t, list(g_s.copy()))
-        values, upstream = _gradient_gap(contrastive, np.stack(grads_t), g_s)
+        values, diffs = _gradient_gap(contrastive, np.stack(grads_t), g_s)
         assert values == want_values
-        assert upstream.shape == g_s.shape
-        assert contrastive or upstream is g_s  # per class, the upstream is written over S's gradients
-        assert all(np.array_equal(got, want) for got, want in zip(upstream, want_up))
+        assert diffs.shape == g_s.shape
+        assert contrastive or diffs is g_s  # per class, the differences are written over S's gradients
+        # the upstream is twice the differences, doubled by the caller
+        assert all(np.array_equal(2.0 * got, want) for got, want in zip(diffs, want_up))
 
 
 def class_pair(rng, classes):
