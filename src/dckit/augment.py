@@ -5,6 +5,7 @@ objectives can differentiate through them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,24 +68,22 @@ def multi_formation_vjp(grad_out: np.ndarray, r: int, in_shape) -> np.ndarray:
 
     The adjoint of a nearest-neighbor repeat sums each r x r block of a tile's upsampled
     gradient; the sum is added onto the tile's input pixels. The blocks of all tiles are
-    summed together by strided adds: each block row from left to right, then the row sums
-    in order. That is the order of numpy's ``reshape(b, c, th, r, tw, r).sum(axis=(3, 5))``
-    on each tile, with its bits, when r < 8 and the tiles are more than one pixel wide;
-    numpy sums a row of 8 or more entries pairwise, and the r^2 entries of a one pixel
-    wide tile's block as one row.
+    summed at once, with the bits of ``reshape(b, c, th, r, tw, r).sum(axis=(3, 5))`` on each
+    tile. For 1 < r < 8 and tiles more than one pixel wide that reduction adds each block row
+    from left to right and then the row sums in order, and whole-array adds in that order
+    avoid its slow inner loops over r entries. Elsewhere its order differs (pairwise over a
+    row of 8 or more, a one pixel wide tile's block as one row, from zero when r is 1), so the
+    same reduction runs over the blocks of all tiles.
     """
     b, c, h, w = in_shape
     th, tw = h // r, w // r
     g = np.array(grad_out[:, :c], copy=True)
     blk = grad_out.reshape(b, r * r + 1, c, th, r, tw, r)[:, 1:]  # axes as in multi_formation
-    pooled, row = np.empty((2, b, r * r, c, th, tw))
-    for p in range(r):
-        acc = row if p else pooled
-        np.copyto(acc, blk[..., p, :, 0])
-        for q in range(1, r):
-            acc += blk[..., p, :, q]
-        if p:
-            pooled += row
+    if 1 < r < 8 and tw > 1:
+        rows = (functools.reduce(np.add, (blk[..., p, :, q] for q in range(r))) for p in range(r))
+        pooled = functools.reduce(np.add, rows)
+    else:
+        pooled = blk.sum(axis=(4, 6))
     tiles = g.reshape(b, c, r, th, r, tw)  # axes (b, c, i, y, j, x), a view of g
     tiles += pooled.reshape(b, r, r, c, th, tw).transpose(0, 3, 1, 4, 2, 5)
     return g

@@ -25,8 +25,7 @@ method transforms S as one (C, m, d) stack of its class batches, and one functio
 ``s_terms``, yields every member's values and gradient against it in the ensemble's order:
 dm, moment and sam from one sweep of the stack through the whole ensemble's stacked weights,
 gm from three sweeps per member, mmd from one ``kernels.mmd_squared_and_grad_s`` call on the
-stack (one per group of T classes, a run of adjacent classes with equal T counts; gm's T side
-takes one ``Mlp.backward`` per member and group). The objective adds every member's
+stack (one per group of classes with equal T counts). The objective adds every member's
 pulled-back gradient, and gm's curvature term, into one (C, m, d) buffer and writes it to S's
 rows once. An mmd under random features, like any dp_merf run, matches mean embeddings and
 takes its S gradient from the random-feature pullback. dm, moment and sam share
@@ -1013,47 +1012,36 @@ def _matching_problem(cfg, t, s0):
 
     def t_stat(tr):
         """Every member's T statistics, as ``s_terms`` reads them, from each class's T rows under
-        the step's transforms ``tr``. T is split into groups, the runs of adjacent classes with
-        equal T row counts (one group when the classes are equal in size), and each group's k
-        classes are transformed one by one into one (k, A, d') stack with its (k, A) labels; no
-        other copy of T is made. The kernel families have one member: a list over the classes
-        of the dp_merf-noised mean embeddings, or for the Gram route one (classes, stack, their
-        k means k(T_y, T_y)) per group, in class order. dm, moment and sam stack each
-        ``_feature_stats`` statistic into one (M, C, h) array, from T forwards per member and
-        class. gm keeps per member a (C, P) array of the class-mean gradients: one ``backward``
-        of each group's stack writes its classes' rows, and under dp_grad each row is then
-        clipped and noised, class by class."""
+        the step's transforms ``tr``. The kernel families have one member: a list over the
+        classes of the dp_merf-noised mean embeddings, or for the Gram route one (classes, (k, A,
+        n) stack of their rows, their k means k(T_y, T_y)) per group of the k classes with A T
+        rows each, in class order. dm, moment and sam stack each ``_feature_stats`` statistic
+        into one (M, C, h) array; gm keeps per member a (C, P) array of the dp_grad-clipped and
+        noised class-mean gradients. T forwards run per member and class."""
         nonlocal dp_invocations, grad_draws
-        t_side = []  # per group: (its classes, their transformed rows, their labels)
-        for _, run in itertools.groupby(classes, key=lambda y: t_rows[y].shape[0]):
-            ys = list(run)
-            for i, y in enumerate(ys):
-                rows, labels = tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2]
-                if i == 0:
-                    group_rows = np.empty((len(ys), *rows.shape))
-                    group_labels = np.empty((len(ys), *labels.shape), np.int64)
-                group_rows[i], group_labels[i] = rows, labels
-            t_side.append((ys, group_rows, group_labels))
-        by_class = [rows for _, group_rows, _ in t_side for rows in group_rows]
+        t_side = [tr.apply(t_rows[y], np.full(t_rows[y].shape[0], y, dtype=np.int64), "t", [y])[:2] for y in classes]
         if embed_path:  # sigma 0 adds zeros
-            means = [random_feature_map(kernel, rows).mean(axis=0) for rows in by_class]
+            means = [random_feature_map(kernel, rows).mean(axis=0) for rows, _ in t_side]
             return [m + merf_sigma * rng_merf.normal(size=m.shape) for m in means]
         if kernel_objective:
-            return [(ys, group_rows, [gram_mean(kernel, rows, rows) for rows in group_rows])
-                    for ys, group_rows, _ in t_side]
+            groups = {}  # T row count -> its classes, in class order
+            for y, (rows, _) in enumerate(t_side):
+                groups.setdefault(rows.shape[0], []).append(y)
+            rows_t = [rows for rows, _ in t_side]
+            return [(ys, np.stack([rows_t[y] for y in ys]), [gram_mean(kernel, rows_t[y], rows_t[y]) for y in ys])
+                    for ys in groups.values()]
         if cfg.method != "gm":
             members = ([np.stack(stat) for stat in zip(*(_feature_stats(cfg.method, model.forward_batch(rows)[1])
-                                                       for rows in by_class))] for model in ensemble)
+                                                       for rows, _ in t_side))] for model in ensemble)
             return [np.stack(stat) for stat in zip(*members)]
         grad_draws += 1
         rng_grad = derived_rng(cfg.seed, f"dp_grad:{tr.step}") if dp_sigma > 0 else None
         members = []
         for model in ensemble:
-            members.append(np.empty((t.class_count, model.param_count)))
-            for ys, rows, labels in t_side:  # a group's classes are adjacent rows
-                model.backward(rows, labels, cfg.loss, out=members[-1][ys[0]:ys[-1] + 1], input_part=False)
-            if dp_sigma > 0:  # clip each class's gradient to norm 1, then add Gaussian noise
-                for stat in members[-1]:
+            members.append(np.empty((len(t_side), model.param_count)))
+            for stat, (rows, labels) in zip(members[-1], t_side):
+                model.backward(rows, labels, cfg.loss, out=stat, input_part=False)
+                if dp_sigma > 0:  # clip to norm 1, then add Gaussian noise
                     stat /= max(np.linalg.norm(stat), 1.0)
                     stat += dp_sigma * rng_grad.normal(size=stat.shape)
                     dp_invocations += 1
@@ -1071,10 +1059,9 @@ def _matching_problem(cfg, t, s0):
         for the tangent sweep, which runs along the undoubled differences; its (C, m, d') result
         is doubled in place. The sweep is linear in its direction and doubling is exact, so these
         are the bits of sweeping along the doubled differences, without a pass over ``g_s``.
-        Contrastive gm gives one value, the kernel
-        families their one member's: the mean embeddings by class, and the Gram route from one
-        ``mmd_squared_and_grad_s`` call per group of classes (one call when T's classes are
-        equal in size)."""
+        Contrastive gm gives one value, the kernel families their one member's: the mean
+        embeddings by class, and the Gram route from one ``mmd_squared_and_grad_s`` call per group
+        of classes with equal T counts (one call when the split leaves them equal)."""
         nonlocal stack, sweep
         if cfg.method == "gm":
             if sweep is None:  # every member has the same widths, so g_s's views serve them all

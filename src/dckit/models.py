@@ -322,8 +322,7 @@ class Mlp:
         loss: C values, a (C, P) gradient and (C, B, n) input gradients. ``out``, a
         (P,) or (C, P) buffer, receives the parameter gradient in place of a new array,
         and without ``input_part`` the input gradients are skipped and the third value is
-        the forward's features, as ``forward_batch`` lists them. The reverse sweep writes each
-        hidden layer's act' over its pre-activations, which nothing reads afterwards.
+        the forward's features, as ``forward_batch`` lists them.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.size == 0:
@@ -332,7 +331,7 @@ class Mlp:
         value, g = _loss_value_and_grad(acts[-1], y, loss)
         flat = np.empty((*x.shape[:-2], self.param_count)) if out is None else out
         ginput = _reverse_sweep(self.weights, self.activation, zs, acts, g, grads=self._split_flat(flat),
-                                input_part=input_part, out=([None] * len(zs), [None, *zs[:-1]]))
+                                input_part=input_part)
         return value, flat, ginput if input_part else list(acts[1:])
 
     def feature_input_vjp(self, x: np.ndarray):

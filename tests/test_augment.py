@@ -71,7 +71,7 @@ def multi_formation_reference(x, r):
 
 def multi_formation_vjp_reference(grad_out, r, in_shape):
     """The adjoint with each tile's r x r blocks summed by ``reshape`` and ``sum(axis=(3, 5))``:
-    the reference for the strided adds of ``multi_formation_vjp``."""
+    the reference for the one block sum of ``multi_formation_vjp``."""
     b, c, h, w = in_shape
     th, tw = h // r, w // r
     g = np.array(grad_out[:, :c], copy=True)
@@ -81,18 +81,23 @@ def multi_formation_vjp_reference(grad_out, r, in_shape):
     return g
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("tile", [(2, 3), (2, 1)], ids=["2x3", "2x1"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("b", [1, 7])
-def test_multi_formation_and_vjp_equal_their_loop_formulas(b, c, r, rng):
+def test_multi_formation_and_vjp_equal_their_loop_formulas(b, c, r, tile, rng):
     # gradient entries spread over 12 decades, so that adding a block's entries in another order
-    # changes the last bits of its sum; tiles of 2 x 3 pixels
-    h, w = 2 * r, 3 * r
+    # changes the last bits of its sum, and zeros of both signs, whose sum's sign depends on where
+    # it starts; the bytes are compared, so a zero's sign counts
+    h, w = tile[0] * r, tile[1] * r
     x = rng.uniform(size=(b, c, h, w))
     assert np.array_equal(multi_formation(ImageBatch(x), r).data, multi_formation_reference(x, r))
     shape = (b, c * (r * r + 1), h, w)
     g = rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
-    assert np.array_equal(multi_formation_vjp(g, r, (b, c, h, w)), multi_formation_vjp_reference(g, r, (b, c, h, w)))
+    g[rng.uniform(size=shape) < 0.1] = 0.0
+    g[rng.uniform(size=shape) < 0.1] = -0.0
+    got, want = multi_formation_vjp(g, r, (b, c, h, w)), multi_formation_vjp_reference(g, r, (b, c, h, w))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_channel_multi_formation_shape(rng):

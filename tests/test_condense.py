@@ -1187,8 +1187,8 @@ def per_member_objective(cfg, t, s, v, step):
     gradients through one ``backward(out=, input_part=False)`` per class, clipped and noised under
     dp_grad, S's through ``backward`` and ``_gradient_gap``, their input tangent from
     ``input_grad_param_tangent`` along the upstream, twice the gap's differences, then
-    ``_curvature_penalty`` under curvature. The reference for the engine's stacked sweeps, its
-    class groups and its one scatter."""
+    ``_curvature_penalty`` under curvature. The reference for the engine's stacked sweep and its
+    one scatter."""
     to_matched, _, fwd, regime_vjp, _ = regime_maps(cfg.regime, cfg.autoencoder)
     t_matched, s_matched = to_matched(t.features), fwd(v)
     tr = _Transforms(cfg, step)
@@ -1254,7 +1254,7 @@ def test_stacked_feature_objective_equals_per_member_loop(shape, method, activat
 
 
 # (variants, regime, T's class sizes, features): 3 classes of 5 rows in 4-D, 1x4x4 images under
-# multiform, and T classes of unequal sizes, whose class groups are [0, 1], [2], [3, 4] and [5]
+# multiform, and six T classes of unequal sizes
 GM_CASES = [
     *(pytest.param(variants, regime, (5, 5, 5), 4, id=f"{name}-{regime}") for regime in ("input_input", "input_latent")
       for name, variants in (("per_class", {}), ("contrastive", {"contrastive": {}}),
@@ -1272,9 +1272,8 @@ GM_CASES = [
 def test_gm_objective_equals_per_member_loop(variants, regime, sizes, d):
     # every member's terms, the curvature penalty's among them, added into one buffer and
     # scattered once keep the bits of adding each term into S's rows in the ensemble's order,
-    # on cached steps and after a refresh: T's gradients from one backward per class group, and
-    # the tangent along the undoubled differences, doubled, keep the bits of one backward per
-    # class and the tangent along the doubled differences
+    # on cached steps and after a refresh; the tangent along the undoubled differences, doubled,
+    # keeps the bits of the tangent along the doubled differences
     from dckit import fit_linear_autoencoder
 
     rng = np.random.default_rng(11)
@@ -1401,13 +1400,11 @@ def test_dp_grad_noises_t_gradients_under_image_variants(rng):
 
 def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
     models, condense_module = importlib.import_module("dckit.models"), importlib.import_module("dckit.condense")
-    # T's class sizes and their class groups, the runs of adjacent classes of equal size
-    for sizes, groups in (((3, 3), 1), ((3,) * 5, 1), ((3, 3, 4, 3), 3)):
-        rows = rng.uniform(0.0, 1.0, (sum(sizes), 16))
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        t = LabeledDataset(rows, labels, len(sizes))
-        firsts = np.cumsum((0, *sizes[:-1]))
-        s = SyntheticDataset(rows[firsts], labels[firsts], per_class_size=1, origin="init")
+    for classes in (2, 5):
+        rows = rng.uniform(0.0, 1.0, (3 * classes, 16))
+        labels = np.repeat(np.arange(classes), 3)
+        t = LabeledDataset(rows, labels, classes)
+        s = SyntheticDataset(rows[::3], labels[::3], per_class_size=1, origin="init")
         cfg = MethodConfig(method="gm", outer_steps=4, outer_lr=0.01, ensemble=2, refresh=2, hidden=(6,),
                            activation="tanh", image_shape=(1, 4, 4), variants={"multiform": {"r": 2}}, seed=0)
         v0, objective, *_ = _matching_problem(cfg, t, s)
@@ -1422,8 +1419,8 @@ def test_gm_multiform_sweeps_do_not_grow_with_class_count(rng, monkeypatch):
         for step in range(4):
             calls.clear()
             objective(v0, step)
-            t_backward = 2 * groups if step % 2 == 0 else 0  # T gradients only on refresh steps
-            # T: one backward per member (2) and class group, each one forward and one reverse sweep.
+            t_backward = 2 * classes if step % 2 == 0 else 0  # T gradients only on refresh steps
+            # T: one backward per member (2) and class, each one forward and one reverse sweep.
             # S: per member one forward, one reverse and one tangent sweep over the class stack
             assert calls.count("backward") == t_backward
             assert calls.count("_forward_sweep") == calls.count("_reverse_sweep") == t_backward
@@ -1459,10 +1456,10 @@ def test_gm_step_allocates_nothing_class_gradient_sized(contrastive):
 
 def test_gm_refresh_step_holds_one_copy_of_t():
     # img8-gm's shapes: 10 classes of 40 T rows of 1x8x8 images under multiform r 2 (320 inputs),
-    # hidden [32], 3 members (P 10,602). A refresh step fills T's one class group class by class, so
-    # its peak stays below the members' (C, P) statistics, one copy of T's transformed rows and
-    # 0.75 MiB: the members' parameters (0.24 MiB) and one backward's activations on the group's
-    # (10, 40, ·) stack (0.37 MiB). A second copy of T would add 0.98 MiB
+    # hidden [32], 3 members (P 10,602). A refresh step keeps each class's transformed T rows once,
+    # so its peak stays below the members' (C, P) statistics, one copy of T's transformed rows and
+    # 0.5 MiB, which holds the members' parameters (0.24 MiB) and one class's backward. A second
+    # copy of T would add 0.98 MiB
     rng = np.random.default_rng(0)
     t = LabeledDataset(rng.uniform(size=(400, 64)), np.repeat(np.arange(10), 40), 10)
     s = SyntheticDataset(t.features[::20], t.labels[::20], per_class_size=2, origin="init")
@@ -1476,7 +1473,7 @@ def test_gm_refresh_step_holds_one_copy_of_t():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 10 * 10602 * 8 + 400 * 320 * 8 + 0.75 * 2**20
+        assert peak < 3 * 10 * 10602 * 8 + 400 * 320 * 8 + 0.5 * 2**20
 
 
 def test_image_variant_gradient_matches_fd(rng):
