@@ -163,18 +163,17 @@ def _apply_siamese(data: np.ndarray, op: str, params: dict) -> np.ndarray:
     raise ShapeError(f"unknown siamese op {op!r}")
 
 
-def siamese_augment(t_batch: ImageBatch, s_batch: ImageBatch, op: str, seed: int = 0, params: dict | None = None):
+def siamese_augment(t_batch: ImageBatch, s_batch: ImageBatch, op: str, seed: int = 0):
     """Apply one identical parameterized transformation to both batches.
 
-    ``params`` overrides the seed-derived draw (identity values give unchanged
-    batches). Spatial dims of the two batches must match.
+    The op's parameters are one ``draw_siamese_params`` draw from ``seed``. Spatial dims of the
+    two batches must match.
     """
     if t_batch.shape[2:] != s_batch.shape[2:]:
         raise ShapeError("siamese batches must share spatial dims")
     if op not in SIAMESE_OPS:
         raise ShapeError(f"op must be one of {SIAMESE_OPS}")
-    if params is None:
-        params = draw_siamese_params(op, t_batch.shape, seed)
+    params = draw_siamese_params(op, t_batch.shape, seed)
     return (
         ImageBatch(_apply_siamese(t_batch.data, op, params)),
         ImageBatch(_apply_siamese(s_batch.data, op, params)),

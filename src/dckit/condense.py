@@ -113,7 +113,6 @@ from .spaces import REGIMES, LinearAutoencoder, regime_maps
 MATCHING_METHODS = ("dm", "gm", "mmd", "moment", "sam")
 METHODS = (*MATCHING_METHODS, "krr", "trajectory", "bptt", "cig_ridge", "kcenter", "kmeans", "robdc", "curvdc")
 _REQUIRED = object()  # the default of a parameter that every use of its variant must set
-_FULL_BATCH = (slice(None),)  # an unrolled epoch of one SGD step on every row
 # variant -> (methods it applies to, whether it transforms images,
 #             {parameter: (kind, lower bound, default)}); kind is int, float or a tuple
 # of the allowed values. The image variants run in this order within a step.
@@ -688,8 +687,9 @@ def _krr_problem(cfg: MethodConfig, t: LabeledDataset, s0: SyntheticDataset):
 
 
 def _unroll(model: Mlp, theta, s, labels, loss, eta, epochs, where):
-    """SGD of size eta on (s, labels) from ``theta`` over ``epochs``, each a list of row batches: the
-    iterates [theta, end of epoch 1, ...] and per epoch a tape of (rows, theta_k, grad_theta L_k)."""
+    """SGD of size eta on (s, labels) from ``theta`` over ``epochs``, each a list of row batches
+    (index arrays, ``np.arange(len(s))`` for a full batch): the iterates [theta, end of epoch 1,
+    ...] and per epoch a tape of (rows, theta_k, grad_theta L_k)."""
     net, prev, ends, tapes = _FlatSgd(model, theta, s, labels, loss, eta), theta, [theta], []
     with np.errstate(over="ignore", invalid="ignore"):
         for e, batches in enumerate(epochs):
@@ -796,7 +796,7 @@ def _bptt_value_and_grad(cfg, t, model, labels, theta_start, s, eta, window):
     through the ``_unroll`` tape (2 window P floats). robdc differentiates at the fixed PGD
     point, and curvdc adds curv_lambda times lambda_max of T's loss Hessian (``_sharpness``)."""
     robust = cfg.variant("robust_outer")
-    ends, tapes = _unroll(model, theta_start, s, labels, cfg.loss, eta, [_FULL_BATCH] * window, "inner step")
+    ends, tapes = _unroll(model, theta_start, s, labels, cfg.loss, eta, [(np.arange(len(s)),)] * window, "inner step")
     with np.errstate(over="ignore", invalid="ignore"):
         trained = model.with_params(ends[-1])
         x_adv = pgd_attack(trained, t.features, t.labels, robust["eps"], steps=robust["steps"], loss=cfg.loss)
@@ -817,6 +817,7 @@ def _bptt_problem(cfg, t, s0):
                      seed=derive_seed(cfg.seed, "bptt_init"))
     theta = model.flat_params()
     shape, labels = s0.features.shape, s0.labels
+    full = [(np.arange(shape[0]),)]  # an epoch of one SGD step on every row
     rat = "rat_truncation" in cfg.variants
     window = cfg.variants["rat_truncation"]["window"] if rat else cfg.inner_steps
     rng_rat = derived_rng(cfg.seed, "rat")
@@ -827,7 +828,7 @@ def _bptt_problem(cfg, t, s0):
         # after step 0, advance the model one inner step; then RaT-BPTT's steps to the window start
         advance = int(step > 0)
         offset = int(rng_rat.integers(0, cfg.inner_steps - window + 1)) if rat else 0
-        ends, _ = _unroll(model, theta, s, labels, cfg.loss, eta, [_FULL_BATCH] * (advance + offset), "inner step")
+        ends, _ = _unroll(model, theta, s, labels, cfg.loss, eta, full * (advance + offset), "inner step")
         theta = ends[advance]
         return (*_bptt_value_and_grad(cfg, t, model, labels, ends[-1], s, eta, window), {"eta": float(eta)})
 
@@ -871,26 +872,27 @@ class _Transforms:
     def apply(self, rows: np.ndarray, labels: np.ndarray, side: str, classes):
         """Transform class batches: one (m, d) batch of a single class, or a (k, m, d) stack of
         the batches of k classes. Returns (rows', labels', vjp to the input rows), laid out as
-        given. Row-wise ops and their VJPs run once over all rows; channel_multiform draws
-        its mixing matrices per class."""
+        given. The rows are clipped to [0, 1] once, on entry, and the vjp is zero where a row's
+        entry lay outside; every op maps [0, 1] into itself. Row-wise ops and their VJPs run
+        once over all rows; channel_multiform draws its mixing matrices per class."""
         if not self.ops:
             return rows, labels, lambda g: g
         c, h, w = self.cfg.image_shape
-        data = np.asarray(rows, dtype=np.float64).reshape(-1, c, h, w)
+        raw = np.asarray(rows, dtype=np.float64).reshape(-1, c, h, w)
+        data = ImageBatch(np.clip(raw, 0.0, 1.0)).data
         vjps = []  # each op's adjoint, in the order the ops ran
         for op in self.ops:
-            batch = ImageBatch(np.clip(data, 0.0, 1.0))
             if op == "siamese":
                 name, params = self.siamese_params
                 vjps.append(partial(siamese_vjp, data=data, op=name, params=params))
-                data = _apply_siamese(batch.data, name, params)
+                data = _apply_siamese(data, name, params)
             elif op == "multiform":
                 r = self.cfg.variants["multiform"]["r"]
                 vjps.append(partial(multi_formation_vjp, r=r, in_shape=data.shape))
-                data = multi_formation(batch, r).data
+                data = multi_formation(ImageBatch(data), r).data
             else:
                 outs, backs = [], []
-                for y, part in zip(classes, np.split(batch.data, len(classes))):
+                for y, part in zip(classes, np.split(data, len(classes))):
                     part = ImageBatch(part)
                     seed = derive_seed(self.cfg.seed, f"channel:{self.step}:{side}:{y}")
                     mixing = _mixing_matrices(part.shape[0], part.shape[1], seed)
@@ -905,7 +907,7 @@ class _Transforms:
             g = grad_rows.reshape(data.shape)
             for back in reversed(vjps):
                 g = back(g)
-            return g.reshape(rows.shape)
+            return np.where((raw < 0.0) | (raw > 1.0), 0.0, g).reshape(rows.shape)
 
         return data.reshape(*rows.shape[:-2], -1, data[0].size), labels, vjp
 

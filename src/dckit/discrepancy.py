@@ -375,26 +375,19 @@ def empirical_cf(x: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return total / n
 
 
-def characteristic_discrepancy(
-    t, s, freqs: np.ndarray | None = None, sample_count: int = CF_FREQUENCIES, seed: int = 0
-) -> float:
+def characteristic_discrepancy(t, s, sample_count: int = CF_FREQUENCIES, seed: int = 0) -> float:
     """Sampled-sup gap between empirical characteristic functions.
 
-    Frequencies default to ``sample_count`` standard normal draws from ``seed``.
+    The frequencies are ``sample_count`` standard normal draws from ``seed``.
     The value is bounded by 2 since characteristic functions have unit modulus.
     """
     a = _points(t)
     b = _points(s)
-    if freqs is None:
-        if sample_count < 1:
-            raise DomainError("need at least one frequency")
-        rng = np.random.default_rng(seed)
-        freqs = rng.normal(size=(sample_count, a.shape[1]))
-    freqs = np.atleast_2d(np.asarray(freqs, dtype=np.float64))
-    if freqs.ndim != 2 or not a.shape[1] == b.shape[1] == freqs.shape[1]:
-        raise ShapeError(f"points of widths {a.shape[1]}, {b.shape[1]} need (F, width) freqs, got {freqs.shape}")
-    if freqs.shape[0] < 1:
+    if sample_count < 1:
         raise DomainError("need at least one frequency")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    freqs = np.random.default_rng(seed).normal(size=(sample_count, a.shape[1]))
     return float(np.abs(empirical_cf(a, freqs) - empirical_cf(b, freqs)).max())
 
 

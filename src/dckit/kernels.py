@@ -188,18 +188,14 @@ def median_heuristic(x: np.ndarray) -> float:
 def _sample_bracket(x: np.ndarray, size: int) -> tuple[int, int]:
     """The bit patterns of two squared distances of ``size`` seeded pairs i != j, about 4 standard
     errors either side of the sample's median of positive values: the bracket of a first scan.
-    The pairs' distances are summed one feature at a time, as ``sq_distances`` sums them up to
-    16 features; above that the sums may differ from its bits, which moves only the bracket and
-    so only the time."""
+    The pairs' distances come from ``_pair_sq_distances``, with ``sq_distances``' bits up to 16
+    features; above that they may differ from its bits, which moves only the bracket and so
+    only the time."""
     rng = np.random.default_rng(_MEDIAN_SEED)
     i = rng.integers(0, x.shape[0], size=size, dtype=np.int32)
     j = rng.integers(0, x.shape[0] - 1, size=size, dtype=np.int32)
     j += j >= i
-    s, d, e = np.zeros(size), np.empty(size), np.empty(size)
-    for col in x.T:
-        np.subtract(np.take(col, i, out=d), np.take(col, j, out=e), out=d)
-        d *= d
-        s += d
+    s = _pair_sq_distances(x, x, i, j)
     s = s[s > 0]
     s.sort()
     half, width = s.size // 2, int(2.0 * np.sqrt(s.size)) + 1
@@ -464,8 +460,8 @@ def _gaussian_and_weight(spec: KernelSpec, r2: np.ndarray):
 
 
 def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
-    """``gram_matrix`` of a gamma-exponential spec, shape (A, B), and its VJP: coef (all ones
-    when None) -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
+    """``gram_matrix`` of a gamma-exponential spec, shape (A, B), and its VJP: coef (A, B) ->
+    sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for every row b_j, shape (B, n).
 
     The sum runs one feature at a time on (A, B) matrices of ``_gaussian_and_weight``'s terms,
     r from the Gram's ``sq_distances``, and each feature's terms are added over i in row
@@ -475,14 +471,13 @@ def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
     r = sq_distances(a, b)
     k, w = _gaussian_and_weight(spec, r)
 
-    def vjp(coef=None):
+    def vjp(coef):
         g = np.empty((b.shape[0], b.shape[1]))
         d = r  # r's buffer holds one feature's terms at a time
         for f in range(b.shape[1]):
             np.subtract(b[:, f], a[:, f, None], out=d)
             d *= w
-            if coef is not None:
-                d *= coef
+            d *= coef
             # sum(axis=0) adds the rows in order, except down a single column, which it adds pairwise
             g[:, f] = d.sum(axis=0) if d.shape[1] > 1 or not len(d) else np.add.accumulate(d[:, 0])[-1]
         return g
@@ -491,8 +486,8 @@ def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
 
 
 def gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
-    """``gram_matrix(spec, a, b)`` and its VJP coef -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j) for
-    every row b_j, shape (B, n), both from one evaluation of each point set.
+    """``gram_matrix(spec, a, b)`` and its VJP: coef (A, B) -> sum_i coef[i, j] grad_{b_j} k(a_i, b_j)
+    for every row b_j, shape (B, n), both from one evaluation of each point set.
 
     A gamma-exponential spec sums one feature at a time from the Gram's distances, in O(A·B)
     memory (``_gaussian_gram_and_vjp``). For a feature map, k(a_i, b_j) = <Phi(a_i), Phi(b_j)>
@@ -532,12 +527,12 @@ def _mmd_from_means(ktt, kts, kss) -> float:
 
 
 def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt):
-    """The V-statistic MMD^2 of ``mmd_squared`` given ``ktt``, the mean k(T, T) (constant in
-    S, so callers cache it), and its gradient w.r.t. every point of S.
+    """Per class of a stack of C classes, the V-statistic MMD^2 of ``mmd_squared`` given ``ktt``,
+    the mean k(T, T) (constant in S, so callers cache it), and its gradient w.r.t. every point
+    of S.
 
-    One class is (A, n) rows t, (m, n) rows s and a scalar ``ktt``, giving a float and the
-    (m, n) gradient. A stack of C classes is (C, A, n), (C, m, n) and (C,), giving (C,) values
-    and the (C, m, n) gradient; each class has its own call's bits.
+    T is (C, A, n), S is (C, m, n) and ``ktt`` is (C,), giving (C,) values and the (C, m, n)
+    gradient; a class has the same bits in any stack, one class alone too.
 
     A gamma-exponential kernel works in (C, m, A) layout, S's rows against T's along the
     contiguous axis (``_gaussian_mean_and_vjp``), and scales the sums. Each feature's gradient
@@ -547,13 +542,10 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt):
     ``sq_distances``' bits and the value has ``mmd_squared``'s. Feature-map and pullback kernels
     take each class's Gram matrices and VJPs from ``gram_and_vjp``.
     """
-    one = np.ndim(s) <= 2
-    if one:
-        t, s, ktt = _as_points(t)[None], _as_points(s)[None], [ktt]
-    else:
-        t, s = np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)
-    if t.ndim != 3 or s.ndim != 3 or t.shape[0] != s.shape[0] or t.shape[2] != s.shape[2]:
-        raise ShapeError(f"T and S class stacks do not match: {t.shape} vs {s.shape}")
+    t, s = np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)
+    if (t.ndim != 3 or s.ndim != 3 or t.shape[0] != s.shape[0] or t.shape[2] != s.shape[2]
+            or np.shape(ktt) != t.shape[:1]):
+        raise ShapeError(f"T, S and ktt class stacks do not match: {t.shape}, {s.shape} and {np.shape(ktt)}")
     n_t, n_s = t.shape[1], s.shape[1]
     if n_t == 0 or n_s == 0:
         raise DomainError("both point sets must be nonempty")
@@ -569,8 +561,7 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt):
             kts.append(k_ts.mean())
             kss.append(k_ss.mean())
             g[...] = vjp_ss(np.full((n_s, n_s), 2.0 / (n_s * n_s))) - vjp_ts(np.full((n_t, n_s), 2.0 / (n_t * n_s)))
-    values = np.array([_mmd_from_means(*means) for means in zip(ktt, kts, kss)])
-    return (float(values[0]), grads[0]) if one else (values, grads)
+    return np.array([_mmd_from_means(*means) for means in zip(ktt, kts, kss)]), grads
 
 
 # _gaussian_mean_and_vjp's blocks: a fixed count of x rows, so that a class's sums do not depend

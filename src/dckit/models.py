@@ -416,7 +416,8 @@ class _FlatSgd:
 
     The buffer is one network's (P,) parameters, or an (R, P) stack of R networks
     of one architecture that step together on (R, B) row batches. ``step`` gathers the
-    batch and runs one forward sweep, the fused loss, one reverse sweep into the
+    batch, an index array over the rows (a full batch is ``np.arange`` of them), into its
+    workspace and runs one forward sweep, the fused loss, one reverse sweep into the
     gradient buffer (stopping at layer 0's parameter gradients) and an in-place update,
     so no ``Mlp`` is built per step. A step reuses per-shape workspaces and allocates
     nothing batch-sized: a run has at most two batch shapes, the full batch and a ragged
@@ -445,15 +446,12 @@ class _FlatSgd:
                                       _loss_workspace((*shape, self.widths[-1])))
         return self.workspaces[shape]
 
-    def step(self, rows, where: str):
-        """One step on the rows ``rows`` of (x, y): an index array, gathered into the workspace,
-        or a slice, which takes a view."""
-        if isinstance(rows, slice):
-            x, y = self.x[rows], self.y[rows]
-            forward, reverse, loss_out = self._workspace(y.shape)[2:]
-        else:  # rows index x, so "clip" never clips; "raise" would take a buffered copy
-            xb, yb, forward, reverse, loss_out = self._workspace(rows.shape)
-            x, y = self.x.take(rows, axis=0, out=xb, mode="clip"), self.y.take(rows, out=yb, mode="clip")
+    def step(self, rows: np.ndarray, where: str):
+        """One step on the rows of (x, y) that the index array ``rows`` names, gathered into the
+        workspace of its shape."""
+        xb, yb, forward, reverse, loss_out = self._workspace(rows.shape)
+        # rows index x, so "clip" never clips; "raise" would take a buffered copy
+        x, y = self.x.take(rows, axis=0, out=xb, mode="clip"), self.y.take(rows, out=yb, mode="clip")
         zs, acts = _forward_sweep(self.weights, self.biases, self.activation, x, forward)
         value, g = _loss_value_and_grad(acts[-1], y, self.loss, loss_out)
         if not np.isfinite(value).all():
@@ -525,12 +523,12 @@ def pgd_attack(
     y: np.ndarray,
     eps: float,
     steps: int = 10,
-    step_size: float | None = None,
     loss: str = "cross_entropy",
 ) -> np.ndarray:
     """L-inf projected sign-gradient ascent; returns the per-sample worst iterate found.
 
-    Iterates stay inside both the eps-ball around x and [0, 1]^n. The clean input
+    Each of the ``steps`` sign steps has size 2.5 eps / steps, so together they span more than
+    the eps-ball's width of 2 eps. Iterates stay inside both the eps-ball around x and [0, 1]^n. The clean input
     is always a candidate, so the attacked loss never drops below the clean loss.
     One forward sweep per iterate gives its losses and, by an input-only reverse sweep, its ascent.
     """
@@ -539,7 +537,7 @@ def pgd_attack(
     x = np.asarray(x, dtype=np.float64)
     if eps == 0:
         return x.copy()
-    step_size = max(eps / max(steps, 1) * 2.5, 1e-12) if step_size is None else step_size
+    step_size = max(eps / max(steps, 1) * 2.5, 1e-12)
     y = np.asarray(y, dtype=np.int64)
     _check_labels(y, m.n_outputs)
     ws = _loss_workspace((*x.shape[:-1], m.n_outputs))

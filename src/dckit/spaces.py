@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _feature_gap, _feature_stats, wasserstein1
+from .discrepancy import wasserstein1
 from .errors import ConfigError, ShapeError, ValidationError
 from .kernels import KernelSpec, kernel_or_default, mmd_squared
 
@@ -100,17 +100,12 @@ def pullback_spec(base: KernelSpec, ae: LinearAutoencoder) -> KernelSpec:
     return KernelSpec(family="pullback", scale=base.scale, base=base, encoder=ae)
 
 
-def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None, model_batch):
+def _resolve_disc(disc, reference: np.ndarray, kernel: KernelSpec | None):
     if disc == "mmd":
         spec = kernel_or_default(kernel, reference)
         return lambda a, b: mmd_squared(spec, a, b)
     if disc == "w1":
         return wasserstein1
-    if disc == "ipm_feature":
-        if model_batch is None:
-            raise ConfigError("ipm_feature regime objectives need a model_batch")
-        return lambda a, b: max((_feature_gap("dm", _feature_stats("dm", m.forward_batch(a[None])[1]),
-                                              m.forward_batch(b[None])[1])[0][0] for m in model_batch), default=0.0)
     raise ConfigError(f"unknown discrepancy selector {disc!r}")
 
 
@@ -144,9 +139,8 @@ def regime_objective(
     sz_points: np.ndarray,
     disc: str = "mmd",
     kernel: KernelSpec | None = None,
-    model_batch=None,
 ) -> float:
-    """Evaluate one quadrant of the optimize/match table under ``disc``: "mmd", "w1" or "ipm_feature".
+    """Evaluate one quadrant of the optimize/match table under ``disc``: "mmd" or "w1".
 
     ``sz_points`` lives in input space for input-optimized regimes and in latent
     space for latent-optimized ones; a dimension mismatch raises ConfigError.
@@ -159,5 +153,5 @@ def regime_objective(
             f"regime {regime} optimizes {expect}-dim variables, got {sz.shape[1]}-dim"
         )
     a, b = to_matched(np.asarray(t_points, dtype=np.float64)), fwd(sz)
-    fn = _resolve_disc(disc, a, kernel, model_batch)
+    fn = _resolve_disc(disc, a, kernel)
     return float(fn(a, b))

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 from dckit import LabeledDataset, Mlp, SyntheticDataset
 from dckit.condense import _matching_problem
-from dckit.kernels import _rff_params, random_feature_map
+from dckit.kernels import _rff_params, mmd_squared_and_grad_s, random_feature_map
 
 
 @pytest.fixture
@@ -86,6 +86,12 @@ def reference_per_sample_loss(logits: np.ndarray, labels: np.ndarray, loss: str)
         return lse - logits[np.arange(len(y)), y]
     target = np.eye(logits.shape[1])[y]
     return 0.5 * np.sum((logits - target) ** 2, axis=1)
+
+
+def mmd_one_class(spec, t: np.ndarray, s: np.ndarray, ktt: float):
+    """``mmd_squared_and_grad_s`` of one class, passed as a stack of one: its value and (m, n) gradient."""
+    values, grads = mmd_squared_and_grad_s(spec, t[None], s[None], np.array([ktt]))
+    return float(values[0]), grads[0]
 
 
 def central_diff(fn, x: np.ndarray) -> np.ndarray:

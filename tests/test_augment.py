@@ -3,6 +3,7 @@ import pytest
 
 from dckit import ImageBatch, channel_multi_formation, multi_formation, siamese_augment
 from dckit.augment import (
+    _apply_siamese,
     channel_multi_formation_vjp,
     multi_formation_vjp,
     siamese_vjp,
@@ -153,20 +154,15 @@ def test_channel_multi_formation_adjoint(rng):
 
 
 def test_siamese_identity_params(rng):
-    tb, sb = rand_batch(rng), rand_batch(rng, b=3)
-    t2, s2 = siamese_augment(tb, sb, "shift", params={"dy": 0, "dx": 0})
-    assert np.array_equal(t2.data, tb.data) and np.array_equal(s2.data, sb.data)
-    t3, _ = siamese_augment(tb, sb, "flip", params={"flip": False})
-    assert np.array_equal(t3.data, tb.data)
-    t4, _ = siamese_augment(tb, sb, "scale", params={"s": 1.0})
-    assert np.array_equal(t4.data, tb.data)
+    x = rand_batch(rng, b=3).data
+    for op, params in (("shift", {"dy": 0, "dx": 0}), ("flip", {"flip": False}), ("scale", {"s": 1.0})):
+        assert np.array_equal(_apply_siamese(x, op, params), x)
 
 
 def test_siamese_flip_involution(rng):
-    tb, sb = rand_batch(rng), rand_batch(rng, b=1)
-    t1, s1 = siamese_augment(tb, sb, "flip", params={"flip": True})
-    t2, s2 = siamese_augment(t1, s1, "flip", params={"flip": True})
-    assert np.array_equal(t2.data, tb.data) and np.array_equal(s2.data, sb.data)
+    x = rand_batch(rng).data
+    once = _apply_siamese(x, "flip", {"flip": True})
+    assert not np.array_equal(once, x) and np.array_equal(_apply_siamese(once, "flip", {"flip": True}), x)
 
 
 def test_siamese_same_seed_same_transform(rng):
@@ -191,8 +187,8 @@ def test_siamese_range_preserved(rng):
 def test_siamese_shift_adjoint(rng):
     x = rand_batch(rng)
     params = {"dy": 1, "dx": -1}
-    out, _ = siamese_augment(x, x, "shift", params=params)
+    out = _apply_siamese(x.data, "shift", params)
     g = rng.normal(size=x.shape)
-    lhs = np.sum(g * out.data)
+    lhs = np.sum(g * out)
     rhs = np.sum(siamese_vjp(g, x.data, "shift", params) * x.data)
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -46,11 +46,11 @@ from dckit.condense import (
 from dckit.data import per_class_partition
 from dckit.discrepancy import _feature_gap, _feature_stats, _gradient_gap
 from dckit.errors import CapacityError, ConfigError, ContextError, DivergenceError, DomainError, ShapeError, SolveError
-from dckit.kernels import _nfk_features, gram_mean, mmd_squared_and_grad_s, sq_distances
+from dckit.kernels import _nfk_features, gram_mean, sq_distances
 from dckit.models import TrainConfig, loss_hvp, max_eigenvalue
 from dckit.seeding import derive_seed, derived_rng
 from dckit.spaces import regime_maps
-from tests.conftest import central_diff, copy_as_synthetic, linear_mlp, matching_value_and_grad
+from tests.conftest import central_diff, copy_as_synthetic, linear_mlp, matching_value_and_grad, mmd_one_class
 
 MATCHING = ("dm", "gm", "mmd", "moment", "sam")
 
@@ -79,6 +79,23 @@ def small_cfg(method, **kw):
 def test_variant_compatibility(method, variant):
     with pytest.raises(ConfigError):
         MethodConfig(method=method, variants={variant: {}})
+
+
+_MULTIFORM = {"image_shape": (1, 4, 4), "variants": {"multiform": {"r": 2}}}
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"regularizers": {"bogus": 0.1}}, "unknown regularizer 'bogus'"),
+    ({"image_shape": (4, 4)}, r"image_shape must be \(c, h, w\), got \(4, 4\)"),
+    ({"regime": "latent_latent", **_MULTIFORM}, "image variants only run in the input_input regime"),
+    ({"provenance": "pretrained", **_MULTIFORM}, "image variants require random_init model provenance"),
+    ({"kernel": KernelSpec("random_feature", feature_dim=4), "image_shape": (1, 4, 4),
+      "variants": {"multiform": {"r": 2}, "dp_merf": {"sigma": 0.5}}}, "dp_merf .* excludes image variants"),
+    ({"method": "krr", "regime": "latent_latent"}, "latent regimes are wired for the matching methods only"),
+], ids=["regularizer", "image-shape-rank", "image-latent", "image-pretrained", "image-dp_merf", "krr-latent"])
+def test_method_config_rejects_documented_combinations(kw, match):
+    with pytest.raises(ConfigError, match=match):
+        MethodConfig(**{"method": "dm", **kw})
 
 
 def test_variant_parameters_resolved_once():
@@ -346,7 +363,7 @@ def test_mmd_ragged_classes_match_per_class_calls(rng):
     value, grad = 0.0, np.empty_like(s.features)
     for c in range(3):
         t_c, at = x[y == c], s.labels == c
-        v, grad[at] = mmd_squared_and_grad_s(spec, t_c, s.features[at], gram_mean(spec, t_c, t_c))
+        v, grad[at] = mmd_one_class(spec, t_c, s.features[at], gram_mean(spec, t_c, t_c))
         value += v
     assert log.objectives()[0] == value
     assert np.array_equal(out.features, np.clip(s.features - 0.5 * grad, 0.0, 1.0))
@@ -594,7 +611,6 @@ _NFK_PAIR = KernelSpec("nfk", model=(Mlp.init((3, 5, 2), "tanh", seed=1), Mlp.in
 def test_nfk_gradients_match_fd_oracle(kernel):
     from dckit import fit_linear_autoencoder, pullback_spec
     from dckit.condense import _krr_fit
-    from dckit.kernels import mmd_squared_and_grad_s
 
     rng = np.random.default_rng(2024)
     x = rng.uniform(0.0, 1.0, (12, 3))
@@ -626,7 +642,7 @@ def test_nfk_gradients_match_fd_oracle(kernel):
         spec = pullback_spec(_RFF, ae)
     loss_and_grad_s, grad_wrt_t = _krr_fit(spec, s, y_s, 0.1)
     grad_s, grad_t = loss_and_grad_s(x, y)[1], grad_wrt_t(x, y)
-    mmd2, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
+    mmd2, mmd_grad = mmd_one_class(spec, x, s, gram_matrix(spec, x, x).mean())
     assert mmd2 == mmd_squared(spec, x, s)
     oracles = [
         (grad_s, central_diff(lambda u: _krr_fit(spec, u, y_s, 0.1)[0](x, y)[0], s)),
@@ -995,6 +1011,14 @@ def test_div_duplicates():
     s = np.array([[0.4, 0.2], [0.4, 0.2]])
     ctx = RegContext(synthetic_features=s, synthetic_labels=np.array([0, 0]), class_count=1)
     assert regularizer_eval("div", ctx)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_div_of_one_row_is_zero():
+    # a single synthetic row has no other row to resemble
+    s = np.array([[0.4, 0.2]])
+    value, grad = regularizer_eval("div", RegContext(synthetic_features=s, synthetic_labels=np.array([0]),
+                                                     class_count=1))
+    assert value == 0.0 and np.array_equal(grad, np.zeros_like(s))
 
 
 def test_proj_in_span(rng):
@@ -1379,6 +1403,28 @@ def test_image_variants_run_and_reduce(variant, params, rng):
     out, log = condense(cfg, t, s)
     assert np.all(np.isfinite(out.features))
     assert len(log.rows) == 3
+
+
+@pytest.mark.parametrize("method, variants", [
+    ("dm", {"multiform": {"r": 2}}),
+    ("gm", {"multiform": {"r": 2}}),
+    ("dm", {"siamese": {"op": "flip"}}),
+    ("sam", {"channel_multiform": {}}),
+], ids=["dm-multiform", "gm-multiform", "dm-siamese-flip", "sam-channel_multiform"])
+def test_image_variant_gradients_match_fd_oracle_outside_the_unit_range(method, variants):
+    # the transforms clip their input rows to [0, 1], so S entries at 1.3 and -0.2 get the
+    # objective's zero gradient, and every other entry its central difference
+    rng = np.random.default_rng(2024)
+    img, y = rng.uniform(0.0, 1.0, (12, 16)), np.array([0] * 6 + [1] * 6)
+    rows = img[[0, 1, 6, 7]].copy()
+    rows[0, 3], rows[3, 9] = 1.3, -0.2
+    s = SyntheticDataset(rows, y[[0, 1, 6, 7]], per_class_size=2, origin="init")
+    v0, objective, *_ = _matching_problem(small_cfg(method, image_shape=(1, 4, 4), variants=variants),
+                                          LabeledDataset(img, y, 2), s)
+    _, grad, _ = objective(v0, 0)
+    fd = central_diff(lambda u: objective(u, 0)[0], v0)
+    assert grad[0, 3] == grad[3, 9] == 0.0
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 def test_dp_grad_noises_t_gradients_under_image_variants(rng):

@@ -12,6 +12,7 @@ from dckit import (
     normalize_features,
     per_class_partition,
     save_synthetic,
+    train_eval_split,
     two_blobs,
 )
 from dckit.errors import (
@@ -40,6 +41,28 @@ def test_load_header_only(tmp_path):
     p = write(tmp_path, "f0,f1,label\n")
     with pytest.raises(EmptyDatasetError):
         load_dataset(p)
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ("", EmptyDatasetError, "is empty"),
+    ("f0,f1,y\n0.1,0.2,0\n", ParseError, "header must end with a 'label' column"),
+    ("label\n0\n", ParseError, "header must end with a 'label' column"),
+    ("f0,label\n0.1,0\n0.2,-1\n", LabelError, "negative label -1"),
+], ids=["empty-file", "no-label-column", "label-only", "negative-label"])
+def test_load_rejects_malformed_files(tmp_path, text, error, match):
+    with pytest.raises(error, match=match):
+        load_dataset(write(tmp_path, text))
+
+
+def test_load_skips_blank_rows(tmp_path):
+    d = load_dataset(write(tmp_path, "f0,label\n0.1,0\n\n0.3,1\n\n"))
+    assert d.features.tolist() == [[0.1], [0.3]] and d.labels.tolist() == [0, 1]
+
+
+def test_split_rejects_a_class_too_small_to_split():
+    d = LabeledDataset(np.array([[0.1], [0.2], [0.3], [0.4]]), np.array([0, 0, 0, 1]), 2)
+    with pytest.raises(CapacityError, match="class 1 too small to split"):
+        train_eval_split(d, 0.2, seed=0)
 
 
 def test_load_noncontiguous_labels(tmp_path):

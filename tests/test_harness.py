@@ -392,6 +392,8 @@ def bad_input_argv(case, tmp_path, blobs_csv) -> list:
         return ["evaluate", "--synthetic", str(synthetic), "--real", str(folder)]
     if case == "log-dir":
         return ["plot", "--log", str(folder), "--out", plots]
+    if case == "dataset-empty":
+        return [*condense, "--dataset", write("empty.csv", "")]
     if case == "dataset-not-utf8":
         (tmp_path / "latin1.csv").write_bytes("f0,f1,label\n0.5,0.5,0\n0.1,0.2,1 \xe9t\xe9\n".encode("latin-1"))
         return [*condense, "--dataset", str(tmp_path / "latin1.csv")]
@@ -420,7 +422,7 @@ NOT_UTF8 = {"dataset-not-utf8": "latin1.csv", "config-not-utf8": "latin1.json", 
             "log-not-utf8": "steps.csv"}
 
 
-@pytest.mark.parametrize("case", ["dataset-dir", "config-dir", "real-dir", "log-dir", *NOT_UTF8,
+@pytest.mark.parametrize("case", ["dataset-dir", "dataset-empty", "config-dir", "real-dir", "log-dir", *NOT_UTF8,
                                   "out-is-a-file", "report-a-list", "report-entry-without-mean",
                                   "objective-not-a-number"])
 def test_cli_bad_files_exit_two_with_one_line(case, tmp_path, blobs_csv, capsys, monkeypatch):
@@ -523,16 +525,17 @@ def test_cli_eval_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, 
     {"image_shape": [1, 4, 4], "variants": {"multiform": {"r": 2}}, "regularizers": {"proj": 0.1}},
     {"activation": "bogus"},
     {"method": "curvdc", "curv_lambda": -5},
+    {"image_shape": [1, 4, 4], "variants": {"multiform": {"r": 2}}, "provenance": "pretrained"},
 ], ids=["lr-nan", "lr-inf", "steps-float", "ensemble-float", "steps-bool", "inner-steps", "loss", "inner-batch",
         "con-one-model", "cos-one-model", "bptt-regularizer", "krr-regularizer", "reg-tau-zero", "inter-multiform",
-        "proj-multiform", "activation", "curv-lambda-negative"])
+        "proj-multiform", "activation", "curv-lambda-negative", "image-pretrained"])
 def test_cli_method_config_rejected_before_any_stage(blobs_csv, tmp_path, capsys, bad):
     cfg = {"dataset": str(blobs_csv), "method": {"method": "dm", **bad}}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["condense", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "[stage " not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "[stage " not in err
 
 
 @pytest.mark.parametrize("cfg,named", [

@@ -25,7 +25,8 @@ from dckit import (
 import dckit.kernels
 from dckit.errors import ConfigError, DomainError, ShapeError
 from dckit.kernels import gram_and_vjp, kernel_grad2, mmd_squared_and_grad_s, sq_distances
-from tests.conftest import central_diff, linear_mlp, matching_value_and_grad, rff_input_jacobian, rff_vjp_reference
+from tests.conftest import (central_diff, linear_mlp, matching_value_and_grad, mmd_one_class, rff_input_jacobian,
+                            rff_vjp_reference)
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -174,6 +175,8 @@ def test_pullback_identity_matches_base(rng):
     spec = pullback_spec(base, identity_autoencoder(3))
     x1, x2 = rng.uniform(size=3), rng.uniform(size=3)
     assert kernel_eval(spec, x1, x2) == kernel_eval(base, x1, x2)
+    assert spec.describe() == {"family": "pullback", "scale": 0.9,
+                               "base": {"family": "gamma_exponential", "scale": 0.9, "gamma": 2.0}}
 
 
 def test_median_heuristic():
@@ -222,7 +225,7 @@ def test_gaussian_contractions_match_kernel_grad2(gamma, dim, rng):
     want_vjp = np.einsum("ab,abn->bn", coef, kernel_grad2(spec, t, s))
     want_mmd = _mmd_grad_reference(spec, t, s)
     got_vjp = gram_and_vjp(spec, t, s)[1](coef)
-    value, got_mmd = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())
+    value, got_mmd = mmd_one_class(spec, t, s, gram_matrix(spec, t, t).mean())
     assert value == mmd_squared(spec, t, s)
     if dim < 8:
         assert np.array_equal(got_vjp, want_vjp)
@@ -243,7 +246,7 @@ def test_stacked_mmd_classes_equal_their_own_calls(dim, rng):
         values, grads = mmd_squared_and_grad_s(spec, t, s, ktt)
         assert values.shape == (5,) and grads.shape == s.shape
         for c in range(5):
-            value, grad = mmd_squared_and_grad_s(spec, t[c], s[c], ktt[c])
+            value, grad = mmd_one_class(spec, t[c], s[c], ktt[c])
             assert values[c] == value == mmd_squared(spec, t[c], s[c])
             assert np.array_equal(grads[c], grad)
             assert np.array_equal(mmd_squared_and_grad_s(spec, t[c:c + 2], s[c:c + 2], ktt[c:c + 2])[1][0], grad)
@@ -253,9 +256,17 @@ def test_stacked_mmd_classes_equal_their_own_calls(dim, rng):
 
 def test_stacked_mmd_rejects_mismatched_stacks(rng):
     spec = gaussian_spec(1.0)
-    for t, s in (((2, 5, 3), (3, 2, 3)), ((2, 5, 3), (2, 2, 4)), ((2, 0, 3), (2, 2, 3))):
-        with pytest.raises((ShapeError, DomainError)):
+    for t, s in (((2, 5, 3), (3, 2, 3)), ((2, 5, 3), (2, 2, 4)), ((1, 5, 3), (2, 3))):
+        with pytest.raises(ShapeError):
             mmd_squared_and_grad_s(spec, np.zeros(t), np.zeros(s), np.zeros(t[0]))
+    for t, s in (((5, 3), (2, 3)), ((5, 3), (1, 2, 3))):  # one class's 2-D rows and scalar k(T, T) mean
+        with pytest.raises(ShapeError):
+            mmd_squared_and_grad_s(spec, np.zeros(t), np.zeros(s), 0.5)
+    for ktt in (np.zeros(1), np.zeros(3), 0.5):  # one cached k(T, T) mean per class
+        with pytest.raises(ShapeError):
+            mmd_squared_and_grad_s(spec, np.zeros((2, 5, 3)), np.zeros((2, 2, 3)), ktt)
+    with pytest.raises(DomainError):
+        mmd_squared_and_grad_s(spec, np.zeros((2, 0, 3)), np.zeros((2, 2, 3)), np.zeros(2))
 
 
 @pytest.mark.parametrize("gamma", [2.0, 1.0])
@@ -277,7 +288,7 @@ def test_gaussian_gradients_finite_where_rows_coincide(gamma, rng):
     t[5] = s[2]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, grad = mmd_squared_and_grad_s(spec, t, s, gram_matrix(spec, t, t).mean())  # (S, S) diagonal too
+        _, grad = mmd_one_class(spec, t, s, gram_matrix(spec, t, t).mean())  # (S, S) diagonal too
         vjp = gram_and_vjp(spec, t, s)[1](np.ones((12, 4)))
         alone = gram_and_vjp(spec, t[5:6], s)[1](np.ones((1, 4)))
     assert np.all(np.isfinite(grad)) and np.all(np.isfinite(vjp))
@@ -295,7 +306,7 @@ def test_gaussian_gradients_match_fd_oracle(gamma):
     spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.8)
     loss_and_grad_s, grad_wrt_t = _krr_fit(spec, s, y_s, 0.1)
     grad_s, grad_t = loss_and_grad_s(x, y)[1], grad_wrt_t(x, y)
-    _, mmd_grad = mmd_squared_and_grad_s(spec, x, s, gram_matrix(spec, x, x).mean())
+    _, mmd_grad = mmd_one_class(spec, x, s, gram_matrix(spec, x, x).mean())
     oracles = [
         (grad_s, central_diff(lambda u: _krr_fit(spec, u, y_s, 0.1)[0](x, y)[0], s)),
         (grad_t, central_diff(lambda u: loss_and_grad_s(u, y)[0], x)),
@@ -311,7 +322,7 @@ def test_gaussian_gradient_peak_memory_is_a_few_matrices(rng):
     n_a, n_b, dim = 2000, 50, 64
     spec = gaussian_spec(0.01)
     t, s, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
-    for call in (lambda: mmd_squared_and_grad_s(spec, t, s, 0.5), lambda: gram_and_vjp(spec, t, s)[1](coef)):
+    for call in (lambda: mmd_one_class(spec, t, s, 0.5), lambda: gram_and_vjp(spec, t, s)[1](coef)):
         tracemalloc.start()
         try:
             call()

@@ -4,8 +4,6 @@ import pytest
 from dckit import (
     LabeledDataset,
     LinearAutoencoder,
-    Mlp,
-    ModelBatch,
     fit_linear_autoencoder,
     gaussian_spec,
     identity_autoencoder,
@@ -70,27 +68,13 @@ def test_push_forward_mean_linearity(rng):
     assert np.allclose(z.mean(axis=0), ae.encode(x.mean(axis=0)[None])[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("disc", ["mmd", "w1", "ipm_feature"])
+@pytest.mark.parametrize("disc", ["mmd", "w1"])
 def test_identity_encoder_regimes_agree(disc, rng):
     t = rng.uniform(size=(10, 3))
     s = rng.uniform(size=(4, 3))
     ae = identity_autoencoder(3)
-    batch = ModelBatch(tuple(Mlp.init((3, 6, 2), "tanh", seed=i) for i in range(2)))
-    vals = [
-        regime_objective(r, ae, t, s, disc=disc, kernel=gaussian_spec(1.0), model_batch=batch)
-        for r in REGIMES
-    ]
+    vals = [regime_objective(r, ae, t, s, disc=disc, kernel=gaussian_spec(1.0)) for r in REGIMES]
     assert max(vals) - min(vals) <= 1e-10
-
-
-def test_ipm_feature_objective_is_the_feature_mean_gap(rng):
-    # max over the batch of ||mean h(T) - mean h(S)||^2 on the penultimate feature, bit for bit
-    t = rng.uniform(size=(10, 3))
-    s = rng.uniform(size=(4, 3))
-    batch = ModelBatch(tuple(Mlp.init((3, 6, 2), "tanh", seed=i) for i in range(2)))
-    got = regime_objective("input_input", identity_autoencoder(3), t, s, disc="ipm_feature", model_batch=batch)
-    diffs = [m.forward_batch(t)[1][0].mean(axis=0) - m.forward_batch(s)[1][0].mean(axis=0) for m in batch]
-    assert got == max(float(d @ d) for d in diffs)
 
 
 def test_latent_latent_equals_latent_input(rng):
