@@ -144,16 +144,16 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pair_sq_distances(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """||a[i_k] - b[j_k]||^2 of each index pair, its squares added one feature at a time, as
-    ``sq_distances`` adds them up to 16 features: a running sum along each pair's (k, n) row of
-    squares, in chunks of at most 2^15 entries, costs one pass where a loop over the n > 16
-    features would cost n."""
-    out, step = np.empty(len(i)), max(1, _BLOCK_ENTRIES // a.shape[1])
-    for k0 in range(0, len(i), step):
-        d = a[i[k0:k0 + step]]
-        d -= b[j[k0:k0 + step]]
-        d *= d
-        out[k0:k0 + step] = np.add.accumulate(d, axis=1, out=d)[:, -1]
+    """||a[i_k] - b[j_k]||^2 of each index pair, its squares added one feature at a time from
+    +0.0, as ``sq_distances`` adds them up to 16 features, over the pairs' gathered values of one
+    feature at a time. For 2^14 pairs this took 0.27 ms at (800, 2) rows, 2.7 ms at (480, 32) and
+    3.7 ms at (400, 64), against 1.0, 3.9 and 5.7 ms for a running sum along each pair's (k, n)
+    row of squares (one BLAS thread, 2-vCPU host)."""
+    out = np.zeros(len(i))
+    for a_f, b_f in zip(a.T, b.T):
+        d = a_f.take(i)
+        d -= b_f.take(j)
+        out += np.square(d, out=d)
     return out
 
 
@@ -425,7 +425,8 @@ def kernel_grad2(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gradient of k(a_i, b_j) w.r.t. b_j, shape (A, B, n), for a gamma-exponential spec.
 
     No contraction in the package builds this tensor: ``gram_and_vjp`` sums it one feature at a
-    time (``_gaussian_gram_and_vjp``), and the sum is checked against this one."""
+    time (``_gaussian_gram_and_vjp``), and the sum is checked against this one, whose weight is
+    its own formula rather than ``_gaussian_and_weight``'s."""
     if spec.family != "gamma_exponential":
         raise ConfigError(f"no analytic gradient for family {spec.family!r}")
     a, b = _as_points(a), _as_points(b)
@@ -446,17 +447,23 @@ def _gaussian_from_sq(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_and_weight(spec: KernelSpec, r2: np.ndarray):
-    """k = exp(-c r^gamma) of the squared distances r2, and the weight w = -c gamma k r^(gamma - 2)
-    of grad_{b_j} k(a_i, b_j) = w_ij (b_j - a_i), 0 where rows coincide; r2's buffer is left
-    holding r. Both Gaussian VJPs take their terms from it and differ only in the axis they sum."""
-    k = _gaussian_from_sq(spec, r2.copy())
-    np.sqrt(r2, out=r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = r2 ** (spec.gamma - 2.0)
-    w[r2 == 0] = 0.0
-    w *= k
-    w *= -spec.scale * spec.gamma
-    return k, w
+    """k = exp(-c r^gamma) of the squared distances r2, computed in r2's buffer, which it returns
+    (r2's values are gone afterwards), and the weight w = -c gamma k r^(gamma - 2) of
+    grad_{b_j} k(a_i, b_j) = w_ij (b_j - a_i), -0.0 where rows coincide. At gamma = 2 numpy's
+    r ** 0.0 is 1.0 at every r, NaN and inf too, so w is k times -2c from one multiply, with the
+    bits of the general formula. Both Gaussian VJPs take their terms from here and differ only
+    in the axis they sum."""
+    zero = r2 == 0
+    if spec.gamma == 2.0:
+        w = np.multiply(_gaussian_from_sq(spec, r2), -spec.scale * spec.gamma)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.sqrt(r2)
+            w **= spec.gamma - 2.0
+        w *= _gaussian_from_sq(spec, r2)
+        w *= -spec.scale * spec.gamma
+    np.copyto(w, -0.0, where=zero)  # 0 times k times -c gamma, as r^(gamma - 2) is not taken there
+    return r2, w
 
 
 def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
@@ -468,12 +475,11 @@ def _gaussian_gram_and_vjp(spec: KernelSpec, a: np.ndarray, b: np.ndarray):
     order, as an einsum or ``sum(axis=0)`` over ``kernel_grad2`` does: the same bits below 8
     features, about 1 ulp apart from 8 on, where ``kernel_grad2``'s ``np.sum`` adds the
     squares pairwise."""
-    r = sq_distances(a, b)
-    k, w = _gaussian_and_weight(spec, r)
+    k, w = _gaussian_and_weight(spec, sq_distances(a, b))
 
     def vjp(coef):
         g = np.empty((b.shape[0], b.shape[1]))
-        d = r  # r's buffer holds one feature's terms at a time
+        d = np.empty_like(w)  # one feature's terms at a time
         for f in range(b.shape[1]):
             np.subtract(b[:, f], a[:, f, None], out=d)
             d *= w
@@ -535,7 +541,10 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt):
     gradient; a class has the same bits in any stack, one class alone too.
 
     A gamma-exponential kernel works in (C, m, A) layout, S's rows against T's along the
-    contiguous axis (``_gaussian_mean_and_vjp``), and scales the sums. Each feature's gradient
+    contiguous axis (``_gaussian_mean_and_vjp``), and scales the sums. Up to 16 features each
+    feature's differences are taken once, for the distances, and kept for the gradient terms
+    while a block's fit in 2^18 floats; at gamma = 2 the weight is one multiply of the Gram
+    entries (``_gaussian_and_weight``). Each feature's gradient
     terms are added over T's rows pairwise, as ``np.add.reduce`` adds a contiguous run, within
     fixed blocks of rows that are then added in order, and over S's rows (the (S, S) term) the
     same way; below 8 rows the pairwise and the row-order sum coincide. The Gram entries have
@@ -569,6 +578,10 @@ def mmd_squared_and_grad_s(spec: KernelSpec, t: np.ndarray, s: np.ndarray, ktt):
 # within 2^14 entries: a (10, 10, 480) block took twice the time per entry, in fresh pages
 _MMD_BLOCK_ROWS = 1024
 _MMD_BLOCK_ENTRIES = 1 << 14
+# the most floats of a block's per-feature differences that _gaussian_mean_and_vjp keeps from
+# its distances for its gradient (2 MB); past it the gradient takes them again. Kept without a
+# bound, 16 features of a 50 x 1024 block would take 6.5 MB
+_MMD_KEPT_DIFFERENCES = 1 << 18
 
 
 def _gaussian_mean_and_vjp(spec: KernelSpec, x: np.ndarray, s: np.ndarray):
@@ -577,11 +590,14 @@ def _gaussian_mean_and_vjp(spec: KernelSpec, x: np.ndarray, s: np.ndarray):
     (C, m, n).
 
     A block's (classes, m, rows) distances have ``sq_distances(x_c, s_c)``'s bits: up to 16
-    features they are summed one feature at a time, above they come from ``sq_distances`` of
-    the block's rows, whose expanded entries depend only on their own row and s_c. The block's
-    ``_gaussian_and_weight`` terms are formed one feature at a time, and ``np.add.reduce`` adds
-    each feature's along the contiguous rows axis. The Gram is kept in (X, m) order, whose
-    pairwise sum is ``gram_mean``'s."""
+    features they are summed one feature at a time, the first square written as the sum (0.0 +
+    x is x), above they come from ``sq_distances`` of the block's rows, whose expanded entries
+    depend only on their own row and s_c. The block's ``_gaussian_and_weight`` terms are formed
+    one feature at a time, and ``np.add.reduce`` adds each feature's along the contiguous rows
+    axis. Up to 16 features the distances' differences are kept for the terms while the block's
+    n of them take at most 2^18 floats, so a feature's terms cost a multiply and a sum; otherwise
+    the terms take the differences again. The Gram is kept in (X, m) order, whose pairwise sum
+    is ``gram_mean``'s."""
     c, n_x, n = x.shape
     m = s.shape[1]
     gram = np.empty((c, n_x, m))
@@ -592,20 +608,24 @@ def _gaussian_mean_and_vjp(spec: KernelSpec, x: np.ndarray, s: np.ndarray):
         for i0 in range(0, n_x, _MMD_BLOCK_ROWS):
             rows = xc[:, i0:i0 + _MMD_BLOCK_ROWS]
             cols = np.ascontiguousarray(rows.transpose(0, 2, 1))  # each feature's values contiguous
+            kept = None
             if n > _EXPANSION_FEATURES:
                 r = np.ascontiguousarray([sq_distances(x_c, s_c).T for x_c, s_c in zip(rows, sc)])
             else:
-                r = np.zeros((len(sc), m, rows.shape[1]))
-                d = np.empty_like(r)
+                r, sq = np.empty((2, len(sc), m, rows.shape[1]))
+                if n * r.size <= _MMD_KEPT_DIFFERENCES:
+                    kept = np.empty((n, *r.shape))
                 for f in range(n):
+                    d = sq if kept is None else kept[f]
                     np.subtract(sc[:, :, f, None], cols[:, None, f], out=d)
-                    d *= d
-                    r += d
-            k, w = _gaussian_and_weight(spec, r)
+                    if f == 0:
+                        np.square(d, out=r)
+                    else:
+                        r += np.square(d, out=sq)
+            k, w = _gaussian_and_weight(spec, r)  # k is r's buffer
             gram[c0:c0 + per, i0:i0 + _MMD_BLOCK_ROWS] = k.transpose(0, 2, 1)
-            d = r  # r's buffer holds one feature's terms at a time
             for f in range(n):
-                np.subtract(sc[:, :, f, None], cols[:, None, f], out=d)
+                d = np.subtract(sc[:, :, f, None], cols[:, None, f], out=r) if kept is None else kept[f]
                 d *= w
                 gc[:, :, f] += np.add.reduce(d, axis=2)
     return np.add.reduce(gram.reshape(c, -1), axis=1) / (n_x * m), g

@@ -9,7 +9,8 @@ from scipy.spatial.distance import cdist
 
 from dckit import LabeledDataset, Mlp, SyntheticDataset
 from dckit.condense import _matching_problem
-from dckit.kernels import _rff_params, mmd_squared_and_grad_s, random_feature_map
+from dckit.kernels import (_EXPANSION_FEATURES, _MMD_BLOCK_ENTRIES, _MMD_BLOCK_ROWS, _gaussian_from_sq, _rff_params,
+                           mmd_squared_and_grad_s, random_feature_map, sq_distances)
 
 
 @pytest.fixture
@@ -92,6 +93,73 @@ def mmd_one_class(spec, t: np.ndarray, s: np.ndarray, ktt: float):
     """``mmd_squared_and_grad_s`` of one class, passed as a stack of one: its value and (m, n) gradient."""
     values, grads = mmd_squared_and_grad_s(spec, t[None], s[None], np.array([ktt]))
     return float(values[0]), grads[0]
+
+
+def reference_gaussian_and_weight(spec, r2: np.ndarray):
+    """k = exp(-c r^gamma) of the squared distances r2 in a new array, and the weight w = -c gamma
+    k r^(gamma - 2) by the general formula at every gamma, its power taken at gamma = 2 too,
+    zeroed where rows coincide before k and -c gamma multiply it; r2's buffer is left holding r.
+    The reference that the kernel's weight and the Gaussian gradients are checked against byte
+    for byte."""
+    k = _gaussian_from_sq(spec, r2.copy())
+    np.sqrt(r2, out=r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = r2 ** (spec.gamma - 2.0)
+    w[r2 == 0] = 0.0
+    w *= k
+    w *= -spec.scale * spec.gamma
+    return k, w
+
+
+def reference_gaussian_mean_and_vjp(spec, x: np.ndarray, s: np.ndarray):
+    """``kernels._gaussian_mean_and_vjp`` with every distance summed from np.zeros and every
+    feature's difference taken again for the gradient, on ``reference_gaussian_and_weight``'s
+    terms: the (C,) Gram means and (C, m, n) gradients that the kernel is checked against byte
+    for byte."""
+    c, n_x, n = x.shape
+    m = s.shape[1]
+    gram, g = np.empty((c, n_x, m)), np.zeros(s.shape)
+    per = max(1, _MMD_BLOCK_ENTRIES // (m * min(n_x, _MMD_BLOCK_ROWS)))
+    for c0 in range(0, c, per):
+        xc, sc, gc = x[c0:c0 + per], s[c0:c0 + per], g[c0:c0 + per]
+        for i0 in range(0, n_x, _MMD_BLOCK_ROWS):
+            rows = xc[:, i0:i0 + _MMD_BLOCK_ROWS]
+            cols = np.ascontiguousarray(rows.transpose(0, 2, 1))
+            if n > _EXPANSION_FEATURES:
+                r = np.ascontiguousarray([sq_distances(x_c, s_c).T for x_c, s_c in zip(rows, sc)])
+            else:
+                r = np.zeros((len(sc), m, rows.shape[1]))
+                d = np.empty_like(r)
+                for f in range(n):
+                    np.subtract(sc[:, :, f, None], cols[:, None, f], out=d)
+                    d *= d
+                    r += d
+            k, w = reference_gaussian_and_weight(spec, r)
+            gram[c0:c0 + per, i0:i0 + _MMD_BLOCK_ROWS] = k.transpose(0, 2, 1)
+            d = r
+            for f in range(n):
+                np.subtract(sc[:, :, f, None], cols[:, None, f], out=d)
+                d *= w
+                gc[:, :, f] += np.add.reduce(d, axis=2)
+    return np.add.reduce(gram.reshape(c, -1), axis=1) / (n_x * m), g
+
+
+def reference_gaussian_gram_and_vjp(spec, a: np.ndarray, b: np.ndarray):
+    """krr's Gaussian ``gram_and_vjp`` on ``reference_gaussian_and_weight``'s terms, its VJP in
+    r's buffer: the Gram matrix and VJP that the kernel's are checked against byte for byte."""
+    r = sq_distances(a, b)
+    k, w = reference_gaussian_and_weight(spec, r)
+
+    def vjp(coef):
+        g, d = np.empty((b.shape[0], b.shape[1])), r
+        for f in range(b.shape[1]):
+            np.subtract(b[:, f], a[:, f, None], out=d)
+            d *= w
+            d *= coef
+            g[:, f] = d.sum(axis=0) if d.shape[1] > 1 or not len(d) else np.add.accumulate(d[:, 0])[-1]
+        return g
+
+    return k, vjp
 
 
 def central_diff(fn, x: np.ndarray) -> np.ndarray:

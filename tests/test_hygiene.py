@@ -307,6 +307,45 @@ def test_gram_mean_site_detected():
     assert gram_mean_sites(planted) == ["ktt", "Step", "<module>"]
 
 
+# The package's Gaussian gradient weight -c gamma k r^(gamma - 2): krr's VJP and mmd's step take
+# theirs from ``_gaussian_and_weight``, which takes no power at gamma = 2. ``kernel_grad2`` keeps
+# its own formula, as the reference that tests compare ``gram_and_vjp`` against.
+GAUSSIAN_WEIGHT_SITES = {"_gaussian_and_weight", "kernel_grad2"}
+
+
+def gaussian_weight_sites(source: str) -> list[str]:
+    """The top-level definitions of ``source`` that raise a value to ``gamma - 2``, by ``**``,
+    ``**=``, ``power`` or ``pow``."""
+    def gamma_minus_2(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and "gamma" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))
+                and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+    def raises(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            return gamma_minus_2(node.right if isinstance(node, ast.BinOp) else node.value)
+        return (isinstance(node, ast.Call) and _callee(node.func) in ("power", "pow") and len(node.args) == 2
+                and gamma_minus_2(node.args[1]))
+
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body if any(map(raises, ast.walk(top)))]
+
+
+def test_gaussian_weight_sites_ratchet():
+    assert {name for path in MODULES for name in gaussian_weight_sites(path.read_text())} == GAUSSIAN_WEIGHT_SITES
+
+
+def test_gaussian_weight_site_detected():
+    planted = (
+        "import numpy as np\n\n\n"
+        "def weight(spec, r):\n    return r ** (spec.gamma - 2.0)\n\n\n"
+        "class Step:\n    def __call__(self, r, gamma):\n        r **= gamma - 2\n        return r\n\n\n"
+        "def via_power(spec, r):\n    return np.power(r, spec.gamma - 2.0)\n\n\n"
+        "def fine(spec, r, gamma):\n    return r ** spec.gamma, r ** (gamma - 1.0), r ** 2.0, (gamma - 2) * r\n\n\n"
+        "W = R ** (gamma - 2)\n"
+    )
+    assert gaussian_weight_sites(planted) == ["weight", "Step", "via_power", "<module>"]
+
+
 def self_dot_sites(source: str) -> list[str]:
     """The top-level definitions of ``source`` that take a squared norm of one name, as ``x @ x`` or
     ``np.dot(x, x)`` (also ``vdot``, ``inner`` or ``matmul``)."""

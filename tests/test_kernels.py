@@ -25,8 +25,9 @@ from dckit import (
 import dckit.kernels
 from dckit.errors import ConfigError, DomainError, ShapeError
 from dckit.kernels import gram_and_vjp, kernel_grad2, mmd_squared_and_grad_s, sq_distances
-from tests.conftest import (central_diff, linear_mlp, matching_value_and_grad, mmd_one_class, rff_input_jacobian,
-                            rff_vjp_reference)
+from tests.conftest import (central_diff, linear_mlp, matching_value_and_grad, mmd_one_class,
+                            reference_gaussian_and_weight, reference_gaussian_gram_and_vjp,
+                            reference_gaussian_mean_and_vjp, rff_input_jacobian, rff_vjp_reference)
 
 
 def mmd_double_sum_oracle(spec, t, s):
@@ -269,6 +270,51 @@ def test_stacked_mmd_rejects_mismatched_stacks(rng):
         mmd_squared_and_grad_s(spec, np.zeros((2, 0, 3)), np.zeros((2, 2, 3)), np.zeros(2))
 
 
+def same_bytes(got, want) -> bool:
+    """Equal shapes and equal bit patterns: tells -0.0 from +0.0 and one NaN from another."""
+    got, want = np.ascontiguousarray(got, dtype=np.float64), np.ascontiguousarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def coinciding_rows(t, s):
+    """t's class stack with row 3 of class 0 on S's row 1 and every row of the last class on its
+    S row 0, half of them 1e-170 from it in feature 0: a square that underflows to 0, where the
+    weight is -0.0 though the difference is not 0."""
+    t, s = t.copy(), s.copy()
+    t[0, 3] = s[0, min(1, s.shape[1] - 1)]
+    s[-1, 0, 0] = 0.0
+    t[-1] = s[-1, 0]
+    t[-1, ::2, 0] = 1e-170
+    return t, s
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 17, 20])
+def test_gaussian_terms_have_the_general_formulas_bytes(dim, gamma, rng):
+    # the weight at gamma = 2 from one multiply of k, the distances' first square written as
+    # their sum and the kept differences give the general formula's bytes: the weight, Gram
+    # means and gradients of every block layout, kept or retaken differences, and krr's VJP
+    spec = KernelSpec("gamma_exponential", gamma=gamma, scale=0.37)
+    blocks = dckit.kernels._MMD_BLOCK_ENTRIES
+    for m in (1, 10, 50):
+        per = blocks // (m * 100)  # classes of 100 T rows per block; per + 2 leaves a ragged last block
+        for n_c, n_t in ((3, 1100), (per + 2, 100)):  # 1100 T rows span two blocks of rows
+            t, s = coinciding_rows(rng.uniform(size=(n_c, n_t, dim)), rng.uniform(size=(n_c, m, dim)))
+            for x in (t, s):  # T against S, and S against itself
+                mean, grad = dckit.kernels._gaussian_mean_and_vjp(spec, x, s)
+                mean_ref, grad_ref = reference_gaussian_mean_and_vjp(spec, x, s)
+                assert same_bytes(mean, mean_ref) and same_bytes(grad, grad_ref)
+    r2 = sq_distances(t[-1], s[-1])
+    assert np.count_nonzero(r2 == 0) == t.shape[1]  # the exact and the underflowing pairs
+    k, w = dckit.kernels._gaussian_and_weight(spec, r2.copy())
+    k_ref, w_ref = reference_gaussian_and_weight(spec, r2)
+    assert same_bytes(k, k_ref) and same_bytes(w, w_ref)
+    a, b, coef = t[-1], s[-1], rng.normal(size=(n_t, m))
+    for cols in (slice(None), slice(0, 1)):  # a single column is added in row order
+        (k, vjp), (k_ref, vjp_ref) = gram_and_vjp(spec, a, b[cols]), reference_gaussian_gram_and_vjp(spec, a, b[cols])
+        assert same_bytes(k, k_ref) and same_bytes(vjp(coef[:, cols]), vjp_ref(coef[:, cols]))
+
+
 @pytest.mark.parametrize("gamma", [2.0, 1.0])
 def test_gaussian_vjp_adds_a_single_column_in_row_order(gamma, rng):
     # sum(axis=0) adds an (A, 1) column pairwise; the contraction keeps row order for every B
@@ -317,19 +363,21 @@ def test_gaussian_gradients_match_fd_oracle(gamma):
 
 
 def test_gaussian_gradient_peak_memory_is_a_few_matrices(rng):
-    # one (A, B, n) difference tensor alone is n / 8 = 8 times this bound; built and squared
-    # it peaked at 150 MiB here
-    n_a, n_b, dim = 2000, 50, 64
+    # one (A, B, n) difference tensor alone is n / 8 times this bound; at 64 features, built and
+    # squared, it peaked at 150 MiB. At 16 features the mmd step's kept differences of one 50 x
+    # 1024 block would alone take 6.5 MB, over the bound's 6.4 MB, without their budget
+    n_a, n_b = 2000, 50
     spec = gaussian_spec(0.01)
-    t, s, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
-    for call in (lambda: mmd_one_class(spec, t, s, 0.5), lambda: gram_and_vjp(spec, t, s)[1](coef)):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n_a * n_b * 8
+    for dim in (16, 64):
+        t, s, coef = rng.uniform(size=(n_a, dim)), rng.uniform(size=(n_b, dim)), rng.normal(size=(n_a, n_b))
+        for call in (lambda: mmd_one_class(spec, t, s, 0.5), lambda: gram_and_vjp(spec, t, s)[1](coef)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * n_a * n_b * 8
 
 
 def _rel_err(got, want):
@@ -465,6 +513,18 @@ def test_median_heuristic_matches_pdist_bits(n, dim, rng):
 def positive_median(x):
     d = pdist(np.asarray(x, dtype=float).reshape(len(x), -1))
     return np.median(d[d > 0]) if np.any(d > 0) else 1.0
+
+
+@pytest.mark.parametrize("n,dim", [(800, 2), (1600, 2), (480, 32), (400, 64)])
+def test_pair_sq_distances_keep_the_running_sums_bytes(n, dim, rng):
+    # the median bracket's sampled pairs, one column at a time at every width: a running sum
+    # along each pair's squares, and up to 16 features sq_distances' bytes
+    x = rng.normal(size=(n, dim))
+    i, j = rng.integers(0, n, size=(2, 1 << 14))
+    got = dckit.kernels._pair_sq_distances(x, x, i, j)
+    assert same_bytes(got, np.add.accumulate((x[i] - x[j]) ** 2, axis=1)[:, -1])
+    if dim <= dckit.kernels._EXPANSION_FEATURES:
+        assert same_bytes(got, sq_distances(x, x)[i, j])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
